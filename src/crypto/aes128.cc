@@ -1,8 +1,10 @@
 #include "crypto/aes128.h"
 
 #include <cstring>
+#include <stdexcept>
 
 #if defined(HAAC_USE_AESNI)
+#include <tmmintrin.h>
 #include <wmmintrin.h>
 #endif
 
@@ -102,10 +104,117 @@ addRoundKey(uint8_t s[16], const uint8_t rk[16])
         s[i] ^= rk[i];
 }
 
+#if defined(HAAC_USE_AESNI)
+/**
+ * This file is compiled with -maes -mssse3, but the binary may land on
+ * an x86 CPU without those extensions: every AES-NI path dispatches on
+ * CPUID, probed once per process.
+ */
+bool
+haveAesni()
+{
+    static const bool have = __builtin_cpu_supports("aes") &&
+                             __builtin_cpu_supports("ssse3");
+    return have;
+}
+
+// A Label's {lo, hi} layout on a little-endian x86 is its toBytes()
+// serialization, so labels load straight into AES state registers.
+static_assert(sizeof(Label) == 16, "Label must be one 128-bit block");
+
+inline __m128i
+loadLabel(const Label &l)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(&l));
+}
+
+inline void
+storeLabel(Label &l, __m128i v)
+{
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&l), v);
+}
+
+/**
+ * Round key @p round + 1 from round key @p round (Gueron's form, no
+ * AESKEYGENASSIST): PSHUFB copies RotWord(w3) into all four columns,
+ * so AESENCLAST's ShiftRows is the identity and it yields
+ * SubWord(RotWord(w3)) ^ Rcon in every column; two shift-XORs turn
+ * (w0, w1, w2, w3) into their running XOR, which that value completes.
+ */
+inline __m128i
+expandRound(__m128i key, int round)
+{
+    const __m128i rot =
+        _mm_shuffle_epi8(key, _mm_set1_epi32(0x0c0f0e0d));
+    const __m128i sub =
+        _mm_aesenclast_si128(rot, _mm_set1_epi32(kRcon[round]));
+    key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+    key = _mm_xor_si128(key, _mm_slli_si128(key, 8));
+    return _mm_xor_si128(key, sub);
+}
+
+/** aesMmoPair() for a fixed n: both schedules live only in registers. */
+template <int N>
+void
+aesMmoPairAesni(const Label &key0, const Label &key1, const Label x0[],
+                Label y0[], const Label x1[], Label y1[])
+{
+    __m128i k0 = loadLabel(key0), k1 = loadLabel(key1);
+    __m128i in0[N], in1[N], s0[N], s1[N];
+    for (int i = 0; i < N; ++i) {
+        in0[i] = loadLabel(x0[i]);
+        in1[i] = loadLabel(x1[i]);
+        s0[i] = _mm_xor_si128(in0[i], k0);
+        s1[i] = _mm_xor_si128(in1[i], k1);
+    }
+    for (int round = 0; round < kAesRounds - 1; ++round) {
+        k0 = expandRound(k0, round);
+        k1 = expandRound(k1, round);
+        for (int i = 0; i < N; ++i) {
+            s0[i] = _mm_aesenc_si128(s0[i], k0);
+            s1[i] = _mm_aesenc_si128(s1[i], k1);
+        }
+    }
+    k0 = expandRound(k0, kAesRounds - 1);
+    k1 = expandRound(k1, kAesRounds - 1);
+    for (int i = 0; i < N; ++i) {
+        storeLabel(y0[i],
+                   _mm_xor_si128(_mm_aesenclast_si128(s0[i], k0), in0[i]));
+        storeLabel(y1[i],
+                   _mm_xor_si128(_mm_aesenclast_si128(s1[i], k1), in1[i]));
+    }
+}
+#endif
+
 } // namespace
 
 Aes128::Aes128(const uint8_t key[16])
 {
+    expandKey(key);
+}
+
+Aes128::Aes128(const Label &key)
+{
+    uint8_t bytes[16];
+    key.toBytes(bytes);
+    expandKey(bytes);
+}
+
+void
+Aes128::expandKey(const uint8_t key[16])
+{
+#if defined(HAAC_USE_AESNI)
+    if (haveAesni()) {
+        auto *rk = reinterpret_cast<__m128i *>(roundKeys_.data());
+        __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i *>(key));
+        _mm_storeu_si128(rk, k);
+        for (int round = 0; round < kAesRounds; ++round) {
+            k = expandRound(k, round);
+            _mm_storeu_si128(rk + round + 1, k);
+        }
+        return;
+    }
+#endif
     std::memcpy(roundKeys_.data(), key, 16);
     for (int i = 4; i < 4 * (kAesRounds + 1); ++i) {
         uint8_t temp[4];
@@ -124,22 +233,11 @@ Aes128::Aes128(const uint8_t key[16])
     }
 }
 
-Aes128::Aes128(const Label &key)
-{
-    uint8_t bytes[16];
-    key.toBytes(bytes);
-    *this = Aes128(bytes);
-}
-
 void
 Aes128::encryptBlock(const uint8_t in[16], uint8_t out[16]) const
 {
 #if defined(HAAC_USE_AESNI)
-    // Compiled with -maes, but the binary may land on an x86 CPU
-    // without the extension — dispatch on CPUID once per process.
-    static const bool have_aesni = __builtin_cpu_supports("aes") &&
-                                   __builtin_cpu_supports("sse2");
-    if (have_aesni) {
+    if (haveAesni()) {
         // The 176-byte schedule is stored in FIPS-197 byte order, which
         // is exactly what AESENC expects from an unaligned load.
         __m128i state =
@@ -180,6 +278,29 @@ Aes128::encryptBlock(const Label &in) const
     in.toBytes(buf);
     encryptBlock(buf, buf);
     return Label::fromBytes(buf);
+}
+
+void
+aesMmoPair(const Label &key0, const Label &key1, const Label x0[],
+           Label y0[], const Label x1[], Label y1[], int n)
+{
+    if (n != 1 && n != 2)
+        throw std::invalid_argument("aesMmoPair: n must be 1 or 2");
+#if defined(HAAC_USE_AESNI)
+    if (haveAesni()) {
+        if (n == 2)
+            aesMmoPairAesni<2>(key0, key1, x0, y0, x1, y1);
+        else
+            aesMmoPairAesni<1>(key0, key1, x0, y0, x1, y1);
+        return;
+    }
+#endif
+    const Aes128 aes0(key0), aes1(key1);
+    for (int i = 0; i < n; ++i) {
+        const Label a = x0[i], b = x1[i];
+        y0[i] = aes0.encryptBlock(a) ^ a;
+        y1[i] = aes1.encryptBlock(b) ^ b;
+    }
 }
 
 } // namespace haac

@@ -16,6 +16,13 @@ hashRekeyed(const Label &x, uint64_t tweak)
     return aes.encryptBlock(x) ^ x;
 }
 
+void
+hashRekeyedPair(uint64_t j0, uint64_t j1, const Label x0[], Label y0[],
+                const Label x1[], Label y1[], int n)
+{
+    aesMmoPair(tweakKey(j0), tweakKey(j1), x0, y0, x1, y1, n);
+}
+
 namespace {
 
 Label

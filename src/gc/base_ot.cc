@@ -20,8 +20,10 @@ hashPoint(const ec::Point &p, uint64_t index)
     p.toBytes(bytes);
     const Label lo = Label::fromBytes(bytes);
     const Label hi = Label::fromBytes(bytes + kLabelBytes);
-    return hashRekeyed(lo, kBaseOtTweak + 2 * index) ^
-           hashRekeyed(hi, kBaseOtTweak + 2 * index + 1);
+    Label hlo, hhi;
+    hashRekeyedPair(kBaseOtTweak + 2 * index, kBaseOtTweak + 2 * index + 1,
+                    &lo, &hlo, &hi, &hhi, 1);
+    return hlo ^ hhi;
 }
 
 ec::Point

@@ -13,11 +13,10 @@ evaluateAnd(const Label &a, const Label &b, const GarbledTable &table,
     const bool sa = a.lsb();
     const bool sb = b.lsb();
 
-    RekeyedHasher h0(j0), h1(j1);
-    Label wg = h0(a);
+    Label wg, we;
+    hashRekeyedPair(j0, j1, &a, &wg, &b, &we, 1);
     if (sa)
         wg ^= table.tg;
-    Label we = h1(b);
     if (sb)
         we ^= table.te ^ a;
     return wg ^ we;

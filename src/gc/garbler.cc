@@ -11,25 +11,24 @@ garbleAnd(const Label &a0, const Label &b0, const Label &r,
     const bool pa = a0.lsb();
     const bool pb = b0.lsb();
 
-    // One key expansion per tweak, reused for the pair of hashes that
-    // share it (matches the Fig. 2 datapath: 2 expansions, 4 AES).
-    RekeyedHasher h0(j0), h1(j1);
-    const Label ha0 = h0(a0);
-    const Label ha1 = h0(a0 ^ r);
-    const Label hb0 = h1(b0);
-    const Label hb1 = h1(b0 ^ r);
+    // One key expansion per tweak, shared by the pair of hashes under
+    // it (the Fig. 2 datapath: 2 expansions, 4 AES), in one fused call.
+    const Label xa[2] = {a0, a0 ^ r};
+    const Label xb[2] = {b0, b0 ^ r};
+    Label ha[2], hb[2];
+    hashRekeyedPair(j0, j1, xa, ha, xb, hb, 2);
 
     HalfGateGarbled out;
     // Generator half.
-    out.table.tg = ha0 ^ ha1;
+    out.table.tg = ha[0] ^ ha[1];
     if (pb)
         out.table.tg ^= r;
-    Label wg0 = ha0;
+    Label wg0 = ha[0];
     if (pa)
         wg0 ^= out.table.tg;
     // Evaluator half.
-    out.table.te = hb0 ^ hb1 ^ a0;
-    Label we0 = hb0;
+    out.table.te = hb[0] ^ hb[1] ^ a0;
+    Label we0 = hb[0];
     if (pb)
         we0 ^= out.table.te ^ a0;
     out.outZero = wg0 ^ we0;

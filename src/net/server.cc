@@ -405,12 +405,14 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
 
     // Garbler sessions prefer a pooled instance; a pool miss (or no
     // pool) garbles inline with the deterministic per-session seed.
+    // Pop before tracking, so a spec's first session is always a miss
+    // rather than a race with the filler that track() wakes.
     std::unique_ptr<GarbledInstance> pooled;
     const bool pool_eligible =
         opts_.pool != nullptr && server_role == Role::Garbler;
     if (pool_eligible) {
-        opts_.pool->track(spec, wl->netlist);
         pooled = opts_.pool->tryPop(spec);
+        opts_.pool->track(spec, wl->netlist);
     }
 
     RemoteResult result;

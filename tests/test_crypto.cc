@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "crypto/hash.h"
 #include "crypto/label.h"
 #include "crypto/prg.h"
+#include "gc/evaluator.h"
+#include "gc/garbler.h"
 
 namespace haac {
 namespace {
@@ -54,16 +57,31 @@ TEST(Aes128, Fips197AppendixBVector)
         EXPECT_EQ(ct[i], want[i]) << "byte " << i;
 }
 
-TEST(Aes128, KeyScheduleFirstExpansionWord)
+TEST(Aes128, KeyScheduleFips197AppendixA1)
 {
-    // FIPS-197 Appendix A.1: w4 = a0fafe17 for the Appendix B key.
+    // FIPS-197 Appendix A.1: all 44 schedule words w0..w43 for the
+    // Appendix B key, so the hardware and portable expansions are held
+    // to the same 176 bytes.
+    static const char *const kWords[4 * (kAesRounds + 1)] = {
+        "2b7e1516", "28aed2a6", "abf71588", "09cf4f3c", "a0fafe17",
+        "88542cb1", "23a33939", "2a6c7605", "f2c295f2", "7a96b943",
+        "5935807a", "7359f67f", "3d80477d", "4716fe3e", "1e237e44",
+        "6d7a883b", "ef44a541", "a8525b7f", "b671253b", "db0bad00",
+        "d4d1c6f8", "7c839d87", "caf2b8bc", "11f915bc", "6d88a37a",
+        "110b3efd", "dbf98641", "ca0093fd", "4e54f70e", "5f5fc9f3",
+        "84a64fb2", "4ea6dc4f", "ead27321", "b58dbad2", "312bf560",
+        "7f8d292f", "ac7766f3", "19fadc21", "28d12941", "575c006e",
+        "d014f9a8", "c9ee2589", "e13f0cc8", "b6630ca6",
+    };
     const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
     Aes128 aes(key.data());
     const auto &rk = aes.roundKeys();
-    EXPECT_EQ(rk[16], 0xa0);
-    EXPECT_EQ(rk[17], 0xfa);
-    EXPECT_EQ(rk[18], 0xfe);
-    EXPECT_EQ(rk[19], 0x17);
+    for (int w = 0; w < 4 * (kAesRounds + 1); ++w) {
+        char hex[9];
+        std::snprintf(hex, sizeof(hex), "%02x%02x%02x%02x", rk[4 * w],
+                      rk[4 * w + 1], rk[4 * w + 2], rk[4 * w + 3]);
+        EXPECT_STREQ(hex, kWords[w]) << "w" << w;
+    }
 }
 
 TEST(Aes128, EncryptIsDeterministicAndKeyDependent)
@@ -175,6 +193,76 @@ TEST(HalfGateHash, InputSeparatesOutputs)
 {
     Label x(1, 2), y(1, 3);
     EXPECT_NE(hashRekeyed(x, 5), hashRekeyed(y, 5));
+}
+
+// Golden outputs of the re-keyed hash and the Half-Gate kernels. CI
+// runs these on x86 (AES-NI) and on aarch64 (portable AES), so both
+// code paths are held to the same bytes. Tweaks at and above 2^32
+// cover the high half of the tweak key.
+TEST(HalfGateHash, RekeyedGoldenValues)
+{
+    const Label x(0x0123456789abcdefull, 0xfedcba9876543210ull);
+    const struct
+    {
+        uint64_t tweak;
+        const char *hash;
+    } kGolden[] = {
+        {0, "35cec440782707678620fb4473ae016f"},
+        {1, "2f362c13cbe6e1a4cf37a458b812f017"},
+        {0x2468ace, "7058fd752c54e7eb1f8c7d717624a775"},
+        {(1ull << 32) + 7, "19831813f93e69710ebe97f8b056e755"},
+        {0x424f545f00000003ull, "44dfe9770ec442ec30ecc3179783779b"},
+        {~0ull, "5b83cd64dc8cfd24b9125d481866ab8b"},
+    };
+    for (const auto &g : kGolden)
+        EXPECT_EQ(hashRekeyed(x, g.tweak).toHex(), g.hash)
+            << "tweak " << g.tweak;
+}
+
+TEST(HalfGateHash, GarbleAndGoldenValues)
+{
+    const Label r(0x5555aaaa3333cccdull, 0x0f0f0f0ff0f0f0f0ull);
+    const struct
+    {
+        Label a0, b0;
+        uint64_t gate;
+        const char *tg, *te, *outZero;
+    } kGolden[] = {
+        {Label(0x1000, 0x2000), Label(0x3000, 0x4000), 0, "c999e4db8e0b941b8270048941928ae1", "747a4712c50c0ed52e2a58952d26214e", "5134dcafd16a9c22363429233b0197f1"},
+        {Label(0x1001, 0x2000), Label(0x3000, 0x4000), 9, "90a5db5be2a2e6aa540b3b35c3ee62b4", "9950ae0ebe141d4ac88925dc03446e30", "e2d695ddffc4599771470be5824f49b4"},
+        {Label(0x1000, 0x2000), Label(0x3001, 0x4000), 1ull << 32, "62b564e5f516cdb8154e64686f160f4f",
+         "6193233d6e13a7f66106376c1bab801d", "e8e3d6cf67c5bd242f6848d1cdbbd6dc"},
+        {Label(0x1001, 0x2000), Label(0x3001, 0x4000),
+         0x0123456789abcdefull, "b15085510aacd16581de72ad7d2673a0", "e6cfbf9d6531dcc35e1a93f5ec674b5a", "5ad5ecca6cf48bd2733a17149b03cd28"},
+    };
+    for (const auto &g : kGolden) {
+        const HalfGateGarbled hg = garbleAnd(g.a0, g.b0, r, g.gate);
+        EXPECT_EQ(hg.table.tg.toHex(), g.tg) << "gate " << g.gate;
+        EXPECT_EQ(hg.table.te.toHex(), g.te) << "gate " << g.gate;
+        EXPECT_EQ(hg.outZero.toHex(), g.outZero) << "gate " << g.gate;
+    }
+}
+
+TEST(HalfGateHash, EvaluateAndGoldenValues)
+{
+    // An arbitrary (not garbler-made) table, so the evaluator's bytes
+    // are pinned independently of garbleAnd's.
+    const GarbledTable table{Label(0xaaaa, 0xbbbb), Label(0xcccc, 0xdddd)};
+    const struct
+    {
+        Label a, b;
+        uint64_t gate;
+        const char *out;
+    } kGolden[] = {
+        {Label(0x1000, 0x2000), Label(0x3000, 0x4000), 0, "5134dcafd16a9c22363429233b0197f1"},
+        {Label(0x1001, 0x2000), Label(0x3000, 0x4000), 9, "72734e861d660486254c30d041a181aa"},
+        {Label(0x1000, 0x2000), Label(0x3001, 0x4000), 1ull << 32, "8970f5f209d6c70f4e6e7fbdd6109a0d"},
+        {Label(0x1001, 0x2000), Label(0x3001, 0x4000),
+         0x0123456789abcdefull, "0d4ad6060369e012acfef64c0a4293b4"},
+    };
+    for (const auto &g : kGolden)
+        EXPECT_EQ(evaluateAnd(g.a, g.b, table, g.gate).toHex(), g.out)
+            << "gate " << g.gate;
 }
 
 TEST(HalfGateHash, FixedKeyDiffersFromRekeyed)

@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <deque>
+#include <stdexcept>
 
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
@@ -17,6 +19,7 @@
 #include "gc/ot.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
+#include "workloads/vip.h"
 
 namespace haac {
 namespace {
@@ -75,6 +78,34 @@ TEST(HalfGate, WrongTweakBreaksEvaluation)
     HalfGateGarbled hg = garbleAnd(a0, b0, r, 5);
     const Label lc = evaluateAnd(a0, b0, hg.table, 6);
     EXPECT_NE(lc, hg.outZero);
+}
+
+TEST(HalfGate, FusedPairHashMatchesTwoRekeyedHashers)
+{
+    // hashRekeyedPair is the half-gate kernels' only hash; hold it to
+    // the single-tweak RekeyedHasher on random tweaks and labels,
+    // including tweaks above 2^32.
+    Prg rng(1303);
+    for (int trial = 0; trial < 10000; ++trial) {
+        const int n = 1 + trial % 2;
+        // Mostly a gate's (2g, 2g+1) pair, sometimes arbitrary tweaks.
+        const uint64_t j0 =
+            trial % 4 == 0 ? rng.nextU64() : 2 * rng.nextRange(1u << 20);
+        const uint64_t j1 = trial % 3 == 0 ? rng.nextU64() : j0 + 1;
+        Label x0[2], x1[2], y0[2], y1[2];
+        for (int i = 0; i < n; ++i) {
+            x0[i] = rng.nextLabel();
+            x1[i] = rng.nextLabel();
+        }
+        hashRekeyedPair(j0, j1, x0, y0, x1, y1, n);
+        const RekeyedHasher h0(j0), h1(j1);
+        for (int i = 0; i < n; ++i) {
+            ASSERT_EQ(y0[i], h0(x0[i])) << "trial " << trial;
+            ASSERT_EQ(y1[i], h1(x1[i])) << "trial " << trial;
+        }
+    }
+    Label x[3], y[3];
+    EXPECT_THROW(hashRekeyedPair(0, 1, x, y, x, y, 3), std::invalid_argument);
 }
 
 TEST(HalfGate, TableBytesMatchPaper)
@@ -310,6 +341,33 @@ TEST(Streaming, MatchesBatchGarblerBitForBit)
     for (size_t i = 0; i < nl.outputs.size(); ++i)
         EXPECT_EQ(sg.outputZeroLabels[i],
                   batch.zeroLabel(nl.outputs[i]));
+}
+
+TEST(Streaming, HammTablesMatchGoldenDigest)
+{
+    // FNV-1a over every table the streaming garbler emits for the
+    // default-scale Hamm workload: pins the re-keyed half-gate bytes
+    // end to end, on whichever AES path the host takes.
+    const Workload wl = vipWorkload("Hamm", false);
+    uint64_t digest = 0xcbf29ce484222325ull;
+    auto mix = [&digest](uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            digest ^= (word >> (8 * i)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    };
+    const StreamedGarbling sg = garbleStreaming(
+        wl.netlist, 2023, [&mix](const GarbledTable &t) {
+            mix(t.tg.lo);
+            mix(t.tg.hi);
+            mix(t.te.lo);
+            mix(t.te.hi);
+        });
+    EXPECT_EQ(sg.tablesEmitted, wl.netlist.numAndGates());
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_STREQ(hex, "3361f11c2523e3e7");
 }
 
 TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)

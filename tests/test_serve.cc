@@ -510,8 +510,7 @@ TEST(GcServer, PoolMissFallsBackToInlineGarbling)
     PoolOptions popts;
     popts.depth = 1;
     GarblePool pool(popts); // "Hamm" is only tracked on demand, and
-                            // garbling it takes far longer than the
-                            // track()-to-tryPop() gap in serveSession
+                            // serveSession pops before it tracks
 
     ServerOptions opts;
     opts.threads = 1;
