@@ -2,15 +2,21 @@
  * @file
  * Cycle-engine tests: latency floors, ILP scaling, DRAM-bound behavior,
  * traffic accounting identities, role asymmetry, forwarding ablation,
- * and mode isolation (compute vs traffic).
+ * and mode isolation (compute vs traffic), plus golden digests that pin
+ * every SimStats field, the probe's per-cycle view and shard export
+ * times across the VIP fleet.
  */
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "core/compiler/passes.h"
 #include "core/sim/engine.h"
 #include "crypto/prg.h"
+#include "shard/partition.h"
+#include "workloads/vip.h"
 
 namespace haac {
 namespace {
@@ -363,6 +369,267 @@ TEST(Engine, BankContentionAppearsWithFewBanks)
     SimStats sm = simulate(prog, many, SimMode::ComputeOnly);
     SimStats sf = simulate(prog, few, SimMode::ComputeOnly);
     EXPECT_GT(sf.stallBank, sm.stallBank);
+}
+
+
+// ---------------------------------------------------------------------
+// Goldens. The engine may skip work whose outcome is already known
+// (sleeping GEs, idle DRAM lanes), but every observable number must
+// stay bit-identical: each digest below covers every SimStats field,
+// including the six stall causes, the SWW/forwarding activity counts
+// and the per-GE issue split, over the eight VIP workloads.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over little-endian 64-bit words. */
+struct Fnv
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+void
+addStats(Fnv &f, const SimStats &s)
+{
+    for (uint64_t v :
+         {s.cycles, s.instructions, s.andOps, s.xorOps, s.notOps,
+          s.instrBytes, s.tableBytes, s.oorAddrBytes, s.oorDataBytes,
+          s.liveWriteBytes, s.inputLoadBytes, s.liveWires, s.oorReads,
+          s.stallOperand, s.stallInstrQueue, s.stallTableQueue,
+          s.stallOorwQueue, s.stallBank, s.stallWriteBuffer, s.swwReads,
+          s.swwWrites, s.forwardHits})
+        f.add(v);
+    f.add(s.issuedPerGe.size());
+    for (uint64_t v : s.issuedPerGe)
+        f.add(v);
+}
+
+/** A VIP workload compiled as the fleet runs it (full reorder + ESW). */
+HaacProgram
+compiledVip(const std::string &name)
+{
+    CompileOptions opts;
+    opts.swwWires = HaacConfig{}.swwWires();
+    return compileProgram(assemble(vipWorkload(name, false).netlist),
+                          opts);
+}
+
+struct GoldenConfig
+{
+    const char *name;
+    HaacConfig cfg;
+    /** Digest per mode: Combined, ComputeOnly, TrafficOnly. */
+    uint64_t golden[3];
+};
+
+std::vector<GoldenConfig>
+goldenConfigs()
+{
+    HaacConfig base;
+    HaacConfig no_fwd = base;
+    no_fwd.forwarding = false;
+    HaacConfig garbler = base;
+    garbler.role = Role::Garbler;
+    HaacConfig ges4 = base;
+    ges4.numGes = 4;
+    HaacConfig slow = base;
+    slow.dramBandwidthScale = 0.25;
+    return {
+        {"default", base,
+         {0xbf1ded5205e039eeull, 0x03f34b6b793d2d33ull,
+          0x2dfed65d5383a3e5ull}},
+        {"forwarding=false", no_fwd,
+         {0x0e1f84f6ffc8ef9full, 0xf3ac22da3b47fe34ull,
+          0xd98fe518be4ddc91ull}},
+        {"garbler", garbler,
+         {0x381cd5e26764f0cdull, 0xa20d1fb40fd49fccull,
+          0x52f564cbae25a4d5ull}},
+        {"numGes=4", ges4,
+         {0x4f6ca3f03da079a8ull, 0xee326f27ea47ba81ull,
+          0xd4644004850ad40aull}},
+        {"dramBandwidthScale=0.25", slow,
+         {0xc4efeae295d17cf0ull, 0x03f34b6b793d2d33ull,
+          0xa31746e8a4508de6ull}},
+    };
+}
+
+TEST(EngineGolden, SimStatsDigestAcrossVipFleet)
+{
+    const SimMode modes[3] = {SimMode::Combined, SimMode::ComputeOnly,
+                              SimMode::TrafficOnly};
+    const char *const mode_names[3] = {"Combined", "ComputeOnly",
+                                       "TrafficOnly"};
+    std::vector<GoldenConfig> configs = goldenConfigs();
+    Fnv digest[5][3];
+    for (const std::string &name : vipNames()) {
+        const HaacProgram prog = compiledVip(name);
+        for (size_t c = 0; c < configs.size(); ++c) {
+            const StreamSet streams = buildStreams(prog, configs[c].cfg);
+            for (int m = 0; m < 3; ++m)
+                addStats(digest[c][m], runSimulation(prog, configs[c].cfg,
+                                                     streams, modes[m]));
+        }
+    }
+    for (size_t c = 0; c < configs.size(); ++c)
+        for (int m = 0; m < 3; ++m)
+            EXPECT_EQ(digest[c][m].h, configs[c].golden[m])
+                << configs[c].name << " / " << mode_names[m]
+                << ": 0x" << std::hex << digest[c][m].h;
+}
+
+TEST(EngineGolden, ShardExportReadyDigest)
+{
+    // Two coordinator-style rounds per shard: imports ready at 0, then
+    // at the producer's export time plus the DRAM latency.
+    const HaacConfig cfg;
+    const uint64_t golden[2] = {0xb34f1ce90ed0a1b3ull,
+                                0x5cd16fca3cc4d589ull}; // M = 2, 4
+    const uint32_t shard_counts[2] = {2, 4};
+    for (int k = 0; k < 2; ++k) {
+        Fnv f;
+        for (const std::string &name : vipNames()) {
+            HaacProgram prog = compiledVip(name);
+            const StreamSet set = buildStreams(prog, cfg);
+            const shard::ShardPlan plan =
+                shard::partitionStreams(prog, set, shard_counts[k]);
+            shard::markCrossShardLive(prog, plan);
+            const uint32_t m = plan.shardCount();
+
+            std::unordered_map<uint32_t, std::pair<uint32_t, uint32_t>>
+                source;
+            for (uint32_t s = 0; s < m; ++s)
+                for (uint32_t i = 0; i < plan.parts[s].exports.size(); ++i)
+                    source[plan.parts[s].exports[i]] = {s, i};
+
+            std::vector<ShardSimResult> last(m);
+            for (int round = 0; round < 2; ++round) {
+                std::vector<ShardSimResult> next(m);
+                for (uint32_t s = 0; s < m; ++s) {
+                    const shard::ShardPart &part = plan.parts[s];
+                    HaacConfig sub = cfg;
+                    sub.numGes = uint32_t(part.geIds.size());
+                    sub.queueSramBytes =
+                        cfg.queueSramBytes * sub.numGes / cfg.numGes;
+                    sub.writeBufferBytes =
+                        cfg.writeBufferBytes * sub.numGes / cfg.numGes;
+                    RemoteWireEnv env;
+                    env.addrs = part.imports;
+                    for (uint32_t addr : part.imports) {
+                        uint64_t t = 0;
+                        if (round > 0) {
+                            const auto &[p, idx] = source.at(addr);
+                            t = last[p].exportReady[idx] + cfg.dramLatency;
+                        }
+                        env.readyCycles.push_back(t);
+                    }
+                    next[s] = runShardSimulation(prog, sub, part.streams,
+                                                 SimMode::Combined, env,
+                                                 part.exports);
+                    addStats(f, next[s].stats);
+                    f.add(next[s].exportReady.size());
+                    for (uint64_t t : next[s].exportReady)
+                        f.add(t);
+                }
+                last = std::move(next);
+            }
+        }
+        EXPECT_EQ(f.h, golden[k])
+            << "M = " << shard_counts[k] << ": 0x" << std::hex << f.h;
+    }
+}
+
+/** Digests everything a SimProbe is shown, cycle by cycle. */
+class RecordingProbe : public SimProbe
+{
+  public:
+    explicit RecordingProbe(uint64_t stop_at = ~uint64_t(0))
+        : stopAt_(stop_at)
+    {}
+
+    void
+    onIssue(uint64_t cycle, uint32_t ge, uint32_t instrIdx,
+            const HaacInstruction &, uint32_t outAddr) override
+    {
+        for (uint64_t v : {cycle, uint64_t(ge), uint64_t(instrIdx),
+                           uint64_t(outAddr)})
+            fnv.add(v);
+        ++issues;
+    }
+
+    bool
+    onCycle(const SimProbeView &view) override
+    {
+        const SimStats &s = *view.stats;
+        for (uint64_t v :
+             {view.cycle, s.stallOperand, s.stallInstrQueue,
+              s.stallTableQueue, s.stallOorwQueue, s.stallBank,
+              s.stallWriteBuffer, view.pendingWriteBytes})
+            fnv.add(v);
+        for (const GeQueueView &q : view.ges)
+            for (uint64_t v :
+                 {q.instrReady, q.instrCapacity, q.instrConsumed,
+                  q.instrTotal, q.tableReady, q.tableCapacity,
+                  q.tableConsumed, q.tableTotal, q.oorReady,
+                  q.oorCapacity, q.oorConsumed, q.oorTotal, q.streamPos,
+                  q.streamLen, uint64_t(q.nextInstr)})
+                fnv.add(v);
+        for (uint8_t b : view.bankAccesses)
+            fnv.add(b);
+        ++cycles;
+        return view.cycle < stopAt_;
+    }
+
+    Fnv fnv;
+    uint64_t issues = 0, cycles = 0;
+
+  private:
+    uint64_t stopAt_;
+};
+
+TEST(EngineGolden, ProbeSeesEveryCycle)
+{
+    struct Case
+    {
+        const char *workload;
+        uint64_t stopAt;
+        uint64_t golden;
+    };
+    const Case cases[] = {
+        {"Hamm", ~uint64_t(0), 0xce0c3048e300085aull},
+        {"ReLU", ~uint64_t(0), 0xf909876ae3bc6b63ull},
+        {"Hamm", 5000, 0x146ee7567d9404ffull},
+    };
+    const HaacConfig cfg;
+    for (const Case &c : cases) {
+        const HaacProgram prog = compiledVip(c.workload);
+        const StreamSet streams = buildStreams(prog, cfg);
+        RecordingProbe probe(c.stopAt);
+        const SimStats s =
+            runSimulation(prog, cfg, streams, SimMode::Combined, &probe);
+        if (c.stopAt == ~uint64_t(0)) {
+            // Every cycle is shown once and every issue is reported.
+            Fnv probed, plain;
+            addStats(probed, s);
+            addStats(plain, runSimulation(prog, cfg, streams));
+            EXPECT_EQ(probed.h, plain.h);
+            EXPECT_EQ(probe.issues, s.instructions);
+        } else {
+            EXPECT_EQ(probe.cycles, c.stopAt + 1);
+            EXPECT_LT(s.instructions, prog.instrs.size());
+        }
+        Fnv f = probe.fnv;
+        addStats(f, s);
+        EXPECT_EQ(f.h, c.golden)
+            << c.workload << " stop " << c.stopAt << ": 0x" << std::hex
+            << f.h;
+    }
 }
 
 } // namespace
