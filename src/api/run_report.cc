@@ -229,7 +229,10 @@ RunReport::toJson() const
         j.add("wire_traffic_bytes", sim.wireTrafficBytes());
         j.add("stall_operand", sim.stallOperand);
         j.add("stall_instr_queue", sim.stallInstrQueue);
+        j.add("stall_table_queue", sim.stallTableQueue);
+        j.add("stall_oorw_queue", sim.stallOorwQueue);
         j.add("stall_bank", sim.stallBank);
+        j.add("stall_write_buffer", sim.stallWriteBuffer);
         j.add("ge_utilization", sim.geUtilization());
         j.add("forward_hits", sim.forwardHits);
         j.end();

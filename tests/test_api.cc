@@ -316,6 +316,21 @@ TEST(RunReportSerialization, JsonHasSectionsAndBalancedBraces)
     EXPECT_NE(json.find("\"energy\":{"), std::string::npos);
     EXPECT_EQ(json.find("\"comm\":{"), std::string::npos)
         << "sim-only report must not claim comm accounting";
+
+    // All six stall causes, each with the engine's own count.
+    const std::pair<const char *, uint64_t> stalls[] = {
+        {"stall_operand", r.sim.stallOperand},
+        {"stall_instr_queue", r.sim.stallInstrQueue},
+        {"stall_table_queue", r.sim.stallTableQueue},
+        {"stall_oorw_queue", r.sim.stallOorwQueue},
+        {"stall_bank", r.sim.stallBank},
+        {"stall_write_buffer", r.sim.stallWriteBuffer},
+    };
+    for (const auto &[key, count] : stalls)
+        EXPECT_NE(json.find("\"" + std::string(key) +
+                            "\":" + std::to_string(count)),
+                  std::string::npos)
+            << key;
 }
 
 TEST(RunReportSerialization, CsvRowMatchesHeaderArity)
