@@ -10,6 +10,7 @@ namespace haac {
 namespace {
 
 constexpr uint32_t kNever32 = ~uint32_t(0);
+constexpr uint64_t kNoWake = ~uint64_t(0);
 
 /** Inbound streaming queue fed by the shared DRAM (paper §3.1). */
 struct StreamQueue
@@ -21,6 +22,7 @@ struct StreamQueue
     uint64_t arrived = 0;
     uint64_t consumed = 0;
     uint64_t capacityEntries = 1;
+    uint64_t maxBatch = 1;     ///< entries per DRAM grant, at most
     std::deque<std::pair<uint64_t, uint32_t>> inflight;
 
     uint64_t
@@ -33,6 +35,28 @@ struct StreamQueue
     wantsGrant() const
     {
         return granted < totalEntries && reserved() < capacityEntries;
+    }
+
+    /** Entries the next grant carries (valid while wantsGrant()). */
+    uint64_t
+    nextBatch() const
+    {
+        return std::min({maxBatch, totalEntries - granted,
+                         capacityEntries - reserved()});
+    }
+
+    /**
+     * First cycle at which available() can turn true again, given it
+     * is false at @p now (whose DRAM step has already run): the front
+     * arrival, or — with nothing in flight — the earliest arrival of a
+     * grant made next cycle. Only the owning GE consumes, so nothing
+     * else can change the outcome before then.
+     */
+    uint64_t
+    nextArrival(uint64_t now, uint32_t dram_latency) const
+    {
+        return inflight.empty() ? now + 1 + dram_latency
+                                : inflight.front().first;
     }
 
     void
@@ -116,6 +140,30 @@ struct GeRunState
     StreamQueue instrQ;
     StreamQueue tableQ; ///< evaluator inbound only
     StreamQueue oorQ;
+
+    /** @name Sleep state: the head instruction's stall is known to
+     * repeat until the GE's wake cycle (Engine::wake_), so it is not
+     * polled before then; the skipped cycles are charged to
+     * @c sleepStall (counted through @c stalledAt). */
+    /// @{
+    uint64_t *sleepStall = nullptr;
+    uint64_t stalledAt = 0;
+    uint32_t waitAddr = kNever32; ///< unproduced operand (no wake cycle)
+    /// @}
+
+    StreamQueue &
+    queue(size_t kind)
+    {
+        return kind == 0 ? instrQ : kind == 1 ? tableQ : oorQ;
+    }
+
+    /** Charge the stalls of the skipped cycles up to @p cycle. */
+    void
+    settle(uint64_t cycle)
+    {
+        *sleepStall += cycle - stalledAt;
+        stalledAt = cycle;
+    }
 };
 
 /**
@@ -136,6 +184,7 @@ class Engine
                         mode == SimMode::TrafficOnly),
           modelCompute_(mode == SimMode::Combined ||
                         mode == SimMode::ComputeOnly),
+          sleeps_(modelTraffic_ && !global_dispatch),
           banks_(cfg.totalBanks()),
           encBytes_(encodedInstrBytes(cfg.swwWires()))
     {}
@@ -160,7 +209,11 @@ class Engine
   private:
     bool tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
                   const HaacInstruction &local, uint64_t *hint);
+    bool sleep(uint32_t g, uint64_t t, uint64_t wake, uint64_t *stall);
+    void wakeWaiters(uint32_t addr, uint64_t t, uint32_t first_ge);
     void dramStep(uint64_t t);
+    void grantLane(size_t lane, uint64_t t);
+    void refreshLane(size_t lane);
     void setupQueues();
     void finalizeTrafficStats();
 
@@ -175,14 +228,22 @@ class Engine
     bool globalDispatch_;
     bool modelTraffic_;
     bool modelCompute_;
+    /** Stalled GEs sleep to their wake cycle; needs every cycle to be
+     * visited, i.e. modelled traffic (ComputeOnly and the scheduling
+     * pass skip idle cycles with hints instead). */
+    bool sleeps_;
 
     BankTracker banks_;
     uint32_t encBytes_;
     SimStats stats_;
 
     std::vector<GeRunState> ges_;
+    /** Next cycle each GE is polled; kNoWake once its stream is done. */
+    std::vector<uint64_t> wake_;
     std::vector<uint32_t> wireReady_;     ///< forwardable cycle per addr
     std::vector<uint32_t> wireDramReady_; ///< cycle the label is in DRAM
+    std::vector<uint32_t> waiters_; ///< GEs sleeping on an unproduced wire
+    std::vector<uint32_t> bufferWaiters_; ///< GEs sleeping on a full buffer
 
     // Input preload stream (addresses [inputBase_, numInputs]).
     uint32_t inputBase_ = 1;
@@ -199,6 +260,14 @@ class Engine
 
     double dramBudget_ = 0;
     size_t rrPtr_ = 0;
+    /** DRAM lanes: 3 per GE (instr, table, OoRW), then the outbound
+     * drain. A set bit in wantMask_ is a lane that wants a grant, and
+     * laneCost_ is what that grant costs; both change only when the
+     * lane is granted or its queue consumed, so dramStep() visits set
+     * bits only and skips the ones the budget cannot cover. */
+    size_t lanes_ = 0;
+    std::vector<uint64_t> wantMask_;
+    std::vector<double> laneCost_;
     uint64_t lastCompletion_ = 0;
     uint64_t lastDrainCycle_ = 0;
 };
@@ -208,6 +277,7 @@ Engine::setupQueues()
 {
     const uint32_t n = cfg_.numGes;
     ges_.resize(n);
+    wake_.assign(n, kNoWake);
     stats_.issuedPerGe.assign(n, 0);
 
     // Queue SRAM split per GE: 25% instructions, 50% tables, 25% OoRW.
@@ -233,7 +303,13 @@ Engine::setupQueues()
         ge.oorQ.grantBytes = uint32_t(kLabelBytes) + 4;
         ge.oorQ.capacityEntries =
             entries(per_ge / 4, uint32_t(kLabelBytes));
+        // Instructions and tables move in 64 B batches; OoRW entries
+        // one at a time (each waits on its own producer's write).
+        ge.instrQ.maxBatch = std::max<uint64_t>(1, 64 / encBytes_);
+        ge.tableQ.maxBatch = std::max<uint64_t>(1, 64 / kTableBytes);
         if (ge.streams) {
+            if (!ge.streams->instrs.empty())
+                wake_[g] = 0;
             ge.instrQ.totalEntries = ge.streams->instrs.size();
             ge.tableQ.totalEntries =
                 cfg_.role == Role::Evaluator ? ge.streams->tableCount : 0;
@@ -280,6 +356,32 @@ Engine::setupQueues()
             wireDramReady_[remote_->addrs[i]] = when;
         }
     }
+
+    lanes_ = size_t(n) * 3 + 1;
+    wantMask_.assign((lanes_ + 63) / 64, 0);
+    laneCost_.assign(lanes_, 0);
+    for (size_t lane = 0; lane + 1 < lanes_; ++lane)
+        refreshLane(lane);
+}
+
+void
+Engine::refreshLane(size_t lane)
+{
+    uint64_t &word = wantMask_[lane / 64];
+    const uint64_t bit = uint64_t(1) << (lane % 64);
+    if (lane == lanes_ - 1) {
+        // Outbound drain: up to 64 B of whatever is writable.
+        word = writableBytes_ > 0 ? word | bit : word & ~bit;
+        laneCost_[lane] = double(std::min<uint64_t>(writableBytes_, 64));
+        return;
+    }
+    const StreamQueue &q = ges_[lane / 3].queue(lane % 3);
+    if (!q.wantsGrant()) {
+        word &= ~bit;
+        return;
+    }
+    word |= bit;
+    laneCost_[lane] = double(q.nextBatch()) * q.grantBytes;
 }
 
 void
@@ -295,9 +397,12 @@ Engine::dramStep(uint64_t t)
     dramBudget_ = std::min(dramBudget_ + per_cycle,
                            std::max(4 * per_cycle, 64.0));
 
-    while (!writeEvents_.empty() && writeEvents_.top().first <= t) {
-        writableBytes_ += writeEvents_.top().second;
-        writeEvents_.pop();
+    if (!writeEvents_.empty() && writeEvents_.top().first <= t) {
+        do {
+            writableBytes_ += writeEvents_.top().second;
+            writeEvents_.pop();
+        } while (!writeEvents_.empty() && writeEvents_.top().first <= t);
+        refreshLane(lanes_ - 1);
     }
 
     // Input preload: arrival order is ascending address.
@@ -313,63 +418,111 @@ Engine::dramStep(uint64_t t)
                 const uint32_t w =
                     inputBase_ + uint32_t(inputLoad_.granted + i);
                 wireReady_[w] = uint32_t(arrival);
+                if (!waiters_.empty())
+                    wakeWaiters(w, t, 0);
             }
             inputLoad_.granted += batch;
             inputLoad_.arrived += batch; // tracked via wireReady_
         }
     }
 
-    // Round-robin over GE streams (instr, table, OoRW) plus writes.
-    const size_t lanes = ges_.size() * 3 + 1;
-    for (size_t step = 0; step < lanes; ++step) {
-        const size_t lane = (rrPtr_ + step) % lanes;
-        if (lane == lanes - 1) {
-            // Outbound drain.
-            const uint64_t chunk = std::min<uint64_t>(writableBytes_, 64);
-            if (chunk > 0 && dramBudget_ >= double(chunk)) {
-                dramBudget_ -= double(chunk);
-                writableBytes_ -= chunk;
-                drainedWriteBytes_ += chunk;
-                lastDrainCycle_ = t;
+    // Round-robin over GE streams (instr, table, OoRW) plus writes,
+    // starting at rrPtr_. Only lanes that want a grant are visited; a
+    // lane the remaining budget cannot cover is passed over.
+    const auto sweep = [&](size_t from, size_t to) {
+        for (size_t w = from / 64; w * 64 < to; ++w) {
+            uint64_t bits = wantMask_[w];
+            if (w == from / 64)
+                bits &= ~uint64_t(0) << (from % 64);
+            if (to - w * 64 < 64)
+                bits &= (uint64_t(1) << (to - w * 64)) - 1;
+            for (; bits != 0; bits &= bits - 1) {
+                const size_t lane = w * 64 + size_t(__builtin_ctzll(bits));
+                if (dramBudget_ >= laneCost_[lane])
+                    grantLane(lane, t);
             }
-            continue;
         }
-        GeRunState &ge = ges_[lane / 3];
-        const size_t kind = lane % 3;
-        StreamQueue &q = kind == 0 ? ge.instrQ
-                        : kind == 1 ? ge.tableQ
-                                    : ge.oorQ;
-        if (!q.wantsGrant())
-            continue;
-        if (kind == 2) {
-            // OoRW: one entry at a time; the label must be valid in
-            // DRAM before the fetch succeeds (§3.1.4 valid bits).
-            const uint32_t addr =
-                ge.streams->oorAddrs[size_t(q.granted)];
-            const uint32_t ready = wireDramReady_[addr];
-            if (ready == kNever32)
-                continue; // producer not drained yet; retry
-            if (dramBudget_ < double(q.grantBytes))
-                continue;
-            dramBudget_ -= double(q.grantBytes);
-            const uint64_t arrival =
-                std::max<uint64_t>(t, ready) + cfg_.dramLatency;
-            q.inflight.emplace_back(arrival, 1);
-            ++q.granted;
-        } else {
-            uint64_t batch = std::max<uint64_t>(1, 64 / q.grantBytes);
-            batch = std::min(batch, q.totalEntries - q.granted);
-            batch = std::min(batch, q.capacityEntries - q.reserved());
-            const double bytes = double(batch) * q.grantBytes;
-            if (batch == 0 || dramBudget_ < bytes)
-                continue;
-            dramBudget_ -= bytes;
-            q.inflight.emplace_back(t + cfg_.dramLatency,
-                                    uint32_t(batch));
-            q.granted += batch;
+    };
+    sweep(rrPtr_, lanes_);
+    sweep(0, rrPtr_);
+    rrPtr_ = (rrPtr_ + 1) % lanes_;
+}
+
+void
+Engine::grantLane(size_t lane, uint64_t t)
+{
+    const double cost = laneCost_[lane];
+    if (lane == lanes_ - 1) {
+        // Outbound drain.
+        const uint64_t chunk = uint64_t(cost);
+        dramBudget_ -= cost;
+        writableBytes_ -= chunk;
+        drainedWriteBytes_ += chunk;
+        lastDrainCycle_ = t;
+        refreshLane(lane);
+        // GEs blocked on a full buffer retry this cycle once there is
+        // room; the GE loop has not run yet.
+        if (scheduledWriteBytes_ - drainedWriteBytes_ <
+            cfg_.writeBufferBytes) {
+            for (uint32_t g : bufferWaiters_)
+                wake_[g] = t;
+            bufferWaiters_.clear();
         }
+        return;
     }
-    rrPtr_ = (rrPtr_ + 1) % lanes;
+    GeRunState &ge = ges_[lane / 3];
+    StreamQueue &q = ge.queue(lane % 3);
+    uint64_t arrival = t + cfg_.dramLatency;
+    if (lane % 3 == 2) {
+        // OoRW: the label must be valid in DRAM before the fetch
+        // succeeds (§3.1.4 valid bits).
+        const uint32_t addr = ge.streams->oorAddrs[size_t(q.granted)];
+        const uint32_t ready = wireDramReady_[addr];
+        if (ready == kNever32)
+            return; // producer not drained yet; retry
+        arrival = std::max<uint64_t>(t, ready) + cfg_.dramLatency;
+    }
+    const uint64_t batch = q.nextBatch();
+    dramBudget_ -= cost;
+    q.inflight.emplace_back(arrival, uint32_t(batch));
+    q.granted += batch;
+    refreshLane(lane);
+}
+
+/**
+ * Park GE @p g, stalled at @p t, until @p wake (kNoWake: until an event
+ * sets it); returns false where the run does not sleep.
+ */
+bool
+Engine::sleep(uint32_t g, uint64_t t, uint64_t wake, uint64_t *stall)
+{
+    if (!sleeps_)
+        return false;
+    wake_[g] = wake;
+    ges_[g].sleepStall = stall;
+    ges_[g].stalledAt = t;
+    return true;
+}
+
+/**
+ * @p addr just got its ready cycle: GEs asleep on it retry this cycle
+ * if they are still to be polled in it (index >= @p first_ge), else the
+ * next one.
+ */
+void
+Engine::wakeWaiters(uint32_t addr, uint64_t t, uint32_t first_ge)
+{
+    for (size_t i = 0; i < waiters_.size();) {
+        GeRunState &ge = ges_[waiters_[i]];
+        if (ge.waitAddr != addr) {
+            ++i;
+            continue;
+        }
+        wake_[waiters_[i]] = waiters_[i] >= first_ge ? t : t + 1;
+        ge.waitAddr = kNever32;
+        waiters_[i] = waiters_.back();
+        waiters_.pop_back();
+    }
 }
 
 bool
@@ -381,15 +534,20 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
     const bool is_and = ins.op == HaacOp::And;
     const bool is_not = ins.op == HaacOp::Not;
 
-    // Stream availability.
+    // Stream availability. A queue stall repeats until the queue's next
+    // arrival: earlier checks keep passing (only this GE consumes).
     if (modelTraffic_) {
         if (!ge.instrQ.available(t)) {
             ++stats_.stallInstrQueue;
+            sleep(g, t, ge.instrQ.nextArrival(t, cfg_.dramLatency),
+                  &stats_.stallInstrQueue);
             return false;
         }
         if (is_and && cfg_.role == Role::Evaluator &&
             !ge.tableQ.available(t)) {
             ++stats_.stallTableQueue;
+            sleep(g, t, ge.tableQ.nextArrival(t, cfg_.dramLatency),
+                  &stats_.stallTableQueue);
             return false;
         }
     }
@@ -398,6 +556,8 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
     if (modelTraffic_ && oor_need > 0 &&
         !ge.oorQ.available(t, oor_need)) {
         ++stats_.stallOorwQueue;
+        sleep(g, t, ge.oorQ.nextArrival(t, cfg_.dramLatency),
+              &stats_.stallOorwQueue);
         return false;
     }
     // Outbound backpressure: don't issue write-producing work into a
@@ -408,6 +568,9 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
         scheduledWriteBytes_ - drainedWriteBytes_ >=
             cfg_.writeBufferBytes) {
         ++stats_.stallWriteBuffer;
+        // Only a drain can make room (issues only add bytes).
+        if (sleep(g, t, kNoWake, &stats_.stallWriteBuffer))
+            bufferWaiters_.push_back(g);
         return false;
     }
 
@@ -432,6 +595,23 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
             if (hint && latest != kNever32)
                 *hint = std::min<uint64_t>(
                     *hint, latest - cfg_.frontendDepth());
+            // The stall repeats until the operands are in reach, or
+            // until the producer of one with no ready cycle yet issues.
+            // Not for write-producing work: a filling write buffer
+            // would turn the same wait into a write-buffer stall.
+            if (sleeps_ && !writes_out) {
+                if (latest != kNever32) {
+                    sleep(g, t, latest - cfg_.frontendDepth(),
+                          &stats_.stallOperand);
+                } else {
+                    sleep(g, t, kNoWake, &stats_.stallOperand);
+                    ge.waitAddr = local.a != kOorAddr &&
+                                          wireReady_[ins.a] == kNever32
+                                      ? ins.a
+                                      : ins.b;
+                    waiters_.push_back(g);
+                }
+            }
             return false;
         }
 
@@ -459,15 +639,24 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
                                              : 0);
 
     if (modelTraffic_) {
+        const size_t lane = size_t(g) * 3;
         ++ge.instrQ.consumed;
-        if (is_and && cfg_.role == Role::Evaluator)
+        refreshLane(lane);
+        if (is_and && cfg_.role == Role::Evaluator) {
             ++ge.tableQ.consumed;
-        ge.oorQ.consumed += oor_need;
-        ge.oorCursor += oor_need;
+            refreshLane(lane + 1);
+        }
+        if (oor_need > 0) {
+            ge.oorQ.consumed += oor_need;
+            ge.oorCursor += oor_need;
+            refreshLane(lane + 2);
+        }
     }
 
     wireReady_[out] =
         uint32_t(cfg_.forwarding ? complete : written);
+    if (!waiters_.empty())
+        wakeWaiters(out, t, g + 1);
     banks_.forceAccess(written, out % cfg_.totalBanks());
     ++stats_.swwWrites;
     stats_.swwReads += (is_not ? 1 : 2) - oor_need;
@@ -647,14 +836,19 @@ Engine::run(StreamSet *record)
             uint64_t hint = ~uint64_t(0);
             bool any = false;
             for (uint32_t g = 0; g < cfg_.numGes; ++g) {
+                if (t < wake_[g])
+                    continue; // finished, or asleep in a known stall
                 GeRunState &ge = ges_[g];
-                if (!ge.streams || ge.cursor >= ge.streams->instrs.size())
-                    continue;
+                if (ge.sleepStall) {
+                    ge.settle(t - 1);
+                    ge.sleepStall = nullptr;
+                }
                 const uint32_t idx = ge.streams->instrIdx[ge.cursor];
                 const HaacInstruction &local =
                     ge.streams->instrs[ge.cursor];
                 if (tryIssue(t, g, ge, idx, local, &hint)) {
-                    ++ge.cursor;
+                    if (++ge.cursor == ge.streams->instrs.size())
+                        wake_[g] = kNoWake;
                     ++issued_total;
                     any = true;
                     if (probe_) {
@@ -664,6 +858,10 @@ Engine::run(StreamSet *record)
                 }
             }
             if (probe_) {
+                // Show the stalls of the sleeping GEs' skipped cycles.
+                for (GeRunState &ge : ges_)
+                    if (ge.sleepStall)
+                        ge.settle(t);
                 const SimProbeView view = probeView(t);
                 if (!probe_->onCycle(view))
                     break; // aborted: return stats so far
