@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <unordered_map>
 
 #include "circuit/builder.h"
@@ -377,7 +378,10 @@ TEST(Engine, BankContentionAppearsWithFewBanks)
 // (sleeping GEs, idle DRAM lanes), but every observable number must
 // stay bit-identical: each digest below covers every SimStats field,
 // including the six stall causes, the SWW/forwarding activity counts
-// and the per-GE issue split, over the eight VIP workloads.
+// and the per-GE issue split, over the eight VIP workloads. The
+// programs come from the compiler and the workload builders, so a
+// change there moves these digests too: re-record them on the commit
+// before such a change, never alongside an engine change.
 // ---------------------------------------------------------------------
 
 /** FNV-1a over little-endian 64-bit words. */
@@ -466,8 +470,8 @@ TEST(EngineGolden, SimStatsDigestAcrossVipFleet)
                               SimMode::TrafficOnly};
     const char *const mode_names[3] = {"Combined", "ComputeOnly",
                                        "TrafficOnly"};
-    std::vector<GoldenConfig> configs = goldenConfigs();
-    Fnv digest[5][3];
+    const std::vector<GoldenConfig> configs = goldenConfigs();
+    std::vector<std::array<Fnv, 3>> digest(configs.size());
     for (const std::string &name : vipNames()) {
         const HaacProgram prog = compiledVip(name);
         for (size_t c = 0; c < configs.size(); ++c) {
