@@ -263,8 +263,9 @@ class Engine
     /** DRAM lanes: 3 per GE (instr, table, OoRW), then the outbound
      * drain. A set bit in wantMask_ is a lane that wants a grant, and
      * laneCost_ is what that grant costs; both change only when the
-     * lane is granted or its queue consumed, so dramStep() visits set
-     * bits only and skips the ones the budget cannot cover. */
+     * lane is granted or its queue consumed (the drain: when writes
+     * become drainable), so dramStep() visits set bits only and skips
+     * the ones the budget cannot cover. */
     size_t lanes_ = 0;
     std::vector<uint64_t> wantMask_;
     std::vector<double> laneCost_;
