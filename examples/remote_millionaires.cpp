@@ -187,7 +187,7 @@ main(int argc, char **argv)
                     (unsigned long long)report.comm.tableBytes,
                     (unsigned long long)report.comm.otBytes,
                     (unsigned long long)report.net.tableSegments,
-                    report.net.gatesPerSecond);
+                    report.gatesPerSecond());
         if (json)
             std::printf("%s\n", report.toJson().c_str());
         return 0;

@@ -26,7 +26,6 @@ VOLATILE = {
     "seconds",
     "gates_per_sec",
     "wire_bytes_per_sec",
-    "gates_per_second",
     "queries_per_second",
     # Transport description ("loopback:a", "tcp:127.0.0.1:40123");
     # carries an ephemeral port for TCP benches.

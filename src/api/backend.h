@@ -43,7 +43,7 @@ class Backend
 
 /**
  * The EMP-class CPU baseline: runs the real two-party protocol
- * (garble, simulated OT, channel transfer, evaluate) and reports
+ * (garble, IKNP OT, channel transfer, evaluate) and reports
  * outputs plus exact communication accounting.
  */
 class SoftwareGcBackend : public Backend

@@ -60,8 +60,7 @@ SoftwareGcBackend::execute(const Session &session)
 
     RunReport report;
     const auto start = Clock::now();
-    ProtocolResult res = runProtocol(netlist, gb, eb, session.seed(),
-                                     session.otMode());
+    ProtocolResult res = runProtocol(netlist, gb, eb, session.seed());
     report.hostSeconds = secondsSince(start);
 
     report.outputs = std::move(res.outputs);
@@ -216,7 +215,6 @@ RemoteGcBackend::execute(const Session &session)
 
     RemoteOptions ropts;
     ropts.segmentTables = session.segmentTables();
-    ropts.otMode = session.otMode();
 
     // A session carrying a chain plan runs the chained protocol
     // instead of garbling/evaluating its (monolithic) netlist.

@@ -191,9 +191,8 @@ RunReport::toJson() const
         j.add("control_bytes", net.controlBytes);
         j.add("table_segments", net.tableSegments);
         j.add("segment_tables", uint64_t(net.segmentTables));
-        j.add("ot_mode", std::string(otModeName(net.otMode)));
+        j.add("ot_mode", std::string("iknp")); // the only OT
         j.add("gates", net.gates);
-        j.add("gates_per_second", net.gatesPerSecond);
         j.end();
     }
 

@@ -21,7 +21,6 @@
 #include "core/sim/config.h"
 #include "core/sim/engine.h"
 #include "core/sim/stats.h"
-#include "gc/ot.h"
 #include "platform/energy_model.h"
 
 namespace haac {
@@ -77,16 +76,13 @@ struct RunReport
         /** True wire bytes (frame headers and handshakes included). */
         uint64_t rawBytesSent = 0;
         uint64_t rawBytesReceived = 0;
-        /** Fingerprint + choice bits + result echo payload. */
+        /** Fingerprint + result echo payload. */
         uint64_t controlBytes = 0;
         /** Frames the garbled-table stream used (one per segment). */
         uint64_t tableSegments = 0;
         /** Tables per segment the garbler streamed with. */
         uint32_t segmentTables = 0;
-        /** OT construction the session ran ("iknp" or "sim-ot"). */
-        OtMode otMode = OtMode::Iknp;
         uint64_t gates = 0;
-        double gatesPerSecond = 0;
     };
     Net net;
     bool hasNet = false;

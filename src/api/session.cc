@@ -39,13 +39,6 @@ Session::withSeed(uint64_t seed)
 }
 
 Session &
-Session::withOtMode(OtMode mode)
-{
-    otMode_ = mode;
-    return *this;
-}
-
-Session &
 Session::withCompileOptions(const CompileOptions &opts)
 {
     copts_ = opts;

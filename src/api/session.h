@@ -61,14 +61,6 @@ class Session
     Session &withInputs(std::vector<bool> garbler_bits,
                         std::vector<bool> evaluator_bits);
     Session &withSeed(uint64_t seed);
-    /**
-     * OT construction for the evaluator's input labels (software-gc
-     * and remote-gc backends): real IKNP extension by default,
-     * OtMode::Simulated for the deterministic stand-in. On a remote
-     * evaluator the garbler's setting wins (it travels in the
-     * fingerprint).
-     */
-    Session &withOtMode(OtMode mode);
     Session &withCompileOptions(const CompileOptions &opts);
     Session &withConfig(const HaacConfig &config);
     Session &withMode(SimMode mode);
@@ -133,7 +125,6 @@ class Session
         return evaluatorBits_;
     }
     uint64_t seed() const { return seed_; }
-    OtMode otMode() const { return otMode_; }
     const CompileOptions &compileOptions() const { return copts_; }
     const HaacConfig &config() const { return config_; }
     SimMode mode() const { return mode_; }
@@ -198,7 +189,6 @@ class Session
     std::vector<bool> garblerBits_;
     std::vector<bool> evaluatorBits_;
     uint64_t seed_ = 0x4841414331ull; // matches runProtocol's default
-    OtMode otMode_ = OtMode::Iknp;
     CompileOptions copts_;
     HaacConfig config_;
     SimMode mode_ = SimMode::Combined;

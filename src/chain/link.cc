@@ -32,8 +32,8 @@ struct ChainFingerprint
     uint32_t evaluatorInputs = 0;
     uint32_t outputs = 0;
     uint32_t segmentTables = 0;
-    uint64_t reserved = 0; ///< keeps layout room for an OT seed
-    uint8_t otMode = 1;    ///< 1 = IKNP (the only chained mode)
+    uint64_t reserved = 0; ///< written as 0
+    uint8_t otMode = 1;    ///< 1 = IKNP, the only OT (otCachedFlag)
     uint8_t otCached = 0;
 
     static constexpr size_t kBytes = 8 + 6 * 4 + 8 + 2;
@@ -104,22 +104,6 @@ fnv1a(uint64_t &h, uint64_t v)
         h ^= (v >> (8 * i)) & 0xff;
         h *= 0x100000001b3ull;
     }
-}
-
-uint32_t
-clampSegment(uint32_t segment_tables)
-{
-    return segment_tables > 0 ? segment_tables : 1;
-}
-
-void
-requireIknp(const RemoteOptions &opts, const char *who)
-{
-    if (opts.otMode != OtMode::Iknp)
-        throw std::invalid_argument(
-            std::string(who) +
-            ": chained sessions require IKNP OT (the simulated OT has "
-            "no chained variant)");
 }
 
 void
@@ -378,7 +362,6 @@ runChainGarbler(const ChainPlan &plan,
                 const RemoteOptions &opts)
 {
     requireValidPlan(plan, "runChainGarbler");
-    requireIknp(opts, "runChainGarbler");
     if (garbler_bits.size() != plan.garblerInputs)
         throw std::invalid_argument(
             "runChainGarbler: wrong garbler input count");
@@ -423,15 +406,12 @@ runChainGarbler(const ChainPlan &plan,
 
     NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
 
-    const bool reuse_ot = opts.otCache != nullptr &&
-                          opts.otCache->sender != nullptr &&
-                          opts.otCache->sender->ready() &&
-                          plan.numEvaluatorPorts() > 0;
-    res.otSetupReused = reuse_ot;
+    const uint32_t m = plan.numEvaluatorPorts();
+    res.otSetupReused = canReuseOtSetup(opts.otCache, m);
 
     ChainFingerprint fp = ChainFingerprint::of(plan);
     fp.segmentTables = segment_tables;
-    fp.otCached = reuse_ot ? 1 : 0;
+    fp.otCached = res.otSetupReused ? 1 : 0;
     const std::vector<uint8_t> fp_bytes = fp.serialize();
     chan.sendBytes(fp_bytes.data(), fp_bytes.size());
     chan.flush();
@@ -442,39 +422,17 @@ runChainGarbler(const ChainPlan &plan,
     // input labels (each port has independent labels even when two
     // ports share a plan input bit). ---
     {
-        size_t base = chan.bytesSent();
-        const size_t uplink_base = chan.bytesReceived();
-        const uint32_t m = plan.numEvaluatorPorts();
-        if (m > 0) {
-            std::unique_ptr<OtExtSender> fresh;
-            OtExtSender *ot = nullptr;
-            if (reuse_ot) {
-                opts.otCache->sender->rebind(chan, chan);
-                ot = opts.otCache->sender.get();
-            } else {
-                fresh = std::make_unique<OtExtSender>(chan, chan,
-                                                      otRandomKey());
-                fresh->setup();
-                ot = fresh.get();
+        std::vector<Label> m0, m1;
+        m0.reserve(m);
+        m1.reserve(m);
+        for (size_t n = 0; n < plan.nodes.size(); ++n)
+            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
+                if (plan.sources[n][i].kind != SourceKind::Evaluator)
+                    continue;
+                m0.push_back(comps[n]->inst.activeLabel(WireId(i), false));
+                m1.push_back(comps[n]->inst.activeLabel(WireId(i), true));
             }
-            std::vector<Label> m0, m1;
-            m0.reserve(m);
-            m1.reserve(m);
-            for (size_t n = 0; n < plan.nodes.size(); ++n)
-                for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                    if (plan.sources[n][i].kind != SourceKind::Evaluator)
-                        continue;
-                    m0.push_back(
-                        comps[n]->inst.activeLabel(WireId(i), false));
-                    m1.push_back(
-                        comps[n]->inst.activeLabel(WireId(i), true));
-                }
-            ot->send(m0, m1);
-            if (opts.otCache != nullptr && fresh != nullptr)
-                opts.otCache->sender = std::move(fresh);
-        }
-        res.otBytes = chan.bytesSent() - base;
-        res.otUplinkBytes = chan.bytesReceived() - uplink_base;
+        sendOtLabels(chan, m0, m1, opts.otCache, res);
         chan.flush();
     }
 
@@ -551,17 +509,11 @@ runChainGarbler(const ChainPlan &plan,
     }
 
     // --- Decode bits and the result echo. ---
-    {
-        const size_t base = chan.bytesSent();
-        for (const PortRef &ref : plan.outputs)
-            chan.sendBit(comps[ref.node]->inst.decodeBit(ref.bit));
-        res.outputDecodeBytes = chan.bytesSent() - base;
-        chan.flush();
-    }
-    res.outputs.resize(plan.outputs.size());
-    for (size_t i = 0; i < res.outputs.size(); ++i)
-        res.outputs[i] = chan.recvBit();
-    res.controlBytes += res.outputs.size();
+    std::vector<bool> decode;
+    decode.reserve(plan.outputs.size());
+    for (const PortRef &ref : plan.outputs)
+        decode.push_back(comps[ref.node]->inst.decodeBit(ref.bit));
+    sendDecodeReceiveEcho(chan, decode, res);
 
     res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
                      res.linkBytes + res.outputDecodeBytes;
@@ -586,7 +538,6 @@ runChainEvaluator(const ChainPlan &plan,
                   Transport &transport, const RemoteOptions &opts)
 {
     requireValidPlan(plan, "runChainEvaluator");
-    requireIknp(opts, "runChainEvaluator");
     if (evaluator_bits.size() != plan.evaluatorInputs)
         throw std::invalid_argument(
             "runChainEvaluator: wrong evaluator input count");
@@ -612,6 +563,8 @@ runChainEvaluator(const ChainPlan &plan,
     res.controlBytes += fp_bytes.size();
     const ChainFingerprint remote_fp =
         ChainFingerprint::deserialize(fp_bytes);
+    const bool ot_cached =
+        otCachedFlag(remote_fp.otMode, remote_fp.otCached);
     const ChainFingerprint local_fp = ChainFingerprint::of(plan);
     if (!remote_fp.samePlan(local_fp))
         throw NetError(
@@ -620,10 +573,7 @@ runChainEvaluator(const ChainPlan &plan,
             std::to_string(local_fp.nodes) + " nodes) vs garbler " +
             std::to_string(remote_fp.planHash) + " (" +
             std::to_string(remote_fp.nodes) + " nodes)");
-    if (remote_fp.otMode != 1)
-        throw NetError("chained sessions require IKNP OT");
     res.segmentTables = remote_fp.segmentTables;
-    res.otSetupReused = remote_fp.otCached != 0;
 
     // Per-node input labels, filled phase by phase.
     std::vector<std::vector<Label>> inputs(plan.nodes.size());
@@ -633,47 +583,19 @@ runChainEvaluator(const ChainPlan &plan,
     // --- OT phase: choices are the plan input bits each
     // evaluator-driven port names, in the garbler's scan order. ---
     {
-        const size_t uplink_base = chan.bytesSent();
-        const size_t base = chan.bytesReceived();
-        const uint32_t m = plan.numEvaluatorPorts();
-        if (m > 0) {
-            OtConnectionCache *cache = opts.otCache;
-            std::unique_ptr<OtExtReceiver> fresh;
-            OtExtReceiver *ot = nullptr;
-            if (remote_fp.otCached != 0) {
-                if (cache == nullptr || cache->receiver == nullptr ||
-                    !cache->receiver->ready())
-                    throw NetError(
-                        "garbler expects a cached OT setup, but this "
-                        "connection has none");
-                cache->receiver->rebind(chan, chan);
-                ot = cache->receiver.get();
-            } else {
-                fresh = std::make_unique<OtExtReceiver>(chan, chan,
-                                                        otRandomKey());
-                fresh->start();
-                fresh->setup();
-                ot = fresh.get();
-            }
-            std::vector<bool> choices;
-            choices.reserve(m);
-            for (size_t n = 0; n < plan.nodes.size(); ++n)
-                for (const InputSource &s : plan.sources[n])
-                    if (s.kind == SourceKind::Evaluator)
-                        choices.push_back(evaluator_bits[s.index]);
-            ot->sendChoices(choices);
-            const std::vector<Label> labels = ot->receiveLabels();
-            size_t at = 0;
-            for (size_t n = 0; n < plan.nodes.size(); ++n)
-                for (size_t i = 0; i < plan.sources[n].size(); ++i)
-                    if (plan.sources[n][i].kind ==
-                        SourceKind::Evaluator)
-                        inputs[n][i] = labels[at++];
-            if (cache != nullptr && fresh != nullptr)
-                cache->receiver = std::move(fresh);
-        }
-        res.otBytes = chan.bytesReceived() - base;
-        res.otUplinkBytes = chan.bytesSent() - uplink_base;
+        std::vector<bool> choices;
+        choices.reserve(plan.numEvaluatorPorts());
+        for (size_t n = 0; n < plan.nodes.size(); ++n)
+            for (const InputSource &s : plan.sources[n])
+                if (s.kind == SourceKind::Evaluator)
+                    choices.push_back(evaluator_bits[s.index]);
+        const std::vector<Label> labels = receiveOtLabels(
+            chan, choices, ot_cached, opts.otCache, res);
+        size_t at = 0;
+        for (size_t n = 0; n < plan.nodes.size(); ++n)
+            for (size_t i = 0; i < plan.sources[n].size(); ++i)
+                if (plan.sources[n][i].kind == SourceKind::Evaluator)
+                    inputs[n][i] = labels[at++];
     }
 
     // --- Direct labels, mirroring the garbler's scan order. ---
@@ -735,23 +657,11 @@ runChainEvaluator(const ChainPlan &plan,
     }
 
     // --- Decode and echo. ---
-    {
-        const size_t base = chan.bytesReceived();
-        std::vector<bool> decode(plan.outputs.size());
-        for (size_t i = 0; i < decode.size(); ++i)
-            decode[i] = chan.recvBit();
-        res.outputDecodeBytes = chan.bytesReceived() - base;
-        res.outputs.resize(plan.outputs.size());
-        for (size_t i = 0; i < plan.outputs.size(); ++i) {
-            const PortRef &ref = plan.outputs[i];
-            res.outputs[i] =
-                nodeOut[ref.node][ref.bit].lsb() != decode[i];
-        }
-    }
-    for (bool b : res.outputs)
-        chan.sendBit(b);
-    chan.flush();
-    res.controlBytes += res.outputs.size();
+    std::vector<Label> out_labels;
+    out_labels.reserve(plan.outputs.size());
+    for (const PortRef &ref : plan.outputs)
+        out_labels.push_back(nodeOut[ref.node][ref.bit]);
+    receiveDecodeSendEcho(chan, out_labels, res);
 
     res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
                      res.linkBytes + res.outputDecodeBytes;

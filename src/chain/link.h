@@ -21,14 +21,14 @@
  * server has never seen is link tables only.
  *
  * runChainGarbler / runChainEvaluator run the two-party protocol over
- * an established Transport, mirroring net/remote.cc phase for phase:
- * fingerprint, IKNP OT for evaluator-driven ports, direct labels for
- * garbler/constant ports, then per node a link-table frame
- * (net/wire.h's kLinkTableFrameKind) followed by the component's AND
- * tables through the existing segment framing, finally decode bits
- * and the result echo. Byte accounting is category-exact on both
- * sides, with linkBytes as a new category alongside the four from
- * RemoteResult.
+ * an established Transport: a plan fingerprint, the IKNP OT phase for
+ * evaluator-driven ports and the decode/echo phase through the same
+ * helpers net/remote.h's runners use, and in between what is chained
+ * only — direct labels for garbler/constant ports, then per node a
+ * link-table frame (net/wire.h's kLinkTableFrameKind) followed by the
+ * component's AND tables through the existing segment framing. Byte
+ * accounting is category-exact on both sides, with linkBytes as a
+ * category alongside the four from RemoteResult.
  *
  * Security: each GarbledComponent must be linked into at most one
  * session (the provider contract); the translation rows of a reused
@@ -250,29 +250,16 @@ using ComponentProvider =
  */
 ComponentProvider freshComponentProvider(uint64_t seed_base = 0);
 
-/** One party's view of a completed chained execution. */
-struct ChainResult
+/**
+ * One party's view of a completed chained execution: the RemoteResult
+ * categories (gates and tables summed across components) plus the
+ * link stream and the component counts.
+ */
+struct ChainResult : RemoteResult
 {
-    std::vector<bool> outputs;
-
-    /** @name Garbler->evaluator payload, category-exact both sides. */
-    /// @{
-    uint64_t tableBytes = 0;
-    uint64_t inputLabelBytes = 0;
-    uint64_t otBytes = 0;
-    /** Link-table stream frames: headers + translation tables. */
+    /** Link-table stream frames: headers + translation tables (part
+     *  of totalBytes). */
     uint64_t linkBytes = 0;
-    uint64_t outputDecodeBytes = 0;
-    uint64_t totalBytes = 0;
-    /// @}
-
-    /** Evaluator->garbler IKNP traffic. */
-    uint64_t otUplinkBytes = 0;
-    /** Fingerprint + result echo. */
-    uint64_t controlBytes = 0;
-
-    uint64_t tableSegments = 0;
-    uint32_t segmentTables = 0;
     /** Frames the link-table stream used (one per linked node). */
     uint32_t linkFrames = 0;
 
@@ -280,15 +267,11 @@ struct ChainResult
     uint32_t links = 0;      ///< translation tables shipped
     /** Components served pre-garbled (provider said pooled). */
     uint32_t pooledComponents = 0;
-    uint64_t gates = 0;      ///< total gates across components
-    bool otSetupReused = false;
-    double seconds = 0;
 };
 
 /**
  * Garbler side of the chained protocol over an established
- * (handshaken) transport. Components come from @p provider; chained
- * sessions require IKNP OT (OtMode::Simulated throws).
+ * (handshaken) transport. Components come from @p provider.
  *
  * @param garbler_bits this party's plan inputs (size garblerInputs).
  */

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "gc/ot.h"
 #include "gc/ot_ext.h"
 
 namespace haac {
@@ -14,39 +13,24 @@ namespace {
 constexpr uint64_t kOtSenderTag = 0x4f545f5347ull;   // "OT_SG"
 constexpr uint64_t kOtReceiverTag = 0x4f545f5245ull; // "OT_RE"
 
-/**
- * Shared tail of both modes: evaluate, decode, and measure the
- * downlink total *independently* off the channel counter — so the
- * tests' "totalBytes == sum of categories" assertion stays a real
- * cross-check that the category windows tile the stream exactly.
- */
-void
-finishEvaluation(const Netlist &netlist, const std::vector<Label> &inputs,
-                 const std::vector<GarbledTable> &tables,
-                 const std::vector<bool> &decode,
-                 const DuplexChannel &chan, ProtocolResult &res)
-{
-    Evaluator evaluator(netlist);
-    const std::vector<Label> out_labels =
-        evaluator.evaluate(inputs, tables);
-    res.outputs.resize(out_labels.size());
-    for (size_t i = 0; i < out_labels.size(); ++i)
-        res.outputs[i] = out_labels[i].lsb() != decode[i];
-    res.totalBytes = chan.toEvaluator.bytesSent();
-}
+} // namespace
 
 /**
- * The IKNP protocol, one thread driving both endpoints through the
- * in-process FIFOs in wire order. The OT phase must run before any
- * other garbler→evaluator traffic: the channels are strict FIFOs, and
- * the evaluator has to consume the base-OT points and masked labels
- * at the head of the stream while the garbler is still mid-protocol.
+ * One thread drives both endpoints through the in-process FIFOs in
+ * wire order. The OT phase must run before any other
+ * garbler→evaluator traffic: the channels are strict FIFOs, and the
+ * evaluator has to consume the base-OT points and masked labels at
+ * the head of the stream while the garbler is still mid-protocol.
  */
 ProtocolResult
-runProtocolIknp(const Netlist &netlist,
-                const std::vector<bool> &garbler_bits,
-                const std::vector<bool> &evaluator_bits, uint64_t seed)
+runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
+            const std::vector<bool> &evaluator_bits, uint64_t seed)
 {
+    if (garbler_bits.size() != netlist.numGarblerInputs)
+        throw std::invalid_argument("protocol: wrong garbler input count");
+    if (evaluator_bits.size() != netlist.numEvaluatorInputs)
+        throw std::invalid_argument("protocol: wrong evaluator input count");
+
     ProtocolResult res;
     DuplexChannel chan;
     Garbler garbler(netlist, seed);
@@ -112,82 +96,17 @@ runProtocolIknp(const Netlist &netlist,
     for (size_t i = 0; i < decode.size(); ++i)
         decode[i] = chan.toEvaluator.recvBit();
 
-    finishEvaluation(netlist, inputs, tables, decode, chan, res);
-    return res;
-}
-
-} // namespace
-
-ProtocolResult
-runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
-            const std::vector<bool> &evaluator_bits, uint64_t seed,
-            OtMode ot_mode)
-{
-    if (garbler_bits.size() != netlist.numGarblerInputs)
-        throw std::invalid_argument("protocol: wrong garbler input count");
-    if (evaluator_bits.size() != netlist.numEvaluatorInputs)
-        throw std::invalid_argument("protocol: wrong evaluator input count");
-
-    if (ot_mode == OtMode::Iknp)
-        return runProtocolIknp(netlist, garbler_bits, evaluator_bits,
-                               seed);
-
-    ProtocolResult res;
-    DuplexChannel chan;
-
-    // --- Garbler side: garble, then send tables and input labels. ---
-    Garbler garbler(netlist, seed);
-    for (const GarbledTable &t : garbler.tables())
-        chan.toEvaluator.sendTable(t);
-    res.tableBytes = chan.toEvaluator.bytesSent();
-
-    // Garbler's own inputs: send active labels directly.
-    uint32_t w = 0;
-    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i, ++w)
-        chan.toEvaluator.sendLabel(garbler.activeLabel(w, garbler_bits[i]));
-    // Constant-one wire label (public constant, garbler-provided).
-    const uint32_t eval_base = w;
-    res.inputLabelBytes =
-        chan.toEvaluator.bytesSent() - res.tableBytes;
-
-    // Evaluator's inputs via simulated OT.
-    const uint64_t ot_seed = seed ^ 0x4f54u;
-    OtSender ot_send(chan.toEvaluator, ot_seed);
-    for (uint32_t i = 0; i < netlist.numEvaluatorInputs; ++i) {
-        const WireId wire = eval_base + i;
-        ot_send.send(garbler.activeLabel(wire, false),
-                     garbler.activeLabel(wire, true), evaluator_bits[i]);
-    }
-    if (netlist.constOne != kNoWire)
-        chan.toEvaluator.sendLabel(garbler.activeLabel(netlist.constOne,
-                                                       true));
-    res.otBytes = chan.toEvaluator.bytesSent() - res.tableBytes -
-                  res.inputLabelBytes;
-
-    // Output decode bits.
-    for (size_t i = 0; i < netlist.outputs.size(); ++i)
-        chan.toEvaluator.sendBit(garbler.decodeBit(i));
-    res.outputDecodeBytes = netlist.outputs.size();
-
-    // --- Evaluator side: receive everything, evaluate, decode. ---
-    std::vector<GarbledTable> tables(garbler.tables().size());
-    for (GarbledTable &t : tables)
-        t = chan.toEvaluator.recvTable();
-
-    std::vector<Label> inputs(netlist.numInputs());
-    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        inputs[i] = chan.toEvaluator.recvLabel();
-    OtReceiver ot_recv(chan.toEvaluator, ot_seed);
-    for (uint32_t i = 0; i < netlist.numEvaluatorInputs; ++i)
-        inputs[eval_base + i] = ot_recv.receive(evaluator_bits[i]);
-    if (netlist.constOne != kNoWire)
-        inputs[netlist.constOne] = chan.toEvaluator.recvLabel();
-
-    std::vector<bool> decode(netlist.outputs.size());
-    for (size_t i = 0; i < decode.size(); ++i)
-        decode[i] = chan.toEvaluator.recvBit();
-
-    finishEvaluation(netlist, inputs, tables, decode, chan, res);
+    Evaluator evaluator(netlist);
+    const std::vector<Label> out_labels =
+        evaluator.evaluate(inputs, tables);
+    res.outputs.resize(out_labels.size());
+    for (size_t i = 0; i < out_labels.size(); ++i)
+        res.outputs[i] = out_labels[i].lsb() != decode[i];
+    // The downlink total is measured independently off the channel
+    // counter, so the tests' "totalBytes == sum of categories"
+    // assertion stays a real cross-check that the category windows
+    // tile the stream exactly.
+    res.totalBytes = chan.toEvaluator.bytesSent();
     return res;
 }
 

@@ -16,7 +16,6 @@
 #include "gc/channel.h"
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
-#include "gc/ot.h"
 
 namespace haac {
 
@@ -29,8 +28,7 @@ struct ProtocolResult
      *
      * The four categories count garbler→evaluator payload;
      * otUplinkBytes is the evaluator→garbler OT traffic (base-OT
-     * public key + masked columns) that only exists under
-     * OtMode::Iknp — the simulation needs no uplink.
+     * public key + masked columns).
      */
     /// @{
     size_t tableBytes = 0;
@@ -44,20 +42,21 @@ struct ProtocolResult
 };
 
 /**
- * Run y = f(a, b) securely.
+ * Run y = f(a, b) securely, both parties in this process: base OT +
+ * IKNP extension for the evaluator's labels (OT randomness derived
+ * from @p seed, so a run is deterministic), then tables, garbler
+ * labels and decode bits. The in-process reference the remote runners
+ * (net/remote.h) match byte for byte.
  *
  * @param netlist the function (canonical netlist).
  * @param garbler_bits Alice's input bits.
  * @param evaluator_bits Bob's input bits.
- * @param seed garbling randomness.
- * @param ot_mode how the evaluator's labels transfer: real IKNP OT
- *        (default) or the deterministic simulation.
+ * @param seed garbling and OT randomness.
  */
 ProtocolResult runProtocol(const Netlist &netlist,
                            const std::vector<bool> &garbler_bits,
                            const std::vector<bool> &evaluator_bits,
-                           uint64_t seed = 0x4841414331ull,
-                           OtMode ot_mode = OtMode::Iknp);
+                           uint64_t seed = 0x4841414331ull);
 
 /**
  * Timing breakdown of the software pipeline, for CPU-baseline numbers.

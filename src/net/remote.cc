@@ -5,10 +5,10 @@
 #include <stdexcept>
 
 #include "gc/instance.h"
-#include "gc/ot.h"
 #include "gc/ot_ext.h"
 #include "gc/streaming.h"
 #include "net/net_channel.h"
+#include "net/wire.h"
 
 namespace haac {
 
@@ -16,25 +16,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Tag for the garbler's sim-OT burn seed (mixed with the private
- *  garbling seed; never derivable from anything on the wire). */
-constexpr uint64_t kSimBurnTag = 0x73696d5f6f74ull; // "sim_ot"
-
 /**
- * Circuit agreement check + OT parameters + segmenting, 38 bytes.
+ * Circuit agreement check + OT and segment parameters, 38 bytes.
  *
  * Wire layout (little-endian), which tests/test_net.cc parses when it
- * plays a hand-rolled peer: six u32 shape fields (offsets 0..23), the
- * shared sim-OT pad seed (offset 24, u64), segmentTables (offset 32,
- * u32), otMode (offset 36, u8: 0 = sim-ot, 1 = iknp), otCached
- * (offset 37, u8: 1 = this session reuses the connection's cached
- * base-OT + IKNP setup and skips the base phase).
- *
- * The sim-OT seed is *fresh randomness*, not a derivation of the
- * garbling seed: the evaluator sees it in cleartext, and the old
- * otSeedFrom(seed) derivation was an invertible mix — a receiver
- * could recover the garbling seed and with it the burn pads, i.e.
- * both labels of every OT.
+ * plays a hand-rolled peer: six u32 shape fields (offsets 0..23), a
+ * reserved u64 written as 0 (offset 24), segmentTables (offset 32,
+ * u32), otMode (offset 36, u8: always 1 = IKNP), otCached (offset 37,
+ * u8: 1 = this session reuses the connection's cached base-OT + IKNP
+ * setup and skips the base phase). The evaluator refuses any other
+ * otMode or otCached value (otCachedFlag).
  */
 struct Fingerprint
 {
@@ -44,10 +35,10 @@ struct Fingerprint
     uint32_t andGates = 0;
     uint32_t outputs = 0;
     uint32_t constOne = 0;
-    uint64_t otSeed = 0;
+    uint64_t reserved = 0;
     uint32_t segmentTables = 0;
-    OtMode otMode = OtMode::Iknp;
-    bool otCached = false;
+    uint8_t otMode = 1;
+    uint8_t otCached = 0;
 
     static constexpr size_t kBytes = 6 * 4 + 8 + 4 + 1 + 1;
 
@@ -64,51 +55,39 @@ struct Fingerprint
         return fp;
     }
 
-    void
-    serialize(uint8_t out[kBytes]) const
+    std::vector<uint8_t>
+    serialize() const
     {
-        size_t at = 0;
-        auto u32 = [&](uint32_t v) {
-            for (int i = 0; i < 4; ++i)
-                out[at++] = uint8_t(v >> (8 * i));
-        };
-        u32(garblerInputs);
-        u32(evaluatorInputs);
-        u32(gates);
-        u32(andGates);
-        u32(outputs);
-        u32(constOne);
-        for (int i = 0; i < 8; ++i)
-            out[at++] = uint8_t(otSeed >> (8 * i));
-        u32(segmentTables);
-        out[at++] = otMode == OtMode::Iknp ? 1 : 0;
-        out[at++] = otCached ? 1 : 0;
+        WireWriter w;
+        w.u32(garblerInputs);
+        w.u32(evaluatorInputs);
+        w.u32(gates);
+        w.u32(andGates);
+        w.u32(outputs);
+        w.u32(constOne);
+        w.u64(reserved);
+        w.u32(segmentTables);
+        w.u8(otMode);
+        w.u8(otCached);
+        return w.take();
     }
 
     static Fingerprint
-    deserialize(const uint8_t in[kBytes])
+    deserialize(const std::vector<uint8_t> &bytes)
     {
-        size_t at = 0;
-        auto u32 = [&] {
-            uint32_t v = 0;
-            for (int i = 0; i < 4; ++i)
-                v |= uint32_t(in[at++]) << (8 * i);
-            return v;
-        };
+        WireReader r(bytes);
         Fingerprint fp;
-        fp.garblerInputs = u32();
-        fp.evaluatorInputs = u32();
-        fp.gates = u32();
-        fp.andGates = u32();
-        fp.outputs = u32();
-        fp.constOne = u32();
-        uint64_t seed = 0;
-        for (int i = 0; i < 8; ++i)
-            seed |= uint64_t(in[at++]) << (8 * i);
-        fp.otSeed = seed;
-        fp.segmentTables = u32();
-        fp.otMode = in[at++] != 0 ? OtMode::Iknp : OtMode::Simulated;
-        fp.otCached = in[at++] != 0;
+        fp.garblerInputs = r.u32();
+        fp.evaluatorInputs = r.u32();
+        fp.gates = r.u32();
+        fp.andGates = r.u32();
+        fp.outputs = r.u32();
+        fp.constOne = r.u32();
+        fp.reserved = r.u64();
+        fp.segmentTables = r.u32();
+        fp.otMode = r.u8();
+        fp.otCached = r.u8();
+        r.expectEnd("fingerprint");
         return fp;
     }
 
@@ -133,12 +112,6 @@ struct Fingerprint
                " const=" + std::to_string(constOne);
     }
 };
-
-uint32_t
-clampSegment(uint32_t segment_tables)
-{
-    return segment_tables > 0 ? segment_tables : 1;
-}
 
 /** Live garbling: labels and tables from a two-phase garbler. */
 struct LiveGarblerSource
@@ -190,16 +163,12 @@ struct InstanceGarblerSource
  * The garbler's protocol, parameterized over where labels and tables
  * come from (a live StreamingGarbler or a captured GarbledInstance) —
  * the wire traffic is identical either way.
- *
- * @param sim_burn_seed secret seed for sim-OT burn pads (unused under
- *        IKNP); must never be derivable from on-wire values.
  */
 template <typename Source>
 RemoteResult
 runGarblerFrom(const Netlist &netlist,
                const std::vector<bool> &garbler_bits,
-               Transport &transport, Source &src,
-               uint64_t sim_burn_seed, bool pooled,
+               Transport &transport, Source &src, bool pooled,
                const RemoteOptions &opts)
 {
     if (garbler_bits.size() != netlist.numGarblerInputs)
@@ -212,120 +181,57 @@ runGarblerFrom(const Netlist &netlist,
     RemoteResult res;
     res.gates = netlist.numGates();
     res.segmentTables = segment_tables;
-    res.otMode = opts.otMode;
     res.pooledGarbling = pooled;
     NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
 
     const uint32_t eval_base = netlist.numGarblerInputs;
     const uint32_t m = netlist.numEvaluatorInputs;
-
-    // Base-OT cache: reuse only when this connection already holds a
-    // ready extension sender (the first IKNP session populates it).
-    OtConnectionCache *ot_cache =
-        opts.otMode == OtMode::Iknp ? opts.otCache : nullptr;
-    const bool reuse_ot = ot_cache != nullptr &&
-                          ot_cache->sender != nullptr &&
-                          ot_cache->sender->ready() && m > 0;
-    res.otSetupReused = reuse_ot;
+    res.otSetupReused = canReuseOtSetup(opts.otCache, m);
 
     // Fingerprint: agree on the circuit before any label moves.
     Fingerprint fp = Fingerprint::of(netlist);
-    fp.otSeed = randomSeed();
     fp.segmentTables = segment_tables;
-    fp.otMode = opts.otMode;
-    fp.otCached = reuse_ot;
-    uint8_t fp_bytes[Fingerprint::kBytes];
-    fp.serialize(fp_bytes);
-    chan.sendBytes(fp_bytes, sizeof(fp_bytes));
+    fp.otCached = res.otSetupReused ? 1 : 0;
+    const std::vector<uint8_t> fp_bytes = fp.serialize();
+    chan.sendBytes(fp_bytes.data(), fp_bytes.size());
     chan.flush();
-    res.controlBytes += sizeof(fp_bytes);
+    res.controlBytes += fp_bytes.size();
 
-    if (opts.otMode == OtMode::Iknp) {
-        // --- Real OT phase (before any other label traffic). ---
-        size_t base = chan.bytesSent();
-        const size_t uplink_base = chan.bytesReceived();
-        if (m > 0) {
-            std::unique_ptr<OtExtSender> fresh;
-            OtExtSender *ot = nullptr;
-            if (reuse_ot) {
-                ot_cache->sender->rebind(chan, chan);
-                ot = ot_cache->sender.get();
-            } else {
-                fresh = std::make_unique<OtExtSender>(chan, chan,
-                                                      otRandomKey());
-                fresh->setup(); // blocks on evaluator's base-OT key
-                ot = fresh.get();
-            }
-            std::vector<Label> m0(m), m1(m);
-            for (uint32_t i = 0; i < m; ++i) {
-                m0[i] = src.activeLabel(eval_base + i, false);
-                m1[i] = src.activeLabel(eval_base + i, true);
-            }
-            ot->send(m0, m1);
-            if (ot_cache != nullptr && fresh != nullptr)
-                ot_cache->sender = std::move(fresh);
-        }
-        if (netlist.constOne != kNoWire)
-            chan.sendLabel(src.activeLabel(netlist.constOne, true));
-        res.otBytes = chan.bytesSent() - base;
-        res.otUplinkBytes = chan.bytesReceived() - uplink_base;
-        chan.flush();
-
-        // Garbler's own input labels, flushed so the table stream
-        // starts on a frame boundary (both sides' segment counters
-        // must window the same frames).
-        base = chan.bytesSent();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
-        res.inputLabelBytes = chan.bytesSent() - base;
-        chan.flush();
-    } else {
-        // --- Simulated OT: evaluator uplinks its choices in the
-        // clear; pads come from the fingerprint's fresh shared seed,
-        // burns from a secret seed that never hits the wire. ---
-        std::vector<uint8_t> choices(m);
-        if (!choices.empty())
-            chan.recvBytes(choices.data(), choices.size());
-        res.controlBytes += choices.size();
-
-        size_t base = chan.bytesSent();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
-        res.inputLabelBytes = chan.bytesSent() - base;
-
-        base = chan.bytesSent();
-        OtSender ot(chan, fp.otSeed, sim_burn_seed);
-        for (uint32_t i = 0; i < m; ++i) {
-            const WireId wire = eval_base + i;
-            ot.send(src.activeLabel(wire, false),
-                    src.activeLabel(wire, true), choices[i] != 0);
-        }
-        if (netlist.constOne != kNoWire)
-            chan.sendLabel(src.activeLabel(netlist.constOne, true));
-        res.otBytes = chan.bytesSent() - base;
-        chan.flush();
+    // OT phase (before any other label traffic), then the public
+    // constant-one label, counted as OT traffic.
+    std::vector<Label> m0(m), m1(m);
+    for (uint32_t i = 0; i < m; ++i) {
+        m0[i] = src.activeLabel(eval_base + i, false);
+        m1[i] = src.activeLabel(eval_base + i, true);
     }
+    sendOtLabels(chan, m0, m1, opts.otCache, res);
+    if (netlist.constOne != kNoWire) {
+        chan.sendLabel(src.activeLabel(netlist.constOne, true));
+        res.otBytes += kLabelBytes;
+    }
+    chan.flush();
+
+    // Garbler's own input labels, flushed so the table stream
+    // starts on a frame boundary (both sides' segment counters
+    // must window the same frames).
+    size_t base = chan.bytesSent();
+    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
+        chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
+    res.inputLabelBytes = chan.bytesSent() - base;
+    chan.flush();
 
     // Table stream: one frame per segment of tables.
-    size_t base = chan.bytesSent();
+    base = chan.bytesSent();
     const uint64_t frames_before = transport.framesSent();
     src.emitTables(chan);
     chan.flush();
     res.tableBytes = chan.bytesSent() - base;
     res.tableSegments = transport.framesSent() - frames_before;
 
-    // Output decode bits.
-    base = chan.bytesSent();
-    for (size_t i = 0; i < netlist.outputs.size(); ++i)
-        chan.sendBit(src.decodeBit(i));
-    res.outputDecodeBytes = chan.bytesSent() - base;
-    chan.flush();
-
-    // Result echo: the evaluator decodes first and shares the output.
-    res.outputs.resize(netlist.outputs.size());
-    for (size_t i = 0; i < res.outputs.size(); ++i)
-        res.outputs[i] = chan.recvBit();
-    res.controlBytes += res.outputs.size();
+    std::vector<bool> decode(netlist.outputs.size());
+    for (size_t i = 0; i < decode.size(); ++i)
+        decode[i] = src.decodeBit(i);
+    sendDecodeReceiveEcho(chan, decode, res);
 
     res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
                      res.outputDecodeBytes;
@@ -336,6 +242,135 @@ runGarblerFrom(const Netlist &netlist,
 
 } // namespace
 
+uint32_t
+clampSegment(uint32_t segment_tables)
+{
+    return segment_tables > 0 ? segment_tables : 1;
+}
+
+bool
+canReuseOtSetup(const OtConnectionCache *cache, uint32_t ots)
+{
+    return cache != nullptr && cache->sender != nullptr &&
+           cache->sender->ready() && ots > 0;
+}
+
+bool
+otCachedFlag(uint8_t ot_mode, uint8_t ot_cached)
+{
+    if (ot_mode != 1)
+        throw NetError("garbler fingerprint names OT mode " +
+                       std::to_string(ot_mode) +
+                       "; this build speaks only IKNP (1)");
+    if (ot_cached > 1)
+        throw NetError("garbler fingerprint has otCached byte " +
+                       std::to_string(ot_cached) + "; expected 0 or 1");
+    return ot_cached == 1;
+}
+
+void
+sendOtLabels(ByteChannel &chan, const std::vector<Label> &m0,
+             const std::vector<Label> &m1, OtConnectionCache *cache,
+             RemoteResult &res)
+{
+    const size_t base = chan.bytesSent();
+    const size_t uplink_base = chan.bytesReceived();
+    if (!m0.empty()) {
+        std::unique_ptr<OtExtSender> fresh;
+        OtExtSender *ot = nullptr;
+        if (res.otSetupReused) {
+            cache->sender->rebind(chan, chan);
+            ot = cache->sender.get();
+        } else {
+            fresh = std::make_unique<OtExtSender>(chan, chan,
+                                                  otRandomKey());
+            fresh->setup(); // blocks on evaluator's base-OT key
+            ot = fresh.get();
+        }
+        ot->send(m0, m1);
+        if (cache != nullptr && fresh != nullptr)
+            cache->sender = std::move(fresh);
+    }
+    res.otBytes += chan.bytesSent() - base;
+    res.otUplinkBytes += chan.bytesReceived() - uplink_base;
+}
+
+std::vector<Label>
+receiveOtLabels(ByteChannel &chan, const std::vector<bool> &choices,
+                bool cached, OtConnectionCache *cache, RemoteResult &res)
+{
+    // The fingerprint's otCached byte decides for both sides whether
+    // the base phase runs: a garbler reusing its cached extension
+    // sender would deadlock against a fresh receiver (and vice versa).
+    res.otSetupReused = cached;
+    const size_t uplink_base = chan.bytesSent();
+    const size_t base = chan.bytesReceived();
+    std::vector<Label> labels;
+    if (!choices.empty()) {
+        std::unique_ptr<OtExtReceiver> fresh;
+        OtExtReceiver *ot = nullptr;
+        if (cached) {
+            if (cache == nullptr || cache->receiver == nullptr ||
+                !cache->receiver->ready())
+                throw NetError("garbler expects a cached OT setup, "
+                               "but this connection has none");
+            cache->receiver->rebind(chan, chan);
+            ot = cache->receiver.get();
+        } else {
+            fresh = std::make_unique<OtExtReceiver>(chan, chan,
+                                                    otRandomKey());
+            fresh->start();
+            fresh->setup();
+            ot = fresh.get();
+        }
+        ot->sendChoices(choices);
+        labels = ot->receiveLabels();
+        if (cache != nullptr && fresh != nullptr)
+            cache->receiver = std::move(fresh);
+    }
+    res.otBytes += chan.bytesReceived() - base;
+    res.otUplinkBytes += chan.bytesSent() - uplink_base;
+    return labels;
+}
+
+void
+sendDecodeReceiveEcho(ByteChannel &chan, const std::vector<bool> &decode,
+                      RemoteResult &res)
+{
+    const size_t base = chan.bytesSent();
+    for (bool b : decode)
+        chan.sendBit(b);
+    res.outputDecodeBytes = chan.bytesSent() - base;
+    chan.flush();
+
+    // Result echo: the evaluator decodes first and shares the output.
+    res.outputs.resize(decode.size());
+    for (size_t i = 0; i < res.outputs.size(); ++i)
+        res.outputs[i] = chan.recvBit();
+    res.controlBytes += res.outputs.size();
+}
+
+void
+receiveDecodeSendEcho(ByteChannel &chan,
+                      const std::vector<Label> &output_labels,
+                      RemoteResult &res)
+{
+    const size_t base = chan.bytesReceived();
+    std::vector<bool> decode(output_labels.size());
+    for (size_t i = 0; i < decode.size(); ++i)
+        decode[i] = chan.recvBit();
+    res.outputDecodeBytes = chan.bytesReceived() - base;
+    res.outputs.resize(output_labels.size());
+    for (size_t i = 0; i < output_labels.size(); ++i)
+        res.outputs[i] = output_labels[i].lsb() != decode[i];
+
+    // Echo the result so the garbler learns it too.
+    for (bool b : res.outputs)
+        chan.sendBit(b);
+    chan.flush();
+    res.controlBytes += res.outputs.size();
+}
+
 RemoteResult
 runRemoteGarbler(const Netlist &netlist,
                  const std::vector<bool> &garbler_bits,
@@ -343,8 +378,8 @@ runRemoteGarbler(const Netlist &netlist,
                  const RemoteOptions &opts)
 {
     LiveGarblerSource src(netlist, seed);
-    return runGarblerFrom(netlist, garbler_bits, transport, src,
-                          splitmix64(seed ^ kSimBurnTag), false, opts);
+    return runGarblerFrom(netlist, garbler_bits, transport, src, false,
+                          opts);
 }
 
 RemoteResult
@@ -359,11 +394,7 @@ runRemoteGarbler(const Netlist &netlist,
         throw std::invalid_argument(
             "runRemoteGarbler: instance does not match the netlist");
     InstanceGarblerSource src{&instance};
-    // The instance's garbling seed is gone by design; sim-OT burn
-    // pads draw fresh entropy instead (they only need to be secret
-    // and unrelated to anything on the wire).
-    return runGarblerFrom(netlist, garbler_bits, transport, src,
-                          splitmix64(randomSeed() ^ kSimBurnTag), true,
+    return runGarblerFrom(netlist, garbler_bits, transport, src, true,
                           opts);
 }
 
@@ -383,12 +414,13 @@ runRemoteEvaluator(const Netlist &netlist,
                     size_t(clampSegment(opts.segmentTables)) *
                         kTableBytes);
 
-    uint8_t fp_bytes[Fingerprint::kBytes];
-    chan.recvBytes(fp_bytes, sizeof(fp_bytes));
-    res.controlBytes += sizeof(fp_bytes);
+    std::vector<uint8_t> fp_bytes(Fingerprint::kBytes);
+    chan.recvBytes(fp_bytes.data(), fp_bytes.size());
+    res.controlBytes += fp_bytes.size();
     const Fingerprint remote_fp = Fingerprint::deserialize(fp_bytes);
+    const bool ot_cached =
+        otCachedFlag(remote_fp.otMode, remote_fp.otCached);
     res.segmentTables = remote_fp.segmentTables;
-    res.otMode = remote_fp.otMode;
     const Fingerprint local_fp = Fingerprint::of(netlist);
     if (!remote_fp.sameCircuit(local_fp))
         throw NetError("remote circuit mismatch: local {" +
@@ -396,101 +428,33 @@ runRemoteEvaluator(const Netlist &netlist,
                        remote_fp.shapeString() + "}");
 
     const uint32_t eval_base = netlist.numGarblerInputs;
-    const uint32_t m = netlist.numEvaluatorInputs;
     std::vector<Label> inputs(netlist.numInputs());
 
-    if (remote_fp.otMode == OtMode::Iknp) {
-        // --- Real OT phase, mirroring the garbler. The fingerprint's
-        // otCached byte decides for both sides whether the base phase
-        // runs: a garbler reusing its cached extension sender would
-        // deadlock against a fresh receiver (and vice versa). ---
-        res.otSetupReused = remote_fp.otCached;
-        const size_t uplink_base = chan.bytesSent();
-        size_t base = chan.bytesReceived();
-        if (m > 0) {
-            OtConnectionCache *cache = opts.otCache;
-            std::unique_ptr<OtExtReceiver> fresh;
-            OtExtReceiver *ot = nullptr;
-            if (remote_fp.otCached) {
-                if (cache == nullptr || cache->receiver == nullptr ||
-                    !cache->receiver->ready())
-                    throw NetError("garbler expects a cached OT setup, "
-                                   "but this connection has none");
-                cache->receiver->rebind(chan, chan);
-                ot = cache->receiver.get();
-            } else {
-                fresh = std::make_unique<OtExtReceiver>(chan, chan,
-                                                        otRandomKey());
-                fresh->start();
-                fresh->setup();
-                ot = fresh.get();
-            }
-            ot->sendChoices(evaluator_bits);
-            const std::vector<Label> labels = ot->receiveLabels();
-            for (uint32_t i = 0; i < m; ++i)
-                inputs[eval_base + i] = labels[i];
-            if (cache != nullptr && fresh != nullptr)
-                cache->receiver = std::move(fresh);
-        }
-        if (netlist.constOne != kNoWire)
-            inputs[netlist.constOne] = chan.recvLabel();
-        res.otBytes = chan.bytesReceived() - base;
-        res.otUplinkBytes = chan.bytesSent() - uplink_base;
-
-        // Garbler input labels.
-        base = chan.bytesReceived();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            inputs[i] = chan.recvLabel();
-        res.inputLabelBytes = chan.bytesReceived() - base;
-    } else {
-        // Send OT choice bits.
-        std::vector<uint8_t> choices(m);
-        for (uint32_t i = 0; i < m; ++i)
-            choices[i] = evaluator_bits[i] ? 1 : 0;
-        if (!choices.empty())
-            chan.sendBytes(choices.data(), choices.size());
-        chan.flush();
-        res.controlBytes += choices.size();
-
-        // Garbler input labels.
-        size_t base = chan.bytesReceived();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            inputs[i] = chan.recvLabel();
-        res.inputLabelBytes = chan.bytesReceived() - base;
-
-        // Own inputs via simulated OT + the public constant.
-        base = chan.bytesReceived();
-        OtReceiver ot(chan, remote_fp.otSeed);
-        for (uint32_t i = 0; i < m; ++i)
-            inputs[eval_base + i] = ot.receive(evaluator_bits[i]);
-        if (netlist.constOne != kNoWire)
-            inputs[netlist.constOne] = chan.recvLabel();
-        res.otBytes = chan.bytesReceived() - base;
+    // OT phase, mirroring the garbler, then the constant-one label.
+    const std::vector<Label> labels = receiveOtLabels(
+        chan, evaluator_bits, ot_cached, opts.otCache, res);
+    for (size_t i = 0; i < labels.size(); ++i)
+        inputs[eval_base + i] = labels[i];
+    if (netlist.constOne != kNoWire) {
+        inputs[netlist.constOne] = chan.recvLabel();
+        res.otBytes += kLabelBytes;
     }
 
-    // Evaluate, pulling tables from the stream as they arrive.
+    // Garbler input labels.
     size_t base = chan.bytesReceived();
+    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
+        inputs[i] = chan.recvLabel();
+    res.inputLabelBytes = chan.bytesReceived() - base;
+
+    // Evaluate, pulling tables from the stream as they arrive.
+    base = chan.bytesReceived();
     const uint64_t frames_before = transport.framesReceived();
-    std::vector<Label> out_labels = evaluateStreaming(
+    const std::vector<Label> out_labels = evaluateStreaming(
         netlist, inputs, [&] { return chan.recvTable(); });
     res.tableBytes = chan.bytesReceived() - base;
     res.tableSegments = transport.framesReceived() - frames_before;
 
-    // Decode.
-    base = chan.bytesReceived();
-    res.outputs.resize(out_labels.size());
-    std::vector<bool> decode(netlist.outputs.size());
-    for (size_t i = 0; i < decode.size(); ++i)
-        decode[i] = chan.recvBit();
-    res.outputDecodeBytes = chan.bytesReceived() - base;
-    for (size_t i = 0; i < out_labels.size(); ++i)
-        res.outputs[i] = out_labels[i].lsb() != decode[i];
-
-    // Echo the result so the garbler learns it too.
-    for (bool b : res.outputs)
-        chan.sendBit(b);
-    chan.flush();
-    res.controlBytes += res.outputs.size();
+    receiveDecodeSendEcho(chan, out_labels, res);
 
     res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
                      res.outputDecodeBytes;

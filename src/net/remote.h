@@ -4,11 +4,9 @@
  *
  * Both parties hold the same Netlist (the circuit is public; a
  * 38-byte fingerprint exchanged up front catches disagreement before
- * any label moves and carries the garbler's OT mode + base-OT cache
- * decision). The protocol
- * then runs the OT phase — real base-OT + IKNP extension by default
- * (gc/ot_ext.h), the deterministic simulation under
- * OtMode::Simulated — after which the garbler streams input labels,
+ * any label moves and carries the garbler's base-OT cache decision).
+ * The protocol then runs the OT phase — base OT + IKNP extension
+ * (gc/ot_ext.h) — after which the garbler streams input labels,
  * garbled tables in segments, and decode bits, while the evaluator
  * consumes tables the moment they arrive via the gc/streaming
  * machinery: memory stays O(wires) while communication is
@@ -17,12 +15,15 @@
  * Byte accounting matches the in-process ProtocolResult *exactly*,
  * category by category (tables, input labels, OT down- and uplink,
  * output decode): the four downlink categories count protocol payload
- * in the garbler→evaluator direction, otUplinkBytes the real OT's
+ * in the garbler→evaluator direction, otUplinkBytes the OT's
  * evaluator→garbler traffic, all measured identically by both sides.
- * The circuit fingerprint, the simulation's plaintext choice bits,
- * and the result echo that lets the garbler learn the output too are
- * control traffic, reported separately — the in-process baseline has
- * no analogue for them.
+ * The circuit fingerprint and the result echo that lets the garbler
+ * learn the output too are control traffic, reported separately — the
+ * in-process baseline has no analogue for them.
+ *
+ * The chained protocol (chain/link.h) runs the same OT and
+ * decode/echo phases through the helpers declared at the end of this
+ * header; only its fingerprint, direct labels and link frames differ.
  */
 #ifndef HAAC_NET_REMOTE_H
 #define HAAC_NET_REMOTE_H
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "gc/ot.h"
 #include "gc/ot_ext.h"
 #include "net/transport.h"
 
@@ -67,15 +67,8 @@ struct RemoteOptions
     /** Garbled tables per streamed segment frame (>= 1). */
     uint32_t segmentTables = 1024;
     /**
-     * OT construction for the evaluator's input labels. The garbler's
-     * setting governs (carried to the evaluator in the fingerprint,
-     * like segmentTables); real IKNP OT is the default, the
-     * simulation stays selectable for deterministic traffic tests.
-     */
-    OtMode otMode = OtMode::Iknp;
-    /**
-     * Borrowed per-connection OT cache (IKNP only); null runs the
-     * base-OT phase every session, the pre-cache behavior.
+     * Borrowed per-connection OT cache; null runs the base-OT phase
+     * every session, the pre-cache behavior.
      */
     OtConnectionCache *otCache = nullptr;
 };
@@ -98,14 +91,11 @@ struct RemoteResult
 
     /**
      * Evaluator→garbler OT traffic (base-OT public key + masked
-     * columns); zero under the simulation, whose only uplink is the
-     * plaintext choice bits counted as control traffic.
+     * columns).
      */
     uint64_t otUplinkBytes = 0;
-    /** OT construction this session actually ran (garbler's pick). */
-    OtMode otMode = OtMode::Iknp;
 
-    /** Fingerprint + sim-OT choice bits + result echo (both ways). */
+    /** Fingerprint + result echo (both ways). */
     uint64_t controlBytes = 0;
     /** Frames the table stream used (one per segment). */
     uint64_t tableSegments = 0;
@@ -122,12 +112,6 @@ struct RemoteResult
     bool otSetupReused = false;
     /** Garbler replayed a pre-garbled instance (serve/pool.h). */
     bool pooledGarbling = false;
-
-    double
-    gatesPerSecond() const
-    {
-        return seconds > 0 ? double(gates) / seconds : 0;
-    }
 };
 
 /**
@@ -164,6 +148,75 @@ RemoteResult runRemoteEvaluator(const Netlist &netlist,
                                 const std::vector<bool> &evaluator_bits,
                                 Transport &transport,
                                 const RemoteOptions &opts = {});
+
+/** @name Protocol phases shared with the chained runner (chain/link.h)
+ *
+ * Each phase adds its own byte categories to the RemoteResult it is
+ * handed; none of them flushes except where noted, so the caller
+ * decides what shares a transport frame.
+ */
+/// @{
+
+/** Segment size actually used: 0 means 1 table per segment. */
+uint32_t clampSegment(uint32_t segment_tables);
+
+/**
+ * Garbler: whether this session can skip the base-OT phase — the
+ * connection's cache holds a ready extension sender and there is at
+ * least one OT to run. The answer travels in the fingerprint's
+ * otCached byte, so both sides agree before any OT traffic.
+ */
+bool canReuseOtSetup(const OtConnectionCache *cache, uint32_t ots);
+
+/**
+ * Evaluator: validate the fingerprint's OT bytes and return the
+ * otCached flag. IKNP (1) is the only OT this build speaks and
+ * otCached is a strict boolean; anything else is a NetError, raised
+ * before any label moves.
+ */
+bool otCachedFlag(uint8_t ot_mode, uint8_t ot_cached);
+
+/**
+ * Garbler's IKNP phase: one batch transferring m0[i] or m1[i] per
+ * evaluator choice. Reuses @p cache's sender when res.otSetupReused
+ * (see canReuseOtSetup), else runs a fresh base phase and stores the
+ * new sender in @p cache (when non-null). An empty batch moves
+ * nothing. Adds to res.otBytes and res.otUplinkBytes.
+ */
+void sendOtLabels(ByteChannel &chan, const std::vector<Label> &m0,
+                  const std::vector<Label> &m1, OtConnectionCache *cache,
+                  RemoteResult &res);
+
+/**
+ * Evaluator's side of sendOtLabels: the chosen label per choice bit.
+ * @p cached is the fingerprint's otCached flag; a cached session
+ * without a ready receiver in @p cache is a NetError. Sets
+ * res.otSetupReused and adds to res.otBytes / res.otUplinkBytes.
+ */
+std::vector<Label> receiveOtLabels(ByteChannel &chan,
+                                   const std::vector<bool> &choices,
+                                   bool cached, OtConnectionCache *cache,
+                                   RemoteResult &res);
+
+/**
+ * Garbler's last phase: send @p decode (flushed), then receive the
+ * evaluator's result echo into res.outputs. Sets
+ * res.outputDecodeBytes and adds the echo to res.controlBytes.
+ */
+void sendDecodeReceiveEcho(ByteChannel &chan,
+                           const std::vector<bool> &decode,
+                           RemoteResult &res);
+
+/**
+ * Evaluator's last phase: receive one decode bit per output label,
+ * decode into res.outputs, and echo them back (flushed). Sets
+ * res.outputDecodeBytes and adds the echo to res.controlBytes.
+ */
+void receiveDecodeSendEcho(ByteChannel &chan,
+                           const std::vector<Label> &output_labels,
+                           RemoteResult &res);
+
+/// @}
 
 } // namespace haac
 

@@ -60,6 +60,24 @@ bristolHeaderPeek(const std::string &text)
     return h;
 }
 
+/** Session ack: one status byte (1 = accepted), then the message. */
+void
+sendAck(Transport &transport, bool ok, const std::string &message)
+{
+    std::vector<uint8_t> frame;
+    frame.reserve(1 + message.size());
+    frame.push_back(ok ? 1 : 0);
+    frame.insert(frame.end(), message.begin(), message.end());
+    transport.sendFrame(frame);
+}
+
+/** The server plays whichever GC role the client did not claim. */
+Role
+serverRoleFor(PeerRole client)
+{
+    return client == PeerRole::Garbler ? Role::Evaluator : Role::Garbler;
+}
+
 } // namespace
 
 Workload
@@ -143,9 +161,7 @@ makeRemoteReport(const RemoteResult &result, Role role,
     report.net.controlBytes = result.controlBytes;
     report.net.tableSegments = result.tableSegments;
     report.net.segmentTables = result.segmentTables;
-    report.net.otMode = result.otMode;
     report.net.gates = result.gates;
-    report.net.gatesPerSecond = result.gatesPerSecond();
     report.hasNet = true;
     report.hostSeconds = result.seconds;
     report.gates = result.gates;
@@ -161,41 +177,14 @@ RunReport
 makeChainReport(const chain::ChainResult &result, Role role,
                 const Transport &transport)
 {
-    RunReport report;
+    RunReport report = makeRemoteReport(result, role, transport);
     report.backend = "chain-gc";
-    report.outputs = result.outputs;
-    report.hasOutputs = true;
-    report.comm.tableBytes = result.tableBytes;
-    report.comm.inputLabelBytes = result.inputLabelBytes;
-    report.comm.otBytes = result.otBytes;
-    report.comm.otUplinkBytes = result.otUplinkBytes;
-    report.comm.outputDecodeBytes = result.outputDecodeBytes;
-    report.comm.totalBytes = result.totalBytes;
-    report.hasComm = true;
-    report.net.role = role;
-    report.net.endpoint = transport.describe();
-    report.net.rawBytesSent = transport.rawBytesSent();
-    report.net.rawBytesReceived = transport.rawBytesReceived();
-    report.net.controlBytes = result.controlBytes;
-    report.net.tableSegments = result.tableSegments;
-    report.net.segmentTables = result.segmentTables;
-    report.net.otMode = OtMode::Iknp; // chaining refuses sim-ot
-    report.net.gates = result.gates;
-    report.net.gatesPerSecond =
-        result.seconds > 0 ? double(result.gates) / result.seconds : 0;
-    report.hasNet = true;
     report.chain.components = result.components;
     report.chain.links = result.links;
     report.chain.linkBytes = result.linkBytes;
     report.chain.linkFrames = result.linkFrames;
     report.chain.pooledComponents = result.pooledComponents;
     report.hasChain = true;
-    report.hostSeconds = result.seconds;
-    report.gates = result.gates;
-    if (result.otSetupReused) {
-        report.serve.otSetupReused = true;
-        report.hasServe = true;
-    }
     return report;
 }
 
@@ -369,19 +358,48 @@ GcServer::serveOne(Transport &transport, uint64_t session_id)
     ++totals_.connectionsServed;
 }
 
+RemoteOptions
+GcServer::sessionOptions(OtConnectionCache &ot_cache) const
+{
+    RemoteOptions ropts;
+    ropts.segmentTables = opts_.segmentTables;
+    if (opts_.cacheBaseOt)
+        ropts.otCache = &ot_cache;
+    return ropts;
+}
+
+void
+GcServer::finishSession(RunReport &report, uint64_t session_id,
+                        const RemoteResult &result,
+                        const std::function<void(Totals &)> &count)
+{
+    report.label = "session-" + std::to_string(session_id);
+    // Serialize outside any lock; the sink has its own mutex so slow
+    // report I/O never stalls the queue/totals lock the pool runs on.
+    const std::string json = opts_.reports ? report.toJson() : "";
+
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++totals_.sessionsServed;
+        totals_.payloadBytes += result.totalBytes;
+        totals_.gates += result.gates;
+        totals_.sessionSeconds += result.seconds;
+        if (result.otSetupReused)
+            ++totals_.otSetupsReused;
+        if (count)
+            count(totals_);
+    }
+    if (opts_.reports) {
+        std::lock_guard<std::mutex> lock(reportMutex_);
+        *opts_.reports << json << "\n" << std::flush;
+    }
+}
+
 void
 GcServer::serveSession(Transport &transport, uint64_t session_id,
                        PeerRole client, const std::string &spec,
                        OtConnectionCache &ot_cache)
 {
-    auto ack = [&](bool ok, const std::string &message) {
-        std::vector<uint8_t> frame;
-        frame.reserve(1 + message.size());
-        frame.push_back(ok ? 1 : 0);
-        frame.insert(frame.end(), message.begin(), message.end());
-        transport.sendFrame(frame);
-    };
-
     std::shared_ptr<const Workload> wl;
     try {
         if (spec.empty())
@@ -389,19 +407,13 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
                            "(e.g. \"Million:32\")");
         wl = resolveCached(spec);
     } catch (const NetError &e) {
-        ack(false, e.what());
+        sendAck(transport, false, e.what());
         throw;
     }
-    ack(true, wl->name);
+    sendAck(transport, true, wl->name);
 
-    RemoteOptions ropts;
-    ropts.segmentTables = opts_.segmentTables;
-    ropts.otMode = opts_.otMode;
-    if (opts_.cacheBaseOt)
-        ropts.otCache = &ot_cache;
-    const Role server_role = client == PeerRole::Garbler
-                                 ? Role::Evaluator
-                                 : Role::Garbler;
+    const RemoteOptions ropts = sessionOptions(ot_cache);
+    const Role server_role = serverRoleFor(client);
 
     // Garbler sessions prefer a pooled instance; a pool miss (or no
     // pool) garbles inline with the deterministic per-session seed.
@@ -431,37 +443,18 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
 
     RunReport report = makeRemoteReport(result, server_role, transport);
     report.workload = wl->name;
-    report.label = "session-" + std::to_string(session_id);
     if (opts_.pool != nullptr || opts_.cacheBaseOt) {
         const serve::PoolStats ps = opts_.pool != nullptr
                                         ? opts_.pool->stats()
                                         : serve::PoolStats{};
-        report.serve.pooledGarbling = result.pooledGarbling;
-        report.serve.otSetupReused = result.otSetupReused;
         report.serve.poolHits = ps.hits;
         report.serve.poolMisses = ps.misses;
         report.hasServe = true;
     }
-    // Serialize outside any lock; the sink has its own mutex so slow
-    // report I/O never stalls the queue/totals lock the pool runs on.
-    const std::string json = opts_.reports ? report.toJson() : "";
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++totals_.sessionsServed;
-        totals_.payloadBytes += result.totalBytes;
-        totals_.gates += result.gates;
-        totals_.sessionSeconds += result.seconds;
+    finishSession(report, session_id, result, [&](Totals &t) {
         if (pool_eligible)
-            ++(pooled != nullptr ? totals_.poolHits
-                                 : totals_.poolMisses);
-        if (result.otSetupReused)
-            ++totals_.otSetupsReused;
-    }
-    if (opts_.reports) {
-        std::lock_guard<std::mutex> lock(reportMutex_);
-        *opts_.reports << json << "\n" << std::flush;
-    }
+            ++(pooled != nullptr ? t.poolHits : t.poolMisses);
+    });
 }
 
 void
@@ -470,14 +463,6 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
                              const std::vector<uint8_t> &frame,
                              OtConnectionCache &ot_cache)
 {
-    auto ack = [&](bool ok, const std::string &message) {
-        std::vector<uint8_t> reply;
-        reply.reserve(1 + message.size());
-        reply.push_back(ok ? 1 : 0);
-        reply.insert(reply.end(), message.begin(), message.end());
-        transport.sendFrame(reply);
-    };
-
     // The admission gate. Everything in this block runs before a
     // single label is derived: header cap, parse, analyzer verdict,
     // canonical-size re-check. Refusal kills the session (and the
@@ -518,19 +503,13 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
             std::lock_guard<std::mutex> lock(mutex_);
             ++totals_.uploadsRefused;
         }
-        ack(false, e.what());
+        sendAck(transport, false, e.what());
         throw NetError(e.what());
     }
-    ack(true, "netlist:" + std::to_string(nl.numGates()));
+    sendAck(transport, true, "netlist:" + std::to_string(nl.numGates()));
 
-    RemoteOptions ropts;
-    ropts.segmentTables = opts_.segmentTables;
-    ropts.otMode = opts_.otMode;
-    if (opts_.cacheBaseOt)
-        ropts.otCache = &ot_cache;
-    const Role server_role = client == PeerRole::Garbler
-                                 ? Role::Evaluator
-                                 : Role::Garbler;
+    const RemoteOptions ropts = sessionOptions(ot_cache);
+    const Role server_role = serverRoleFor(client);
 
     // The server has no stake in a circuit it has never seen: its own
     // inputs are all zero, and nothing about an upload is pooled or
@@ -547,24 +526,8 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
 
     RunReport report = makeRemoteReport(result, server_role, transport);
     report.workload = "uploaded-netlist";
-    report.label = "session-" + std::to_string(session_id);
-    // Serialize outside any lock (see serveSession).
-    const std::string json = opts_.reports ? report.toJson() : "";
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++totals_.sessionsServed;
-        ++totals_.uploadSessions;
-        totals_.payloadBytes += result.totalBytes;
-        totals_.gates += result.gates;
-        totals_.sessionSeconds += result.seconds;
-        if (result.otSetupReused)
-            ++totals_.otSetupsReused;
-    }
-    if (opts_.reports) {
-        std::lock_guard<std::mutex> lock(reportMutex_);
-        *opts_.reports << json << "\n" << std::flush;
-    }
+    finishSession(report, session_id, result,
+                  [](Totals &t) { ++t.uploadSessions; });
 }
 
 void
@@ -572,34 +535,17 @@ GcServer::serveChainSession(Transport &transport, uint64_t session_id,
                             PeerRole client, const std::string &spec,
                             OtConnectionCache &ot_cache)
 {
-    auto ack = [&](bool ok, const std::string &message) {
-        std::vector<uint8_t> frame;
-        frame.reserve(1 + message.size());
-        frame.push_back(ok ? 1 : 0);
-        frame.insert(frame.end(), message.begin(), message.end());
-        transport.sendFrame(frame);
-    };
-
     std::shared_ptr<const chain::ChainWorkload> wl;
     try {
-        if (opts_.otMode != OtMode::Iknp)
-            throw NetError("chained sessions require IKNP OT; this "
-                           "server is running simulated OT");
         wl = resolveChainCached(spec);
     } catch (const NetError &e) {
-        ack(false, e.what());
+        sendAck(transport, false, e.what());
         throw;
     }
-    ack(true, wl->name);
+    sendAck(transport, true, wl->name);
 
-    RemoteOptions ropts;
-    ropts.segmentTables = opts_.segmentTables;
-    ropts.otMode = opts_.otMode;
-    if (opts_.cacheBaseOt)
-        ropts.otCache = &ot_cache;
-    const Role server_role = client == PeerRole::Garbler
-                                 ? Role::Evaluator
-                                 : Role::Garbler;
+    const RemoteOptions ropts = sessionOptions(ot_cache);
+    const Role server_role = serverRoleFor(client);
 
     chain::ChainResult result;
     if (server_role == Role::Garbler) {
@@ -628,33 +574,18 @@ GcServer::serveChainSession(Transport &transport, uint64_t session_id,
 
     RunReport report = makeChainReport(result, server_role, transport);
     report.workload = wl->name;
-    report.label = "session-" + std::to_string(session_id);
     if (opts_.componentPool != nullptr) {
         const serve::PoolStats ps = opts_.componentPool->stats();
         report.serve.poolHits = ps.hits;
         report.serve.poolMisses = ps.misses;
         report.hasServe = true;
     }
-    // Serialize outside any lock (see serveSession).
-    const std::string json = opts_.reports ? report.toJson() : "";
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++totals_.sessionsServed;
-        totals_.payloadBytes += result.totalBytes;
-        totals_.gates += result.gates;
-        totals_.sessionSeconds += result.seconds;
-        if (result.otSetupReused)
-            ++totals_.otSetupsReused;
-        ++totals_.chainSessions;
-        totals_.componentsLinked += result.components;
-        totals_.componentPoolHits += result.pooledComponents;
-        totals_.linkBytes += result.linkBytes;
-    }
-    if (opts_.reports) {
-        std::lock_guard<std::mutex> lock(reportMutex_);
-        *opts_.reports << json << "\n" << std::flush;
-    }
+    finishSession(report, session_id, result, [&](Totals &t) {
+        ++t.chainSessions;
+        t.componentsLinked += result.components;
+        t.componentPoolHits += result.pooledComponents;
+        t.linkBytes += result.linkBytes;
+    });
 }
 
 std::shared_ptr<const Workload>

@@ -16,7 +16,7 @@
  * clientHello() performs the client half of both flavors; GcServer
  * workers perform the server half. Every completed session becomes
  * one standard RunReport — comm accounting plus the net section
- * (bytes, gates/s, wall time) — emitted as a JSON line to the
+ * (bytes, segments, wall time) — emitted as a JSON line to the
  * configured sink, so a fleet of sessions accumulates the same
  * trajectory format the benchmarks write.
  *
@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -110,8 +111,8 @@ void clientUploadRequest(Transport &transport,
 RunReport makeRemoteReport(const RemoteResult &result, Role role,
                            const Transport &transport);
 
-/** Package one party's ChainResult (chain/link.h) as a RunReport
- *  with the chain section filled in. */
+/** makeRemoteReport for a chained session (chain/link.h): backend
+ *  "chain-gc" plus the chain section. */
 RunReport makeChainReport(const chain::ChainResult &result, Role role,
                           const Transport &transport);
 
@@ -133,8 +134,6 @@ struct ServerOptions
     bool shardWorker = false;
     /** Garbled tables per streamed segment frame. */
     uint32_t segmentTables = 1024;
-    /** OT construction when this server garbles (`--sim-ot` flips). */
-    OtMode otMode = OtMode::Iknp;
     /** Session i garbles with seedBase + i (when the server garbles). */
     uint64_t seedBase = 0x4841414331ull;
     /** Per-session RunReport JSON-Lines sink (null = don't emit). */
@@ -229,6 +228,16 @@ class GcServer
                             PeerRole client,
                             const std::vector<uint8_t> &frame,
                             OtConnectionCache &ot_cache);
+    /** The RemoteOptions every GC session on this server runs with. */
+    RemoteOptions sessionOptions(OtConnectionCache &ot_cache) const;
+    /**
+     * The tail every GC session shares: label @p report, serialize it,
+     * add @p result to the totals (plus the flavor's own counters via
+     * @p count, under the totals lock), then write the report line.
+     */
+    void finishSession(RunReport &report, uint64_t session_id,
+                       const RemoteResult &result,
+                       const std::function<void(Totals &)> &count = {});
     std::shared_ptr<const Workload>
     resolveCached(const std::string &spec);
     std::shared_ptr<const chain::ChainWorkload>

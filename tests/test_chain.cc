@@ -461,20 +461,6 @@ TEST(ChainProtocol, SegmentOneStreamsTableByTable)
     EXPECT_EQ(eres.tableSegments, wl.plan.totalAndGates());
 }
 
-TEST(ChainProtocol, SimulatedOtModeRefused)
-{
-    const ChainWorkload wl = resolveChainWorkload("ChainMillSum:8");
-    auto [gend, eend] = LoopbackTransport::createPair();
-    RemoteOptions opts;
-    opts.otMode = OtMode::Simulated;
-    EXPECT_THROW(runChainGarbler(wl.plan, wl.garblerBits, *gend,
-                                 freshComponentProvider(1), opts),
-                 std::invalid_argument);
-    EXPECT_THROW(runChainEvaluator(wl.plan, wl.evaluatorBits, *eend,
-                                   opts),
-                 std::invalid_argument);
-}
-
 TEST(ChainProtocol, PlanMismatchFailsClosed)
 {
     // Garbler linking one plan, evaluator expecting another: the
@@ -499,6 +485,52 @@ TEST(ChainProtocol, PlanMismatchFailsClosed)
     eend.reset(); // hang up; the garbler unblocks with a NetError
     garbler.join();
     EXPECT_NE(garbler_error, nullptr);
+}
+
+TEST(ChainProtocol, EvaluatorRefusesUnknownOtFlags)
+{
+    // A hand-rolled garbler sends a well-shaped plan fingerprint
+    // (42 bytes, link.cc's ChainFingerprint) whose OT bytes are not
+    // IKNP / a boolean cache flag. The evaluator must throw NetError
+    // and hang up without sending a byte back.
+    const ChainWorkload wl = resolveChainWorkload("ChainMillSum:8");
+    const std::pair<uint8_t, uint8_t> cases[] = {{0, 0}, {2, 0}, {1, 2}};
+    for (const auto &[ot_mode, ot_cached] : cases) {
+        SCOPED_TRACE(testing::Message() << "otMode " << int(ot_mode)
+                                        << " otCached " << int(ot_cached));
+        auto [gend, eend] = LoopbackTransport::createPair();
+        PeerThread garbler([&, t = std::move(gend)] {
+            t->handshake(PeerRole::Garbler);
+            WireWriter w;
+            w.u64(wl.plan.hash());
+            w.u32(uint32_t(wl.plan.nodes.size()));
+            w.u32(wl.plan.numLinks());
+            w.u32(wl.plan.garblerInputs);
+            w.u32(wl.plan.evaluatorInputs);
+            w.u32(uint32_t(wl.plan.outputs.size()));
+            w.u32(1024);
+            w.u64(0);
+            w.u8(ot_mode);
+            w.u8(ot_cached);
+            t->sendFrame(w.bytes());
+            EXPECT_THROW(t->recvFrame(), NetError)
+                << "the evaluator answered a bad fingerprint";
+        });
+        eend->handshake(PeerRole::Evaluator);
+        OtConnectionCache cache;
+        RemoteOptions opts;
+        opts.otCache = &cache;
+        try {
+            runChainEvaluator(wl.plan, wl.evaluatorBits, *eend, opts);
+            ADD_FAILURE() << "evaluator accepted the fingerprint";
+        } catch (const NetError &e) {
+            EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                      std::string::npos)
+                << e.what();
+        }
+        eend.reset(); // hang up
+        garbler.join();
+    }
 }
 
 TEST(ChainProtocol, ProviderReturningWrongComponentRejected)
@@ -782,41 +814,22 @@ TEST(ChainServer, ServesChainSpecsBothRolesWithComponentPool)
     EXPECT_NE(json.find("\"pooled_components\":3"), std::string::npos);
 }
 
-TEST(ChainServer, RefusesUnknownChainSpecAndSimOt)
+TEST(ChainServer, RefusesUnknownChainSpec)
 {
-    {
-        ServerOptions opts;
-        opts.threads = 1;
-        GcServer server(opts);
-        auto [client_end, server_end] = LoopbackTransport::createPair();
-        server.submit(std::move(server_end));
-        try {
-            clientHello(*client_end, PeerRole::Garbler, "ChainNoSuch:8");
-            FAIL() << "unknown chain spec was accepted";
-        } catch (const NetError &e) {
-            EXPECT_NE(std::string(e.what()).find("ChainNoSuch"),
-                      std::string::npos);
-        }
-        server.drain();
-        EXPECT_EQ(server.totals().sessionsFailed, 1u);
+    ServerOptions opts;
+    opts.threads = 1;
+    GcServer server(opts);
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    try {
+        clientHello(*client_end, PeerRole::Garbler, "ChainNoSuch:8");
+        FAIL() << "unknown chain spec was accepted";
+    } catch (const NetError &e) {
+        EXPECT_NE(std::string(e.what()).find("ChainNoSuch"),
+                  std::string::npos);
     }
-    {
-        ServerOptions opts;
-        opts.threads = 1;
-        opts.otMode = OtMode::Simulated;
-        GcServer server(opts);
-        auto [client_end, server_end] = LoopbackTransport::createPair();
-        server.submit(std::move(server_end));
-        try {
-            clientHello(*client_end, PeerRole::Evaluator,
-                        "ChainMillSum:8");
-            FAIL() << "sim-ot server accepted a chained session";
-        } catch (const NetError &e) {
-            EXPECT_NE(std::string(e.what()).find("IKNP"),
-                      std::string::npos);
-        }
-        server.drain();
-    }
+    server.drain();
+    EXPECT_EQ(server.totals().sessionsFailed, 1u);
 }
 
 TEST(ChainSession, WithChainPlanRunsChainedRemoteAndMonolithicLocal)

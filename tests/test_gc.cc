@@ -2,8 +2,8 @@
  * @file
  * Garbled-circuits protocol tests: Half-Gate correctness for all input
  * combinations, FreeXOR/NOT label algebra, whole-circuit garbling vs
- * plaintext on random circuits (property test), OT, channel accounting,
- * and the end-to-end protocol.
+ * plaintext on random circuits (property test), channel accounting, and
+ * the end-to-end protocol.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "crypto/prg.h"
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
-#include "gc/ot.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
 #include "workloads/vip.h"
@@ -221,37 +220,25 @@ TEST(Protocol, TrafficAccounting)
     cb.addOutputs(mulBits(cb, a, b, 8));
     Netlist nl = cb.build();
 
-    // Simulated OT: two masked labels per evaluator bit + const-one
-    // label, and no uplink at all.
+    // Tables and garbler labels follow from the netlist alone. The
+    // OT downlink carries the 128 base-OT points plus one masked
+    // label pair per evaluator bit plus the const-one label; the
+    // uplink carries the base-OT public key plus 128 masked columns
+    // of one 16-byte block each.
     ProtocolResult res = runProtocol(nl, u64ToBits(7, 8),
-                                     u64ToBits(9, 8), 0x4841414331ull,
-                                     OtMode::Simulated);
+                                     u64ToBits(9, 8));
     EXPECT_EQ(bitsToU64(res.outputs), 63u);
     EXPECT_EQ(res.tableBytes, nl.numAndGates() * kTableBytes);
-    EXPECT_EQ(res.inputLabelBytes, 8 * kLabelBytes);
-    EXPECT_EQ(res.otBytes, 8 * 2 * kLabelBytes + kLabelBytes);
-    EXPECT_EQ(res.otUplinkBytes, 0u);
-    EXPECT_EQ(res.totalBytes,
-              res.tableBytes + res.inputLabelBytes + res.otBytes +
-                  res.outputDecodeBytes);
-
-    // Real OT (the default): the downlink carries the 128 base-OT
-    // points plus one masked label pair per evaluator bit plus the
-    // const-one label; the uplink carries the base-OT public key
-    // plus 128 masked columns of one 16-byte block each.
-    ProtocolResult real = runProtocol(nl, u64ToBits(7, 8),
-                                      u64ToBits(9, 8));
-    EXPECT_EQ(bitsToU64(real.outputs), 63u);
-    EXPECT_EQ(real.tableBytes, res.tableBytes);
-    EXPECT_EQ(real.inputLabelBytes, res.inputLabelBytes);
-    EXPECT_EQ(real.otBytes,
+    EXPECT_EQ(res.inputLabelBytes, nl.numGarblerInputs * kLabelBytes);
+    EXPECT_EQ(res.otBytes,
               128 * 32 + 8 * 2 * kLabelBytes + kLabelBytes);
     // Base public key + two masked column blocks (the real block and
     // the KOS15 pad) + the 32-byte consistency proof.
-    EXPECT_EQ(real.otUplinkBytes, 32u + 2 * 128 * kLabelBytes + 32u);
-    EXPECT_EQ(real.totalBytes,
-              real.tableBytes + real.inputLabelBytes + real.otBytes +
-                  real.outputDecodeBytes);
+    EXPECT_EQ(res.otUplinkBytes, 32u + 2 * 128 * kLabelBytes + 32u);
+    EXPECT_EQ(res.outputDecodeBytes, nl.outputs.size());
+    EXPECT_EQ(res.totalBytes,
+              res.tableBytes + res.inputLabelBytes + res.otBytes +
+                  res.outputDecodeBytes);
 }
 
 TEST(Protocol, RejectsWrongInputCounts)
@@ -264,20 +251,6 @@ TEST(Protocol, RejectsWrongInputCounts)
     EXPECT_THROW(runProtocol(nl, {}, {true}), std::invalid_argument);
     EXPECT_THROW(runProtocol(nl, {true, false}, {true}),
                  std::invalid_argument);
-}
-
-TEST(Ot, TransfersChosenLabelOnly)
-{
-    Channel chan;
-    OtSender sender(chan, 77);
-    OtReceiver receiver(chan, 77);
-    Prg prg(5);
-    for (bool choice : {false, true, true, false}) {
-        const Label m0 = prg.nextLabel();
-        const Label m1 = prg.nextLabel();
-        sender.send(m0, m1, choice);
-        EXPECT_EQ(receiver.receive(choice), choice ? m1 : m0);
-    }
 }
 
 TEST(Channel, FifoAndCounters)

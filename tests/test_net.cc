@@ -27,6 +27,7 @@
 #include "net/net_channel.h"
 #include "net/remote.h"
 #include "net/tcp.h"
+#include "net/wire.h"
 #include "workloads/priorwork.h"
 #include "workloads/vip.h"
 
@@ -78,12 +79,11 @@ adderCircuit(uint32_t bits)
 std::pair<RemoteResult, RemoteResult>
 runRemotePair(const Netlist &nl, const std::vector<bool> &gbits,
               const std::vector<bool> &ebits, uint64_t seed,
-              uint32_t segment_tables, OtMode ot_mode = OtMode::Iknp)
+              uint32_t segment_tables)
 {
     auto [gend, eend] = LoopbackTransport::createPair();
     RemoteOptions opts;
     opts.segmentTables = segment_tables;
-    opts.otMode = ot_mode;
     RemoteResult gres, eres;
     PeerThread garbler([&, t = std::move(gend)] {
         t->handshake(PeerRole::Garbler);
@@ -98,13 +98,11 @@ runRemotePair(const Netlist &nl, const std::vector<bool> &gbits,
 void
 expectMatchesProtocol(const Netlist &nl, const std::vector<bool> &gbits,
                       const std::vector<bool> &ebits, uint64_t seed,
-                      uint32_t segment_tables,
-                      OtMode ot_mode = OtMode::Iknp)
+                      uint32_t segment_tables)
 {
-    const ProtocolResult ref =
-        runProtocol(nl, gbits, ebits, seed, ot_mode);
-    auto [gres, eres] = runRemotePair(nl, gbits, ebits, seed,
-                                      segment_tables, ot_mode);
+    const ProtocolResult ref = runProtocol(nl, gbits, ebits, seed);
+    auto [gres, eres] =
+        runRemotePair(nl, gbits, ebits, seed, segment_tables);
 
     for (const RemoteResult *r : {&gres, &eres}) {
         EXPECT_EQ(r->outputs, ref.outputs);
@@ -114,7 +112,6 @@ expectMatchesProtocol(const Netlist &nl, const std::vector<bool> &gbits,
         EXPECT_EQ(r->otUplinkBytes, ref.otUplinkBytes);
         EXPECT_EQ(r->outputDecodeBytes, ref.outputDecodeBytes);
         EXPECT_EQ(r->totalBytes, ref.totalBytes);
-        EXPECT_EQ(r->otMode, ot_mode);
     }
     EXPECT_EQ(gres.tableSegments, eres.tableSegments);
 }
@@ -512,15 +509,6 @@ TEST(Remote, WrongInputCountThrows)
                  std::invalid_argument);
 }
 
-TEST(Remote, SimOtModeMatchesProtocolExactly)
-{
-    // The fixed simulation stays selectable and still pins the
-    // in-process accounting category-exact.
-    const Workload wl = makeMillionaire(24);
-    expectMatchesProtocol(wl.netlist, wl.garblerBits, wl.evaluatorBits,
-                          21, 64, OtMode::Simulated);
-}
-
 TEST(Remote, AllVipWorkloadsBitIdenticalUnderRealOt)
 {
     // The acceptance invariant: remote-gc over loopback with real OT
@@ -530,116 +518,148 @@ TEST(Remote, AllVipWorkloadsBitIdenticalUnderRealOt)
         SCOPED_TRACE(name);
         const Workload wl = vipWorkload(name, false);
         expectMatchesProtocol(wl.netlist, wl.garblerBits,
-                              wl.evaluatorBits, 0x4841414331ull, 1024,
-                              OtMode::Iknp);
+                              wl.evaluatorBits, 0x4841414331ull, 1024);
     }
 }
 
 namespace {
 
-/**
- * What a hand-rolled sim-OT evaluator observes on the wire: the
- * fingerprint's shared OT seed plus the two OT ciphertexts for one
- * choice-0 transfer over a 1-gate XOR circuit.
- */
-struct SimOtWireView
+/** Fingerprint layout (remote.cc): the evaluator's 38-byte view. */
+constexpr size_t kFingerprintBytes = 38;
+
+/** Read the garbler's fingerprint as a hand-rolled evaluator. */
+std::vector<uint8_t>
+readFingerprint(Transport &transport)
 {
-    uint64_t otSeed = 0;
-    Label c0, c1;
-};
-
-SimOtWireView
-runSimOtGarblerAgainstRawEvaluator(const Netlist &nl, uint64_t seed)
-{
-    auto [gend, eend] = LoopbackTransport::createPair();
-    RemoteOptions opts;
-    opts.otMode = OtMode::Simulated;
-    PeerThread garbler([&, t = std::move(gend)] {
-        t->handshake(PeerRole::Garbler);
-        runRemoteGarbler(nl, {true}, *t, seed, opts);
-    });
-
-    eend->handshake(PeerRole::Evaluator);
-    NetChannel chan(*eend, 256);
-    SimOtWireView view;
-    // Fingerprint layout (remote.cc): six u32 shape fields, then the
-    // u64 sim-OT pad seed at offset 24, segmentTables, otMode byte,
-    // otCached byte.
-    uint8_t fp[38];
-    chan.recvBytes(fp, sizeof(fp));
-    for (int i = 0; i < 8; ++i)
-        view.otSeed |= uint64_t(fp[24 + i]) << (8 * i);
-    EXPECT_EQ(fp[36], 0) << "otMode byte should say sim-ot";
-
-    const uint8_t choice = 0;
-    chan.sendBytes(&choice, 1);
-    chan.recvLabel(); // garbler's input label
-    view.c0 = chan.recvLabel();
-    view.c1 = chan.recvLabel();
-    chan.recvBit(); // decode bit (no tables: XOR-only circuit)
-    chan.sendBit(false); // result echo, so the garbler completes
-    chan.flush();
-    garbler.join();
-    return view;
+    NetChannel chan(transport, 256);
+    std::vector<uint8_t> fp(kFingerprintBytes);
+    chan.recvBytes(fp.data(), fp.size());
+    return fp;
 }
 
-/** Inverse of the splitmix64 finalizer (public constants). */
-uint64_t
-splitmix64Inverse(uint64_t z)
+uint32_t
+fingerprintU32(const std::vector<uint8_t> &fp, size_t at)
 {
-    z = z ^ (z >> 31) ^ (z >> 62);
-    z *= 0x319642b2d24d8ec3ull;
-    z = z ^ (z >> 27) ^ (z >> 54);
-    z *= 0x96de1b173f119089ull;
-    z = z ^ (z >> 30) ^ (z >> 60);
-    return z - 0x9e3779b97f4a7c15ull;
+    uint32_t v = 0;
+    for (size_t i = 0; i < 4; ++i)
+        v |= uint32_t(fp[at + i]) << (8 * i);
+    return v;
+}
+
+/**
+ * A hand-rolled garbler sends a well-shaped fingerprint for @p nl
+ * carrying @p ot_mode / @p ot_cached and nothing else. The evaluator
+ * must throw NetError and hang up without sending a byte back: no
+ * base-OT key, no choice columns.
+ */
+void
+expectEvaluatorRefusesOtFlags(uint8_t ot_mode, uint8_t ot_cached)
+{
+    const Netlist nl = adderCircuit(4);
+    auto [gend, eend] = LoopbackTransport::createPair();
+    PeerThread garbler([&, t = std::move(gend)] {
+        t->handshake(PeerRole::Garbler);
+        WireWriter w;
+        w.u32(nl.numGarblerInputs);
+        w.u32(nl.numEvaluatorInputs);
+        w.u32(nl.numGates());
+        w.u32(nl.numAndGates());
+        w.u32(uint32_t(nl.outputs.size()));
+        w.u32(nl.constOne);
+        w.u64(0);
+        w.u32(1024);
+        w.u8(ot_mode);
+        w.u8(ot_cached);
+        t->sendFrame(w.bytes());
+        EXPECT_THROW(t->recvFrame(), NetError)
+            << "the evaluator answered a bad fingerprint";
+    });
+    eend->handshake(PeerRole::Evaluator);
+    OtConnectionCache cache;
+    RemoteOptions opts;
+    opts.otCache = &cache;
+    try {
+        runRemoteEvaluator(nl, u64ToBits(9, 4), *eend, opts);
+        ADD_FAILURE() << "evaluator accepted otMode " << int(ot_mode)
+                      << " otCached " << int(ot_cached);
+    } catch (const NetError &e) {
+        EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                  std::string::npos)
+            << e.what();
+    }
+    eend.reset(); // hang up
+    garbler.join();
 }
 
 } // namespace
 
-TEST(Remote, SimOtSeedIsFreshAndBurnSeedUnrecoverable)
+TEST(Remote, FingerprintLayoutOnTheWire)
 {
-    // Regression for the simulated-OT seed leak: the wire used to
-    // carry otSeedFrom(seed) — an invertible mix of the garbling
-    // seed — so an evaluator could invert it, derive the burn seed
-    // otSeedFrom(~seed), and unmask the non-chosen label.
-    CircuitBuilder cb;
-    const Wire a = cb.garblerInput();
-    const Wire b = cb.evaluatorInput();
-    cb.addOutput(cb.xorGate(a, b));
-    const Netlist nl = cb.build();
+    // An IKNP garbler's fingerprint, byte for byte: the shape fields,
+    // a zero reserved u64, segmentTables, otMode = 1, and the otCached
+    // flag — 0 on a fresh connection, 1 once the connection holds a
+    // base-OT setup.
+    const Netlist nl = adderCircuit(4);
+    auto [gend, eend] = LoopbackTransport::createPair();
+    OtConnectionCache gcache, ecache;
+    RemoteOptions gopts, eopts;
+    gopts.segmentTables = 77;
+    gopts.otCache = &gcache;
+    eopts.otCache = &ecache;
 
-    const uint64_t seed = 0x5eedf00d;
-    const SimOtWireView run1 =
-        runSimOtGarblerAgainstRawEvaluator(nl, seed);
-    const SimOtWireView run2 =
-        runSimOtGarblerAgainstRawEvaluator(nl, seed);
+    PeerThread garbler([&, t = std::move(gend)] {
+        t->handshake(PeerRole::Garbler);
+        runRemoteGarbler(nl, u64ToBits(3, 4), *t, 1, gopts);
+        // Session two dies on the hand-rolled evaluator's hang-up.
+        EXPECT_THROW(runRemoteGarbler(nl, u64ToBits(3, 4), *t, 2, gopts),
+                     NetError);
+    });
+    eend->handshake(PeerRole::Evaluator);
+    // Session one runs for real (and fills both caches); a second
+    // garbler on a fresh connection shows the uncached byte.
+    runRemoteEvaluator(nl, u64ToBits(9, 4), *eend, eopts);
+    const std::vector<uint8_t> cached = readFingerprint(*eend);
+    eend.reset();
+    garbler.join();
 
-    // Fresh randomness: same garbling seed, different wire seeds —
-    // the shared pad seed is not a function of the garbling seed.
-    EXPECT_NE(run1.otSeed, run2.otSeed);
+    RemoteOptions fresh_opts;
+    fresh_opts.segmentTables = 77;
+    auto [g2, e2] = LoopbackTransport::createPair();
+    PeerThread fresh_garbler([&, t = std::move(g2)] {
+        t->handshake(PeerRole::Garbler);
+        EXPECT_THROW(
+            runRemoteGarbler(nl, u64ToBits(3, 4), *t, 3, fresh_opts),
+            NetError);
+    });
+    e2->handshake(PeerRole::Evaluator);
+    const std::vector<uint8_t> fresh = readFingerprint(*e2);
+    e2.reset();
+    fresh_garbler.join();
 
-    // The hand-rolled evaluator's view is coherent: its chosen
-    // ciphertext unmasks with the wire seed's pad stream.
-    StreamingGarbler garbler(nl, seed);
-    const Label m0 = garbler.activeLabel(1, false);
-    const Label m1 = garbler.activeLabel(1, true);
-    Prg pads(run1.otSeed);
-    const Label pad0 = pads.nextLabel();
-    const Label pad1 = pads.nextLabel();
-    EXPECT_EQ(run1.c0 ^ pad0, m0);
+    for (const std::vector<uint8_t> *fp : {&cached, &fresh}) {
+        EXPECT_EQ(fingerprintU32(*fp, 0), nl.numGarblerInputs);
+        EXPECT_EQ(fingerprintU32(*fp, 4), nl.numEvaluatorInputs);
+        EXPECT_EQ(fingerprintU32(*fp, 8), nl.numGates());
+        EXPECT_EQ(fingerprintU32(*fp, 12), nl.numAndGates());
+        EXPECT_EQ(fingerprintU32(*fp, 16), nl.outputs.size());
+        EXPECT_EQ(fingerprintU32(*fp, 20), nl.constOne);
+        for (size_t i = 24; i < 32; ++i)
+            EXPECT_EQ((*fp)[i], 0) << "reserved byte " << i;
+        EXPECT_EQ(fingerprintU32(*fp, 32), 77u);
+        EXPECT_EQ((*fp)[36], 1) << "otMode byte must say IKNP";
+    }
+    EXPECT_EQ(cached[37], 1);
+    EXPECT_EQ(fresh[37], 0);
+}
 
-    // The old attack, replayed against the fixed protocol: invert the
-    // wire seed's finalizer to a garbling-seed guess, derive the old
-    // burn stream, unmask. Every step must now come up empty.
-    const uint64_t seed_guess = splitmix64Inverse(run1.otSeed);
-    EXPECT_NE(seed_guess, seed);
-    Prg old_burn(splitmix64(~seed_guess));
-    EXPECT_NE(run1.c1 ^ pad1 ^ old_burn.nextLabel(), m1);
-    // Nor does the burn stream of the true seed's old derivation
-    // leak through the fresh wire seed.
-    Prg true_old_burn(splitmix64(~seed));
-    EXPECT_NE(run1.c1 ^ pad1 ^ true_old_burn.nextLabel(), m1);
+TEST(Remote, EvaluatorRefusesUnknownOtFlags)
+{
+    // A peer still speaking the removed simulated OT (otMode 0), an
+    // unknown OT mode, and a non-boolean otCached byte all fail on
+    // the fingerprint, before any label moves.
+    expectEvaluatorRefusesOtFlags(0, 0);
+    expectEvaluatorRefusesOtFlags(2, 0);
+    expectEvaluatorRefusesOtFlags(1, 2);
 }
 
 TEST(Remote, TamperedBaseOtKeyFailsTheGarbler)

@@ -1,12 +1,6 @@
 /**
  * @file
- * Oblivious transfer, both constructions.
- *
- * The simulated 1-of-2 OT (gc/ot.h): choice-bit correctness, the
- * label-secrecy invariants the simulation is obligated to preserve,
- * its exact traffic accounting (these pins are the interface a
- * drop-in replacement must preserve), and the burn-seed sentinel
- * regression. The real OT (gc/base_ot.h + gc/ot_ext.h): base-OT key
+ * Oblivious transfer (gc/base_ot.h + gc/ot_ext.h): base-OT key
  * agreement, IKNP batch correctness at scale, receiver secrecy,
  * tampered/truncated-stream error paths, and the exact wire shape.
  */
@@ -18,156 +12,11 @@
 #include "crypto/prg.h"
 #include "gc/base_ot.h"
 #include "gc/channel.h"
-#include "gc/ot.h"
 #include "gc/ot_ext.h"
 #include "net/loopback.h"
 #include "net/net_channel.h"
 
 using namespace haac;
-
-TEST(Ot, ChoiceBitSelectsExactlyOneMessage)
-{
-    Channel chan;
-    OtSender sender(chan, 2024);
-    OtReceiver receiver(chan, 2024);
-    Prg prg(7);
-    for (int round = 0; round < 64; ++round) {
-        const Label m0 = prg.nextLabel();
-        const Label m1 = prg.nextLabel();
-        const bool choice = (round * 11) % 3 == 0;
-        sender.send(m0, m1, choice);
-        const Label got = receiver.receive(choice);
-        EXPECT_EQ(got, choice ? m1 : m0) << "round " << round;
-        EXPECT_NE(got, choice ? m0 : m1) << "round " << round;
-    }
-}
-
-TEST(Ot, WireCarriesOnlyMaskedLabels)
-{
-    // Label secrecy on the wire: neither ciphertext may equal either
-    // plaintext label — everything the evaluator's channel sees is
-    // masked.
-    Channel chan;
-    OtSender sender(chan, 99);
-    Prg prg(13);
-    const Label m0 = prg.nextLabel();
-    const Label m1 = prg.nextLabel();
-    sender.send(m0, m1, true);
-    const Label c0 = chan.recvLabel();
-    const Label c1 = chan.recvLabel();
-    EXPECT_NE(c0, m0);
-    EXPECT_NE(c0, m1);
-    EXPECT_NE(c1, m0);
-    EXPECT_NE(c1, m1);
-}
-
-TEST(Ot, ReceiverNeverRecoversBothLabels)
-{
-    // The evaluator-side invariant (paper §2.1): even a receiver who
-    // replays its entire shared-pad stream recovers only the chosen
-    // label — the non-chosen ciphertext is additionally burned with
-    // a sender-private pad the receiver cannot derive.
-    Channel chan;
-    const uint64_t seed = 555;
-    const uint64_t sender_private = 0xdeadbeefcafef00dull;
-    OtSender sender(chan, seed, sender_private);
-    Prg prg(21);
-    const Label m0 = prg.nextLabel();
-    const Label m1 = prg.nextLabel();
-    sender.send(m0, m1, false);
-
-    // Everything the receiver can ever derive: the shared pad stream.
-    Prg pads(seed);
-    const Label pad0 = pads.nextLabel();
-    const Label pad1 = pads.nextLabel();
-    const Label pad2 = pads.nextLabel();
-    const Label c0 = chan.recvLabel();
-    const Label c1 = chan.recvLabel();
-    // Chosen (choice = 0): unmasks cleanly.
-    EXPECT_EQ(c0 ^ pad0, m0);
-    // Non-chosen: no shared pad unmasks it.
-    EXPECT_NE(c1 ^ pad0, m1);
-    EXPECT_NE(c1 ^ pad1, m1);
-    EXPECT_NE(c1 ^ pad2, m1);
-}
-
-TEST(Ot, WrongSeedYieldsNeitherLabel)
-{
-    Channel chan;
-    OtSender sender(chan, 1);
-    OtReceiver receiver(chan, 2); // desynchronized pads
-    Prg prg(3);
-    const Label m0 = prg.nextLabel();
-    const Label m1 = prg.nextLabel();
-    sender.send(m0, m1, true);
-    const Label got = receiver.receive(true);
-    EXPECT_NE(got, m0);
-    EXPECT_NE(got, m1);
-}
-
-TEST(Ot, ByteAccountingIsTwoLabelsPerTransfer)
-{
-    Channel chan;
-    OtSender sender(chan, 42);
-    OtReceiver receiver(chan, 42);
-    Prg prg(8);
-    for (int i = 1; i <= 5; ++i) {
-        sender.send(prg.nextLabel(), prg.nextLabel(), i % 2 == 0);
-        EXPECT_EQ(chan.bytesSent(), size_t(i) * 2 * kLabelBytes);
-        EXPECT_EQ(chan.messagesSent(), size_t(i) * 2);
-        receiver.receive(i % 2 == 0);
-        EXPECT_EQ(chan.pending(), 0u);
-        EXPECT_EQ(chan.bytesReceived(), size_t(i) * 2 * kLabelBytes);
-    }
-}
-
-TEST(Ot, ExplicitZeroPrivateSeedIsHonored)
-{
-    // Regression: private_seed = 0 used to be a sentinel that silently
-    // fell back to the seed-derived default burn stream.
-    Channel with_zero, with_zero2, with_default;
-    const uint64_t seed = 321;
-    OtSender a(with_zero, seed, 0);
-    OtSender b(with_zero2, seed, 0);
-    OtSender c(with_default, seed);
-    Prg prg(17);
-    const Label m0 = prg.nextLabel();
-    const Label m1 = prg.nextLabel();
-    a.send(m0, m1, false);
-    b.send(m0, m1, false);
-    c.send(m0, m1, false);
-    // Same explicit burn seed => identical ciphertexts; the default
-    // burn stream must be something else entirely.
-    EXPECT_EQ(with_zero.recvLabel(), with_zero2.recvLabel());
-    const Label az = with_zero.recvLabel();
-    with_zero2.recvLabel();
-    with_default.recvLabel();
-    EXPECT_NE(az, with_default.recvLabel());
-}
-
-TEST(Ot, DefaultBurnSeedDoesNotCollapseForAllOnesSeed)
-{
-    // Regression: ~seed * k collapses to 0 when seed == ~0, making the
-    // burn stream the fixed Prg(0) — which a receiver could replay.
-    const uint64_t seed = ~uint64_t(0);
-    EXPECT_NE(OtSender::defaultBurnSeed(seed), 0u);
-
-    Channel chan;
-    OtSender sender(chan, seed);
-    Prg prg(23);
-    const Label m0 = prg.nextLabel();
-    const Label m1 = prg.nextLabel();
-    sender.send(m0, m1, false);
-
-    Prg pads(seed);
-    pads.nextLabel(); // pad0
-    const Label pad1 = pads.nextLabel();
-    chan.recvLabel();
-    const Label c1 = chan.recvLabel();
-    // The old degenerate burn: Prg(0)'s first label.
-    Prg degenerate(0);
-    EXPECT_NE(c1 ^ pad1 ^ degenerate.nextLabel(), m1);
-}
 
 // ---------------------------------------------------------------------------
 // Base OT (Chou-Orlandi over Curve25519)
@@ -534,34 +383,4 @@ TEST(OtExt, RunsOverNetChannelAcrossThreads)
 
     for (size_t i = 0; i < m; ++i)
         ASSERT_EQ(got[i], choices[i] ? m1[i] : m0[i]) << "i=" << i;
-}
-
-TEST(Ot, RunsOverNetChannelAcrossThreads)
-{
-    auto [sender_end, receiver_end] = LoopbackTransport::createPair();
-    Prg prg(31);
-    std::vector<Label> m0s, m1s;
-    std::vector<bool> choices;
-    for (int i = 0; i < 20; ++i) {
-        m0s.push_back(prg.nextLabel());
-        m1s.push_back(prg.nextLabel());
-        choices.push_back(i % 3 == 1);
-    }
-
-    std::thread sender_thread([&, t = std::move(sender_end)] {
-        NetChannel chan(*t, 64); // small threshold: many frames
-        OtSender sender(chan, 777);
-        for (size_t i = 0; i < m0s.size(); ++i)
-            sender.send(m0s[i], m1s[i], choices[i]);
-        chan.flush();
-    });
-
-    NetChannel chan(*receiver_end, 64);
-    OtReceiver receiver(chan, 777);
-    for (size_t i = 0; i < m0s.size(); ++i) {
-        const Label got = receiver.receive(choices[i]);
-        EXPECT_EQ(got, choices[i] ? m1s[i] : m0s[i]) << "i=" << i;
-    }
-    EXPECT_EQ(chan.bytesReceived(), m0s.size() * 2 * kLabelBytes);
-    sender_thread.join();
 }

@@ -61,9 +61,6 @@ usage(const char *argv0)
         "(default 1024)\n"
         "  --seed N         garbling seed base (session i uses "
         "seed+i)\n"
-        "  --sim-ot         use the simulated OT instead of the real "
-        "IKNP extension\n"
-        "                   (deterministic traffic; see DESIGN.md)\n"
         "  --pool-depth N   keep N pre-garbled instances ready per "
         "workload (default 0 = garble inline)\n"
         "  --pool-threads N background garbling threads (default 1)\n"
@@ -142,8 +139,6 @@ main(int argc, char **argv)
                 uint32_t(std::strtoul(value(), nullptr, 10));
         else if (arg == "--seed")
             opts.seedBase = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--sim-ot")
-            opts.otMode = OtMode::Simulated;
         else if (arg == "--pool-depth")
             pool_depth = size_t(std::strtoull(value(), nullptr, 10));
         else if (arg == "--pool-threads")
