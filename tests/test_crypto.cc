@@ -15,6 +15,7 @@
 #include "crypto/aes128.h"
 #include "crypto/bitmatrix.h"
 #include "crypto/curve25519.h"
+#include "crypto/gf128.h"
 #include "crypto/hash.h"
 #include "crypto/label.h"
 #include "crypto/prg.h"
@@ -23,6 +24,27 @@
 
 namespace haac {
 namespace {
+
+/** FNV-1a over a 64-bit word's bytes, little-endian: the goldens' digest. */
+void
+fnvMix(uint64_t &digest, uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        digest ^= (word >> (8 * i)) & 0xff;
+        digest *= 0x100000001b3ull;
+    }
+}
+
+void
+fnvMix(uint64_t &digest, const uint8_t *bytes, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        digest ^= bytes[i];
+        digest *= 0x100000001b3ull;
+    }
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 std::array<uint8_t, 16>
 fromHex(const std::string &hex)
@@ -164,6 +186,31 @@ TEST(Prg, LabelsLookRandom)
     EXPECT_LT(ones, 176);
 }
 
+// The PRG's byte stream, recorded on the one-block-at-a-time
+// implementation: multi-block generation must emit the same bytes and
+// drop the same tail of a partial last block.
+TEST(Prg, ByteStreamGolden)
+{
+    uint64_t digest = kFnvOffset;
+    Prg prg(0x70726731);
+    for (size_t n : {size_t(1), size_t(15), size_t(16), size_t(17),
+                     size_t(64), size_t(100), size_t(128), size_t(129),
+                     size_t(4096), size_t(4099)}) {
+        std::vector<uint8_t> buf(n);
+        prg.nextBytes(buf.data(), n);
+        fnvMix(digest, buf.data(), n);
+        const Label l = prg.nextLabel();
+        fnvMix(digest, l.lo);
+        fnvMix(digest, l.hi);
+        fnvMix(digest, prg.nextU64());
+    }
+    Prg keyed(Label(0x1111, 0x2222));
+    std::vector<uint8_t> buf(2304);
+    keyed.nextBytes(buf.data(), buf.size());
+    fnvMix(digest, buf.data(), buf.size());
+    EXPECT_EQ(digest, 0x230a1a4725a7c4c9ull) << std::hex << digest;
+}
+
 TEST(Prg, RangeIsUnbiasedBounds)
 {
     Prg prg(9);
@@ -275,6 +322,44 @@ TEST(HalfGateHash, FixedKeyDiffersFromRekeyed)
 }
 
 // ---------------------------------------------------------------------------
+// GF(2^128) (the KOS15 check)
+// ---------------------------------------------------------------------------
+
+TEST(Gf128, EdgeCases)
+{
+    const Label a(0x0123456789abcdefull, 0xfedcba9876543210ull);
+    const Label one(1, 0);
+    EXPECT_EQ(gf128Mul(a, Label()), Label());
+    EXPECT_EQ(gf128Mul(Label(), a), Label());
+    EXPECT_EQ(gf128Mul(a, one), a);
+    EXPECT_EQ(gf128Mul(one, a), a);
+    // x^127 * x = x^128 = x^7 + x^2 + x + 1.
+    EXPECT_EQ(gf128Mul(Label(0, 1ull << 63), Label(2, 0)), Label(0x87, 0));
+    EXPECT_EQ(gf128Mul(Label(2, 0), Label(0, 1ull << 63)), Label(0x87, 0));
+    const Label ones(~0ull, ~0ull);
+    EXPECT_EQ(gf128Mul(ones, ones).toHex(),
+              "5555555555555555555555555555402f");
+    EXPECT_EQ(gf128Mul(ones, a).toHex(),
+              "278db1260aa09c2072d8e4735ff5dc0f");
+}
+
+// 10^4 seeded products, recorded on the bit-serial multiply: every
+// implementation (PCLMULQDQ or portable) must produce the same field.
+TEST(Gf128, SeededProductDigestGolden)
+{
+    Prg prg(0x67663132);
+    uint64_t digest = kFnvOffset;
+    for (int i = 0; i < 10000; ++i) {
+        const Label a = prg.nextLabel();
+        const Label b = prg.nextLabel();
+        const Label p = gf128Mul(a, b);
+        fnvMix(digest, p.lo);
+        fnvMix(digest, p.hi);
+    }
+    EXPECT_EQ(digest, 0x164995430f1aabbbull) << std::hex << digest;
+}
+
+// ---------------------------------------------------------------------------
 // Curve25519 (the base-OT group)
 // ---------------------------------------------------------------------------
 
@@ -352,6 +437,31 @@ TEST(Curve25519, AddSubCancel)
     EXPECT_TRUE(p.sub(p).isIdentity());
     EXPECT_TRUE(p.add(ec::Point()).equals(p));
     EXPECT_TRUE(p.dbl().equals(p.add(p)));
+}
+
+// Seeded scalar multiples of the base point and of a second point,
+// recorded on the double-and-add multiply: fixed-base combs and
+// windowed variable-base multiplication must land on the same points.
+TEST(Curve25519, SeededMultiplesGolden)
+{
+    Prg rng(0x63757276);
+    const ec::Point p = ec::Point::mul(ec::randomScalar(rng),
+                                       ec::Point::base());
+    uint64_t base_digest = kFnvOffset, var_digest = kFnvOffset;
+    uint8_t bytes[ec::kPointBytes];
+    for (int i = 0; i < 48; ++i) {
+        ec::Scalar k = ec::randomScalar(rng);
+        if (i == 0)
+            k = ec::Scalar{};
+        if (i == 1)
+            std::memset(k.bytes, 0xff, sizeof k.bytes);
+        ec::Point::mul(k, ec::Point::base()).toBytes(bytes);
+        fnvMix(base_digest, bytes, sizeof bytes);
+        ec::Point::mul(k, p).toBytes(bytes);
+        fnvMix(var_digest, bytes, sizeof bytes);
+    }
+    EXPECT_EQ(base_digest, 0xedd7969e28ba4770ull) << std::hex << base_digest;
+    EXPECT_EQ(var_digest, 0x2ad6cdfb47c2bc23ull) << std::hex << var_digest;
 }
 
 TEST(Curve25519, RejectsNonCurveEncodings)

@@ -85,6 +85,73 @@ TEST(BaseOt, RejectsTamperedBlindedPoint)
     EXPECT_THROW(sender.finish(1), OtError);
 }
 
+namespace {
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+void
+fnvMix(uint64_t &digest, const uint8_t *bytes, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        digest ^= bytes[i];
+        digest *= 0x100000001b3ull;
+    }
+}
+
+void
+fnvMix(uint64_t &digest, const Label &l)
+{
+    uint8_t bytes[kLabelBytes];
+    l.toBytes(bytes);
+    fnvMix(digest, bytes, sizeof bytes);
+}
+
+/** An in-process FIFO that digests every byte written to it. */
+class TapChannel : public Channel
+{
+  public:
+    uint64_t digest = kFnvOffset;
+
+  protected:
+    void
+    writeBytes(const uint8_t *data, size_t n) override
+    {
+        fnvMix(digest, data, n);
+        Channel::writeBytes(data, n);
+    }
+};
+
+} // namespace
+
+// Seeded base-OT keys for both roles and the points on the wire,
+// recorded on the double-and-add implementation: comb tables,
+// windows and batched inversions must not move a byte.
+TEST(BaseOt, SeededKeysGolden)
+{
+    TapChannel to_receiver, to_sender;
+    Prg srng(0x626f7431), rrng(0x626f7432);
+    BaseOtSender sender(to_receiver, to_sender, srng);
+    BaseOtReceiver receiver(to_sender, to_receiver, rrng);
+    Prg choice_rng(0x626f7433);
+    std::vector<bool> choices(128);
+    for (size_t i = 0; i < choices.size(); ++i)
+        choices[i] = choice_rng.nextBit();
+    sender.start();
+    receiver.run(choices);
+    sender.finish(choices.size());
+
+    uint64_t sender_keys = kFnvOffset, receiver_keys = kFnvOffset;
+    for (size_t i = 0; i < choices.size(); ++i) {
+        fnvMix(sender_keys, sender.keys0()[i]);
+        fnvMix(sender_keys, sender.keys1()[i]);
+        fnvMix(receiver_keys, receiver.keys()[i]);
+    }
+    EXPECT_EQ(sender_keys, 0x2f9f974584d2d96eull) << std::hex << sender_keys;
+    EXPECT_EQ(receiver_keys, 0xb43563eb401a0f2full) << std::hex << receiver_keys;
+    EXPECT_EQ(to_receiver.digest, 0x38977b08b5af38ccull) << std::hex << to_receiver.digest;
+    EXPECT_EQ(to_sender.digest, 0xe9d0c80e5df82a02ull) << std::hex << to_sender.digest;
+}
+
 // ---------------------------------------------------------------------------
 // IKNP OT extension
 // ---------------------------------------------------------------------------
@@ -188,6 +255,62 @@ TEST(OtExt, WireShapeIsExact)
               m * 2 * kLabelBytes);
     EXPECT_EQ(ot.chan.toGarbler.pending(), 0u);
     EXPECT_EQ(ot.chan.toEvaluator.pending(), 0u);
+}
+
+// Seeded IKNP transcripts across block boundaries, recorded on the
+// parent implementation: the uplink (base key, masked columns and the
+// 32-byte KOS15 proof), the downlink (base points and masked label
+// pairs) and the received labels of a batch of m, then a second batch
+// of 3 on the same setup. Each digest covers one batch size.
+TEST(OtExt, SeededTranscriptGolden)
+{
+    const struct
+    {
+        size_t m;
+        uint64_t uplink, downlink, labels;
+    } kGolden[] = {
+        {1, 0x1e0a8861e1d965a4ull, 0x9a720f944cdeede5ull, 0x6e2aeeb0a39ae946ull},
+        {64, 0xa12caae72ac1d552ull, 0xb06f15499f4b01faull, 0x418d736834d8c799ull},
+        {127, 0x3406a073c392644cull, 0xf7e8dd45a9c86a5dull, 0xc9207ef3a12f76f8ull},
+        {128, 0xe06f06f4cdcf39ccull, 0x963b971b49f645e2ull, 0xed82bd05ec38e828ull},
+        {129, 0xc9a602cca4abaa03ull, 0x7f564bfd640fe461ull, 0x65ebf66c25541696ull},
+        {2049, 0x578d2ba3ff4ccee8ull, 0x781acb3755298216ull, 0x5cc829f8081853e7ull},
+    };
+    for (const auto &g : kGolden) {
+        TapChannel to_receiver, to_sender;
+        OtExtSender sender(to_receiver, to_sender, 0x5e00 + g.m);
+        OtExtReceiver receiver(to_sender, to_receiver, 0x7e00 + g.m);
+        receiver.start();
+        sender.setup();
+        receiver.setup();
+
+        uint64_t labels = kFnvOffset;
+        Prg prg(0x6d00 + g.m);
+        for (size_t count : {g.m, size_t(3)}) {
+            std::vector<Label> m0(count), m1(count);
+            std::vector<bool> choices(count);
+            for (size_t j = 0; j < count; ++j) {
+                m0[j] = prg.nextLabel();
+                m1[j] = prg.nextLabel();
+                choices[j] = prg.nextBit();
+            }
+            receiver.sendChoices(choices);
+            sender.send(m0, m1);
+            const std::vector<Label> got = receiver.receiveLabels();
+            ASSERT_EQ(got.size(), count);
+            for (size_t j = 0; j < count; ++j) {
+                ASSERT_EQ(got[j], choices[j] ? m1[j] : m0[j]);
+                fnvMix(labels, got[j]);
+            }
+        }
+        EXPECT_EQ(to_sender.digest, g.uplink)
+            << "m=" << g.m << " uplink " << std::hex << to_sender.digest;
+        EXPECT_EQ(to_receiver.digest, g.downlink)
+            << "m=" << g.m << " downlink " << std::hex
+            << to_receiver.digest;
+        EXPECT_EQ(labels, g.labels)
+            << "m=" << g.m << " labels " << std::hex << labels;
+    }
 }
 
 TEST(OtExt, NonChosenCiphertextStaysMasked)

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "chain/component.h"
 #include "gc/instance.h"
 #include "gc/streaming.h"
 #include "net/loopback.h"
@@ -281,6 +282,60 @@ TEST(GarbledInstance, CaptureMatchesStreamingGarbler)
               (inst.inputZero.size() + inst.outputZero.size() + 1) *
                       kLabelBytes +
                   inst.tables.size() * kTableBytes);
+}
+
+/**
+ * FNV-1a over everything a captured garbling defines: the global
+ * offset, every primary-input zero label, the output zero labels and
+ * the tables.
+ */
+uint64_t
+instanceDigest(const GarbledInstance &inst)
+{
+    uint64_t digest = 0xcbf29ce484222325ull;
+    auto mix = [&digest](const Label &l) {
+        for (uint64_t word : {l.lo, l.hi})
+            for (int i = 0; i < 8; ++i) {
+                digest ^= (word >> (8 * i)) & 0xff;
+                digest *= 0x100000001b3ull;
+            }
+    };
+    mix(inst.globalOffset);
+    for (const Label &l : inst.inputZero)
+        mix(l);
+    for (const Label &l : inst.outputZero)
+        mix(l);
+    for (const GarbledTable &t : inst.tables) {
+        mix(t.tg);
+        mix(t.te);
+    }
+    return digest;
+}
+
+// Captures at fixed seeds, recorded when instances stored their input
+// labels: an instance that keeps only its seed must expand to the
+// same offset and labels.
+TEST(GarbledInstance, CaptureDigestGolden)
+{
+    const Workload million = resolveWorkload("Million:32");
+    const uint64_t digest =
+        instanceDigest(captureGarbling(million.netlist, 2024));
+    EXPECT_EQ(digest, 0x84348244bbabbb7full) << std::hex << digest;
+    const struct
+    {
+        const char *spec;
+        uint64_t digest;
+    } kGolden[] = {
+        {"ADD:32", 0xfe1627fa494e3c52ull},
+        {"CMP:32", 0x10c162a6c1ef8d54ull},
+        {"MUX:8", 0xc921672cc7b08101ull},
+    };
+    for (const auto &g : kGolden) {
+        const uint64_t d = instanceDigest(
+            chain::captureComponent(chain::parseComponentSpec(g.spec), 77)
+                .inst);
+        EXPECT_EQ(d, g.digest) << g.spec << " " << std::hex << d;
+    }
 }
 
 TEST(GarbledInstance, ReplayIsWireIdenticalToInlineGarbling)
