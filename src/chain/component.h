@@ -115,8 +115,8 @@ Bits emitComponent(CircuitBuilder &cb, const ComponentSpec &spec,
 Netlist buildComponent(const ComponentSpec &spec);
 
 /**
- * One garbled component: a spec plus the captured garbling (offset,
- * input/output zero labels, tables). Like any GarbledInstance it must
+ * One garbled component: a spec plus the captured garbling (seed,
+ * output zero labels, tables). Like any GarbledInstance it must
  * be linked into at most one session — reuse would leak both labels
  * of every wire a second evaluator sees (the PR 5/8 invariant).
  */

@@ -1,5 +1,6 @@
 #include "chain/link.h"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -294,18 +295,41 @@ ChainPlan::evaluate(const std::vector<bool> &garbler_bits,
     return out;
 }
 
+namespace {
+
+/** One link's four labels: producer output and consumer input. */
+struct LinkEnds
+{
+    Label producerZero, producerOffset, consumerZero, consumerOffset;
+};
+
+/**
+ * The table for @p e given h[v] = H(link tweak, producer label of
+ * value v): each row, indexed by the producer label's select bit,
+ * encrypts the consumer label of the same value.
+ */
+LinkTable
+linkRows(const LinkEnds &e, const Label h[2])
+{
+    const Label y1 = e.producerZero ^ e.producerOffset;
+    LinkTable t;
+    t.row[e.producerZero.lsb() ? 1 : 0] = e.consumerZero ^ h[0];
+    t.row[y1.lsb() ? 1 : 0] = e.consumerZero ^ e.consumerOffset ^ h[1];
+    return t;
+}
+
+} // namespace
+
 LinkTable
 buildLinkTable(const Label &producer_zero, const Label &producer_offset,
                const Label &consumer_zero, const Label &consumer_offset,
                uint64_t link_index)
 {
-    const RekeyedHasher h(linkTweakOf(link_index));
-    const Label y1 = producer_zero ^ producer_offset;
-    const Label x1 = consumer_zero ^ consumer_offset;
-    LinkTable t;
-    t.row[producer_zero.lsb() ? 1 : 0] = consumer_zero ^ h(producer_zero);
-    t.row[y1.lsb() ? 1 : 0] = x1 ^ h(y1);
-    return t;
+    const RekeyedHasher hash(linkTweakOf(link_index));
+    const Label h[2] = {hash(producer_zero),
+                        hash(producer_zero ^ producer_offset)};
+    return linkRows(
+        {producer_zero, producer_offset, consumer_zero, consumer_offset}, h);
 }
 
 Label
@@ -316,6 +340,64 @@ translateLinkLabel(const LinkTable &table, const Label &producer_active,
     return table.row[producer_active.lsb() ? 1 : 0] ^ h(producer_active);
 }
 
+namespace {
+
+/** Each component's offset and input labels, expanded from its seed. */
+std::vector<InputLabels>
+expandComponentInputs(const std::vector<const GarbledComponent *> &components)
+{
+    std::vector<InputLabels> labels;
+    labels.reserve(components.size());
+    for (const GarbledComponent *c : components)
+        labels.push_back(c->inst.inputLabels());
+    return labels;
+}
+
+/**
+ * buildLinkTables() over the components' expanded input labels. Links
+ * k and k+1 hash in one fused hashRekeyedPair() call, the same bytes
+ * as buildLinkTable() per link; at an odd count the last call repeats
+ * the last link under the unused next tweak and drops the result.
+ */
+std::vector<LinkTable>
+linkTablesFor(const ChainPlan &plan,
+              const std::vector<const GarbledComponent *> &components,
+              const std::vector<InputLabels> &labels)
+{
+    std::vector<LinkEnds> ends;
+    ends.reserve(plan.numLinks());
+    for (size_t n = 0; n < plan.nodes.size(); ++n) {
+        for (size_t i = 0; i < plan.sources[n].size(); ++i) {
+            const InputSource &s = plan.sources[n][i];
+            if (s.kind != SourceKind::Link)
+                continue;
+            ends.push_back(
+                {components[s.from.node]->inst.outputZero[s.from.bit],
+                 labels[s.from.node].offset, labels[n].zero[i],
+                 labels[n].offset});
+        }
+    }
+    std::vector<LinkTable> tables;
+    tables.reserve(ends.size());
+    for (size_t k = 0; k < ends.size(); k += 2) {
+        const LinkEnds &a = ends[k];
+        const LinkEnds &b = ends[std::min(k + 1, ends.size() - 1)];
+        const Label xa[2] = {a.producerZero,
+                             a.producerZero ^ a.producerOffset};
+        const Label xb[2] = {b.producerZero,
+                             b.producerZero ^ b.producerOffset};
+        Label ha[2], hb[2];
+        hashRekeyedPair(linkTweakOf(k), linkTweakOf(k + 1), xa, ha, xb, hb,
+                        2);
+        tables.push_back(linkRows(a, ha));
+        if (k + 1 < ends.size())
+            tables.push_back(linkRows(b, hb));
+    }
+    return tables;
+}
+
+} // namespace
+
 std::vector<LinkTable>
 buildLinkTables(const ChainPlan &plan,
                 const std::vector<const GarbledComponent *> &components)
@@ -323,23 +405,8 @@ buildLinkTables(const ChainPlan &plan,
     if (components.size() != plan.nodes.size())
         throw std::invalid_argument(
             "buildLinkTables: one component per plan node required");
-    std::vector<LinkTable> tables;
-    tables.reserve(plan.numLinks());
-    uint64_t link = 0;
-    for (size_t n = 0; n < plan.nodes.size(); ++n) {
-        const GarbledInstance &cons = components[n]->inst;
-        for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-            const InputSource &s = plan.sources[n][i];
-            if (s.kind != SourceKind::Link)
-                continue;
-            const GarbledInstance &prod = components[s.from.node]->inst;
-            tables.push_back(buildLinkTable(
-                prod.outputZero[s.from.bit], prod.globalOffset,
-                cons.inputZero[i], cons.globalOffset, link));
-            ++link;
-        }
-    }
-    return tables;
+    return linkTablesFor(plan, components,
+                         expandComponentInputs(components));
 }
 
 ComponentProvider
@@ -389,7 +456,7 @@ runChainGarbler(const ChainPlan &plan,
                 "component for node " +
                 std::to_string(n));
         const Netlist nl = buildComponent(plan.nodes[n]);
-        if (acq.component->inst.inputZero.size() != nl.numInputs() ||
+        if (acq.component->inst.numInputs != nl.numInputs() ||
             acq.component->inst.outputZero.size() !=
                 nl.outputs.size() ||
             acq.component->inst.tables.size() != nl.numAndGates())
@@ -403,6 +470,9 @@ runChainGarbler(const ChainPlan &plan,
         owned.push_back(std::move(acq.component));
         comps.push_back(owned.back().get());
     }
+
+    // Every component's input labels, expanded once for the session.
+    const std::vector<InputLabels> labels = expandComponentInputs(comps);
 
     NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
 
@@ -429,8 +499,8 @@ runChainGarbler(const ChainPlan &plan,
             for (size_t i = 0; i < plan.sources[n].size(); ++i) {
                 if (plan.sources[n][i].kind != SourceKind::Evaluator)
                     continue;
-                m0.push_back(comps[n]->inst.activeLabel(WireId(i), false));
-                m1.push_back(comps[n]->inst.activeLabel(WireId(i), true));
+                m0.push_back(labels[n].activeLabel(WireId(i), false));
+                m1.push_back(labels[n].activeLabel(WireId(i), true));
             }
         sendOtLabels(chan, m0, m1, opts.otCache, res);
         chan.flush();
@@ -446,15 +516,15 @@ runChainGarbler(const ChainPlan &plan,
                 const WireId w = WireId(i);
                 switch (s.kind) {
                 case SourceKind::Garbler:
-                    chan.sendLabel(comps[n]->inst.activeLabel(
+                    chan.sendLabel(labels[n].activeLabel(
                         w, garbler_bits[s.index]));
                     break;
                 case SourceKind::Zero:
                     chan.sendLabel(
-                        comps[n]->inst.activeLabel(w, false));
+                        labels[n].activeLabel(w, false));
                     break;
                 case SourceKind::One:
-                    chan.sendLabel(comps[n]->inst.activeLabel(w, true));
+                    chan.sendLabel(labels[n].activeLabel(w, true));
                     break;
                 case SourceKind::Evaluator:
                 case SourceKind::Link:
@@ -467,7 +537,7 @@ runChainGarbler(const ChainPlan &plan,
             const Netlist nl = buildComponent(plan.nodes[n]);
             if (nl.constOne != kNoWire)
                 chan.sendLabel(
-                    comps[n]->inst.activeLabel(nl.constOne, true));
+                    labels[n].activeLabel(nl.constOne, true));
         }
         res.inputLabelBytes = chan.bytesSent() - base;
         chan.flush();
@@ -476,7 +546,7 @@ runChainGarbler(const ChainPlan &plan,
     // --- Per node: link-table frame, then the component's AND tables
     // through the segment framing. Flushing before each typed frame
     // keeps the two streams on disjoint transport frames. ---
-    const std::vector<LinkTable> links = buildLinkTables(plan, comps);
+    const std::vector<LinkTable> links = linkTablesFor(plan, comps, labels);
     size_t next_link = 0;
     for (size_t n = 0; n < plan.nodes.size(); ++n) {
         uint32_t node_links = 0;

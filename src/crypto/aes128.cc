@@ -281,6 +281,41 @@ Aes128::encryptBlock(const Label &in) const
 }
 
 void
+Aes128::encryptBlocks(const Label in[], Label out[], size_t n) const
+{
+#if defined(HAAC_USE_AESNI)
+    if (haveAesni()) {
+        constexpr size_t kLanes = 8;
+        __m128i rk[kAesRounds + 1];
+        for (int round = 0; round <= kAesRounds; ++round)
+            rk[round] = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                roundKeys_.data() + 16 * round));
+        size_t i = 0;
+        for (; i + kLanes <= n; i += kLanes) {
+            __m128i s[kLanes];
+            for (size_t l = 0; l < kLanes; ++l)
+                s[l] = _mm_xor_si128(loadLabel(in[i + l]), rk[0]);
+            for (int round = 1; round < kAesRounds; ++round)
+                for (size_t l = 0; l < kLanes; ++l)
+                    s[l] = _mm_aesenc_si128(s[l], rk[round]);
+            for (size_t l = 0; l < kLanes; ++l)
+                storeLabel(out[i + l],
+                           _mm_aesenclast_si128(s[l], rk[kAesRounds]));
+        }
+        for (; i < n; ++i) {
+            __m128i s = _mm_xor_si128(loadLabel(in[i]), rk[0]);
+            for (int round = 1; round < kAesRounds; ++round)
+                s = _mm_aesenc_si128(s, rk[round]);
+            storeLabel(out[i], _mm_aesenclast_si128(s, rk[kAesRounds]));
+        }
+        return;
+    }
+#endif
+    for (size_t i = 0; i < n; ++i)
+        out[i] = encryptBlock(in[i]);
+}
+
+void
 aesMmoPair(const Label &key0, const Label &key1, const Label x0[],
            Label y0[], const Label x1[], Label y1[], int n)
 {

@@ -1,6 +1,8 @@
 #include "crypto/curve25519.h"
 
+#include <array>
 #include <cstring>
+#include <vector>
 
 namespace haac {
 namespace ec {
@@ -116,10 +118,36 @@ feMul(u64 out[5], const u64 a[5], const u64 b[5])
     out[0] = t0; out[1] = t1; out[2] = t2; out[3] = t3; out[4] = t4;
 }
 
+/** out = a^2: feMul with the symmetric limb products merged. */
 void
 feSq(u64 out[5], const u64 a[5])
 {
-    feMul(out, a, a);
+    const u128 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+    const u64 a0_2 = 2 * a[0], a1_2 = 2 * a[1];
+    const u64 a1_38 = 38 * a[1], a2_38 = 38 * a[2], a3_38 = 38 * a[3],
+              a3_19 = 19 * a[3], a4_19 = 19 * a[4];
+
+    u128 r0 = a0 * a0 + a4 * a1_38 + a3 * a2_38;
+    u128 r1 = a1 * a0_2 + a4 * a2_38 + a3 * a3_19;
+    u128 r2 = a2 * a0_2 + a1 * a1 + a4 * a3_38;
+    u128 r3 = a3 * a0_2 + a2 * a1_2 + a4 * a4_19;
+    u128 r4 = a4 * a0_2 + a3 * a1_2 + a2 * a2;
+
+    u64 c;
+    u64 t0 = u64(r0) & kMask51; c = u64(r0 >> 51);
+    r1 += c;
+    u64 t1 = u64(r1) & kMask51; c = u64(r1 >> 51);
+    r2 += c;
+    u64 t2 = u64(r2) & kMask51; c = u64(r2 >> 51);
+    r3 += c;
+    u64 t3 = u64(r3) & kMask51; c = u64(r3 >> 51);
+    r4 += c;
+    u64 t4 = u64(r4) & kMask51; c = u64(r4 >> 51);
+    t0 += 19 * c;
+    c = t0 >> 51; t0 &= kMask51;
+    t1 += c;
+
+    out[0] = t0; out[1] = t1; out[2] = t2; out[3] = t3; out[4] = t4;
 }
 
 /** out = a^(2^count) by repeated squaring. */
@@ -256,7 +284,265 @@ feNeg(u64 out[5], const u64 a[5])
     feCarry(out);
 }
 
+/** out = mask ? a : out, for mask all-ones or zero. */
+void
+feCmov(u64 out[5], const u64 a[5], u64 mask)
+{
+    for (int i = 0; i < 5; ++i)
+        out[i] ^= (out[i] ^ a[i]) & mask;
+}
+
+/** Swap a and b when mask is all-ones; mask zero leaves both. */
+void
+feCswap(u64 a[5], u64 b[5], u64 mask)
+{
+    for (int i = 0; i < 5; ++i) {
+        const u64 t = (a[i] ^ b[i]) & mask;
+        a[i] ^= t;
+        b[i] ^= t;
+    }
+}
+
+using FeVector = std::vector<std::array<u64, 5>>;
+
+/** Invert every element in place: Montgomery's trick, one inversion. */
+void
+feBatchInvert(FeVector &values)
+{
+    const size_t n = values.size();
+    if (n == 0)
+        return;
+    FeVector prefix(n);
+    prefix[0] = values[0];
+    for (size_t i = 1; i < n; ++i)
+        feMul(prefix[i].data(), prefix[i - 1].data(), values[i].data());
+    u64 inv[5];
+    feInvert(inv, prefix[n - 1].data());  // (v[0] ... v[n-1])^-1
+    for (size_t i = n - 1; i > 0; --i) {
+        u64 rest[5];
+        feMul(rest, inv, values[i].data()); // (v[0] ... v[i-1])^-1
+        feMul(values[i].data(), inv, prefix[i - 1].data());
+        feCopy(inv, rest);
+    }
+    feCopy(values[0].data(), inv);
+}
+
+/** All-ones when a == b (both small non-negative), else zero. */
+u64
+eqMask(u64 a, u64 b)
+{
+    return 0 - (((a ^ b) - 1) >> 63);
+}
+
+/**
+ * Signed radix-16 digits of a 256-bit scalar: k = sum e[i] * 16^i with
+ * e[i] in [-8, 8] for i < 64 and e[64] in {0, 1}. Arithmetic only, no
+ * branch on the scalar.
+ */
+void
+recodeSigned16(const Scalar &k, int8_t e[65])
+{
+    for (int i = 0; i < 32; ++i) {
+        e[2 * i] = int8_t(k.bytes[i] & 15);
+        e[2 * i + 1] = int8_t(k.bytes[i] >> 4);
+    }
+    int carry = 0;
+    for (int i = 0; i < 64; ++i) {
+        const int d = e[i] + carry;   // [0, 16]
+        carry = (d + 8) >> 4;         // 1 when d >= 8
+        e[i] = int8_t(d - (carry << 4));
+    }
+    e[64] = int8_t(carry);
+}
+
 } // namespace
+
+/**
+ * The point formulas, with access to Point's coordinates. Two
+ * prepared forms of a right-hand addend save field multiplies:
+ * Cached (Y+X, Y-X, 2dT, 2Z) for any point and Niels (y+x, y-x, 2dT)
+ * for an affine one (Z = 1, T = xy; FixedBase's table entries).
+ */
+struct PointOps
+{
+    struct Cached
+    {
+        u64 yPlusX[5], yMinusX[5], t2d[5], z2[5];
+    };
+    using Niels = FixedBase::Entry;
+
+    static Cached
+    cached(const Point &p)
+    {
+        Cached c;
+        feAdd(c.yPlusX, p.Y_.v, p.X_.v);
+        feCarry(c.yPlusX);
+        feSub(c.yMinusX, p.Y_.v, p.X_.v);
+        feCarry(c.yMinusX);
+        feMul(c.t2d, p.T_.v, kD2);
+        feAdd(c.z2, p.Z_.v, p.Z_.v);
+        return c;
+    }
+
+    /** D = 2 Z1 Z2 of the addition formula, for each addend form. */
+    static void
+    twoZ1Z2(u64 d[5], const Point &p, const Cached &q)
+    {
+        feMul(d, p.Z_.v, q.z2);
+    }
+    static void
+    twoZ1Z2(u64 d[5], const Point &p, const Niels &)
+    {
+        feAdd(d, p.Z_.v, p.Z_.v);
+    }
+
+    /**
+     * p + q (RFC 8032 §5.1.4's complete extended-coordinate addition).
+     * A sum that only feeds a doubling may skip T (@p with_t false):
+     * dbl() never reads it.
+     */
+    template <typename Entry>
+    static Point
+    add(const Point &p, const Entry &q, bool with_t = true)
+    {
+        u64 a[5], b[5], c[5], d[5], e[5], f[5], g[5], h[5];
+        feSub(a, p.Y_.v, p.X_.v);
+        feCarry(a);
+        feMul(a, a, q.yMinusX);       // A = (Y1-X1)(Y2-X2)
+        feAdd(b, p.Y_.v, p.X_.v);
+        feMul(b, b, q.yPlusX);        // B = (Y1+X1)(Y2+X2)
+        feMul(c, p.T_.v, q.t2d);      // C = 2d T1 T2
+        twoZ1Z2(d, p, q);             // D = 2 Z1 Z2
+        feSub(e, b, a);
+        feCarry(e);                   // E = B - A
+        feSub(f, d, c);
+        feCarry(f);                   // F = D - C
+        feAdd(g, d, c);               // G = D + C
+        feAdd(h, b, a);               // H = B + A
+        Point r;
+        feMul(r.X_.v, e, f);
+        feMul(r.Y_.v, g, h);
+        if (with_t)
+            feMul(r.T_.v, e, h);
+        feMul(r.Z_.v, f, g);
+        return r;
+    }
+
+    /**
+     * RFC 8032 §5.1.4 doubling. It never reads T, so a doubling that
+     * feeds another doubling may skip computing it (@p with_t false).
+     */
+    static Point
+    dbl(const Point &p, bool with_t)
+    {
+        Point r;
+        u64 a[5], b[5], c[5], e[5], f[5], g[5], h[5], t[5];
+        feSq(a, p.X_.v);              // A = X1^2
+        feSq(b, p.Y_.v);              // B = Y1^2
+        feSq(c, p.Z_.v);
+        feAdd(c, c, c);               // C = 2 Z1^2
+        feAdd(h, a, b);               // H = A + B
+        feAdd(t, p.X_.v, p.Y_.v);
+        feCarry(t);
+        feSq(t, t);
+        feSub(e, h, t);
+        feCarry(e);                   // E = H - (X1+Y1)^2
+        feSub(g, a, b);
+        feCarry(g);                   // G = A - B
+        feAdd(f, c, g);               // F = C + G
+        feMul(r.X_.v, e, f);
+        feMul(r.Y_.v, g, h);
+        if (with_t)
+            feMul(r.T_.v, e, h);
+        feMul(r.Z_.v, f, g);
+        return r;
+    }
+
+    /** 16 * p: four doublings, only the last one computing T. */
+    static Point
+    times16(const Point &p)
+    {
+        return dbl(dbl(dbl(dbl(p, false), false), false), true);
+    }
+
+    /** The neutral element (0, 1) as an addend: Y+X = Y-X = 1, T = 0. */
+    static void
+    setNeutral(Cached &c)
+    {
+        c = Cached{};
+        c.yPlusX[0] = c.yMinusX[0] = 1;
+        c.z2[0] = 2;
+    }
+    static void
+    setNeutral(Niels &n)
+    {
+        n = Niels{};
+        n.yPlusX[0] = n.yMinusX[0] = 1;
+    }
+
+    /**
+     * d * table[|d| - 1], negated when d < 0, for d in [-8, 8] (zero
+     * gives the neutral element). Every entry is read and masked in,
+     * so the memory trace does not depend on d.
+     */
+    template <typename Entry>
+    static Entry
+    select(const Entry table[8], int8_t d)
+    {
+        static_assert(sizeof(Entry) % sizeof(u64) == 0,
+                      "entries are whole field elements");
+        constexpr size_t kWords = sizeof(Entry) / sizeof(u64);
+        const u64 neg = 0 - u64(uint8_t(d) >> 7);
+        const u64 abs = u64((int64_t(d) ^ int64_t(neg)) - int64_t(neg));
+        Entry out;
+        setNeutral(out);
+        u64 acc[kWords], word[kWords];
+        std::memcpy(acc, &out, sizeof acc);
+        for (u64 j = 0; j < 8; ++j) {
+            const u64 mask = eqMask(abs, j + 1);
+            std::memcpy(word, &table[j], sizeof word);
+            for (size_t i = 0; i < kWords; ++i)
+                acc[i] ^= (acc[i] ^ word[i]) & mask;
+        }
+        std::memcpy(&out, acc, sizeof acc);
+        // -(x, y) = (-x, y): swaps Y+X with Y-X and negates T.
+        feCswap(out.yPlusX, out.yMinusX, neg);
+        u64 negated[5];
+        feNeg(negated, out.t2d);
+        feCmov(out.t2d, negated, neg);
+        return out;
+    }
+
+    /**
+     * Affine x[i], y[i] of @p points[i], i < @p n, for one field
+     * inversion in total (Montgomery's trick over the Z coordinates).
+     */
+    static void
+    affine(const Point points[], size_t n, FeVector &x, FeVector &y)
+    {
+        FeVector zinv(n);
+        for (size_t i = 0; i < n; ++i)
+            feCopy(zinv[i].data(), points[i].Z_.v);
+        feBatchInvert(zinv);
+        x.resize(n);
+        y.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+            feMul(x[i].data(), points[i].X_.v, zinv[i].data());
+            feMul(y[i].data(), points[i].Y_.v, zinv[i].data());
+        }
+    }
+
+    static Point
+    cmov(const Point &a, const Point &b, u64 mask)
+    {
+        Point r = a;
+        feCmov(r.X_.v, b.X_.v, mask);
+        feCmov(r.Y_.v, b.Y_.v, mask);
+        feCmov(r.Z_.v, b.Z_.v, mask);
+        feCmov(r.T_.v, b.T_.v, mask);
+        return r;
+    }
+};
 
 Scalar
 randomScalar(Prg &rng)
@@ -295,32 +581,7 @@ Point::base()
 Point
 Point::add(const Point &o) const
 {
-    // Complete extended-coordinate addition (RFC 8032 §5.1.4).
-    Point r;
-    u64 a[5], b[5], c[5], d[5], e[5], f[5], g[5], h[5], t[5];
-    feSub(a, Y_.v, X_.v);
-    feCarry(a);
-    feSub(t, o.Y_.v, o.X_.v);
-    feCarry(t);
-    feMul(a, a, t);               // A = (Y1-X1)(Y2-X2)
-    feAdd(b, Y_.v, X_.v);
-    feAdd(t, o.Y_.v, o.X_.v);
-    feMul(b, b, t);               // B = (Y1+X1)(Y2+X2)
-    feMul(c, T_.v, kD2);
-    feMul(c, c, o.T_.v);          // C = 2d T1 T2
-    feMul(d, Z_.v, o.Z_.v);
-    feAdd(d, d, d);               // D = 2 Z1 Z2
-    feSub(e, b, a);
-    feCarry(e);                   // E = B - A
-    feSub(f, d, c);
-    feCarry(f);                   // F = D - C
-    feAdd(g, d, c);               // G = D + C
-    feAdd(h, b, a);               // H = B + A
-    feMul(r.X_.v, e, f);
-    feMul(r.Y_.v, g, h);
-    feMul(r.T_.v, e, h);
-    feMul(r.Z_.v, f, g);
-    return r;
+    return PointOps::add(*this, PointOps::cached(o));
 }
 
 Point
@@ -335,54 +596,104 @@ Point::sub(const Point &o) const
 Point
 Point::dbl() const
 {
-    // RFC 8032 §5.1.4 doubling.
-    Point r;
-    u64 a[5], b[5], c[5], e[5], f[5], g[5], h[5], t[5];
-    feSq(a, X_.v);                // A = X1^2
-    feSq(b, Y_.v);                // B = Y1^2
-    feSq(c, Z_.v);
-    feAdd(c, c, c);               // C = 2 Z1^2
-    feAdd(h, a, b);               // H = A + B
-    feAdd(t, X_.v, Y_.v);
-    feCarry(t);
-    feSq(t, t);
-    feSub(e, h, t);
-    feCarry(e);                   // E = H - (X1+Y1)^2
-    feSub(g, a, b);
-    feCarry(g);                   // G = A - B
-    feAdd(f, c, g);               // F = C + G
-    feMul(r.X_.v, e, f);
-    feMul(r.Y_.v, g, h);
-    feMul(r.T_.v, e, h);
-    feMul(r.Z_.v, f, g);
-    return r;
+    return PointOps::dbl(*this, true);
 }
 
 Point
 Point::mul(const Scalar &k, const Point &p)
 {
-    Point r;
-    bool started = false;
-    for (int bit = 255; bit >= 0; --bit) {
-        if (started)
-            r = r.dbl();
-        if ((k.bytes[bit / 8] >> (bit % 8)) & 1) {
-            r = started ? r.add(p) : p;
-            started = true;
-        }
+    int8_t e[65];
+    recodeSigned16(k, e);
+    PointOps::Cached table[8];
+    table[0] = PointOps::cached(p);
+    Point multiple = p;
+    for (int d = 1; d < 8; ++d) {
+        multiple = PointOps::add(multiple, table[0]);
+        table[d] = PointOps::cached(multiple);
     }
+    // Every sum but the last feeds a doubling, which never reads T.
+    Point r =
+        PointOps::add(Point(), PointOps::select(table, e[64]), false);
+    for (int i = 63; i >= 0; --i)
+        r = PointOps::add(PointOps::times16(r),
+                          PointOps::select(table, e[i]), i == 0);
+    return r;
+}
+
+Point
+Point::mulBase(const Scalar &k)
+{
+    static const FixedBase table(base());
+    return table.mul(k);
+}
+
+Point
+Point::select(const Point &a, const Point &b, bool pick_b)
+{
+    return PointOps::cmov(a, b, 0 - u64(pick_b));
+}
+
+void
+Point::toBytesBatch(const Point points[], size_t n, uint8_t out[])
+{
+    FeVector x, y;
+    PointOps::affine(points, n, x, y);
+    for (size_t i = 0; i < n; ++i) {
+        uint8_t *o = out + i * kPointBytes;
+        feToBytes(o, y[i].data());
+        o[31] |= uint8_t(uint8_t(feIsNegative(x[i].data())) << 7);
+    }
+}
+
+FixedBase::FixedBase(const Point &p) : table_(kRows * 8)
+{
+    // Row j holds d * 256^j * P for d = 1..8, built in extended
+    // coordinates and then made affine with one batched inversion.
+    std::vector<Point> pts(kRows * 8);
+    Point row_base = p;
+    for (size_t j = 0; j < kRows; ++j) {
+        const PointOps::Cached base = PointOps::cached(row_base);
+        pts[8 * j] = row_base;
+        for (size_t d = 1; d < 8; ++d)
+            pts[8 * j + d] = PointOps::add(pts[8 * j + d - 1], base);
+        // 256 * B = 32 * (8 * B): five doublings from the last entry.
+        row_base = pts[8 * j + 7];
+        for (int i = 0; i < 5; ++i)
+            row_base = PointOps::dbl(row_base, i == 4);
+    }
+    FeVector x, y;
+    PointOps::affine(pts.data(), pts.size(), x, y);
+    for (size_t i = 0; i < pts.size(); ++i) {
+        Entry &e = table_[i];
+        feAdd(e.yPlusX, y[i].data(), x[i].data());
+        feCarry(e.yPlusX);
+        feSub(e.yMinusX, y[i].data(), x[i].data());
+        feCarry(e.yMinusX);
+        feMul(e.t2d, x[i].data(), y[i].data());
+        feMul(e.t2d, e.t2d, kD2);
+    }
+}
+
+Point
+FixedBase::mul(const Scalar &k) const
+{
+    // k*P = sum_j e[2j] * 256^j P + 16 * sum_j e[2j+1] * 256^j P:
+    // the odd digits first, one x16, then the even digits on top.
+    int8_t e[65];
+    recodeSigned16(k, e);
+    Point r;
+    for (size_t j = 0; j < kRows - 1; ++j)
+        r = PointOps::add(r, PointOps::select(&table_[8 * j], e[2 * j + 1]));
+    r = PointOps::times16(r);
+    for (size_t j = 0; j < kRows; ++j)
+        r = PointOps::add(r, PointOps::select(&table_[8 * j], e[2 * j]));
     return r;
 }
 
 void
 Point::toBytes(uint8_t out[kPointBytes]) const
 {
-    u64 zinv[5], x[5], y[5];
-    feInvert(zinv, Z_.v);
-    feMul(x, X_.v, zinv);
-    feMul(y, Y_.v, zinv);
-    feToBytes(out, y);
-    out[31] |= uint8_t(feIsNegative(x) ? 0x80 : 0);
+    toBytesBatch(this, 1, out);
 }
 
 bool

@@ -1,5 +1,6 @@
 #include "crypto/prg.h"
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
@@ -44,26 +45,48 @@ Prg::Prg(uint64_t seed) : aes_(seedToKey(seed)) {}
 
 Prg::Prg(const Label &key) : aes_(key) {}
 
+namespace {
+
+/** The counter block of label @p counter ("HAAC_PRG" tag high). */
+Label
+counterBlock(uint64_t counter)
+{
+    return Label(counter, 0x484141435f505247ull);
+}
+
+} // namespace
+
 void
 Prg::nextBytes(uint8_t *out, size_t n)
 {
+    constexpr size_t kChunk = 16;
+    Label block[kChunk];
     while (n >= kLabelBytes) {
-        nextLabel().toBytes(out);
-        out += kLabelBytes;
-        n -= kLabelBytes;
+        const size_t labels = std::min(kChunk, n / kLabelBytes);
+        nextLabels(block, labels);
+        std::memcpy(out, block, labels * kLabelBytes);
+        out += labels * kLabelBytes;
+        n -= labels * kLabelBytes;
     }
     if (n > 0) {
-        uint8_t block[kLabelBytes];
-        nextLabel().toBytes(block);
-        std::memcpy(out, block, n);
+        uint8_t tail[kLabelBytes];
+        nextLabel().toBytes(tail);
+        std::memcpy(out, tail, n);
     }
 }
 
 Label
 Prg::nextLabel()
 {
-    Label ctr(counter_++, 0x484141435f505247ull); // "HAAC_PRG" tag
-    return aes_.encryptBlock(ctr);
+    return aes_.encryptBlock(counterBlock(counter_++));
+}
+
+void
+Prg::nextLabels(Label out[], size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        out[i] = counterBlock(counter_++);
+    aes_.encryptBlocks(out, out, n);
 }
 
 uint64_t

@@ -5,7 +5,10 @@
  * The Garbler draws the global offset R and all fresh wire labels from a
  * PRG. We use AES-128 in counter mode keyed by a seed, which keeps the
  * whole pipeline deterministic (same seed => same garbling), a property
- * the test suite leans on heavily.
+ * the test suite leans on heavily. Counter mode is also random access
+ * (skip()) and batches freely (nextLabels(), nextBytes()); the OT
+ * extension's column streams and the seed-backed pooled instances
+ * (gc/instance.h) rely on both.
  */
 #ifndef HAAC_CRYPTO_PRG_H
 #define HAAC_CRYPTO_PRG_H
@@ -48,11 +51,24 @@ class Prg
      */
     explicit Prg(const Label &key);
 
-    /** Fill @p n bytes of pseudorandom output. */
+    /**
+     * Fill @p n bytes of pseudorandom output: whole labels in stream
+     * order, and the first n % 16 bytes of one more label (the rest
+     * of that label is dropped).
+     */
     void nextBytes(uint8_t *out, size_t n);
 
     /** Next 128 pseudorandom bits. */
     Label nextLabel();
+
+    /**
+     * The next @p n labels, identical to n nextLabel() calls but
+     * encrypted as a batch (eight AES blocks in flight on AES-NI).
+     */
+    void nextLabels(Label out[], size_t n);
+
+    /** Advance past @p n labels without computing them (CTR seeks). */
+    void skip(uint64_t n) { counter_ += n; }
 
     /** Next 64 pseudorandom bits. */
     uint64_t nextU64();

@@ -1,5 +1,7 @@
 #include "gc/base_ot.h"
 
+#include <vector>
+
 #include "crypto/hash.h"
 
 namespace haac {
@@ -14,10 +16,8 @@ namespace {
 constexpr uint64_t kBaseOtTweak = 0x424f545f00000000ull; // "BOT_"
 
 Label
-hashPoint(const ec::Point &p, uint64_t index)
+hashPoint(const uint8_t bytes[ec::kPointBytes], uint64_t index)
 {
-    uint8_t bytes[ec::kPointBytes];
-    p.toBytes(bytes);
     const Label lo = Label::fromBytes(bytes);
     const Label hi = Label::fromBytes(bytes + kLabelBytes);
     Label hlo, hhi;
@@ -57,7 +57,7 @@ void
 BaseOtSender::start()
 {
     y_ = ec::randomScalar(*rng_);
-    A_ = ec::Point::mul(y_, ec::Point::base());
+    A_ = ec::Point::mulBase(y_);
     sendPoint(*out_, A_);
     out_->flush();
 }
@@ -65,14 +65,22 @@ BaseOtSender::start()
 void
 BaseOtSender::finish(size_t count)
 {
-    keys0_.resize(count);
-    keys1_.resize(count);
+    // y*R_i and y*(R_i - A) = y*R_i - y*A for every i, then one batched
+    // compression for all 2*count key points.
     const ec::Point yA = ec::Point::mul(y_, A_);
+    std::vector<ec::Point> points(2 * count);
     for (size_t i = 0; i < count; ++i) {
         const ec::Point r = recvPoint(*in_, "blinded point");
-        const ec::Point yR = ec::Point::mul(y_, r);
-        keys0_[i] = hashPoint(yR, i);
-        keys1_[i] = hashPoint(yR.sub(yA), i);
+        points[2 * i] = ec::Point::mul(y_, r);
+        points[2 * i + 1] = points[2 * i].sub(yA);
+    }
+    std::vector<uint8_t> bytes(points.size() * ec::kPointBytes);
+    ec::Point::toBytesBatch(points.data(), points.size(), bytes.data());
+    keys0_.resize(count);
+    keys1_.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+        keys0_[i] = hashPoint(&bytes[2 * i * ec::kPointBytes], i);
+        keys1_[i] = hashPoint(&bytes[(2 * i + 1) * ec::kPointBytes], i);
     }
 }
 
@@ -86,14 +94,23 @@ void
 BaseOtReceiver::run(const std::vector<bool> &choices)
 {
     const ec::Point a = recvPoint(*in_, "public key");
-    keys_.resize(choices.size());
-    for (size_t i = 0; i < choices.size(); ++i) {
+    const ec::FixedBase a_table(a); // serves all n multiples x_i*A
+    // points[i] = R_i = x_i*G + c_i*A (sent), points[n + i] = x_i*A
+    // (hashed into the key); one batched compression for all of them.
+    const size_t n = choices.size();
+    std::vector<ec::Point> points(2 * n);
+    for (size_t i = 0; i < n; ++i) {
         const ec::Scalar x = ec::randomScalar(*rng_);
-        ec::Point r = ec::Point::mul(x, ec::Point::base());
-        if (choices[i])
-            r = r.add(a);
-        sendPoint(*out_, r);
-        keys_[i] = hashPoint(ec::Point::mul(x, a), i);
+        const ec::Point xg = ec::Point::mulBase(x);
+        points[i] = ec::Point::select(xg, xg.add(a), choices[i]);
+        points[n + i] = a_table.mul(x);
+    }
+    std::vector<uint8_t> bytes(points.size() * ec::kPointBytes);
+    ec::Point::toBytesBatch(points.data(), points.size(), bytes.data());
+    keys_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        out_->sendBytes(&bytes[i * ec::kPointBytes], ec::kPointBytes);
+        keys_[i] = hashPoint(&bytes[(n + i) * ec::kPointBytes], i);
     }
     out_->flush();
 }

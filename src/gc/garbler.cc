@@ -1,5 +1,9 @@
 #include "gc/garbler.h"
 
+#include <utility>
+
+#include "gc/streaming.h"
+
 namespace haac {
 
 HalfGateGarbled
@@ -67,13 +71,10 @@ garbleAndFixedKey(const FixedKeyHasher &h, const Label &a0, const Label &b0,
 Garbler::Garbler(const Netlist &netlist, uint64_t seed)
     : netlist_(&netlist)
 {
-    Prg prg(seed);
-    r_ = prg.nextLabel();
-    r_.setLsb(true); // point-and-permute requires lsb(R) == 1
-
+    InputLabels in = expandInputLabels(seed, netlist.numInputs());
+    r_ = in.offset;
+    zero_ = std::move(in.zero);
     zero_.resize(netlist.numWires());
-    for (uint32_t w = 0; w < netlist.numInputs(); ++w)
-        zero_[w] = prg.nextLabel();
 
     tables_.reserve(netlist.numAndGates());
     uint64_t and_index = 0;

@@ -1,25 +1,21 @@
 #include "gc/instance.h"
 
-#include "gc/streaming.h"
-
 namespace haac {
 
 size_t
 GarbledInstance::byteSize() const
 {
-    return (inputZero.size() + outputZero.size() + 1) * kLabelBytes +
-           tables.size() * kTableBytes;
+    return sizeof(seed) + sizeof(numInputs) +
+           outputZero.size() * kLabelBytes + tables.size() * kTableBytes;
 }
 
 GarbledInstance
 captureGarbling(const Netlist &netlist, uint64_t seed)
 {
     GarbledInstance inst;
+    inst.seed = seed;
+    inst.numInputs = netlist.numInputs();
     StreamingGarbler garbler(netlist, seed);
-    inst.globalOffset = garbler.globalOffset();
-    inst.inputZero.reserve(netlist.numInputs());
-    for (WireId w = 0; w < netlist.numInputs(); ++w)
-        inst.inputZero.push_back(garbler.inputZeroLabel(w));
     inst.tables.reserve(netlist.numAndGates());
     garbler.run(
         [&](const GarbledTable &t) { inst.tables.push_back(t); });

@@ -1,6 +1,8 @@
 #include "gc/ot_ext.h"
 
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/bitmatrix.h"
 #include "crypto/gf128.h"
@@ -42,17 +44,46 @@ foldColumns(const std::vector<uint8_t> &u)
     return acc;
 }
 
-bool
-columnChoiceBit(const Label &s, size_t i)
+/**
+ * The KOS15 challenges chi_j for @p rows extended OTs, drawn from the
+ * Fiat-Shamir digest of the uplinked columns. Each chi_j is one PRG
+ * label with its 64-bit halves swapped: the challenge was first
+ * written as Label(chi.nextU64(), chi.nextU64()), and the compiler
+ * the wire format was recorded with evaluates those arguments right
+ * to left. Spelling the order out keeps every compiler on that
+ * format.
+ */
+std::vector<Label>
+kosChallenges(const std::vector<uint8_t> &u, size_t rows)
 {
-    return ((i < 64 ? s.lo >> i : s.hi >> (i - 64)) & 1) != 0;
+    Prg prg(foldColumns(u));
+    std::vector<Label> chi(rows);
+    prg.nextLabels(chi.data(), rows);
+    for (Label &c : chi)
+        std::swap(c.lo, c.hi);
+    return chi;
 }
 
-void
-xorBytes(uint8_t *dst, const uint8_t *src, size_t n)
+/** All-ones when bit @p i of @p bits is set, else zero. */
+uint64_t
+bitMask(const Label &bits, size_t i)
 {
-    for (size_t i = 0; i < n; ++i)
-        dst[i] ^= src[i];
+    const uint64_t word = i < 64 ? bits.lo : bits.hi;
+    return 0 - ((word >> (i % 64)) & 1);
+}
+
+/** dst ^= src & mask, a word at a time; @p n is a multiple of 8. */
+void
+xorBytes(uint8_t *dst, const uint8_t *src, size_t n,
+         uint64_t mask = ~uint64_t(0))
+{
+    for (size_t i = 0; i < n; i += 8) {
+        uint64_t a, b;
+        std::memcpy(&a, dst + i, 8);
+        std::memcpy(&b, src + i, 8);
+        a ^= b & mask;
+        std::memcpy(dst + i, &a, 8);
+    }
 }
 
 } // namespace
@@ -125,8 +156,7 @@ OtExtSender::send(const std::vector<Label> &m0,
     for (size_t i = 0; i < kOtExtColumns; ++i) {
         uint8_t *qi = q.data() + i * col_bytes;
         columnPrg_[i].nextBytes(qi, col_bytes);
-        if (columnChoiceBit(s_, i))
-            xorBytes(qi, u.data() + i * col_bytes, col_bytes);
+        xorBytes(qi, u.data() + i * col_bytes, col_bytes, bitMask(s_, i));
     }
 
     std::vector<Label> rows(ext_blocks * kOtExtColumns);
@@ -142,23 +172,29 @@ OtExtSender::send(const std::vector<Label> &m0,
     in_->recvBytes(proof, sizeof proof);
     const Label x = Label::fromBytes(proof);
     const Label t_tilde = Label::fromBytes(proof + kLabelBytes);
-    Prg chi(foldColumns(u));
-    Label q_tilde;
-    for (size_t j = 0; j < ext_blocks * kOtExtColumns; ++j) {
-        const Label chi_j(chi.nextU64(), chi.nextU64());
-        q_tilde ^= gf128Mul(chi_j, rows[j]);
-    }
+    const std::vector<Label> chi = kosChallenges(u, rows.size());
+    const Label q_tilde = gf128MulSum(chi.data(), rows.data(), rows.size());
     if (t_tilde != (q_tilde ^ gf128Mul(x, s_)))
         throw OtError(
             "OtExtSender: KOS15 consistency check failed — receiver "
             "used inconsistent choice bits across columns");
 
     // q_j = t_j ^ r_j*s, so H(j, q_j) masks m0 toward choice 0 and
-    // H(j, q_j ^ s) masks m1 toward choice 1.
-    for (size_t j = 0; j < m; ++j) {
-        const RekeyedHasher h(kOtExtTweak + tweakBase_ + j);
-        out_->sendLabel(m0[j] ^ h(rows[j]));
-        out_->sendLabel(m1[j] ^ h(rows[j] ^ s_));
+    // H(j, q_j ^ s) masks m1 toward choice 1. OTs j and j+1 share one
+    // fused call, two blocks per tweak; at odd m the last call also
+    // hashes a pad row (rows has a spare block) and drops it.
+    for (size_t j = 0; j < m; j += 2) {
+        const uint64_t tweak = kOtExtTweak + tweakBase_ + j;
+        const Label x0[2] = {rows[j], rows[j] ^ s_};
+        const Label x1[2] = {rows[j + 1], rows[j + 1] ^ s_};
+        Label y0[2], y1[2];
+        hashRekeyedPair(tweak, tweak + 1, x0, y0, x1, y1, 2);
+        out_->sendLabel(m0[j] ^ y0[0]);
+        out_->sendLabel(m1[j] ^ y0[1]);
+        if (j + 1 < m) {
+            out_->sendLabel(m0[j + 1] ^ y1[0]);
+            out_->sendLabel(m1[j + 1] ^ y1[1]);
+        }
     }
     tweakBase_ += ext_blocks * kOtExtColumns;
     out_->flush();
@@ -219,11 +255,9 @@ OtExtReceiver::sendChoices(const std::vector<bool> &choices)
     std::vector<uint8_t> r(col_bytes);
     rng_.nextBytes(r.data(), r.size());
     for (size_t j = 0; j < m; ++j) {
-        const uint8_t bit = uint8_t(1) << (j % 8);
-        if (choices[j])
-            r[j / 8] |= bit;
-        else
-            r[j / 8] &= uint8_t(~bit);
+        const unsigned shift = j % 8;
+        r[j / 8] = uint8_t((r[j / 8] & ~(1u << shift)) |
+                           (unsigned(choices[j]) << shift));
     }
 
     std::vector<uint8_t> t(kOtExtColumns * col_bytes);
@@ -245,14 +279,14 @@ OtExtReceiver::sendChoices(const std::vector<bool> &choices)
 
     // KOS15 proof: x = sum of chi_j over set choice bits, and
     // t~ = sum of chi_j * t_j in GF(2^128), over every extended row.
-    Prg chi(foldColumns(u));
-    Label x, t_tilde;
-    for (size_t j = 0; j < ext_blocks * kOtExtColumns; ++j) {
-        const Label chi_j(chi.nextU64(), chi.nextU64());
-        if ((r[j / 8] >> (j % 8)) & 1)
-            x ^= chi_j;
-        t_tilde ^= gf128Mul(chi_j, rows_[j]);
+    const std::vector<Label> chi = kosChallenges(u, rows_.size());
+    Label x;
+    for (size_t j = 0; j < chi.size(); ++j) {
+        const uint64_t mask = 0 - uint64_t((r[j / 8] >> (j % 8)) & 1);
+        x ^= Label(chi[j].lo & mask, chi[j].hi & mask);
     }
+    const Label t_tilde =
+        gf128MulSum(chi.data(), rows_.data(), rows_.size());
     uint8_t proof[2 * kLabelBytes];
     x.toBytes(proof);
     t_tilde.toBytes(proof + kLabelBytes);
@@ -274,12 +308,25 @@ OtExtReceiver::receiveLabels()
             "OtExtReceiver: receiveLabels() without sendChoices()");
     }
     const size_t m = choices_.size();
+    std::vector<uint8_t> pairs(2 * kLabelBytes * m);
+    in_->recvBytes(pairs.data(), pairs.size());
     std::vector<Label> labels(m);
-    for (size_t j = 0; j < m; ++j) {
-        const Label y0 = in_->recvLabel();
-        const Label y1 = in_->recvLabel();
-        const RekeyedHasher h(kOtExtTweak + tweakBase_ + j);
-        labels[j] = (choices_[j] ? y1 : y0) ^ h(rows_[j]);
+    // H(j, t_j) for OTs j and j+1 per fused call, one block per tweak
+    // (at odd m the spare pad row fills the second slot).
+    for (size_t j = 0; j < m; j += 2) {
+        const uint64_t tweak = kOtExtTweak + tweakBase_ + j;
+        Label h[2];
+        hashRekeyedPair(tweak, tweak + 1, &rows_[j], &h[0], &rows_[j + 1],
+                        &h[1], 1);
+        for (size_t k = j; k < j + 2 && k < m; ++k) {
+            const uint8_t *pair = pairs.data() + 2 * kLabelBytes * k;
+            const Label y0 = Label::fromBytes(pair);
+            const Label y1 = Label::fromBytes(pair + kLabelBytes);
+            const uint64_t mask = 0 - uint64_t(choices_[k]);
+            labels[k] = Label(y0.lo ^ ((y0.lo ^ y1.lo) & mask),
+                              y0.hi ^ ((y0.hi ^ y1.hi) & mask)) ^
+                        h[k - j];
+        }
     }
     tweakBase_ += (blocksFor(m) + 1) * kOtExtColumns;
     batchPending_ = false;

@@ -35,6 +35,21 @@
  * masks the linear combination the proof reveals; a failed check
  * throws before any label is masked.
  *
+ * Cost. Per batch the work is AES-CTR column expansion, a bit
+ * transpose, the KOS15 sums and one hash per OT pair, all within a
+ * small factor of the AES bound:
+ *  - column streams and the challenges come from Prg::nextLabels(),
+ *    eight AES blocks in flight, and column XORs run a word at a time;
+ *  - t~ and q~ are gf128MulSum() calls: PCLMULQDQ products (a masked
+ *    shift-and-XOR multiply without it) accumulated unreduced and
+ *    reduced once per batch;
+ *  - the sender hashes OTs j and j+1 in one hashRekeyedPair() call
+ *    (two blocks per tweak), the receiver likewise with one block per
+ *    tweak, so each OT pays one key expansion instead of constructing
+ *    a RekeyedHasher.
+ * Secret bits (s, the choices r, the rows t_j) select through masks,
+ * never branches.
+ *
  * Wire shape per batch (blocks = ceil(m/128) + 1 for the KOS pad):
  *   receiver -> sender: 2048 * blocks + 32 bytes (columns + proof)
  *   sender -> receiver: 32 * m bytes of masked label pairs

@@ -1,6 +1,7 @@
 #include "gc/streaming.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/prg.h"
 #include "gc/evaluator.h"
@@ -8,16 +9,36 @@
 
 namespace haac {
 
+InputLabels
+expandInputLabels(uint64_t seed, size_t num_inputs)
+{
+    Prg prg(seed);
+    InputLabels in;
+    in.offset = prg.nextLabel();
+    in.offset.setLsb(true);
+    in.zero.resize(num_inputs);
+    prg.nextLabels(in.zero.data(), num_inputs);
+    return in;
+}
+
+Label
+seededInputLabel(uint64_t seed, WireId w, bool value)
+{
+    Prg prg(seed);
+    Label offset = prg.nextLabel();
+    offset.setLsb(true);
+    prg.skip(w);
+    const Label zero = prg.nextLabel();
+    return value ? zero ^ offset : zero;
+}
+
 StreamingGarbler::StreamingGarbler(const Netlist &netlist, uint64_t seed)
     : netlist_(&netlist)
 {
-    Prg prg(seed);
-    r_ = prg.nextLabel();
-    r_.setLsb(true);
-
+    InputLabels in = expandInputLabels(seed, netlist.numInputs());
+    r_ = in.offset;
+    zero_ = std::move(in.zero);
     zero_.resize(netlist.numWires());
-    for (uint32_t w = 0; w < netlist.numInputs(); ++w)
-        zero_[w] = prg.nextLabel();
 }
 
 void
@@ -53,11 +74,7 @@ garbleStreaming(const Netlist &netlist, uint64_t seed,
     StreamingGarbler sg(netlist, seed);
 
     StreamedGarbling out;
-    out.globalOffset = sg.globalOffset();
-    out.inputZeroLabels.reserve(netlist.numInputs());
-    for (uint32_t w = 0; w < netlist.numInputs(); ++w)
-        out.inputZeroLabels.push_back(sg.inputZeroLabel(w));
-
+    out.inputs = expandInputLabels(seed, netlist.numInputs());
     sg.run(sink);
     out.outputZeroLabels = sg.outputZeroLabels();
     out.tablesEmitted = sg.tablesEmitted();

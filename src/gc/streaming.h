@@ -27,12 +27,41 @@ using TableSink = std::function<void(const GarbledTable &)>;
 /** Supplies the next table on demand, in gate order. */
 using TableSource = std::function<GarbledTable()>;
 
+/**
+ * The labels a garbling draws from its seed before any gate: the
+ * global offset R (lsb forced to 1 for point-and-permute), then one
+ * zero label per primary input in wire order. Garbler,
+ * StreamingGarbler and GarbledInstance all take them from
+ * expandInputLabels(), so a seed alone pins a garbling's input labels.
+ */
+struct InputLabels
+{
+    Label offset;
+    /** Zero labels of primary inputs (wires [0, numInputs)). */
+    std::vector<Label> zero;
+
+    /** Active label encoding @p value on primary input wire @p w. */
+    Label
+    activeLabel(WireId w, bool value) const
+    {
+        return value ? zero[w] ^ offset : zero[w];
+    }
+};
+
+/** The offset and the first @p num_inputs input zero labels of @p seed. */
+InputLabels expandInputLabels(uint64_t seed, size_t num_inputs);
+
+/**
+ * One active input label of @p seed's garbling without expanding the
+ * others: the PRG seeks to wire @p w (one key expansion, two blocks).
+ */
+Label seededInputLabel(uint64_t seed, WireId w, bool value);
+
 /** Outcome of a streaming garble: everything but the tables. */
 struct StreamedGarbling
 {
-    Label globalOffset;
-    /** Zero labels of primary inputs only (wires [0, numInputs)). */
-    std::vector<Label> inputZeroLabels;
+    /** The global offset and the primary inputs' zero labels. */
+    InputLabels inputs;
     /** Zero labels of the primary outputs, for decode bits. */
     std::vector<Label> outputZeroLabels;
     uint64_t tablesEmitted = 0;
@@ -52,10 +81,10 @@ StreamedGarbling garbleStreaming(const Netlist &netlist, uint64_t seed,
  * labels *before* the table stream starts (a remote evaluator needs
  * its input labels up front so it can consume tables as they arrive).
  *
- * Construction draws the global offset and all primary-input labels —
- * from the same PRG sequence as Garbler / garbleStreaming, so the
- * result is bit-identical — and run() then garbles the gates, emitting
- * each table the moment it exists.
+ * Construction draws the global offset and all primary-input labels
+ * (expandInputLabels(), the same draw as Garbler / garbleStreaming, so
+ * the result is bit-identical) and run() then garbles the gates,
+ * emitting each table the moment it exists.
  */
 class StreamingGarbler
 {

@@ -138,15 +138,24 @@ struct LiveGarblerSource
     bool decodeBit(size_t i) const { return garbler.decodeBit(i); }
 };
 
-/** Replay of a pre-garbled instance (gc/instance.h). */
+/**
+ * Replay of a pre-garbled instance (gc/instance.h): the input labels
+ * are expanded from its seed once, here, for the whole session.
+ */
 struct InstanceGarblerSource
 {
     const GarbledInstance *instance;
+    InputLabels labels;
+
+    explicit InstanceGarblerSource(const GarbledInstance &inst)
+        : instance(&inst), labels(inst.inputLabels())
+    {
+    }
 
     Label
     activeLabel(WireId w, bool value) const
     {
-        return instance->activeLabel(w, value);
+        return labels.activeLabel(w, value);
     }
 
     void
@@ -388,12 +397,12 @@ runRemoteGarbler(const Netlist &netlist,
                  Transport &transport, const GarbledInstance &instance,
                  const RemoteOptions &opts)
 {
-    if (instance.inputZero.size() != netlist.numInputs() ||
+    if (instance.numInputs != netlist.numInputs() ||
         instance.outputZero.size() != netlist.outputs.size() ||
         instance.tables.size() != netlist.numAndGates())
         throw std::invalid_argument(
             "runRemoteGarbler: instance does not match the netlist");
-    InstanceGarblerSource src{&instance};
+    InstanceGarblerSource src(instance);
     return runGarblerFrom(netlist, garbler_bits, transport, src, true,
                           opts);
 }

@@ -15,6 +15,10 @@
  * The machinery mirrors GarblePool deliberately (filler threads,
  * low-water hysteresis, pop-transfers-ownership, miss = garble
  * inline); keyed by ComponentSpec::name() instead of a workload spec.
+ * Items are seed-backed GarbledInstances (gc/instance.h): seed,
+ * tables and output zero labels. The chained garbler expands each
+ * component's offset and input labels from its seed once per session.
+ *
  * The same security invariant applies: a popped component is gone —
  * linking one garbling into two sessions hands the second evaluator
  * both labels of every linked wire (tests/test_chain.cc replays the

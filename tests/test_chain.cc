@@ -343,16 +343,17 @@ TEST(LinkTable, TranslatesBothValuesAcrossOffsets)
         captureComponent({ComponentKind::Add, 4}, 11);
     const GarbledComponent cons =
         captureComponent({ComponentKind::Cmp, 4}, 22);
-    ASSERT_FALSE(prod.inst.globalOffset == cons.inst.globalOffset);
+    const InputLabels prod_in = prod.inst.inputLabels();
+    const InputLabels cons_in = cons.inst.inputLabels();
+    ASSERT_FALSE(prod_in.offset == cons_in.offset);
 
     const uint64_t link = 5;
-    const LinkTable t = buildLinkTable(
-        prod.inst.outputZero[0], prod.inst.globalOffset,
-        cons.inst.inputZero[2], cons.inst.globalOffset, link);
+    const LinkTable t =
+        buildLinkTable(prod.inst.outputZero[0], prod_in.offset,
+                       cons_in.zero[2], cons_in.offset, link);
 
     for (bool v : {false, true}) {
-        const Label y = v ? prod.inst.outputZero[0] ^
-                                prod.inst.globalOffset
+        const Label y = v ? prod.inst.outputZero[0] ^ prod_in.offset
                           : prod.inst.outputZero[0];
         const Label want = cons.inst.activeLabel(2, v);
         EXPECT_TRUE(translateLinkLabel(t, y, link) == want);
@@ -600,11 +601,12 @@ TEST(ChainFreshness, FreshProviderNeverRepeatsARandomness)
     ASSERT_NE(b.component, nullptr);
     EXPECT_FALSE(a.pooled);
 
-    EXPECT_FALSE(a.component->inst.globalOffset ==
-                 b.component->inst.globalOffset);
-    for (size_t w = 0; w < a.component->inst.inputZero.size(); ++w)
-        EXPECT_FALSE(a.component->inst.inputZero[w] ==
-                     b.component->inst.inputZero[w]);
+    const InputLabels a_in = a.component->inst.inputLabels();
+    const InputLabels b_in = b.component->inst.inputLabels();
+    EXPECT_FALSE(a_in.offset == b_in.offset);
+    ASSERT_EQ(a_in.zero.size(), b_in.zero.size());
+    for (size_t w = 0; w < a_in.zero.size(); ++w)
+        EXPECT_FALSE(a_in.zero[w] == b_in.zero[w]);
     ASSERT_GT(a.component->inst.tables.size(), 0u);
     EXPECT_FALSE(a.component->inst.tables.front() ==
                  b.component->inst.tables.front());
@@ -629,7 +631,7 @@ TEST(ChainFreshness, ReusedComponentForgesUnauthorizedEvaluations)
     const Label session_a = comp.inst.activeLabel(w, false);
     const Label session_b = comp.inst.activeLabel(w, true);
     const Label recovered = session_a ^ session_b;
-    EXPECT_TRUE(recovered == comp.inst.globalOffset);
+    EXPECT_TRUE(recovered == comp.inst.inputLabels().offset);
 
     // Honest session: a = 9 (garbler), b = 4 (evaluator, via OT).
     const uint64_t a = 9, b = 4, forged_b = 13;
@@ -682,9 +684,11 @@ TEST(ComponentPool, PrewarmPopAndStats)
     EXPECT_TRUE(a->spec == ComponentSpec({ComponentKind::Add, 8}));
 
     // Pool freshness, PR 5/8 shape: two pops share no randomness.
-    EXPECT_FALSE(a->inst.globalOffset == b->inst.globalOffset);
-    for (size_t w = 0; w < a->inst.inputZero.size(); ++w)
-        EXPECT_FALSE(a->inst.inputZero[w] == b->inst.inputZero[w]);
+    const InputLabels a_in = a->inst.inputLabels();
+    const InputLabels b_in = b->inst.inputLabels();
+    EXPECT_FALSE(a_in.offset == b_in.offset);
+    for (size_t w = 0; w < a_in.zero.size(); ++w)
+        EXPECT_FALSE(a_in.zero[w] == b_in.zero[w]);
 
     // Untracked spec: a miss, never a stall.
     EXPECT_EQ(pool.tryPop({ComponentKind::Mul, 8}), nullptr);

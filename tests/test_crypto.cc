@@ -211,6 +211,17 @@ TEST(Prg, ByteStreamGolden)
     EXPECT_EQ(digest, 0x230a1a4725a7c4c9ull) << std::hex << digest;
 }
 
+TEST(Prg, BatchedAndSkippedLabelsMatchTheStream)
+{
+    Prg one(77), batch(77), skipper(77);
+    std::vector<Label> labels(37);
+    batch.nextLabels(labels.data(), labels.size());
+    for (size_t i = 0; i < labels.size(); ++i)
+        EXPECT_EQ(labels[i], one.nextLabel()) << "i=" << i;
+    skipper.skip(20);
+    EXPECT_EQ(skipper.nextLabel(), labels[20]);
+}
+
 TEST(Prg, RangeIsUnbiasedBounds)
 {
     Prg prg(9);
@@ -343,6 +354,23 @@ TEST(Gf128, EdgeCases)
               "278db1260aa09c2072d8e4735ff5dc0f");
 }
 
+TEST(Gf128, UnreducedSumMatchesSumOfProducts)
+{
+    Prg prg(0x73756d31);
+    std::vector<Label> a(300), b(300);
+    for (size_t j = 0; j < a.size(); ++j) {
+        a[j] = prg.nextLabel();
+        b[j] = prg.nextLabel();
+    }
+    for (size_t n : {size_t(0), size_t(1), size_t(2), size_t(255),
+                     size_t(300)}) {
+        Label expected;
+        for (size_t j = 0; j < n; ++j)
+            expected ^= gf128Mul(a[j], b[j]);
+        EXPECT_EQ(gf128MulSum(a.data(), b.data(), n), expected) << "n=" << n;
+    }
+}
+
 // 10^4 seeded products, recorded on the bit-serial multiply: every
 // implementation (PCLMULQDQ or portable) must produce the same field.
 TEST(Gf128, SeededProductDigestGolden)
@@ -447,6 +475,7 @@ TEST(Curve25519, SeededMultiplesGolden)
     Prg rng(0x63757276);
     const ec::Point p = ec::Point::mul(ec::randomScalar(rng),
                                        ec::Point::base());
+    const ec::FixedBase p_table(p);
     uint64_t base_digest = kFnvOffset, var_digest = kFnvOffset;
     uint8_t bytes[ec::kPointBytes];
     for (int i = 0; i < 48; ++i) {
@@ -459,9 +488,41 @@ TEST(Curve25519, SeededMultiplesGolden)
         fnvMix(base_digest, bytes, sizeof bytes);
         ec::Point::mul(k, p).toBytes(bytes);
         fnvMix(var_digest, bytes, sizeof bytes);
+
+        // The comb tables land on the same points.
+        uint8_t comb[ec::kPointBytes];
+        ec::Point::mulBase(k).toBytes(comb);
+        ec::Point::mul(k, ec::Point::base()).toBytes(bytes);
+        EXPECT_EQ(std::memcmp(comb, bytes, sizeof bytes), 0) << "i=" << i;
+        p_table.mul(k).toBytes(comb);
+        ec::Point::mul(k, p).toBytes(bytes);
+        EXPECT_EQ(std::memcmp(comb, bytes, sizeof bytes), 0) << "i=" << i;
     }
     EXPECT_EQ(base_digest, 0xedd7969e28ba4770ull) << std::hex << base_digest;
     EXPECT_EQ(var_digest, 0x2ad6cdfb47c2bc23ull) << std::hex << var_digest;
+}
+
+TEST(Curve25519, BatchCompressionAndSelectMatchSingles)
+{
+    Prg rng(0x62617463);
+    std::vector<ec::Point> points;
+    points.push_back(ec::Point());
+    for (int i = 0; i < 9; ++i)
+        points.push_back(ec::Point::mulBase(ec::randomScalar(rng)));
+    std::vector<uint8_t> batch(points.size() * ec::kPointBytes);
+    ec::Point::toBytesBatch(points.data(), points.size(), batch.data());
+    for (size_t i = 0; i < points.size(); ++i) {
+        uint8_t single[ec::kPointBytes];
+        points[i].toBytes(single);
+        EXPECT_EQ(std::memcmp(single, &batch[i * ec::kPointBytes],
+                              ec::kPointBytes),
+                  0)
+            << "i=" << i;
+    }
+    EXPECT_TRUE(ec::Point::select(points[1], points[2], false)
+                    .equals(points[1]));
+    EXPECT_TRUE(ec::Point::select(points[1], points[2], true)
+                    .equals(points[2]));
 }
 
 TEST(Curve25519, RejectsNonCurveEncodings)

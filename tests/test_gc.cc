@@ -305,12 +305,12 @@ TEST(Streaming, MatchesBatchGarblerBitForBit)
         nl, seed,
         [&streamed](const GarbledTable &t) { streamed.push_back(t); });
 
-    EXPECT_EQ(sg.globalOffset, batch.globalOffset());
+    EXPECT_EQ(sg.inputs.offset, batch.globalOffset());
     ASSERT_EQ(streamed.size(), batch.tables().size());
     for (size_t i = 0; i < streamed.size(); ++i)
         EXPECT_EQ(streamed[i], batch.tables()[i]) << "table " << i;
     for (uint32_t w = 0; w < nl.numInputs(); ++w)
-        EXPECT_EQ(sg.inputZeroLabels[w], batch.zeroLabel(w));
+        EXPECT_EQ(sg.inputs.zero[w], batch.zeroLabel(w));
     for (size_t i = 0; i < nl.outputs.size(); ++i)
         EXPECT_EQ(sg.outputZeroLabels[i],
                   batch.zeroLabel(nl.outputs[i]));
@@ -360,17 +360,11 @@ TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
 
     const uint64_t x = 321, y = 207;
     std::vector<Label> inputs(nl.numInputs());
-    for (uint32_t w = 0; w < 16; ++w)
-        inputs[w] = ((x >> w) & 1) ? sg.inputZeroLabels[w] ^
-                                         sg.globalOffset
-                                   : sg.inputZeroLabels[w];
-    for (uint32_t w = 0; w < 16; ++w)
-        inputs[16 + w] = ((y >> w) & 1)
-                             ? sg.inputZeroLabels[16 + w] ^
-                                   sg.globalOffset
-                             : sg.inputZeroLabels[16 + w];
-    inputs[nl.constOne] =
-        sg.inputZeroLabels[nl.constOne] ^ sg.globalOffset;
+    for (uint32_t w = 0; w < 16; ++w) {
+        inputs[w] = sg.inputs.activeLabel(w, ((x >> w) & 1) != 0);
+        inputs[16 + w] = sg.inputs.activeLabel(16 + w, ((y >> w) & 1) != 0);
+    }
+    inputs[nl.constOne] = sg.inputs.activeLabel(nl.constOne, true);
 
     std::vector<Label> outs =
         evaluateStreaming(nl, inputs, [&wire_fifo]() {

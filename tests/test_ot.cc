@@ -258,7 +258,7 @@ TEST(OtExt, WireShapeIsExact)
 }
 
 // Seeded IKNP transcripts across block boundaries, recorded on the
-// parent implementation: the uplink (base key, masked columns and the
+// per-OT hashing, bit-serial gf128 implementation: the uplink (base key, masked columns and the
 // 32-byte KOS15 proof), the downlink (base points and masked label
 // pairs) and the received labels of a batch of m, then a second batch
 // of 3 on the same setup. Each digest covers one batch size.

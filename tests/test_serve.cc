@@ -19,6 +19,8 @@
 
 #include "api/session.h"
 #include "chain/component.h"
+#include "chain/link.h"
+#include "chain/workloads.h"
 #include "gc/instance.h"
 #include "gc/streaming.h"
 #include "net/loopback.h"
@@ -26,6 +28,7 @@
 #include "net/server.h"
 #include "serve/cache.h"
 #include "serve/compile_cache.h"
+#include "serve/component_pool.h"
 #include "serve/pool.h"
 #include "workloads/vip.h"
 
@@ -62,6 +65,75 @@ class PeerThread
     std::exception_ptr error_;
     std::thread thread_;
 };
+
+/** A Transport that records every byte it writes, then forwards it. */
+class TapTransport : public Transport
+{
+  public:
+    explicit TapTransport(Transport &inner) : inner_(inner) {}
+
+    void
+    writeAll(const uint8_t *data, size_t n) override
+    {
+        written_.insert(written_.end(), data, data + n);
+        inner_.writeAll(data, n);
+    }
+
+    void
+    readAll(uint8_t *data, size_t n) override
+    {
+        inner_.readAll(data, n);
+    }
+
+    std::string
+    describe() const override
+    {
+        return "tap of " + inner_.describe();
+    }
+
+    /** Frame payloads written so far (u32 little-endian length heads). */
+    std::vector<std::vector<uint8_t>>
+    frames() const
+    {
+        std::vector<std::vector<uint8_t>> out;
+        size_t at = 0;
+        while (at + 4 <= written_.size()) {
+            const size_t n = size_t(written_[at]) |
+                             size_t(written_[at + 1]) << 8 |
+                             size_t(written_[at + 2]) << 16 |
+                             size_t(written_[at + 3]) << 24;
+            at += 4;
+            out.emplace_back(written_.begin() + long(at),
+                             written_.begin() + long(at + n));
+            at += n;
+        }
+        return out;
+    }
+
+  private:
+    Transport &inner_;
+    std::vector<uint8_t> written_;
+};
+
+/**
+ * The garbler's frames of two sessions on fresh connections are
+ * identical except frames 1 and 2, the base-OT points and the masked
+ * OT pairs, whose randomness is drawn per session from the OS; those
+ * two match in size.
+ */
+void
+expectSameGarblerFrames(const TapTransport &a, const TapTransport &b)
+{
+    const std::vector<std::vector<uint8_t>> fa = a.frames();
+    const std::vector<std::vector<uint8_t>> fb = b.frames();
+    ASSERT_EQ(fa.size(), fb.size());
+    ASSERT_GT(fa.size(), 4u);
+    for (size_t i = 0; i < fa.size(); ++i) {
+        ASSERT_EQ(fa[i].size(), fb[i].size()) << "frame " << i;
+        if (i != 1 && i != 2)
+            EXPECT_TRUE(fa[i] == fb[i]) << "frame " << i;
+    }
+}
 
 std::shared_ptr<const int>
 boxed(int v)
@@ -268,21 +340,37 @@ TEST(GarbledInstance, CaptureMatchesStreamingGarbler)
     std::vector<GarbledTable> ref_tables;
     ref.run([&](const GarbledTable &t) { ref_tables.push_back(t); });
 
-    EXPECT_EQ(inst.globalOffset, ref.globalOffset());
-    ASSERT_EQ(inst.inputZero.size(), wl.netlist.numInputs());
+    EXPECT_EQ(inst.seed, seed);
+    const InputLabels in = inst.inputLabels();
+    EXPECT_EQ(in.offset, ref.globalOffset());
+    ASSERT_EQ(in.zero.size(), wl.netlist.numInputs());
     for (WireId w = 0; w < wl.netlist.numInputs(); ++w) {
-        EXPECT_EQ(inst.inputZero[w], ref.inputZeroLabel(w));
+        EXPECT_EQ(in.zero[w], ref.inputZeroLabel(w));
+        EXPECT_EQ(in.activeLabel(w, true), ref.activeLabel(w, true));
+        EXPECT_EQ(inst.activeLabel(w, false), ref.activeLabel(w, false));
         EXPECT_EQ(inst.activeLabel(w, true), ref.activeLabel(w, true));
     }
     EXPECT_EQ(inst.tables, ref_tables);
     ASSERT_EQ(inst.outputZero.size(), wl.netlist.outputs.size());
     for (size_t i = 0; i < inst.outputZero.size(); ++i)
         EXPECT_EQ(inst.decodeBit(i), ref.decodeBit(i));
-    EXPECT_EQ(inst.byteSize(),
-              (inst.inputZero.size() + inst.outputZero.size() + 1) *
-                      kLabelBytes +
-                  inst.tables.size() * kTableBytes);
+    EXPECT_EQ(inst.byteSize(), sizeof(inst.seed) + sizeof(inst.numInputs) +
+                                   inst.outputZero.size() * kLabelBytes +
+                                   inst.tables.size() * kTableBytes);
 }
+
+// A pooled item keeps its seed, not its input labels: a Million:32
+// instance (65 inputs, 32 ANDs, 1 output) held 2,096 bytes when it
+// stored the offset and 65 input zero labels.
+TEST(GarbledInstance, SeedBackedInstanceIsSmall)
+{
+    const Workload million = resolveWorkload("Million:32");
+    const GarbledInstance inst = captureGarbling(million.netlist, 9);
+    EXPECT_LE(inst.byteSize(), 1100u);
+    EXPECT_EQ(inst.byteSize(), 8u + 4u + 16u + 32u * 32u);
+}
+
+namespace {
 
 /**
  * FNV-1a over everything a captured garbling defines: the global
@@ -300,8 +388,9 @@ instanceDigest(const GarbledInstance &inst)
                 digest *= 0x100000001b3ull;
             }
     };
-    mix(inst.globalOffset);
-    for (const Label &l : inst.inputZero)
+    const InputLabels in = inst.inputLabels();
+    mix(in.offset);
+    for (const Label &l : in.zero)
         mix(l);
     for (const Label &l : inst.outputZero)
         mix(l);
@@ -311,6 +400,8 @@ instanceDigest(const GarbledInstance &inst)
     }
     return digest;
 }
+
+} // namespace
 
 // Captures at fixed seeds, recorded when instances stored their input
 // labels: an instance that keeps only its seed must expand to the
@@ -385,6 +476,91 @@ TEST(GarbledInstance, ReplayIsWireIdenticalToInlineGarbling)
     EXPECT_TRUE(pool_g.pooledGarbling);
 }
 
+// A popped instance replays the exact frames an inline garbling at its
+// seed sends; only the OT phase's per-session randomness differs.
+TEST(GarblePool, PooledReplayIsWireIdenticalToInlineAtItsSeed)
+{
+    const Workload wl = resolveWorkload("Million:32");
+    PoolOptions popts;
+    popts.depth = 1;
+    GarblePool pool(popts);
+    pool.track("Million:32", wl.netlist);
+    pool.prewarm();
+    const std::unique_ptr<GarbledInstance> inst = pool.tryPop("Million:32");
+    ASSERT_NE(inst, nullptr);
+
+    auto session = [&](bool pooled) {
+        auto [gend, eend] = LoopbackTransport::createPair();
+        RemoteResult eres;
+        PeerThread evaluator([&, t = std::move(eend)] {
+            t->handshake(PeerRole::Evaluator);
+            eres = runRemoteEvaluator(wl.netlist, wl.evaluatorBits, *t);
+        });
+        gend->handshake(PeerRole::Garbler);
+        auto tap = std::make_unique<TapTransport>(*gend);
+        if (pooled)
+            runRemoteGarbler(wl.netlist, wl.garblerBits, *tap, *inst);
+        else
+            runRemoteGarbler(wl.netlist, wl.garblerBits, *tap, inst->seed);
+        evaluator.join();
+        EXPECT_EQ(eres.outputs, wl.netlist.evaluate(wl.garblerBits,
+                                                    wl.evaluatorBits));
+        return tap;
+    };
+    const auto pooled = session(true);
+    const auto inline_run = session(false);
+    expectSameGarblerFrames(*pooled, *inline_run);
+}
+
+TEST(ComponentPool, PooledChainIsWireIdenticalToInlineAtItsSeeds)
+{
+    const chain::ChainWorkload wl =
+        chain::resolveChainWorkload("ChainMillSum:32");
+    PoolOptions popts;
+    popts.depth = wl.plan.nodes.size(); // every node hits after prewarm
+    ComponentPool pool(popts);
+    pool.trackPlan(wl.plan);
+    pool.prewarm();
+
+    // Record each node's pooled seed, then garble inline at the same.
+    std::vector<uint64_t> seeds(wl.plan.nodes.size());
+    const chain::ComponentProvider popped = pool.provider();
+    const chain::ComponentProvider recording =
+        [&](uint32_t node, const chain::ComponentSpec &spec) {
+            chain::AcquiredComponent acq = popped(node, spec);
+            seeds[node] = acq.component->inst.seed;
+            return acq;
+        };
+    const chain::ComponentProvider same_seeds =
+        [&](uint32_t node, const chain::ComponentSpec &spec) {
+            chain::AcquiredComponent acq;
+            acq.component = std::make_unique<chain::GarbledComponent>(
+                chain::captureComponent(spec, seeds[node]));
+            return acq;
+        };
+
+    auto session = [&](const chain::ComponentProvider &provider,
+                       size_t expect_pooled) {
+        auto [gend, eend] = LoopbackTransport::createPair();
+        chain::ChainResult eres;
+        PeerThread evaluator([&, t = std::move(eend)] {
+            t->handshake(PeerRole::Evaluator);
+            eres = chain::runChainEvaluator(wl.plan, wl.evaluatorBits, *t);
+        });
+        gend->handshake(PeerRole::Garbler);
+        auto tap = std::make_unique<TapTransport>(*gend);
+        const chain::ChainResult gres =
+            chain::runChainGarbler(wl.plan, wl.garblerBits, *tap, provider);
+        evaluator.join();
+        EXPECT_EQ(eres.outputs, wl.expectedOutputs);
+        EXPECT_EQ(gres.pooledComponents, expect_pooled);
+        return tap;
+    };
+    const auto pooled = session(recording, wl.plan.nodes.size());
+    const auto inline_run = session(same_seeds, 0);
+    expectSameGarblerFrames(*pooled, *inline_run);
+}
+
 TEST(GarbledInstance, ReplayRejectsMismatchedNetlist)
 {
     const Workload hamm = vipWorkload("Hamm", false);
@@ -415,10 +591,13 @@ TEST(GarblePool, InstancesAreFreshNeverLabelReuse)
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
 
-    EXPECT_FALSE(a->globalOffset == b->globalOffset);
-    ASSERT_EQ(a->inputZero.size(), b->inputZero.size());
+    EXPECT_NE(a->seed, b->seed);
+    const InputLabels a_in = a->inputLabels();
+    const InputLabels b_in = b->inputLabels();
+    EXPECT_FALSE(a_in.offset == b_in.offset);
+    ASSERT_EQ(a_in.zero.size(), b_in.zero.size());
     for (WireId w = 0; w < wl.netlist.numInputs(); ++w)
-        EXPECT_FALSE(a->inputZero[w] == b->inputZero[w]);
+        EXPECT_FALSE(a_in.zero[w] == b_in.zero[w]);
     ASSERT_EQ(a->tables.size(), b->tables.size());
     ASSERT_GT(a->tables.size(), 0u);
     EXPECT_FALSE(a->tables.front() == b->tables.front());
