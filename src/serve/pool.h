@@ -18,8 +18,8 @@
  * zero labels. The offset and input zero labels are re-derived from
  * the seed once per replay (GarbledInstance::inputLabels()), which
  * halves a small circuit's item: 1,052 bytes for Million:32, where
- * storing the input labels took 2,096. Depth x item size bounds the
- * pool's memory per spec.
+ * storing the input labels would take 2,096. Depth x item size bounds
+ * the pool's memory per spec.
  *
  * Security invariant: every instance is garbled from fresh randomness
  * and leaves the pool exactly once (tryPop() transfers ownership).

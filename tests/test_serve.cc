@@ -360,8 +360,8 @@ TEST(GarbledInstance, CaptureMatchesStreamingGarbler)
 }
 
 // A pooled item keeps its seed, not its input labels: a Million:32
-// instance (65 inputs, 32 ANDs, 1 output) held 2,096 bytes when it
-// stored the offset and 65 input zero labels.
+// instance (65 inputs, 32 ANDs, 1 output) that stored the offset and
+// 65 input zero labels would take 2,096 bytes.
 TEST(GarbledInstance, SeedBackedInstanceIsSmall)
 {
     const Workload million = resolveWorkload("Million:32");
