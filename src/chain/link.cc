@@ -1,6 +1,5 @@
 #include "chain/link.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -295,41 +294,18 @@ ChainPlan::evaluate(const std::vector<bool> &garbler_bits,
     return out;
 }
 
-namespace {
-
-/** One link's four labels: producer output and consumer input. */
-struct LinkEnds
-{
-    Label producerZero, producerOffset, consumerZero, consumerOffset;
-};
-
-/**
- * The table for @p e given h[v] = H(link tweak, producer label of
- * value v): each row, indexed by the producer label's select bit,
- * encrypts the consumer label of the same value.
- */
-LinkTable
-linkRows(const LinkEnds &e, const Label h[2])
-{
-    const Label y1 = e.producerZero ^ e.producerOffset;
-    LinkTable t;
-    t.row[e.producerZero.lsb() ? 1 : 0] = e.consumerZero ^ h[0];
-    t.row[y1.lsb() ? 1 : 0] = e.consumerZero ^ e.consumerOffset ^ h[1];
-    return t;
-}
-
-} // namespace
-
 LinkTable
 buildLinkTable(const Label &producer_zero, const Label &producer_offset,
                const Label &consumer_zero, const Label &consumer_offset,
                uint64_t link_index)
 {
-    const RekeyedHasher hash(linkTweakOf(link_index));
-    const Label h[2] = {hash(producer_zero),
-                        hash(producer_zero ^ producer_offset)};
-    return linkRows(
-        {producer_zero, producer_offset, consumer_zero, consumer_offset}, h);
+    const RekeyedHasher h(linkTweakOf(link_index));
+    const Label y1 = producer_zero ^ producer_offset;
+    const Label x1 = consumer_zero ^ consumer_offset;
+    LinkTable t;
+    t.row[producer_zero.lsb() ? 1 : 0] = consumer_zero ^ h(producer_zero);
+    t.row[y1.lsb() ? 1 : 0] = x1 ^ h(y1);
+    return t;
 }
 
 Label
@@ -353,45 +329,26 @@ expandComponentInputs(const std::vector<const GarbledComponent *> &components)
     return labels;
 }
 
-/**
- * buildLinkTables() over the components' expanded input labels. Links
- * k and k+1 hash in one fused hashRekeyedPair() call, the same bytes
- * as buildLinkTable() per link; at an odd count the last call repeats
- * the last link under the unused next tweak and drops the result.
- */
+/** buildLinkTables() over the components' expanded input labels. */
 std::vector<LinkTable>
 linkTablesFor(const ChainPlan &plan,
               const std::vector<const GarbledComponent *> &components,
               const std::vector<InputLabels> &labels)
 {
-    std::vector<LinkEnds> ends;
-    ends.reserve(plan.numLinks());
+    std::vector<LinkTable> tables;
+    tables.reserve(plan.numLinks());
+    uint64_t link = 0;
     for (size_t n = 0; n < plan.nodes.size(); ++n) {
         for (size_t i = 0; i < plan.sources[n].size(); ++i) {
             const InputSource &s = plan.sources[n][i];
             if (s.kind != SourceKind::Link)
                 continue;
-            ends.push_back(
-                {components[s.from.node]->inst.outputZero[s.from.bit],
-                 labels[s.from.node].offset, labels[n].zero[i],
-                 labels[n].offset});
+            tables.push_back(buildLinkTable(
+                components[s.from.node]->inst.outputZero[s.from.bit],
+                labels[s.from.node].offset, labels[n].zero[i],
+                labels[n].offset, link));
+            ++link;
         }
-    }
-    std::vector<LinkTable> tables;
-    tables.reserve(ends.size());
-    for (size_t k = 0; k < ends.size(); k += 2) {
-        const LinkEnds &a = ends[k];
-        const LinkEnds &b = ends[std::min(k + 1, ends.size() - 1)];
-        const Label xa[2] = {a.producerZero,
-                             a.producerZero ^ a.producerOffset};
-        const Label xb[2] = {b.producerZero,
-                             b.producerZero ^ b.producerOffset};
-        Label ha[2], hb[2];
-        hashRekeyedPair(linkTweakOf(k), linkTweakOf(k + 1), xa, ha, xb, hb,
-                        2);
-        tables.push_back(linkRows(a, ha));
-        if (k + 1 < ends.size())
-            tables.push_back(linkRows(b, hb));
     }
     return tables;
 }

@@ -693,7 +693,12 @@ FixedBase::mul(const Scalar &k) const
 void
 Point::toBytes(uint8_t out[kPointBytes]) const
 {
-    toBytesBatch(this, 1, out);
+    u64 zinv[5], x[5], y[5];
+    feInvert(zinv, Z_.v);
+    feMul(x, X_.v, zinv);
+    feMul(y, Y_.v, zinv);
+    feToBytes(out, y);
+    out[31] |= uint8_t(uint8_t(feIsNegative(x)) << 7);
 }
 
 bool

@@ -5,10 +5,9 @@
  * The Garbler draws the global offset R and all fresh wire labels from a
  * PRG. We use AES-128 in counter mode keyed by a seed, which keeps the
  * whole pipeline deterministic (same seed => same garbling), a property
- * the test suite leans on heavily. Counter mode is also random access
- * (skip()) and batches freely (nextLabels(), nextBytes()); the OT
- * extension's column streams and the seed-backed pooled instances
- * (gc/instance.h) rely on both.
+ * the test suite leans on heavily. Counter mode also batches freely
+ * (nextLabels(), nextBytes()); the OT extension's column streams and
+ * the seed-backed pooled instances (gc/instance.h) rely on it.
  */
 #ifndef HAAC_CRYPTO_PRG_H
 #define HAAC_CRYPTO_PRG_H
@@ -66,9 +65,6 @@ class Prg
      * encrypted as a batch (eight AES blocks in flight on AES-NI).
      */
     void nextLabels(Label out[], size_t n);
-
-    /** Advance past @p n labels without computing them (CTR seeks). */
-    void skip(uint64_t n) { counter_ += n; }
 
     /** Next 64 pseudorandom bits. */
     uint64_t nextU64();

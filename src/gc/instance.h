@@ -60,13 +60,13 @@ struct GarbledInstance
 
     /**
      * Active label encoding @p value on primary input wire @p w,
-     * re-derived from the seed; runners that need many labels call
-     * inputLabels() once instead.
+     * re-derived from the seed (the first w + 1 input labels); runners
+     * that need many labels call inputLabels() once instead.
      */
     Label
     activeLabel(WireId w, bool value) const
     {
-        return seededInputLabel(seed, w, value);
+        return expandInputLabels(seed, size_t(w) + 1).activeLabel(w, value);
     }
 
     /** Output decode bit i (lsb of the output's zero label). */

@@ -21,17 +21,6 @@ expandInputLabels(uint64_t seed, size_t num_inputs)
     return in;
 }
 
-Label
-seededInputLabel(uint64_t seed, WireId w, bool value)
-{
-    Prg prg(seed);
-    Label offset = prg.nextLabel();
-    offset.setLsb(true);
-    prg.skip(w);
-    const Label zero = prg.nextLabel();
-    return value ? zero ^ offset : zero;
-}
-
 StreamingGarbler::StreamingGarbler(const Netlist &netlist, uint64_t seed)
     : netlist_(&netlist)
 {
@@ -74,7 +63,9 @@ garbleStreaming(const Netlist &netlist, uint64_t seed,
     StreamingGarbler sg(netlist, seed);
 
     StreamedGarbling out;
-    out.inputs = expandInputLabels(seed, netlist.numInputs());
+    out.inputs.offset = sg.globalOffset();
+    for (WireId w = 0; w < netlist.numInputs(); ++w)
+        out.inputs.zero.push_back(sg.inputZeroLabel(w));
     sg.run(sink);
     out.outputZeroLabels = sg.outputZeroLabels();
     out.tablesEmitted = sg.tablesEmitted();

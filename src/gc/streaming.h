@@ -51,12 +51,6 @@ struct InputLabels
 /** The offset and the first @p num_inputs input zero labels of @p seed. */
 InputLabels expandInputLabels(uint64_t seed, size_t num_inputs);
 
-/**
- * One active input label of @p seed's garbling without expanding the
- * others: the PRG seeks to wire @p w (one key expansion, two blocks).
- */
-Label seededInputLabel(uint64_t seed, WireId w, bool value);
-
 /** Outcome of a streaming garble: everything but the tables. */
 struct StreamedGarbling
 {

@@ -211,15 +211,13 @@ TEST(Prg, ByteStreamGolden)
     EXPECT_EQ(digest, 0x230a1a4725a7c4c9ull) << std::hex << digest;
 }
 
-TEST(Prg, BatchedAndSkippedLabelsMatchTheStream)
+TEST(Prg, BatchedLabelsMatchTheStream)
 {
-    Prg one(77), batch(77), skipper(77);
+    Prg one(77), batch(77);
     std::vector<Label> labels(37);
     batch.nextLabels(labels.data(), labels.size());
     for (size_t i = 0; i < labels.size(); ++i)
         EXPECT_EQ(labels[i], one.nextLabel()) << "i=" << i;
-    skipper.skip(20);
-    EXPECT_EQ(skipper.nextLabel(), labels[20]);
 }
 
 TEST(Prg, RangeIsUnbiasedBounds)
