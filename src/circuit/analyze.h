@@ -46,10 +46,9 @@
  *    the numbers that price a circuit before it is admitted; attached
  *    to CompileStats by Session::compile().
  *
- * Diagnostics are structured (stable code, severity, site) in the PR 7
- * style so the Bristol reader, Session, the server admission gate, and
- * the haac_netlint CLI report through one vocabulary. The code table
- * is documented in docs/ARCHITECTURE.md.
+ * Findings are Diagnostics (circuit/diagnostic.h), the vocabulary the
+ * ISA verifier reports through too: the site is a gate, output, plan
+ * node, link or input index, per code.
  */
 #ifndef HAAC_CIRCUIT_ANALYZE_H
 #define HAAC_CIRCUIT_ANALYZE_H
@@ -58,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/diagnostic.h"
 #include "circuit/netlist.h"
 
 namespace haac {
@@ -65,72 +65,6 @@ namespace haac {
 namespace chain {
 struct ChainPlan; // chain/link.h
 }
-
-/** Severity of one circuit diagnostic. */
-enum class CircuitSeverity
-{
-    Error,   ///< garbling it would crash, diverge, or leak — reject
-    Warning, ///< legal but wasteful or suspicious
-    Note,    ///< context attached to a preceding diagnostic
-};
-
-/**
- * Stable diagnostic codes. Enumerator order is the severity-major
- * order used in docs/ARCHITECTURE.md; circuitLintCodeName() gives the
- * kebab-case spelling tools print and tests grep for.
- */
-enum class CircuitLintCode
-{
-    // --- errors -----------------------------------------------------
-    UseBeforeDef,      ///< operand at/after its own output (= cycle)
-    WireOutOfRange,    ///< operand past the netlist's address space
-    MultiplyDriven,    ///< Bristol file wire written more than once
-    DanglingOutput,    ///< output names an undefined wire or port
-    InputShape,        ///< input counts overflow / constOne misplaced
-    PlanShape,         ///< plan node/source/output lists malformed
-    PortWidthMismatch, ///< source list size != component input bits
-    PlanInputRange,    ///< source names an undeclared plan input
-    LinkOrder,         ///< link names a non-earlier node (= cycle)
-    PortRange,         ///< link names a nonexistent output bit
-    LinkTweakReuse,    ///< two links share a CLNK tweak (security)
-    LinkTweakDomain,   ///< link tweak outside the CLNK domain
-    // --- warnings ---------------------------------------------------
-    DeadGate,          ///< gate cannot reach any primary output
-    UnusedInput,       ///< declared input nobody reads
-    ConstantCone,      ///< gate output statically constant
-    DuplicateGate,     ///< structural duplicate (optimizer-mergeable)
-    InertOutput,       ///< output with no evaluator-input dependence
-    DeadNode,          ///< plan node feeding no output or later node
-    UnusedPlanInput,   ///< declared plan input no source names
-};
-
-/** Kebab-case code name, e.g. "link-tweak-reuse". */
-const char *circuitLintCodeName(CircuitLintCode code);
-
-/** "error" / "warning" / "note". */
-const char *circuitSeverityName(CircuitSeverity sev);
-
-/** Sentinel for diagnostics not tied to one gate / node / output. */
-inline constexpr uint32_t kNoCircuitSite = ~uint32_t(0);
-
-/** One structured finding. */
-struct CircuitDiag
-{
-    CircuitLintCode code = CircuitLintCode::UseBeforeDef;
-    CircuitSeverity severity = CircuitSeverity::Error;
-
-    /**
-     * Site index, or kNoCircuitSite. Gate index for gate-scope codes;
-     * plan node index for node-scope codes; output index for
-     * DanglingOutput / InertOutput.
-     */
-    uint32_t site = kNoCircuitSite;
-
-    /** Wire involved (kNoWire when not applicable / plan scope). */
-    WireId wire = kNoWire;
-
-    std::string message;
-};
 
 /**
  * The cost report: what admitting this circuit will charge the
@@ -172,27 +106,11 @@ struct CircuitLintOptions
     const std::vector<uint64_t> *linkTweaks = nullptr;
 };
 
-struct CircuitLintReport
+/** The analyzer's findings plus the cost report. */
+struct CircuitLintReport : DiagReport
 {
-    std::vector<CircuitDiag> diags;
-    uint32_t errors = 0;
-    uint32_t warnings = 0;
-    uint32_t notes = 0;
-
     /** Filled by the deep pass; zeros when errors suppressed it. */
     CircuitCost cost;
-
-    /** No errors (warnings allowed). */
-    bool clean() const { return errors == 0; }
-
-    /** "2 errors, 1 warning" (never empty). */
-    std::string summary() const;
-
-    /** First error's message, or "" when clean. */
-    std::string firstError() const;
-
-    /** True if any diagnostic carries @p code. */
-    bool has(CircuitLintCode code) const;
 };
 
 /**
@@ -222,14 +140,6 @@ analyzeChainPlan(const chain::ChainPlan &plan,
  * structurally valid (Netlist::check() empty / analyzer-clean).
  */
 CircuitCost circuitCost(const Netlist &netlist);
-
-/**
- * One diagnostic as a compiler-style line:
- * "adder.txt: error[use-before-def]: ... (gate #12)" (file elided
- * when empty; site appended per its scope).
- */
-std::string formatCircuitDiag(const CircuitDiag &diag,
-                              const std::string &file = std::string());
 
 } // namespace haac
 

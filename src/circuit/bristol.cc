@@ -16,23 +16,6 @@ fail(const std::string &msg)
     throw std::runtime_error("bristol: " + msg);
 }
 
-/** Record one parse-level diagnostic into an attached report. */
-void
-attach(CircuitLintReport *lints, CircuitLintCode code, uint32_t site,
-       WireId wire, std::string msg)
-{
-    if (lints == nullptr)
-        return;
-    CircuitDiag d;
-    d.code = code;
-    d.severity = CircuitSeverity::Error;
-    d.site = site;
-    d.wire = wire;
-    d.message = std::move(msg);
-    lints->diags.push_back(std::move(d));
-    ++lints->errors;
-}
-
 Netlist
 readBristolImpl(std::istream &in, CircuitLintReport *lints)
 {
@@ -117,14 +100,14 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
         // A second definition of a file wire: the map overwrite below
         // silently retargets every later reader to this gate (last
         // definition wins) — exactly the miscompile the lint surfaces.
-        if (map[rg.out] != kNoWire)
-            attach(lints, CircuitLintCode::MultiplyDriven,
-                   uint32_t(gi), WireId(rg.out),
-                   "file wire " + std::to_string(rg.out) +
-                       " is driven again by " + rg.op + " gate " +
-                       std::to_string(gi) +
-                       " — later readers silently rebind to the "
-                       "last definition");
+        if (map[rg.out] != kNoWire && lints != nullptr)
+            lints->add({DiagCode::MultiplyDriven, Severity::Error,
+                        uint32_t(gi), WireId(rg.out), 0,
+                        "file wire " + std::to_string(rg.out) +
+                            " is driven again by " + rg.op + " gate " +
+                            std::to_string(gi) +
+                            " — later readers silently rebind to the "
+                            "last definition"});
         const WireId a = map[rg.a];
         if (a == kNoWire)
             fail("gate reads an undefined wire (not topologically sorted)");
@@ -163,11 +146,7 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
 
     if (lints != nullptr) {
         const CircuitLintReport rep = analyzeNetlist(nl);
-        for (const CircuitDiag &d : rep.diags)
-            lints->diags.push_back(d);
-        lints->errors += rep.errors;
-        lints->warnings += rep.warnings;
-        lints->notes += rep.notes;
+        lints->merge(rep);
         lints->cost = rep.cost;
     }
     return nl;

@@ -16,7 +16,7 @@
  * wire written twice silently retargets later readers (last definition
  * wins in the wire map), which surfaces as a MultiplyDriven error
  * diagnostic. Lints are *attached, not enforced* — parsing succeeds so
- * callers (the server admission gate, haac_netlint) decide the
+ * callers (the server admission gate, haac_lint netlist) decide the
  * policy; only unrecoverable text-level failures still throw.
  */
 #ifndef HAAC_CIRCUIT_BRISTOL_H

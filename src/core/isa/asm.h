@@ -91,7 +91,7 @@ struct AsmResult
      * source lines mapped in. Populated only when `ok`; never flips
      * `ok` — see the file comment.
      */
-    std::vector<LintDiag> lints;
+    std::vector<Diagnostic> lints;
 };
 
 /** Parse assembly text. Never throws; errors land in AsmResult. */

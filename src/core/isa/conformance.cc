@@ -197,11 +197,11 @@ checkConformance(const HaacProgram &prog, const HaacConfig &cfg,
     lint.streams = &streams;
     const LintReport lrep = verifyProgram(prog, lint);
     if (!lrep.clean()) {
-        for (const LintDiag &d : lrep.diags) {
-            if (d.severity != LintSeverity::Error)
+        for (const Diagnostic &d : lrep.diags) {
+            if (d.severity != Severity::Error)
                 continue;
             res.error = "verifier: error[" +
-                        std::string(lintCodeName(d.code)) +
+                        std::string(diagCodeName(d.code)) +
                         "]: " + d.message;
             break;
         }
@@ -503,10 +503,10 @@ runAsmCase(const std::string &path, const HaacConfig &cfg)
     lint.instrLines = &parsed.instrLines;
     const LintReport lrep = verifyProgram(parsed.prog, lint);
     if (!lrep.clean()) {
-        for (const LintDiag &d : lrep.diags) {
-            if (d.severity != LintSeverity::Error)
+        for (const Diagnostic &d : lrep.diags) {
+            if (d.severity != Severity::Error)
                 continue;
-            res.error = formatDiag(d, path);
+            res.error = formatDiagnostic(d, path);
             break;
         }
         return res;

@@ -11,109 +11,6 @@
 
 namespace haac {
 
-const char *
-lintCodeName(LintCode code)
-{
-    switch (code) {
-      case LintCode::SentinelOperand:
-        return "sentinel-operand";
-      case LintCode::UseBeforeDef:
-        return "use-before-def";
-      case LintCode::NopOutputRead:
-        return "nop-output-read";
-      case LintCode::TweakReuse:
-        return "tweak-reuse";
-      case LintCode::InputSplit:
-        return "input-split";
-      case LintCode::ConstOne:
-        return "const-one";
-      case LintCode::UndefinedOutput:
-        return "undefined-output";
-      case LintCode::OutputNotLive:
-        return "output-not-live";
-      case LintCode::DroppedLiveBit:
-        return "dropped-live-bit";
-      case LintCode::StreamCoverage:
-        return "stream-coverage";
-      case LintCode::StreamOorMismatch:
-        return "stream-oor-mismatch";
-      case LintCode::StreamTableCount:
-        return "stream-table-count";
-      case LintCode::ShardManifestBad:
-        return "shard-manifest";
-      case LintCode::ShardImportMissing:
-        return "shard-import-missing";
-      case LintCode::ShardExportMissing:
-        return "shard-export-missing";
-      case LintCode::ShardExportDead:
-        return "shard-export-dead";
-      case LintCode::LivenessWaste:
-        return "liveness-waste";
-      case LintCode::NoncanonicalOperand:
-        return "noncanonical-operand";
-      case LintCode::StrayTweak:
-        return "stray-tweak";
-      case LintCode::ShardImportUnused:
-        return "shard-import-unused";
-      case LintCode::ShardExportUnused:
-        return "shard-export-unused";
-    }
-    return "?";
-}
-
-const char *
-lintSeverityName(LintSeverity sev)
-{
-    switch (sev) {
-      case LintSeverity::Error:
-        return "error";
-      case LintSeverity::Warning:
-        return "warning";
-      case LintSeverity::Note:
-        return "note";
-    }
-    return "?";
-}
-
-std::string
-LintReport::summary() const
-{
-    std::ostringstream os;
-    os << errors << (errors == 1 ? " error, " : " errors, ") << warnings
-       << (warnings == 1 ? " warning" : " warnings");
-    if (notes > 0)
-        os << ", " << notes << (notes == 1 ? " note" : " notes");
-    return os.str();
-}
-
-std::string
-LintReport::firstError() const
-{
-    for (const LintDiag &d : diags)
-        if (d.severity == LintSeverity::Error)
-            return d.message;
-    return "";
-}
-
-std::string
-formatDiag(const LintDiag &diag, const std::string &file)
-{
-    std::ostringstream os;
-    if (!file.empty()) {
-        os << file << ':';
-        if (diag.line > 0)
-            os << diag.line << ':';
-        os << ' ';
-    } else if (diag.line > 0) {
-        os << "line " << diag.line << ": ";
-    }
-    os << lintSeverityName(diag.severity) << '['
-       << lintCodeName(diag.code) << "]: " << diag.message;
-    if (diag.instr != kNoLintInstr && diag.line == 0)
-        os << " (instruction #" << diag.instr << ')';
-    return os.str();
-}
-
 namespace {
 
 /** Accumulates diagnostics and the summary counters. */
@@ -126,57 +23,39 @@ struct Linter
     uint32_t
     lineOf(uint32_t instr) const
     {
-        if (opts.instrLines == nullptr || instr == kNoLintInstr ||
+        if (opts.instrLines == nullptr || instr == kNoSite ||
             instr >= opts.instrLines->size())
             return 0;
         return (*opts.instrLines)[instr];
     }
 
     void
-    emit(LintCode code, LintSeverity sev, uint32_t instr, uint32_t addr,
+    emit(DiagCode code, Severity sev, uint32_t instr, uint32_t addr,
          std::string msg)
     {
-        if (sev != LintSeverity::Error && !opts.warnings)
+        if (sev != Severity::Error && !opts.warnings)
             return;
-        LintDiag d;
-        d.code = code;
-        d.severity = sev;
-        d.instr = instr;
-        d.addr = addr;
-        d.line = lineOf(instr);
-        d.message = std::move(msg);
-        switch (sev) {
-          case LintSeverity::Error:
-            ++rep.errors;
-            break;
-          case LintSeverity::Warning:
-            ++rep.warnings;
-            break;
-          case LintSeverity::Note:
-            ++rep.notes;
-            break;
-        }
-        rep.diags.push_back(std::move(d));
+        rep.add({code, sev, instr, addr, lineOf(instr), std::move(msg)});
     }
 
     void
-    error(LintCode code, uint32_t instr, uint32_t addr, std::string msg)
+    error(DiagCode code, uint32_t instr, uint32_t addr, std::string msg)
     {
-        emit(code, LintSeverity::Error, instr, addr, std::move(msg));
+        emit(code, Severity::Error, instr, addr, std::move(msg));
     }
 
     void
-    warn(LintCode code, uint32_t instr, uint32_t addr, std::string msg)
+    warn(DiagCode code, uint32_t instr, uint32_t addr, std::string msg)
     {
-        emit(code, LintSeverity::Warning, instr, addr, std::move(msg));
+        emit(code, Severity::Warning, instr, addr, std::move(msg));
     }
 
-    /** Producer instruction index of @p addr, or kNoLintInstr. */
+    /** Producer instruction index of @p addr, or kNoSite. */
     uint32_t
     producerOf(uint32_t addr) const
     {
         if (addr <= prog.numInputs || addr >= prog.numAddrs())
-            return kNoLintInstr;
+            return kNoSite;
         return addr - prog.numInputs - 1;
     }
 
@@ -184,7 +63,7 @@ struct Linter
     isNopOutput(uint32_t addr) const
     {
         const uint32_t p = producerOf(addr);
-        return p != kNoLintInstr && prog.instrs[p].op == HaacOp::Nop;
+        return p != kNoSite && prog.instrs[p].op == HaacOp::Nop;
     }
 
     // --- structural checks (window-independent) ---------------------
@@ -200,23 +79,23 @@ struct Linter
                << " garbler + " << prog.numEvaluatorInputs
                << " evaluator does not fit " << prog.numInputs
                << " input wires (at most one extra, the constant one)";
-            error(LintCode::InputSplit, kNoLintInstr, kOorAddr,
+            error(DiagCode::InputSplit, kNoSite, kOorAddr,
                   os.str());
             return;
         }
         const bool slot = prog.numInputs == parties + 1;
         if (slot && prog.constOneAddr == kOorAddr) {
-            error(LintCode::ConstOne, kNoLintInstr, kOorAddr,
+            error(DiagCode::ConstOne, kNoSite, kOorAddr,
                   "the input count implies a constant-one wire at w" +
                       std::to_string(prog.numInputs) +
                       " but constOneAddr is unset");
         } else if (!slot && prog.constOneAddr != kOorAddr) {
-            error(LintCode::ConstOne, kNoLintInstr, prog.constOneAddr,
+            error(DiagCode::ConstOne, kNoSite, prog.constOneAddr,
                   "constOneAddr is w" +
                       std::to_string(prog.constOneAddr) +
                       " but every input wire belongs to a party");
         } else if (slot && prog.constOneAddr != prog.numInputs) {
-            error(LintCode::ConstOne, kNoLintInstr, prog.constOneAddr,
+            error(DiagCode::ConstOne, kNoSite, prog.constOneAddr,
                   "the constant-one wire must be the last input (w" +
                       std::to_string(prog.numInputs) + "), not w" +
                       std::to_string(prog.constOneAddr));
@@ -229,7 +108,7 @@ struct Linter
     {
         const uint32_t out = prog.outputAddrOf(size_t(k));
         if (addr == kOorAddr) {
-            error(LintCode::SentinelOperand, k, addr,
+            error(DiagCode::SentinelOperand, k, addr,
                   std::string("operand ") + which +
                       " is the reserved OoRW sentinel w0 (the stream "
                       "generator owns that rewrite)");
@@ -244,7 +123,7 @@ struct Linter
                << (addr == out ? " (self-reference)"
                                : " (forward reference breaks "
                                  "dependence acyclicity)");
-            error(LintCode::UseBeforeDef, k, addr, os.str());
+            error(DiagCode::UseBeforeDef, k, addr, os.str());
             return;
         }
         if (isNopOutput(addr)) {
@@ -253,7 +132,7 @@ struct Linter
                << ", the output of NOP instruction #"
                << producerOf(addr)
                << " — the machine never writes that wire";
-            error(LintCode::NopOutputRead, k, addr, os.str());
+            error(DiagCode::NopOutputRead, k, addr, os.str());
         }
     }
 
@@ -274,7 +153,7 @@ struct Linter
                 os << opName(ins.op) << " carries b=w" << ins.b
                    << " instead of the canonical copy of a=w" << ins.a
                    << " (breaks listing round-trip equality)";
-                warn(LintCode::NoncanonicalOperand, k, ins.b, os.str());
+                warn(DiagCode::NoncanonicalOperand, k, ins.b, os.str());
             }
             if (ins.op == HaacOp::And) {
                 const auto it = tweakOwner.find(ins.tweak);
@@ -284,7 +163,7 @@ struct Linter
                        << " already used by instruction #" << it->second
                        << " — reuse collapses the correlation-robust "
                           "hash tweak domain (security error)";
-                    error(LintCode::TweakReuse, k, kOorAddr, os.str());
+                    error(DiagCode::TweakReuse, k, kOorAddr, os.str());
                 } else {
                     tweakOwner.emplace(ins.tweak, k);
                 }
@@ -292,7 +171,7 @@ struct Linter
                 std::ostringstream os;
                 os << opName(ins.op) << " carries tweak " << ins.tweak
                    << " but only AND instructions consume tweaks";
-                warn(LintCode::StrayTweak, k, kOorAddr, os.str());
+                warn(DiagCode::StrayTweak, k, kOorAddr, os.str());
             }
         }
     }
@@ -307,7 +186,7 @@ struct Linter
                 os << "program output " << i << " is w" << o
                    << ", outside the defined address space [1, "
                    << prog.numAddrs() - 1 << "]";
-                error(LintCode::UndefinedOutput, kNoLintInstr, o,
+                error(DiagCode::UndefinedOutput, kNoSite, o,
                       os.str());
                 continue;
             }
@@ -317,7 +196,7 @@ struct Linter
                    << ", the output of NOP instruction #"
                    << producerOf(o)
                    << " — the machine never writes that wire";
-                error(LintCode::NopOutputRead, producerOf(o), o,
+                error(DiagCode::NopOutputRead, producerOf(o), o,
                       os.str());
             }
         }
@@ -342,7 +221,7 @@ struct Linter
                 if (addr >= base)
                     return;
                 const uint32_t p = producerOf(addr);
-                if (p == kNoLintInstr)
+                if (p == kNoSite)
                     return; // primary inputs are always resident
                 offWindowRead[p] = true;
                 if (!prog.instrs[p].live) {
@@ -353,7 +232,7 @@ struct Linter
                        << " is not marked live — the wire is never "
                           "spilled and the OoRW replay has nothing to "
                           "pop";
-                    error(LintCode::DroppedLiveBit, k, addr, os.str());
+                    error(DiagCode::DroppedLiveBit, k, addr, os.str());
                 }
             };
             // Only valid backward references participate; structural
@@ -368,7 +247,7 @@ struct Linter
         for (size_t i = 0; i < prog.outputs.size(); ++i) {
             const uint32_t o = prog.outputs[i];
             const uint32_t p = producerOf(o);
-            if (p == kNoLintInstr)
+            if (p == kNoSite)
                 continue; // input-addressed outputs decode directly
             justified[p] = true;
             if (prog.instrs[p].op != HaacOp::Nop &&
@@ -378,7 +257,7 @@ struct Linter
                    << ") is produced by instruction #" << p
                    << " which is not marked live — the decode reads "
                       "spilled labels from DRAM";
-                error(LintCode::OutputNotLive, p, o, os.str());
+                error(DiagCode::OutputNotLive, p, o, os.str());
             }
         }
 
@@ -387,7 +266,7 @@ struct Linter
             for (const auto &exp : opts.shards->exports)
                 for (uint32_t addr : exp) {
                     const uint32_t p = producerOf(addr);
-                    if (p != kNoLintInstr)
+                    if (p != kNoSite)
                         justified[p] = true;
                 }
         }
@@ -404,7 +283,7 @@ struct Linter
                << " buys nothing: no instruction reads it off-window "
                   "and it is not a program output — "
                << kLabelBytes << " bytes of avoidable DRAM traffic";
-            warn(LintCode::LivenessWaste, k, prog.outputAddrOf(size_t(k)),
+            warn(DiagCode::LivenessWaste, k, prog.outputAddrOf(size_t(k)),
                  os.str());
         }
         if (wasted > 0 && opts.warnings) {
@@ -413,8 +292,8 @@ struct Linter
                << (wasted == 1 ? "" : "s") << " = " << rep.wasteBytes
                << " bytes of avoidable DRAM write traffic at "
                << opts.swwWires << "-wire SWW";
-            emit(LintCode::LivenessWaste, LintSeverity::Note,
-                 kNoLintInstr, kOorAddr, os.str());
+            emit(DiagCode::LivenessWaste, Severity::Note,
+                 kNoSite, kOorAddr, os.str());
         }
     }
 
@@ -429,7 +308,7 @@ struct Linter
             std::ostringstream os;
             os << "StreamSet::geOf has " << set.geOf.size()
                << " entries for " << n << " instructions";
-            error(LintCode::StreamCoverage, kNoLintInstr, kOorAddr,
+            error(DiagCode::StreamCoverage, kNoSite, kOorAddr,
                   os.str());
             return;
         }
@@ -441,7 +320,7 @@ struct Linter
                 os << "ge" << g << " carries " << ge.instrs.size()
                    << " local instructions for " << ge.instrIdx.size()
                    << " stream slots";
-                error(LintCode::StreamCoverage, kNoLintInstr, kOorAddr,
+                error(DiagCode::StreamCoverage, kNoSite, kOorAddr,
                       os.str());
                 continue;
             }
@@ -454,7 +333,7 @@ struct Linter
                     os << "ge" << g << " stream slot " << pos
                        << " names instruction #" << idx
                        << ", past the program end";
-                    error(LintCode::StreamCoverage, kNoLintInstr,
+                    error(DiagCode::StreamCoverage, kNoSite,
                           kOorAddr, os.str());
                     continue;
                 }
@@ -464,7 +343,7 @@ struct Linter
                     os << "instruction #" << idx << " streams on ge"
                        << g << " but geOf maps it to ge"
                        << unsigned(set.geOf[idx]);
-                    error(LintCode::StreamCoverage, idx, kOorAddr,
+                    error(DiagCode::StreamCoverage, idx, kOorAddr,
                           os.str());
                 }
                 const HaacInstruction &orig = prog.instrs[idx];
@@ -489,7 +368,7 @@ struct Linter
                            << "' but the window discipline requires '"
                            << opName(expect.op) << " w" << expect.a
                            << ", w" << expect.b << "'";
-                        error(LintCode::StreamOorMismatch, idx,
+                        error(DiagCode::StreamOorMismatch, idx,
                               kOorAddr, os.str());
                     }
                 }
@@ -510,7 +389,7 @@ struct Linter
                     os << " (first divergence at pop " << i
                        << ": stream has w" << ge.oorAddrs[i]
                        << ", expected w" << expectOor[i] << ")";
-                error(LintCode::StreamOorMismatch, kNoLintInstr,
+                error(DiagCode::StreamOorMismatch, kNoSite,
                       kOorAddr, os.str());
             }
             if (tables != ge.tableCount) {
@@ -518,7 +397,7 @@ struct Linter
                 os << "ge" << g << " declares " << ge.tableCount
                    << " table-queue entries but streams " << tables
                    << " AND instructions";
-                error(LintCode::StreamTableCount, kNoLintInstr,
+                error(DiagCode::StreamTableCount, kNoSite,
                       kOorAddr, os.str());
             }
         }
@@ -528,7 +407,7 @@ struct Linter
             std::ostringstream os;
             os << "instruction #" << idx << " appears " << seen[idx]
                << " times across the GE streams (must be exactly once)";
-            error(LintCode::StreamCoverage, uint32_t(idx), kOorAddr,
+            error(DiagCode::StreamCoverage, uint32_t(idx), kOorAddr,
                   os.str());
         }
     }
@@ -547,7 +426,7 @@ struct Linter
                << " import lists, " << man.exports.size()
                << " export lists, " << man.shardOfInstr.size()
                << " instruction owners for " << n << " instructions";
-            error(LintCode::ShardManifestBad, kNoLintInstr, kOorAddr,
+            error(DiagCode::ShardManifestBad, kNoSite, kOorAddr,
                   os.str());
             return;
         }
@@ -560,11 +439,11 @@ struct Linter
         for (size_t s = 0; s < m; ++s) {
             for (uint32_t addr : man.exports[s]) {
                 const uint32_t p = producerOf(addr);
-                if (p == kNoLintInstr) {
+                if (p == kNoSite) {
                     std::ostringstream os;
                     os << "shard " << s << " exports w" << addr
                        << ", which no instruction produces";
-                    error(LintCode::ShardManifestBad, kNoLintInstr,
+                    error(DiagCode::ShardManifestBad, kNoSite,
                           addr, os.str());
                     continue;
                 }
@@ -574,7 +453,7 @@ struct Linter
                        << " but its producer #" << p
                        << " belongs to shard "
                        << unsigned(man.shardOfInstr[p]);
-                    error(LintCode::ShardManifestBad, p, addr,
+                    error(DiagCode::ShardManifestBad, p, addr,
                           os.str());
                     continue;
                 }
@@ -584,7 +463,7 @@ struct Linter
                        << " but its producer #" << p
                        << " is not marked live — the importing shard "
                           "fetches it from DRAM";
-                    error(LintCode::ShardExportDead, p, addr,
+                    error(DiagCode::ShardExportDead, p, addr,
                           os.str());
                 }
             }
@@ -600,7 +479,7 @@ struct Linter
                 if (addr == kOorAddr || addr >= out)
                     return; // structural errors already reported
                 const uint32_t p = producerOf(addr);
-                if (p == kNoLintInstr)
+                if (p == kNoSite)
                     return; // inputs are resident on every shard
                 const uint8_t ps = man.shardOfInstr[p];
                 if (ps == s)
@@ -611,7 +490,7 @@ struct Linter
                        << " reads w" << addr << " from shard "
                        << unsigned(ps) << " but shard " << unsigned(s)
                        << " does not list it as an import";
-                    error(LintCode::ShardImportMissing, k, addr,
+                    error(DiagCode::ShardImportMissing, k, addr,
                           os.str());
                 } else {
                     importUsed[s].push_back(addr);
@@ -622,7 +501,7 @@ struct Linter
                        << unsigned(ps) << " to shard " << unsigned(s)
                        << " but shard " << unsigned(ps)
                        << " does not list it as an export";
-                    error(LintCode::ShardExportMissing, k, addr,
+                    error(DiagCode::ShardExportMissing, k, addr,
                           os.str());
                 } else {
                     exportUsed[ps].push_back(addr);
@@ -647,7 +526,7 @@ struct Linter
                 os << "shard " << s << " imports w" << addr
                    << " but no instruction of shard " << s
                    << " reads it across the boundary";
-                warn(LintCode::ShardImportUnused, kNoLintInstr, addr,
+                warn(DiagCode::ShardImportUnused, kNoSite, addr,
                      os.str());
             }
             for (uint32_t addr : man.exports[s]) {
@@ -656,7 +535,7 @@ struct Linter
                 std::ostringstream os;
                 os << "shard " << s << " exports w" << addr
                    << " but no other shard imports it";
-                warn(LintCode::ShardExportUnused, kNoLintInstr, addr,
+                warn(DiagCode::ShardExportUnused, kNoSite, addr,
                      os.str());
             }
         }

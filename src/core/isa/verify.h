@@ -47,91 +47,22 @@
  *    the producer's export list, and every export must be live (the
  *    consuming shard fetches it from DRAM).
  *
- * Diagnostics are structured (stable code, severity, instruction
- * index, source line when the caller has one) so the compiler, the
- * assembler, the conformance harness, haac_dbg, and the haac_lint CLI
- * all report through one vocabulary. The code table is documented in
- * docs/ARCHITECTURE.md.
+ * Findings are Diagnostics (circuit/diagnostic.h): the site is the
+ * instruction index and the line comes from the caller's source map,
+ * when it has one.
  */
 #ifndef HAAC_CORE_ISA_VERIFY_H
 #define HAAC_CORE_ISA_VERIFY_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "circuit/diagnostic.h"
 #include "core/isa/program.h"
 
 namespace haac {
 
 struct StreamSet; // core/compiler/streams.h
-
-/** Severity of one lint diagnostic. */
-enum class LintSeverity
-{
-    Error,   ///< the program will diverge, crash, or leak — reject it
-    Warning, ///< legal but wasteful or fragile
-    Note,    ///< context attached to a preceding diagnostic
-};
-
-/**
- * Stable diagnostic codes. The enumerator order is the severity-major
- * order used in docs/ARCHITECTURE.md; lintCodeName() gives the
- * kebab-case spelling tools print and tests grep for.
- */
-enum class LintCode
-{
-    // --- errors -----------------------------------------------------
-    SentinelOperand,   ///< operand is w0, the reserved OoRW sentinel
-    UseBeforeDef,      ///< operand at/after its own output (also: cycle)
-    NopOutputRead,     ///< operand or output reads a NOP's output wire
-    TweakReuse,        ///< two ANDs share a Half-Gate tweak (security)
-    InputSplit,        ///< garbler+evaluator counts don't fit numInputs
-    ConstOne,          ///< .const_one discipline violated
-    UndefinedOutput,   ///< program output w0 or past the address space
-    OutputNotLive,     ///< program output's producer is not live
-    DroppedLiveBit,    ///< off-window read of a dead producer
-    StreamCoverage,    ///< GE streams don't partition the program
-    StreamOorMismatch, ///< OoRW rewrite/pop order wrong for the window
-    StreamTableCount,  ///< per-GE table count != its AND count
-    ShardManifestBad,  ///< manifest malformed (sizes, ownership)
-    ShardImportMissing,///< cross-shard read absent from consumer imports
-    ShardExportMissing,///< cross-shard read absent from producer exports
-    ShardExportDead,   ///< exported wire's producer is not live
-    // --- warnings ---------------------------------------------------
-    LivenessWaste,     ///< live bit nobody reads off-window (DRAM waste)
-    NoncanonicalOperand,///< NOT/NOP with b != a (breaks round-trip ==)
-    StrayTweak,        ///< non-zero tweak on a non-AND instruction
-    ShardImportUnused, ///< import entry no instruction justifies
-    ShardExportUnused, ///< export entry no other shard imports
-};
-
-/** Kebab-case code name, e.g. "tweak-reuse". */
-const char *lintCodeName(LintCode code);
-
-/** "error" / "warning" / "note". */
-const char *lintSeverityName(LintSeverity sev);
-
-/** Sentinel for diagnostics that are not tied to one instruction. */
-inline constexpr uint32_t kNoLintInstr = ~uint32_t(0);
-
-/** One structured finding. */
-struct LintDiag
-{
-    LintCode code = LintCode::UseBeforeDef;
-    LintSeverity severity = LintSeverity::Error;
-
-    /** Instruction index, or kNoLintInstr for program-scope findings. */
-    uint32_t instr = kNoLintInstr;
-
-    /** Wire address involved (kOorAddr when not applicable). */
-    uint32_t addr = kOorAddr;
-
-    /** 1-based .haac source line when the caller supplied a map. */
-    uint32_t line = 0;
-
-    std::string message;
-};
 
 /**
  * Shard import/export manifest in verifier-neutral form, so core/isa
@@ -172,24 +103,11 @@ struct LintOptions
     const std::vector<uint32_t> *instrLines = nullptr;
 };
 
-struct LintReport
+/** The verifier's findings plus the liveness-waste total. */
+struct LintReport : DiagReport
 {
-    std::vector<LintDiag> diags;
-    uint32_t errors = 0;
-    uint32_t warnings = 0;
-    uint32_t notes = 0;
-
     /** Avoidable DRAM write traffic from liveness waste, in bytes. */
     uint64_t wasteBytes = 0;
-
-    /** No errors (warnings allowed). */
-    bool clean() const { return errors == 0; }
-
-    /** "2 errors, 1 warning" (never empty). */
-    std::string summary() const;
-
-    /** First error's message, or "" when clean. */
-    std::string firstError() const;
 };
 
 /**
@@ -199,14 +117,6 @@ struct LintReport
  */
 LintReport verifyProgram(const HaacProgram &prog,
                          const LintOptions &opts = LintOptions{});
-
-/**
- * One diagnostic as a compiler-style line:
- * "file.haac:12: error[tweak-reuse]: ..." (file and line elided when
- * unknown; instruction index appended as "#k" when known).
- */
-std::string formatDiag(const LintDiag &diag,
-                       const std::string &file = std::string());
 
 } // namespace haac
 

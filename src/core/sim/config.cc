@@ -1,5 +1,7 @@
 #include "core/sim/config.h"
 
+#include <limits>
+
 namespace haac {
 
 double
@@ -12,6 +14,32 @@ dramBytesPerCycle(DramKind kind)
         return 512.0;
     }
     return 35.2;
+}
+
+std::string
+HaacConfig::check() const
+{
+    constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+    if (numGes == 0)
+        return "numGes must be at least 1";
+    if (banksPerGe == 0)
+        return "banksPerGe must be at least 1";
+    if (uint64_t(numGes) * banksPerGe > kMax32)
+        return "numGes x banksPerGe overflows 32 bits";
+    if (swwBytes / kLabelBytes < 2)
+        return "swwBytes must hold at least 2 labels";
+    if (swwBytes / kLabelBytes > kMax32)
+        return "swwBytes holds more than 2^32 - 1 labels";
+    if (writeBufferBytes == 0)
+        return "writeBufferBytes must be non-zero";
+    // Negated so NaN fails too.
+    if (!(dramBandwidthScale > 0 && dramBandwidthScale <= 1))
+        return "dramBandwidthScale must be in (0, 1]";
+    if (dram != DramKind::Ddr4 && dram != DramKind::Hbm2)
+        return "unknown DRAM kind";
+    if (role != Role::Garbler && role != Role::Evaluator)
+        return "unknown role";
+    return "";
 }
 
 } // namespace haac

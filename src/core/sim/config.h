@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "crypto/label.h"
 
@@ -74,6 +75,19 @@ struct HaacConfig
     uint32_t evaluatorHalfGateStages = 18;
     uint32_t xorStages = 1;
     /// @}
+
+    /**
+     * Validate what the engine divides by, waits on or multiplies:
+     * at least one GE and one bank per GE with the bank count in 32
+     * bits, an SWW of at least two labels (the window slides in
+     * halves) whose wire count fits 32 bits, a non-empty write
+     * buffer, a bandwidth share in (0, 1], and known DRAM and role
+     * kinds. Configs from a peer (shard Job frames) or the command
+     * line must pass before they reach the engine.
+     *
+     * @return empty string if valid, else the first violation.
+     */
+    std::string check() const;
 
     /** SWW capacity in wires (one label + valid bit per slot). */
     uint32_t swwWires() const { return uint32_t(swwBytes / kLabelBytes); }

@@ -1,47 +1,17 @@
 #include "serve/component_pool.h"
 
-#include <algorithm>
-
-#include "crypto/prg.h"
-
 namespace haac {
 namespace serve {
-
-ComponentPool::ComponentPool(const PoolOptions &opts) : opts_(opts)
-{
-    if (opts_.depth == 0)
-        opts_.depth = 1;
-    if (opts_.threads == 0)
-        opts_.threads = 1;
-    fillers_.reserve(opts_.threads);
-    for (size_t i = 0; i < opts_.threads; ++i)
-        fillers_.emplace_back([this] { fillerLoop(); });
-}
-
-ComponentPool::~ComponentPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    work_.notify_all();
-    for (std::thread &t : fillers_)
-        t.join();
-}
 
 void
 ComponentPool::track(const chain::ComponentSpec &spec)
 {
     if (!spec.check().empty())
         return; // unbuildable specs can't be pooled
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::string key = spec.name();
-        if (specs_.count(key) != 0)
-            return;
-        specs_.emplace(key, SpecQueue{spec, {}, 0, true});
-    }
-    work_.notify_all();
+    PrebuiltPool::track(spec.name(), [spec](uint64_t seed) {
+        return std::make_unique<chain::GarbledComponent>(
+            chain::captureComponent(spec, seed));
+    });
 }
 
 void
@@ -49,53 +19,6 @@ ComponentPool::trackPlan(const chain::ChainPlan &plan)
 {
     for (const chain::ComponentSpec &spec : plan.nodes)
         track(spec);
-}
-
-std::unique_ptr<chain::GarbledComponent>
-ComponentPool::tryPop(const chain::ComponentSpec &spec)
-{
-    std::unique_ptr<chain::GarbledComponent> comp;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = specs_.find(spec.name());
-        if (it == specs_.end() || it->second.ready.empty()) {
-            ++misses_;
-            return nullptr;
-        }
-        comp = std::move(it->second.ready.front());
-        it->second.ready.pop_front();
-        ++hits_;
-    }
-    work_.notify_all(); // the queue just got needy
-    return comp;
-}
-
-void
-ComponentPool::prewarm()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    full_.wait(lock, [this] {
-        if (stop_)
-            return true;
-        for (const auto &kv : specs_)
-            if (kv.second.ready.size() < opts_.depth)
-                return false;
-        return true;
-    });
-}
-
-PoolStats
-ComponentPool::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    PoolStats s;
-    s.produced = produced_;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.tracked = specs_.size();
-    for (const auto &kv : specs_)
-        s.ready += kv.second.ready.size();
-    return s;
 }
 
 chain::ComponentProvider
@@ -110,63 +33,6 @@ ComponentPool::provider()
                 chain::captureComponent(spec, randomSeed()));
         return acq;
     };
-}
-
-void
-ComponentPool::fillerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        // Same refill policy as GarblePool::fillerLoop: needy while
-        // filling toward depth, quiet once full until the queue
-        // drains below the low-water trigger.
-        auto needy = [this](SpecQueue &q) {
-            const size_t level = q.ready.size() + q.inflight;
-            if (level >= opts_.depth) {
-                q.filling = false;
-                return false;
-            }
-            if (!q.filling) {
-                const size_t low =
-                    std::min(opts_.lowWater, opts_.depth);
-                if (low != 0 && level >= low)
-                    return false;
-                q.filling = true;
-            }
-            return true;
-        };
-        SpecQueue *target = nullptr;
-        work_.wait(lock, [&] {
-            if (stop_)
-                return true;
-            for (auto &kv : specs_) {
-                if (needy(kv.second)) {
-                    target = &kv.second;
-                    return true;
-                }
-            }
-            return false;
-        });
-        if (stop_)
-            return;
-
-        ++target->inflight;
-        const uint64_t seed = opts_.seedBase != 0
-                                  ? opts_.seedBase + nextSeedOffset_++
-                                  : randomSeed();
-        // The spec is tiny; copy it out so garbling runs unlocked.
-        // `target` stays valid across the unlock because specs are
-        // never untracked.
-        const chain::ComponentSpec spec = target->spec;
-        lock.unlock();
-        auto comp = std::make_unique<chain::GarbledComponent>(
-            chain::captureComponent(spec, seed));
-        lock.lock();
-        --target->inflight;
-        ++produced_;
-        target->ready.push_back(std::move(comp));
-        full_.notify_all();
-    }
 }
 
 } // namespace serve

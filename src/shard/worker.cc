@@ -85,6 +85,9 @@ runShardWorkerLoop(Transport &transport)
             summary.instructions += job_instructions;
             job_instructions = 0;
             job = decodeJob(frame);
+            const std::string bad_config = job->config.check();
+            if (!bad_config.empty())
+                throw NetError("shard job: " + bad_config);
             if (job->streams.ge.size() != job->config.numGes)
                 throw NetError(
                     "shard job: config expects " +

@@ -1,8 +1,8 @@
-# Golden run of the lint CLIs: every command below must print the same
+# Golden run of the lint CLI: every command below must print the same
 # diagnostics, tally, JSON and exit code it printed when the digests
 # were recorded. Run as a ctest (see CMakeLists.txt) or by hand:
 #
-#   cmake -DLINT=build/haac_lint -DNETLINT=build/haac_netlint \
+#   cmake -DLINT=build/haac_lint -DDBG=build/haac_dbg \
 #         -DSRC=. -DOUT=build/lint_cli -P tests/lint_cli.cmake
 #
 # Commands run from SRC with relative paths, so the output does not
@@ -83,17 +83,30 @@ lint_case(isa_no_esw 0
   "${LINT}" --no-esw --workload Hamm)
 
 # The CI circuit-analyzer step, and the pre-optimizer netlists, which
-# carry dead-gate and duplicate-gate findings.
+# carry dead-gate and duplicate-gate findings. These goldens were
+# recorded with the standalone haac_netlint tool; only the tally's
+# program name changed when it became haac_lint's netlist mode.
 lint_case(netlist_gate 0
   5230a4cf684e040cb5816d1c4ef1a5dec4f6e2158a0fd24a735501d9e5a972ce
-  "haac_netlint: 16 targets, 0 errors, 0 warnings — ok"
+  "haac_lint: 16 targets, 0 errors, 0 warnings — ok"
   cac4119c4d8c2922ce43bcc52a6e10b567eac2d06bc19687bbf08f9ed22c9afa
-  "${NETLINT}" --all-workloads --chains --Werror --json @JSON@)
+  "${LINT}" netlist --all-workloads --chains --Werror --json @JSON@)
 lint_case(netlist_raw 0
   ee52115b94fcfaf5b9fcd11d83e6b55557b6185acc00e29490b179791849515e
-  "haac_netlint: 8 targets, 0 errors, 27818 warnings — ok"
+  "haac_lint: 8 targets, 0 errors, 27818 warnings — ok"
   3a6b49095b9aadd3156344ced69e8af15b3731a3065935e4485e66147bb34508
-  "${NETLINT}" --raw --all-workloads --json @JSON@)
+  "${LINT}" netlist --raw --all-workloads --json @JSON@)
+
+# Usage errors exit 2 with a message: bad numbers, machine configs the
+# simulator cannot run, and a flag from the other mode.
+lint_case(bad_number 2 - - - "${LINT}" --sww-wires abc x.haac)
+lint_case(zero_ges 2 - - -
+  "${LINT}" --streams --ges 0 tests/asm/adder4.haac)
+lint_case(one_wire_sww 2 - - - "${LINT}" --sww-wires 1 tests/asm/adder4.haac)
+lint_case(isa_flag_in_netlist 2 - - - "${LINT}" netlist --streams --chains)
+lint_case(netlist_flag_in_isa 2 - - - "${LINT}" --raw --all-workloads)
+lint_case(dbg_zero_ges 2 - - - "${DBG}" --workload Hamm --ges 0 --batch)
+lint_case(dbg_bad_number 2 - - - "${DBG}" --workload Hamm --banks x --batch)
 
 get_property(failures GLOBAL PROPERTY lint_cli_failures)
 if(failures)

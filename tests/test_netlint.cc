@@ -57,10 +57,10 @@ tinyPlan()
 }
 
 uint32_t
-countCode(const CircuitLintReport &rep, CircuitLintCode code)
+countCode(const CircuitLintReport &rep, DiagCode code)
 {
     uint32_t n = 0;
-    for (const CircuitDiag &d : rep.diags)
+    for (const Diagnostic &d : rep.diags)
         n += d.code == code ? 1 : 0;
     return n;
 }
@@ -126,13 +126,13 @@ TEST(Netlint, CanaryDeadGateIsCaught)
 
     const CircuitLintReport rep = analyzeNetlist(nl);
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::DeadGate));
-    EXPECT_EQ(countCode(rep, CircuitLintCode::DeadGate), 1u);
+    EXPECT_TRUE(rep.has(DiagCode::DeadGate));
+    EXPECT_EQ(countCode(rep, DiagCode::DeadGate), 1u);
 
     // The optimizer drops it; the analyzer then has nothing to say —
     // the referee agrees with the pass it referees.
     const CircuitLintReport after = analyzeNetlist(optimizeNetlist(nl));
-    EXPECT_FALSE(after.has(CircuitLintCode::DeadGate));
+    EXPECT_FALSE(after.has(DiagCode::DeadGate));
 }
 
 // ---------------------------------------------------------------------
@@ -145,7 +145,7 @@ TEST(Netlint, CanaryPlanPortWidthMismatchIsCaught)
     plan.sources[0].pop_back(); // 7 sources for an 8-bit ADD:4
     const CircuitLintReport rep = analyzeChainPlan(plan);
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::PortWidthMismatch));
+    EXPECT_TRUE(rep.has(DiagCode::PortWidthMismatch));
     // ChainPlan::check() is the same analysis, first error only.
     EXPECT_EQ(plan.check(), rep.firstError());
     EXPECT_NE(plan.check(), "");
@@ -164,7 +164,7 @@ TEST(Netlint, CanaryCombinationalCycleIsCaught)
     nl.gates[0].a = nl.outputWireOf(0); // gate 0 reads its own output
     const CircuitLintReport rep = analyzeNetlist(nl);
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::UseBeforeDef));
+    EXPECT_TRUE(rep.has(DiagCode::UseBeforeDef));
     EXPECT_NE(rep.firstError().find("combinational cycle"),
               std::string::npos);
     // Structural errors must suppress the dataflow cost report.
@@ -210,7 +210,7 @@ TEST(Netlint, CanaryDuplicatedLinkTweakIsCaught)
     opts.linkTweaks = &tweaks;
     const CircuitLintReport rep = analyzeChainPlan(plan, opts);
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::LinkTweakReuse));
+    EXPECT_TRUE(rep.has(DiagCode::LinkTweakReuse));
     EXPECT_NE(rep.firstError().find("encryption domains"),
               std::string::npos);
 }
@@ -223,7 +223,7 @@ TEST(Netlint, OutOfDomainLinkTweakIsCaught)
     CircuitLintOptions opts;
     opts.linkTweaks = &tweaks;
     const CircuitLintReport rep = analyzeChainPlan(plan, opts);
-    EXPECT_TRUE(rep.has(CircuitLintCode::LinkTweakDomain));
+    EXPECT_TRUE(rep.has(DiagCode::LinkTweakDomain));
 }
 
 TEST(Netlint, PlanLinkTweaksAreTheCanonicalAssignment)
@@ -246,7 +246,7 @@ TEST(Netlint, WireOutOfRangeIsCaught)
     Netlist nl = tinyXor();
     nl.gates[0].b = nl.numWires() + 7;
     const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::WireOutOfRange));
+    EXPECT_TRUE(rep.has(DiagCode::WireOutOfRange));
     EXPECT_FALSE(rep.clean());
 }
 
@@ -255,10 +255,10 @@ TEST(Netlint, DanglingOutputIsCaught)
     Netlist nl = tinyXor();
     nl.outputs.push_back(nl.numWires() + 1);
     const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::DanglingOutput));
+    EXPECT_TRUE(rep.has(DiagCode::DanglingOutput));
     // The diag's site is the *output index*, not a gate index.
-    for (const CircuitDiag &d : rep.diags)
-        if (d.code == CircuitLintCode::DanglingOutput)
+    for (const Diagnostic &d : rep.diags)
+        if (d.code == DiagCode::DanglingOutput)
             EXPECT_EQ(d.site, 1u);
 }
 
@@ -267,7 +267,7 @@ TEST(Netlint, MisplacedConstOneIsCaught)
     Netlist nl = tinyXor();
     nl.constOne = 0; // canonical form requires it LAST among inputs
     const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::InputShape));
+    EXPECT_TRUE(rep.has(DiagCode::InputShape));
 }
 
 // ---------------------------------------------------------------------
@@ -283,7 +283,7 @@ TEST(Netlint, UnusedInputIsCaught)
     cb.addOutput(cb.andGate(g, e2));
     const CircuitLintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(countCode(rep, CircuitLintCode::UnusedInput), 1u);
+    EXPECT_EQ(countCode(rep, DiagCode::UnusedInput), 1u);
 
     CircuitLintOptions quiet;
     quiet.warnings = false;
@@ -301,7 +301,7 @@ TEST(Netlint, ConstantConeIsCaught)
     cb.addOutput(cb.xorGate(g, zero));
     const CircuitLintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::ConstantCone));
+    EXPECT_TRUE(rep.has(DiagCode::ConstantCone));
 }
 
 TEST(Netlint, DuplicateGateMatchesOptimizerCriterion)
@@ -315,12 +315,12 @@ TEST(Netlint, DuplicateGateMatchesOptimizerCriterion)
     const Netlist nl = cb.build();
 
     const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::DuplicateGate));
+    EXPECT_TRUE(rep.has(DiagCode::DuplicateGate));
 
     // mergeDuplicateGates is the pass this warning mirrors: after it,
     // the warning is gone.
     EXPECT_FALSE(analyzeNetlist(mergeDuplicateGates(nl))
-                     .has(CircuitLintCode::DuplicateGate));
+                     .has(DiagCode::DuplicateGate));
 }
 
 TEST(Netlint, InertOutputTaintPass)
@@ -335,9 +335,9 @@ TEST(Netlint, InertOutputTaintPass)
     cb.addOutput(cb.andGate(g1, g2));
     const CircuitLintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(countCode(rep, CircuitLintCode::InertOutput), 1u);
-    for (const CircuitDiag &d : rep.diags)
-        if (d.code == CircuitLintCode::InertOutput)
+    EXPECT_EQ(countCode(rep, DiagCode::InertOutput), 1u);
+    for (const Diagnostic &d : rep.diags)
+        if (d.code == DiagCode::InertOutput)
             EXPECT_EQ(d.site, 1u);
 }
 
@@ -351,7 +351,7 @@ TEST(Netlint, InertOutputSuppressedWithoutEvaluatorInputs)
     cb.addOutput(cb.andGate(g1, g2));
     const CircuitLintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_FALSE(rep.has(CircuitLintCode::InertOutput));
+    EXPECT_FALSE(rep.has(DiagCode::InertOutput));
 }
 
 // ---------------------------------------------------------------------
@@ -360,30 +360,30 @@ TEST(Netlint, InertOutputSuppressedWithoutEvaluatorInputs)
 
 TEST(Netlint, CodeNamesAreKebabCase)
 {
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::UseBeforeDef),
+    EXPECT_STREQ(diagCodeName(DiagCode::UseBeforeDef),
                  "use-before-def");
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::LinkTweakReuse),
+    EXPECT_STREQ(diagCodeName(DiagCode::LinkTweakReuse),
                  "link-tweak-reuse");
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::DeadGate),
+    EXPECT_STREQ(diagCodeName(DiagCode::DeadGate),
                  "dead-gate");
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::InertOutput),
+    EXPECT_STREQ(diagCodeName(DiagCode::InertOutput),
                  "inert-output");
-    EXPECT_STREQ(circuitSeverityName(CircuitSeverity::Error), "error");
-    EXPECT_STREQ(circuitSeverityName(CircuitSeverity::Warning),
+    EXPECT_STREQ(severityName(Severity::Error), "error");
+    EXPECT_STREQ(severityName(Severity::Warning),
                  "warning");
 }
 
 TEST(Netlint, FormatCircuitDiagIsCompilerStyle)
 {
-    CircuitDiag d;
-    d.code = CircuitLintCode::UseBeforeDef;
-    d.severity = CircuitSeverity::Error;
+    Diagnostic d;
+    d.code = DiagCode::UseBeforeDef;
+    d.severity = Severity::Error;
     d.site = 12;
     d.message = "gate reads wire 99 before it is defined";
-    EXPECT_EQ(formatCircuitDiag(d, "adder.txt"),
+    EXPECT_EQ(formatDiagnostic(d, "adder.txt"),
               "adder.txt: error[use-before-def]: gate reads wire 99 "
               "before it is defined (gate #12)");
-    EXPECT_EQ(formatCircuitDiag(d),
+    EXPECT_EQ(formatDiagnostic(d),
               "error[use-before-def]: gate reads wire 99 before it is "
               "defined (gate #12)");
 }
@@ -418,7 +418,7 @@ TEST(Netlint, BristolReaderAttachesMultiplyDriven)
     const Netlist nl = readBristolString(text, &rep);
     EXPECT_EQ(nl.check(), ""); // still canonical after rebinding
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::MultiplyDriven));
+    EXPECT_TRUE(rep.has(DiagCode::MultiplyDriven));
 }
 
 TEST(Netlint, BristolReaderAttachesCostOnCleanFiles)
@@ -450,7 +450,7 @@ TEST(Netlint, PlanCheckMessagesAreStable)
     chain::ChainPlan plan = tinyPlan();
     plan.sources[0][0] = chain::InputSource::garbler(99);
     const CircuitLintReport rep = analyzeChainPlan(plan);
-    EXPECT_TRUE(rep.has(CircuitLintCode::PlanInputRange));
+    EXPECT_TRUE(rep.has(DiagCode::PlanInputRange));
     EXPECT_EQ(plan.check(), rep.firstError());
 }
 
@@ -458,11 +458,11 @@ TEST(Netlint, PlanLinkOrderAndPortRangeAreCaught)
 {
     chain::ChainPlan fwd = tinyPlan();
     fwd.sources[0][0] = chain::InputSource::link(0, 0); // self-link
-    EXPECT_TRUE(analyzeChainPlan(fwd).has(CircuitLintCode::LinkOrder));
+    EXPECT_TRUE(analyzeChainPlan(fwd).has(DiagCode::LinkOrder));
 
     chain::ChainPlan oob = twoNodePlan();
     oob.sources[1][0] = chain::InputSource::link(0, 99);
-    EXPECT_TRUE(analyzeChainPlan(oob).has(CircuitLintCode::PortRange));
+    EXPECT_TRUE(analyzeChainPlan(oob).has(DiagCode::PortRange));
 }
 
 TEST(Netlint, DeadNodeIsCaught)
@@ -479,9 +479,9 @@ TEST(Netlint, DeadNodeIsCaught)
 
     const CircuitLintReport rep = analyzeChainPlan(plan);
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::DeadNode));
-    for (const CircuitDiag &d : rep.diags)
-        if (d.code == CircuitLintCode::DeadNode)
+    EXPECT_TRUE(rep.has(DiagCode::DeadNode));
+    for (const Diagnostic &d : rep.diags)
+        if (d.code == DiagCode::DeadNode)
             EXPECT_EQ(d.site, 2u);
 }
 
@@ -491,7 +491,7 @@ TEST(Netlint, UnusedPlanInputIsCaught)
     plan.garblerInputs = 6; // bits 4 and 5 never sourced
     const CircuitLintReport rep = analyzeChainPlan(plan);
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(countCode(rep, CircuitLintCode::UnusedPlanInput), 2u);
+    EXPECT_EQ(countCode(rep, DiagCode::UnusedPlanInput), 2u);
 }
 
 TEST(Netlint, ChainWorkloadsAreAnalyzerClean)
@@ -531,8 +531,8 @@ TEST(Netlint, WorkloadFleetIsErrorFree)
         const CircuitLintReport rep =
             analyzeNetlist(optimizeNetlist(w.netlist));
         EXPECT_TRUE(rep.clean()) << name << ": " << rep.firstError();
-        for (const CircuitDiag &d : rep.diags)
-            EXPECT_NE(d.severity, CircuitSeverity::Error) << name;
+        for (const Diagnostic &d : rep.diags)
+            EXPECT_NE(d.severity, Severity::Error) << name;
     }
 }
 

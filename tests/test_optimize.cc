@@ -149,9 +149,9 @@ TEST(Optimize, RandomCircuitsPreserveSemantics)
         const CircuitLintReport rep = analyzeNetlist(opt);
         EXPECT_TRUE(rep.clean()) << "seed " << seed << ": "
                                  << rep.firstError();
-        EXPECT_FALSE(rep.has(CircuitLintCode::DeadGate))
+        EXPECT_FALSE(rep.has(DiagCode::DeadGate))
             << "seed " << seed;
-        EXPECT_FALSE(rep.has(CircuitLintCode::DuplicateGate))
+        EXPECT_FALSE(rep.has(DiagCode::DuplicateGate))
             << "seed " << seed;
         for (int trial = 0; trial < 8; ++trial) {
             std::vector<bool> ga(6), eb(6);
@@ -192,13 +192,13 @@ TEST(Optimize, EachPassOutputIsAnalyzerClean)
         const Netlist dead = eliminateDeadGates(nl);
         EXPECT_TRUE(analyzeNetlist(dead).clean()) << "seed " << seed;
         EXPECT_FALSE(
-            analyzeNetlist(dead).has(CircuitLintCode::DeadGate))
+            analyzeNetlist(dead).has(DiagCode::DeadGate))
             << "seed " << seed;
 
         const Netlist merged = mergeDuplicateGates(nl);
         EXPECT_TRUE(analyzeNetlist(merged).clean()) << "seed " << seed;
         EXPECT_FALSE(
-            analyzeNetlist(merged).has(CircuitLintCode::DuplicateGate))
+            analyzeNetlist(merged).has(DiagCode::DuplicateGate))
             << "seed " << seed;
 
         // Each single pass still preserves semantics.

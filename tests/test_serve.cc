@@ -30,6 +30,7 @@
 #include "serve/compile_cache.h"
 #include "serve/component_pool.h"
 #include "serve/pool.h"
+#include "serve/prebuilt_pool.h"
 #include "workloads/vip.h"
 
 using namespace haac;
@@ -678,6 +679,53 @@ TEST(GarblePool, LowWaterRefillHysteresis)
     s = pool.stats();
     EXPECT_EQ(s.produced, 8u);
     EXPECT_EQ(s.ready, 4u);
+}
+
+TEST(PrebuiltPool, DestroyMidMakeJoinsPromptlyAndDropsInflightItems)
+{
+    // Four fillers are each 200 ms into a make (a stand-in for a long
+    // garbling) when the pool is destroyed. The destructor waits for
+    // those makes only, starts no new one, and the fillers drop their
+    // items: none is queued (it would then die on this thread, with
+    // the pool's queues). Filling depth 1000 would take 50 s.
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<int> started{0}, made{0}, alive{0}, queued{0};
+    struct Counted
+    {
+        std::thread::id owner;
+        std::atomic<int> *alive, *queued;
+        ~Counted()
+        {
+            --*alive;
+            if (std::this_thread::get_id() == owner)
+                ++*queued;
+        }
+    };
+    PoolOptions popts;
+    popts.depth = 1000;
+    popts.threads = 4;
+    auto pool =
+        std::make_unique<PrebuiltPool<std::unique_ptr<Counted>>>(popts);
+    pool->track("k", [&](uint64_t) {
+        ++started;
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        ++made;
+        ++alive;
+        return std::unique_ptr<Counted>(new Counted{self, &alive, &queued});
+    });
+    while (started < 4)
+        std::this_thread::yield();
+    const PoolStats before = pool->stats();
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.reset();
+    const auto teardown = std::chrono::steady_clock::now() - t0;
+
+    EXPECT_EQ(before.produced, 0u);
+    EXPECT_LT(teardown, std::chrono::seconds(5));
+    EXPECT_EQ(started.load(), 4); // nothing started after the stop
+    EXPECT_EQ(made.load(), 4);    // the in-flight makes ran out
+    EXPECT_EQ(alive.load(), 0);   // every item is gone...
+    EXPECT_EQ(queued.load(), 0);  // ...dropped by its filler
 }
 
 TEST(GcServer, PooledMultiSessionConnectionWithOtReuse)

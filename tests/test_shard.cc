@@ -15,9 +15,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <thread>
 
 #include "api/session.h"
@@ -242,6 +244,93 @@ TEST(ShardProto, TruncatedFrameThrowsNotReadsGarbage)
     EXPECT_THROW(shard::decodeRound(frame), NetError);
     EXPECT_THROW(shard::frameTag({}), NetError);
     EXPECT_THROW(shard::frameTag({0x77}), NetError);
+}
+
+// A Job whose config the engine would divide by, or wait on forever,
+// must be refused with a typed error before any Round runs it.
+void
+expectJobRefused(void (*corrupt)(shard::ShardJob &))
+{
+    CircuitBuilder cb;
+    const Wire a = cb.garblerInput();
+    const Wire b = cb.evaluatorInput();
+    cb.addOutput(cb.xorGate(cb.andGate(a, b), a));
+    const Netlist nl = cb.build();
+    const HaacConfig cfg;
+    CompileOptions copts;
+    copts.swwWires = cfg.swwWires();
+    const HaacProgram prog = compileProgram(assemble(nl), copts, nullptr);
+    const StreamSet set = buildStreams(prog, cfg);
+
+    shard::ShardJob job;
+    job.config = cfg;
+    job.program = prog;
+    job.streams = partitionStreams(prog, set, 1).parts[0].streams;
+    job.inputValues.assign(prog.numInputs, false);
+    corrupt(job);
+
+    auto [coordinator, worker] = LoopbackTransport::createPair();
+    coordinator->sendFrame(shard::encodeJob(job));
+    coordinator->sendFrame(shard::encodeRound({}));
+    // A detached thread, so a hung worker fails the case instead of
+    // blocking the suite in a future's destructor.
+    std::packaged_task<std::string()> task([t = std::move(worker)] {
+        try {
+            shard::runShardWorkerLoop(*t);
+        } catch (const NetError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    });
+    std::future<std::string> done = task.get_future();
+    std::thread(std::move(task)).detach();
+    ASSERT_EQ(done.wait_for(std::chrono::seconds(20)),
+              std::future_status::ready)
+        << "worker still running on a hostile job";
+    EXPECT_EQ(done.get().rfind("shard job: ", 0), 0u);
+}
+
+TEST(ShardWorker, RefusesZeroBanksPerGe)
+{
+    expectJobRefused([](shard::ShardJob &j) { j.config.banksPerGe = 0; });
+}
+
+TEST(ShardWorker, RefusesBankCountOverflow)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.config.banksPerGe = 1u << 31; });
+}
+
+TEST(ShardWorker, RefusesZeroSww)
+{
+    expectJobRefused([](shard::ShardJob &j) { j.config.swwBytes = 0; });
+}
+
+TEST(ShardWorker, RefusesZeroGesWithEmptyStreams)
+{
+    expectJobRefused([](shard::ShardJob &j) {
+        j.config.numGes = 0;
+        j.streams.ge.clear();
+    });
+}
+
+TEST(ShardWorker, RefusesZeroWriteBuffer)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.config.writeBufferBytes = 0; });
+}
+
+TEST(ShardWorker, RefusesZeroBandwidthScale)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.config.dramBandwidthScale = 0; });
+}
+
+TEST(ShardWorker, RefusesNanBandwidthScale)
+{
+    expectJobRefused([](shard::ShardJob &j) {
+        j.config.dramBandwidthScale = std::nan("");
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -28,9 +28,9 @@ namespace haac {
 namespace {
 
 bool
-has(const LintReport &rep, LintCode code)
+has(const LintReport &rep, DiagCode code)
 {
-    for (const LintDiag &d : rep.diags)
+    for (const Diagnostic &d : rep.diags)
         if (d.code == code)
             return true;
     return false;
@@ -40,8 +40,8 @@ std::string
 dump(const LintReport &rep)
 {
     std::string s;
-    for (const LintDiag &d : rep.diags)
-        s += formatDiag(d) + "\n";
+    for (const Diagnostic &d : rep.diags)
+        s += formatDiagnostic(d) + "\n";
     return s;
 }
 
@@ -109,7 +109,7 @@ TEST(Structural, SentinelOperand)
     HaacProgram p = cleanProgram();
     p.instrs[0].a = kOorAddr;
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::SentinelOperand)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::SentinelOperand)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -121,12 +121,12 @@ TEST(Structural, UseBeforeDef)
     HaacProgram p = cleanProgram();
     p.instrs[0].a = p.outputAddrOf(0); // w4 = w4 ^ e0
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::UseBeforeDef)) << dump(rep);
 
     p = cleanProgram();
     p.instrs[0].b = p.outputAddrOf(2); // forward into instr 2's output
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::UseBeforeDef)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -138,13 +138,13 @@ TEST(Structural, NopOutputRead)
     p.instrs[0].b = p.instrs[0].a;
     // instr 1 reads w4, now a NOP output.
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::NopOutputRead)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::NopOutputRead)) << dump(rep);
 
     // ...and a program output naming one.
     p = cleanProgram();
     p.instrs[2].op = HaacOp::Nop; // w6, listed in outputs
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::NopOutputRead)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::NopOutputRead)) << dump(rep);
 
     // A NOP nobody reads is fine (the corpus has one).
     p = cleanProgram();
@@ -162,7 +162,7 @@ TEST(Structural, TweakReuse)
     a2.op = HaacOp::And, a2.a = 4, a2.b = 5, a2.tweak = 0;
     p.instrs.push_back(a2);
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::TweakReuse)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::TweakReuse)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 
     // Distinct tweaks: clean.
@@ -175,7 +175,7 @@ TEST(Structural, InputSplit)
     HaacProgram p = cleanProgram();
     p.numGarblerInputs = 3; // 3 + 1 > 3 total
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::InputSplit)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::InputSplit)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -185,19 +185,19 @@ TEST(Structural, ConstOne)
     HaacProgram p = cleanProgram();
     p.constOneAddr = kOorAddr;
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ConstOne)) << dump(rep);
 
     // Declared without a slot.
     p = cleanProgram();
     p.numEvaluatorInputs = 2;
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ConstOne)) << dump(rep);
 
     // Declared at the wrong address.
     p = cleanProgram();
     p.constOneAddr = 1;
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ConstOne)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -206,12 +206,12 @@ TEST(Structural, UndefinedOutput)
     HaacProgram p = cleanProgram();
     p.outputs.push_back(p.numAddrs()); // one past the last wire
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UndefinedOutput)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::UndefinedOutput)) << dump(rep);
 
     p = cleanProgram();
     p.outputs.push_back(kOorAddr);
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UndefinedOutput)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::UndefinedOutput)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -220,7 +220,7 @@ TEST(Structural, NoncanonicalOperandWarning)
     HaacProgram p = cleanProgram();
     p.instrs[2].b = 1; // NOT with b != a
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::NoncanonicalOperand)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::NoncanonicalOperand)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "must stay a warning";
     EXPECT_EQ(rep.warnings, 1u);
 
@@ -234,7 +234,7 @@ TEST(Structural, StrayTweakWarning)
     HaacProgram p = cleanProgram();
     p.instrs[0].tweak = 7; // XOR carrying a tweak
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::StrayTweak)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::StrayTweak)) << dump(rep);
     EXPECT_TRUE(rep.clean());
 }
 
@@ -249,7 +249,7 @@ TEST(Window, DroppedLiveBit)
     // until re-marked.
     p.instrs[80].b = 3;
     LintReport rep = verifyProgram(p, LintOptions{sww});
-    ASSERT_TRUE(has(rep, LintCode::DroppedLiveBit)) << dump(rep);
+    ASSERT_TRUE(has(rep, DiagCode::DroppedLiveBit)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 
     // Re-running ESW (what the compiler does) repairs it.
@@ -269,7 +269,7 @@ TEST(Window, OutputNotLive)
     HaacProgram p = chainProgram(100, sww);
     p.instrs.back().live = false; // the output's producer
     const LintReport rep = verifyProgram(p, LintOptions{sww});
-    EXPECT_TRUE(has(rep, LintCode::OutputNotLive)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::OutputNotLive)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -280,7 +280,7 @@ TEST(Window, LivenessWasteWarningQuantifiesBytes)
     p.instrs[10].live = true; // nobody reads w13 off-window
     p.instrs[11].live = true;
     const LintReport rep = verifyProgram(p, LintOptions{sww});
-    EXPECT_TRUE(has(rep, LintCode::LivenessWaste)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::LivenessWaste)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "waste is a warning, not an error";
     EXPECT_EQ(rep.wasteBytes, 2 * kLabelBytes);
 
@@ -324,7 +324,7 @@ TEST(Streams, CoverageCorruptionIsCaught)
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
     const LintReport rep = verifyProgram(p, opts);
-    EXPECT_TRUE(has(rep, LintCode::StreamCoverage)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::StreamCoverage)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -339,7 +339,7 @@ TEST(Streams, TableCountCorruptionIsCaught)
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
     const LintReport rep = verifyProgram(p, opts);
-    EXPECT_TRUE(has(rep, LintCode::StreamTableCount)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::StreamTableCount)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -391,18 +391,18 @@ TEST(Shards, MalformedManifest)
     // Wrong shardOfInstr arity.
     TinyShardCase c;
     c.man.shardOfInstr = {0};
-    EXPECT_TRUE(has(c.verify(), LintCode::ShardManifestBad));
+    EXPECT_TRUE(has(c.verify(), DiagCode::ShardManifestBad));
 
     // Exporting a primary input.
     c = TinyShardCase();
     c.man.exports[0].insert(c.man.exports[0].begin(), 1u);
-    EXPECT_TRUE(has(c.verify(), LintCode::ShardManifestBad));
+    EXPECT_TRUE(has(c.verify(), DiagCode::ShardManifestBad));
 
     // Exporting a wire the shard does not own.
     c = TinyShardCase();
     c.man.exports[1] = {3}; // w3 belongs to shard 0
     LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardManifestBad)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ShardManifestBad)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -411,7 +411,7 @@ TEST(Shards, ImportMissing)
     TinyShardCase c;
     c.man.imports[1].clear();
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardImportMissing)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ShardImportMissing)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -420,7 +420,7 @@ TEST(Shards, ExportMissing)
     TinyShardCase c;
     c.man.exports[0].clear();
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardExportMissing)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ShardExportMissing)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -429,7 +429,7 @@ TEST(Shards, ExportDead)
     TinyShardCase c;
     c.prog.instrs[0].live = false; // exported but never spilled
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardExportDead)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ShardExportDead)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -438,8 +438,8 @@ TEST(Shards, UnusedImportAndExportWarn)
     TinyShardCase c;
     c.prog.instrs[1].a = 1; // no cross-shard read remains
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardImportUnused)) << dump(rep);
-    EXPECT_TRUE(has(rep, LintCode::ShardExportUnused)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ShardImportUnused)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::ShardExportUnused)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "manifest slack is a warning";
 }
 
@@ -502,7 +502,7 @@ TEST(Canary, InjectedOorwReorderIsCaughtStatically)
         lo.swwWires = cfg.swwWires();
         lo.streams = &streams;
         const LintReport rep = verifyProgram(prog, lo);
-        ASSERT_TRUE(has(rep, LintCode::StreamOorMismatch))
+        ASSERT_TRUE(has(rep, DiagCode::StreamOorMismatch))
             << "seed " << seed << ": static check missed the "
             << "corrupted pop order\n"
             << dump(rep);
@@ -534,7 +534,7 @@ TEST(Canary, InjectedLiveBitClearIsCaughtStatically)
         prog.instrs[victim - prog.numInputs - 1].live = false;
         const LintReport rep =
             verifyProgram(prog, LintOptions{cfg.swwWires()});
-        ASSERT_TRUE(has(rep, LintCode::DroppedLiveBit))
+        ASSERT_TRUE(has(rep, DiagCode::DroppedLiveBit))
             << "seed " << seed << ": static check missed the "
             << "dropped spill\n"
             << dump(rep);
@@ -551,7 +551,7 @@ TEST(Canary, InjectedUseBeforeDefIsCaughtStatically)
     ASSERT_GE(prog.instrs.size(), 2u);
     prog.instrs[0].a = prog.outputAddrOf(1); // forward reference
     const LintReport rep = verifyProgram(prog);
-    EXPECT_TRUE(has(rep, LintCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(has(rep, DiagCode::UseBeforeDef)) << dump(rep);
 }
 
 TEST(Canary, InjectedTweakReuseIsCaughtStatically)
@@ -569,7 +569,7 @@ TEST(Canary, InjectedTweakReuseIsCaughtStatically)
             continue;
         prog.instrs[ands[1]].tweak = prog.instrs[ands[0]].tweak;
         const LintReport rep = verifyProgram(prog);
-        ASSERT_TRUE(has(rep, LintCode::TweakReuse)) << dump(rep);
+        ASSERT_TRUE(has(rep, DiagCode::TweakReuse)) << dump(rep);
         return;
     }
     FAIL() << "no generated program had two AND instructions";
@@ -598,7 +598,7 @@ TEST(Canary, InjectedNopOutputReadIsCaughtStatically)
             prog.instrs[k].b = prog.instrs[k].a;
             prog.instrs[k].tweak = 0;
             const LintReport rep = verifyProgram(prog);
-            ASSERT_TRUE(has(rep, LintCode::NopOutputRead))
+            ASSERT_TRUE(has(rep, DiagCode::NopOutputRead))
                 << dump(rep);
             return;
         }
@@ -646,21 +646,21 @@ TEST(ParseLint, FindingsCarrySourceLines)
     EXPECT_EQ(r.instrLines[3], 5u);
 
     bool sawTweak = false, sawNop = false;
-    for (const LintDiag &d : r.lints) {
-        if (d.code == LintCode::TweakReuse) {
+    for (const Diagnostic &d : r.lints) {
+        if (d.code == DiagCode::TweakReuse) {
             sawTweak = true;
-            EXPECT_EQ(d.line, 5u) << formatDiag(d);
+            EXPECT_EQ(d.line, 5u) << formatDiagnostic(d);
         }
-        if (d.code == LintCode::NopOutputRead) {
+        if (d.code == DiagCode::NopOutputRead) {
             sawNop = true;
-            EXPECT_EQ(d.line, 4u) << formatDiag(d);
+            EXPECT_EQ(d.line, 4u) << formatDiagnostic(d);
         }
     }
     EXPECT_TRUE(sawTweak);
     EXPECT_TRUE(sawNop);
 
     const std::string line =
-        formatDiag(r.lints.front(), "case.haac");
+        formatDiagnostic(r.lints.front(), "case.haac");
     EXPECT_NE(line.find("case.haac:"), std::string::npos) << line;
     EXPECT_NE(line.find("error["), std::string::npos) << line;
 }
@@ -712,7 +712,7 @@ TEST(Fleet, AsmCorpusIsLintClean)
         SCOPED_TRACE(path);
         const AsmResult r = parseAsmFile(path);
         ASSERT_TRUE(r.ok) << r.error;
-        EXPECT_TRUE(r.lints.empty()) << formatDiag(r.lints[0], path);
+        EXPECT_TRUE(r.lints.empty()) << formatDiagnostic(r.lints[0], path);
 
         // Window-level at the grader geometry (256-wire SWW): zero
         // findings, warnings included — the corpus documents best
@@ -749,43 +749,43 @@ TEST(Naming, CodeNamesAreStableAndKebabCase)
 {
     // These strings are documentation (docs/ARCHITECTURE.md), CLI
     // output, and CI grep targets. Renaming one is a breaking change.
-    EXPECT_STREQ(lintCodeName(LintCode::SentinelOperand),
+    EXPECT_STREQ(diagCodeName(DiagCode::SentinelOperand),
                  "sentinel-operand");
-    EXPECT_STREQ(lintCodeName(LintCode::UseBeforeDef),
+    EXPECT_STREQ(diagCodeName(DiagCode::UseBeforeDef),
                  "use-before-def");
-    EXPECT_STREQ(lintCodeName(LintCode::NopOutputRead),
+    EXPECT_STREQ(diagCodeName(DiagCode::NopOutputRead),
                  "nop-output-read");
-    EXPECT_STREQ(lintCodeName(LintCode::TweakReuse), "tweak-reuse");
-    EXPECT_STREQ(lintCodeName(LintCode::InputSplit), "input-split");
-    EXPECT_STREQ(lintCodeName(LintCode::ConstOne), "const-one");
-    EXPECT_STREQ(lintCodeName(LintCode::UndefinedOutput),
+    EXPECT_STREQ(diagCodeName(DiagCode::TweakReuse), "tweak-reuse");
+    EXPECT_STREQ(diagCodeName(DiagCode::InputSplit), "input-split");
+    EXPECT_STREQ(diagCodeName(DiagCode::ConstOne), "const-one");
+    EXPECT_STREQ(diagCodeName(DiagCode::UndefinedOutput),
                  "undefined-output");
-    EXPECT_STREQ(lintCodeName(LintCode::OutputNotLive),
+    EXPECT_STREQ(diagCodeName(DiagCode::OutputNotLive),
                  "output-not-live");
-    EXPECT_STREQ(lintCodeName(LintCode::DroppedLiveBit),
+    EXPECT_STREQ(diagCodeName(DiagCode::DroppedLiveBit),
                  "dropped-live-bit");
-    EXPECT_STREQ(lintCodeName(LintCode::StreamCoverage),
+    EXPECT_STREQ(diagCodeName(DiagCode::StreamCoverage),
                  "stream-coverage");
-    EXPECT_STREQ(lintCodeName(LintCode::StreamOorMismatch),
+    EXPECT_STREQ(diagCodeName(DiagCode::StreamOorMismatch),
                  "stream-oor-mismatch");
-    EXPECT_STREQ(lintCodeName(LintCode::StreamTableCount),
+    EXPECT_STREQ(diagCodeName(DiagCode::StreamTableCount),
                  "stream-table-count");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardManifestBad),
+    EXPECT_STREQ(diagCodeName(DiagCode::ShardManifestBad),
                  "shard-manifest");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardImportMissing),
+    EXPECT_STREQ(diagCodeName(DiagCode::ShardImportMissing),
                  "shard-import-missing");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardExportMissing),
+    EXPECT_STREQ(diagCodeName(DiagCode::ShardExportMissing),
                  "shard-export-missing");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardExportDead),
+    EXPECT_STREQ(diagCodeName(DiagCode::ShardExportDead),
                  "shard-export-dead");
-    EXPECT_STREQ(lintCodeName(LintCode::LivenessWaste),
+    EXPECT_STREQ(diagCodeName(DiagCode::LivenessWaste),
                  "liveness-waste");
-    EXPECT_STREQ(lintCodeName(LintCode::NoncanonicalOperand),
+    EXPECT_STREQ(diagCodeName(DiagCode::NoncanonicalOperand),
                  "noncanonical-operand");
-    EXPECT_STREQ(lintCodeName(LintCode::StrayTweak), "stray-tweak");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardImportUnused),
+    EXPECT_STREQ(diagCodeName(DiagCode::StrayTweak), "stray-tweak");
+    EXPECT_STREQ(diagCodeName(DiagCode::ShardImportUnused),
                  "shard-import-unused");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardExportUnused),
+    EXPECT_STREQ(diagCodeName(DiagCode::ShardExportUnused),
                  "shard-export-unused");
 }
 

@@ -12,6 +12,7 @@
  * to completion, so CI can smoke the whole surface; plain stdin EOF
  * behaves the same way.
  */
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -117,11 +118,9 @@ parseWire(const std::string &tok, uint32_t &addr)
         digits = digits.substr(1);
     if (digits.empty())
         return false;
-    for (char c : digits)
-        if (c < '0' || c > '9')
-            return false;
-    addr = uint32_t(std::stoul(digits));
-    return true;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), addr);
+    return ec == std::errc() && end == digits.data() + digits.size();
 }
 
 /** The interactive loop, driven from inside the timing engine. */
@@ -419,8 +418,8 @@ class Debugger : public SimProbe
         if (!instrLines_.empty())
             opts.instrLines = &instrLines_;
         const LintReport rep = verifyProgram(prog_, opts);
-        for (const LintDiag &d : rep.diags)
-            std::cout << "  " << formatDiag(d, srcName_) << "\n";
+        for (const Diagnostic &d : rep.diags)
+            std::cout << "  " << formatDiagnostic(d, srcName_) << "\n";
         std::cout << "  lint: " << rep.summary();
         if (rep.wasteBytes > 0)
             std::cout << " (" << rep.wasteBytes
@@ -503,6 +502,21 @@ fail(const std::string &msg)
     return 1;
 }
 
+/** Whole-token decimal flag value; anything else exits 2. */
+template <typename T>
+T
+number(const char *flag, const std::string &v)
+{
+    T n = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+        std::cerr << "haac_dbg: " << flag
+                  << " needs a non-negative integer, got '" << v << "'\n";
+        std::exit(2);
+    }
+    return n;
+}
+
 } // namespace
 
 int
@@ -545,14 +559,15 @@ main(int argc, char **argv)
         } else if (a == "--no-esw") {
             opt.esw = false;
         } else if (a == "--ges") {
-            opt.cfg.numGes = uint32_t(std::stoul(need(i, "--ges")));
+            opt.cfg.numGes = number<uint32_t>("--ges", need(i, "--ges"));
         } else if (a == "--sww-wires") {
             opt.cfg.swwBytes =
-                size_t(std::stoul(need(i, "--sww-wires"))) *
+                size_t(number<uint32_t>("--sww-wires",
+                                        need(i, "--sww-wires"))) *
                 kLabelBytes;
         } else if (a == "--banks") {
             opt.cfg.banksPerGe =
-                uint32_t(std::stoul(need(i, "--banks")));
+                number<uint32_t>("--banks", need(i, "--banks"));
         } else if (a == "--role") {
             const std::string r = need(i, "--role");
             if (r == "garbler")
@@ -573,10 +588,10 @@ main(int argc, char **argv)
                 return fail("unknown mode '" + m + "'");
         } else if (a == "--break") {
             opt.cycleBreaks.push_back(
-                std::stoull(need(i, "--break")));
+                number<uint64_t>("--break", need(i, "--break")));
         } else if (a == "--break-ge") {
             opt.geBreaks.push_back(
-                uint32_t(std::stoul(need(i, "--break-ge"))));
+                number<uint32_t>("--break-ge", need(i, "--break-ge")));
         } else if (a == "--watch") {
             uint32_t addr = 0;
             if (!parseWire(need(i, "--watch"), addr))
@@ -601,6 +616,11 @@ main(int argc, char **argv)
     if (!opt.workload.empty() && !opt.asmFile.empty())
         return fail("pass either --workload or a .haac file, "
                     "not both");
+    const std::string bad_config = opt.cfg.check();
+    if (!bad_config.empty()) {
+        std::cerr << "haac_dbg: bad config: " << bad_config << "\n";
+        return 2;
+    }
 
     // --- Load the program. ---
     HaacProgram prog;
