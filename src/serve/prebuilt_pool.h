@@ -263,12 +263,12 @@ class PrebuiltPool
     std::condition_variable work_; ///< queues got needy / stopping
     std::condition_variable full_; ///< an item landed (prewarm)
     std::map<std::string, Queue> queues_;
-    std::vector<std::thread> fillers_;
     uint64_t produced_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t nextSeedOffset_ = 0;
     bool stop_ = false;
+    std::vector<std::thread> fillers_; ///< last: they use the above
 };
 
 } // namespace serve

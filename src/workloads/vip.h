@@ -34,9 +34,9 @@ struct Workload
     std::function<void()> plaintextKernel;
 
     /**
-     * Circuit-lint warning codes (kebab-case, circuit/analyze.h) this
-     * workload accepts by design — the registry-level NOLINT. The
-     * haac_netlint CLI treats a waived finding as informational, so
+     * Circuit-lint warning codes (kebab-case, circuit/diagnostic.h)
+     * this workload accepts by design — the registry-level NOLINT.
+     * haac_lint netlist treats a waived finding as informational, so
      * the --Werror fleet gate stays meaningful: a *new* kind of waste
      * still fails CI, while e.g. ReLU's deliberate per-party lane
      * split does not.

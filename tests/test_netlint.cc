@@ -522,7 +522,7 @@ TEST(Netlint, SessionCompileAttachesCost)
 
 TEST(Netlint, WorkloadFleetIsErrorFree)
 {
-    // The CLI gate (haac_netlint --all-workloads --Werror) enforces
+    // The CLI gate (haac_lint netlist --all-workloads --Werror) enforces
     // warning-freedom modulo registry waivers; here we pin the hard
     // floor — no workload ships an analyzer *error* — plus the waiver
     // contract: only warning-severity codes may be waived.

@@ -272,21 +272,24 @@ expectJobRefused(void (*corrupt)(shard::ShardJob &))
     auto [coordinator, worker] = LoopbackTransport::createPair();
     coordinator->sendFrame(shard::encodeJob(job));
     coordinator->sendFrame(shard::encodeRound({}));
-    // A detached thread, so a hung worker fails the case instead of
-    // blocking the suite in a future's destructor.
-    std::packaged_task<std::string()> task([t = std::move(worker)] {
+    std::packaged_task<std::string()> task([&worker] {
         try {
-            shard::runShardWorkerLoop(*t);
+            shard::runShardWorkerLoop(*worker);
         } catch (const NetError &e) {
             return std::string(e.what());
         }
         return std::string("accepted");
     });
     std::future<std::string> done = task.get_future();
-    std::thread(std::move(task)).detach();
-    ASSERT_EQ(done.wait_for(std::chrono::seconds(20)),
-              std::future_status::ready)
-        << "worker still running on a hostile job";
+    std::thread runner(std::move(task));
+    if (done.wait_for(std::chrono::seconds(20)) !=
+        std::future_status::ready) {
+        // Nothing can stop a hung engine loop from outside.
+        std::fprintf(stderr, "shard worker still running on a hostile "
+                             "job after 20 s\n");
+        std::_Exit(1);
+    }
+    runner.join();
     EXPECT_EQ(done.get().rfind("shard job: ", 0), 0u);
 }
 

@@ -27,15 +27,6 @@
 namespace haac {
 namespace {
 
-bool
-has(const LintReport &rep, DiagCode code)
-{
-    for (const Diagnostic &d : rep.diags)
-        if (d.code == code)
-            return true;
-    return false;
-}
-
 std::string
 dump(const LintReport &rep)
 {
@@ -109,7 +100,7 @@ TEST(Structural, SentinelOperand)
     HaacProgram p = cleanProgram();
     p.instrs[0].a = kOorAddr;
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::SentinelOperand)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::SentinelOperand)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -121,12 +112,12 @@ TEST(Structural, UseBeforeDef)
     HaacProgram p = cleanProgram();
     p.instrs[0].a = p.outputAddrOf(0); // w4 = w4 ^ e0
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::UseBeforeDef)) << dump(rep);
 
     p = cleanProgram();
     p.instrs[0].b = p.outputAddrOf(2); // forward into instr 2's output
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::UseBeforeDef)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -138,13 +129,13 @@ TEST(Structural, NopOutputRead)
     p.instrs[0].b = p.instrs[0].a;
     // instr 1 reads w4, now a NOP output.
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::NopOutputRead)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::NopOutputRead)) << dump(rep);
 
     // ...and a program output naming one.
     p = cleanProgram();
     p.instrs[2].op = HaacOp::Nop; // w6, listed in outputs
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::NopOutputRead)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::NopOutputRead)) << dump(rep);
 
     // A NOP nobody reads is fine (the corpus has one).
     p = cleanProgram();
@@ -162,7 +153,7 @@ TEST(Structural, TweakReuse)
     a2.op = HaacOp::And, a2.a = 4, a2.b = 5, a2.tweak = 0;
     p.instrs.push_back(a2);
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::TweakReuse)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::TweakReuse)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 
     // Distinct tweaks: clean.
@@ -175,7 +166,7 @@ TEST(Structural, InputSplit)
     HaacProgram p = cleanProgram();
     p.numGarblerInputs = 3; // 3 + 1 > 3 total
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::InputSplit)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::InputSplit)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -185,19 +176,19 @@ TEST(Structural, ConstOne)
     HaacProgram p = cleanProgram();
     p.constOneAddr = kOorAddr;
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ConstOne)) << dump(rep);
 
     // Declared without a slot.
     p = cleanProgram();
     p.numEvaluatorInputs = 2;
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ConstOne)) << dump(rep);
 
     // Declared at the wrong address.
     p = cleanProgram();
     p.constOneAddr = 1;
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ConstOne)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -206,12 +197,12 @@ TEST(Structural, UndefinedOutput)
     HaacProgram p = cleanProgram();
     p.outputs.push_back(p.numAddrs()); // one past the last wire
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::UndefinedOutput)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::UndefinedOutput)) << dump(rep);
 
     p = cleanProgram();
     p.outputs.push_back(kOorAddr);
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::UndefinedOutput)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::UndefinedOutput)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -220,7 +211,7 @@ TEST(Structural, NoncanonicalOperandWarning)
     HaacProgram p = cleanProgram();
     p.instrs[2].b = 1; // NOT with b != a
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::NoncanonicalOperand)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::NoncanonicalOperand)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "must stay a warning";
     EXPECT_EQ(rep.warnings, 1u);
 
@@ -234,7 +225,7 @@ TEST(Structural, StrayTweakWarning)
     HaacProgram p = cleanProgram();
     p.instrs[0].tweak = 7; // XOR carrying a tweak
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, DiagCode::StrayTweak)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::StrayTweak)) << dump(rep);
     EXPECT_TRUE(rep.clean());
 }
 
@@ -249,7 +240,7 @@ TEST(Window, DroppedLiveBit)
     // until re-marked.
     p.instrs[80].b = 3;
     LintReport rep = verifyProgram(p, LintOptions{sww});
-    ASSERT_TRUE(has(rep, DiagCode::DroppedLiveBit)) << dump(rep);
+    ASSERT_TRUE(rep.has(DiagCode::DroppedLiveBit)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 
     // Re-running ESW (what the compiler does) repairs it.
@@ -269,7 +260,7 @@ TEST(Window, OutputNotLive)
     HaacProgram p = chainProgram(100, sww);
     p.instrs.back().live = false; // the output's producer
     const LintReport rep = verifyProgram(p, LintOptions{sww});
-    EXPECT_TRUE(has(rep, DiagCode::OutputNotLive)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::OutputNotLive)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -280,7 +271,7 @@ TEST(Window, LivenessWasteWarningQuantifiesBytes)
     p.instrs[10].live = true; // nobody reads w13 off-window
     p.instrs[11].live = true;
     const LintReport rep = verifyProgram(p, LintOptions{sww});
-    EXPECT_TRUE(has(rep, DiagCode::LivenessWaste)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::LivenessWaste)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "waste is a warning, not an error";
     EXPECT_EQ(rep.wasteBytes, 2 * kLabelBytes);
 
@@ -324,7 +315,7 @@ TEST(Streams, CoverageCorruptionIsCaught)
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
     const LintReport rep = verifyProgram(p, opts);
-    EXPECT_TRUE(has(rep, DiagCode::StreamCoverage)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::StreamCoverage)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -339,7 +330,7 @@ TEST(Streams, TableCountCorruptionIsCaught)
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
     const LintReport rep = verifyProgram(p, opts);
-    EXPECT_TRUE(has(rep, DiagCode::StreamTableCount)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::StreamTableCount)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -391,18 +382,18 @@ TEST(Shards, MalformedManifest)
     // Wrong shardOfInstr arity.
     TinyShardCase c;
     c.man.shardOfInstr = {0};
-    EXPECT_TRUE(has(c.verify(), DiagCode::ShardManifestBad));
+    EXPECT_TRUE(c.verify().has(DiagCode::ShardManifestBad));
 
     // Exporting a primary input.
     c = TinyShardCase();
     c.man.exports[0].insert(c.man.exports[0].begin(), 1u);
-    EXPECT_TRUE(has(c.verify(), DiagCode::ShardManifestBad));
+    EXPECT_TRUE(c.verify().has(DiagCode::ShardManifestBad));
 
     // Exporting a wire the shard does not own.
     c = TinyShardCase();
     c.man.exports[1] = {3}; // w3 belongs to shard 0
     LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, DiagCode::ShardManifestBad)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ShardManifestBad)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -411,7 +402,7 @@ TEST(Shards, ImportMissing)
     TinyShardCase c;
     c.man.imports[1].clear();
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, DiagCode::ShardImportMissing)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ShardImportMissing)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -420,7 +411,7 @@ TEST(Shards, ExportMissing)
     TinyShardCase c;
     c.man.exports[0].clear();
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, DiagCode::ShardExportMissing)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ShardExportMissing)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -429,7 +420,7 @@ TEST(Shards, ExportDead)
     TinyShardCase c;
     c.prog.instrs[0].live = false; // exported but never spilled
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, DiagCode::ShardExportDead)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ShardExportDead)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -438,8 +429,8 @@ TEST(Shards, UnusedImportAndExportWarn)
     TinyShardCase c;
     c.prog.instrs[1].a = 1; // no cross-shard read remains
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, DiagCode::ShardImportUnused)) << dump(rep);
-    EXPECT_TRUE(has(rep, DiagCode::ShardExportUnused)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ShardImportUnused)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::ShardExportUnused)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "manifest slack is a warning";
 }
 
@@ -502,7 +493,7 @@ TEST(Canary, InjectedOorwReorderIsCaughtStatically)
         lo.swwWires = cfg.swwWires();
         lo.streams = &streams;
         const LintReport rep = verifyProgram(prog, lo);
-        ASSERT_TRUE(has(rep, DiagCode::StreamOorMismatch))
+        ASSERT_TRUE(rep.has(DiagCode::StreamOorMismatch))
             << "seed " << seed << ": static check missed the "
             << "corrupted pop order\n"
             << dump(rep);
@@ -534,7 +525,7 @@ TEST(Canary, InjectedLiveBitClearIsCaughtStatically)
         prog.instrs[victim - prog.numInputs - 1].live = false;
         const LintReport rep =
             verifyProgram(prog, LintOptions{cfg.swwWires()});
-        ASSERT_TRUE(has(rep, DiagCode::DroppedLiveBit))
+        ASSERT_TRUE(rep.has(DiagCode::DroppedLiveBit))
             << "seed " << seed << ": static check missed the "
             << "dropped spill\n"
             << dump(rep);
@@ -551,7 +542,7 @@ TEST(Canary, InjectedUseBeforeDefIsCaughtStatically)
     ASSERT_GE(prog.instrs.size(), 2u);
     prog.instrs[0].a = prog.outputAddrOf(1); // forward reference
     const LintReport rep = verifyProgram(prog);
-    EXPECT_TRUE(has(rep, DiagCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(rep.has(DiagCode::UseBeforeDef)) << dump(rep);
 }
 
 TEST(Canary, InjectedTweakReuseIsCaughtStatically)
@@ -569,7 +560,7 @@ TEST(Canary, InjectedTweakReuseIsCaughtStatically)
             continue;
         prog.instrs[ands[1]].tweak = prog.instrs[ands[0]].tweak;
         const LintReport rep = verifyProgram(prog);
-        ASSERT_TRUE(has(rep, DiagCode::TweakReuse)) << dump(rep);
+        ASSERT_TRUE(rep.has(DiagCode::TweakReuse)) << dump(rep);
         return;
     }
     FAIL() << "no generated program had two AND instructions";
@@ -598,7 +589,7 @@ TEST(Canary, InjectedNopOutputReadIsCaughtStatically)
             prog.instrs[k].b = prog.instrs[k].a;
             prog.instrs[k].tweak = 0;
             const LintReport rep = verifyProgram(prog);
-            ASSERT_TRUE(has(rep, DiagCode::NopOutputRead))
+            ASSERT_TRUE(rep.has(DiagCode::NopOutputRead))
                 << dump(rep);
             return;
         }
