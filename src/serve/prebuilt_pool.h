@@ -119,10 +119,12 @@ class PrebuiltPool
     track(const std::string &key, Maker make)
     {
         {
+            // Look before building a Queue: sessions re-track on every
+            // request, and a std::deque allocates when constructed.
             std::lock_guard<std::mutex> lock(mutex_);
-            Queue q{std::move(make), {}, 0, true};
-            if (!queues_.emplace(key, std::move(q)).second)
+            if (queues_.count(key) != 0)
                 return;
+            queues_.emplace(key, Queue{std::move(make), {}, 0, true});
         }
         work_.notify_all();
     }
