@@ -81,9 +81,9 @@ struct HaacConfig
      * at least one GE and one bank per GE with the bank count in 32
      * bits, an SWW of at least two labels (the window slides in
      * halves) whose wire count fits 32 bits, a non-empty write
-     * buffer, a bandwidth share in (0, 1], and known DRAM and role
-     * kinds. Configs from a peer (shard Job frames) or the command
-     * line must pass before they reach the engine.
+     * buffer and a bandwidth share in (0, 1]. Configs from a peer
+     * (shard Job frames) or the command line must pass before they
+     * reach the engine.
      *
      * @return empty string if valid, else the first violation.
      */

@@ -116,8 +116,6 @@ parseWire(const std::string &tok, uint32_t &addr)
     std::string digits = tok;
     if (!digits.empty() && (digits[0] == 'w' || digits[0] == 'W'))
         digits = digits.substr(1);
-    if (digits.empty())
-        return false;
     const auto [end, ec] =
         std::from_chars(digits.data(), digits.data() + digits.size(), addr);
     return ec == std::errc() && end == digits.data() + digits.size();

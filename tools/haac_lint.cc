@@ -170,7 +170,7 @@ parseArgs(int argc, char **argv)
         uint32_t n = 0;
         const auto [end, ec] =
             std::from_chars(v.data(), v.data() + v.size(), n);
-        if (v.empty() || ec != std::errc() || end != v.data() + v.size())
+        if (ec != std::errc() || end != v.data() + v.size())
             usageError(flag + " needs a non-negative integer, got '" + v +
                        "'");
         return n;
