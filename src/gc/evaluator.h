@@ -1,18 +1,17 @@
 /**
  * @file
- * Half-Gate Evaluator (paper §2.1, Evaluator column).
+ * Half-Gate evaluation kernel (paper §2.1, Evaluator column).
  *
  * The Evaluator holds one active label per wire and, per AND gate,
  * performs two key expansions and two AES hashes (half the Garbler's),
  * consuming one 32 B garbled table from the table stream.
+ * evaluateStreaming() (gc/streaming.h) walks a netlist with this kernel.
  */
 #ifndef HAAC_GC_EVALUATOR_H
 #define HAAC_GC_EVALUATOR_H
 
 #include <cstdint>
-#include <vector>
 
-#include "circuit/netlist.h"
 #include "crypto/hash.h"
 #include "crypto/label.h"
 
@@ -32,34 +31,6 @@ Label evaluateAnd(const Label &a, const Label &b, const GarbledTable &table,
 Label evaluateAndFixedKey(const FixedKeyHasher &h, const Label &a,
                           const Label &b, const GarbledTable &table,
                           uint64_t gate_index);
-
-/**
- * Whole-circuit Evaluator.
- */
-class Evaluator
-{
-  public:
-    explicit Evaluator(const Netlist &netlist) : netlist_(&netlist) {}
-
-    /**
-     * Evaluate the circuit.
-     *
-     * @param input_labels active labels for wires [0, numInputs()).
-     * @param tables garbled tables in AND-gate order.
-     * @return active labels of the primary outputs, in output order.
-     */
-    std::vector<Label>
-    evaluate(const std::vector<Label> &input_labels,
-             const std::vector<GarbledTable> &tables) const;
-
-    /** Evaluate and keep every wire's active label (testing aid). */
-    std::vector<Label>
-    evaluateAllWires(const std::vector<Label> &input_labels,
-                     const std::vector<GarbledTable> &tables) const;
-
-  private:
-    const Netlist *netlist_;
-};
 
 } // namespace haac
 

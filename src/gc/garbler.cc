@@ -1,9 +1,5 @@
 #include "gc/garbler.h"
 
-#include <utility>
-
-#include "gc/streaming.h"
-
 namespace haac {
 
 HalfGateGarbled
@@ -66,36 +62,6 @@ garbleAndFixedKey(const FixedKeyHasher &h, const Label &a0, const Label &b0,
         we0 ^= out.table.te ^ a0;
     out.outZero = wg0 ^ we0;
     return out;
-}
-
-Garbler::Garbler(const Netlist &netlist, uint64_t seed)
-    : netlist_(&netlist)
-{
-    InputLabels in = expandInputLabels(seed, netlist.numInputs());
-    r_ = in.offset;
-    zero_ = std::move(in.zero);
-    zero_.resize(netlist.numWires());
-
-    tables_.reserve(netlist.numAndGates());
-    uint64_t and_index = 0;
-    for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-        const Gate &gate = netlist.gates[g];
-        const WireId out = netlist.outputWireOf(g);
-        if (gate.op == GateOp::Xor) {
-            zero_[out] = zero_[gate.a] ^ zero_[gate.b];
-        } else {
-            HalfGateGarbled hg = garbleAnd(zero_[gate.a], zero_[gate.b],
-                                           r_, and_index++);
-            tables_.push_back(hg.table);
-            zero_[out] = hg.outZero;
-        }
-    }
-}
-
-bool
-Garbler::decodeBit(size_t i) const
-{
-    return zero_[netlist_->outputs.at(i)].lsb();
 }
 
 } // namespace haac

@@ -1,24 +1,22 @@
 /**
  * @file
- * Half-Gate Garbler (the paper's Garbler-side GE datapath, in software).
+ * Half-Gate garbling kernel (the paper's Garbler-side GE datapath, in
+ * software).
  *
  * FreeXOR (Kolesnikov-Schneider) + Half-Gates (Zahur-Rosulek-Evans)
  * with the re-keyed hash HAAC adopts for security. Per AND gate i the
  * Garbler performs two key expansions (tweaks 2i and 2i+1) and four
- * AES hashes; XOR gates cost one 128-bit XOR. This class is both the
- * protocol implementation and the functional reference the hardware
- * model is validated against (paper §5 "Correctness").
+ * AES hashes; XOR gates cost one 128-bit XOR. StreamingGarbler
+ * (gc/streaming.h) walks a netlist with this kernel, and the hardware
+ * model is validated against it (paper §5 "Correctness").
  */
 #ifndef HAAC_GC_GARBLER_H
 #define HAAC_GC_GARBLER_H
 
 #include <cstdint>
-#include <vector>
 
-#include "circuit/netlist.h"
 #include "crypto/hash.h"
 #include "crypto/label.h"
-#include "crypto/prg.h"
 
 namespace haac {
 
@@ -43,56 +41,6 @@ HalfGateGarbled garbleAnd(const Label &a0, const Label &b0, const Label &r,
 HalfGateGarbled garbleAndFixedKey(const FixedKeyHasher &h, const Label &a0,
                                   const Label &b0, const Label &r,
                                   uint64_t gate_index);
-
-/**
- * Whole-circuit Garbler.
- */
-class Garbler
-{
-  public:
-    /**
-     * Garble @p netlist deterministically from @p seed.
-     *
-     * All zero-labels and tables are computed eagerly; accessors below
-     * expose what each protocol message needs.
-     */
-    Garbler(const Netlist &netlist, uint64_t seed);
-
-    const Netlist &netlist() const { return *netlist_; }
-    const Label &globalOffset() const { return r_; }
-
-    /** Zero-label of any wire. */
-    const Label &zeroLabel(WireId w) const { return zero_[w]; }
-
-    /** Active label encoding @p value on wire @p w. */
-    Label
-    activeLabel(WireId w, bool value) const
-    {
-        return value ? zero_[w] ^ r_ : zero_[w];
-    }
-
-    /** Garbled tables, one per AND gate in gate order. */
-    const std::vector<GarbledTable> &tables() const { return tables_; }
-
-    /**
-     * Output decode bit for output index @p i: the evaluator's label's
-     * lsb XOR this bit is the cleartext output.
-     */
-    bool decodeBit(size_t i) const;
-
-    /** Decode an evaluator's output label. */
-    bool
-    decodeOutput(size_t i, const Label &label) const
-    {
-        return label.lsb() != decodeBit(i);
-    }
-
-  private:
-    const Netlist *netlist_;
-    Label r_;
-    std::vector<Label> zero_;
-    std::vector<GarbledTable> tables_;
-};
 
 } // namespace haac
 

@@ -83,8 +83,8 @@ struct GarbledInstance
 /**
  * Garble @p netlist under @p seed and capture everything.
  *
- * Bit-identical to StreamingGarbler / Garbler at the same seed, so a
- * captured-then-replayed session matches an inline one exactly.
+ * Runs StreamingGarbler into a capturing sink, so a captured-then-
+ * replayed session matches an inline one at the same seed exactly.
  */
 GarbledInstance captureGarbling(const Netlist &netlist, uint64_t seed);
 

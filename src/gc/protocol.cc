@@ -3,7 +3,9 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "gc/instance.h"
 #include "gc/ot_ext.h"
+#include "gc/streaming.h"
 
 namespace haac {
 
@@ -33,7 +35,8 @@ runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
 
     ProtocolResult res;
     DuplexChannel chan;
-    Garbler garbler(netlist, seed);
+    StreamingGarbler garbler(netlist, seed);
+    const InputLabels &labels = garbler.inputs();
 
     const uint32_t eval_base = netlist.numGarblerInputs;
     const uint32_t m = netlist.numEvaluatorInputs;
@@ -51,42 +54,41 @@ runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
         ot_recv.sendChoices(evaluator_bits);
         std::vector<Label> m0(m), m1(m);
         for (uint32_t i = 0; i < m; ++i) {
-            m0[i] = garbler.activeLabel(eval_base + i, false);
-            m1[i] = garbler.activeLabel(eval_base + i, true);
+            m0[i] = labels.activeLabel(eval_base + i, false);
+            m1[i] = labels.activeLabel(eval_base + i, true);
         }
         ot_send.send(m0, m1);
         eval_labels = ot_recv.receiveLabels();
     }
     if (netlist.constOne != kNoWire)
-        chan.toEvaluator.sendLabel(
-            garbler.activeLabel(netlist.constOne, true));
+        chan.toEvaluator.sendLabel(labels.activeLabel(netlist.constOne, true));
     res.otBytes = chan.toEvaluator.bytesSent();
     res.otUplinkBytes = chan.toGarbler.bytesSent();
 
     // --- Remaining garbler traffic: tables, labels, decode bits. ---
     size_t base = chan.toEvaluator.bytesSent();
-    for (const GarbledTable &t : garbler.tables())
-        chan.toEvaluator.sendTable(t);
+    garbler.run([&](const GarbledTable &t) { chan.toEvaluator.sendTable(t); });
     res.tableBytes = chan.toEvaluator.bytesSent() - base;
 
     base = chan.toEvaluator.bytesSent();
     for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        chan.toEvaluator.sendLabel(
-            garbler.activeLabel(i, garbler_bits[i]));
+        chan.toEvaluator.sendLabel(labels.activeLabel(i, garbler_bits[i]));
     res.inputLabelBytes = chan.toEvaluator.bytesSent() - base;
 
     for (size_t i = 0; i < netlist.outputs.size(); ++i)
         chan.toEvaluator.sendBit(garbler.decodeBit(i));
     res.outputDecodeBytes = netlist.outputs.size();
 
-    // --- Evaluator side: consume the stream, evaluate, decode. ---
+    // --- Evaluator side: consume the stream, evaluate, decode. The
+    // garbler's labels follow the tables on the wire, so the tables
+    // are buffered before the gate walk starts. ---
     std::vector<Label> inputs(netlist.numInputs());
     for (uint32_t i = 0; i < m; ++i)
         inputs[eval_base + i] = eval_labels[i];
     if (netlist.constOne != kNoWire)
         inputs[netlist.constOne] = chan.toEvaluator.recvLabel();
 
-    std::vector<GarbledTable> tables(garbler.tables().size());
+    std::vector<GarbledTable> tables(garbler.tablesEmitted());
     for (GarbledTable &t : tables)
         t = chan.toEvaluator.recvTable();
     for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
@@ -96,9 +98,9 @@ runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
     for (size_t i = 0; i < decode.size(); ++i)
         decode[i] = chan.toEvaluator.recvBit();
 
-    Evaluator evaluator(netlist);
-    const std::vector<Label> out_labels =
-        evaluator.evaluate(inputs, tables);
+    size_t next = 0;
+    const std::vector<Label> out_labels = evaluateStreaming(
+        netlist, inputs, [&] { return tables[next++]; });
     res.outputs.resize(out_labels.size());
     for (size_t i = 0; i < out_labels.size(); ++i)
         res.outputs[i] = out_labels[i].lsb() != decode[i];
@@ -118,20 +120,20 @@ timeSoftwareGc(const Netlist &netlist, uint64_t seed)
     t.gates = netlist.numGates();
 
     auto start = Clock::now();
-    Garbler garbler(netlist, seed);
+    const GarbledInstance inst = captureGarbling(netlist, seed);
     t.garbleSeconds = std::chrono::duration<double>(Clock::now() -
                                                     start).count();
 
-    std::vector<Label> inputs(netlist.numInputs());
-    for (uint32_t w = 0; w < netlist.numInputs(); ++w)
-        inputs[w] = garbler.zeroLabel(w);
+    // All-zero inputs: the zero labels, except the constant-one wire.
+    const InputLabels labels = inst.inputLabels();
+    std::vector<Label> inputs = labels.zero;
     if (netlist.constOne != kNoWire)
-        inputs[netlist.constOne] =
-            garbler.activeLabel(netlist.constOne, true);
+        inputs[netlist.constOne] = labels.activeLabel(netlist.constOne, true);
 
-    Evaluator evaluator(netlist);
+    size_t next = 0;
     start = Clock::now();
-    std::vector<Label> outs = evaluator.evaluate(inputs, garbler.tables());
+    const std::vector<Label> outs = evaluateStreaming(
+        netlist, inputs, [&] { return inst.tables[next++]; });
     t.evaluateSeconds = std::chrono::duration<double>(Clock::now() -
                                                       start).count();
     (void)outs;

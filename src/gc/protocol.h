@@ -14,8 +14,6 @@
 
 #include "circuit/netlist.h"
 #include "gc/channel.h"
-#include "gc/evaluator.h"
-#include "gc/garbler.h"
 
 namespace haac {
 

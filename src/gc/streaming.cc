@@ -1,7 +1,7 @@
 #include "gc/streaming.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "crypto/prg.h"
 #include "gc/evaluator.h"
@@ -22,12 +22,10 @@ expandInputLabels(uint64_t seed, size_t num_inputs)
 }
 
 StreamingGarbler::StreamingGarbler(const Netlist &netlist, uint64_t seed)
-    : netlist_(&netlist)
+    : netlist_(&netlist),
+      inputs_(expandInputLabels(seed, netlist.numInputs())),
+      zero_(netlist.numWires())
 {
-    InputLabels in = expandInputLabels(seed, netlist.numInputs());
-    r_ = in.offset;
-    zero_ = std::move(in.zero);
-    zero_.resize(netlist.numWires());
 }
 
 void
@@ -37,6 +35,7 @@ StreamingGarbler::run(const TableSink &sink)
         throw std::logic_error("StreamingGarbler::run called twice");
     ran_ = true;
 
+    std::copy(inputs_.zero.begin(), inputs_.zero.end(), zero_.begin());
     uint64_t and_index = 0;
     for (uint32_t g = 0; g < netlist_->numGates(); ++g) {
         const Gate &gate = netlist_->gates[g];
@@ -44,8 +43,8 @@ StreamingGarbler::run(const TableSink &sink)
         if (gate.op == GateOp::Xor) {
             zero_[wout] = zero_[gate.a] ^ zero_[gate.b];
         } else {
-            HalfGateGarbled hg =
-                garbleAnd(zero_[gate.a], zero_[gate.b], r_, and_index++);
+            HalfGateGarbled hg = garbleAnd(zero_[gate.a], zero_[gate.b],
+                                           inputs_.offset, and_index++);
             sink(hg.table);
             ++tablesEmitted_;
             zero_[wout] = hg.outZero;
@@ -54,22 +53,6 @@ StreamingGarbler::run(const TableSink &sink)
     outZero_.reserve(netlist_->outputs.size());
     for (WireId w : netlist_->outputs)
         outZero_.push_back(zero_[w]);
-}
-
-StreamedGarbling
-garbleStreaming(const Netlist &netlist, uint64_t seed,
-                const TableSink &sink)
-{
-    StreamingGarbler sg(netlist, seed);
-
-    StreamedGarbling out;
-    out.inputs.offset = sg.globalOffset();
-    for (WireId w = 0; w < netlist.numInputs(); ++w)
-        out.inputs.zero.push_back(sg.inputZeroLabel(w));
-    sg.run(sink);
-    out.outputZeroLabels = sg.outputZeroLabels();
-    out.tablesEmitted = sg.tablesEmitted();
-    return out;
 }
 
 std::vector<Label>

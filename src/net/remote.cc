@@ -123,11 +123,7 @@ struct LiveGarblerSource
     {
     }
 
-    Label
-    activeLabel(WireId w, bool value) const
-    {
-        return garbler.activeLabel(w, value);
-    }
+    const InputLabels &inputs() const { return garbler.inputs(); }
 
     void
     emitTables(NetChannel &chan)
@@ -152,11 +148,7 @@ struct InstanceGarblerSource
     {
     }
 
-    Label
-    activeLabel(WireId w, bool value) const
-    {
-        return labels.activeLabel(w, value);
-    }
+    const InputLabels &inputs() const { return labels; }
 
     void
     emitTables(NetChannel &chan)
@@ -170,8 +162,9 @@ struct InstanceGarblerSource
 
 /**
  * The garbler's protocol, parameterized over where labels and tables
- * come from (a live StreamingGarbler or a captured GarbledInstance) —
- * the wire traffic is identical either way.
+ * come from (a live StreamingGarbler or a captured GarbledInstance).
+ * Either way every label is read from one InputLabels, and the wire
+ * traffic is identical.
  */
 template <typename Source>
 RemoteResult
@@ -208,14 +201,15 @@ runGarblerFrom(const Netlist &netlist,
 
     // OT phase (before any other label traffic), then the public
     // constant-one label, counted as OT traffic.
+    const InputLabels &labels = src.inputs();
     std::vector<Label> m0(m), m1(m);
     for (uint32_t i = 0; i < m; ++i) {
-        m0[i] = src.activeLabel(eval_base + i, false);
-        m1[i] = src.activeLabel(eval_base + i, true);
+        m0[i] = labels.activeLabel(eval_base + i, false);
+        m1[i] = labels.activeLabel(eval_base + i, true);
     }
     sendOtLabels(chan, m0, m1, opts.otCache, res);
     if (netlist.constOne != kNoWire) {
-        chan.sendLabel(src.activeLabel(netlist.constOne, true));
+        chan.sendLabel(labels.activeLabel(netlist.constOne, true));
         res.otBytes += kLabelBytes;
     }
     chan.flush();
@@ -225,7 +219,7 @@ runGarblerFrom(const Netlist &netlist,
     // must window the same frames).
     size_t base = chan.bytesSent();
     for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
+        chan.sendLabel(labels.activeLabel(i, garbler_bits[i]));
     res.inputLabelBytes = chan.bytesSent() - base;
     chan.flush();
 

@@ -78,7 +78,48 @@ serverRoleFor(PeerRole client)
     return client == PeerRole::Garbler ? Role::Evaluator : Role::Garbler;
 }
 
+/**
+ * A "Name:N" circuit family: its builder and an upper bound on the
+ * gates that builder emits for N. Million and Adder are one N-bit
+ * ripple chain (5N - 2 gates); Mult adds N shifted rows into a 2N-bit
+ * accumulator (just under 6N^2).
+ */
+struct SizedFamily
+{
+    const char *name;
+    Workload (*make)(uint32_t);
+    uint64_t (*gateBound)(uint64_t);
+};
+
+const SizedFamily kSizedFamilies[] = {
+    {"Million", makeMillionaire, [](uint64_t n) { return 5 * n; }},
+    {"millionaire", makeMillionaire, [](uint64_t n) { return 5 * n; }},
+    {"Adder", makeAdder, [](uint64_t n) { return 5 * n; }},
+    {"Mult", makeMultiplier, [](uint64_t n) { return 6 * n * n; }},
+};
+
+/** The family named @p name, or null. */
+const SizedFamily *
+sizedFamily(const std::string &name)
+{
+    for (const SizedFamily &f : kSizedFamilies)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
 } // namespace
+
+uint64_t
+workloadGateBound(const std::string &spec)
+{
+    std::string name;
+    uint32_t arg = 0;
+    if (!splitSpec(spec, name, arg))
+        return 0;
+    const SizedFamily *f = sizedFamily(name);
+    return f != nullptr ? f->gateBound(arg) : 0;
+}
 
 Workload
 resolveWorkload(const std::string &spec)
@@ -86,12 +127,8 @@ resolveWorkload(const std::string &spec)
     std::string name;
     uint32_t arg = 0;
     if (splitSpec(spec, name, arg)) {
-        if (name == "Million" || name == "millionaire")
-            return makeMillionaire(arg);
-        if (name == "Adder")
-            return makeAdder(arg);
-        if (name == "Mult")
-            return makeMultiplier(arg);
+        if (const SizedFamily *f = sizedFamily(name))
+            return f->make(arg);
         throw NetError("unknown workload spec \"" + spec + "\"");
     }
     if (spec == "AES128" || spec == "aes128")
@@ -591,6 +628,14 @@ GcServer::serveChainSession(Transport &transport, uint64_t session_id,
 std::shared_ptr<const Workload>
 GcServer::resolveCached(const std::string &spec)
 {
+    // A size argument up to 2^20 reaches ~6.6e12 gates for Mult, so
+    // sized specs meet the upload's gate cap before anything is built.
+    const uint64_t bound = workloadGateBound(spec);
+    if (bound > opts_.maxGates)
+        throw NetError("workload spec \"" + spec + "\" builds up to " +
+                       std::to_string(bound) +
+                       " gates; this server admits at most " +
+                       std::to_string(opts_.maxGates));
     if (opts_.cacheWorkloads) {
         std::lock_guard<std::mutex> lock(workloadMutex_);
         auto it = workloadCache_.find(spec);

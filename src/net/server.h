@@ -75,6 +75,16 @@ struct ChainWorkload;
 Workload resolveWorkload(const std::string &spec);
 
 /**
+ * An upper bound on the gates resolveWorkload(@p spec) builds, taken
+ * from the size argument alone ("Million:32", "Adder:64", "Mult:8"),
+ * so a server can refuse an oversized spec before building it. 0 for
+ * specs without a size argument (fixed circuits) or an unknown name.
+ *
+ * @throws NetError for a malformed size argument.
+ */
+uint64_t workloadGateBound(const std::string &spec);
+
+/**
  * Client half of session establishment, both flavors.
  *
  * Handshakes as @p self; when the peer is a server, sends @p spec and
@@ -163,7 +173,9 @@ struct ServerOptions
      * against 2*maxGates + 1 — *before* the text is parsed (so a
      * hostile header cannot even make the parser reserve memory), and
      * the canonicalized gate count is re-checked after. The transport
-     * frame bound (kMaxFrameBytes) caps the text itself.
+     * frame bound (kMaxFrameBytes) caps the text itself. Sized specs
+     * ("Mult:N", ...) meet the same cap through workloadGateBound()
+     * before they are built.
      */
     uint32_t maxGates = 1u << 22;
 };

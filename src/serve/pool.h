@@ -6,10 +6,10 @@
  * the full garbling cost (AES over every AND gate) inside each
  * session's latency window. This PrebuiltPool (serve/prebuilt_pool.h,
  * which states the freshness invariant) keys a queue of ready
- * GarbledInstances by workload spec: filler threads run the two-phase
- * StreamingGarbler (gc/instance.h captures its outputs), and a session
- * thread pops one and replays it through the instance overload of
- * runRemoteGarbler().
+ * GarbledInstances by workload spec: filler threads run
+ * captureGarbling() (gc/instance.h: StreamingGarbler into a capturing
+ * sink), and a session thread pops one and replays it through the
+ * instance overload of runRemoteGarbler().
  *
  * What an item holds: the instance's seed, its tables and its output
  * zero labels. The offset and input zero labels are re-derived from

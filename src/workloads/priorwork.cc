@@ -10,11 +10,14 @@ namespace haac {
 
 namespace {
 
+using u128 = unsigned __int128;
+
+/** Bits [0, width) of @p v, lsb first; bits at and past 128 are 0. */
 void
-appendWord(std::vector<bool> &bits, uint64_t v, uint32_t width)
+appendWord(std::vector<bool> &bits, u128 v, uint32_t width)
 {
     for (uint32_t i = 0; i < width; ++i)
-        bits.push_back(((v >> i) & 1) != 0);
+        bits.push_back(i < 128 && ((v >> i) & 1) != 0);
 }
 
 /** Reduce a degree-14 GF(2)[x] polynomial modulo x^8+x^4+x^3+x+1. */
@@ -133,7 +136,7 @@ makeAdder(uint32_t bits)
     const uint64_t bv = prg.nextU64() & mask;
     appendWord(wl.garblerBits, av, bits);
     appendWord(wl.evaluatorBits, bv, bits);
-    appendWord(wl.expectedOutputs, (av + bv) & mask, bits);
+    appendWord(wl.expectedOutputs, u128(av) + bv, bits);
     wl.plaintextKernel = [] {};
     return wl;
 }
@@ -158,7 +161,7 @@ makeMultiplier(uint32_t bits)
     const uint64_t bv = prg.nextU64() & mask;
     appendWord(wl.garblerBits, av, bits);
     appendWord(wl.evaluatorBits, bv, bits);
-    appendWord(wl.expectedOutputs, av * bv, 2 * bits);
+    appendWord(wl.expectedOutputs, u128(av) * bv, 2 * bits);
     wl.plaintextKernel = [] {};
     return wl;
 }

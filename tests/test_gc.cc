@@ -16,6 +16,7 @@
 #include "crypto/prg.h"
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
+#include "gc/instance.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
 #include "workloads/vip.h"
@@ -120,10 +121,10 @@ TEST(Garbler, XorGatesAreFree)
     Wire b = cb.evaluatorInput();
     cb.addOutput(cb.xorGate(a, b));
     Netlist nl = cb.build();
-    Garbler g(nl, 1);
-    EXPECT_EQ(g.tables().size(), 0u);
-    EXPECT_EQ(g.zeroLabel(nl.outputs[0]),
-              g.zeroLabel(a) ^ g.zeroLabel(b));
+    const GarbledInstance g = captureGarbling(nl, 1);
+    const InputLabels in = g.inputLabels();
+    EXPECT_EQ(g.tables.size(), 0u);
+    EXPECT_EQ(g.outputZero[0], in.zero[a] ^ in.zero[b]);
 }
 
 TEST(Garbler, GlobalOffsetHasLsbSet)
@@ -133,7 +134,7 @@ TEST(Garbler, GlobalOffsetHasLsbSet)
     cb.addOutput(a);
     Netlist nl = cb.build();
     for (uint64_t seed : {1ull, 2ull, 3ull})
-        EXPECT_TRUE(Garbler(nl, seed).globalOffset().lsb());
+        EXPECT_TRUE(StreamingGarbler(nl, seed).inputs().offset.lsb());
 }
 
 TEST(Garbler, DeterministicPerSeed)
@@ -143,9 +144,11 @@ TEST(Garbler, DeterministicPerSeed)
     Wire b = cb.evaluatorInput();
     cb.addOutput(cb.andGate(a, b));
     Netlist nl = cb.build();
-    Garbler g1(nl, 9), g2(nl, 9), g3(nl, 10);
-    EXPECT_EQ(g1.tables()[0], g2.tables()[0]);
-    EXPECT_FALSE(g1.tables()[0] == g3.tables()[0]);
+    const GarbledInstance g1 = captureGarbling(nl, 9);
+    const GarbledInstance g2 = captureGarbling(nl, 9);
+    const GarbledInstance g3 = captureGarbling(nl, 10);
+    EXPECT_EQ(g1.tables[0], g2.tables[0]);
+    EXPECT_FALSE(g1.tables[0] == g3.tables[0]);
 }
 
 /** Build a random AND/XOR/NOT circuit and check GC == plaintext. */
@@ -276,46 +279,6 @@ TEST(Channel, UnderflowThrows)
     EXPECT_THROW(chan.recvBit(), std::runtime_error);
 }
 
-TEST(Evaluator, TooFewTablesThrows)
-{
-    CircuitBuilder cb;
-    Wire a = cb.garblerInput();
-    Wire b = cb.evaluatorInput();
-    cb.addOutput(cb.andGate(a, b));
-    Netlist nl = cb.build();
-    Evaluator ev(nl);
-    std::vector<Label> inputs(nl.numInputs());
-    EXPECT_THROW(ev.evaluate(inputs, {}), std::invalid_argument);
-}
-
-TEST(Streaming, MatchesBatchGarblerBitForBit)
-{
-    CircuitBuilder cb;
-    Bits a = cb.garblerInputs(8);
-    Bits b = cb.evaluatorInputs(8);
-    Bits m = mulBits(cb, a, b, 8);
-    cb.addOutputs(addBits(cb, m, a));
-    Netlist nl = cb.build();
-
-    const uint64_t seed = 77;
-    Garbler batch(nl, seed);
-
-    std::vector<GarbledTable> streamed;
-    StreamedGarbling sg = garbleStreaming(
-        nl, seed,
-        [&streamed](const GarbledTable &t) { streamed.push_back(t); });
-
-    EXPECT_EQ(sg.inputs.offset, batch.globalOffset());
-    ASSERT_EQ(streamed.size(), batch.tables().size());
-    for (size_t i = 0; i < streamed.size(); ++i)
-        EXPECT_EQ(streamed[i], batch.tables()[i]) << "table " << i;
-    for (uint32_t w = 0; w < nl.numInputs(); ++w)
-        EXPECT_EQ(sg.inputs.zero[w], batch.zeroLabel(w));
-    for (size_t i = 0; i < nl.outputs.size(); ++i)
-        EXPECT_EQ(sg.outputZeroLabels[i],
-                  batch.zeroLabel(nl.outputs[i]));
-}
-
 TEST(Streaming, HammTablesMatchGoldenDigest)
 {
     // FNV-1a over every table the streaming garbler emits for the
@@ -329,14 +292,14 @@ TEST(Streaming, HammTablesMatchGoldenDigest)
             digest *= 0x100000001b3ull;
         }
     };
-    const StreamedGarbling sg = garbleStreaming(
-        wl.netlist, 2023, [&mix](const GarbledTable &t) {
-            mix(t.tg.lo);
-            mix(t.tg.hi);
-            mix(t.te.lo);
-            mix(t.te.hi);
-        });
-    EXPECT_EQ(sg.tablesEmitted, wl.netlist.numAndGates());
+    StreamingGarbler sg(wl.netlist, 2023);
+    sg.run([&mix](const GarbledTable &t) {
+        mix(t.tg.lo);
+        mix(t.tg.hi);
+        mix(t.te.lo);
+        mix(t.te.hi);
+    });
+    EXPECT_EQ(sg.tablesEmitted(), wl.netlist.numAndGates());
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(digest));
@@ -353,18 +316,17 @@ TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
 
     // A bounded "network" FIFO between the two parties.
     std::deque<GarbledTable> wire_fifo;
-    StreamedGarbling sg = garbleStreaming(
-        nl, 5, [&wire_fifo](const GarbledTable &t) {
-            wire_fifo.push_back(t);
-        });
+    StreamingGarbler sg(nl, 5);
+    sg.run([&wire_fifo](const GarbledTable &t) { wire_fifo.push_back(t); });
 
     const uint64_t x = 321, y = 207;
+    const InputLabels &in = sg.inputs();
     std::vector<Label> inputs(nl.numInputs());
     for (uint32_t w = 0; w < 16; ++w) {
-        inputs[w] = sg.inputs.activeLabel(w, ((x >> w) & 1) != 0);
-        inputs[16 + w] = sg.inputs.activeLabel(16 + w, ((y >> w) & 1) != 0);
+        inputs[w] = in.activeLabel(w, ((x >> w) & 1) != 0);
+        inputs[16 + w] = in.activeLabel(16 + w, ((y >> w) & 1) != 0);
     }
-    inputs[nl.constOne] = sg.inputs.activeLabel(nl.constOne, true);
+    inputs[nl.constOne] = in.activeLabel(nl.constOne, true);
 
     std::vector<Label> outs =
         evaluateStreaming(nl, inputs, [&wire_fifo]() {
@@ -377,7 +339,7 @@ TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
     uint64_t result = 0;
     for (size_t i = 0; i < outs.size(); ++i) {
         const bool bit =
-            outs[i].lsb() != sg.outputZeroLabels[i].lsb();
+            outs[i].lsb() != sg.decodeBit(i);
         result |= uint64_t(bit) << i;
     }
     EXPECT_EQ(result, (x * y) & 0xffff);

@@ -348,27 +348,6 @@ TEST(Channel, LargeTrafficReclaimsConsumedPrefix)
 // StreamingGarbler (two-phase streaming)
 // ---------------------------------------------------------------------------
 
-TEST(StreamingGarbler, BitIdenticalToBatchGarbler)
-{
-    const Workload wl = makeMillionaire(24);
-    const uint64_t seed = 99;
-    const Garbler batch(wl.netlist, seed);
-
-    StreamingGarbler sg(wl.netlist, seed);
-    EXPECT_EQ(sg.globalOffset(), batch.globalOffset());
-    for (uint32_t w = 0; w < wl.netlist.numInputs(); ++w)
-        EXPECT_EQ(sg.inputZeroLabel(w), batch.zeroLabel(w));
-
-    // Input labels are available BEFORE any table is produced — the
-    // property the remote protocol is built on.
-    std::vector<GarbledTable> streamed;
-    sg.run([&](const GarbledTable &t) { streamed.push_back(t); });
-    EXPECT_EQ(streamed, batch.tables());
-    EXPECT_EQ(sg.tablesEmitted(), batch.tables().size());
-    for (size_t i = 0; i < wl.netlist.outputs.size(); ++i)
-        EXPECT_EQ(sg.decodeBit(i), batch.decodeBit(i));
-}
-
 TEST(StreamingGarbler, RunTwiceThrows)
 {
     const Workload wl = makeMillionaire(4);

@@ -343,13 +343,17 @@ TEST(GarbledInstance, CaptureMatchesStreamingGarbler)
 
     EXPECT_EQ(inst.seed, seed);
     const InputLabels in = inst.inputLabels();
-    EXPECT_EQ(in.offset, ref.globalOffset());
+    const InputLabels &ref_in = ref.inputs();
+    EXPECT_EQ(in.offset, ref_in.offset);
     ASSERT_EQ(in.zero.size(), wl.netlist.numInputs());
-    for (WireId w = 0; w < wl.netlist.numInputs(); ++w) {
-        EXPECT_EQ(in.zero[w], ref.inputZeroLabel(w));
-        EXPECT_EQ(in.activeLabel(w, true), ref.activeLabel(w, true));
-        EXPECT_EQ(inst.activeLabel(w, false), ref.activeLabel(w, false));
-        EXPECT_EQ(inst.activeLabel(w, true), ref.activeLabel(w, true));
+    EXPECT_EQ(in.zero, ref_in.zero);
+    // activeLabel() re-expands the seed up to its wire on every call,
+    // so it is checked at a few wires rather than across all inputs.
+    ASSERT_NE(wl.netlist.constOne, kNoWire);
+    for (WireId w : {WireId(0), WireId(wl.netlist.numInputs() - 1),
+                     wl.netlist.constOne}) {
+        EXPECT_EQ(inst.activeLabel(w, false), ref_in.activeLabel(w, false));
+        EXPECT_EQ(inst.activeLabel(w, true), ref_in.activeLabel(w, true));
     }
     EXPECT_EQ(inst.tables, ref_tables);
     ASSERT_EQ(inst.outputZero.size(), wl.netlist.outputs.size());
@@ -614,7 +618,7 @@ TEST(GarblePool, InstancesAreFreshNeverLabelReuse)
             bit = wl.garblerBits[w];
         else
             bit = wl.evaluatorBits[w - wl.netlist.numGarblerInputs];
-        inputs[w] = a->activeLabel(w, bit);
+        inputs[w] = a_in.activeLabel(w, bit);
     }
     size_t next = 0;
     const std::vector<Label> out_labels = evaluateStreaming(

@@ -83,6 +83,30 @@ TEST(ResolveWorkload, RejectsUnknownAndMalformed)
     EXPECT_THROW(resolveWorkload("Bogus:12"), NetError);
 }
 
+TEST(ResolveWorkload, GateBoundCoversEveryFamily)
+{
+    // Past 32 (Mult) and 64 (Million, Adder) bits the sample inputs
+    // and expected outputs no longer fit one 64-bit word.
+    for (const char *family : {"Million", "millionaire", "Adder", "Mult"})
+        for (uint32_t n : {1u, 8u, 33u, 64u, 65u}) {
+            const std::string spec =
+                std::string(family) + ":" + std::to_string(n);
+            const Workload wl = resolveWorkload(spec);
+            EXPECT_GE(workloadGateBound(spec), wl.netlist.numGates())
+                << spec;
+            EXPECT_EQ(wl.netlist.evaluate(wl.garblerBits, wl.evaluatorBits),
+                      wl.expectedOutputs)
+                << spec;
+        }
+    // Fixed circuits and unknown names carry no bound from a size.
+    EXPECT_EQ(workloadGateBound("AES128"), 0u);
+    EXPECT_EQ(workloadGateBound("Hamm"), 0u);
+    EXPECT_EQ(workloadGateBound("NoSuch:9"), 0u);
+    // The largest size argument: quadratic in N, far past any cap.
+    EXPECT_GT(workloadGateBound("Mult:1048576"), uint64_t(1) << 40);
+    EXPECT_THROW(workloadGateBound("Mult:0"), NetError);
+}
+
 TEST(GcServer, ServesOneSessionWithReportLine)
 {
     std::ostringstream reports;
@@ -429,6 +453,47 @@ TEST(GcServer, RefusesOversizedUploadBeforeParsing)
     const GcServer::Totals totals = server.totals();
     EXPECT_EQ(totals.uploadsRefused, 1u);
     EXPECT_EQ(totals.gates, 0u);
+}
+
+TEST(GcServer, RefusesOversizedSpecBeforeBuilding)
+{
+    ServerOptions opts;
+    opts.threads = 1;
+    opts.maxGates = 1000; // Mult:64 bounds to 24,576 gates, Mult:4 to 96
+    GcServer server(opts);
+
+    {
+        auto [client_end, server_end] = LoopbackTransport::createPair();
+        server.submit(std::move(server_end));
+        try {
+            clientHello(*client_end, PeerRole::Garbler, "Mult:64");
+            FAIL() << "expected refusal";
+        } catch (const NetError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("\"Mult:64\" builds up to 24576 gates"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("at most 1000"), std::string::npos);
+        }
+    }
+
+    // The refusal costs the server nothing: a spec under the cap is
+    // still served.
+    const Workload wl = resolveWorkload("Mult:4");
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    clientHello(*client_end, PeerRole::Garbler, "Mult:4");
+    const RemoteResult res = runRemoteGarbler(
+        wl.netlist, wl.garblerBits, *client_end, 5);
+    client_end.reset();
+    server.drain();
+
+    EXPECT_EQ(res.outputs,
+              wl.netlist.evaluate(wl.garblerBits, wl.evaluatorBits));
+    const GcServer::Totals totals = server.totals();
+    EXPECT_EQ(totals.sessionsServed, 1u);
+    EXPECT_EQ(totals.sessionsFailed, 1u);
+    EXPECT_EQ(totals.gates, wl.netlist.numGates());
 }
 
 TEST(GcServer, RefusesWireInflatedUploadBeforeParsing)

@@ -75,8 +75,8 @@ usage(const char *argv0)
         "and fill their queues before\n"
         "                   accepting (e.g. ChainProdCmp:32; repeat "
         "for more; needs --component-pool)\n"
-        "  --max-gates N    admission cap for uploaded netlists "
-        "(default 4194304)\n"
+        "  --max-gates N    gate cap for uploaded netlists and sized "
+        "specs (default 4194304)\n"
         "  --no-ot-cache    run the base-OT phase every session "
         "instead of once per connection\n"
         "  --report-file F  append per-session RunReport JSON lines "
