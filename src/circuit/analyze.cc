@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "chain/link.h"
+#include "circuit/optimize.h"
 
 namespace haac {
 
@@ -114,8 +115,13 @@ checkNetlistStructure(const Netlist &nl, Accumulator &acc)
     return true;
 }
 
-/** Liveness, constants, taint, duplicates, cost — one pass each, all
- *  requiring a structurally clean netlist. */
+/** Per-wire facts of the deep pass: reaches an output, is read (or is
+ *  an output), depends on a garbler / an evaluator input. */
+enum : uint8_t { kLive = 1, kRead = 2, kDepG = 4, kDepE = 8 };
+
+/** Liveness and reads in one reverse scan; constants, taint, depth and
+ *  the warnings in one forward scan. Both require a structurally clean
+ *  netlist. */
 void
 analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
 {
@@ -124,54 +130,35 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
 
     // Reverse reachability from the outputs (the eliminateDeadGates
     // criterion, so DeadGate warnings vanish exactly when it runs).
-    std::vector<bool> live(wires, false);
+    // A gate's output is final when the scan reaches it: only later
+    // gates read it.
+    std::vector<uint8_t> mark(wires, 0);
     for (WireId w : nl.outputs)
-        live[w] = true;
-    for (int g = int(nl.numGates()) - 1; g >= 0; --g) {
-        if (!live[inputs + uint32_t(g)])
-            continue;
-        live[nl.gates[size_t(g)].a] = true;
-        live[nl.gates[size_t(g)].b] = true;
-    }
-
-    // Fan-out counts (unused-input detection).
-    std::vector<uint32_t> reads(wires, 0);
-    for (const Gate &gate : nl.gates) {
-        ++reads[gate.a];
-        ++reads[gate.b];
+        mark[w] |= kLive | kRead;
+    for (uint32_t g = nl.numGates(); g-- > 0;) {
+        const Gate &gate = nl.gates[g];
+        const uint8_t live = mark[inputs + g] & kLive;
+        mark[gate.a] |= kRead | live;
+        mark[gate.b] |= kRead | live;
     }
 
     // Constant propagation and input-dependence taint, forward. A
     // constant wire depends on nobody; otherwise dependence is the
     // union over operands.
     std::vector<uint8_t> val(wires, kValTop);
-    std::vector<bool> depG(wires, false), depE(wires, false);
     for (uint32_t w = 0; w < nl.numGarblerInputs; ++w)
-        depG[w] = true;
+        mark[w] |= kDepG;
     for (uint32_t w = 0; w < nl.numEvaluatorInputs; ++w)
-        depE[nl.numGarblerInputs + w] = true;
+        mark[nl.numGarblerInputs + w] |= kDepE;
     if (nl.constOne != kNoWire)
         val[nl.constOne] = kValOne;
 
     // AND depth for the cost report.
     std::vector<uint32_t> depth(wires, 0);
 
-    // Structural hashing with transitive aliasing — the exact
-    // mergeDuplicateGates criterion (optimize.cc), which is what makes
-    // the analyzer the optimizer's referee.
-    std::vector<WireId> alias(wires);
-    for (uint32_t w = 0; w < wires; ++w)
-        alias[w] = w;
-    auto resolve = [&alias](WireId w) {
-        while (alias[w] != w)
-            w = alias[w];
-        return w;
-    };
-    // One map per op: (min, max) then fills the 64-bit key exactly,
-    // so full 32-bit wire ids cannot collide.
-    std::unordered_map<uint64_t, WireId> seen[2];
-    seen[0].reserve(nl.numGates());
-    seen[1].reserve(nl.numGates());
+    // The exact mergeDuplicateGates criterion (optimize.cc), which is
+    // what makes the analyzer the optimizer's referee.
+    const std::vector<WireId> alias = duplicateGateAliases(nl);
 
     for (uint32_t g = 0; g < nl.numGates(); ++g) {
         const Gate &gate = nl.gates[g];
@@ -199,52 +186,36 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
                 v = va;
         }
         val[out] = v;
-        if (v == kValTop) {
-            depG[out] = depG[gate.a] || depG[gate.b];
-            depE[out] = depE[gate.a] || depE[gate.b];
-        }
+        if (v == kValTop)
+            mark[out] |= (mark[gate.a] | mark[gate.b]) & (kDepG | kDepE);
         depth[out] = std::max(depth[gate.a], depth[gate.b]) +
                      (gate.op == GateOp::And ? 1 : 0);
 
-        const WireId ra = resolve(gate.a);
-        const WireId rb = resolve(gate.b);
-        const uint64_t key = (uint64_t(std::min(ra, rb)) << 32) |
-                             uint64_t(std::max(ra, rb));
-        auto [it, inserted] = seen[size_t(gate.op)].emplace(key, out);
-        const bool dup = !inserted;
-        if (dup)
-            alias[out] = it->second;
-
-        if (!live[out]) {
+        auto gateText = [&gate] {
+            return opName(gate.op) + "(" + std::to_string(gate.a) + ", " +
+                   std::to_string(gate.b) + ")";
+        };
+        if (!(mark[out] & kLive))
             acc.warn(DiagCode::DeadGate, g, out,
-                     opName(gate.op) + "(" + std::to_string(gate.a) +
-                         ", " + std::to_string(gate.b) +
-                         ") cannot reach any primary output");
-        } else if (v != kValTop) {
+                     gateText() + " cannot reach any primary output");
+        else if (v != kValTop)
             acc.warn(DiagCode::ConstantCone, g, out,
-                     opName(gate.op) + "(" + std::to_string(gate.a) +
-                         ", " + std::to_string(gate.b) +
-                         ") always evaluates to " +
+                     gateText() + " always evaluates to " +
                          std::to_string(int(v)) +
                          " — a constant-foldable cone");
-        }
-        if (dup)
+        if (alias[out] != out)
             acc.warn(DiagCode::DuplicateGate, g, out,
-                     opName(gate.op) + "(" + std::to_string(gate.a) +
-                         ", " + std::to_string(gate.b) +
-                         ") structurally duplicates the gate driving "
+                     gateText() +
+                         " structurally duplicates the gate driving "
                          "wire " +
-                         std::to_string(it->second));
+                         std::to_string(alias[out]));
     }
 
     // Declared inputs nobody reads (and that are not passed through
     // as outputs). The constant-one wire is exempt: the builder
     // always materializes it.
-    std::vector<bool> is_output(wires, false);
-    for (WireId w : nl.outputs)
-        is_output[w] = true;
     for (uint32_t w = 0; w < inputs; ++w) {
-        if (w == nl.constOne || reads[w] > 0 || is_output[w])
+        if (w == nl.constOne || (mark[w] & kRead))
             continue;
         const bool garbler = w < nl.numGarblerInputs;
         const uint32_t idx = garbler ? w : w - nl.numGarblerInputs;
@@ -261,14 +232,14 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
     if (nl.numEvaluatorInputs > 0) {
         for (uint32_t i = 0; i < nl.outputs.size(); ++i) {
             const WireId w = nl.outputs[i];
-            if (depE[w])
+            if (mark[w] & kDepE)
                 continue;
             acc.warn(DiagCode::InertOutput, i, w,
                      val[w] != kValTop
                          ? "output is the constant " +
                                std::to_string(int(val[w])) +
                                " — it leaks nothing"
-                         : depG[w]
+                         : (mark[w] & kDepG)
                              ? "output depends on garbler inputs only "
                                "— the evaluator contributes nothing "
                                "to it"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -16,22 +17,97 @@ fail(const std::string &msg)
     throw std::runtime_error("bristol: " + msg);
 }
 
-Netlist
-readBristolImpl(std::istream &in, CircuitLintReport *lints)
+/** The ops a gate line may name; Other is any other token. */
+enum class RawOp : uint8_t { And, Xor, Inv, Not, Eqw, Eq, Other };
+constexpr std::string_view kRawOpNames[] = {"AND", "XOR", "INV",
+                                             "NOT", "EQW", "EQ"};
+
+/** One gate line as read, in file wire ids. */
+struct RawGate
 {
-    uint64_t ngates = 0, nwires = 0;
-    if (!(in >> ngates >> nwires))
+    uint32_t a, b, out;
+    RawOp op;
+};
+
+/** A read position; every read skips the whitespace before it. */
+struct Cursor
+{
+    std::string_view text;
+    size_t pos = 0;
+
+    /** Whitespace as the C locale's isspace has it. */
+    static bool
+    space(char c)
+    {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    }
+
+    void
+    skipSpace()
+    {
+        while (pos < text.size() && space(text[pos]))
+            ++pos;
+    }
+
+    /** The next run of non-whitespace bytes (empty at the end). */
+    std::string_view
+    token()
+    {
+        skipSpace();
+        const size_t begin = pos;
+        while (pos < text.size() && !space(text[pos]))
+            ++pos;
+        return text.substr(begin, pos - begin);
+    }
+
+    /** A token of decimal digits below 2^64. */
+    bool
+    number(uint64_t &v)
+    {
+        skipSpace();
+        const size_t begin = pos;
+        for (v = 0; pos < text.size() && !space(text[pos]); ++pos) {
+            const unsigned d = unsigned(uint8_t(text[pos])) - '0';
+            if (d > 9 || v > (UINT64_MAX - d) / 10)
+                return false;
+            v = v * 10 + d;
+        }
+        return pos > begin;
+    }
+};
+
+} // namespace
+
+std::optional<BristolHeader>
+readBristolHeader(std::string_view text)
+{
+    Cursor in{text};
+    BristolHeader h;
+    if (!in.number(h.gates) || !in.number(h.wires))
+        return std::nullopt;
+    h.end = in.pos;
+    return h;
+}
+
+Netlist
+readBristol(std::string_view text, CircuitLintReport *lints)
+{
+    const std::optional<BristolHeader> head = readBristolHeader(text);
+    if (!head)
         fail("missing gate/wire header");
+    const uint64_t ngates = head->gates, nwires = head->wires;
+    Cursor in{text, head->end};
     uint64_t ninp1 = 0, ninp2 = 0, nout = 0;
-    if (!(in >> ninp1 >> ninp2 >> nout))
+    if (!in.number(ninp1) || !in.number(ninp2) || !in.number(nout))
         fail("missing input/output header");
 
     // Header sanity, before a single allocation is sized off it. Each
     // bound fails closed on a hostile header: canonical ids (inputs,
     // const-one, one wire per gate) must fit WireId with kNoWire
     // reserved, the input and output blocks must fit inside the
-    // declared wire count, and the wire count cannot exceed what the
-    // inputs plus single-output gates can define.
+    // declared wire count, the wire count cannot exceed what the
+    // inputs plus single-output gates can define, and no gate could
+    // read an input past twice the gate count.
     constexpr uint64_t kMaxWires = uint64_t(kNoWire); // ids 0..kNoWire-1
     if (ngates >= kMaxWires || ninp1 >= kMaxWires ||
         ninp2 >= kMaxWires - ninp1)
@@ -44,57 +120,61 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
     if (nwires > declared_inputs + ngates)
         fail("header declares more wires than its inputs and gates "
              "can define");
+    if (declared_inputs > 2 * ngates)
+        fail("header declares more inputs than its gates can read");
 
-    struct RawGate
-    {
-        std::string op;
-        uint64_t a = 0, b = 0, out = 0;
-    };
+    // Every gate line is read before the wire map is sized off the
+    // header. A gate line takes at least nine bytes, so the
+    // reservation never outgrows the text. Ids past WireId read as
+    // kNoWire, which lies past every admissible wire count; only the
+    // first unknown op's text can reach a message.
     std::vector<RawGate> raw;
-    // The declared count is header-controlled; cap the up-front
-    // reservation so growth past it has to be backed by actual gate
-    // lines in the text.
-    raw.reserve(size_t(std::min<uint64_t>(ngates, 1u << 20)));
-    bool any_inv = false;
+    raw.reserve(size_t(std::min<uint64_t>(ngates, text.size() / 9)));
+    std::string_view unknown;
     for (uint64_t g = 0; g < ngates; ++g) {
-        uint64_t fanin = 0, fanout = 0;
-        if (!(in >> fanin >> fanout))
+        uint64_t fanin = 0, fanout = 0, w[3] = {};
+        if (!in.number(fanin) || !in.number(fanout))
             fail("truncated gate list");
         if (fanout != 1)
             fail("multi-output gates unsupported");
-        RawGate rg;
-        if (fanin == 2) {
-            if (!(in >> rg.a >> rg.b >> rg.out >> rg.op))
-                fail("bad 2-input gate");
-        } else if (fanin == 1) {
-            if (!(in >> rg.a >> rg.out >> rg.op))
-                fail("bad 1-input gate");
-            rg.b = rg.a;
-        } else {
+        if (fanin != 1 && fanin != 2)
             fail("unsupported fan-in");
-        }
-        if (rg.op == "INV" || rg.op == "NOT")
-            any_inv = true;
-        raw.push_back(rg);
+        bool ok = true;
+        for (uint64_t i = 0; i <= fanin && ok; ++i)
+            ok = in.number(w[i]);
+        const std::string_view op = ok ? in.token() : std::string_view();
+        if (op.empty())
+            fail(fanin == 2 ? "bad 2-input gate" : "bad 1-input gate");
+        const RawOp kind = RawOp(
+            std::find(std::begin(kRawOpNames), std::end(kRawOpNames), op) -
+            std::begin(kRawOpNames));
+        if (kind == RawOp::Other && unknown.empty())
+            unknown = op;
+        auto id = [](uint64_t v) {
+            return uint32_t(std::min<uint64_t>(v, kNoWire));
+        };
+        raw.push_back({id(w[0]), id(w[fanin - 1]), id(w[fanin]), kind});
     }
 
     Netlist nl;
     nl.numGarblerInputs = uint32_t(ninp1);
     nl.numEvaluatorInputs = uint32_t(ninp2);
-    const uint64_t file_inputs = declared_inputs;
     // Always materialize the constant wire; keeps layout predictable
     // and matches what CircuitBuilder emits.
-    nl.constOne = uint32_t(file_inputs);
-    (void)any_inv;
+    nl.constOne = uint32_t(declared_inputs);
+    nl.gates.reserve(raw.size());
 
     // Map file wire ids to canonical ids.
     std::vector<WireId> map(nwires, kNoWire);
-    for (uint64_t w = 0; w < file_inputs; ++w)
+    for (uint64_t w = 0; w < declared_inputs; ++w)
         map[w] = WireId(w);
 
     const uint32_t base = nl.numInputs();
     for (size_t gi = 0; gi < raw.size(); ++gi) {
         const RawGate &rg = raw[gi];
+        const std::string_view op = rg.op == RawOp::Other
+                                        ? unknown
+                                        : kRawOpNames[size_t(rg.op)];
         if (rg.a >= nwires || rg.b >= nwires || rg.out >= nwires)
             fail("wire index out of range");
         // A second definition of a file wire: the map overwrite below
@@ -104,31 +184,28 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
             lints->add({DiagCode::MultiplyDriven, Severity::Error,
                         uint32_t(gi), WireId(rg.out), 0,
                         "file wire " + std::to_string(rg.out) +
-                            " is driven again by " + rg.op + " gate " +
-                            std::to_string(gi) +
+                            " is driven again by " + std::string(op) +
+                            " gate " + std::to_string(gi) +
                             " — later readers silently rebind to the "
                             "last definition"});
         const WireId a = map[rg.a];
         if (a == kNoWire)
             fail("gate reads an undefined wire (not topologically sorted)");
-        if (rg.op == "EQW" || rg.op == "EQ") {
+        if (rg.op == RawOp::Eqw || rg.op == RawOp::Eq) {
             map[rg.out] = a;
             continue;
         }
         const WireId out = base + nl.numGates();
-        if (rg.op == "INV" || rg.op == "NOT") {
+        if (rg.op == RawOp::Inv || rg.op == RawOp::Not) {
             nl.gates.push_back({GateOp::Xor, a, nl.constOne});
         } else {
             const WireId b = map[rg.b];
             if (b == kNoWire)
                 fail("gate reads an undefined wire");
-            if (rg.op == "AND") {
-                nl.gates.push_back({GateOp::And, a, b});
-            } else if (rg.op == "XOR") {
-                nl.gates.push_back({GateOp::Xor, a, b});
-            } else {
-                fail("unknown gate op '" + rg.op + "'");
-            }
+            if (rg.op == RawOp::Other)
+                fail("unknown gate op '" + std::string(op) + "'");
+            nl.gates.push_back(
+                {rg.op == RawOp::And ? GateOp::And : GateOp::Xor, a, b});
         }
         map[rg.out] = out;
     }
@@ -145,57 +222,34 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
         fail("canonicalization failed: " + err);
 
     if (lints != nullptr) {
-        const CircuitLintReport rep = analyzeNetlist(nl);
-        lints->merge(rep);
+        CircuitLintReport rep = analyzeNetlist(nl);
         lints->cost = rep.cost;
+        lints->merge(std::move(rep));
     }
     return nl;
-}
-
-} // namespace
-
-Netlist
-readBristol(std::istream &in)
-{
-    return readBristolImpl(in, nullptr);
-}
-
-Netlist
-readBristol(std::istream &in, CircuitLintReport *lints)
-{
-    return readBristolImpl(in, lints);
-}
-
-Netlist
-readBristolFile(const std::string &path)
-{
-    std::ifstream f(path);
-    if (!f)
-        fail("cannot open " + path);
-    return readBristol(f);
 }
 
 Netlist
 readBristolFile(const std::string &path, CircuitLintReport *lints)
 {
-    std::ifstream f(path);
+    std::ifstream f(path, std::ios::binary);
     if (!f)
         fail("cannot open " + path);
-    return readBristol(f, lints);
+    const std::string text{std::istreambuf_iterator<char>(f),
+                           std::istreambuf_iterator<char>()};
+    return readBristol(text, lints);
 }
 
 Netlist
 readBristolString(const std::string &text)
 {
-    std::istringstream ss(text);
-    return readBristol(ss);
+    return readBristol(text);
 }
 
 Netlist
 readBristolString(const std::string &text, CircuitLintReport *lints)
 {
-    std::istringstream ss(text);
-    return readBristol(ss, lints);
+    return readBristol(text, lints);
 }
 
 void
@@ -211,13 +265,10 @@ writeBristol(const Netlist &netlist, std::ostream &out)
 
     // Determine which outputs need copy gates to land at the tail.
     const size_t nout = netlist.outputs.size();
-    std::vector<bool> in_place(nout, false);
     bool all_in_place = true;
-    for (size_t i = 0; i < nout; ++i) {
-        in_place[i] =
-            netlist.outputs[i] == base_wires - nout + i;
-        all_in_place = all_in_place && in_place[i];
-    }
+    for (size_t i = 0; i < nout; ++i)
+        all_in_place = all_in_place &&
+                       netlist.outputs[i] == base_wires - nout + i;
 
     uint32_t extra = all_in_place ? 0 : uint32_t(nout);
     out << netlist.numGates() + extra << ' ' << base_wires + extra

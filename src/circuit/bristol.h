@@ -10,6 +10,12 @@
  * are renumbered so gate outputs are dense and in order (the invariant
  * the rest of the stack relies on).
  *
+ * The reader makes one pass over a view of the text. Whitespace of any
+ * kind separates tokens; a number is a token of decimal digits below
+ * 2^64. The header is checked before anything is sized off it, and
+ * may not declare more inputs than twice its gates (all a gate could
+ * read); every gate line is read before the wire map is allocated.
+ *
  * The lint-attaching overloads additionally run the circuit analyzer
  * (circuit/analyze.h) over the canonicalized netlist and record what
  * the canonicalization itself would otherwise hide: a Bristol file
@@ -23,26 +29,39 @@
 #define HAAC_CIRCUIT_BRISTOL_H
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "circuit/analyze.h"
 #include "circuit/netlist.h"
 
 namespace haac {
 
-/** Parse an old-format Bristol circuit. Throws std::runtime_error. */
-Netlist readBristol(std::istream &in);
-Netlist readBristolFile(const std::string &path);
-Netlist readBristolString(const std::string &text);
+/** The declared gate and wire counts, and the offset just past them. */
+struct BristolHeader
+{
+    uint64_t gates = 0, wires = 0;
+    size_t end = 0;
+};
+
+/** The counts opening @p text (what the reader starts with), so a
+ *  caller can cap them before parsing; nullopt when they are missing. */
+std::optional<BristolHeader> readBristolHeader(std::string_view text);
 
 /**
- * Lint-attaching parse: on success, merge the canonicalized netlist's
- * full analyzer report plus parse-level MultiplyDriven findings into
- * @p lints (which must be non-null). Text-level failures still throw.
+ * Parse an old-format Bristol circuit. Throws std::runtime_error.
+ * Lint-attaching parse: with a non-null @p lints, merge the
+ * canonicalized netlist's full analyzer report plus parse-level
+ * MultiplyDriven findings into it. Text-level failures still throw.
  */
-Netlist readBristol(std::istream &in, CircuitLintReport *lints);
+Netlist readBristol(std::string_view text,
+                    CircuitLintReport *lints = nullptr);
+
+/** readBristol over a file's contents, and over a string. */
 Netlist readBristolFile(const std::string &path,
-                        CircuitLintReport *lints);
+                        CircuitLintReport *lints = nullptr);
+Netlist readBristolString(const std::string &text);
 Netlist readBristolString(const std::string &text,
                           CircuitLintReport *lints);
 

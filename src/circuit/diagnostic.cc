@@ -2,6 +2,7 @@
 
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 namespace haac {
 
@@ -92,10 +93,11 @@ DiagReport::add(Diagnostic d)
 }
 
 void
-DiagReport::merge(const DiagReport &other)
+DiagReport::merge(DiagReport other)
 {
-    for (const Diagnostic &d : other.diags)
-        add(d);
+    diags.reserve(diags.size() + other.diags.size());
+    for (Diagnostic &d : other.diags)
+        add(std::move(d));
 }
 
 std::string

@@ -125,7 +125,7 @@ struct DiagReport
     void add(Diagnostic d);
 
     /** Append every diagnostic of @p other, counted. */
-    void merge(const DiagReport &other);
+    void merge(DiagReport other);
 
     /** No errors (warnings allowed). */
     bool clean() const { return errors == 0; }

@@ -1,7 +1,6 @@
 #include "circuit/optimize.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 namespace haac {
@@ -81,38 +80,56 @@ eliminateDeadGates(const Netlist &netlist, OptimizeStats *stats)
     return compact(netlist, keep, identityAlias(netlist));
 }
 
+std::vector<WireId>
+duplicateGateAliases(const Netlist &netlist)
+{
+    const uint32_t inputs = netlist.numInputs();
+    std::vector<WireId> alias = identityAlias(netlist);
+    // (min, max) of the resolved operands fills the key exactly, so
+    // full 32-bit wire ids cannot collide.
+    auto keyOf = [&alias](const Gate &gate) {
+        WireId a = gate.a, b = gate.b;
+        while (alias[a] != a)
+            a = alias[a];
+        while (alias[b] != b)
+            b = alias[b];
+        return uint64_t(std::min(a, b)) << 32 | std::max(a, b);
+    };
+
+    // Open addressing over the first output wire of each key, at most
+    // half full; a slot is compared through its gate.
+    int bits = 4;
+    while ((size_t(1) << bits) < 2 * size_t(netlist.numGates()))
+        ++bits;
+    std::vector<WireId> table(size_t(1) << bits, kNoWire);
+    for (uint32_t g = 0; g < netlist.numGates(); ++g) {
+        const Gate &gate = netlist.gates[g];
+        const uint64_t key = keyOf(gate);
+        size_t i = size_t((key + uint64_t(gate.op)) * 0x9e3779b97f4a7c15ull >>
+                          (64 - bits));
+        for (; table[i] != kNoWire; i = (i + 1) & (table.size() - 1)) {
+            const Gate &first = netlist.gates[table[i] - inputs];
+            if (first.op == gate.op && keyOf(first) == key)
+                break;
+        }
+        if (table[i] == kNoWire)
+            table[i] = inputs + g;
+        else
+            alias[inputs + g] = table[i];
+    }
+    return alias;
+}
+
 Netlist
 mergeDuplicateGates(const Netlist &netlist, OptimizeStats *stats)
 {
     const uint32_t inputs = netlist.numInputs();
-    std::vector<WireId> alias = identityAlias(netlist);
-    std::vector<bool> keep(netlist.numGates(), true);
-
-    // Key: min(a,b) | max(a,b) after alias resolution, one map per
-    // op — full 32-bit wire ids fill the key exactly, no collisions.
-    std::unordered_map<uint64_t, WireId> seen[2];
-    seen[0].reserve(netlist.numGates());
-    seen[1].reserve(netlist.numGates());
-    auto resolve = [&alias](WireId w) {
-        while (alias[w] != w)
-            w = alias[w];
-        return w;
-    };
-
+    const std::vector<WireId> alias = duplicateGateAliases(netlist);
+    std::vector<bool> keep(netlist.numGates());
     uint32_t merged = 0;
     for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-        const Gate &gate = netlist.gates[g];
-        const WireId a = resolve(gate.a);
-        const WireId b = resolve(gate.b);
-        const uint64_t key = (uint64_t(std::min(a, b)) << 32) |
-                             uint64_t(std::max(a, b));
-        auto [it, inserted] =
-            seen[size_t(gate.op)].emplace(key, inputs + g);
-        if (!inserted) {
-            alias[inputs + g] = it->second;
-            keep[g] = false;
-            ++merged;
-        }
+        keep[g] = alias[inputs + g] == inputs + g;
+        merged += keep[g] ? 0 : 1;
     }
     if (stats)
         stats->duplicatesMerged += merged;

@@ -40,6 +40,13 @@ Netlist eliminateDeadGates(const Netlist &netlist,
 Netlist mergeDuplicateGates(const Netlist &netlist,
                             OptimizeStats *stats = nullptr);
 
+/**
+ * The merge criterion, shared with the analyzer: per wire, the output
+ * of the first earlier gate with the same op and (resolved) operands,
+ * or the wire itself.
+ */
+std::vector<WireId> duplicateGateAliases(const Netlist &netlist);
+
 /** Both passes to a fixed point (merge can create dead gates). */
 Netlist optimizeNetlist(const Netlist &netlist,
                         OptimizeStats *stats = nullptr);

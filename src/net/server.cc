@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 #include "chain/link.h"
@@ -36,28 +35,6 @@ splitSpec(const std::string &spec, std::string &name, uint32_t &arg)
                        "\": bad size argument \"" + tail + "\"");
     arg = uint32_t(v);
     return true;
-}
-
-/**
- * The declared gate and wire counts, straight off the Bristol header,
- * without parsing anything else. readBristol sizes its gate storage
- * and its wire map off these numbers, so a hostile header must be
- * capped before the parser ever sees the text.
- */
-struct BristolHeader
-{
-    uint64_t gates = 0;
-    uint64_t wires = 0;
-};
-
-BristolHeader
-bristolHeaderPeek(const std::string &text)
-{
-    std::istringstream ss(text);
-    BristolHeader h;
-    if (!(ss >> h.gates >> h.wires))
-        throw NetError("uploaded netlist: missing Bristol header");
-    return h;
 }
 
 /** Session ack: one status byte (1 = accepted), then the message. */
@@ -506,11 +483,15 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
     // connection, like a refused spec) with the diagnostic acked back.
     Netlist nl;
     try {
-        const std::string text = parseNetlistUploadFrame(frame);
-        const BristolHeader hdr = bristolHeaderPeek(text);
-        if (hdr.gates > opts_.maxGates)
+        // The reader sizes its gate storage and its wire map off the
+        // header's counts, so they are capped before it sees the text.
+        const std::string_view text = parseNetlistUploadFrame(frame);
+        const std::optional<BristolHeader> head = readBristolHeader(text);
+        if (!head)
+            throw NetError("uploaded netlist: missing Bristol header");
+        if (head->gates > opts_.maxGates)
             throw NetError("uploaded netlist declares " +
-                           std::to_string(hdr.gates) +
+                           std::to_string(head->gates) +
                            " gates; this server admits at most " +
                            std::to_string(opts_.maxGates));
         // Every wire of an admissible circuit is a primary input or
@@ -519,13 +500,13 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
         // XOR-parity tree) bounds the wire count of everything worth
         // parsing — and, with it, the parser's wire-map allocation.
         const uint64_t max_wires = 2 * uint64_t(opts_.maxGates) + 1;
-        if (hdr.wires > max_wires)
+        if (head->wires > max_wires)
             throw NetError("uploaded netlist declares " +
-                           std::to_string(hdr.wires) +
+                           std::to_string(head->wires) +
                            " wires; this server admits at most " +
                            std::to_string(max_wires));
         CircuitLintReport lints;
-        nl = readBristolString(text, &lints);
+        nl = readBristol(text, &lints);
         if (!lints.clean())
             throw NetError(
                 "uploaded netlist refused by the circuit analyzer (" +

@@ -1,5 +1,6 @@
 #include "net/transport.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace haac {
@@ -7,6 +8,9 @@ namespace haac {
 namespace {
 
 constexpr uint8_t kMagic[4] = {'H', 'A', 'A', 'C'};
+
+/** Frames up to this size are read into one allocation. */
+constexpr size_t kFramePiece = size_t(1) << 20;
 
 void
 putU32(uint8_t *out, uint32_t v)
@@ -77,9 +81,14 @@ Transport::recvFrame()
                        "-byte frame (limit " +
                        std::to_string(kMaxFrameBytes) +
                        "); stream is corrupt or not a HAAC peer");
-    std::vector<uint8_t> payload(n);
-    if (n > 0)
-        readAll(payload.data(), n);
+    // The announced length is only the peer's word: past one piece,
+    // the buffer grows with the bytes that have arrived (to at most
+    // four times them), not ahead of them.
+    std::vector<uint8_t> payload;
+    for (size_t got = 0; got < n; got = payload.size()) {
+        payload.resize(std::min<size_t>(n, std::max(4 * got, kFramePiece)));
+        readAll(payload.data() + got, payload.size() - got);
+    }
     countReceived(sizeof(header) + n);
     ++framesReceived_;
     return payload;

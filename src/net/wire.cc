@@ -106,13 +106,13 @@ WireReader::f64()
     return v;
 }
 
-std::string
+std::string_view
 WireReader::str()
 {
     const uint64_t n = u64();
     need(n);
-    std::string s(buf_.begin() + long(pos_),
-                  buf_.begin() + long(pos_ + n));
+    const std::string_view s(
+        reinterpret_cast<const char *>(buf_.data()) + pos_, n);
     pos_ += n;
     return s;
 }
@@ -216,14 +216,14 @@ isNetlistUploadFrame(const std::vector<uint8_t> &frame)
     return !frame.empty() && frame[0] == kNetlistUploadFrameKind;
 }
 
-std::string
+std::string_view
 parseNetlistUploadFrame(const std::vector<uint8_t> &frame)
 {
     if (!isNetlistUploadFrame(frame))
         throw NetError("netlist-upload frame: wrong frame kind");
     WireReader r(frame);
     (void)r.u8();
-    std::string text = r.str();
+    const std::string_view text = r.str();
     r.expectEnd("netlist-upload");
     return text;
 }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/transport.h"
@@ -78,7 +79,8 @@ class WireReader
     uint32_t u32();
     uint64_t u64();
     double f64();
-    std::string str();
+    /** Viewed in place: valid while the buffer lives. */
+    std::string_view str();
     std::vector<uint32_t> u32vec();
     std::vector<uint64_t> u64vec();
     std::vector<bool> bits();
@@ -160,8 +162,8 @@ std::vector<uint8_t> makeNetlistUploadFrame(const std::string &bristol);
 /** Cheap routing test: non-empty and leading kind byte. */
 bool isNetlistUploadFrame(const std::vector<uint8_t> &frame);
 
-/** Extract the Bristol text. @throws NetError on any mismatch. */
-std::string parseNetlistUploadFrame(const std::vector<uint8_t> &frame);
+/** The Bristol text, viewed in @p frame. @throws NetError on mismatch. */
+std::string_view parseNetlistUploadFrame(const std::vector<uint8_t> &frame);
 /// @}
 
 } // namespace haac

@@ -1,0 +1,113 @@
+/**
+ * @file
+ * Allocation bounds against a hostile peer. This binary replaces the
+ * global operator new with one that tracks the bytes currently live
+ * and their high-water mark, so a test can assert that what a peer
+ * merely announces is never allocated up front.
+ */
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "net/loopback.h"
+#include "net/transport.h"
+
+namespace {
+
+std::atomic<size_t> gLive{0};
+std::atomic<size_t> gPeak{0};
+
+/** Every block carries its size in a header this far before it. */
+constexpr size_t kHeader = alignof(std::max_align_t);
+
+} // namespace
+
+void *
+operator new(size_t n)
+{
+    void *base = std::malloc(n + kHeader);
+    if (base == nullptr)
+        throw std::bad_alloc();
+    *static_cast<size_t *>(base) = n;
+    const size_t live = gLive.fetch_add(n) + n;
+    size_t peak = gPeak.load();
+    while (live > peak && !gPeak.compare_exchange_weak(peak, live)) {
+    }
+    return static_cast<char *>(base) + kHeader;
+}
+
+void *
+operator new[](size_t n)
+{
+    return operator new(n);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    if (p == nullptr)
+        return;
+    void *base = static_cast<char *>(p) - kHeader;
+    gLive.fetch_sub(*static_cast<size_t *>(base));
+    std::free(base);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    operator delete(p);
+}
+
+void
+operator delete(void *p, size_t) noexcept
+{
+    operator delete(p);
+}
+
+void
+operator delete[](void *p, size_t) noexcept
+{
+    operator delete(p);
+}
+
+namespace haac {
+namespace {
+
+TEST(AllocBound, AnnouncedFrameIsNotAllocatedBeforeItsBytes)
+{
+    // A peer announces the largest legal frame (2^30 bytes), sends 64
+    // of them and closes: the receiver must fail without holding
+    // memory for the 2^30 it never got.
+    auto [peer, self] = LoopbackTransport::createPair();
+    const uint8_t header[4] = {0, 0, 0, 0x40}; // 2^30, little-endian
+    ASSERT_EQ(uint64_t(1) << 30, Transport::kMaxFrameBytes);
+    peer->writeAll(header, sizeof(header));
+    const std::vector<uint8_t> bytes(64, 0xab);
+    peer->writeAll(bytes.data(), bytes.size());
+    peer.reset();
+
+    const size_t live = gLive.load();
+    gPeak.store(live);
+    EXPECT_THROW(self->recvFrame(), NetError);
+    EXPECT_LT(gPeak.load() - live, size_t(4) << 20);
+}
+
+TEST(AllocBound, LargeFramesArriveWhole)
+{
+    // Frames past the one-allocation size are read in pieces; their
+    // bytes must come out exactly as sent, at either side of a piece.
+    auto [peer, self] = LoopbackTransport::createPair();
+    for (const size_t n : {size_t(1) << 20, (size_t(3) << 20) + 5}) {
+        std::vector<uint8_t> sent(n);
+        for (size_t i = 0; i < n; ++i)
+            sent[i] = uint8_t(i * 131 + (i >> 20));
+        peer->sendFrame(sent);
+        EXPECT_EQ(self->recvFrame(), sent) << n;
+    }
+}
+
+} // namespace
+} // namespace haac

@@ -202,6 +202,19 @@ TEST(Bristol, TopologicalOrderRequired)
     EXPECT_THROW(readBristolString(text), std::runtime_error);
 }
 
+TEST(Bristol, RejectsInputsNoGateCanRead)
+{
+    // Every gate reads at most two wires, so inputs past twice the
+    // gate count are unreadable; the header alone must not size the
+    // wire map ("0 4000000000\n4000000000 0 0\n" would fill 16 GB).
+    expectRefused("0 5000\n5000 0 0\n", "more inputs than");
+    expectRefused("1 5\n2 2 1\n\n2 1 0 1 4 AND\n", "more inputs than");
+    // Two inputs per gate is the most a gate can read.
+    EXPECT_EQ(readBristolString("1 3\n1 1 1\n\n2 1 0 1 2 AND\n")
+                  .numInputs(),
+              3u);
+}
+
 TEST(Bristol, FleetParseGolden)
 {
     // Digests of the netlist and the lint report the reader makes of
@@ -292,6 +305,18 @@ TEST(Bristol, RejectsEmptyAndBlankText)
         expectRefused(text, "missing gate/wire header");
     expectRefused("1 3\n \r\n", "missing input/output header");
     expectRefused("1 3\n1 1 1\n\t\n", "truncated gate list");
+}
+
+TEST(Bristol, RejectsTokensGluedToNumbers)
+{
+    // A number ends at whitespace or the end of the text: no sign, no
+    // suffix, no op glued on.
+    expectRefused("1 3\n1 1 1\n\n2 1 0 1 2AND\n", "bad 2-input gate");
+    expectRefused("1 3\n+1 1 1\n\n2 1 0 1 2 AND\n",
+                  "missing input/output header");
+    expectRefused("1 3\n1 1 1\n\n2 1 0 -1 2 AND\n", "bad 2-input gate");
+    expectRefused("1 3x\n1 1 1\n\n2 1 0 1 2 AND\n",
+                  "missing gate/wire header");
 }
 
 } // namespace
