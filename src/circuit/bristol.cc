@@ -66,13 +66,13 @@ struct Cursor
     {
         skipSpace();
         const size_t begin = pos;
-        for (v = 0; pos < text.size() && !space(text[pos]); ++pos) {
+        for (v = 0; pos < text.size(); ++pos) {
             const unsigned d = unsigned(uint8_t(text[pos])) - '0';
             if (d > 9 || v > (UINT64_MAX - d) / 10)
-                return false;
+                break; // an overflow stops on a digit: no token end
             v = v * 10 + d;
         }
-        return pos > begin;
+        return pos > begin && (pos == text.size() || space(text[pos]));
     }
 };
 
