@@ -20,24 +20,22 @@ struct Accumulator
     explicit Accumulator(const CircuitLintOptions &o) : opts(o) {}
 
     void
-    emit(DiagCode code, Severity sev, uint32_t site, WireId wire,
-         std::string msg)
-    {
-        if (sev != Severity::Error && !opts.warnings)
-            return;
-        rep.add({code, sev, site, wire, 0, std::move(msg)});
-    }
-
-    void
     error(DiagCode code, uint32_t site, WireId wire, std::string msg)
     {
-        emit(code, Severity::Error, site, wire, std::move(msg));
+        rep.add({code, Severity::Error, site, wire, 0, std::move(msg)});
     }
 
+    /** Warnings take their message as a callable, so that a report
+     *  without warning text (CircuitLintOptions::warningText off)
+     *  never formats it. */
+    template <typename MakeMsg>
     void
-    warn(DiagCode code, uint32_t site, WireId wire, std::string msg)
+    warn(DiagCode code, uint32_t site, WireId wire, MakeMsg &&make_msg)
     {
-        emit(code, Severity::Warning, site, wire, std::move(msg));
+        if (!opts.warnings)
+            return;
+        rep.add({code, Severity::Warning, site, wire, 0,
+                 opts.warningText ? make_msg() : std::string()});
     }
 };
 
@@ -196,19 +194,22 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
                    std::to_string(gate.b) + ")";
         };
         if (!(mark[out] & kLive))
-            acc.warn(DiagCode::DeadGate, g, out,
-                     gateText() + " cannot reach any primary output");
+            acc.warn(DiagCode::DeadGate, g, out, [&] {
+                return gateText() + " cannot reach any primary output";
+            });
         else if (v != kValTop)
-            acc.warn(DiagCode::ConstantCone, g, out,
-                     gateText() + " always evaluates to " +
-                         std::to_string(int(v)) +
-                         " — a constant-foldable cone");
+            acc.warn(DiagCode::ConstantCone, g, out, [&] {
+                return gateText() + " always evaluates to " +
+                       std::to_string(int(v)) +
+                       " — a constant-foldable cone";
+            });
         if (alias[out] != out)
-            acc.warn(DiagCode::DuplicateGate, g, out,
-                     gateText() +
-                         " structurally duplicates the gate driving "
-                         "wire " +
-                         std::to_string(alias[out]));
+            acc.warn(DiagCode::DuplicateGate, g, out, [&] {
+                return gateText() +
+                       " structurally duplicates the gate driving "
+                       "wire " +
+                       std::to_string(alias[out]);
+            });
     }
 
     // Declared inputs nobody reads (and that are not passed through
@@ -219,10 +220,10 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
             continue;
         const bool garbler = w < nl.numGarblerInputs;
         const uint32_t idx = garbler ? w : w - nl.numGarblerInputs;
-        acc.warn(DiagCode::UnusedInput, idx, w,
-                 std::string(garbler ? "garbler" : "evaluator") +
-                     " input " + std::to_string(idx) +
-                     " is never read");
+        acc.warn(DiagCode::UnusedInput, idx, w, [&] {
+            return std::string(garbler ? "garbler" : "evaluator") +
+                   " input " + std::to_string(idx) + " is never read";
+        });
     }
 
     // Taint verdicts per output: no evaluator dependence means the
@@ -234,17 +235,18 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
             const WireId w = nl.outputs[i];
             if (mark[w] & kDepE)
                 continue;
-            acc.warn(DiagCode::InertOutput, i, w,
-                     val[w] != kValTop
-                         ? "output is the constant " +
-                               std::to_string(int(val[w])) +
-                               " — it leaks nothing"
-                         : (mark[w] & kDepG)
-                             ? "output depends on garbler inputs only "
-                               "— the evaluator contributes nothing "
-                               "to it"
-                             : "output is the public constant wire — "
-                               "it leaks nothing");
+            acc.warn(DiagCode::InertOutput, i, w, [&] {
+                return val[w] != kValTop
+                           ? "output is the constant " +
+                                 std::to_string(int(val[w])) +
+                                 " — it leaks nothing"
+                       : (mark[w] & kDepG)
+                           ? "output depends on garbler inputs only "
+                             "— the evaluator contributes nothing "
+                             "to it"
+                           : "output is the public constant wire — "
+                             "it leaks nothing";
+            });
         }
     }
 
@@ -461,10 +463,11 @@ analyzePlanDeep(const chain::ChainPlan &plan, Accumulator &acc)
     }
     for (size_t n = 0; n < plan.nodes.size(); ++n)
         if (!node_live[n])
-            acc.warn(DiagCode::DeadNode, uint32_t(n), kNoWire,
-                     "node " + std::to_string(n) + " (" +
-                         plan.nodes[n].name() +
-                         ") feeds no plan output or later node");
+            acc.warn(DiagCode::DeadNode, uint32_t(n), kNoWire, [&] {
+                return "node " + std::to_string(n) + " (" +
+                       plan.nodes[n].name() +
+                       ") feeds no plan output or later node";
+            });
 
     // Declared plan inputs no source names.
     std::vector<bool> g_used(plan.garblerInputs, false);
@@ -478,14 +481,16 @@ analyzePlanDeep(const chain::ChainPlan &plan, Accumulator &acc)
         }
     for (uint32_t i = 0; i < plan.garblerInputs; ++i)
         if (!g_used[i])
-            acc.warn(DiagCode::UnusedPlanInput, i, kNoWire,
-                     "garbler plan input " + std::to_string(i) +
-                         " is wired to no component port");
+            acc.warn(DiagCode::UnusedPlanInput, i, kNoWire, [&] {
+                return "garbler plan input " + std::to_string(i) +
+                       " is wired to no component port";
+            });
     for (uint32_t i = 0; i < plan.evaluatorInputs; ++i)
         if (!e_used[i])
-            acc.warn(DiagCode::UnusedPlanInput, i, kNoWire,
-                     "evaluator plan input " + std::to_string(i) +
-                         " is wired to no component port");
+            acc.warn(DiagCode::UnusedPlanInput, i, kNoWire, [&] {
+                return "evaluator plan input " + std::to_string(i) +
+                       " is wired to no component port";
+            });
 
     // Flatten and reuse the netlist analyzer for the exact per-output
     // taint and the cost report. monolithic() re-validates through
@@ -500,7 +505,7 @@ analyzePlanDeep(const chain::ChainPlan &plan, Accumulator &acc)
         if (d.code != DiagCode::InertOutput)
             continue;
         acc.warn(DiagCode::InertOutput, d.site, kNoWire,
-                 "plan " + d.message);
+                 [&] { return "plan " + d.message; });
     }
 }
 

@@ -89,6 +89,14 @@ struct CircuitLintOptions
     bool warnings = true;
 
     /**
+     * With warnings on, format each warning's message. Off, warnings
+     * are recorded (code, site, wire, counts) with an empty message:
+     * for callers that read only the counts, like the upload admission
+     * gate, whose refusal quotes summary().
+     */
+    bool warningText = true;
+
+    /**
      * Run the dataflow passes (liveness, constants, taint, duplicate
      * hashing) and fill the cost report. Structural errors always
      * suppress them (the dataflow would index out of bounds). For

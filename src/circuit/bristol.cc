@@ -90,7 +90,8 @@ readBristolHeader(std::string_view text)
 }
 
 Netlist
-readBristol(std::string_view text, CircuitLintReport *lints)
+readBristol(std::string_view text, CircuitLintReport *lints,
+            const CircuitLintOptions &lint_opts)
 {
     const std::optional<BristolHeader> head = readBristolHeader(text);
     if (!head)
@@ -222,7 +223,7 @@ readBristol(std::string_view text, CircuitLintReport *lints)
         fail("canonicalization failed: " + err);
 
     if (lints != nullptr) {
-        CircuitLintReport rep = analyzeNetlist(nl);
+        CircuitLintReport rep = analyzeNetlist(nl, lint_opts);
         lints->cost = rep.cost;
         lints->merge(std::move(rep));
     }

@@ -52,11 +52,13 @@ std::optional<BristolHeader> readBristolHeader(std::string_view text);
 /**
  * Parse an old-format Bristol circuit. Throws std::runtime_error.
  * Lint-attaching parse: with a non-null @p lints, merge the
- * canonicalized netlist's full analyzer report plus parse-level
- * MultiplyDriven findings into it. Text-level failures still throw.
+ * canonicalized netlist's analyzer report (under @p lint_opts) plus
+ * parse-level MultiplyDriven findings into it. Text-level failures
+ * still throw.
  */
 Netlist readBristol(std::string_view text,
-                    CircuitLintReport *lints = nullptr);
+                    CircuitLintReport *lints = nullptr,
+                    const CircuitLintOptions &lint_opts = {});
 
 /** readBristol over a file's contents, and over a string. */
 Netlist readBristolFile(const std::string &path,

@@ -48,11 +48,6 @@ constexpr uint8_t kSbox[256] = {
     0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 };
 
-/** Round constants for the key schedule. */
-constexpr uint8_t kRcon[10] = {
-    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
-};
-
 /** Multiply by x in GF(2^8) mod x^8+x^4+x^3+x+1. */
 inline uint8_t
 xtime(uint8_t a)
@@ -147,7 +142,7 @@ expandRound(__m128i key, int round)
     const __m128i rot =
         _mm_shuffle_epi8(key, _mm_set1_epi32(0x0c0f0e0d));
     const __m128i sub =
-        _mm_aesenclast_si128(rot, _mm_set1_epi32(kRcon[round]));
+        _mm_aesenclast_si128(rot, _mm_set1_epi32(kAesRcon[round]));
     key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
     key = _mm_xor_si128(key, _mm_slli_si128(key, 8));
     return _mm_xor_si128(key, sub);
@@ -222,7 +217,7 @@ Aes128::expandKey(const uint8_t key[16])
         if (i % 4 == 0) {
             // RotWord + SubWord + Rcon.
             uint8_t t0 = temp[0];
-            temp[0] = uint8_t(kSbox[temp[1]] ^ kRcon[i / 4 - 1]);
+            temp[0] = uint8_t(kSbox[temp[1]] ^ kAesRcon[i / 4 - 1]);
             temp[1] = kSbox[temp[2]];
             temp[2] = kSbox[temp[3]];
             temp[3] = kSbox[t0];

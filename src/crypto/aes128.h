@@ -13,7 +13,9 @@
  * On x86 hosts with AES-NI and SSSE3 (probed by CMake at build time and
  * by CPUID at run time) the key schedule and the block cipher run on
  * AESENC/AESENCLAST; elsewhere a byte-wise software implementation
- * produces the same bytes.
+ * produces the same bytes. The netlist walks' tweak-key stream
+ * (gc/key_stream.h) runs the same AESENCLAST + PSHUFB schedule four
+ * keys per VAES-512 instruction, with kAesRcon below.
  */
 #ifndef HAAC_CRYPTO_AES128_H
 #define HAAC_CRYPTO_AES128_H
@@ -28,6 +30,11 @@ namespace haac {
 /** Number of 16-byte round keys for AES-128 (the 176-byte schedule). */
 inline constexpr int kAesRounds = 10;
 inline constexpr size_t kAesExpandedKeyBytes = 16 * (kAesRounds + 1);
+
+/** Round constants of the key schedule (FIPS-197 Rcon). */
+inline constexpr uint8_t kAesRcon[kAesRounds] = {
+    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
+};
 
 /**
  * An expanded AES-128 key schedule.

@@ -5,8 +5,7 @@ namespace haac {
 Label
 tweakKey(uint64_t tweak)
 {
-    // Domain-separate the key space from PRG counters.
-    return Label(tweak, tweak ^ 0x4841414354574b00ull); // "HAACTWK"
+    return Label(tweak, tweak ^ kTweakKeyDomain);
 }
 
 Label

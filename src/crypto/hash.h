@@ -12,6 +12,13 @@
  * hashRekeyedPair(), which on AES-NI expands the two keys in registers
  * alongside the block encryptions.
  *
+ * The keys depend only on the tweaks, which a netlist fixes before any
+ * label exists. On VAES-512 hosts the two netlist walks therefore take
+ * gc/key_stream.h instead: it expands each block of eight ANDs'
+ * sixteen tweakKey() schedules ahead of the gates, four keys per
+ * instruction, and hashes each gate with the stored round keys. The
+ * bytes are this file's: tests pin the stream to hashRekeyedPair().
+ *
  * The cheaper but less secure *fixed-key* construction (one global key,
  * tweak folded into the input) is provided only to reproduce the
  * paper's measured 27.5% re-keying overhead.
@@ -26,7 +33,10 @@
 
 namespace haac {
 
-/** Derive the AES key for tweak j (both halves carry j, domain-tagged). */
+/** Separates the tweak-key space from PRG counters ("HAACTWK"). */
+inline constexpr uint64_t kTweakKeyDomain = 0x4841414354574b00ull;
+
+/** Derive the AES key for tweak j: Label(j, j ^ kTweakKeyDomain). */
 Label tweakKey(uint64_t tweak);
 
 /**

@@ -98,6 +98,18 @@ struct Label
     }
 };
 
+/**
+ * @p l when @p bit is set, else zero, through a mask rather than a
+ * branch: the half-gate kernels select on permute bits, which are
+ * secret on the garbler's side.
+ */
+constexpr Label
+selectLabel(bool bit, const Label &l)
+{
+    const uint64_t mask = 0 - uint64_t(bit);
+    return Label(l.lo & mask, l.hi & mask);
+}
+
 /** Bytes in one wire label; drives SWW sizing and traffic accounting. */
 inline constexpr size_t kLabelBytes = 16;
 

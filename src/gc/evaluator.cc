@@ -13,11 +13,8 @@ evaluateAnd(const Label &a, const Label &b, const GarbledTable &table,
 
     Label wg, we;
     hashRekeyedPair(j0, j1, &a, &wg, &b, &we, 1);
-    if (sa)
-        wg ^= table.tg;
-    if (sb)
-        we ^= table.te ^ a;
-    return wg ^ we;
+    return wg ^ selectLabel(sa, table.tg) ^ we ^
+           selectLabel(sb, table.te ^ a);
 }
 
 Label
@@ -29,12 +26,8 @@ evaluateAndFixedKey(const FixedKeyHasher &h, const Label &a, const Label &b,
     const bool sa = a.lsb();
     const bool sb = b.lsb();
 
-    Label wg = h(a, j0);
-    if (sa)
-        wg ^= table.tg;
-    Label we = h(b, j1);
-    if (sb)
-        we ^= table.te ^ a;
+    const Label wg = h(a, j0) ^ selectLabel(sa, table.tg);
+    const Label we = h(b, j1) ^ selectLabel(sb, table.te ^ a);
     return wg ^ we;
 }
 

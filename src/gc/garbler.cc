@@ -18,19 +18,14 @@ garbleAnd(const Label &a0, const Label &b0, const Label &r,
     Label ha[2], hb[2];
     hashRekeyedPair(j0, j1, xa, ha, xb, hb, 2);
 
+    // The permute bits are secret: every select on them is a mask.
     HalfGateGarbled out;
     // Generator half.
-    out.table.tg = ha[0] ^ ha[1];
-    if (pb)
-        out.table.tg ^= r;
-    Label wg0 = ha[0];
-    if (pa)
-        wg0 ^= out.table.tg;
+    out.table.tg = ha[0] ^ ha[1] ^ selectLabel(pb, r);
+    const Label wg0 = ha[0] ^ selectLabel(pa, out.table.tg);
     // Evaluator half.
     out.table.te = hb[0] ^ hb[1] ^ a0;
-    Label we0 = hb[0];
-    if (pb)
-        we0 ^= out.table.te ^ a0;
+    const Label we0 = hb[0] ^ selectLabel(pb, hb[0] ^ hb[1]);
     out.outZero = wg0 ^ we0;
     return out;
 }
@@ -50,16 +45,10 @@ garbleAndFixedKey(const FixedKeyHasher &h, const Label &a0, const Label &b0,
     const Label hb1 = h(b0 ^ r, j1);
 
     HalfGateGarbled out;
-    out.table.tg = ha0 ^ ha1;
-    if (pb)
-        out.table.tg ^= r;
-    Label wg0 = ha0;
-    if (pa)
-        wg0 ^= out.table.tg;
+    out.table.tg = ha0 ^ ha1 ^ selectLabel(pb, r);
+    const Label wg0 = ha0 ^ selectLabel(pa, out.table.tg);
     out.table.te = hb0 ^ hb1 ^ a0;
-    Label we0 = hb0;
-    if (pb)
-        we0 ^= out.table.te ^ a0;
+    const Label we0 = hb0 ^ selectLabel(pb, hb0 ^ hb1);
     out.outZero = wg0 ^ we0;
     return out;
 }

@@ -6,6 +6,7 @@
 #include "crypto/prg.h"
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
+#include "gc/key_stream.h"
 
 namespace haac {
 
@@ -36,18 +37,24 @@ StreamingGarbler::run(const TableSink &sink)
     ran_ = true;
 
     std::copy(inputs_.zero.begin(), inputs_.zero.end(), zero_.begin());
-    uint64_t and_index = 0;
-    for (uint32_t g = 0; g < netlist_->numGates(); ++g) {
-        const Gate &gate = netlist_->gates[g];
-        const WireId wout = netlist_->outputWireOf(g);
-        if (gate.op == GateOp::Xor) {
-            zero_[wout] = zero_[gate.a] ^ zero_[gate.b];
-        } else {
-            HalfGateGarbled hg = garbleAnd(zero_[gate.a], zero_[gate.b],
-                                           inputs_.offset, and_index++);
-            sink(hg.table);
-            ++tablesEmitted_;
-            zero_[wout] = hg.outZero;
+    if (haveTweakKeyStream()) {
+        tablesEmitted_ =
+            garbleGatesKeyed(*netlist_, zero_, inputs_.offset, sink);
+    } else {
+        uint64_t and_index = 0;
+        for (uint32_t g = 0; g < netlist_->numGates(); ++g) {
+            const Gate &gate = netlist_->gates[g];
+            const WireId wout = netlist_->outputWireOf(g);
+            if (gate.op == GateOp::Xor) {
+                zero_[wout] = zero_[gate.a] ^ zero_[gate.b];
+            } else {
+                HalfGateGarbled hg =
+                    garbleAnd(zero_[gate.a], zero_[gate.b],
+                              inputs_.offset, and_index++);
+                sink(hg.table);
+                ++tablesEmitted_;
+                zero_[wout] = hg.outZero;
+            }
         }
     }
     outZero_.reserve(netlist_->outputs.size());
@@ -67,16 +74,20 @@ evaluateStreaming(const Netlist &netlist,
     for (uint32_t w = 0; w < netlist.numInputs(); ++w)
         labels[w] = input_labels[w];
 
-    uint64_t and_index = 0;
-    for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-        const Gate &gate = netlist.gates[g];
-        const WireId wout = netlist.outputWireOf(g);
-        if (gate.op == GateOp::Xor) {
-            labels[wout] = labels[gate.a] ^ labels[gate.b];
-        } else {
-            const GarbledTable table = source();
-            labels[wout] = evaluateAnd(labels[gate.a], labels[gate.b],
-                                       table, and_index++);
+    if (haveTweakKeyStream()) {
+        evaluateGatesKeyed(netlist, labels, source);
+    } else {
+        uint64_t and_index = 0;
+        for (uint32_t g = 0; g < netlist.numGates(); ++g) {
+            const Gate &gate = netlist.gates[g];
+            const WireId wout = netlist.outputWireOf(g);
+            if (gate.op == GateOp::Xor) {
+                labels[wout] = labels[gate.a] ^ labels[gate.b];
+            } else {
+                const GarbledTable table = source();
+                labels[wout] = evaluateAnd(labels[gate.a], labels[gate.b],
+                                           table, and_index++);
+            }
         }
     }
     std::vector<Label> outs;

@@ -9,7 +9,8 @@
  * HAAC's table queues implement in hardware (§3.1.2). StreamingGarbler
  * and evaluateStreaming() are the library's only netlist gate walks;
  * everything that garbles or evaluates a whole circuit goes through
- * them.
+ * them. On VAES-512 hosts they hand their gates to gc/key_stream.h,
+ * which expands the tweak keys ahead of the gates (same bytes).
  */
 #ifndef HAAC_GC_STREAMING_H
 #define HAAC_GC_STREAMING_H

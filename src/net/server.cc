@@ -505,8 +505,11 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
                            std::to_string(head->wires) +
                            " wires; this server admits at most " +
                            std::to_string(max_wires));
+        // The refusal text needs the warning count, not the warnings.
+        CircuitLintOptions count_warnings;
+        count_warnings.warningText = false;
         CircuitLintReport lints;
-        nl = readBristol(text, &lints);
+        nl = readBristol(text, &lints, count_warnings);
         if (!lints.clean())
             throw NetError(
                 "uploaded netlist refused by the circuit analyzer (" +

@@ -7,9 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
@@ -17,6 +20,7 @@
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
 #include "gc/instance.h"
+#include "gc/key_stream.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
 #include "workloads/vip.h"
@@ -279,31 +283,174 @@ TEST(Channel, UnderflowThrows)
     EXPECT_THROW(chan.recvBit(), std::runtime_error);
 }
 
+/** FNV-1a over a table stream, bytes of tg then te, low byte first. */
+struct TableDigest
+{
+    uint64_t value = 0xcbf29ce484222325ull;
+
+    void
+    add(const GarbledTable &t)
+    {
+        for (uint64_t word : {t.tg.lo, t.tg.hi, t.te.lo, t.te.hi})
+            for (int i = 0; i < 8; ++i) {
+                value ^= (word >> (8 * i)) & 0xff;
+                value *= 0x100000001b3ull;
+            }
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(value));
+        return buf;
+    }
+};
+
 TEST(Streaming, HammTablesMatchGoldenDigest)
 {
-    // FNV-1a over every table the streaming garbler emits for the
-    // default-scale Hamm workload: pins the re-keyed half-gate bytes
-    // end to end, on whichever AES path the host takes.
+    // Every table the streaming garbler emits for the default-scale
+    // Hamm workload: pins the re-keyed half-gate bytes end to end, on
+    // whichever AES path the host takes.
     const Workload wl = vipWorkload("Hamm", false);
-    uint64_t digest = 0xcbf29ce484222325ull;
-    auto mix = [&digest](uint64_t word) {
-        for (int i = 0; i < 8; ++i) {
-            digest ^= (word >> (8 * i)) & 0xff;
-            digest *= 0x100000001b3ull;
-        }
-    };
+    TableDigest digest;
     StreamingGarbler sg(wl.netlist, 2023);
-    sg.run([&mix](const GarbledTable &t) {
-        mix(t.tg.lo);
-        mix(t.tg.hi);
-        mix(t.te.lo);
-        mix(t.te.hi);
-    });
+    sg.run([&digest](const GarbledTable &t) { digest.add(t); });
     EXPECT_EQ(sg.tablesEmitted(), wl.netlist.numAndGates());
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    EXPECT_STREQ(hex, "3361f11c2523e3e7");
+    EXPECT_EQ(digest.hex(), "3361f11c2523e3e7");
+}
+
+/**
+ * The tweak-key stream (gc/key_stream.h) against the kernels it
+ * replaces: garbleAnd() and evaluateAnd() hash through
+ * hashRekeyedPair(), so equal tables and labels pin the stream's
+ * stored schedules and VAES hashing to that function, byte for byte.
+ */
+constexpr const char *kNoKeyStream =
+    "no VAES-512 key stream here (the CPU lacks vaes/avx512f/avx512bw, "
+    "or the build has no VAES kernels): the walks hash through "
+    "hashRekeyedPair() directly";
+
+/** StreamingGarbler::run's walk on the garbleAnd() kernel. */
+std::vector<GarbledTable>
+referenceGarble(const Netlist &nl, const InputLabels &in,
+                std::vector<Label> &zero)
+{
+    zero.assign(nl.numWires(), Label());
+    std::copy(in.zero.begin(), in.zero.end(), zero.begin());
+    std::vector<GarbledTable> tables;
+    for (uint32_t g = 0; g < nl.numGates(); ++g) {
+        const Gate &gate = nl.gates[g];
+        const WireId out = nl.outputWireOf(g);
+        if (gate.op == GateOp::Xor) {
+            zero[out] = zero[gate.a] ^ zero[gate.b];
+            continue;
+        }
+        const HalfGateGarbled hg =
+            garbleAnd(zero[gate.a], zero[gate.b], in.offset,
+                      tables.size());
+        tables.push_back(hg.table);
+        zero[out] = hg.outZero;
+    }
+    return tables;
+}
+
+TEST(KeyStream, MatchesRekeyedKernelsAcrossBlocksAndWideTweaks)
+{
+    if (!haveTweakKeyStream())
+        GTEST_SKIP() << kNoKeyStream;
+    Prg prg(77);
+    Label r = prg.nextLabel();
+    r.setLsb(true);
+    // Streams starting at 0 and mid-block, at AND indices whose
+    // tweaks 2i, 2i+1 cross 2^32 or sit far above it, and where 2i
+    // wraps 64 bits; each for lengths around the 8-AND block edge.
+    for (uint64_t first :
+         {uint64_t(0), uint64_t(5), (uint64_t(1) << 31) - 3,
+          uint64_t(1) << 32, (uint64_t(1) << 40) + 3, ~uint64_t(0) - 4}) {
+        for (int n : {0, 1, 7, 8, 9, 17}) {
+            TweakKeyStream garbler(first), evaluator(first);
+            for (int i = 0; i < n; ++i) {
+                const uint64_t index = first + uint64_t(i);
+                const Label a0 = prg.nextLabel(), b0 = prg.nextLabel();
+                const HalfGateGarbled want = garbleAnd(a0, b0, r, index);
+                const HalfGateGarbled got = garbler.garble(a0, b0, r);
+                ASSERT_EQ(got.table, want.table)
+                    << "first " << first << " n " << n << " i " << i;
+                ASSERT_EQ(got.outZero, want.outZero);
+                const Label a = (i & 1) ? a0 ^ r : a0;
+                const Label b = (i & 2) ? b0 ^ r : b0;
+                ASSERT_EQ(evaluator.evaluate(a, b, got.table),
+                          evaluateAnd(a, b, want.table, index))
+                    << "first " << first << " n " << n << " i " << i;
+            }
+        }
+    }
+}
+
+TEST(KeyStream, WalksMatchReferenceForAndCountsAroundBlockEdges)
+{
+    if (!haveTweakKeyStream())
+        GTEST_SKIP() << kNoKeyStream;
+    for (uint32_t ands : {0u, 1u, 7u, 8u, 9u, 17u}) {
+        // A chain of ANDs with an XOR after each, reading all four
+        // inputs in turn, so labels flow through every gate.
+        Netlist nl;
+        nl.numGarblerInputs = 2;
+        nl.numEvaluatorInputs = 2;
+        WireId acc = 0;
+        for (uint32_t k = 0; k < ands; ++k) {
+            nl.gates.push_back({GateOp::And, acc, (k + 1) % 4});
+            acc = nl.outputWireOf(nl.numGates() - 1);
+            nl.gates.push_back({GateOp::Xor, acc, k % 4});
+            acc = nl.outputWireOf(nl.numGates() - 1);
+        }
+        nl.outputs = {acc};
+        ASSERT_EQ(nl.check(), "");
+
+        StreamingGarbler sg(nl, 31 + ands);
+        std::vector<GarbledTable> tables;
+        sg.run([&tables](const GarbledTable &t) { tables.push_back(t); });
+        std::vector<Label> zero;
+        EXPECT_EQ(tables, referenceGarble(nl, sg.inputs(), zero))
+            << ands << " ANDs";
+        EXPECT_EQ(sg.tablesEmitted(), ands);
+        EXPECT_EQ(sg.outputZeroLabels(), std::vector<Label>{zero[acc]});
+
+        for (uint32_t bits = 0; bits < 16; ++bits) {
+            std::vector<Label> in(4);
+            for (WireId w = 0; w < 4; ++w)
+                in[w] = sg.inputs().activeLabel(w, (bits >> w) & 1);
+            size_t next = 0;
+            const std::vector<Label> out = evaluateStreaming(
+                nl, in, [&] { return tables.at(next++); });
+            EXPECT_EQ(next, tables.size());
+            const std::vector<bool> plain =
+                nl.evaluate({bool(bits & 1), bool(bits & 2)},
+                            {bool(bits & 4), bool(bits & 8)});
+            EXPECT_EQ(out[0].lsb() != sg.decodeBit(0), plain[0])
+                << ands << " ANDs, inputs " << bits;
+        }
+    }
+}
+
+TEST(KeyStream, MatMultTablesMatchGoldenDigest)
+{
+    if (!haveTweakKeyStream())
+        GTEST_SKIP() << kNoKeyStream;
+    const Workload wl = vipWorkload("MatMult", false);
+    StreamingGarbler sg(wl.netlist, 2024);
+    TableDigest wide;
+    sg.run([&wide](const GarbledTable &t) { wide.add(t); });
+    std::vector<Label> zero;
+    TableDigest reference;
+    for (const GarbledTable &t :
+         referenceGarble(wl.netlist, sg.inputs(), zero))
+        reference.add(t);
+    EXPECT_EQ(wide.hex(), reference.hex());
+    // Recorded on the hashRekeyedPair() walk.
+    EXPECT_EQ(wide.hex(), "31269b0e5fc5f23d");
 }
 
 TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)

@@ -421,6 +421,30 @@ TEST(Netlint, BristolReaderAttachesMultiplyDriven)
     EXPECT_TRUE(rep.has(DiagCode::MultiplyDriven));
 }
 
+TEST(Netlint, BristolReaderWithoutWarningTextKeepsTheFindings)
+{
+    // The upload gate's parse: DotProd as uploaded (every input the
+    // evaluator's) carries dead gates. Without warning text the report
+    // holds the same findings and summary(), only no messages.
+    Netlist nl = vipWorkload("DotProd", false).netlist;
+    nl.numEvaluatorInputs += nl.numGarblerInputs;
+    nl.numGarblerInputs = 0;
+    const std::string text = writeBristolString(nl);
+    CircuitLintOptions no_text;
+    no_text.warningText = false;
+    CircuitLintReport full, bare;
+    readBristol(text, &full);
+    readBristol(text, &bare, no_text);
+    EXPECT_GT(countCode(full, DiagCode::DeadGate), 0u);
+    EXPECT_EQ(bare.summary(), full.summary());
+    ASSERT_EQ(bare.diags.size(), full.diags.size());
+    for (size_t i = 0; i < full.diags.size(); ++i) {
+        EXPECT_EQ(bare.diags[i].code, full.diags[i].code);
+        EXPECT_EQ(bare.diags[i].site, full.diags[i].site);
+        EXPECT_TRUE(bare.diags[i].message.empty());
+    }
+}
+
 TEST(Netlint, BristolReaderAttachesCostOnCleanFiles)
 {
     const std::string text = "3 5\n"
