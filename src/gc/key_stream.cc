@@ -3,16 +3,10 @@
 #include <stdexcept>
 
 #include "crypto/hash.h"
+#include "gc/gate_walk.h"
 
 #if defined(HAAC_USE_VAES)
 #include <immintrin.h>
-#if defined(__GNUC__) && !defined(__clang__)
-// GCC 12's AVX-512 headers seed their "undefined" registers from
-// themselves, which -Wuninitialized reports at every inlined 512-bit
-// cast, insert, extract and broadcast: a known false positive.
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
 #endif
 
 namespace haac {
@@ -27,6 +21,13 @@ namespace haac {
  * of a header inline it calls) stays on the baseline ISA.
  */
 #define HAAC_VAES_TARGET __attribute__((target("vaes,avx512f,avx512bw")))
+/**
+ * The two walks also flatten: the per-AND lambda they hand to
+ * walkGates() is VAES code, which GCC will not inline into the
+ * baseline-ISA template instance, only into the walk that inlines it.
+ */
+#define HAAC_VAES_WALK                                                       \
+    __attribute__((target("vaes,avx512f,avx512bw"), flatten))
 
 bool
 haveTweakKeyStream()
@@ -48,6 +49,16 @@ static_assert(sizeof(GarbledTable) == 32, "GarbledTable must be 32 B");
  */
 struct KeyedKernels
 {
+#if defined(__GNUC__) && !defined(__clang__)
+// GCC 12's AVX-512 headers seed their "undefined" registers from
+// themselves, which -Wuninitialized reports at every inlined 512-bit
+// cast, insert, extract and broadcast: a known false positive, silenced
+// for the intrinsic kernels from here to evaluate() only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
     HAAC_VAES_TARGET static __m128i
     load(const Label &l)
     {
@@ -209,48 +220,42 @@ struct KeyedKernels
                                  _mm256_extracti128_si256(w, 1)));
     }
 
-    HAAC_VAES_TARGET static uint64_t
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+    HAAC_VAES_WALK static uint64_t
     garbleWalk(const Netlist &netlist, Label *zero, const Label &r,
                const TableSink &sink)
     {
         TweakKeyStream ks;
-        const Gate *gates = netlist.gates.data();
-        const uint32_t base = netlist.numInputs();
-        GarbledTable table;
-        for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-            const Gate &gate = gates[g];
-            if (gate.op == GateOp::Xor) {
-                zero[base + g] = zero[gate.a] ^ zero[gate.b];
-                continue;
-            }
-            int lane = 0;
-            const TweakKeyBlock &kb = advance(ks, lane);
-            garble(kb, lane, zero[gate.a], zero[gate.b], r, table,
-                   zero[base + g]);
-            sink(table);
-        }
+        walkGates(netlist, zero,
+                  [&](const Label &a0, const Label &b0) HAAC_VAES_TARGET {
+                      int lane = 0;
+                      const TweakKeyBlock &kb = advance(ks, lane);
+                      GarbledTable table;
+                      Label out_zero;
+                      garble(kb, lane, a0, b0, r, table, out_zero);
+                      sink(table);
+                      return out_zero;
+                  });
         return ks.next_;
     }
 
-    HAAC_VAES_TARGET static void
+    HAAC_VAES_WALK static void
     evaluateWalk(const Netlist &netlist, Label *labels,
                  const TableSource &source)
     {
         TweakKeyStream ks;
-        const Gate *gates = netlist.gates.data();
-        const uint32_t base = netlist.numInputs();
-        for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-            const Gate &gate = gates[g];
-            if (gate.op == GateOp::Xor) {
-                labels[base + g] = labels[gate.a] ^ labels[gate.b];
-                continue;
-            }
-            const GarbledTable table = source();
-            int lane = 0;
-            const TweakKeyBlock &kb = advance(ks, lane);
-            evaluate(kb, lane, labels[gate.a], labels[gate.b], table,
-                     labels[base + g]);
-        }
+        walkGates(netlist, labels,
+                  [&](const Label &a, const Label &b) HAAC_VAES_TARGET {
+                      const GarbledTable table = source();
+                      int lane = 0;
+                      const TweakKeyBlock &kb = advance(ks, lane);
+                      Label out;
+                      evaluate(kb, lane, a, b, table, out);
+                      return out;
+                  });
     }
 };
 

@@ -6,6 +6,7 @@
 #include "crypto/prg.h"
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
+#include "gc/gate_walk.h"
 #include "gc/key_stream.h"
 
 namespace haac {
@@ -42,20 +43,14 @@ StreamingGarbler::run(const TableSink &sink)
             garbleGatesKeyed(*netlist_, zero_, inputs_.offset, sink);
     } else {
         uint64_t and_index = 0;
-        for (uint32_t g = 0; g < netlist_->numGates(); ++g) {
-            const Gate &gate = netlist_->gates[g];
-            const WireId wout = netlist_->outputWireOf(g);
-            if (gate.op == GateOp::Xor) {
-                zero_[wout] = zero_[gate.a] ^ zero_[gate.b];
-            } else {
-                HalfGateGarbled hg =
-                    garbleAnd(zero_[gate.a], zero_[gate.b],
-                              inputs_.offset, and_index++);
-                sink(hg.table);
-                ++tablesEmitted_;
-                zero_[wout] = hg.outZero;
-            }
-        }
+        walkGates(*netlist_, zero_.data(),
+                  [&](const Label &a0, const Label &b0) {
+                      const HalfGateGarbled hg =
+                          garbleAnd(a0, b0, inputs_.offset, and_index++);
+                      sink(hg.table);
+                      return hg.outZero;
+                  });
+        tablesEmitted_ = and_index;
     }
     outZero_.reserve(netlist_->outputs.size());
     for (WireId w : netlist_->outputs)
@@ -78,17 +73,10 @@ evaluateStreaming(const Netlist &netlist,
         evaluateGatesKeyed(netlist, labels, source);
     } else {
         uint64_t and_index = 0;
-        for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-            const Gate &gate = netlist.gates[g];
-            const WireId wout = netlist.outputWireOf(g);
-            if (gate.op == GateOp::Xor) {
-                labels[wout] = labels[gate.a] ^ labels[gate.b];
-            } else {
-                const GarbledTable table = source();
-                labels[wout] = evaluateAnd(labels[gate.a], labels[gate.b],
-                                           table, and_index++);
-            }
-        }
+        walkGates(netlist, labels.data(),
+                  [&](const Label &a, const Label &b) {
+                      return evaluateAnd(a, b, source(), and_index++);
+                  });
     }
     std::vector<Label> outs;
     outs.reserve(netlist.outputs.size());

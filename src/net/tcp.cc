@@ -11,7 +11,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <thread>
 #include <unistd.h>
 
@@ -173,37 +172,6 @@ TcpTransport::writeAll(const uint8_t *data, size_t n)
             fail("send to " + peer_);
         }
         sent += size_t(rc);
-    }
-}
-
-void
-TcpTransport::writeGather(const uint8_t *head, size_t head_n,
-                          const uint8_t *body, size_t body_n)
-{
-    iovec iov[2] = {{const_cast<uint8_t *>(head), head_n},
-                    {const_cast<uint8_t *>(body), body_n}};
-    msghdr msg{};
-    size_t first = 0; // iovecs before this one are fully sent
-    while (first < 2) {
-        msg.msg_iov = iov + first;
-        msg.msg_iovlen = 2 - first;
-        ssize_t rc = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                throw NetError("send to " + peer_ + ": timeout");
-            fail("send to " + peer_);
-        }
-        // Skip what went out, resuming mid-iovec after a short send.
-        size_t sent = size_t(rc);
-        for (; first < 2 && sent >= iov[first].iov_len; ++first)
-            sent -= iov[first].iov_len;
-        if (first < 2) {
-            iov[first].iov_base =
-                static_cast<uint8_t *>(iov[first].iov_base) + sent;
-            iov[first].iov_len -= sent;
-        }
     }
 }
 

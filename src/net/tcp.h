@@ -46,8 +46,6 @@ class TcpTransport : public Transport
     TcpTransport &operator=(const TcpTransport &) = delete;
 
     void writeAll(const uint8_t *data, size_t n) override;
-    void writeGather(const uint8_t *head, size_t head_n,
-                     const uint8_t *body, size_t body_n) override;
     void readAll(uint8_t *data, size_t n) override;
     std::string describe() const override;
 

@@ -49,15 +49,6 @@ peerRoleName(PeerRole role)
 }
 
 void
-Transport::writeGather(const uint8_t *head, size_t head_n,
-                       const uint8_t *body, size_t body_n)
-{
-    writeAll(head, head_n);
-    if (body_n > 0)
-        writeAll(body, body_n);
-}
-
-void
 Transport::sendFrame(const uint8_t *payload, size_t n)
 {
     if (n > kMaxFrameBytes)
@@ -65,7 +56,9 @@ Transport::sendFrame(const uint8_t *payload, size_t n)
                        " bytes exceeds the frame limit");
     uint8_t header[4];
     putU32(header, uint32_t(n));
-    writeGather(header, sizeof(header), payload, n);
+    writeAll(header, sizeof(header));
+    if (n > 0)
+        writeAll(payload, n);
     countSent(sizeof(header) + n);
     ++framesSent_;
 }

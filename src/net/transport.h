@@ -72,13 +72,6 @@ class Transport
     virtual void writeAll(const uint8_t *data, size_t n) = 0;
     /** Read exactly @p n bytes; throws NetError on EOF/timeout. */
     virtual void readAll(uint8_t *data, size_t n) = 0;
-    /**
-     * Write @p head then @p body, as writeAll() would. The default is
-     * two writeAll() calls; TcpTransport gathers them into one
-     * sendmsg(), so a frame costs one syscall.
-     */
-    virtual void writeGather(const uint8_t *head, size_t head_n,
-                             const uint8_t *body, size_t body_n);
     /** Human-readable endpoint description for errors and reports. */
     virtual std::string describe() const = 0;
     /// @}
