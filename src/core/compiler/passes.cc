@@ -28,13 +28,16 @@ reorderKindName(ReorderKind kind)
 std::vector<uint32_t>
 reorderFull(const HaacProgram &prog)
 {
+    // A counting sort by level: each level's slots start at the prefix
+    // sum of the sizes below it, and instructions fill them in program
+    // order, which is exactly the stable sort by level.
     DependenceGraph graph(prog);
+    const std::vector<uint32_t> &sizes = graph.levelSizes();
+    std::vector<uint32_t> next(sizes.size());
+    std::exclusive_scan(sizes.begin(), sizes.end(), next.begin(), 0u);
     std::vector<uint32_t> order(prog.instrs.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&graph](uint32_t x, uint32_t y) {
-                         return graph.level(x) < graph.level(y);
-                     });
+    for (uint32_t k = 0; k < order.size(); ++k)
+        order[next[graph.level(k)]++] = k;
     return order;
 }
 

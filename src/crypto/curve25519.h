@@ -22,6 +22,13 @@
  * (public values) do branch. toBytesBatch() shares one field
  * inversion across many points (Montgomery's trick).
  *
+ * The batch entry points (Point::mulMany(), FixedBase::mulMany(),
+ * Point::fromBytesBatch()) return the same points as the single ones.
+ * On an x86 host with AVX-512 IFMA (haveIfma()) they run eight points
+ * at once, one per 64-bit lane, on field elements of five radix-2^52
+ * limbs multiplied by vpmadd52lo/huq; elsewhere they loop over the
+ * single calls.
+ *
  * Deliberately small: encryption-only GC needs no signatures and no
  * external library, and the repo models a semi-honest deployment
  * (DESIGN.md).
@@ -51,6 +58,12 @@ struct Scalar
 /** Draw a uniform 255-bit scalar from @p rng. */
 Scalar randomScalar(Prg &rng);
 
+/**
+ * True when the batch entry points run the eight-lane AVX-512 IFMA
+ * kernels: they were compiled in and this CPU has avx512f + avx512ifma.
+ */
+bool haveIfma();
+
 struct PointOps;
 
 /** An Ed25519 group element in extended coordinates (X:Y:Z:T). */
@@ -71,6 +84,15 @@ class Point
      */
     static bool fromBytes(const uint8_t in[kPointBytes], Point &out);
 
+    /**
+     * Decompress the @p n encodings in[32 * i ...] into out[i].
+     *
+     * @return the index of the first invalid encoding (out[] holds the
+     *         points before it), or @p n when all of them decode.
+     */
+    static size_t fromBytesBatch(const uint8_t in[], size_t n,
+                                 Point out[]);
+
     /** Compress to the canonical 32-byte RFC 8032 encoding. */
     void toBytes(uint8_t out[kPointBytes]) const;
 
@@ -87,6 +109,13 @@ class Point
 
     /** Variable-base scalar multiplication k*P (4-bit signed window). */
     static Point mul(const Scalar &k, const Point &p);
+
+    /**
+     * out[i] = k * in[i] for i < @p n: one scalar, many points, the
+     * same points as n mul() calls. @p out may be @p in.
+     */
+    static void mulMany(const Scalar &k, const Point in[], Point out[],
+                        size_t n);
 
     /** k*B for the base point B, over a precomputed FixedBase table. */
     static Point mulBase(const Scalar &k);
@@ -124,8 +153,14 @@ class FixedBase
   public:
     explicit FixedBase(const Point &p);
 
+    /** The table of the base point B, shared by Point::mulBase(). */
+    static const FixedBase &base();
+
     /** k*P; same point as Point::mul(k, P). */
     Point mul(const Scalar &k) const;
+
+    /** out[i] = k[i] * P for i < @p n; the same points as mul(). */
+    void mulMany(const Scalar k[], Point out[], size_t n) const;
 
   private:
     friend struct PointOps;
@@ -140,6 +175,8 @@ class FixedBase
     };
 
     std::vector<Entry> table_; ///< row j at [8j, 8j+8): 1..8 * 256^j P
+    /** table_ in radix-2^52 limbs for the IFMA kernels; else empty. */
+    std::vector<Entry> table52_;
 };
 
 } // namespace ec

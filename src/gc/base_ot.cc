@@ -26,6 +26,13 @@ hashPoint(const uint8_t bytes[ec::kPointBytes], uint64_t index)
     return hlo ^ hhi;
 }
 
+OtError
+invalidPoint(const char *what)
+{
+    return OtError(std::string("base OT: invalid ") + what +
+                   " (not a curve point)");
+}
+
 ec::Point
 recvPoint(ByteChannel &in, const char *what)
 {
@@ -33,8 +40,7 @@ recvPoint(ByteChannel &in, const char *what)
     in.recvBytes(bytes, sizeof(bytes));
     ec::Point p;
     if (!ec::Point::fromBytes(bytes, p))
-        throw OtError(std::string("base OT: invalid ") + what +
-                      " (not a curve point)");
+        throw invalidPoint(what);
     return p;
 }
 
@@ -65,16 +71,21 @@ BaseOtSender::start()
 void
 BaseOtSender::finish(size_t count)
 {
-    // y*R_i and y*(R_i - A) = y*R_i - y*A for every i, then one batched
+    // Decompress all R_i, multiply them and A by y in one batch, then
+    // y*(R_i - A) = y*R_i - y*A for every i and one batched
     // compression for all 2*count key points.
-    const ec::Point yA = ec::Point::mul(y_, A_);
+    std::vector<uint8_t> bytes(2 * count * ec::kPointBytes);
+    in_->recvBytes(bytes.data(), count * ec::kPointBytes);
+    std::vector<ec::Point> yr(count + 1);
+    if (ec::Point::fromBytesBatch(bytes.data(), count, yr.data()) != count)
+        throw invalidPoint("blinded point");
+    yr[count] = A_;
+    ec::Point::mulMany(y_, yr.data(), yr.data(), yr.size());
     std::vector<ec::Point> points(2 * count);
     for (size_t i = 0; i < count; ++i) {
-        const ec::Point r = recvPoint(*in_, "blinded point");
-        points[2 * i] = ec::Point::mul(y_, r);
-        points[2 * i + 1] = points[2 * i].sub(yA);
+        points[2 * i] = yr[i];
+        points[2 * i + 1] = yr[i].sub(yr[count]);
     }
-    std::vector<uint8_t> bytes(points.size() * ec::kPointBytes);
     ec::Point::toBytesBatch(points.data(), points.size(), bytes.data());
     keys0_.resize(count);
     keys1_.resize(count);
@@ -98,13 +109,15 @@ BaseOtReceiver::run(const std::vector<bool> &choices)
     // points[i] = R_i = x_i*G + c_i*A (sent), points[n + i] = x_i*A
     // (hashed into the key); one batched compression for all of them.
     const size_t n = choices.size();
+    std::vector<ec::Scalar> x(n);
+    for (ec::Scalar &xi : x)
+        xi = ec::randomScalar(*rng_);
     std::vector<ec::Point> points(2 * n);
-    for (size_t i = 0; i < n; ++i) {
-        const ec::Scalar x = ec::randomScalar(*rng_);
-        const ec::Point xg = ec::Point::mulBase(x);
-        points[i] = ec::Point::select(xg, xg.add(a), choices[i]);
-        points[n + i] = a_table.mul(x);
-    }
+    ec::FixedBase::base().mulMany(x.data(), points.data(), n);
+    a_table.mulMany(x.data(), points.data() + n, n);
+    for (size_t i = 0; i < n; ++i)
+        points[i] = ec::Point::select(points[i], points[i].add(a),
+                                      choices[i]);
     std::vector<uint8_t> bytes(points.size() * ec::kPointBytes);
     ec::Point::toBytesBatch(points.data(), points.size(), bytes.data());
     keys_.resize(n);

@@ -14,11 +14,15 @@
  *
  * Scalar multiplications dominate: 256 on the receiver, 130 on the
  * sender. The receiver's 128 x_i*G and 128 x_i*A share their bases,
- * so they run over fixed-base comb tables (ec::Point::mulBase() and
- * one ec::FixedBase for A per run); the sender's 128 y*R_i use the
- * windowed variable-base multiply. Each side compresses all of its
- * key and blinded points with one batched field inversion, and the
- * receiver adds A to x_i*G by masked select, not by branching on c_i.
+ * so they run over fixed-base comb tables (ec::FixedBase::base() and
+ * one ec::FixedBase for A per run); the sender's 128 y*R_i share
+ * their scalar and use the windowed variable-base multiply. Both go
+ * through the batch entry points (ec::FixedBase::mulMany(),
+ * ec::Point::mulMany(), and ec::Point::fromBytesBatch() for the
+ * sender's 128 incoming points), which run eight points at a time on
+ * AVX-512 IFMA hosts. Each side compresses all of its key and blinded
+ * points with one batched field inversion, and the receiver adds A to
+ * x_i*G by masked select, not by branching on c_i.
  *
  * The methods are split into explicit half-steps so one thread can
  * drive both endpoints over in-process FIFO channels in protocol

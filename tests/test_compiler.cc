@@ -6,12 +6,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "core/compiler/depgraph.h"
 #include "core/compiler/passes.h"
 #include "core/sim/config.h"
 #include "crypto/prg.h"
+#include "workloads/vip.h"
 
 namespace haac {
 namespace {
@@ -102,6 +106,46 @@ TEST(Reorder, FullIsLevelSorted)
     for (size_t i = 1; i < ro.instrs.size(); ++i)
         EXPECT_LE(g2.level(i - 1), g2.level(i));
     EXPECT_EQ(g2.numLevels(), g.numLevels());
+}
+
+/** reorderFull()'s order as a stable sort of program order by level. */
+std::vector<uint32_t>
+stableSortByLevel(const HaacProgram &prog)
+{
+    DependenceGraph graph(prog);
+    std::vector<uint32_t> order(prog.instrs.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&graph](uint32_t x, uint32_t y) {
+                         return graph.level(x) < graph.level(y);
+                     });
+    return order;
+}
+
+TEST(Reorder, FullMatchesStableSortByLevel)
+{
+    for (const std::string &name : vipNames()) {
+        const HaacProgram prog =
+            assemble(vipWorkload(name, false).netlist);
+        EXPECT_EQ(reorderFull(prog), stableSortByLevel(prog)) << name;
+    }
+
+    // A random DAG whose levels interleave in program order.
+    Prg prg(11);
+    CircuitBuilder cb;
+    Bits pool = cb.garblerInputs(8);
+    for (Wire w : cb.evaluatorInputs(8))
+        pool.push_back(w);
+    for (int i = 0; i < 2000; ++i) {
+        Wire a = pool[prg.nextRange(pool.size())];
+        Wire b = pool[prg.nextRange(pool.size())];
+        pool.push_back(prg.nextBit() ? cb.andGate(a, b)
+                                     : cb.xorGate(a, b));
+    }
+    cb.addOutput(pool.back());
+    const HaacProgram prog = assemble(cb.build());
+    EXPECT_GT(DependenceGraph(prog).numLevels(), 10u);
+    EXPECT_EQ(reorderFull(prog), stableSortByLevel(prog));
 }
 
 TEST(Reorder, SegmentRespectsSegmentBoundaries)

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "crypto/aes128.h"
@@ -529,6 +530,165 @@ TEST(Curve25519, RejectsNonCurveEncodings)
     uint8_t bad[ec::kPointBytes] = {2};
     ec::Point p;
     EXPECT_FALSE(ec::Point::fromBytes(bad, p));
+}
+
+// ---------------------------------------------------------------------------
+// Curve25519 batch entry points against the single-point ones. On an
+// AVX-512 IFMA host they run the eight-lane kernels; the sizes cover
+// empty, partial, whole and whole-plus-one groups of eight lanes.
+// ---------------------------------------------------------------------------
+
+const size_t kBatchSizes[] = {0, 1, 7, 8, 9, 128, 129};
+
+#define SKIP_WITHOUT_IFMA()                                                  \
+    if (!ec::haveIfma())                                                     \
+    GTEST_SKIP() << "no AVX-512 IFMA kernels on this host or build: the "   \
+                    "batch entry points loop over the single-point code"
+
+/** 0, 1, 2, L - 1, 2^255 - 1 and 2^256 - 1, then @p random draws. */
+std::vector<ec::Scalar>
+edgeScalars(Prg &rng, size_t random)
+{
+    // L - 1 = 2^252 + 27742317777372353535851937790883648492.
+    const uint8_t ell_minus_1[32] = {
+        0xec, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+        0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+        0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+    std::vector<ec::Scalar> out(6);
+    out[1].bytes[0] = 1;
+    out[2].bytes[0] = 2;
+    std::memcpy(out[3].bytes, ell_minus_1, 32);
+    std::memset(out[4].bytes, 0xff, 32);
+    out[4].bytes[31] = 0x7f;
+    std::memset(out[5].bytes, 0xff, 32);
+    for (size_t i = 0; i < random; ++i)
+        out.push_back(ec::randomScalar(rng));
+    return out;
+}
+
+/**
+ * The identity, the base point, random multiples (extended
+ * coordinates with Z != 1) and decompressed encodings of random
+ * points (Z = 1, as a base-OT sender holds its peer's points).
+ */
+std::vector<ec::Point>
+edgePoints(Prg &rng, size_t n)
+{
+    std::vector<ec::Point> out;
+    for (size_t i = 0; out.size() < n; ++i) {
+        const ec::Point p = ec::Point::mulBase(ec::randomScalar(rng));
+        if (i % 4 == 0)
+            out.push_back(i == 0 ? ec::Point() : p);
+        else if (i % 4 == 1)
+            out.push_back(i == 1 ? ec::Point::base() : p.dbl());
+        else if (i % 4 == 2)
+            out.push_back(p.add(ec::Point::base()));
+        else {
+            uint8_t bytes[ec::kPointBytes];
+            p.toBytes(bytes);
+            ec::Point q;
+            EXPECT_TRUE(ec::Point::fromBytes(bytes, q));
+            out.push_back(q);
+        }
+    }
+    return out;
+}
+
+void
+expectSamePoint(const ec::Point &got, const ec::Point &want,
+                const std::string &where)
+{
+    EXPECT_EQ(pointHex(got), pointHex(want)) << where;
+}
+
+TEST(Curve25519Batch, MulManyMatchesMul)
+{
+    SKIP_WITHOUT_IFMA();
+    Prg rng(0x6d756c6d);
+    const std::vector<ec::Point> in = edgePoints(rng, 129);
+    for (const ec::Scalar &k : edgeScalars(rng, 2)) {
+        for (size_t n : kBatchSizes) {
+            std::vector<ec::Point> out(n);
+            ec::Point::mulMany(k, in.data(), out.data(), n);
+            for (size_t i = 0; i < n; ++i)
+                expectSamePoint(out[i], ec::Point::mul(k, in[i]),
+                                "n=" + std::to_string(n) +
+                                    " i=" + std::to_string(i));
+        }
+    }
+    // In place, as the base-OT sender calls it.
+    std::vector<ec::Point> io(in);
+    const ec::Scalar k = ec::randomScalar(rng);
+    ec::Point::mulMany(k, io.data(), io.data(), io.size());
+    for (size_t i = 0; i < io.size(); ++i)
+        expectSamePoint(io[i], ec::Point::mul(k, in[i]),
+                        "in place i=" + std::to_string(i));
+}
+
+TEST(Curve25519Batch, FixedBaseMulManyMatchesMul)
+{
+    SKIP_WITHOUT_IFMA();
+    Prg rng(0x66697862);
+    const ec::FixedBase peer(ec::Point::mulBase(ec::randomScalar(rng)));
+    const ec::FixedBase *tables[2] = {&ec::FixedBase::base(), &peer};
+    // Per-lane scalars: the edge values land in different lanes as
+    // the batch grows.
+    const std::vector<ec::Scalar> edges = edgeScalars(rng, 0);
+    std::vector<ec::Scalar> k;
+    for (size_t i = 0; k.size() < 129; ++i)
+        k.push_back(i % 3 == 0 ? edges[(i / 3) % edges.size()]
+                               : ec::randomScalar(rng));
+    for (const ec::FixedBase *table : tables) {
+        for (size_t n : kBatchSizes) {
+            std::vector<ec::Point> out(n);
+            table->mulMany(k.data(), out.data(), n);
+            for (size_t i = 0; i < n; ++i)
+                expectSamePoint(out[i], table->mul(k[i]),
+                                "n=" + std::to_string(n) +
+                                    " i=" + std::to_string(i));
+        }
+    }
+}
+
+TEST(Curve25519Batch, FromBytesBatchMatchesFromBytes)
+{
+    SKIP_WITHOUT_IFMA();
+    Prg rng(0x64656362);
+    const std::vector<ec::Point> points = edgePoints(rng, 129);
+    std::vector<uint8_t> wire(points.size() * ec::kPointBytes);
+    ec::Point::toBytesBatch(points.data(), points.size(), wire.data());
+    for (size_t n : kBatchSizes) {
+        std::vector<ec::Point> out(n);
+        ASSERT_EQ(ec::Point::fromBytesBatch(wire.data(), n, out.data()), n);
+        for (size_t i = 0; i < n; ++i)
+            expectSamePoint(out[i], points[i],
+                            "n=" + std::to_string(n) +
+                                " i=" + std::to_string(i));
+    }
+
+    // The first invalid encoding wins, wherever it sits in its group
+    // of eight: an off-curve y (2) and a non-canonical -0 (the
+    // identity with its sign bit set).
+    const uint8_t off_curve[ec::kPointBytes] = {2};
+    uint8_t minus_zero[ec::kPointBytes] = {1};
+    minus_zero[31] = 0x80;
+    ec::Point unused;
+    ASSERT_FALSE(ec::Point::fromBytes(off_curve, unused));
+    ASSERT_FALSE(ec::Point::fromBytes(minus_zero, unused));
+    for (size_t bad : {0, 7, 8, 9, 127, 128}) {
+        std::vector<uint8_t> tampered(wire);
+        std::memcpy(&tampered[bad * ec::kPointBytes],
+                    bad % 2 ? off_curve : minus_zero, ec::kPointBytes);
+        if (bad + 3 < points.size())
+            std::memcpy(&tampered[(bad + 3) * ec::kPointBytes], off_curve,
+                        ec::kPointBytes);
+        std::vector<ec::Point> out(points.size());
+        EXPECT_EQ(ec::Point::fromBytesBatch(tampered.data(), points.size(),
+                                            out.data()),
+                  bad);
+        for (size_t i = 0; i < bad; ++i)
+            expectSamePoint(out[i], points[i], "i=" + std::to_string(i));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -83,6 +84,34 @@ TEST(BaseOt, RejectsTamperedBlindedPoint)
     uint8_t junk[32] = {2};
     chan.toGarbler.sendBytes(junk, sizeof(junk));
     EXPECT_THROW(sender.finish(1), OtError);
+}
+
+TEST(BaseOt, RejectsTamperedBlindedPointAtAnyIndex)
+{
+    // An honest receiver's 128 blinded points with one of them replaced
+    // by an off-curve encoding: the sender's batch decompression must
+    // refuse it with the same error, wherever it sits.
+    for (size_t bad : {0, 9, 127}) {
+        DuplexChannel chan, tap;
+        Prg srng(4), rrng(5);
+        BaseOtSender sender(chan.toEvaluator, chan.toGarbler, srng);
+        BaseOtReceiver receiver(tap.toGarbler, chan.toEvaluator, rrng);
+        sender.start();
+        receiver.run(std::vector<bool>(128, true));
+        std::vector<uint8_t> wire(128 * 32);
+        tap.toGarbler.recvBytes(wire.data(), wire.size());
+        std::fill_n(&wire[bad * 32], 32, uint8_t(0));
+        wire[bad * 32] = 2; // y = 2 is off-curve
+        chan.toGarbler.sendBytes(wire.data(), wire.size());
+        try {
+            sender.finish(128);
+            ADD_FAILURE() << "no error for a bad point at " << bad;
+        } catch (const OtError &e) {
+            EXPECT_STREQ(e.what(),
+                         "base OT: invalid blinded point (not a curve point)")
+                << "bad=" << bad;
+        }
+    }
 }
 
 namespace {
