@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "serve/component_pool.h"
+#include "session_golden.h"
 
 using namespace haac;
 using namespace haac::chain;
@@ -585,6 +587,110 @@ TEST(ChainProtocol, BaseOtReusedAcrossChainedSessions)
     EXPECT_EQ(g2.otBytes, g1.otBytes - 4096u);
     EXPECT_EQ(g2.otUplinkBytes, g1.otUplinkBytes - 32u);
     EXPECT_EQ(g2.otBytes, 32u * uint64_t(m));
+}
+
+namespace {
+
+/**
+ * Recorded on the chained runners before they shared one session
+ * shape: each workload at segment 1 then 1024, components garbled
+ * from seed base 0x5EED, garbler row before evaluator row.
+ */
+const char *const kChainGolden[] = {
+    "ChainMillSum:32 seg1 garbler: table=3072 input=1072 ot=6144 up=4160 "
+    "decode=1 link=2057/1 total=12346 control=43 segs=96 raw=13688/4177 "
+    "frames=325/4 lens=909ca32c9d7f686f/f351bb5218b40484 "
+    "post=25b10dab0a3796b3",
+    "ChainMillSum:32 seg1 evaluator: table=3072 input=1072 ot=6144 up=4160 "
+    "decode=1 link=2057/1 total=12346 control=43 segs=96 raw=4177/13688 "
+    "frames=4/325 lens=f351bb5218b40484/909ca32c9d7f686f "
+    "post=25b10dab0a3796b3",
+    "ChainMillSum:32 seg1024 garbler: table=3072 input=1072 ot=6144 up=4160 "
+    "decode=1 link=2057/1 total=12346 control=43 segs=3 raw=12424/4173 "
+    "frames=9/3 lens=c052fd35db0147bf/407d2a8ce83a03b4 "
+    "post=25b10dab0a3796b3",
+    "ChainMillSum:32 seg1024 evaluator: table=3072 input=1072 ot=6144 "
+    "up=4160 decode=1 link=2057/1 total=12346 control=43 segs=3 "
+    "raw=4173/12424 frames=3/9 lens=407d2a8ce83a03b4/c052fd35db0147bf "
+    "post=25b10dab0a3796b3",
+    "ChainProdCmp:32 seg1 garbler: table=66560 input=1072 ot=6144 up=4160 "
+    "decode=1 link=2057/1 total=75834 control=43 segs=2080 raw=85112/4177 "
+    "frames=2309/4 lens=509c2cea2692ac6f/f351bb5218b40484 "
+    "post=f42d2ef1979198e6",
+    "ChainProdCmp:32 seg1 evaluator: table=66560 input=1072 ot=6144 up=4160 "
+    "decode=1 link=2057/1 total=75834 control=43 segs=2080 raw=4177/85112 "
+    "frames=4/2309 lens=f351bb5218b40484/509c2cea2692ac6f "
+    "post=f42d2ef1979198e6",
+    "ChainProdCmp:32 seg1024 garbler: table=66560 input=1072 ot=6144 "
+    "up=4160 decode=1 link=2057/1 total=75834 control=43 segs=3 "
+    "raw=75912/4173 frames=9/3 lens=922e21c23e85daff/407d2a8ce83a03b4 "
+    "post=f42d2ef1979198e6",
+    "ChainProdCmp:32 seg1024 evaluator: table=66560 input=1072 ot=6144 "
+    "up=4160 decode=1 link=2057/1 total=75834 control=43 segs=3 "
+    "raw=4173/75912 frames=3/9 lens=407d2a8ce83a03b4/922e21c23e85daff "
+    "post=f42d2ef1979198e6",
+    "ChainAbsDiff:32 seg1 garbler: table=4096 input=1600 ot=7168 up=4160 "
+    "decode=32 link=2089/1 total=14985 control=74 segs=128 raw=16647/4208 "
+    "frames=405/4 lens=cc6940c236fa83ee/92a1e86535a15335 "
+    "post=2a360c7797897589",
+    "ChainAbsDiff:32 seg1 evaluator: table=4096 input=1600 ot=7168 up=4160 "
+    "decode=32 link=2089/1 total=14985 control=74 segs=128 raw=4208/16647 "
+    "frames=4/405 lens=92a1e86535a15335/cc6940c236fa83ee "
+    "post=2a360c7797897589",
+    "ChainAbsDiff:32 seg1024 garbler: table=4096 input=1600 ot=7168 up=4160 "
+    "decode=32 link=2089/1 total=14985 control=74 segs=4 raw=15067/4204 "
+    "frames=10/3 lens=1380089f1db6549c/e122558a77b82e25 "
+    "post=2a360c7797897589",
+    "ChainAbsDiff:32 seg1024 evaluator: table=4096 input=1600 ot=7168 "
+    "up=4160 decode=32 link=2089/1 total=14985 control=74 segs=4 "
+    "raw=4204/15067 frames=3/10 lens=e122558a77b82e25/1380089f1db6549c "
+    "post=2a360c7797897589",
+};
+
+} // namespace
+
+TEST(ChainProtocol, SessionShapeGolden)
+{
+    // Every byte category, link and table frame boundary and post-OT
+    // garbler byte of the chained session, on both sides.
+    std::vector<std::string> rows;
+    for (const char *spec : {"ChainMillSum:32", "ChainProdCmp:32",
+                             "ChainAbsDiff:32"}) {
+        const ChainWorkload wl = resolveChainWorkload(spec);
+        for (uint32_t segment : {1u, 1024u}) {
+            const std::string name =
+                std::string(spec) + " seg" + std::to_string(segment);
+            auto [gend, eend] = LoopbackTransport::createPair();
+            golden::RecordingTransport g(*gend), e(*eend);
+            RemoteOptions opts;
+            opts.segmentTables = segment;
+            ChainResult gres;
+            PeerThread garbler([&] {
+                gres = runChainGarbler(wl.plan, wl.garblerBits, g,
+                                       freshComponentProvider(0x5EED),
+                                       opts);
+            });
+            const ChainResult eres =
+                runChainEvaluator(wl.plan, wl.evaluatorBits, e, opts);
+            garbler.join();
+            EXPECT_EQ(gres.outputs, wl.expectedOutputs) << name;
+            EXPECT_EQ(eres.outputs, wl.expectedOutputs) << name;
+            rows.push_back(golden::sessionRow(name, true, gres, g,
+                                              gres.linkBytes,
+                                              gres.linkFrames));
+            rows.push_back(golden::sessionRow(name, false, eres, e,
+                                              eres.linkBytes,
+                                              eres.linkFrames));
+        }
+    }
+    ASSERT_EQ(rows.size(), std::size(kChainGolden)) << [&] {
+        std::string all;
+        for (const std::string &row : rows)
+            all += "    \"" + row + "\",\n";
+        return all;
+    }();
+    for (size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i], kChainGolden[i]);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -21,15 +22,18 @@
 #include "circuit/stdlib.h"
 #include "gc/base_ot.h"
 #include "gc/garbler.h"
+#include "gc/instance.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
 #include "net/loopback.h"
 #include "net/net_channel.h"
 #include "net/remote.h"
+#include "net/server.h"
 #include "net/tcp.h"
 #include "net/wire.h"
 #include "workloads/priorwork.h"
 #include "workloads/vip.h"
+#include "session_golden.h"
 
 using namespace haac;
 
@@ -499,6 +503,236 @@ TEST(Remote, AllVipWorkloadsBitIdenticalUnderRealOt)
         expectMatchesProtocol(wl.netlist, wl.garblerBits,
                               wl.evaluatorBits, 0x4841414331ull, 1024);
     }
+}
+
+namespace {
+
+/**
+ * One session over recording loopback ends, garbling inline at the
+ * default seed or replaying @p instance; {garbler row, evaluator row}.
+ */
+std::vector<std::string>
+goldenRows(const std::string &name, const Workload &wl,
+           const GarbledInstance *instance)
+{
+    auto [gend, eend] = LoopbackTransport::createPair();
+    golden::RecordingTransport g(*gend), e(*eend);
+    RemoteResult gres;
+    PeerThread garbler([&] {
+        gres = instance != nullptr
+                   ? runRemoteGarbler(wl.netlist, wl.garblerBits, g,
+                                      *instance)
+                   : runRemoteGarbler(wl.netlist, wl.garblerBits, g,
+                                      0x4841414331ull);
+    });
+    const RemoteResult eres =
+        runRemoteEvaluator(wl.netlist, wl.evaluatorBits, e);
+    garbler.join();
+    const std::vector<bool> want =
+        wl.netlist.evaluate(wl.garblerBits, wl.evaluatorBits);
+    EXPECT_EQ(gres.outputs, want) << name;
+    EXPECT_EQ(eres.outputs, want) << name;
+    return {golden::sessionRow(name, true, gres, g),
+            golden::sessionRow(name, false, eres, e)};
+}
+
+/**
+ * Recorded on the runners before they shared one session shape:
+ * wl inline (seed 0x4841414331) then wl pooled (instance captured at
+ * seed 0x5EED), garbler row before evaluator row.
+ */
+const char *const kRemoteGolden[] = {
+    "BubbSt inline garbler: table=2346240 input=12288 ot=28688 up=14400 "
+    "decode=1536 link=0/0 total=2388752 control=1574 segs=72 "
+    "raw=2389102/15948 frames=78/3 lens=f9b021b20c6c3416/2c3a898cccdb8ccb "
+    "post=861fb7e2e7c5018b",
+    "BubbSt inline evaluator: table=2346240 input=12288 ot=28688 up=14400 "
+    "decode=1536 link=0/0 total=2388752 control=1574 segs=72 "
+    "raw=15948/2389102 frames=3/78 lens=2c3a898cccdb8ccb/f9b021b20c6c3416 "
+    "post=861fb7e2e7c5018b",
+    "BubbSt pooled garbler: table=2346240 input=12288 ot=28688 up=14400 "
+    "decode=1536 link=0/0 total=2388752 control=1574 segs=72 "
+    "raw=2389102/15948 frames=78/3 lens=f9b021b20c6c3416/2c3a898cccdb8ccb "
+    "post=0fe279d8d592faf4",
+    "BubbSt pooled evaluator: table=2346240 input=12288 ot=28688 up=14400 "
+    "decode=1536 link=0/0 total=2388752 control=1574 segs=72 "
+    "raw=15948/2389102 frames=3/78 lens=2c3a898cccdb8ccb/f9b021b20c6c3416 "
+    "post=0fe279d8d592faf4",
+    "DotProd inline garbler: table=1080320 input=16384 ot=36880 up=18496 "
+    "decode=32 link=0/0 total=1133616 control=70 segs=33 raw=1133810/18540 "
+    "frames=39/3 lens=6f01594ff5c64817/0cc7ddfe56e7b2dd "
+    "post=0c2f78f5ca1f1f60",
+    "DotProd inline evaluator: table=1080320 input=16384 ot=36880 up=18496 "
+    "decode=32 link=0/0 total=1133616 control=70 segs=33 raw=18540/1133810 "
+    "frames=3/39 lens=0cc7ddfe56e7b2dd/6f01594ff5c64817 "
+    "post=0c2f78f5ca1f1f60",
+    "DotProd pooled garbler: table=1080320 input=16384 ot=36880 up=18496 "
+    "decode=32 link=0/0 total=1133616 control=70 segs=33 raw=1133810/18540 "
+    "frames=39/3 lens=6f01594ff5c64817/0cc7ddfe56e7b2dd "
+    "post=8ead4ddca6f981c4",
+    "DotProd pooled evaluator: table=1080320 input=16384 ot=36880 up=18496 "
+    "decode=32 link=0/0 total=1133616 control=70 segs=33 raw=18540/1133810 "
+    "frames=3/39 lens=0cc7ddfe56e7b2dd/6f01594ff5c64817 "
+    "post=8ead4ddca6f981c4",
+    "Merse inline garbler: table=2955264 input=161280 ot=323600 up=161856 "
+    "decode=39936 link=0/0 total=3480080 control=39974 segs=91 "
+    "raw=3480562/201812 frames=111/5 lens=c20af25ebb354719/c0cdd39aabeceb2b "
+    "post=2127cbfdc9c054a8",
+    "Merse inline evaluator: table=2955264 input=161280 ot=323600 up=161856 "
+    "decode=39936 link=0/0 total=3480080 control=39974 segs=91 "
+    "raw=201812/3480562 frames=5/111 lens=c0cdd39aabeceb2b/c20af25ebb354719 "
+    "post=2127cbfdc9c054a8",
+    "Merse pooled garbler: table=2955264 input=161280 ot=323600 up=161856 "
+    "decode=39936 link=0/0 total=3480080 control=39974 segs=91 "
+    "raw=3480562/201812 frames=111/5 lens=c20af25ebb354719/c0cdd39aabeceb2b "
+    "post=e7e8e2111a60a657",
+    "Merse pooled evaluator: table=2955264 input=161280 ot=323600 up=161856 "
+    "decode=39936 link=0/0 total=3480080 control=39974 segs=91 "
+    "raw=201812/3480562 frames=5/111 lens=c0cdd39aabeceb2b/c20af25ebb354719 "
+    "post=e7e8e2111a60a657",
+    "Triangle inline garbler: table=1273600 input=6240 ot=16592 up=10304 "
+    "decode=14 link=0/0 total=1296446 control=52 segs=39 raw=1296664/10330 "
+    "frames=45/3 lens=e07988a390d703b4/cb40fa946ef4f973 "
+    "post=07217766e2741822",
+    "Triangle inline evaluator: table=1273600 input=6240 ot=16592 up=10304 "
+    "decode=14 link=0/0 total=1296446 control=52 segs=39 raw=10330/1296664 "
+    "frames=3/45 lens=cb40fa946ef4f973/e07988a390d703b4 "
+    "post=07217766e2741822",
+    "Triangle pooled garbler: table=1273600 input=6240 ot=16592 up=10304 "
+    "decode=14 link=0/0 total=1296446 control=52 segs=39 raw=1296664/10330 "
+    "frames=45/3 lens=e07988a390d703b4/cb40fa946ef4f973 "
+    "post=507c1fb75b81e44c",
+    "Triangle pooled evaluator: table=1273600 input=6240 ot=16592 up=10304 "
+    "decode=14 link=0/0 total=1296446 control=52 segs=39 raw=10330/1296664 "
+    "frames=3/45 lens=cb40fa946ef4f973/e07988a390d703b4 "
+    "post=507c1fb75b81e44c",
+    "Hamm inline garbler: table=523808 input=131072 ot=266256 up=133184 "
+    "decode=14 link=0/0 total=921150 control=52 segs=16 raw=921316/133214 "
+    "frames=32/4 lens=9a63a34a960c9893/738011a9a2a384b1 "
+    "post=3c0022ab5604e63c",
+    "Hamm inline evaluator: table=523808 input=131072 ot=266256 up=133184 "
+    "decode=14 link=0/0 total=921150 control=52 segs=16 raw=133214/921316 "
+    "frames=4/32 lens=738011a9a2a384b1/9a63a34a960c9893 "
+    "post=3c0022ab5604e63c",
+    "Hamm pooled garbler: table=523808 input=131072 ot=266256 up=133184 "
+    "decode=14 link=0/0 total=921150 control=52 segs=16 raw=921316/133214 "
+    "frames=32/4 lens=9a63a34a960c9893/738011a9a2a384b1 "
+    "post=239a7addc46e8ef7",
+    "Hamm pooled evaluator: table=523808 input=131072 ot=266256 up=133184 "
+    "decode=14 link=0/0 total=921150 control=52 segs=16 raw=133214/921316 "
+    "frames=4/32 lens=738011a9a2a384b1/9a63a34a960c9893 "
+    "post=239a7addc46e8ef7",
+    "MatMult inline garbler: table=2146304 input=8192 ot=20496 up=10304 "
+    "decode=512 link=0/0 total=2175504 control=550 segs=66 "
+    "raw=2175830/10828 frames=72/3 lens=cbd8104620b01979/f9b8bce7c33e59c7 "
+    "post=dd04f84e4b7e276a",
+    "MatMult inline evaluator: table=2146304 input=8192 ot=20496 up=10304 "
+    "decode=512 link=0/0 total=2175504 control=550 segs=66 "
+    "raw=10828/2175830 frames=3/72 lens=f9b8bce7c33e59c7/cbd8104620b01979 "
+    "post=dd04f84e4b7e276a",
+    "MatMult pooled garbler: table=2146304 input=8192 ot=20496 up=10304 "
+    "decode=512 link=0/0 total=2175504 control=550 segs=66 "
+    "raw=2175830/10828 frames=72/3 lens=cbd8104620b01979/f9b8bce7c33e59c7 "
+    "post=9213f786d6559b00",
+    "MatMult pooled evaluator: table=2146304 input=8192 ot=20496 up=10304 "
+    "decode=512 link=0/0 total=2175504 control=550 segs=66 "
+    "raw=10828/2175830 frames=3/72 lens=f9b8bce7c33e59c7/cbd8104620b01979 "
+    "post=9213f786d6559b00",
+    "ReLU inline garbler: table=524288 input=131072 ot=266256 up=133184 "
+    "decode=16384 link=0/0 total=938000 control=16422 segs=16 "
+    "raw=938166/149584 frames=32/4 lens=af31be13cc90ece3/08d6ba1d1f9429df "
+    "post=0ace05b5aa96b27e",
+    "ReLU inline evaluator: table=524288 input=131072 ot=266256 up=133184 "
+    "decode=16384 link=0/0 total=938000 control=16422 segs=16 "
+    "raw=149584/938166 frames=4/32 lens=08d6ba1d1f9429df/af31be13cc90ece3 "
+    "post=0ace05b5aa96b27e",
+    "ReLU pooled garbler: table=524288 input=131072 ot=266256 up=133184 "
+    "decode=16384 link=0/0 total=938000 control=16422 segs=16 "
+    "raw=938166/149584 frames=32/4 lens=af31be13cc90ece3/08d6ba1d1f9429df "
+    "post=d6d1b3c10da0ce3d",
+    "ReLU pooled evaluator: table=524288 input=131072 ot=266256 up=133184 "
+    "decode=16384 link=0/0 total=938000 control=16422 segs=16 "
+    "raw=149584/938166 frames=4/32 lens=08d6ba1d1f9429df/af31be13cc90ece3 "
+    "post=d6d1b3c10da0ce3d",
+    "GradDesc inline garbler: table=3543808 input=2048 ot=8208 up=4160 "
+    "decode=64 link=0/0 total=3554128 control=102 segs=109 raw=3554626/4236 "
+    "frames=115/3 lens=8aeede76b985eef6/e1ccd47fb1009c05 "
+    "post=e9d98b37d16443e4",
+    "GradDesc inline evaluator: table=3543808 input=2048 ot=8208 up=4160 "
+    "decode=64 link=0/0 total=3554128 control=102 segs=109 raw=4236/3554626 "
+    "frames=3/115 lens=e1ccd47fb1009c05/8aeede76b985eef6 "
+    "post=e9d98b37d16443e4",
+    "GradDesc pooled garbler: table=3543808 input=2048 ot=8208 up=4160 "
+    "decode=64 link=0/0 total=3554128 control=102 segs=109 raw=3554626/4236 "
+    "frames=115/3 lens=8aeede76b985eef6/e1ccd47fb1009c05 "
+    "post=565d39b94e0e74b4",
+    "GradDesc pooled evaluator: table=3543808 input=2048 ot=8208 up=4160 "
+    "decode=64 link=0/0 total=3554128 control=102 segs=109 raw=4236/3554626 "
+    "frames=3/115 lens=e1ccd47fb1009c05/8aeede76b985eef6 "
+    "post=565d39b94e0e74b4",
+    "Million-32 inline garbler: table=1024 input=512 ot=5136 up=4160 "
+    "decode=1 link=0/0 total=6673 control=39 segs=1 raw=6739/4173 "
+    "frames=7/3 lens=0979749156c9c958/407d2a8ce83a03b4 "
+    "post=55e5708bb63a857b",
+    "Million-32 inline evaluator: table=1024 input=512 ot=5136 up=4160 "
+    "decode=1 link=0/0 total=6673 control=39 segs=1 raw=4173/6739 "
+    "frames=3/7 lens=407d2a8ce83a03b4/0979749156c9c958 "
+    "post=55e5708bb63a857b",
+    "Million-32 pooled garbler: table=1024 input=512 ot=5136 up=4160 "
+    "decode=1 link=0/0 total=6673 control=39 segs=1 raw=6739/4173 "
+    "frames=7/3 lens=0979749156c9c958/407d2a8ce83a03b4 "
+    "post=e87c291d85039251",
+    "Million-32 pooled evaluator: table=1024 input=512 ot=5136 up=4160 "
+    "decode=1 link=0/0 total=6673 control=39 segs=1 raw=4173/6739 "
+    "frames=3/7 lens=407d2a8ce83a03b4/0979749156c9c958 "
+    "post=e87c291d85039251",
+    "Mult-8 inline garbler: table=3840 input=128 ot=4368 up=4160 decode=16 "
+    "link=0/0 total=8352 control=54 segs=1 raw=8418/4188 frames=7/3 "
+    "lens=f923529f5001d99d/e0cd160fdb13f735 post=e807d6f8e1705262",
+    "Mult-8 inline evaluator: table=3840 input=128 ot=4368 up=4160 "
+    "decode=16 link=0/0 total=8352 control=54 segs=1 raw=4188/8418 "
+    "frames=3/7 lens=e0cd160fdb13f735/f923529f5001d99d "
+    "post=e807d6f8e1705262",
+    "Mult-8 pooled garbler: table=3840 input=128 ot=4368 up=4160 decode=16 "
+    "link=0/0 total=8352 control=54 segs=1 raw=8418/4188 frames=7/3 "
+    "lens=f923529f5001d99d/e0cd160fdb13f735 post=5bf835b2c7c610d4",
+    "Mult-8 pooled evaluator: table=3840 input=128 ot=4368 up=4160 "
+    "decode=16 link=0/0 total=8352 control=54 segs=1 raw=4188/8418 "
+    "frames=3/7 lens=e0cd160fdb13f735/f923529f5001d99d "
+    "post=5bf835b2c7c610d4",
+};
+
+} // namespace
+
+TEST(Remote, SessionShapeGolden)
+{
+    // Every byte category, frame boundary and post-OT garbler byte of
+    // the monolithic session, inline and replayed, on both sides.
+    std::vector<Workload> fleet;
+    for (const std::string &name : vipNames())
+        fleet.push_back(vipWorkload(name, false));
+    fleet.push_back(resolveWorkload("Million:32"));
+    fleet.push_back(resolveWorkload("Mult:8"));
+
+    std::vector<std::string> rows;
+    for (const Workload &wl : fleet) {
+        const GarbledInstance inst = captureGarbling(wl.netlist, 0x5EED);
+        for (const GarbledInstance *src : {(const GarbledInstance *)nullptr,
+                                           &inst}) {
+            const std::string name =
+                wl.name + (src != nullptr ? " pooled" : " inline");
+            for (std::string &row : goldenRows(name, wl, src))
+                rows.push_back(std::move(row));
+        }
+    }
+    ASSERT_EQ(rows.size(), std::size(kRemoteGolden)) << [&] {
+        std::string all;
+        for (const std::string &row : rows)
+            all += "    \"" + row + "\",\n";
+        return all;
+    }();
+    for (size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i], kRemoteGolden[i]);
 }
 
 namespace {
