@@ -3,9 +3,10 @@
  * Wire-traffic cross-check: the Table 3 class of accounting, verified
  * against actual bytes on a transport.
  *
- * The in-process software-gc backend *accounts* communication
- * (ProtocolResult: tables, input labels, OT, output decode); the
- * remote-gc backend *moves* those bytes across a framed transport.
+ * The software-gc backend reports communication by category (tables,
+ * input labels, OT, output decode) from runProtocol's in-process
+ * session; the remote-gc backend moves those bytes across a framed
+ * transport.
  * For every VIP workload this bench runs both — the remote pair over
  * a LoopbackTransport in two threads — and cross-checks each category
  * exactly, then reports what the accounting cannot see: framing
@@ -100,8 +101,8 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     std::printf("\nEvery category (tables, input labels, OT down- and "
-                "uplink, output decode) must match the in-process "
-                "ProtocolResult accounting exactly; OT here is the "
+                "uplink, output decode) must match the software-gc "
+                "backend's accounting exactly; OT here is the "
                 "real base-OT + IKNP extension (OT = 4 KB of base "
                 "points + 32 B per evaluator bit down, OtUp = 32 B "
                 "key + 2 KB of masked columns per 128-bit block "

@@ -84,8 +84,8 @@ class HaacSimBackend : public Backend
  * remote_millionaires process, or a haac_server — plays the other,
  * over a framed Transport. Streams garbled tables in segments, so
  * memory stays O(wires) regardless of circuit size. The report
- * carries outputs, the exact ProtocolResult-compatible communication
- * accounting measured on the wire, and the net section (raw bytes,
+ * carries outputs, the same communication accounting as the
+ * software-gc backend, measured on the wire, and the net section (raw bytes,
  * segments, gates/s).
  */
 class RemoteGcBackend : public Backend

@@ -60,7 +60,7 @@ SoftwareGcBackend::execute(const Session &session)
 
     RunReport report;
     const auto start = Clock::now();
-    ProtocolResult res = runProtocol(netlist, gb, eb, session.seed());
+    RemoteResult res = runProtocol(netlist, gb, eb, session.seed());
     report.hostSeconds = secondsSince(start);
 
     report.outputs = std::move(res.outputs);

@@ -3,7 +3,7 @@
  * RunReport: the one structured result every backend returns.
  *
  * A single execution — software GC on the CPU or the HAAC model — used
- * to scatter its results across ProtocolResult, CompileStats, SimStats,
+ * to scatter its results across RemoteResult, CompileStats, SimStats,
  * channel counters, and the energy model. RunReport merges them so
  * callers compare backends field by field, and serializes itself to CSV
  * or JSON so benchmark trajectories can accumulate without screen
@@ -55,7 +55,7 @@ struct RunReport
         uint64_t inputLabelBytes = 0;
         uint64_t otBytes = 0;
         /** Evaluator→garbler OT traffic (real OT only; see
-         *  ProtocolResult::otUplinkBytes). Not part of totalBytes,
+         *  RemoteResult::otUplinkBytes). Not part of totalBytes,
          *  which counts garbler→evaluator payload. */
         uint64_t otUplinkBytes = 0;
         uint64_t outputDecodeBytes = 0;

@@ -1,13 +1,11 @@
 #include "chain/link.h"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "circuit/analyze.h"
 #include "crypto/hash.h"
 #include "crypto/prg.h"
 #include "gc/streaming.h"
-#include "net/net_channel.h"
 #include "net/wire.h"
 
 namespace haac {
@@ -15,13 +13,12 @@ namespace chain {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /**
  * Chain-session agreement check, the chained analogue of remote.cc's
  * Fingerprint: both parties hold the (public) plan; the structural
  * hash plus shape fields catch disagreement before any label moves,
- * and the garbler's OT/segment choices travel with it. 42 bytes.
+ * and the garbler's OT/segment choices travel with it in the tail
+ * (segmentTables, then reserved, otMode, otCached). 42 bytes.
  */
 struct ChainFingerprint
 {
@@ -31,10 +28,7 @@ struct ChainFingerprint
     uint32_t garblerInputs = 0;
     uint32_t evaluatorInputs = 0;
     uint32_t outputs = 0;
-    uint32_t segmentTables = 0;
-    uint64_t reserved = 0; ///< written as 0
-    uint8_t otMode = 1;    ///< 1 = IKNP, the only OT (otCachedFlag)
-    uint8_t otCached = 0;
+    FingerprintTail tail;
 
     static constexpr size_t kBytes = 8 + 6 * 4 + 8 + 2;
 
@@ -61,10 +55,10 @@ struct ChainFingerprint
         w.u32(garblerInputs);
         w.u32(evaluatorInputs);
         w.u32(outputs);
-        w.u32(segmentTables);
-        w.u64(reserved);
-        w.u8(otMode);
-        w.u8(otCached);
+        w.u32(tail.segmentTables);
+        w.u64(tail.reserved);
+        w.u8(tail.otMode);
+        w.u8(tail.otCached);
         return w.take();
     }
 
@@ -79,10 +73,10 @@ struct ChainFingerprint
         fp.garblerInputs = r.u32();
         fp.evaluatorInputs = r.u32();
         fp.outputs = r.u32();
-        fp.segmentTables = r.u32();
-        fp.reserved = r.u64();
-        fp.otMode = r.u8();
-        fp.otCached = r.u8();
+        fp.tail.segmentTables = r.u32();
+        fp.tail.reserved = r.u64();
+        fp.tail.otMode = r.u8();
+        fp.tail.otCached = r.u8();
         r.expectEnd("chain fingerprint");
         return fp;
     }
@@ -308,14 +302,6 @@ buildLinkTable(const Label &producer_zero, const Label &producer_offset,
     return t;
 }
 
-Label
-translateLinkLabel(const LinkTable &table, const Label &producer_active,
-                   uint64_t link_index)
-{
-    const RekeyedHasher h(linkTweakOf(link_index));
-    return table.row[producer_active.lsb() ? 1 : 0] ^ h(producer_active);
-}
-
 namespace {
 
 /** Each component's offset and input labels, expanded from its seed. */
@@ -390,20 +376,19 @@ runChainGarbler(const ChainPlan &plan,
         throw std::invalid_argument(
             "runChainGarbler: wrong garbler input count");
 
-    const auto start = Clock::now();
-    const uint32_t segment_tables = clampSegment(opts.segmentTables);
-
+    GarblerSession s; // the session clock starts here
     ChainResult res;
     res.components = uint32_t(plan.nodes.size());
     res.links = plan.numLinks();
-    res.segmentTables = segment_tables;
 
     // Acquire one garbled component per node (pool or inline) and
-    // validate each against its spec's netlist shape.
+    // validate each against its spec's netlist, built once here.
     std::vector<std::unique_ptr<GarbledComponent>> owned;
     std::vector<const GarbledComponent *> comps;
+    std::vector<WireId> const_one;
     owned.reserve(plan.nodes.size());
     comps.reserve(plan.nodes.size());
+    const_one.reserve(plan.nodes.size());
     for (uint32_t n = 0; n < plan.nodes.size(); ++n) {
         AcquiredComponent acq = provider(n, plan.nodes[n]);
         if (acq.component == nullptr ||
@@ -422,6 +407,7 @@ runChainGarbler(const ChainPlan &plan,
                 std::to_string(n) + " does not match " +
                 plan.nodes[n].name());
         res.gates += nl.numGates();
+        const_one.push_back(nl.constOne);
         if (acq.pooled)
             ++res.pooledComponents;
         owned.push_back(std::move(acq.component));
@@ -430,122 +416,68 @@ runChainGarbler(const ChainPlan &plan,
 
     // Every component's input labels, expanded once for the session.
     const std::vector<InputLabels> labels = expandComponentInputs(comps);
-
-    NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
-
-    const uint32_t m = plan.numEvaluatorPorts();
-    res.otSetupReused = canReuseOtSetup(opts.otCache, m);
-
-    ChainFingerprint fp = ChainFingerprint::of(plan);
-    fp.segmentTables = segment_tables;
-    fp.otCached = res.otSetupReused ? 1 : 0;
-    const std::vector<uint8_t> fp_bytes = fp.serialize();
-    chan.sendBytes(fp_bytes.data(), fp_bytes.size());
-    chan.flush();
-    res.controlBytes += fp_bytes.size();
-
-    // --- OT phase: one IKNP batch over every evaluator-driven port,
-    // in plan scan order. m0/m1 are the consuming component's own
-    // input labels (each port has independent labels even when two
-    // ports share a plan input bit). ---
-    {
-        std::vector<Label> m0, m1;
-        m0.reserve(m);
-        m1.reserve(m);
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                if (plan.sources[n][i].kind != SourceKind::Evaluator)
-                    continue;
-                m0.push_back(labels[n].activeLabel(WireId(i), false));
-                m1.push_back(labels[n].activeLabel(WireId(i), true));
-            }
-        sendOtLabels(chan, m0, m1, opts.otCache, res);
-        chan.flush();
-    }
-
-    // --- Direct labels: garbler-driven and constant ports in scan
-    // order, then each component's constant-one label. ---
-    {
-        const size_t base = chan.bytesSent();
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                const InputSource &s = plan.sources[n][i];
-                const WireId w = WireId(i);
-                switch (s.kind) {
-                case SourceKind::Garbler:
-                    chan.sendLabel(labels[n].activeLabel(
-                        w, garbler_bits[s.index]));
-                    break;
-                case SourceKind::Zero:
-                    chan.sendLabel(
-                        labels[n].activeLabel(w, false));
-                    break;
-                case SourceKind::One:
-                    chan.sendLabel(labels[n].activeLabel(w, true));
-                    break;
-                case SourceKind::Evaluator:
-                case SourceKind::Link:
-                    break;
-                }
-            }
-        for (size_t n = 0; n < plan.nodes.size(); ++n) {
-            // Every built netlist carries a constant-one input wire
-            // (the last input); ship its active label like remote.cc.
-            const Netlist nl = buildComponent(plan.nodes[n]);
-            if (nl.constOne != kNoWire)
-                chan.sendLabel(
-                    labels[n].activeLabel(nl.constOne, true));
-        }
-        res.inputLabelBytes = chan.bytesSent() - base;
-        chan.flush();
-    }
-
-    // --- Per node: link-table frame, then the component's AND tables
-    // through the segment framing. Flushing before each typed frame
-    // keeps the two streams on disjoint transport frames. ---
     const std::vector<LinkTable> links = linkTablesFor(plan, comps, labels);
+
+    s.writeFingerprint = [&plan](const FingerprintTail &tail) {
+        ChainFingerprint fp = ChainFingerprint::of(plan);
+        fp.tail = tail;
+        return fp.serialize();
+    };
+    // OT pairs and direct labels in plan scan order. The labels are
+    // the consuming component's own (each port has independent labels
+    // even when two ports share a plan input bit).
+    for (size_t n = 0; n < plan.nodes.size(); ++n)
+        for (size_t i = 0; i < plan.sources[n].size(); ++i) {
+            const InputSource &src = plan.sources[n][i];
+            const WireId w = WireId(i);
+            switch (src.kind) {
+            case SourceKind::Evaluator:
+                s.otZero.push_back(labels[n].activeLabel(w, false));
+                s.otOne.push_back(labels[n].activeLabel(w, true));
+                break;
+            case SourceKind::Garbler:
+                s.directLabels.push_back(
+                    labels[n].activeLabel(w, garbler_bits[src.index]));
+                break;
+            case SourceKind::Zero:
+            case SourceKind::One:
+                s.directLabels.push_back(labels[n].activeLabel(
+                    w, src.kind == SourceKind::One));
+                break;
+            case SourceKind::Link:
+                break;
+            }
+        }
+    // Then each component's constant-one label.
+    for (size_t n = 0; n < plan.nodes.size(); ++n)
+        if (const_one[n] != kNoWire)
+            s.directLabels.push_back(
+                labels[n].activeLabel(const_one[n], true));
+
+    // Per node: its link tables in one frame, then its tables.
+    std::vector<uint8_t> rows(links.size() * kLinkTableBytes);
+    for (size_t k = 0; k < links.size(); ++k) {
+        links[k].row[0].toBytes(rows.data() + k * kLinkTableBytes);
+        links[k].row[1].toBytes(rows.data() + k * kLinkTableBytes +
+                                kLabelBytes);
+    }
+    s.nodes.resize(plan.nodes.size());
     size_t next_link = 0;
     for (size_t n = 0; n < plan.nodes.size(); ++n) {
+        s.nodes[n].captured = &comps[n]->inst;
         uint32_t node_links = 0;
-        for (const InputSource &s : plan.sources[n])
-            node_links += s.kind == SourceKind::Link ? 1 : 0;
-        if (node_links > 0) {
-            std::vector<uint8_t> rows(size_t(node_links) *
-                                      kLinkTableBytes);
-            for (uint32_t k = 0; k < node_links; ++k) {
-                links[next_link + k].row[0].toBytes(
-                    rows.data() + size_t(k) * kLinkTableBytes);
-                links[next_link + k].row[1].toBytes(
-                    rows.data() + size_t(k) * kLinkTableBytes +
-                    kLabelBytes);
-            }
-            next_link += node_links;
-            const std::vector<uint8_t> frame = makeLinkTableFrame(
-                uint32_t(n), node_links, rows.data(), rows.size());
-            transport.sendFrame(frame);
-            res.linkBytes += frame.size();
-            ++res.linkFrames;
-        }
-        const uint64_t frames_before = transport.framesSent();
-        const size_t base = chan.bytesSent();
-        for (const GarbledTable &t : comps[n]->inst.tables)
-            chan.sendTable(t);
-        chan.flush();
-        res.tableBytes += chan.bytesSent() - base;
-        res.tableSegments += transport.framesSent() - frames_before;
+        for (const InputSource &src : plan.sources[n])
+            node_links += src.kind == SourceKind::Link ? 1 : 0;
+        if (node_links > 0)
+            s.nodes[n].linkFrame = makeLinkTableFrame(
+                uint32_t(n), node_links,
+                rows.data() + next_link * kLinkTableBytes,
+                size_t(node_links) * kLinkTableBytes);
+        next_link += node_links;
     }
+    s.outputs = plan.outputs;
 
-    // --- Decode bits and the result echo. ---
-    std::vector<bool> decode;
-    decode.reserve(plan.outputs.size());
-    for (const PortRef &ref : plan.outputs)
-        decode.push_back(comps[ref.node]->inst.decodeBit(ref.bit));
-    sendDecodeReceiveEcho(chan, decode, res);
-
-    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
-                     res.linkBytes + res.outputDecodeBytes;
-    res.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    runGarblerSession(s, transport, opts, res);
     return res;
 }
 
@@ -569,7 +501,7 @@ runChainEvaluator(const ChainPlan &plan,
         throw std::invalid_argument(
             "runChainEvaluator: wrong evaluator input count");
 
-    const auto start = Clock::now();
+    EvaluatorSession s; // the session clock starts here
     ChainResult res;
     res.components = uint32_t(plan.nodes.size());
     res.links = plan.numLinks();
@@ -581,119 +513,48 @@ runChainEvaluator(const ChainPlan &plan,
         res.gates += nls.back().numGates();
     }
 
-    NetChannel chan(transport,
-                    size_t(clampSegment(opts.segmentTables)) *
-                        kTableBytes);
-
-    std::vector<uint8_t> fp_bytes(ChainFingerprint::kBytes);
-    chan.recvBytes(fp_bytes.data(), fp_bytes.size());
-    res.controlBytes += fp_bytes.size();
-    const ChainFingerprint remote_fp =
-        ChainFingerprint::deserialize(fp_bytes);
-    const bool ot_cached =
-        otCachedFlag(remote_fp.otMode, remote_fp.otCached);
-    const ChainFingerprint local_fp = ChainFingerprint::of(plan);
-    if (!remote_fp.samePlan(local_fp))
-        throw NetError(
-            "chain plan mismatch: local hash " +
-            std::to_string(local_fp.planHash) + " (" +
-            std::to_string(local_fp.nodes) + " nodes) vs garbler " +
-            std::to_string(remote_fp.planHash) + " (" +
-            std::to_string(remote_fp.nodes) + " nodes)");
-    res.segmentTables = remote_fp.segmentTables;
-
-    // Per-node input labels, filled phase by phase.
-    std::vector<std::vector<Label>> inputs(plan.nodes.size());
-    for (size_t n = 0; n < plan.nodes.size(); ++n)
-        inputs[n].resize(nls[n].numInputs());
-
-    // --- OT phase: choices are the plan input bits each
-    // evaluator-driven port names, in the garbler's scan order. ---
-    {
-        std::vector<bool> choices;
-        choices.reserve(plan.numEvaluatorPorts());
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (const InputSource &s : plan.sources[n])
-                if (s.kind == SourceKind::Evaluator)
-                    choices.push_back(evaluator_bits[s.index]);
-        const std::vector<Label> labels = receiveOtLabels(
-            chan, choices, ot_cached, opts.otCache, res);
-        size_t at = 0;
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (size_t i = 0; i < plan.sources[n].size(); ++i)
-                if (plan.sources[n][i].kind == SourceKind::Evaluator)
-                    inputs[n][i] = labels[at++];
-    }
-
-    // --- Direct labels, mirroring the garbler's scan order. ---
-    {
-        const size_t base = chan.bytesReceived();
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                const SourceKind kind = plan.sources[n][i].kind;
-                if (kind == SourceKind::Garbler ||
-                    kind == SourceKind::Zero || kind == SourceKind::One)
-                    inputs[n][i] = chan.recvLabel();
-            }
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            if (nls[n].constOne != kNoWire)
-                inputs[n][nls[n].constOne] = chan.recvLabel();
-        res.inputLabelBytes = chan.bytesReceived() - base;
-    }
-
-    // --- Per node: link frame, translate, evaluate. ---
-    std::vector<std::vector<Label>> nodeOut(plan.nodes.size());
+    const ChainFingerprint local = ChainFingerprint::of(plan);
+    s.fingerprintBytes = ChainFingerprint::kBytes;
+    s.readFingerprint = [&local](const std::vector<uint8_t> &bytes) {
+        const ChainFingerprint fp = ChainFingerprint::deserialize(bytes);
+        if (!fp.samePlan(local))
+            throw NetError("chain plan mismatch: local hash " +
+                           std::to_string(local.planHash) + " (" +
+                           std::to_string(local.nodes) +
+                           " nodes) vs garbler " +
+                           std::to_string(fp.planHash) + " (" +
+                           std::to_string(fp.nodes) + " nodes)");
+        return fp.tail;
+    };
+    // Choices, label slots and links in the garbler's scan order.
+    s.nodes.resize(plan.nodes.size());
     uint64_t link = 0;
-    for (size_t n = 0; n < plan.nodes.size(); ++n) {
-        uint32_t node_links = 0;
-        for (const InputSource &s : plan.sources[n])
-            node_links += s.kind == SourceKind::Link ? 1 : 0;
-        if (node_links > 0) {
-            const std::vector<uint8_t> frame = transport.recvFrame();
-            const LinkTableFrame header = parseLinkTableFrame(frame);
-            if (header.node != n || header.count != node_links)
-                throw NetError(
-                    "link-table frame for node " +
-                    std::to_string(header.node) + " (" +
-                    std::to_string(header.count) +
-                    " tables) arrived while evaluating node " +
-                    std::to_string(n));
-            res.linkBytes += frame.size();
-            ++res.linkFrames;
-            size_t at = header.payloadOffset;
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                const InputSource &s = plan.sources[n][i];
-                if (s.kind != SourceKind::Link)
-                    continue;
-                LinkTable t;
-                t.row[0] = Label::fromBytes(frame.data() + at);
-                t.row[1] =
-                    Label::fromBytes(frame.data() + at + kLabelBytes);
-                at += kLinkTableBytes;
-                inputs[n][i] = translateLinkLabel(
-                    t, nodeOut[s.from.node][s.from.bit], link);
-                ++link;
+    for (uint32_t n = 0; n < plan.nodes.size(); ++n) {
+        s.nodes[n].netlist = &nls[n];
+        for (uint32_t i = 0; i < plan.sources[n].size(); ++i) {
+            const InputSource &src = plan.sources[n][i];
+            switch (src.kind) {
+            case SourceKind::Evaluator:
+                s.otChoices.push_back(evaluator_bits[src.index]);
+                s.otSlots.push_back({n, i});
+                break;
+            case SourceKind::Garbler:
+            case SourceKind::Zero:
+            case SourceKind::One:
+                s.directSlots.push_back({n, i});
+                break;
+            case SourceKind::Link:
+                s.nodes[n].links.push_back({i, src.from, linkTweakOf(link++)});
+                break;
             }
         }
-        const uint64_t frames_before = transport.framesReceived();
-        const size_t base = chan.bytesReceived();
-        nodeOut[n] = evaluateStreaming(nls[n], inputs[n],
-                                       [&] { return chan.recvTable(); });
-        res.tableBytes += chan.bytesReceived() - base;
-        res.tableSegments += transport.framesReceived() - frames_before;
     }
+    for (uint32_t n = 0; n < plan.nodes.size(); ++n)
+        if (nls[n].constOne != kNoWire)
+            s.directSlots.push_back({n, nls[n].constOne});
+    s.outputs = plan.outputs;
 
-    // --- Decode and echo. ---
-    std::vector<Label> out_labels;
-    out_labels.reserve(plan.outputs.size());
-    for (const PortRef &ref : plan.outputs)
-        out_labels.push_back(nodeOut[ref.node][ref.bit]);
-    receiveDecodeSendEcho(chan, out_labels, res);
-
-    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
-                     res.linkBytes + res.outputDecodeBytes;
-    res.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    runEvaluatorSession(s, transport, opts, res);
     return res;
 }
 

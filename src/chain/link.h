@@ -21,14 +21,13 @@
  * server has never seen is link tables only.
  *
  * runChainGarbler / runChainEvaluator run the two-party protocol over
- * an established Transport: a plan fingerprint, the IKNP OT phase for
- * evaluator-driven ports and the decode/echo phase through the same
- * helpers net/remote.h's runners use, and in between what is chained
- * only — direct labels for garbler/constant ports, then per node a
- * link-table frame (net/wire.h's kLinkTableFrameKind) followed by the
- * component's AND tables through the existing segment framing. Byte
- * accounting is category-exact on both sides, with linkBytes as a
- * category alongside the four from RemoteResult.
+ * an established Transport as an n-node session of net/remote.h's
+ * session runner: a plan fingerprint, one IKNP batch over the
+ * evaluator-driven ports, direct labels for garbler/constant ports,
+ * then per node a link-table frame (net/wire.h's kLinkTableFrameKind)
+ * followed by the component's AND tables through the segment framing,
+ * and the decode/echo phase. Byte accounting is category-exact on both
+ * sides, with linkBytes as a category alongside the other four.
  *
  * Security: each GarbledComponent must be linked into at most one
  * session (the provider contract); the translation rows of a reused
@@ -56,11 +55,7 @@ namespace haac {
 namespace chain {
 
 /** One component output bit: node's @p bit-th output wire. */
-struct PortRef
-{
-    uint32_t node = 0;
-    uint32_t bit = 0;
-};
+using haac::PortRef;
 
 /** What drives one component input bit. */
 enum class SourceKind : uint8_t
@@ -201,11 +196,6 @@ LinkTable buildLinkTable(const Label &producer_zero,
                          const Label &consumer_offset,
                          uint64_t link_index);
 
-/** Evaluator side: producer's active label -> consumer's. */
-Label translateLinkLabel(const LinkTable &table,
-                         const Label &producer_active,
-                         uint64_t link_index);
-
 /**
  * All of a plan's link tables, in plan-global link order.
  * @p components holds one garbled component per node. This is the
@@ -252,17 +242,11 @@ ComponentProvider freshComponentProvider(uint64_t seed_base = 0);
 
 /**
  * One party's view of a completed chained execution: the RemoteResult
- * categories (gates and tables summed across components) plus the
- * link stream and the component counts.
+ * categories (gates and tables summed across components, the link
+ * stream in linkBytes/linkFrames) plus the component counts.
  */
 struct ChainResult : RemoteResult
 {
-    /** Link-table stream frames: headers + translation tables (part
-     *  of totalBytes). */
-    uint64_t linkBytes = 0;
-    /** Frames the link-table stream used (one per linked node). */
-    uint32_t linkFrames = 0;
-
     uint32_t components = 0; ///< nodes linked
     uint32_t links = 0;      ///< translation tables shipped
     /** Components served pre-garbled (provider said pooled). */

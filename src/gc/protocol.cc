@@ -1,30 +1,19 @@
 #include "gc/protocol.h"
 
 #include <chrono>
+#include <exception>
+#include <functional>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "gc/instance.h"
-#include "gc/ot_ext.h"
 #include "gc/streaming.h"
+#include "net/loopback.h"
 
 namespace haac {
 
-namespace {
-
-/** Seed tags for the two parties' in-process OT randomness. */
-constexpr uint64_t kOtSenderTag = 0x4f545f5347ull;   // "OT_SG"
-constexpr uint64_t kOtReceiverTag = 0x4f545f5245ull; // "OT_RE"
-
-} // namespace
-
-/**
- * One thread drives both endpoints through the in-process FIFOs in
- * wire order. The OT phase must run before any other
- * garbler→evaluator traffic: the channels are strict FIFOs, and the
- * evaluator has to consume the base-OT points and masked labels at
- * the head of the stream while the garbler is still mid-protocol.
- */
-ProtocolResult
+RemoteResult
 runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
             const std::vector<bool> &evaluator_bits, uint64_t seed)
 {
@@ -33,82 +22,37 @@ runProtocol(const Netlist &netlist, const std::vector<bool> &garbler_bits,
     if (evaluator_bits.size() != netlist.numEvaluatorInputs)
         throw std::invalid_argument("protocol: wrong evaluator input count");
 
-    ProtocolResult res;
-    DuplexChannel chan;
-    StreamingGarbler garbler(netlist, seed);
-    const InputLabels &labels = garbler.inputs();
-
-    const uint32_t eval_base = netlist.numGarblerInputs;
-    const uint32_t m = netlist.numEvaluatorInputs;
-
-    // --- OT phase: both endpoints interleaved in protocol order. ---
-    std::vector<Label> eval_labels;
-    if (m > 0) {
-        OtExtReceiver ot_recv(chan.toGarbler, chan.toEvaluator,
-                              splitmix64(seed ^ kOtReceiverTag));
-        OtExtSender ot_send(chan.toEvaluator, chan.toGarbler,
-                            splitmix64(seed ^ kOtSenderTag));
-        ot_recv.start();
-        ot_send.setup();
-        ot_recv.setup();
-        ot_recv.sendChoices(evaluator_bits);
-        std::vector<Label> m0(m), m1(m);
-        for (uint32_t i = 0; i < m; ++i) {
-            m0[i] = labels.activeLabel(eval_base + i, false);
-            m1[i] = labels.activeLabel(eval_base + i, true);
+    // A side that throws closes its end, so the other side's next
+    // read or write fails instead of blocking.
+    auto ends = LoopbackTransport::createPair();
+    std::mutex mutex;
+    std::exception_ptr first_error;
+    const auto run_side = [&](std::unique_ptr<LoopbackTransport> &end,
+                              const std::function<void(Transport &)> &fn) {
+        try {
+            fn(*end);
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+            end.reset();
         }
-        ot_send.send(m0, m1);
-        eval_labels = ot_recv.receiveLabels();
-    }
-    if (netlist.constOne != kNoWire)
-        chan.toEvaluator.sendLabel(labels.activeLabel(netlist.constOne, true));
-    res.otBytes = chan.toEvaluator.bytesSent();
-    res.otUplinkBytes = chan.toGarbler.bytesSent();
+    };
 
-    // --- Remaining garbler traffic: tables, labels, decode bits. ---
-    size_t base = chan.toEvaluator.bytesSent();
-    garbler.run([&](const GarbledTable &t) { chan.toEvaluator.sendTable(t); });
-    res.tableBytes = chan.toEvaluator.bytesSent() - base;
-
-    base = chan.toEvaluator.bytesSent();
-    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        chan.toEvaluator.sendLabel(labels.activeLabel(i, garbler_bits[i]));
-    res.inputLabelBytes = chan.toEvaluator.bytesSent() - base;
-
-    for (size_t i = 0; i < netlist.outputs.size(); ++i)
-        chan.toEvaluator.sendBit(garbler.decodeBit(i));
-    res.outputDecodeBytes = netlist.outputs.size();
-
-    // --- Evaluator side: consume the stream, evaluate, decode. The
-    // garbler's labels follow the tables on the wire, so the tables
-    // are buffered before the gate walk starts. ---
-    std::vector<Label> inputs(netlist.numInputs());
-    for (uint32_t i = 0; i < m; ++i)
-        inputs[eval_base + i] = eval_labels[i];
-    if (netlist.constOne != kNoWire)
-        inputs[netlist.constOne] = chan.toEvaluator.recvLabel();
-
-    std::vector<GarbledTable> tables(garbler.tablesEmitted());
-    for (GarbledTable &t : tables)
-        t = chan.toEvaluator.recvTable();
-    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        inputs[i] = chan.toEvaluator.recvLabel();
-
-    std::vector<bool> decode(netlist.outputs.size());
-    for (size_t i = 0; i < decode.size(); ++i)
-        decode[i] = chan.toEvaluator.recvBit();
-
-    size_t next = 0;
-    const std::vector<Label> out_labels = evaluateStreaming(
-        netlist, inputs, [&] { return tables[next++]; });
-    res.outputs.resize(out_labels.size());
-    for (size_t i = 0; i < out_labels.size(); ++i)
-        res.outputs[i] = out_labels[i].lsb() != decode[i];
-    // The downlink total is measured independently off the channel
-    // counter, so the tests' "totalBytes == sum of categories"
-    // assertion stays a real cross-check that the category windows
-    // tile the stream exactly.
-    res.totalBytes = chan.toEvaluator.bytesSent();
+    RemoteResult res;
+    std::thread garbler([&] {
+        run_side(ends.first, [&](Transport &t) {
+            runRemoteGarbler(netlist, garbler_bits, t, seed);
+        });
+    });
+    run_side(ends.second, [&](Transport &t) {
+        res = runRemoteEvaluator(netlist, evaluator_bits, t);
+    });
+    garbler.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
     return res;
 }
 

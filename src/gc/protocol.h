@@ -1,10 +1,12 @@
 /**
  * @file
- * End-to-end two-party GC protocol runner (garble + transfer + evaluate).
+ * The two-party GC protocol with both parties in one process, and the
+ * untimed-channel garble/evaluate timing.
  *
  * This is the software baseline the paper benchmarks HAAC against
  * ("EMP on the CPU") and the functional reference for everything the
- * hardware model computes.
+ * hardware model computes. It is net/remote.h's two session runners
+ * over a loopback pair, so its traffic is a real session's.
  */
 #ifndef HAAC_GC_PROTOCOL_H
 #define HAAC_GC_PROTOCOL_H
@@ -13,48 +15,26 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "gc/channel.h"
+#include "net/remote.h"
 
 namespace haac {
 
-/** Result of one secure execution. */
-struct ProtocolResult
-{
-    std::vector<bool> outputs;
-
-    /** @name Communication accounting
-     *
-     * The four categories count garbler→evaluator payload;
-     * otUplinkBytes is the evaluator→garbler OT traffic (base-OT
-     * public key + masked columns).
-     */
-    /// @{
-    size_t tableBytes = 0;
-    size_t inputLabelBytes = 0;
-    size_t otBytes = 0;
-    size_t otUplinkBytes = 0;
-    size_t outputDecodeBytes = 0;
-    /** Garbler→evaluator total (sum of the four categories). */
-    size_t totalBytes = 0;
-    /// @}
-};
-
 /**
- * Run y = f(a, b) securely, both parties in this process: base OT +
- * IKNP extension for the evaluator's labels (OT randomness derived
- * from @p seed, so a run is deterministic), then tables, garbler
- * labels and decode bits. The in-process reference the remote runners
- * (net/remote.h) match byte for byte.
+ * Run y = f(a, b) securely: runRemoteGarbler and runRemoteEvaluator
+ * on two threads over a LoopbackTransport pair. The OT draws fresh
+ * entropy; nothing in the result depends on it. Returns the
+ * evaluator's view; if either side throws, the first error is
+ * rethrown once both have stopped.
  *
  * @param netlist the function (canonical netlist).
  * @param garbler_bits Alice's input bits.
  * @param evaluator_bits Bob's input bits.
- * @param seed garbling and OT randomness.
+ * @param seed garbling randomness.
  */
-ProtocolResult runProtocol(const Netlist &netlist,
-                           const std::vector<bool> &garbler_bits,
-                           const std::vector<bool> &evaluator_bits,
-                           uint64_t seed = 0x4841414331ull);
+RemoteResult runProtocol(const Netlist &netlist,
+                         const std::vector<bool> &garbler_bits,
+                         const std::vector<bool> &evaluator_bits,
+                         uint64_t seed = 0x4841414331ull);
 
 /**
  * Timing breakdown of the software pipeline, for CPU-baseline numbers.

@@ -17,8 +17,8 @@
  *
  * The inherited ByteChannel counters see *payload* bytes only; frame
  * headers and handshakes are visible on the Transport's raw counters.
- * That split is what lets tests pin wire payload bytes to the
- * in-process ProtocolResult accounting exactly.
+ * That split is what lets RemoteResult count payload categories
+ * exactly while reports still see the raw wire.
  */
 #ifndef HAAC_NET_NET_CHANNEL_H
 #define HAAC_NET_NET_CHANNEL_H

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "crypto/hash.h"
 #include "gc/instance.h"
 #include "gc/ot_ext.h"
 #include "gc/streaming.h"
@@ -25,7 +26,8 @@ using Clock = std::chrono::steady_clock;
  * u32), otMode (offset 36, u8: always 1 = IKNP), otCached (offset 37,
  * u8: 1 = this session reuses the connection's cached base-OT + IKNP
  * setup and skips the base phase). The evaluator refuses any other
- * otMode or otCached value (otCachedFlag).
+ * otMode or otCached value and a non-zero reserved field
+ * (runEvaluatorSession).
  */
 struct Fingerprint
 {
@@ -35,10 +37,7 @@ struct Fingerprint
     uint32_t andGates = 0;
     uint32_t outputs = 0;
     uint32_t constOne = 0;
-    uint64_t reserved = 0;
-    uint32_t segmentTables = 0;
-    uint8_t otMode = 1;
-    uint8_t otCached = 0;
+    FingerprintTail tail;
 
     static constexpr size_t kBytes = 6 * 4 + 8 + 4 + 1 + 1;
 
@@ -65,10 +64,10 @@ struct Fingerprint
         w.u32(andGates);
         w.u32(outputs);
         w.u32(constOne);
-        w.u64(reserved);
-        w.u32(segmentTables);
-        w.u8(otMode);
-        w.u8(otCached);
+        w.u64(tail.reserved);
+        w.u32(tail.segmentTables);
+        w.u8(tail.otMode);
+        w.u8(tail.otCached);
         return w.take();
     }
 
@@ -83,10 +82,10 @@ struct Fingerprint
         fp.andGates = r.u32();
         fp.outputs = r.u32();
         fp.constOne = r.u32();
-        fp.reserved = r.u64();
-        fp.segmentTables = r.u32();
-        fp.otMode = r.u8();
-        fp.otCached = r.u8();
+        fp.tail.reserved = r.u64();
+        fp.tail.segmentTables = r.u32();
+        fp.tail.otMode = r.u8();
+        fp.tail.otCached = r.u8();
         r.expectEnd("fingerprint");
         return fp;
     }
@@ -113,172 +112,88 @@ struct Fingerprint
     }
 };
 
-/** Live garbling: labels and tables from a two-phase garbler. */
-struct LiveGarblerSource
-{
-    StreamingGarbler garbler;
-
-    LiveGarblerSource(const Netlist &netlist, uint64_t seed)
-        : garbler(netlist, seed)
-    {
-    }
-
-    const InputLabels &inputs() const { return garbler.inputs(); }
-
-    void
-    emitTables(NetChannel &chan)
-    {
-        garbler.run([&](const GarbledTable &t) { chan.sendTable(t); });
-    }
-
-    bool decodeBit(size_t i) const { return garbler.decodeBit(i); }
-};
-
-/**
- * Replay of a pre-garbled instance (gc/instance.h): the input labels
- * are expanded from its seed once, here, for the whole session.
- */
-struct InstanceGarblerSource
-{
-    const GarbledInstance *instance;
-    InputLabels labels;
-
-    explicit InstanceGarblerSource(const GarbledInstance &inst)
-        : instance(&inst), labels(inst.inputLabels())
-    {
-    }
-
-    const InputLabels &inputs() const { return labels; }
-
-    void
-    emitTables(NetChannel &chan)
-    {
-        for (const GarbledTable &t : instance->tables)
-            chan.sendTable(t);
-    }
-
-    bool decodeBit(size_t i) const { return instance->decodeBit(i); }
-};
-
-/**
- * The garbler's protocol, parameterized over where labels and tables
- * come from (a live StreamingGarbler or a captured GarbledInstance).
- * Either way every label is read from one InputLabels, and the wire
- * traffic is identical.
- */
-template <typename Source>
-RemoteResult
-runGarblerFrom(const Netlist &netlist,
-               const std::vector<bool> &garbler_bits,
-               Transport &transport, Source &src, bool pooled,
-               const RemoteOptions &opts)
-{
-    if (garbler_bits.size() != netlist.numGarblerInputs)
-        throw std::invalid_argument(
-            "runRemoteGarbler: wrong garbler input count");
-
-    const uint32_t segment_tables = clampSegment(opts.segmentTables);
-    const auto start = Clock::now();
-
-    RemoteResult res;
-    res.gates = netlist.numGates();
-    res.segmentTables = segment_tables;
-    res.pooledGarbling = pooled;
-    NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
-
-    const uint32_t eval_base = netlist.numGarblerInputs;
-    const uint32_t m = netlist.numEvaluatorInputs;
-    res.otSetupReused = canReuseOtSetup(opts.otCache, m);
-
-    // Fingerprint: agree on the circuit before any label moves.
-    Fingerprint fp = Fingerprint::of(netlist);
-    fp.segmentTables = segment_tables;
-    fp.otCached = res.otSetupReused ? 1 : 0;
-    const std::vector<uint8_t> fp_bytes = fp.serialize();
-    chan.sendBytes(fp_bytes.data(), fp_bytes.size());
-    chan.flush();
-    res.controlBytes += fp_bytes.size();
-
-    // OT phase (before any other label traffic), then the public
-    // constant-one label, counted as OT traffic.
-    const InputLabels &labels = src.inputs();
-    std::vector<Label> m0(m), m1(m);
-    for (uint32_t i = 0; i < m; ++i) {
-        m0[i] = labels.activeLabel(eval_base + i, false);
-        m1[i] = labels.activeLabel(eval_base + i, true);
-    }
-    sendOtLabels(chan, m0, m1, opts.otCache, res);
-    if (netlist.constOne != kNoWire) {
-        chan.sendLabel(labels.activeLabel(netlist.constOne, true));
-        res.otBytes += kLabelBytes;
-    }
-    chan.flush();
-
-    // Garbler's own input labels, flushed so the table stream
-    // starts on a frame boundary (both sides' segment counters
-    // must window the same frames).
-    size_t base = chan.bytesSent();
-    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        chan.sendLabel(labels.activeLabel(i, garbler_bits[i]));
-    res.inputLabelBytes = chan.bytesSent() - base;
-    chan.flush();
-
-    // Table stream: one frame per segment of tables.
-    base = chan.bytesSent();
-    const uint64_t frames_before = transport.framesSent();
-    src.emitTables(chan);
-    chan.flush();
-    res.tableBytes = chan.bytesSent() - base;
-    res.tableSegments = transport.framesSent() - frames_before;
-
-    std::vector<bool> decode(netlist.outputs.size());
-    for (size_t i = 0; i < decode.size(); ++i)
-        decode[i] = src.decodeBit(i);
-    sendDecodeReceiveEcho(chan, decode, res);
-
-    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
-                     res.outputDecodeBytes;
-    res.seconds = std::chrono::duration<double>(Clock::now() - start)
-                      .count();
-    return res;
-}
-
-} // namespace
-
+/** Segment size actually used: 0 means 1 table per segment. */
 uint32_t
 clampSegment(uint32_t segment_tables)
 {
     return segment_tables > 0 ? segment_tables : 1;
 }
 
-bool
-canReuseOtSetup(const OtConnectionCache *cache, uint32_t ots)
+/**
+ * The one-node session shape: OT for the evaluator's inputs, the
+ * public constant-one label in the OT frame, the garbler's labels,
+ * and @p node's tables. Both labels and tables come from @p labels and
+ * @p node, so live and replayed sessions send identical traffic.
+ */
+RemoteResult
+garbleMonolithic(const Netlist &netlist,
+                 const std::vector<bool> &garbler_bits,
+                 Transport &transport, const InputLabels &labels,
+                 GarblerNode node, const RemoteOptions &opts)
 {
-    return cache != nullptr && cache->sender != nullptr &&
-           cache->sender->ready() && ots > 0;
+    if (garbler_bits.size() != netlist.numGarblerInputs)
+        throw std::invalid_argument(
+            "runRemoteGarbler: wrong garbler input count");
+
+    const uint32_t g = netlist.numGarblerInputs;
+    const uint32_t m = netlist.numEvaluatorInputs;
+    GarblerSession s;
+    s.writeFingerprint = [&netlist](const FingerprintTail &tail) {
+        Fingerprint fp = Fingerprint::of(netlist);
+        fp.tail = tail;
+        return fp.serialize();
+    };
+    s.otZero.resize(m);
+    s.otOne.resize(m);
+    for (uint32_t i = 0; i < m; ++i) {
+        s.otZero[i] = labels.activeLabel(g + i, false);
+        s.otOne[i] = labels.activeLabel(g + i, true);
+    }
+    if (netlist.constOne != kNoWire)
+        s.otFrameLabels.push_back(labels.activeLabel(netlist.constOne, true));
+    s.directLabels.resize(g);
+    for (uint32_t i = 0; i < g; ++i)
+        s.directLabels[i] = labels.activeLabel(i, garbler_bits[i]);
+    s.nodes.push_back(std::move(node));
+    s.outputs.resize(netlist.outputs.size());
+    for (uint32_t i = 0; i < s.outputs.size(); ++i)
+        s.outputs[i].bit = i;
+
+    RemoteResult res;
+    res.gates = netlist.numGates();
+    res.pooledGarbling = s.nodes[0].captured != nullptr;
+    runGarblerSession(s, transport, opts, res);
+    return res;
 }
 
-bool
-otCachedFlag(uint8_t ot_mode, uint8_t ot_cached)
-{
-    if (ot_mode != 1)
-        throw NetError("garbler fingerprint names OT mode " +
-                       std::to_string(ot_mode) +
-                       "; this build speaks only IKNP (1)");
-    if (ot_cached > 1)
-        throw NetError("garbler fingerprint has otCached byte " +
-                       std::to_string(ot_cached) + "; expected 0 or 1");
-    return ot_cached == 1;
-}
+} // namespace
 
 void
-sendOtLabels(ByteChannel &chan, const std::vector<Label> &m0,
-             const std::vector<Label> &m1, OtConnectionCache *cache,
-             RemoteResult &res)
+runGarblerSession(const GarblerSession &s, Transport &transport,
+                  const RemoteOptions &opts, RemoteResult &res)
 {
-    const size_t base = chan.bytesSent();
+    res.segmentTables = clampSegment(opts.segmentTables);
+    NetChannel chan(transport, size_t(res.segmentTables) * kTableBytes);
+    OtConnectionCache *cache = opts.otCache;
+
+    // Fingerprint: agree on the circuit before any label moves. It
+    // carries the base-OT cache decision, so both sides agree on
+    // whether the base phase runs.
+    res.otSetupReused = cache != nullptr && cache->sender != nullptr &&
+                        cache->sender->ready() && !s.otZero.empty();
+    FingerprintTail tail;
+    tail.segmentTables = res.segmentTables;
+    tail.otCached = res.otSetupReused ? 1 : 0;
+    const std::vector<uint8_t> fp = s.writeFingerprint(tail);
+    chan.sendBytes(fp.data(), fp.size());
+    chan.flush();
+    res.controlBytes += fp.size();
+
+    // OT phase (before any other label traffic): one IKNP batch over
+    // every choice, then the public labels that share its frame.
+    size_t base = chan.bytesSent();
     const size_t uplink_base = chan.bytesReceived();
-    if (!m0.empty()) {
+    if (!s.otZero.empty()) {
         std::unique_ptr<OtExtSender> fresh;
         OtExtSender *ot = nullptr;
         if (res.otSetupReused) {
@@ -287,32 +202,113 @@ sendOtLabels(ByteChannel &chan, const std::vector<Label> &m0,
         } else {
             fresh = std::make_unique<OtExtSender>(chan, chan,
                                                   otRandomKey());
-            fresh->setup(); // blocks on evaluator's base-OT key
+            fresh->setup(); // blocks on the evaluator's base-OT key
             ot = fresh.get();
         }
-        ot->send(m0, m1);
+        ot->send(s.otZero, s.otOne);
         if (cache != nullptr && fresh != nullptr)
             cache->sender = std::move(fresh);
     }
-    res.otBytes += chan.bytesSent() - base;
-    res.otUplinkBytes += chan.bytesReceived() - uplink_base;
+    for (const Label &l : s.otFrameLabels)
+        chan.sendLabel(l);
+    res.otBytes = chan.bytesSent() - base;
+    res.otUplinkBytes = chan.bytesReceived() - uplink_base;
+    chan.flush();
+
+    // Direct labels, flushed so the table stream starts on a frame
+    // boundary (both sides' segment counters must window the same
+    // frames).
+    base = chan.bytesSent();
+    for (const Label &l : s.directLabels)
+        chan.sendLabel(l);
+    res.inputLabelBytes = chan.bytesSent() - base;
+    chan.flush();
+
+    // Per node: its link-table frame, then its tables, one frame per
+    // segment. The channel is flushed around each typed frame, so the
+    // two streams use disjoint transport frames.
+    for (const GarblerNode &node : s.nodes) {
+        if (!node.linkFrame.empty()) {
+            transport.sendFrame(node.linkFrame);
+            res.linkBytes += node.linkFrame.size();
+            ++res.linkFrames;
+        }
+        const uint64_t frames_before = transport.framesSent();
+        base = chan.bytesSent();
+        if (node.live != nullptr)
+            node.live->run([&](const GarbledTable &t) { chan.sendTable(t); });
+        else
+            for (const GarbledTable &t : node.captured->tables)
+                chan.sendTable(t);
+        chan.flush();
+        res.tableBytes += chan.bytesSent() - base;
+        res.tableSegments += transport.framesSent() - frames_before;
+    }
+
+    // Decode bits, then the evaluator's result echo: it decodes first
+    // and shares the output.
+    base = chan.bytesSent();
+    for (const PortRef &p : s.outputs) {
+        const GarblerNode &node = s.nodes[p.node];
+        chan.sendBit(node.live != nullptr ? node.live->decodeBit(p.bit)
+                                          : node.captured->decodeBit(p.bit));
+    }
+    res.outputDecodeBytes = chan.bytesSent() - base;
+    chan.flush();
+    res.outputs.resize(s.outputs.size());
+    for (size_t i = 0; i < res.outputs.size(); ++i)
+        res.outputs[i] = chan.recvBit();
+    res.controlBytes += res.outputs.size();
+
+    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
+                     res.linkBytes + res.outputDecodeBytes;
+    res.seconds =
+        std::chrono::duration<double>(Clock::now() - s.start).count();
 }
 
-std::vector<Label>
-receiveOtLabels(ByteChannel &chan, const std::vector<bool> &choices,
-                bool cached, OtConnectionCache *cache, RemoteResult &res)
+void
+runEvaluatorSession(const EvaluatorSession &s, Transport &transport,
+                    const RemoteOptions &opts, RemoteResult &res)
 {
-    // The fingerprint's otCached byte decides for both sides whether
-    // the base phase runs: a garbler reusing its cached extension
-    // sender would deadlock against a fresh receiver (and vice versa).
-    res.otSetupReused = cached;
+    NetChannel chan(transport,
+                    size_t(clampSegment(opts.segmentTables)) *
+                        kTableBytes);
+    OtConnectionCache *cache = opts.otCache;
+
+    // Fingerprint: the flavor checks the circuit shape, the runner
+    // the fields every flavor carries, all before a byte goes back.
+    std::vector<uint8_t> fp_bytes(s.fingerprintBytes);
+    chan.recvBytes(fp_bytes.data(), fp_bytes.size());
+    res.controlBytes += fp_bytes.size();
+    const FingerprintTail fp = s.readFingerprint(fp_bytes);
+    if (fp.otMode != 1)
+        throw NetError("garbler fingerprint names OT mode " +
+                       std::to_string(fp.otMode) +
+                       "; this build speaks only IKNP (1)");
+    if (fp.otCached > 1)
+        throw NetError("garbler fingerprint has otCached byte " +
+                       std::to_string(fp.otCached) + "; expected 0 or 1");
+    if (fp.reserved != 0)
+        throw NetError("garbler fingerprint has reserved field " +
+                       std::to_string(fp.reserved) +
+                       "; this build walks netlist order only (0)");
+    res.segmentTables = fp.segmentTables;
+    // The otCached byte decides for both sides whether the base phase
+    // runs: a garbler reusing its cached extension sender would
+    // deadlock against a fresh receiver (and vice versa).
+    res.otSetupReused = fp.otCached == 1;
+
+    std::vector<std::vector<Label>> inputs(s.nodes.size());
+    for (size_t n = 0; n < s.nodes.size(); ++n)
+        inputs[n].resize(s.nodes[n].netlist->numInputs());
+
+    // OT phase, mirroring the garbler, then the labels in its frame.
+    size_t base = chan.bytesReceived();
     const size_t uplink_base = chan.bytesSent();
-    const size_t base = chan.bytesReceived();
-    std::vector<Label> labels;
-    if (!choices.empty()) {
+    if (!s.otChoices.empty()) {
         std::unique_ptr<OtExtReceiver> fresh;
         OtExtReceiver *ot = nullptr;
-        if (cached) {
+        if (res.otSetupReused) {
             if (cache == nullptr || cache->receiver == nullptr ||
                 !cache->receiver->ready())
                 throw NetError("garbler expects a cached OT setup, "
@@ -326,52 +322,76 @@ receiveOtLabels(ByteChannel &chan, const std::vector<bool> &choices,
             fresh->setup();
             ot = fresh.get();
         }
-        ot->sendChoices(choices);
-        labels = ot->receiveLabels();
+        ot->sendChoices(s.otChoices);
+        const std::vector<Label> labels = ot->receiveLabels();
+        for (size_t k = 0; k < labels.size(); ++k)
+            inputs[s.otSlots[k].node][s.otSlots[k].bit] = labels[k];
         if (cache != nullptr && fresh != nullptr)
             cache->receiver = std::move(fresh);
     }
-    res.otBytes += chan.bytesReceived() - base;
-    res.otUplinkBytes += chan.bytesSent() - uplink_base;
-    return labels;
-}
+    for (const PortRef &p : s.otFrameSlots)
+        inputs[p.node][p.bit] = chan.recvLabel();
+    res.otBytes = chan.bytesReceived() - base;
+    res.otUplinkBytes = chan.bytesSent() - uplink_base;
 
-void
-sendDecodeReceiveEcho(ByteChannel &chan, const std::vector<bool> &decode,
-                      RemoteResult &res)
-{
-    const size_t base = chan.bytesSent();
-    for (bool b : decode)
-        chan.sendBit(b);
-    res.outputDecodeBytes = chan.bytesSent() - base;
-    chan.flush();
+    base = chan.bytesReceived();
+    for (const PortRef &p : s.directSlots)
+        inputs[p.node][p.bit] = chan.recvLabel();
+    res.inputLabelBytes = chan.bytesReceived() - base;
 
-    // Result echo: the evaluator decodes first and shares the output.
-    res.outputs.resize(decode.size());
-    for (size_t i = 0; i < res.outputs.size(); ++i)
-        res.outputs[i] = chan.recvBit();
-    res.controlBytes += res.outputs.size();
-}
+    // Per node: translate its links through their frame, then
+    // evaluate, pulling tables from the stream as they arrive.
+    std::vector<std::vector<Label>> outs(s.nodes.size());
+    for (uint32_t n = 0; n < s.nodes.size(); ++n) {
+        const EvaluatorNode &node = s.nodes[n];
+        if (!node.links.empty()) {
+            const std::vector<uint8_t> frame = transport.recvFrame();
+            const LinkTableFrame header = parseLinkTableFrame(frame);
+            if (header.node != n || header.count != node.links.size())
+                throw NetError(
+                    "link-table frame for node " +
+                    std::to_string(header.node) + " (" +
+                    std::to_string(header.count) +
+                    " tables) arrived while evaluating node " +
+                    std::to_string(n));
+            res.linkBytes += frame.size();
+            ++res.linkFrames;
+            // row[lsb(Y)] = X ^ H(Y, tweak) for the active label Y.
+            const uint8_t *row = frame.data() + header.payloadOffset;
+            for (const EvaluatorLink &l : node.links) {
+                const Label &y = outs[l.from.node][l.from.bit];
+                inputs[n][l.bit] =
+                    Label::fromBytes(row + (y.lsb() ? kLabelBytes : 0)) ^
+                    RekeyedHasher(l.tweak)(y);
+                row += 2 * kLabelBytes;
+            }
+        }
+        const uint64_t frames_before = transport.framesReceived();
+        base = chan.bytesReceived();
+        outs[n] = evaluateStreaming(*node.netlist, inputs[n],
+                                    [&] { return chan.recvTable(); });
+        res.tableBytes += chan.bytesReceived() - base;
+        res.tableSegments += transport.framesReceived() - frames_before;
+    }
 
-void
-receiveDecodeSendEcho(ByteChannel &chan,
-                      const std::vector<Label> &output_labels,
-                      RemoteResult &res)
-{
-    const size_t base = chan.bytesReceived();
-    std::vector<bool> decode(output_labels.size());
-    for (size_t i = 0; i < decode.size(); ++i)
-        decode[i] = chan.recvBit();
+    // Decode bits, then echo the result so the garbler learns it too.
+    base = chan.bytesReceived();
+    res.outputs.resize(s.outputs.size());
+    for (size_t i = 0; i < s.outputs.size(); ++i) {
+        const bool decode = chan.recvBit();
+        res.outputs[i] =
+            outs[s.outputs[i].node][s.outputs[i].bit].lsb() != decode;
+    }
     res.outputDecodeBytes = chan.bytesReceived() - base;
-    res.outputs.resize(output_labels.size());
-    for (size_t i = 0; i < output_labels.size(); ++i)
-        res.outputs[i] = output_labels[i].lsb() != decode[i];
-
-    // Echo the result so the garbler learns it too.
     for (bool b : res.outputs)
         chan.sendBit(b);
     chan.flush();
     res.controlBytes += res.outputs.size();
+
+    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
+                     res.linkBytes + res.outputDecodeBytes;
+    res.seconds =
+        std::chrono::duration<double>(Clock::now() - s.start).count();
 }
 
 RemoteResult
@@ -380,9 +400,11 @@ runRemoteGarbler(const Netlist &netlist,
                  Transport &transport, uint64_t seed,
                  const RemoteOptions &opts)
 {
-    LiveGarblerSource src(netlist, seed);
-    return runGarblerFrom(netlist, garbler_bits, transport, src, false,
-                          opts);
+    StreamingGarbler garbler(netlist, seed);
+    GarblerNode node;
+    node.live = &garbler;
+    return garbleMonolithic(netlist, garbler_bits, transport,
+                            garbler.inputs(), std::move(node), opts);
 }
 
 RemoteResult
@@ -396,9 +418,10 @@ runRemoteGarbler(const Netlist &netlist,
         instance.tables.size() != netlist.numAndGates())
         throw std::invalid_argument(
             "runRemoteGarbler: instance does not match the netlist");
-    InstanceGarblerSource src(instance);
-    return runGarblerFrom(netlist, garbler_bits, transport, src, true,
-                          opts);
+    GarblerNode node;
+    node.captured = &instance;
+    return garbleMonolithic(netlist, garbler_bits, transport,
+                            instance.inputLabels(), std::move(node), opts);
 }
 
 RemoteResult
@@ -410,59 +433,35 @@ runRemoteEvaluator(const Netlist &netlist,
         throw std::invalid_argument(
             "runRemoteEvaluator: wrong evaluator input count");
 
-    const auto start = Clock::now();
+    const uint32_t g = netlist.numGarblerInputs;
+    const Fingerprint local = Fingerprint::of(netlist);
+    EvaluatorSession s;
+    s.fingerprintBytes = Fingerprint::kBytes;
+    s.readFingerprint = [&local](const std::vector<uint8_t> &bytes) {
+        const Fingerprint fp = Fingerprint::deserialize(bytes);
+        if (!fp.sameCircuit(local))
+            throw NetError("remote circuit mismatch: local {" +
+                           local.shapeString() + "} vs garbler {" +
+                           fp.shapeString() + "}");
+        return fp.tail;
+    };
+    s.otChoices = evaluator_bits;
+    s.otSlots.resize(netlist.numEvaluatorInputs);
+    for (uint32_t i = 0; i < s.otSlots.size(); ++i)
+        s.otSlots[i].bit = g + i;
+    if (netlist.constOne != kNoWire)
+        s.otFrameSlots.push_back({0, netlist.constOne});
+    s.directSlots.resize(g);
+    for (uint32_t i = 0; i < g; ++i)
+        s.directSlots[i].bit = i;
+    s.nodes.push_back({&netlist, {}});
+    s.outputs.resize(netlist.outputs.size());
+    for (uint32_t i = 0; i < s.outputs.size(); ++i)
+        s.outputs[i].bit = i;
+
     RemoteResult res;
     res.gates = netlist.numGates();
-    NetChannel chan(transport,
-                    size_t(clampSegment(opts.segmentTables)) *
-                        kTableBytes);
-
-    std::vector<uint8_t> fp_bytes(Fingerprint::kBytes);
-    chan.recvBytes(fp_bytes.data(), fp_bytes.size());
-    res.controlBytes += fp_bytes.size();
-    const Fingerprint remote_fp = Fingerprint::deserialize(fp_bytes);
-    const bool ot_cached =
-        otCachedFlag(remote_fp.otMode, remote_fp.otCached);
-    res.segmentTables = remote_fp.segmentTables;
-    const Fingerprint local_fp = Fingerprint::of(netlist);
-    if (!remote_fp.sameCircuit(local_fp))
-        throw NetError("remote circuit mismatch: local {" +
-                       local_fp.shapeString() + "} vs garbler {" +
-                       remote_fp.shapeString() + "}");
-
-    const uint32_t eval_base = netlist.numGarblerInputs;
-    std::vector<Label> inputs(netlist.numInputs());
-
-    // OT phase, mirroring the garbler, then the constant-one label.
-    const std::vector<Label> labels = receiveOtLabels(
-        chan, evaluator_bits, ot_cached, opts.otCache, res);
-    for (size_t i = 0; i < labels.size(); ++i)
-        inputs[eval_base + i] = labels[i];
-    if (netlist.constOne != kNoWire) {
-        inputs[netlist.constOne] = chan.recvLabel();
-        res.otBytes += kLabelBytes;
-    }
-
-    // Garbler input labels.
-    size_t base = chan.bytesReceived();
-    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-        inputs[i] = chan.recvLabel();
-    res.inputLabelBytes = chan.bytesReceived() - base;
-
-    // Evaluate, pulling tables from the stream as they arrive.
-    base = chan.bytesReceived();
-    const uint64_t frames_before = transport.framesReceived();
-    const std::vector<Label> out_labels = evaluateStreaming(
-        netlist, inputs, [&] { return chan.recvTable(); });
-    res.tableBytes = chan.bytesReceived() - base;
-    res.tableSegments = transport.framesReceived() - frames_before;
-
-    receiveDecodeSendEcho(chan, out_labels, res);
-
-    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
-                     res.outputDecodeBytes;
-    res.seconds = std::chrono::duration<double>(Clock::now() - start)
-                      .count();
+    runEvaluatorSession(s, transport, opts, res);
     return res;
 }
 

@@ -1,34 +1,36 @@
 /**
  * @file
- * The two-machine GC protocol: one side of runProtocol() per process.
+ * The two-party GC protocol over a Transport: one session runner per
+ * party, and the monolithic session built on it.
  *
- * Both parties hold the same Netlist (the circuit is public; a
- * 38-byte fingerprint exchanged up front catches disagreement before
- * any label moves and carries the garbler's base-OT cache decision).
- * The protocol then runs the OT phase — base OT + IKNP extension
- * (gc/ot_ext.h) — after which the garbler streams input labels,
- * garbled tables in segments, and decode bits, while the evaluator
- * consumes tables the moment they arrive via the gc/streaming
- * machinery: memory stays O(wires) while communication is
- * O(AND gates).
+ * Both parties hold the same circuit (it is public). A session is one
+ * fixed stream, whatever its flavor: a fingerprint that catches
+ * circuit disagreement before any label moves and carries the
+ * garbler's segment size and base-OT cache decision; one IKNP batch
+ * (gc/ot_ext.h) for the evaluator's input labels; the garbler's direct
+ * labels; then per node an optional link-table frame and the node's
+ * AND tables in segments, which the evaluator consumes as they arrive
+ * (gc/streaming.h), so memory stays O(wires) while communication is
+ * O(AND gates); last the decode bits and the evaluator's result echo.
  *
- * Byte accounting matches the in-process ProtocolResult *exactly*,
- * category by category (tables, input labels, OT down- and uplink,
- * output decode): the four downlink categories count protocol payload
- * in the garbler→evaluator direction, otUplinkBytes the OT's
- * evaluator→garbler traffic, all measured identically by both sides.
- * The circuit fingerprint and the result echo that lets the garbler
- * learn the output too are control traffic, reported separately — the
- * in-process baseline has no analogue for them.
+ * runGarblerSession() and runEvaluatorSession() walk that stream over
+ * a session shape (GarblerSession / EvaluatorSession). A flavor only
+ * builds the shape: runRemoteGarbler()/runRemoteEvaluator() describe a
+ * one-node session with no links, chain/link.h an n-node plan, and
+ * gc/protocol.h's runProtocol() runs the remote pair on two threads.
  *
- * The chained protocol (chain/link.h) runs the same OT and
- * decode/echo phases through the helpers declared at the end of this
- * header; only its fingerprint, direct labels and link frames differ.
+ * Byte accounting is category-exact and identical on both sides: the
+ * downlink categories (tables, input labels, OT, links, output decode)
+ * count garbler→evaluator payload, otUplinkBytes the OT's
+ * evaluator→garbler traffic. The fingerprint and the result echo are
+ * control traffic, reported separately.
  */
 #ifndef HAAC_NET_REMOTE_H
 #define HAAC_NET_REMOTE_H
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,6 +41,7 @@
 namespace haac {
 
 struct GarbledInstance;
+class StreamingGarbler;
 
 /**
  * Per-connection OT-extension state for base-OT caching.
@@ -79,12 +82,14 @@ struct RemoteResult
     /** Decoded circuit outputs (both parties learn them). */
     std::vector<bool> outputs;
 
-    /** @name Garbler→evaluator payload, same categories as
-     *  ProtocolResult (identical on both sides of the wire). */
+    /** @name Garbler→evaluator payload (identical on both sides of
+     *  the wire); totalBytes is the sum of the other five. */
     /// @{
     uint64_t tableBytes = 0;
     uint64_t inputLabelBytes = 0;
     uint64_t otBytes = 0;
+    /** Link-table frames, headers included (chained sessions). */
+    uint64_t linkBytes = 0;
     uint64_t outputDecodeBytes = 0;
     uint64_t totalBytes = 0;
     /// @}
@@ -99,6 +104,8 @@ struct RemoteResult
     uint64_t controlBytes = 0;
     /** Frames the table stream used (one per segment). */
     uint64_t tableSegments = 0;
+    /** Frames the link-table stream used (one per linked node). */
+    uint32_t linkFrames = 0;
     /**
      * Tables per segment the garbler actually streamed with — the
      * garbler's setting, carried to the evaluator in the fingerprint
@@ -149,72 +156,125 @@ RemoteResult runRemoteEvaluator(const Netlist &netlist,
                                 Transport &transport,
                                 const RemoteOptions &opts = {});
 
-/** @name Protocol phases shared with the chained runner (chain/link.h)
+/** @name The session runner
  *
- * Each phase adds its own byte categories to the RemoteResult it is
- * handed; none of them flushes except where noted, so the caller
- * decides what shares a transport frame.
+ * A session shape lists what each party sends or expects, in wire
+ * order; the runners own every send, receive, flush and byte count.
+ * Node inputs and outputs are addressed as PortRef{node, bit}: input
+ * bit i of a node is its netlist's primary input wire i.
  */
 /// @{
 
-/** Segment size actually used: 0 means 1 table per segment. */
-uint32_t clampSegment(uint32_t segment_tables);
+/** One bit of a session node: its @p bit-th input or output. */
+struct PortRef
+{
+    uint32_t node = 0;
+    uint32_t bit = 0;
+};
 
 /**
- * Garbler: whether this session can skip the base-OT phase — the
- * connection's cache holds a ready extension sender and there is at
- * least one OT to run. The answer travels in the fingerprint's
- * otCached byte, so both sides agree before any OT traffic.
+ * The fingerprint fields that are not circuit shape: the last 14 bytes
+ * of every flavor's fingerprint, in the flavor's own order.
  */
-bool canReuseOtSetup(const OtConnectionCache *cache, uint32_t ots);
+struct FingerprintTail
+{
+    /** Always 0; a non-zero value names a table order not walked here. */
+    uint64_t reserved = 0;
+    /** The garbler's tables per segment frame. */
+    uint32_t segmentTables = 0;
+    /** 1 = IKNP, the only OT this build speaks. */
+    uint8_t otMode = 1;
+    /** 1 = the session reuses the connection's cached base-OT setup. */
+    uint8_t otCached = 0;
+};
+
+/** What the garbler sends for one node, in wire order. */
+struct GarblerNode
+{
+    /** Link-table frame (net/wire.h) sent ahead of the tables, or empty. */
+    std::vector<uint8_t> linkFrame;
+    /** The node's tables and decode bits: a live garbling, run during
+     *  the session, or a capture replayed (exactly one is set). */
+    StreamingGarbler *live = nullptr;
+    const GarbledInstance *captured = nullptr;
+};
+
+struct GarblerSession
+{
+    /** RemoteResult::seconds counts from here: a builder that garbles
+     *  or acquires its tables after building the shape counts that. */
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    /** The flavor's fingerprint around the runner's tail fields. */
+    std::function<std::vector<uint8_t>(const FingerprintTail &)>
+        writeFingerprint;
+    /** The label pair of each evaluator choice, in choice order. */
+    std::vector<Label> otZero, otOne;
+    /** Public labels that share the OT's last frame (otBytes). */
+    std::vector<Label> otFrameLabels;
+    /** Labels of garbler inputs and constant ports (inputLabelBytes). */
+    std::vector<Label> directLabels;
+    std::vector<GarblerNode> nodes;
+    /** Output bits whose decode bits end the stream, in output order. */
+    std::vector<PortRef> outputs;
+};
+
+/** One link-driven input of an evaluator node. */
+struct EvaluatorLink
+{
+    uint32_t bit = 0; ///< the consuming input bit
+    PortRef from;     ///< the producing output bit
+    uint64_t tweak = 0; ///< the row hash's tweak
+};
+
+struct EvaluatorNode
+{
+    const Netlist *netlist = nullptr;
+    /** Link-driven inputs in row order; any means a link frame
+     *  precedes the node's tables. */
+    std::vector<EvaluatorLink> links;
+};
+
+struct EvaluatorSession
+{
+    /** As GarblerSession::start. */
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    size_t fingerprintBytes = 0;
+    /** Parse the garbler's fingerprint; a NetError if its circuit
+     *  shape is not this one. */
+    std::function<FingerprintTail(const std::vector<uint8_t> &)>
+        readFingerprint;
+    /** Choice bits and where each chosen label goes. */
+    std::vector<bool> otChoices;
+    std::vector<PortRef> otSlots;
+    /** Where the labels of GarblerSession's lists of the same names go. */
+    std::vector<PortRef> otFrameSlots;
+    std::vector<PortRef> directSlots;
+    std::vector<EvaluatorNode> nodes;
+    std::vector<PortRef> outputs;
+};
 
 /**
- * Evaluator: validate the fingerprint's OT bytes and return the
- * otCached flag. IKNP (1) is the only OT this build speaks and
- * otCached is a strict boolean; anything else is a NetError, raised
- * before any label moves.
+ * The garbler's side of one session. Reuses @p opts.otCache's sender
+ * when it holds a ready one (else runs a fresh base phase and stores
+ * the new sender there). Fills every byte and frame count of @p res,
+ * segmentTables, otSetupReused, outputs (from the evaluator's echo)
+ * and seconds; the caller sets the rest.
  */
-bool otCachedFlag(uint8_t ot_mode, uint8_t ot_cached);
+void runGarblerSession(const GarblerSession &session, Transport &transport,
+                       const RemoteOptions &opts, RemoteResult &res);
 
 /**
- * Garbler's IKNP phase: one batch transferring m0[i] or m1[i] per
- * evaluator choice. Reuses @p cache's sender when res.otSetupReused
- * (see canReuseOtSetup), else runs a fresh base phase and stores the
- * new sender in @p cache (when non-null). An empty batch moves
- * nothing. Adds to res.otBytes and res.otUplinkBytes.
+ * The evaluator's side. Refuses a fingerprint whose OT mode is not
+ * IKNP (1), whose otCached byte is not 0 or 1, or whose reserved field
+ * is not 0 with a NetError before it sends a byte, and a cached session
+ * without a ready receiver in @p opts.otCache. Fills @p res like
+ * runGarblerSession.
  */
-void sendOtLabels(ByteChannel &chan, const std::vector<Label> &m0,
-                  const std::vector<Label> &m1, OtConnectionCache *cache,
-                  RemoteResult &res);
-
-/**
- * Evaluator's side of sendOtLabels: the chosen label per choice bit.
- * @p cached is the fingerprint's otCached flag; a cached session
- * without a ready receiver in @p cache is a NetError. Sets
- * res.otSetupReused and adds to res.otBytes / res.otUplinkBytes.
- */
-std::vector<Label> receiveOtLabels(ByteChannel &chan,
-                                   const std::vector<bool> &choices,
-                                   bool cached, OtConnectionCache *cache,
-                                   RemoteResult &res);
-
-/**
- * Garbler's last phase: send @p decode (flushed), then receive the
- * evaluator's result echo into res.outputs. Sets
- * res.outputDecodeBytes and adds the echo to res.controlBytes.
- */
-void sendDecodeReceiveEcho(ByteChannel &chan,
-                           const std::vector<bool> &decode,
-                           RemoteResult &res);
-
-/**
- * Evaluator's last phase: receive one decode bit per output label,
- * decode into res.outputs, and echo them back (flushed). Sets
- * res.outputDecodeBytes and adds the echo to res.controlBytes.
- */
-void receiveDecodeSendEcho(ByteChannel &chan,
-                           const std::vector<Label> &output_labels,
-                           RemoteResult &res);
+void runEvaluatorSession(const EvaluatorSession &session,
+                         Transport &transport, const RemoteOptions &opts,
+                         RemoteResult &res);
 
 /// @}
 

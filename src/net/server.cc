@@ -6,6 +6,7 @@
 #include "chain/link.h"
 #include "chain/workloads.h"
 #include "circuit/bristol.h"
+#include "crypto/prg.h"
 #include "net/wire.h"
 #include "serve/component_pool.h"
 #include "serve/pool.h"
@@ -430,7 +431,7 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
     const Role server_role = serverRoleFor(client);
 
     // Garbler sessions prefer a pooled instance; a pool miss (or no
-    // pool) garbles inline with the deterministic per-session seed.
+    // pool) garbles inline from a fresh OS-entropy seed.
     // Pop before tracking, so a spec's first session is always a miss
     // rather than a race with the filler that track() wakes.
     std::unique_ptr<GarbledInstance> pooled;
@@ -447,9 +448,7 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
                      ? runRemoteGarbler(wl->netlist, wl->garblerBits,
                                         transport, *pooled, ropts)
                      : runRemoteGarbler(wl->netlist, wl->garblerBits,
-                                        transport,
-                                        opts_.seedBase + session_id,
-                                        ropts);
+                                        transport, randomSeed(), ropts);
     } else {
         result = runRemoteEvaluator(wl->netlist, wl->evaluatorBits,
                                     transport, ropts);
@@ -538,8 +537,8 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
     RemoteResult result;
     if (server_role == Role::Garbler) {
         const std::vector<bool> bits(nl.numGarblerInputs, false);
-        result = runRemoteGarbler(nl, bits, transport,
-                                  opts_.seedBase + session_id, ropts);
+        result = runRemoteGarbler(nl, bits, transport, randomSeed(),
+                                  ropts);
     } else {
         const std::vector<bool> bits(nl.numEvaluatorInputs, false);
         result = runRemoteEvaluator(nl, bits, transport, ropts);
@@ -572,22 +571,16 @@ GcServer::serveChainSession(Transport &transport, uint64_t session_id,
     if (server_role == Role::Garbler) {
         // A pool serves pre-garbled components (misses garble inline
         // inside the provider); without one, every component garbles
-        // fresh from a per-session seed stream. The chaining security
-        // contract (one garbling, one session) holds either way.
-        if (opts_.componentPool != nullptr) {
+        // fresh from OS entropy. The chaining security contract (one
+        // garbling, one session) holds either way.
+        if (opts_.componentPool != nullptr)
             opts_.componentPool->trackPlan(wl->plan);
-            result = chain::runChainGarbler(
-                wl->plan, wl->garblerBits, transport,
-                opts_.componentPool->provider(), ropts);
-        } else {
-            const uint64_t seed_base =
-                opts_.seedBase == 0
-                    ? 0
-                    : splitmix64(opts_.seedBase ^ (session_id + 1));
-            result = chain::runChainGarbler(wl->plan, wl->garblerBits,
-                                            transport, seed_base,
-                                            ropts);
-        }
+        result = chain::runChainGarbler(
+            wl->plan, wl->garblerBits, transport,
+            opts_.componentPool != nullptr
+                ? opts_.componentPool->provider()
+                : chain::freshComponentProvider(0),
+            ropts);
     } else {
         result = chain::runChainEvaluator(wl->plan, wl->evaluatorBits,
                                           transport, ropts);

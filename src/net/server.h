@@ -144,8 +144,6 @@ struct ServerOptions
     bool shardWorker = false;
     /** Garbled tables per streamed segment frame. */
     uint32_t segmentTables = 1024;
-    /** Session i garbles with seedBase + i (when the server garbles). */
-    uint64_t seedBase = 0x4841414331ull;
     /** Per-session RunReport JSON-Lines sink (null = don't emit). */
     std::ostream *reports = nullptr;
     /** Session-failure log sink (null = silent). */

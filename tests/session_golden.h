@@ -94,21 +94,33 @@ lengthsDigest(const std::vector<std::vector<uint8_t>> &frames)
 }
 
 /**
- * FNV-1a over the garbler's frames after the OT phase: the trailing
- * frames that carry the @p post_ot_bytes of payload after it (direct
- * labels, link frames, tables and decode bits). The fingerprint and
- * OT frames before them carry per-session OS randomness. -1 if no
+ * Index of the first garbler frame after the OT phase: the trailing
+ * frames carry the @p post_ot_bytes of payload after it (direct
+ * labels, link frames, tables and decode bits). frames.size() if no
  * frame boundary falls there.
  */
-inline uint64_t
-postOtDigest(const std::vector<std::vector<uint8_t>> &frames,
-             uint64_t post_ot_bytes)
+inline size_t
+postOtStart(const std::vector<std::vector<uint8_t>> &frames,
+            uint64_t post_ot_bytes)
 {
     size_t first = frames.size();
     uint64_t bytes = 0;
     while (first > 0 && bytes < post_ot_bytes)
         bytes += frames[--first].size();
-    if (bytes != post_ot_bytes)
+    return bytes == post_ot_bytes ? first : frames.size();
+}
+
+/**
+ * FNV-1a over the garbler's frames after the OT phase. The
+ * fingerprint and OT frames before them carry per-session OS
+ * randomness. -1 if no frame boundary falls there.
+ */
+inline uint64_t
+postOtDigest(const std::vector<std::vector<uint8_t>> &frames,
+             uint64_t post_ot_bytes)
+{
+    const size_t first = postOtStart(frames, post_ot_bytes);
+    if (first == frames.size())
         return ~0ull;
     uint64_t h = 0xcbf29ce484222325ull;
     for (size_t i = first; i < frames.size(); ++i)

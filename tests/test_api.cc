@@ -41,7 +41,7 @@ TEST(SessionParity, SoftwareGcMatchesRunProtocolOnMillionaires)
     const std::vector<bool> alice = u64ToBits(1'000'000, 32);
     const std::vector<bool> bob = u64ToBits(1'250'000, 32);
 
-    ProtocolResult direct = runProtocol(netlist, alice, bob);
+    RemoteResult direct = runProtocol(netlist, alice, bob);
 
     Session session(netlist, "millionaires");
     RunReport report =
@@ -65,7 +65,7 @@ TEST(SessionParity, SoftwareGcHonorsSeed)
     const std::vector<bool> alice = u64ToBits(7, 32);
     const std::vector<bool> bob = u64ToBits(9, 32);
 
-    ProtocolResult direct = runProtocol(netlist, alice, bob, 1234);
+    RemoteResult direct = runProtocol(netlist, alice, bob, 1234);
     RunReport report = Session(netlist)
                            .withInputs(alice, bob)
                            .withSeed(1234)

@@ -21,6 +21,7 @@
 #include "chain/component.h"
 #include "chain/link.h"
 #include "chain/workloads.h"
+#include "crypto/hash.h"
 #include "crypto/prg.h"
 #include "gc/streaming.h"
 #include "net/loopback.h"
@@ -337,6 +338,19 @@ TEST(ChainPlan, MonolithicMatchesPerComponentEvaluation)
 // Link tables
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** The evaluator's decryption: producer's active label -> consumer's. */
+Label
+translateLinkLabel(const LinkTable &table, const Label &producer_active,
+                   uint64_t link_index)
+{
+    const RekeyedHasher h(linkTweakOf(link_index));
+    return table.row[producer_active.lsb() ? 1 : 0] ^ h(producer_active);
+}
+
+} // namespace
+
 TEST(LinkTable, TranslatesBothValuesAcrossOffsets)
 {
     // Two independently garbled components: producer ADD:4, consumer
@@ -494,13 +508,20 @@ TEST(ChainProtocol, EvaluatorRefusesUnknownOtFlags)
 {
     // A hand-rolled garbler sends a well-shaped plan fingerprint
     // (42 bytes, link.cc's ChainFingerprint) whose OT bytes are not
-    // IKNP / a boolean cache flag. The evaluator must throw NetError
-    // and hang up without sending a byte back.
+    // IKNP / a boolean cache flag, or whose reserved field is not 0.
+    // The evaluator must throw NetError and hang up without sending a
+    // byte back.
     const ChainWorkload wl = resolveChainWorkload("ChainMillSum:8");
-    const std::pair<uint8_t, uint8_t> cases[] = {{0, 0}, {2, 0}, {1, 2}};
-    for (const auto &[ot_mode, ot_cached] : cases) {
-        SCOPED_TRACE(testing::Message() << "otMode " << int(ot_mode)
-                                        << " otCached " << int(ot_cached));
+    struct Case
+    {
+        uint8_t otMode, otCached;
+        uint64_t reserved;
+    };
+    const Case cases[] = {{0, 0, 0}, {2, 0, 0}, {1, 2, 0}, {1, 0, 1}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "otMode " << int(c.otMode) << " otCached "
+                     << int(c.otCached) << " reserved " << c.reserved);
         auto [gend, eend] = LoopbackTransport::createPair();
         PeerThread garbler([&, t = std::move(gend)] {
             t->handshake(PeerRole::Garbler);
@@ -512,9 +533,9 @@ TEST(ChainProtocol, EvaluatorRefusesUnknownOtFlags)
             w.u32(wl.plan.evaluatorInputs);
             w.u32(uint32_t(wl.plan.outputs.size()));
             w.u32(1024);
-            w.u64(0);
-            w.u8(ot_mode);
-            w.u8(ot_cached);
+            w.u64(c.reserved);
+            w.u8(c.otMode);
+            w.u8(c.otCached);
             t->sendFrame(w.bytes());
             EXPECT_THROW(t->recvFrame(), NetError)
                 << "the evaluator answered a bad fingerprint";

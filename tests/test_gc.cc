@@ -199,7 +199,7 @@ TEST_P(RandomCircuitGc, GarbleEvaluateMatchesPlaintext)
     for (uint32_t i = 0; i < n_eval; ++i)
         eb[i] = prg.nextBit();
 
-    ProtocolResult res = runProtocol(nl, ga, eb, seed * 31 + 7);
+    RemoteResult res = runProtocol(nl, ga, eb, seed * 31 + 7);
     EXPECT_EQ(res.outputs, nl.evaluate(ga, eb)) << "seed=" << seed;
 }
 
@@ -214,7 +214,7 @@ TEST(Protocol, AdderEndToEnd)
     cb.addOutputs(addBits(cb, a, b));
     Netlist nl = cb.build();
 
-    ProtocolResult res = runProtocol(nl, u64ToBits(12345, 16),
+    RemoteResult res = runProtocol(nl, u64ToBits(12345, 16),
                                      u64ToBits(54321, 16));
     EXPECT_EQ(bitsToU64(res.outputs), (12345 + 54321) & 0xffff);
 }
@@ -232,7 +232,7 @@ TEST(Protocol, TrafficAccounting)
     // label pair per evaluator bit plus the const-one label; the
     // uplink carries the base-OT public key plus 128 masked columns
     // of one 16-byte block each.
-    ProtocolResult res = runProtocol(nl, u64ToBits(7, 8),
+    RemoteResult res = runProtocol(nl, u64ToBits(7, 8),
                                      u64ToBits(9, 8));
     EXPECT_EQ(bitsToU64(res.outputs), 63u);
     EXPECT_EQ(res.tableBytes, nl.numAndGates() * kTableBytes);

@@ -34,7 +34,7 @@ TEST(Integration, WorkloadsRunSecurelyEndToEnd)
     // Protocol-level (software GC) equivalence for real workloads.
     for (const char *name : {"DotProd", "Hamm", "ReLU"}) {
         Workload wl = vipWorkload(name, false);
-        ProtocolResult res =
+        RemoteResult res =
             runProtocol(wl.netlist, wl.garblerBits, wl.evaluatorBits);
         EXPECT_EQ(res.outputs, wl.expectedOutputs) << name;
     }
@@ -43,7 +43,7 @@ TEST(Integration, WorkloadsRunSecurelyEndToEnd)
 TEST(Integration, MillionaireSecureEndToEnd)
 {
     Workload wl = makeMillionaire(16);
-    ProtocolResult res =
+    RemoteResult res =
         runProtocol(wl.netlist, wl.garblerBits, wl.evaluatorBits);
     EXPECT_EQ(res.outputs, wl.expectedOutputs);
 }

@@ -95,7 +95,7 @@ TEST(ExhaustiveProtocol, ThreeBitAdderAllInputs)
 
     for (uint32_t x = 0; x < 8; ++x) {
         for (uint32_t y = 0; y < 8; ++y) {
-            ProtocolResult res = runProtocol(nl, u64ToBits(x, 3),
+            RemoteResult res = runProtocol(nl, u64ToBits(x, 3),
                                              u64ToBits(y, 3),
                                              /*seed=*/x * 8 + y + 1);
             EXPECT_EQ(bitsToU64(res.outputs), x + y)
@@ -114,7 +114,7 @@ TEST(ExhaustiveProtocol, TwoBitComparatorAllInputs)
     Netlist nl = cb.build();
     for (uint32_t x = 0; x < 4; ++x) {
         for (uint32_t y = 0; y < 4; ++y) {
-            ProtocolResult res =
+            RemoteResult res =
                 runProtocol(nl, u64ToBits(x, 2), u64ToBits(y, 2));
             EXPECT_EQ(res.outputs[0], x < y);
             EXPECT_EQ(res.outputs[1], x == y);

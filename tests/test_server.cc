@@ -15,9 +15,11 @@
 #include <vector>
 
 #include "circuit/bristol.h"
+#include "gc/streaming.h"
 #include "net/loopback.h"
 #include "net/server.h"
 #include "workloads/priorwork.h"
+#include "session_golden.h"
 
 using namespace haac;
 
@@ -143,6 +145,52 @@ TEST(GcServer, ServesOneSessionWithReportLine)
               std::string::npos);
     EXPECT_NE(line.find("\"label\":\"session-0\""), std::string::npos);
     EXPECT_NE(line.find("\"net\""), std::string::npos);
+}
+
+TEST(GcServer, InlineGarblingSeedsAreFreshPerServer)
+{
+    // Session 0 of Million:32 on two fresh servers, each garbling
+    // inline. The garbler's input labels the client receives must
+    // differ between the servers and must not be the expansion of the
+    // public seed 0x4841414331 (session 0 of the old default seed
+    // base): a client that can expand them reads the server's input
+    // bits off its labels.
+    const Workload wl = resolveWorkload("Million:32");
+    const uint32_t g = wl.netlist.numGarblerInputs;
+    const InputLabels pub = expandInputLabels(0x4841414331ull, g);
+    std::vector<std::vector<uint8_t>> received;
+    for (int s = 0; s < 2; ++s) {
+        ServerOptions opts;
+        opts.threads = 1;
+        GcServer server(opts);
+        auto [client_end, server_end] = LoopbackTransport::createPair();
+        server.submit(std::move(server_end));
+        clientHello(*client_end, PeerRole::Evaluator, "Million:32");
+        golden::RecordingTransport rec(*client_end);
+        const RemoteResult res =
+            runRemoteEvaluator(wl.netlist, wl.evaluatorBits, rec);
+        client_end.reset();
+        server.drain();
+        EXPECT_EQ(res.outputs, wl.expectedOutputs);
+
+        // The first frame after the OT phase holds the garbler's labels.
+        const auto frames = golden::splitFrames(rec.received);
+        const size_t at =
+            golden::postOtStart(frames, res.totalBytes - res.otBytes);
+        ASSERT_LT(at, frames.size());
+        ASSERT_EQ(frames[at].size(), size_t(g) * kLabelBytes);
+        for (uint32_t i = 0; i < g; ++i) {
+            const Label l =
+                Label::fromBytes(frames[at].data() + i * kLabelBytes);
+            EXPECT_FALSE(l == pub.activeLabel(i, false) ||
+                         l == pub.activeLabel(i, true))
+                << "server " << s << " label " << i
+                << " is the public seed's";
+        }
+        received.push_back(frames[at]);
+    }
+    EXPECT_NE(received[0], received[1])
+        << "two servers sent the same garbler labels";
 }
 
 TEST(GcServer, ClientMayEvaluateToo)

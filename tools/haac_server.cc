@@ -59,8 +59,6 @@ usage(const char *argv0)
         "until SIGINT)\n"
         "  --segment N      garbled tables per stream segment "
         "(default 1024)\n"
-        "  --seed N         garbling seed base (session i uses "
-        "seed+i)\n"
         "  --pool-depth N   keep N pre-garbled instances ready per "
         "workload (default 0 = garble inline)\n"
         "  --pool-threads N background garbling threads (default 1)\n"
@@ -137,8 +135,6 @@ main(int argc, char **argv)
         else if (arg == "--segment")
             opts.segmentTables =
                 uint32_t(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--seed")
-            opts.seedBase = std::strtoull(value(), nullptr, 10);
         else if (arg == "--pool-depth")
             pool_depth = size_t(std::strtoull(value(), nullptr, 10));
         else if (arg == "--pool-threads")
