@@ -16,6 +16,7 @@
 #include "api/session.h"
 #include "chain/link.h"
 #include "core/compiler/streams.h"
+#include "crypto/prg.h"
 #include "gc/protocol.h"
 #include "net/server.h"
 #include "net/tcp.h"
@@ -224,8 +225,10 @@ RemoteGcBackend::execute(const Session &session)
             std::vector<bool> bits = session.garblerBits();
             if (bits.empty())
                 bits.resize(plan->garblerInputs, false);
-            result = chain::runChainGarbler(*plan, bits, *transport,
-                                            session.seed(), ropts);
+            // Seed base 0 draws every component's seed from OS entropy.
+            result = chain::runChainGarbler(
+                *plan, bits, *transport,
+                session.seedChosen() ? session.seed() : 0, ropts);
         } else {
             std::vector<bool> bits = session.evaluatorBits();
             if (bits.empty())
@@ -245,8 +248,9 @@ RemoteGcBackend::execute(const Session &session)
         std::vector<bool> bits = session.garblerBits();
         if (bits.empty())
             bits.resize(netlist.numGarblerInputs, false);
-        result = runRemoteGarbler(netlist, bits, *transport,
-                                  session.seed(), ropts);
+        result = runRemoteGarbler(
+            netlist, bits, *transport,
+            session.seedChosen() ? session.seed() : randomSeed(), ropts);
     } else {
         std::vector<bool> bits = session.evaluatorBits();
         if (bits.empty())

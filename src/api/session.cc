@@ -35,6 +35,7 @@ Session &
 Session::withSeed(uint64_t seed)
 {
     seed_ = seed;
+    seedChosen_ = true;
     return *this;
 }
 

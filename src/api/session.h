@@ -60,6 +60,12 @@ class Session
     /// @{
     Session &withInputs(std::vector<bool> garbler_bits,
                         std::vector<bool> evaluator_bits);
+    /**
+     * Garbling seed for the local backends (default 0x4841414331) and
+     * for a remote-gc garbler. A remote-gc garbler that was given no
+     * seed draws one from OS entropy per run (randomSeed()), because
+     * any evaluator can expand a public seed's labels.
+     */
     Session &withSeed(uint64_t seed);
     Session &withCompileOptions(const CompileOptions &opts);
     Session &withConfig(const HaacConfig &config);
@@ -100,7 +106,8 @@ class Session
      * exactly the circuit a chained execution must match bit for bit,
      * while the remote-gc backend switches to the chained protocol:
      * the garbler links components garbled fresh from the session
-     * seed, the evaluator follows the link-table stream. Throws
+     * seed (OS entropy per component when withSeed() chose none), the
+     * evaluator follows the link-table stream. Throws
      * std::invalid_argument when the plan fails its own check().
      */
     Session &withChainPlan(const chain::ChainPlan &plan);
@@ -125,6 +132,8 @@ class Session
         return evaluatorBits_;
     }
     uint64_t seed() const { return seed_; }
+    /** Whether withSeed() chose the seed. */
+    bool seedChosen() const { return seedChosen_; }
     const CompileOptions &compileOptions() const { return copts_; }
     const HaacConfig &config() const { return config_; }
     SimMode mode() const { return mode_; }
@@ -189,6 +198,7 @@ class Session
     std::vector<bool> garblerBits_;
     std::vector<bool> evaluatorBits_;
     uint64_t seed_ = 0x4841414331ull; // matches runProtocol's default
+    bool seedChosen_ = false;
     CompileOptions copts_;
     HaacConfig config_;
     SimMode mode_ = SimMode::Combined;

@@ -221,6 +221,7 @@ readBristol(std::string_view text, CircuitLintReport *lints,
     const std::string err = nl.check();
     if (!err.empty())
         fail("canonicalization failed: " + err);
+    nl.recordAndGates();
 
     if (lints != nullptr) {
         CircuitLintReport rep = analyzeNetlist(nl, lint_opts);

@@ -163,6 +163,7 @@ CircuitBuilder::build()
     freezeInputs();
     assert(netlist_.check().empty());
     Netlist out = std::move(netlist_);
+    out.recordAndGates();
     netlist_ = Netlist();
     known_.clear();
     zeroWire_.reset();

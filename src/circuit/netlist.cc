@@ -4,13 +4,30 @@
 
 namespace haac {
 
+namespace {
+
 uint32_t
-Netlist::numAndGates() const
+countAnds(const std::vector<Gate> &gates)
 {
     uint32_t n = 0;
     for (const Gate &g : gates)
         n += g.op == GateOp::And ? 1 : 0;
     return n;
+}
+
+} // namespace
+
+uint32_t
+Netlist::numAndGates() const
+{
+    return recordedFor_ == gates.size() ? recordedAnds_ : countAnds(gates);
+}
+
+void
+Netlist::recordAndGates()
+{
+    recordedAnds_ = countAnds(gates);
+    recordedFor_ = numGates();
 }
 
 double

@@ -76,8 +76,23 @@ class Netlist
     /** Primary outputs, in user order (may repeat wires). */
     std::vector<WireId> outputs;
 
-    /** Count of AND gates (each needs a 32 B garbled table). */
+    /**
+     * Count of AND gates (each needs a 32 B garbled table): the
+     * recorded count when recordAndGates() ran on this gate list, a
+     * scan of the gates otherwise.
+     */
     uint32_t numAndGates() const;
+
+    /**
+     * Count the ANDs once for every later numAndGates(). The producers
+     * of finished netlists call it (CircuitBuilder::build(), the
+     * Bristol reader, the optimizer), so a session runner takes its
+     * circuit's count from where the circuit was resolved instead of
+     * rescanning the gates every session. The record lapses when the
+     * gate count changes; a gate whose op is edited in place needs
+     * another call.
+     */
+    void recordAndGates();
 
     /** Fraction of gates that are AND, as a percentage. */
     double andPercent() const;
@@ -104,6 +119,11 @@ class Netlist
     std::vector<bool>
     evaluateAllWires(const std::vector<bool> &garbler_bits,
                      const std::vector<bool> &evaluator_bits) const;
+
+  private:
+    uint32_t recordedAnds_ = 0;
+    /** gates.size() when recordAndGates() ran; kNoWire before. */
+    uint32_t recordedFor_ = kNoWire;
 };
 
 } // namespace haac

@@ -41,6 +41,7 @@ compact(const Netlist &netlist, const std::vector<bool> &keep,
     out.outputs.reserve(netlist.outputs.size());
     for (WireId w : netlist.outputs)
         out.outputs.push_back(resolve(w));
+    out.recordAndGates();
     return out;
 }
 

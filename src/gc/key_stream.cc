@@ -198,10 +198,13 @@ struct KeyedKernels
         store(out_zero, _mm_xor_si128(wg0, we0));
     }
 
-    /** evaluateAnd() with stored schedules: [a, b] in one register. */
+    /**
+     * evaluateAnd() with stored schedules: [a, b] in one register, the
+     * table read from its 32 wire bytes at @p table.
+     */
     HAAC_VAES_TARGET static void
     evaluate(const TweakKeyBlock &kb, int lane, const Label &a_,
-             const Label &b_, const GarbledTable &table, Label &out)
+             const Label &b_, const uint8_t *table, Label &out)
     {
         const __m128i a = load(a_), b = load(b_);
         const __m256i x =
@@ -212,7 +215,7 @@ struct KeyedKernels
         s = _mm256_aesenclast_epi128(s, keyPair(kb, kAesRounds, lane));
         // [H(a, j0) ^ (sa ? tg : 0), H(b, j1) ^ (sb ? te ^ a : 0)].
         const __m256i fix = _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(&table)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(table)),
             _mm256_inserti128_si256(_mm256_setzero_si256(), a, 1));
         const __m256i w = _mm256_xor_si256(
             _mm256_xor_si256(s, x), _mm256_and_si256(fix, lsbMask(x)));
@@ -226,30 +229,32 @@ struct KeyedKernels
 
     HAAC_VAES_WALK static uint64_t
     garbleWalk(const Netlist &netlist, Label *zero, const Label &r,
-               const TableSink &sink)
+               TableSegmentSink &sink)
     {
         TweakKeyStream ks;
+        SegmentWriter out(sink);
         walkGates(netlist, zero,
                   [&](const Label &a0, const Label &b0) HAAC_VAES_TARGET {
                       int lane = 0;
                       const TweakKeyBlock &kb = advance(ks, lane);
-                      GarbledTable table;
                       Label out_zero;
-                      garble(kb, lane, a0, b0, r, table, out_zero);
-                      sink(table);
+                      garble(kb, lane, a0, b0, r, out.slot(), out_zero);
+                      out.written();
                       return out_zero;
                   });
+        out.finish();
         return ks.next_;
     }
 
     HAAC_VAES_WALK static void
     evaluateWalk(const Netlist &netlist, Label *labels,
-                 const TableSource &source)
+                 TableSegmentSource &source)
     {
         TweakKeyStream ks;
+        SegmentReader in(source);
         walkGates(netlist, labels,
                   [&](const Label &a, const Label &b) HAAC_VAES_TARGET {
-                      const GarbledTable table = source();
+                      const uint8_t *table = in.next();
                       int lane = 0;
                       const TweakKeyBlock &kb = advance(ks, lane);
                       Label out;
@@ -284,20 +289,21 @@ TweakKeyStream::evaluate(const Label &a, const Label &b,
     int lane = 0;
     const TweakKeyBlock &kb = KeyedKernels::advance(*this, lane);
     Label out;
-    KeyedKernels::evaluate(kb, lane, a, b, table, out);
+    KeyedKernels::evaluate(kb, lane, a, b,
+                           reinterpret_cast<const uint8_t *>(&table), out);
     return out;
 }
 
 uint64_t
 garbleGatesKeyed(const Netlist &netlist, std::vector<Label> &zero,
-                 const Label &offset, const TableSink &sink)
+                 const Label &offset, TableSegmentSink &sink)
 {
     return KeyedKernels::garbleWalk(netlist, zero.data(), offset, sink);
 }
 
 void
 evaluateGatesKeyed(const Netlist &netlist, std::vector<Label> &labels,
-                   const TableSource &source)
+                   TableSegmentSource &source)
 {
     KeyedKernels::evaluateWalk(netlist, labels.data(), source);
 }
@@ -340,14 +346,14 @@ TweakKeyStream::evaluate(const Label &, const Label &, const GarbledTable &)
 
 uint64_t
 garbleGatesKeyed(const Netlist &, std::vector<Label> &, const Label &,
-                 const TableSink &)
+                 TableSegmentSink &)
 {
     notBuilt();
 }
 
 void
 evaluateGatesKeyed(const Netlist &, std::vector<Label> &,
-                   const TableSource &)
+                   TableSegmentSource &)
 {
     notBuilt();
 }

@@ -86,12 +86,12 @@ class TweakKeyStream
  * @return the number of tables emitted.
  */
 uint64_t garbleGatesKeyed(const Netlist &netlist, std::vector<Label> &zero,
-                      const Label &offset, const TableSink &sink);
+                          const Label &offset, TableSegmentSink &sink);
 
 /** evaluateStreaming's gate walk on the key stream (same contract). */
 void evaluateGatesKeyed(const Netlist &netlist,
                         std::vector<Label> &labels,
-                        const TableSource &source);
+                        TableSegmentSource &source);
 
 } // namespace haac
 

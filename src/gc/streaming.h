@@ -1,20 +1,23 @@
 /**
  * @file
  * Streaming garble/evaluate: gate-at-a-time processing with tables
- * delivered through callbacks instead of materialized vectors.
+ * moved a segment at a time instead of materialized per circuit.
  *
- * This is how a real deployment pipelines: the Garbler streams each
- * AND table onto the wire the moment it is produced, and the Evaluator
- * consumes them in order — exactly the producer/consumer discipline
- * HAAC's table queues implement in hardware (§3.1.2). StreamingGarbler
- * and evaluateStreaming() are the library's only netlist gate walks;
- * everything that garbles or evaluates a whole circuit goes through
- * them. On VAES-512 hosts they hand their gates to gc/key_stream.h,
+ * This is how a real deployment pipelines: the Garbler writes each AND
+ * table straight into the segment that goes on the wire next, and the
+ * Evaluator reads them in order, in place, from the segment that came
+ * in — the producer/consumer discipline HAAC's table queues implement
+ * in hardware (§3.1.2). StreamingGarbler and evaluateStreaming() are
+ * the library's only netlist gate walks; everything that garbles or
+ * evaluates a whole circuit goes through them. Their per-table
+ * TableSink/TableSource overloads are adapters over the segment ones.
+ * On VAES-512 hosts the walks hand their gates to gc/key_stream.h,
  * which expands the tweak keys ahead of the gates (same bytes).
  */
 #ifndef HAAC_GC_STREAMING_H
 #define HAAC_GC_STREAMING_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -29,6 +32,56 @@ using TableSink = std::function<void(const GarbledTable &)>;
 
 /** Supplies the next table on demand, in gate order. */
 using TableSource = std::function<GarbledTable()>;
+
+// A table's wire bytes are its memory bytes: Label::toBytes() copies
+// lo then hi as stored, and a table is {tg, te} back to back. Segment
+// buffers are therefore sent, and received tables read, as they lie.
+static_assert(sizeof(GarbledTable) == kTableBytes,
+              "GarbledTable must be its 32 wire bytes, unpadded");
+
+/**
+ * Where a garbling walk puts its tables, a segment at a time: the walk
+ * writes each table into the buffer lend() gave it and hands the
+ * buffer back with full() once it holds segmentTables() tables (fewer
+ * only for the stream's last segment). A sink sees no call for a
+ * circuit without ANDs.
+ */
+class TableSegmentSink
+{
+  public:
+    explicit TableSegmentSink(size_t segment_tables)
+        : segment_(segment_tables > 0 ? segment_tables : 1)
+    {}
+    virtual ~TableSegmentSink() = default;
+
+    size_t segmentTables() const { return segment_; }
+
+    /** Room for segmentTables() tables, filled in gate order. */
+    virtual GarbledTable *lend() = 0;
+    /** The last lent buffer holds its first @p count tables (>= 1). */
+    virtual void full(size_t count) = 0;
+
+  private:
+    size_t segment_;
+};
+
+/**
+ * Where an evaluation walk reads its tables: runs of them in their
+ * wire layout, read in place (no alignment is promised). The walk
+ * asks again only after it consumed the whole previous run, and never
+ * for more tables than its circuit has ANDs.
+ */
+class TableSegmentSource
+{
+  public:
+    virtual ~TableSegmentSource() = default;
+
+    /**
+     * The next @p count >= 1 tables of the stream, contiguous and valid
+     * until the next call.
+     */
+    virtual const uint8_t *next(size_t &count) = 0;
+};
 
 /**
  * The labels a garbling draws from its seed before any gate: the
@@ -72,11 +125,17 @@ class StreamingGarbler
     /** The global offset and the primary inputs' zero labels. */
     const InputLabels &inputs() const { return inputs_; }
 
+    const Netlist &netlist() const { return *netlist_; }
+
     /**
-     * Garble every gate in order, streaming AND tables to @p sink.
+     * Garble every gate in order, writing AND tables into @p sink's
+     * segments.
      *
      * Callable once; afterwards the output accessors below are valid.
      */
+    void run(TableSegmentSink &sink);
+
+    /** run() handing each table to @p sink in order. */
     void run(const TableSink &sink);
 
     /** @name Valid after run() */
@@ -102,10 +161,16 @@ class StreamingGarbler
 };
 
 /**
- * Evaluate with tables pulled on demand from @p source (in order).
+ * Evaluate with tables read in order from @p source's runs.
  *
  * @return active labels of the primary outputs.
  */
+std::vector<Label>
+evaluateStreaming(const Netlist &netlist,
+                  const std::vector<Label> &input_labels,
+                  TableSegmentSource &source);
+
+/** evaluateStreaming() pulling one table at a time from @p source. */
 std::vector<Label>
 evaluateStreaming(const Netlist &netlist,
                   const std::vector<Label> &input_labels,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace haac {
 
@@ -38,6 +39,13 @@ NetChannel::flush()
 }
 
 void
+NetChannel::swapInput(std::vector<uint8_t> &frame, size_t &cursor)
+{
+    inBuffer_.swap(frame);
+    std::swap(inCursor_, cursor);
+}
+
+void
 NetChannel::writeBytes(const uint8_t *data, size_t n)
 {
     outBuffer_.insert(outBuffer_.end(), data, data + n);
@@ -55,7 +63,7 @@ NetChannel::readBytes(uint8_t *data, size_t n)
     size_t got = 0;
     while (got < n) {
         if (inCursor_ == inBuffer_.size()) {
-            inBuffer_ = transport_->recvFrame();
+            transport_->recvFrame(inBuffer_);
             inCursor_ = 0;
             continue;
         }

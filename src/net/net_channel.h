@@ -5,11 +5,13 @@
  * The protocol engines (garbler, evaluator, OT) speak ByteChannel;
  * NetChannel carries that byte stream across a Transport in frames.
  * Writes coalesce into an output buffer that flushes as one frame
- * whenever it reaches the flush threshold — the remote protocol sets
- * the threshold to a segment's worth of garbled tables, which is how
- * "streaming in segments" appears on the wire. Reads refill from
- * whole frames and serve any request size across frame boundaries,
- * so sender segmentation never constrains receiver parsing.
+ * whenever it reaches the flush threshold (the remote protocol sets it
+ * to a segment's worth of garbled tables). Reads refill from whole
+ * frames and serve any request size across frame boundaries, so
+ * sender segmentation never constrains receiver parsing. The table
+ * stream itself bypasses the channel's copies (net/table_stream.h)
+ * with the frames a segment threshold would cut, and hands the
+ * channel back whatever it left unread (swapInput()).
  *
  * A read with unflushed output flushes first: a protocol turnaround
  * (send a query, await the answer) can therefore never deadlock on
@@ -49,6 +51,13 @@ class NetChannel : public ByteChannel
     void setFlushThreshold(size_t bytes);
 
     Transport &transport() { return *transport_; }
+
+    /**
+     * Trade the received frame being read, and the read position in
+     * it, for @p frame and @p cursor. A table-stream reader takes the
+     * channel's unread bytes this way and gives back what it left.
+     */
+    void swapInput(std::vector<uint8_t> &frame, size_t &cursor);
 
   protected:
     void writeBytes(const uint8_t *data, size_t n) override;

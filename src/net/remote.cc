@@ -9,6 +9,7 @@
 #include "gc/ot_ext.h"
 #include "gc/streaming.h"
 #include "net/net_channel.h"
+#include "net/table_stream.h"
 #include "net/wire.h"
 
 namespace haac {
@@ -225,8 +226,9 @@ runGarblerSession(const GarblerSession &s, Transport &transport,
     chan.flush();
 
     // Per node: its link-table frame, then its tables, one frame per
-    // segment. The channel is flushed around each typed frame, so the
-    // two streams use disjoint transport frames.
+    // segment, sent straight from the walk's segment buffers (a live
+    // garbling) or from the capture's table array. The channel holds
+    // nothing unsent here, so the two streams use disjoint frames.
     for (const GarblerNode &node : s.nodes) {
         if (!node.linkFrame.empty()) {
             transport.sendFrame(node.linkFrame);
@@ -234,14 +236,18 @@ runGarblerSession(const GarblerSession &s, Transport &transport,
             ++res.linkFrames;
         }
         const uint64_t frames_before = transport.framesSent();
-        base = chan.bytesSent();
-        if (node.live != nullptr)
-            node.live->run([&](const GarbledTable &t) { chan.sendTable(t); });
-        else
-            for (const GarbledTable &t : node.captured->tables)
-                chan.sendTable(t);
-        chan.flush();
-        res.tableBytes += chan.bytesSent() - base;
+        if (node.live != nullptr) {
+            const uint64_t tables = node.live->netlist().numAndGates();
+            TableFrameWriter out(transport, res.segmentTables,
+                                 tables > res.segmentTables);
+            node.live->run(out);
+            out.finish();
+            res.tableBytes += node.live->tablesEmitted() * kTableBytes;
+        } else {
+            sendTableFrames(transport, node.captured->tables,
+                            res.segmentTables);
+            res.tableBytes += node.captured->tables.size() * kTableBytes;
+        }
         res.tableSegments += transport.framesSent() - frames_before;
     }
 
@@ -366,11 +372,12 @@ runEvaluatorSession(const EvaluatorSession &s, Transport &transport,
                 row += 2 * kLabelBytes;
             }
         }
+        const uint64_t tables = node.netlist->numAndGates();
         const uint64_t frames_before = transport.framesReceived();
-        base = chan.bytesReceived();
-        outs[n] = evaluateStreaming(*node.netlist, inputs[n],
-                                    [&] { return chan.recvTable(); });
-        res.tableBytes += chan.bytesReceived() - base;
+        TableFrameReader in(chan, tables, tables > res.segmentTables);
+        outs[n] = evaluateStreaming(*node.netlist, inputs[n], in);
+        in.finish();
+        res.tableBytes += tables * kTableBytes;
         res.tableSegments += transport.framesReceived() - frames_before;
     }
 

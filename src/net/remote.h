@@ -10,8 +10,10 @@
  * (gc/ot_ext.h) for the evaluator's input labels; the garbler's direct
  * labels; then per node an optional link-table frame and the node's
  * AND tables in segments, which the evaluator consumes as they arrive
- * (gc/streaming.h), so memory stays O(wires) while communication is
- * O(AND gates); last the decode bits and the evaluator's result echo.
+ * (gc/streaming.h, net/table_stream.h: on a stream of two segments or
+ * more, socket I/O runs on a thread beside each walk), so memory stays
+ * O(wires) while communication is O(AND gates); last the decode bits
+ * and the evaluator's result echo.
  *
  * runGarblerSession() and runEvaluatorSession() walk that stream over
  * a session shape (GarblerSession / EvaluatorSession). A flavor only

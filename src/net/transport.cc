@@ -72,6 +72,14 @@ Transport::sendFrame(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 Transport::recvFrame()
 {
+    std::vector<uint8_t> payload;
+    recvFrame(payload);
+    return payload;
+}
+
+void
+Transport::recvFrame(std::vector<uint8_t> &payload)
+{
     uint8_t header[4];
     readAll(header, sizeof(header));
     const uint32_t n = getU32(header);
@@ -81,17 +89,20 @@ Transport::recvFrame()
                        "-byte frame (limit " +
                        std::to_string(kMaxFrameBytes) +
                        "); stream is corrupt or not a HAAC peer");
-    // The announced length is only the peer's word: past one piece,
-    // the buffer grows with the bytes that have arrived (to at most
-    // four times them), not ahead of them.
-    std::vector<uint8_t> payload;
-    for (size_t got = 0; got < n; got = payload.size()) {
+    // The announced length is only the peer's word: what the buffer
+    // already holds is filled first, and past it (or one piece) the
+    // buffer grows with the bytes that have arrived (to at most four
+    // times them), not ahead of them.
+    size_t got = std::min<size_t>(n, payload.capacity());
+    payload.resize(got);
+    if (got > 0)
+        readAll(payload.data(), got);
+    for (; got < n; got = payload.size()) {
         payload.resize(std::min<size_t>(n, std::max(4 * got, kFramePiece)));
         readAll(payload.data() + got, payload.size() - got);
     }
     countReceived(sizeof(header) + n);
     ++framesReceived_;
-    return payload;
 }
 
 PeerRole

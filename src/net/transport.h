@@ -81,6 +81,12 @@ class Transport
     void sendFrame(const uint8_t *payload, size_t n);
     void sendFrame(const std::vector<uint8_t> &payload);
     std::vector<uint8_t> recvFrame();
+    /**
+     * recvFrame() into @p payload, reusing its capacity: a stream of
+     * like-sized frames allocates once. Past that capacity the buffer
+     * grows as recvFrame()'s does, with the bytes that have arrived.
+     */
+    void recvFrame(std::vector<uint8_t> &payload);
     /// @}
 
     /**

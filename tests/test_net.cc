@@ -17,6 +17,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <dirent.h>
+#endif
+
 #include "api/session.h"
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
@@ -1145,4 +1149,341 @@ TEST(Tcp, RecvTimesOutWithoutAPeer)
     uint8_t byte = 0;
     EXPECT_THROW(client->readAll(&byte, 1), NetError);
     server.join();
+}
+
+// ---------------------------------------------------------------------------
+// The table phase: segment frames, I/O threads, and their failures
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Exactly @p ands AND gates in one dependent chain (each AND reads the
+ * two before it, so none merges with another), over 8 + 8 inputs, the
+ * last eight chain wires as outputs.
+ */
+Netlist
+andChain(uint32_t ands)
+{
+    CircuitBuilder cb;
+    const Bits a = cb.garblerInputs(8);
+    const Bits b = cb.evaluatorInputs(8);
+    Bits chain = {a[0], b[0]};
+    for (uint32_t i = 0; i < ands; ++i) {
+        const size_t n = chain.size();
+        chain.push_back(cb.andGate(cb.xorGate(chain[n - 1], a[i % 8]),
+                                   cb.xorGate(chain[n - 2], b[i % 8])));
+    }
+    cb.addOutputs(Bits(chain.end() - std::min<size_t>(8, chain.size()),
+                       chain.end()));
+    return cb.build();
+}
+
+/** Threads of this process (Linux; 0 where /proc is not there). */
+size_t
+processThreads()
+{
+    size_t n = 0;
+#if defined(__linux__)
+    if (DIR *dir = opendir("/proc/self/task")) {
+        while (const dirent *e = readdir(dir))
+            n += e->d_name[0] != '.' ? 1 : 0;
+        closedir(dir);
+    }
+#endif
+    return n;
+}
+
+/**
+ * processThreads() once it is down to @p expected, or after a second:
+ * a joined thread's /proc entry can outlive the join by a moment.
+ */
+size_t
+settledThreads(size_t expected)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    size_t n = processThreads();
+    while (n > expected && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        n = processThreads();
+    }
+    return n;
+}
+
+/**
+ * Forwards to an owned transport until @p write_budget bytes went out
+ * (or @p read_budget came in), then closes it mid-call and fails: a
+ * peer dying part-way through a session.
+ */
+class CutTransport : public Transport
+{
+  public:
+    CutTransport(std::unique_ptr<Transport> inner, uint64_t write_budget,
+                 uint64_t read_budget)
+        : inner_(std::move(inner)), writeLeft_(write_budget),
+          readLeft_(read_budget)
+    {}
+
+    void
+    writeAll(const uint8_t *data, size_t n) override
+    {
+        if (inner_ && n > writeLeft_) {
+            inner_->writeAll(data, size_t(writeLeft_));
+            inner_.reset();
+        }
+        if (!inner_)
+            throw NetError("cut: closed while writing");
+        inner_->writeAll(data, n);
+        writeLeft_ -= n;
+    }
+
+    void
+    readAll(uint8_t *data, size_t n) override
+    {
+        if (inner_ && n > readLeft_) {
+            inner_->readAll(data, size_t(readLeft_));
+            inner_.reset();
+        }
+        if (!inner_)
+            throw NetError("cut: closed while reading");
+        inner_->readAll(data, n);
+        readLeft_ -= n;
+    }
+
+    std::string describe() const override { return "cut"; }
+
+  private:
+    std::unique_ptr<Transport> inner_;
+    uint64_t writeLeft_;
+    uint64_t readLeft_;
+};
+
+/** One clean loopback session's raw garbler→evaluator bytes up to
+ *  the middle of its table stream (handshake excluded). */
+uint64_t
+bytesToMidTables(const Netlist &nl, const std::vector<bool> &gbits,
+                 const std::vector<bool> &ebits, uint32_t segment)
+{
+    auto [gend, eend] = LoopbackTransport::createPair();
+    RemoteOptions opts;
+    opts.segmentTables = segment;
+    RemoteResult gres;
+    PeerThread garbler([&, t = gend.get()] {
+        t->handshake(PeerRole::Garbler);
+        gres = runRemoteGarbler(nl, gbits, *t, 5, opts);
+    });
+    eend->handshake(PeerRole::Evaluator);
+    runRemoteEvaluator(nl, ebits, *eend, opts);
+    garbler.join();
+    constexpr uint64_t kHello = 8, kHeader = 4;
+    const uint64_t tables =
+        gres.tableBytes + kHeader * gres.tableSegments;
+    const uint64_t decode = gres.outputDecodeBytes + kHeader;
+    return gend->rawBytesSent() - kHello - decode - tables / 2;
+}
+
+/**
+ * A garbler (@p garbler_cuts) or an evaluator that closes its socket
+ * half-way through a long table stream: both sides fail with a
+ * NetError well inside the sockets' I/O timeout, and every thread the
+ * session started has ended.
+ */
+void
+expectMidStreamCloseFailsBothSides(bool garbler_cuts)
+{
+    auto listener = tryListen();
+    if (!listener)
+        GTEST_SKIP() << "TCP sockets unavailable in this sandbox";
+    const Netlist nl = andChain(3000);
+    const std::vector<bool> gbits = u64ToBits(0x5a, 8);
+    const std::vector<bool> ebits = u64ToBits(0xc3, 8);
+    constexpr uint32_t kSegment = 64; // 47 segments: both I/O threads
+    const uint64_t cut = bytesToMidTables(nl, gbits, ebits, kSegment);
+
+    TcpOptions tcp;
+    tcp.ioTimeoutMs = 5000;
+    RemoteOptions opts;
+    opts.segmentTables = kSegment;
+    const size_t threads_before = processThreads();
+    const auto start = std::chrono::steady_clock::now();
+    std::atomic<bool> garbler_failed{false};
+    PeerThread garbler([&] {
+        std::unique_ptr<Transport> conn = listener->accept(tcp);
+        conn->handshake(PeerRole::Garbler);
+        if (garbler_cuts)
+            conn = std::make_unique<CutTransport>(std::move(conn), cut,
+                                                  ~uint64_t(0));
+        try {
+            runRemoteGarbler(nl, gbits, *conn, 5, opts);
+        } catch (const NetError &) {
+            garbler_failed = true;
+        }
+    });
+    std::unique_ptr<Transport> client =
+        TcpTransport::connect("127.0.0.1", listener->port(), tcp);
+    client->handshake(PeerRole::Evaluator);
+    if (!garbler_cuts)
+        client = std::make_unique<CutTransport>(std::move(client),
+                                                ~uint64_t(0), cut);
+    EXPECT_THROW(runRemoteEvaluator(nl, ebits, *client, opts), NetError);
+    client.reset();
+    garbler.join();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_TRUE(garbler_failed);
+    EXPECT_LT(seconds, tcp.ioTimeoutMs / 1000.0);
+    EXPECT_EQ(settledThreads(threads_before), threads_before);
+}
+
+} // namespace
+
+TEST(Remote, PipelinedSessionsMatchClosedForms)
+{
+    // Streams of 0, 1, s, s + 1 and many ANDs at segment sizes s = 1,
+    // 7 and 1024: no table frame, one short segment, exactly one full
+    // segment (no I/O thread), the first stream that spans two (both
+    // I/O threads start), and a long one.
+    const std::vector<bool> gbits = u64ToBits(0x96, 8);
+    const std::vector<bool> ebits = u64ToBits(0x3b, 8);
+    for (uint32_t s : {1u, 7u, 1024u}) {
+        for (uint32_t ands : {0u, 1u, s, s + 1, 2 * s + 3000}) {
+            SCOPED_TRACE("segment=" + std::to_string(s) +
+                         " ands=" + std::to_string(ands));
+            const Netlist nl = andChain(ands);
+            ASSERT_EQ(nl.numAndGates(), ands);
+            expectExactAccounting(nl, gbits, ebits, 7 + ands, s);
+        }
+    }
+}
+
+TEST(Remote, GarblerClosingMidTableStreamFailsBothSides)
+{
+    expectMidStreamCloseFailsBothSides(true);
+}
+
+TEST(Remote, EvaluatorClosingMidTableStreamFailsBothSides)
+{
+    expectMidStreamCloseFailsBothSides(false);
+}
+
+TEST(Remote, DecodeBitsSharingTheLastTableFrameDecode)
+{
+    // A hand-rolled garbler frames its session its own way: the last
+    // table segment and the decode bits travel in one frame. Any
+    // framing is legal on the stream, so the evaluator reads the
+    // tables out of that frame and the decode bits after them — with
+    // its reader thread (20 ANDs at 7 per segment) and without it
+    // (one segment of 64).
+    const Netlist nl = andChain(20);
+    const std::vector<bool> gbits = u64ToBits(0x71, 8);
+    const std::vector<bool> ebits = u64ToBits(0x2e, 8);
+    for (uint32_t s : {7u, 64u}) {
+        SCOPED_TRACE("segment=" + std::to_string(s));
+        const GarbledInstance inst = captureGarbling(nl, 0x5EED + s);
+        const InputLabels labels = inst.inputLabels();
+        auto [gend, eend] = LoopbackTransport::createPair();
+        std::vector<bool> echo;
+        PeerThread garbler([&, t = std::move(gend)] {
+            t->handshake(PeerRole::Garbler);
+            NetChannel chan(*t, 1 << 20);
+            WireWriter fp;
+            fp.u32(nl.numGarblerInputs);
+            fp.u32(nl.numEvaluatorInputs);
+            fp.u32(nl.numGates());
+            fp.u32(nl.numAndGates());
+            fp.u32(uint32_t(nl.outputs.size()));
+            fp.u32(nl.constOne);
+            fp.u64(0);
+            fp.u32(s);
+            fp.u8(1);
+            fp.u8(0);
+            chan.sendBytes(fp.bytes().data(), fp.bytes().size());
+            chan.flush();
+            const uint32_t g = nl.numGarblerInputs;
+            std::vector<Label> zero, one;
+            for (uint32_t i = 0; i < nl.numEvaluatorInputs; ++i) {
+                zero.push_back(labels.activeLabel(g + i, false));
+                one.push_back(labels.activeLabel(g + i, true));
+            }
+            OtExtSender ot(chan, chan, otRandomKey());
+            ot.setup();
+            ot.send(zero, one);
+            if (nl.constOne != kNoWire)
+                chan.sendLabel(labels.activeLabel(nl.constOne, true));
+            chan.flush();
+            for (uint32_t i = 0; i < g; ++i)
+                chan.sendLabel(labels.activeLabel(i, gbits[i]));
+            chan.flush();
+            for (size_t at = 0; at < inst.tables.size(); at += s) {
+                const size_t n = std::min<size_t>(s, inst.tables.size() - at);
+                for (size_t k = 0; k < n; ++k)
+                    chan.sendTable(inst.tables[at + k]);
+                if (at + n < inst.tables.size())
+                    chan.flush();
+            }
+            for (size_t i = 0; i < nl.outputs.size(); ++i)
+                chan.sendBit(inst.decodeBit(i));
+            chan.flush();
+            for (size_t i = 0; i < nl.outputs.size(); ++i)
+                echo.push_back(chan.recvBit());
+        });
+        eend->handshake(PeerRole::Evaluator);
+        const RemoteResult res = runRemoteEvaluator(nl, ebits, *eend);
+        garbler.join();
+        EXPECT_EQ(res.outputs, nl.evaluate(gbits, ebits));
+        EXPECT_EQ(echo, res.outputs);
+        EXPECT_EQ(res.tableBytes, nl.numAndGates() * kTableBytes);
+        EXPECT_EQ(res.tableSegments, (nl.numAndGates() + s - 1) / s);
+        EXPECT_EQ(res.outputDecodeBytes, nl.outputs.size());
+        EXPECT_EQ(res.segmentTables, s);
+    }
+}
+
+TEST(RemoteBackend, UnseededGarblerSendsFreshLabels)
+{
+    // A remote-gc garbler given no seed must not garble from the public
+    // default 0x4841414331 (any evaluator could expand its labels and
+    // read the garbler's inputs), nor repeat itself across runs.
+    const Workload wl = makeMillionaire(32);
+    const uint32_t g = wl.netlist.numGarblerInputs;
+    const InputLabels public_labels =
+        expandInputLabels(0x4841414331ull, wl.netlist.numInputs());
+    std::vector<std::vector<uint8_t>> direct;
+    for (int run = 0; run < 2; ++run) {
+        auto [gend, eend] = LoopbackTransport::createPair();
+        auto recorder = std::make_shared<golden::RecordingTransport>(*gend);
+        RunReport greport;
+        PeerThread garbler([&] {
+            RemoteGcBackend backend(recorder, Role::Garbler);
+            Session gsession(wl);
+            gsession.withRemote(Role::Garbler, "loopback");
+            greport = gsession.run(backend);
+        });
+        RemoteGcBackend backend(std::move(eend), Role::Evaluator);
+        Session(wl).run(backend);
+        garbler.join();
+
+        constexpr size_t kHello = 8; // the backend's handshake
+        const auto frames = golden::splitFrames(std::vector<uint8_t>(
+            recorder->sent.begin() + kHello, recorder->sent.end()));
+        const size_t first = golden::postOtStart(
+            frames, greport.comm.inputLabelBytes + greport.comm.tableBytes +
+                        greport.comm.outputDecodeBytes);
+        ASSERT_LT(first, frames.size());
+        ASSERT_EQ(frames[first].size(), g * kLabelBytes);
+        for (uint32_t i = 0; i < g; ++i) {
+            const Label sent = Label::fromBytes(frames[first].data() +
+                                                i * kLabelBytes);
+            EXPECT_NE(sent, public_labels.activeLabel(i, false)) << i;
+            EXPECT_NE(sent, public_labels.activeLabel(i, true)) << i;
+        }
+        direct.push_back(frames[first]);
+    }
+    for (uint32_t i = 0; i < g; ++i)
+        EXPECT_FALSE(std::equal(direct[0].begin() + i * kLabelBytes,
+                                direct[0].begin() + (i + 1) * kLabelBytes,
+                                direct[1].begin() + i * kLabelBytes))
+            << "label " << i << " repeated across runs";
 }
