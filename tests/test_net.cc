@@ -1376,14 +1376,27 @@ TEST(Remote, DecodeBitsSharingTheLastTableFrameDecode)
     // tables out of that frame and the decode bits after them — with
     // its reader thread (20 ANDs at 7 per segment) and without it
     // (one segment of 64).
+    // Over TCP with an I/O timeout where sockets exist, so an evaluator
+    // that lost the decode bits fails instead of waiting for them.
     const Netlist nl = andChain(20);
     const std::vector<bool> gbits = u64ToBits(0x71, 8);
     const std::vector<bool> ebits = u64ToBits(0x2e, 8);
+    auto listener = tryListen();
+    TcpOptions tcp;
+    tcp.ioTimeoutMs = 5000;
     for (uint32_t s : {7u, 64u}) {
         SCOPED_TRACE("segment=" + std::to_string(s));
         const GarbledInstance inst = captureGarbling(nl, 0x5EED + s);
         const InputLabels labels = inst.inputLabels();
-        auto [gend, eend] = LoopbackTransport::createPair();
+        std::unique_ptr<Transport> gend, eend;
+        if (listener) {
+            eend = TcpTransport::connect("127.0.0.1", listener->port(), tcp);
+            gend = listener->accept(tcp);
+        } else {
+            auto ends = LoopbackTransport::createPair();
+            gend = std::move(ends.first);
+            eend = std::move(ends.second);
+        }
         std::vector<bool> echo;
         PeerThread garbler([&, t = std::move(gend)] {
             t->handshake(PeerRole::Garbler);
@@ -1430,8 +1443,14 @@ TEST(Remote, DecodeBitsSharingTheLastTableFrameDecode)
                 echo.push_back(chan.recvBit());
         });
         eend->handshake(PeerRole::Evaluator);
-        const RemoteResult res = runRemoteEvaluator(nl, ebits, *eend);
-        garbler.join();
+        RemoteResult res;
+        EXPECT_NO_THROW(res = runRemoteEvaluator(nl, ebits, *eend));
+        eend.reset(); // hang up: a garbler still waiting fails, not hangs
+        try {
+            garbler.join();
+        } catch (const NetError &e) {
+            ADD_FAILURE() << "garbler: " << e.what();
+        }
         EXPECT_EQ(res.outputs, nl.evaluate(gbits, ebits));
         EXPECT_EQ(echo, res.outputs);
         EXPECT_EQ(res.tableBytes, nl.numAndGates() * kTableBytes);
