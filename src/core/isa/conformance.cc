@@ -58,6 +58,120 @@ roleName(Role role)
     return role == Role::Garbler ? "garbler" : "evaluator";
 }
 
+/**
+ * The prologue of both differential checks: refuse an ill-formed
+ * program, then record the plaintext oracle's outputs in @p res.
+ */
+bool
+startCheck(const HaacProgram &prog, const std::vector<bool> &garbler,
+           const std::vector<bool> &evaluator, ConformanceResult &res)
+{
+    const std::string bad = prog.check();
+    if (!bad.empty()) {
+        res.error = "program fails check(): " + bad;
+        return false;
+    }
+    res.expected = executePlain(prog, garbler, evaluator);
+    return true;
+}
+
+/**
+ * Wire-exact diff of the @p outputs that @p machine produced against
+ * the oracle's in @p res; @p tag names the machine in a per-wire
+ * mismatch.
+ */
+bool
+matchesOracle(const HaacProgram &prog, const std::vector<bool> &outputs,
+              const char *machine, const char *tag,
+              ConformanceResult &res)
+{
+    if (outputs.size() != res.expected.size()) {
+        res.error = std::string(machine) + " returned " +
+                    std::to_string(outputs.size()) +
+                    " outputs, oracle has " +
+                    std::to_string(res.expected.size());
+        return false;
+    }
+    for (size_t i = 0; i < res.expected.size(); ++i) {
+        if (outputs[i] != res.expected[i]) {
+            std::ostringstream os;
+            os << "output " << i << " (wire w" << prog.outputs[i]
+               << "): " << tag << "=" << outputs[i]
+               << " oracle=" << res.expected[i];
+            res.error = os.str();
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * The one fuzz sweep: program i, its config and its inputs derive from
+ * @p seed alone. @p shards == 0 checks each program with
+ * checkConformance(), otherwise with checkShardConformance() at that
+ * many workers.
+ */
+FuzzSummary
+fuzzSweep(uint64_t seed, uint32_t count, uint32_t shards,
+          const GenOptions &opts)
+{
+    constexpr size_t kMaxStoredFailures = 10;
+    FuzzSummary sum;
+
+    for (uint32_t i = 0; i < count; ++i) {
+        const uint64_t pseed = splitmix64(seed + 0x9e3779b97f4a7c15ull * (i + 1));
+        const HaacConfig cfg = conformanceConfig(pseed);
+        const HaacProgram prog =
+            generateProgram(pseed, opts, cfg.swwWires());
+
+        Prg in(splitmix64(pseed ^ 0x484141434954ull)); // "HAACIT"
+        std::vector<bool> g(prog.numGarblerInputs);
+        std::vector<bool> e(prog.numEvaluatorInputs);
+        for (size_t j = 0; j < g.size(); ++j)
+            g[j] = in.nextBit();
+        for (size_t j = 0; j < e.size(); ++j)
+            e[j] = in.nextBit();
+
+        const ConformanceResult r =
+            shards == 0 ? checkConformance(prog, cfg, g, e)
+                        : checkShardConformance(prog, cfg, shards, g, e);
+        ++sum.programs;
+        sum.totalInstructions += prog.instrs.size();
+        sum.totalOorPops += r.oorPops;
+        sum.totalCrossWires += r.crossWires;
+        if (r.ok)
+            continue;
+
+        if (sum.failures.size() < kMaxStoredFailures) {
+            FuzzFailure f;
+            f.programSeed = pseed;
+            f.error = r.error;
+
+            std::ostringstream os;
+            os << (shards == 0 ? "; " : "; shard ")
+               << "conformance failure: " << r.error << "\n";
+            os << "; program seed: " << pseed << "\n";
+            if (shards != 0)
+                os << "; shards: " << shards << "\n";
+            os << "; config: ges=" << std::max(cfg.numGes, shards)
+               << " sww_wires=" << cfg.swwWires()
+               << " banks_per_ge=" << cfg.banksPerGe
+               << " role=" << roleName(cfg.role)
+               << " forwarding=" << (cfg.forwarding ? 1 : 0)
+               << " queue_sram=" << cfg.queueSramBytes
+               << " write_buffer=" << cfg.writeBufferBytes
+               << " dram_latency=" << cfg.dramLatency << "\n";
+            os << toAsm(prog);
+            os << ".test garbler=" << bitString(g)
+               << " evaluator=" << bitString(e)
+               << " expect=" << bitString(r.expected) << "\n";
+            f.haacDump = os.str();
+            sum.failures.push_back(std::move(f));
+        }
+    }
+    return sum;
+}
+
 } // namespace
 
 HaacProgram
@@ -176,14 +290,8 @@ checkConformance(const HaacProgram &prog, const HaacConfig &cfg,
                  const std::vector<bool> &evaluator)
 {
     ConformanceResult res;
-
-    const std::string bad = prog.check();
-    if (!bad.empty()) {
-        res.error = "program fails check(): " + bad;
+    if (!startCheck(prog, garbler, evaluator, res))
         return res;
-    }
-
-    res.expected = executePlain(prog, garbler, evaluator);
 
     const StreamSet streams = buildStreams(prog, cfg);
 
@@ -214,26 +322,10 @@ checkConformance(const HaacProgram &prog, const HaacConfig &cfg,
         res.error = "functional machine: " + fr.error;
         return res;
     }
-    res.functionalOutputs = fr.outputs;
     res.oorPops = fr.oorPops;
-
-    if (fr.outputs.size() != res.expected.size()) {
-        res.error = "functional machine returned " +
-                    std::to_string(fr.outputs.size()) +
-                    " outputs, oracle has " +
-                    std::to_string(res.expected.size());
+    if (!matchesOracle(prog, fr.outputs, "functional machine",
+                       "functional", res))
         return res;
-    }
-    for (size_t i = 0; i < res.expected.size(); ++i) {
-        if (fr.outputs[i] != res.expected[i]) {
-            std::ostringstream os;
-            os << "output " << i << " (wire w" << prog.outputs[i]
-               << "): functional=" << fr.outputs[i]
-               << " oracle=" << res.expected[i];
-            res.error = os.str();
-            return res;
-        }
-    }
 
     // Timing model: the replay must retire exactly the program, in
     // every mode, and time must pass whenever work exists.
@@ -258,28 +350,22 @@ checkConformance(const HaacProgram &prog, const HaacConfig &cfg,
             return res;
         }
         if (kModes[m] == SimMode::Combined)
-            res.timingCycles = st.cycles;
+            res.cycles = st.cycles;
     }
 
     res.ok = true;
     return res;
 }
 
-ShardConformanceResult
+ConformanceResult
 checkShardConformance(const HaacProgram &prog, const HaacConfig &cfg,
                       uint32_t shards,
                       const std::vector<bool> &garbler,
                       const std::vector<bool> &evaluator)
 {
-    ShardConformanceResult res;
-
-    const std::string bad = prog.check();
-    if (!bad.empty()) {
-        res.error = "program fails check(): " + bad;
+    ConformanceResult res;
+    if (!startCheck(prog, garbler, evaluator, res))
         return res;
-    }
-
-    res.expected = executePlain(prog, garbler, evaluator);
 
     // The coordinator clamps shards to [1, numGes]; a config drawn
     // for the single-core sweep may carry fewer GEs than requested
@@ -342,23 +428,8 @@ checkShardConformance(const HaacProgram &prog, const HaacConfig &cfg,
         res.error = "sharded run produced no output values";
         return res;
     }
-    if (r.outputs.size() != res.expected.size()) {
-        res.error = "sharded run returned " +
-                    std::to_string(r.outputs.size()) +
-                    " outputs, oracle has " +
-                    std::to_string(res.expected.size());
+    if (!matchesOracle(prog, r.outputs, "sharded run", "sharded", res))
         return res;
-    }
-    for (size_t i = 0; i < res.expected.size(); ++i) {
-        if (r.outputs[i] != res.expected[i]) {
-            std::ostringstream os;
-            os << "output " << i << " (wire w" << prog.outputs[i]
-               << "): sharded=" << r.outputs[i]
-               << " oracle=" << res.expected[i];
-            res.error = os.str();
-            return res;
-        }
-    }
 
     res.ok = true;
     return res;
@@ -367,116 +438,14 @@ checkShardConformance(const HaacProgram &prog, const HaacConfig &cfg,
 FuzzSummary
 fuzzConformance(uint64_t seed, uint32_t count, const GenOptions &opts)
 {
-    constexpr size_t kMaxStoredFailures = 10;
-    FuzzSummary sum;
-
-    for (uint32_t i = 0; i < count; ++i) {
-        const uint64_t pseed = splitmix64(seed + 0x9e3779b97f4a7c15ull * (i + 1));
-        const HaacConfig cfg = conformanceConfig(pseed);
-        const HaacProgram prog =
-            generateProgram(pseed, opts, cfg.swwWires());
-
-        Prg in(splitmix64(pseed ^ 0x484141434954ull)); // "HAACIT"
-        std::vector<bool> g(prog.numGarblerInputs);
-        std::vector<bool> e(prog.numEvaluatorInputs);
-        for (size_t j = 0; j < g.size(); ++j)
-            g[j] = in.nextBit();
-        for (size_t j = 0; j < e.size(); ++j)
-            e[j] = in.nextBit();
-
-        const ConformanceResult r =
-            checkConformance(prog, cfg, g, e);
-        ++sum.programs;
-        sum.totalInstructions += prog.instrs.size();
-        sum.totalOorPops += r.oorPops;
-        if (r.ok)
-            continue;
-
-        if (sum.failures.size() < kMaxStoredFailures) {
-            FuzzFailure f;
-            f.programSeed = pseed;
-            f.error = r.error;
-
-            std::ostringstream os;
-            os << "; conformance failure: " << r.error << "\n";
-            os << "; program seed: " << pseed << "\n";
-            os << "; config: ges=" << cfg.numGes
-               << " sww_wires=" << cfg.swwWires()
-               << " banks_per_ge=" << cfg.banksPerGe
-               << " role=" << roleName(cfg.role)
-               << " forwarding=" << (cfg.forwarding ? 1 : 0)
-               << " queue_sram=" << cfg.queueSramBytes
-               << " write_buffer=" << cfg.writeBufferBytes
-               << " dram_latency=" << cfg.dramLatency << "\n";
-            os << toAsm(prog);
-            os << ".test garbler=" << bitString(g)
-               << " evaluator=" << bitString(e)
-               << " expect=" << bitString(r.expected) << "\n";
-            f.haacDump = os.str();
-            sum.failures.push_back(std::move(f));
-        }
-    }
-    return sum;
+    return fuzzSweep(seed, count, /*shards=*/0, opts);
 }
 
-ShardFuzzSummary
+FuzzSummary
 fuzzShardConformance(uint64_t seed, uint32_t count, uint32_t shards,
                      const GenOptions &opts)
 {
-    constexpr size_t kMaxStoredFailures = 10;
-    ShardFuzzSummary sum;
-
-    for (uint32_t i = 0; i < count; ++i) {
-        // Same derivation as fuzzConformance: program i here is
-        // program i there, so a divergence that only shows up in this
-        // sweep isolates the sharded path.
-        const uint64_t pseed = splitmix64(seed + 0x9e3779b97f4a7c15ull * (i + 1));
-        const HaacConfig cfg = conformanceConfig(pseed);
-        const HaacProgram prog =
-            generateProgram(pseed, opts, cfg.swwWires());
-
-        Prg in(splitmix64(pseed ^ 0x484141434954ull)); // "HAACIT"
-        std::vector<bool> g(prog.numGarblerInputs);
-        std::vector<bool> e(prog.numEvaluatorInputs);
-        for (size_t j = 0; j < g.size(); ++j)
-            g[j] = in.nextBit();
-        for (size_t j = 0; j < e.size(); ++j)
-            e[j] = in.nextBit();
-
-        const ShardConformanceResult r =
-            checkShardConformance(prog, cfg, shards, g, e);
-        ++sum.programs;
-        sum.totalInstructions += prog.instrs.size();
-        sum.totalCrossWires += r.crossWires;
-        if (r.ok)
-            continue;
-
-        if (sum.failures.size() < kMaxStoredFailures) {
-            FuzzFailure f;
-            f.programSeed = pseed;
-            f.error = r.error;
-
-            std::ostringstream os;
-            os << "; shard conformance failure: " << r.error << "\n";
-            os << "; program seed: " << pseed << "\n";
-            os << "; shards: " << shards << "\n";
-            os << "; config: ges=" << std::max(cfg.numGes, shards)
-               << " sww_wires=" << cfg.swwWires()
-               << " banks_per_ge=" << cfg.banksPerGe
-               << " role=" << roleName(cfg.role)
-               << " forwarding=" << (cfg.forwarding ? 1 : 0)
-               << " queue_sram=" << cfg.queueSramBytes
-               << " write_buffer=" << cfg.writeBufferBytes
-               << " dram_latency=" << cfg.dramLatency << "\n";
-            os << toAsm(prog);
-            os << ".test garbler=" << bitString(g)
-               << " evaluator=" << bitString(e)
-               << " expect=" << bitString(r.expected) << "\n";
-            f.haacDump = os.str();
-            sum.failures.push_back(std::move(f));
-        }
-    }
-    return sum;
+    return fuzzSweep(seed, count, shards, opts);
 }
 
 AsmCaseResult

@@ -68,17 +68,21 @@ HaacProgram generateProgram(uint64_t seed, const GenOptions &opts,
  */
 HaacConfig conformanceConfig(uint64_t seed);
 
-/** Outcome of one differential run. */
+/** Outcome of one differential run, single-core or sharded. */
 struct ConformanceResult
 {
     bool ok = false;
     std::string error;
 
-    std::vector<bool> expected;          ///< plaintext oracle
-    std::vector<bool> functionalOutputs; ///< functional machine
-    uint64_t timingCycles = 0;           ///< Combined-mode cycles
-    uint64_t oorPops = 0;                ///< functional OoRW pops
+    std::vector<bool> expected; ///< plaintext oracle
+    uint64_t cycles = 0;        ///< Combined cycles (slowest shard)
+    uint64_t oorPops = 0;       ///< functional OoRW pops (single-core)
+    uint32_t shards = 0;        ///< shards that actually ran (sharded)
+    uint32_t rounds = 0;        ///< timing rounds to the fixed point
+    uint64_t crossWires = 0;    ///< wires that hopped shards
 };
+
+using ShardConformanceResult = ConformanceResult;
 
 /**
  * Run @p prog through oracle, functional machine, and timing model on
@@ -89,6 +93,26 @@ ConformanceResult checkConformance(const HaacProgram &prog,
                                    const HaacConfig &cfg,
                                    const std::vector<bool> &garbler,
                                    const std::vector<bool> &evaluator);
+
+/**
+ * Differential check of the multi-core path (arc-4 follow-on to
+ * checkConformance): run @p prog through the plaintext oracle and
+ * through the shard coordinator at @p shards in-process workers —
+ * which drives runShardSimulation() per shard with real import/export
+ * cross-shard timing — and diff the assembled outputs wire-exact.
+ * Also checks shard telemetry sanity: the requested shard count ran,
+ * the cross-shard schedule converged, every instruction retired
+ * exactly once across shards, and cycles advance.
+ *
+ * The config's GE count is raised to @p shards when smaller (the
+ * coordinator clamps shards to [1, numGes], and a silent 1-shard run
+ * would test nothing).
+ */
+ConformanceResult
+checkShardConformance(const HaacProgram &prog, const HaacConfig &cfg,
+                      uint32_t shards,
+                      const std::vector<bool> &garbler,
+                      const std::vector<bool> &evaluator);
 
 /** One fuzz failure, reproducible from the dump alone. */
 struct FuzzFailure
@@ -109,68 +133,30 @@ struct FuzzSummary
     uint64_t programs = 0;
     uint64_t totalInstructions = 0;
     uint64_t totalOorPops = 0; ///< proof the window actually slid
-    std::vector<FuzzFailure> failures; ///< capped at 10
-};
-
-/**
- * Generate and differentially check @p count programs derived from
- * @p seed (program i uses splitmix64-mixed seed+i, its own config,
- * and its own random inputs).
- */
-FuzzSummary fuzzConformance(uint64_t seed, uint32_t count,
-                            const GenOptions &opts = GenOptions{});
-
-/** Outcome of one sharded differential run. */
-struct ShardConformanceResult
-{
-    bool ok = false;
-    std::string error;
-
-    std::vector<bool> expected; ///< plaintext oracle
-    uint32_t shards = 0;        ///< shards that actually ran
-    uint32_t rounds = 0;        ///< timing rounds to the fixed point
-    uint64_t crossWires = 0;    ///< wires that hopped shards
-    uint64_t cycles = 0;        ///< slowest-shard Combined cycles
-};
-
-/**
- * Differential check of the multi-core path (arc-4 follow-on to
- * checkConformance): run @p prog through the plaintext oracle and
- * through the shard coordinator at @p shards in-process workers —
- * which drives runShardSimulation() per shard with real import/export
- * cross-shard timing — and diff the assembled outputs wire-exact.
- * Also checks shard telemetry sanity: the requested shard count ran,
- * the cross-shard schedule converged, every instruction retired
- * exactly once across shards, and cycles advance.
- *
- * The config's GE count is raised to @p shards when smaller (the
- * coordinator clamps shards to [1, numGes], and a silent 1-shard run
- * would test nothing).
- */
-ShardConformanceResult
-checkShardConformance(const HaacProgram &prog, const HaacConfig &cfg,
-                      uint32_t shards,
-                      const std::vector<bool> &garbler,
-                      const std::vector<bool> &evaluator);
-
-struct ShardFuzzSummary
-{
-    uint64_t programs = 0;
-    uint64_t totalInstructions = 0;
-    /** Proof labels genuinely hopped shards across the sweep. */
+    /** Proof labels genuinely hopped shards (sharded sweep). */
     uint64_t totalCrossWires = 0;
     std::vector<FuzzFailure> failures; ///< capped at 10
 };
 
+using ShardFuzzSummary = FuzzSummary;
+
 /**
- * Sharded fuzz sweep: generate @p count programs exactly as
- * fuzzConformance does (same seed derivation, config, and inputs, so
- * a divergence here and not there isolates the sharded path) and
- * differentially check each at @p shards workers.
+ * Generate and differentially check @p count programs derived from
+ * @p seed (program i uses splitmix64-mixed seed+i, its own config,
+ * and its own random inputs) with checkConformance().
  */
-ShardFuzzSummary
-fuzzShardConformance(uint64_t seed, uint32_t count, uint32_t shards,
-                     const GenOptions &opts = GenOptions{});
+FuzzSummary fuzzConformance(uint64_t seed, uint32_t count,
+                            const GenOptions &opts = GenOptions{});
+
+/**
+ * The same sweep through checkShardConformance() at @p shards workers:
+ * program i here is program i of fuzzConformance (same seed
+ * derivation, config, and inputs), so a divergence here and not there
+ * isolates the sharded path.
+ */
+FuzzSummary fuzzShardConformance(uint64_t seed, uint32_t count,
+                                 uint32_t shards,
+                                 const GenOptions &opts = GenOptions{});
 
 /** Grader outcome for one hand-written .haac case. */
 struct AsmCaseResult

@@ -1,5 +1,6 @@
 #include "core/isa/program.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -35,6 +36,10 @@ HaacProgram::numNot() const
 std::string
 HaacProgram::check() const
 {
+    // numAddrs() and outputAddrOf() are 32-bit: a wrapped count would
+    // let out-of-range addresses pass every check below.
+    if (uint64_t(numInputs) + 1 + instrs.size() > UINT32_MAX)
+        return "program addresses exceed 32 bits";
     for (size_t k = 0; k < instrs.size(); ++k) {
         const HaacInstruction &ins = instrs[k];
         const uint32_t out = outputAddrOf(k);
@@ -100,23 +105,20 @@ assemble(const Netlist &netlist)
     return prog;
 }
 
-std::vector<bool>
-executePlain(const HaacProgram &prog,
-             const std::vector<bool> &garbler_bits,
-             const std::vector<bool> &evaluator_bits)
-{
-    assert(garbler_bits.size() == prog.numGarblerInputs);
-    assert(evaluator_bits.size() == prog.numEvaluatorInputs);
-    std::vector<bool> vals(prog.numAddrs(), false);
-    uint32_t addr = 1;
-    for (bool b : garbler_bits)
-        vals[addr++] = b;
-    for (bool b : evaluator_bits)
-        vals[addr++] = b;
-    if (prog.constOneAddr != kOorAddr)
-        vals[prog.constOneAddr] = true;
+namespace {
 
+/**
+ * kOwnedOnly is a template argument so that the whole-program loop,
+ * which runs on every simulated session, tests nothing per instruction.
+ */
+template <bool kOwnedOnly>
+void
+runInstrs(const HaacProgram &prog, std::vector<bool> &vals,
+          const std::vector<bool> *owned)
+{
     for (size_t k = 0; k < prog.instrs.size(); ++k) {
+        if (kOwnedOnly && !(*owned)[k])
+            continue;
         const HaacInstruction &ins = prog.instrs[k];
         const bool a = vals[ins.a];
         const bool b = vals[ins.b];
@@ -136,7 +138,46 @@ executePlain(const HaacProgram &prog,
         }
         vals[prog.outputAddrOf(k)] = out;
     }
+}
 
+} // namespace
+
+void
+executePlainInstrs(const HaacProgram &prog, std::vector<bool> &vals,
+                   const std::vector<bool> *owned)
+{
+    assert(vals.size() == prog.numAddrs());
+    assert(owned == nullptr || owned->size() == prog.instrs.size());
+    if (prog.constOneAddr != kOorAddr)
+        vals[prog.constOneAddr] = true;
+    if (owned != nullptr)
+        runInstrs<true>(prog, vals, owned);
+    else
+        runInstrs<false>(prog, vals, nullptr);
+}
+
+std::vector<bool>
+executePlainWires(const HaacProgram &prog,
+                  const std::vector<bool> &garbler_bits,
+                  const std::vector<bool> &evaluator_bits)
+{
+    assert(garbler_bits.size() == prog.numGarblerInputs);
+    assert(evaluator_bits.size() == prog.numEvaluatorInputs);
+    std::vector<bool> vals(prog.numAddrs(), false);
+    const auto inputs = std::copy(garbler_bits.begin(), garbler_bits.end(),
+                                  vals.begin() + 1);
+    std::copy(evaluator_bits.begin(), evaluator_bits.end(), inputs);
+    executePlainInstrs(prog, vals);
+    return vals;
+}
+
+std::vector<bool>
+executePlain(const HaacProgram &prog,
+             const std::vector<bool> &garbler_bits,
+             const std::vector<bool> &evaluator_bits)
+{
+    const std::vector<bool> vals =
+        executePlainWires(prog, garbler_bits, evaluator_bits);
     std::vector<bool> outs;
     outs.reserve(prog.outputs.size());
     for (uint32_t o : prog.outputs)

@@ -137,10 +137,25 @@ operator!=(const HaacProgram &x, const HaacProgram &y)
 HaacProgram assemble(const Netlist &netlist);
 
 /**
- * Plaintext interpretation of a HAAC program: execute the instruction
- * stream on Boolean values (no crypto, no memory system). The fast
- * semantic oracle for compiler-equivalence checks; the functional HAAC
- * machine (core/sim/functional.h) is the slow, full-fidelity one.
+ * The plaintext interpreter: execute the instruction stream on Boolean
+ * values (no crypto, no memory system) in index order over @p vals
+ * (index = address, size numAddrs()), whose inputs — and, for a shard,
+ * imports — already hold their values; the const-one wire is set here.
+ * With @p owned, only instructions k with (*owned)[k] run: a shard
+ * worker's pass over its own slice.
+ */
+void executePlainInstrs(const HaacProgram &prog, std::vector<bool> &vals,
+                        const std::vector<bool> *owned = nullptr);
+
+/** Every wire's plaintext value (index = address; address 0 false). */
+std::vector<bool> executePlainWires(const HaacProgram &prog,
+                                    const std::vector<bool> &garbler_bits,
+                                    const std::vector<bool> &evaluator_bits);
+
+/**
+ * The primary outputs of executePlainWires(): the fast semantic oracle
+ * for compiler-equivalence checks; the functional HAAC machine
+ * (core/sim/functional.h) is the slow, full-fidelity one.
  */
 std::vector<bool> executePlain(const HaacProgram &prog,
                                const std::vector<bool> &garbler_bits,

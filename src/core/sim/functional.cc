@@ -3,9 +3,9 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "crypto/prg.h"
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
+#include "gc/streaming.h"
 
 namespace haac {
 
@@ -42,14 +42,13 @@ runFunctional(const HaacProgram &prog, const StreamSet &streams,
 
     const uint32_t sww = cfg.swwWires();
 
-    // --- Input labels (same discipline as the protocol garbler). ---
-    Prg prg(seed);
-    Label r = prg.nextLabel();
-    r.setLsb(true);
+    // --- Input labels (the protocol garbler's draw). ---
+    const InputLabels labels = expandInputLabels(seed, prog.numInputs);
+    const Label &r = labels.offset;
 
-    auto inputState = [&](uint32_t addr, const Label &zero) {
+    auto inputState = [&](uint32_t addr) {
         WireState w;
-        w.zero = zero;
+        w.zero = labels.zero[addr - 1];
         const uint32_t g = prog.numGarblerInputs;
         const uint32_t e = prog.numEvaluatorInputs;
         bool bit = false;
@@ -61,15 +60,11 @@ runFunctional(const HaacProgram &prog, const StreamSet &streams,
             bit = true; // the constant-one wire
         }
         w.plain = bit;
-        w.active = bit ? zero ^ r : zero;
+        w.active = labels.activeLabel(addr - 1, bit);
         w.addr = addr;
         w.valid = true;
         return w;
     };
-
-    std::vector<Label> input_zero(prog.numInputs + 1);
-    for (uint32_t addr = 1; addr <= prog.numInputs; ++addr)
-        input_zero[addr] = prg.nextLabel();
 
     // --- Memory system. ---
     std::vector<WireState> sww_mem(sww);
@@ -79,11 +74,11 @@ runFunctional(const HaacProgram &prog, const StreamSet &streams,
     const uint32_t input_base =
         std::max<uint32_t>(1, windowBase(prog.numInputs + 1, sww));
     for (uint32_t addr = input_base; addr <= prog.numInputs; ++addr)
-        sww_mem[addr % sww] = inputState(addr, input_zero[addr]);
+        sww_mem[addr % sww] = inputState(addr);
 
     auto fetchDram = [&](uint32_t addr) -> WireState {
         if (addr >= 1 && addr <= prog.numInputs)
-            return inputState(addr, input_zero[addr]);
+            return inputState(addr);
         auto it = dram.find(addr);
         if (it == dram.end()) {
             WireState missing;

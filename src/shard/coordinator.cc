@@ -89,7 +89,7 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
 
     std::vector<bool> vals;
     if (want_values)
-        vals = evalAllWires(prog, garbler_bits, evaluator_bits);
+        vals = executePlainWires(prog, garbler_bits, evaluator_bits);
 
     const uint64_t cross_latency =
         opts.crossLatencyCycles == ShardOptions::kLatencyFromConfig

@@ -127,43 +127,4 @@ toLintManifest(const ShardPlan &plan)
     return man;
 }
 
-std::vector<bool>
-evalAllWires(const HaacProgram &prog,
-             const std::vector<bool> &garbler_bits,
-             const std::vector<bool> &evaluator_bits)
-{
-    assert(garbler_bits.size() == prog.numGarblerInputs);
-    assert(evaluator_bits.size() == prog.numEvaluatorInputs);
-    std::vector<bool> vals(prog.numAddrs(), false);
-    uint32_t addr = 1;
-    for (bool b : garbler_bits)
-        vals[addr++] = b;
-    for (bool b : evaluator_bits)
-        vals[addr++] = b;
-    if (prog.constOneAddr != kOorAddr)
-        vals[prog.constOneAddr] = true;
-
-    for (size_t k = 0; k < prog.instrs.size(); ++k) {
-        const HaacInstruction &ins = prog.instrs[k];
-        const bool a = vals[ins.a];
-        const bool b = vals[ins.b];
-        bool out = false;
-        switch (ins.op) {
-          case HaacOp::And:
-            out = a && b;
-            break;
-          case HaacOp::Xor:
-            out = a != b;
-            break;
-          case HaacOp::Not:
-            out = !a;
-            break;
-          case HaacOp::Nop:
-            break;
-        }
-        vals[prog.outputAddrOf(k)] = out;
-    }
-    return vals;
-}
-
 } // namespace haac::shard

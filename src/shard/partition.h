@@ -99,16 +99,6 @@ uint64_t markCrossShardLive(HaacProgram &prog, const ShardPlan &plan);
  */
 ShardManifest toLintManifest(const ShardPlan &plan);
 
-/**
- * Plaintext value of every wire address (index = absolute address;
- * the sentinel address 0 is false). executePlain() keeps only the
- * primary outputs; the coordinator needs interior values to seed each
- * shard's imports.
- */
-std::vector<bool> evalAllWires(const HaacProgram &prog,
-                               const std::vector<bool> &garbler_bits,
-                               const std::vector<bool> &evaluator_bits);
-
 } // namespace haac::shard
 
 #endif // HAAC_SHARD_PARTITION_H

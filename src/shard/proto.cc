@@ -6,6 +6,22 @@ namespace haac::shard {
 
 namespace {
 
+/** Wire bytes of one encoded HaacInstruction (putInstrs). */
+constexpr size_t kInstrWireBytes = 1 + 4 + 4 + 1 + 4;
+
+/** Wire bytes of an empty GE stream: three counts and tableCount. */
+constexpr size_t kGeStreamMinWireBytes = 4 * 8;
+
+/** A count the frame can hold at @p min_bytes per element, or NetError. */
+uint64_t
+getCount(WireReader &r, size_t min_bytes)
+{
+    const uint64_t n = r.u64();
+    if (n > r.remaining() / min_bytes)
+        throw NetError("shard protocol: element count exceeds the frame");
+    return n;
+}
+
 void
 putConfig(WireWriter &w, const HaacConfig &cfg)
 {
@@ -66,7 +82,7 @@ putInstrs(WireWriter &w, const std::vector<HaacInstruction> &instrs)
 std::vector<HaacInstruction>
 getInstrs(WireReader &r)
 {
-    const uint64_t n = r.u64();
+    const uint64_t n = getCount(r, kInstrWireBytes);
     std::vector<HaacInstruction> instrs;
     instrs.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -121,7 +137,7 @@ StreamSet
 getStreams(WireReader &r)
 {
     StreamSet set;
-    const uint64_t n = r.u64();
+    const uint64_t n = getCount(r, kGeStreamMinWireBytes);
     set.ge.resize(n);
     for (uint64_t g = 0; g < n; ++g) {
         GeStreams &ge = set.ge[g];

@@ -12,51 +12,68 @@ namespace haac::shard {
 namespace {
 
 /**
- * Functional pass over the shard's own instructions: imports and
- * primary inputs arrive pre-valued, own instructions run in ascending
- * global index (operand addresses are always smaller than the output
- * address, and a same-shard producer always has a smaller index), so
- * one sweep resolves every owned wire.
+ * Refuse, before any simulation, a Job that the value pass or the
+ * engine would index out of range with: every index and address the
+ * worker reads from it must name part of its program.
+ */
+void
+validateJob(const ShardJob &job)
+{
+    const auto refuse = [](const std::string &why) {
+        throw NetError("shard job: " + why);
+    };
+    const std::string bad_config = job.config.check();
+    if (!bad_config.empty())
+        refuse(bad_config);
+    if (job.streams.ge.size() != job.config.numGes)
+        refuse("config expects " + std::to_string(job.config.numGes) +
+               " GEs but the stream set carries " +
+               std::to_string(job.streams.ge.size()));
+
+    const HaacProgram &prog = job.program;
+    const std::string bad_program = prog.check();
+    if (!bad_program.empty())
+        refuse("program: " + bad_program);
+    const auto below = [](const std::vector<uint32_t> &v, size_t limit) {
+        return std::all_of(v.begin(), v.end(),
+                           [limit](uint32_t x) { return x < limit; });
+    };
+    const size_t addrs = prog.numAddrs();
+    for (const GeStreams &ge : job.streams.ge)
+        if (ge.instrs.size() != ge.instrIdx.size() ||
+            !below(ge.instrIdx, prog.instrs.size()) ||
+            !below(ge.oorAddrs, addrs))
+            refuse("a GE stream names instructions or wires outside "
+                   "the program");
+    if (!below(job.imports, addrs) || !below(job.exports, addrs) ||
+        !below(job.valueAddrs, addrs))
+        refuse("manifest address outside the program");
+    if (job.wantValues &&
+        (job.inputValues.size() != prog.numInputs ||
+         job.importValues.size() != job.imports.size()))
+        refuse("value counts disagree with the program and imports");
+}
+
+/**
+ * The values the Job asked for, from the one plaintext interpreter run
+ * over this shard's own instructions only: primary inputs and imports
+ * hold what the coordinator sent, so every owned wire is computed here.
  */
 std::vector<bool>
-evalShardValues(const ShardJob &job)
+shardValues(const ShardJob &job)
 {
     const HaacProgram &prog = job.program;
     std::vector<bool> vals(prog.numAddrs(), false);
-    for (uint32_t w = 0; w < prog.numInputs &&
-                         w < job.inputValues.size(); ++w)
-        vals[w + 1] = job.inputValues[w];
-    if (prog.constOneAddr != kOorAddr)
-        vals[prog.constOneAddr] = true;
-    for (size_t i = 0; i < job.imports.size() &&
-                       i < job.importValues.size(); ++i)
+    std::copy(job.inputValues.begin(), job.inputValues.end(),
+              vals.begin() + 1);
+    for (size_t i = 0; i < job.imports.size(); ++i)
         vals[job.imports[i]] = job.importValues[i];
 
-    std::vector<uint32_t> own;
+    std::vector<bool> owned(prog.instrs.size(), false);
     for (const GeStreams &ge : job.streams.ge)
-        own.insert(own.end(), ge.instrIdx.begin(), ge.instrIdx.end());
-    std::sort(own.begin(), own.end());
-
-    for (uint32_t idx : own) {
-        const HaacInstruction &ins = prog.instrs[idx];
-        const bool a = vals[ins.a];
-        const bool b = vals[ins.b];
-        bool out = false;
-        switch (ins.op) {
-          case HaacOp::And:
-            out = a && b;
-            break;
-          case HaacOp::Xor:
-            out = a != b;
-            break;
-          case HaacOp::Not:
-            out = !a;
-            break;
-          case HaacOp::Nop:
-            break;
-        }
-        vals[prog.outputAddrOf(idx)] = out;
-    }
+        for (uint32_t idx : ge.instrIdx)
+            owned[idx] = true;
+    executePlainInstrs(prog, vals, &owned);
 
     std::vector<bool> wanted;
     wanted.reserve(job.valueAddrs.size());
@@ -85,19 +102,11 @@ runShardWorkerLoop(Transport &transport)
             summary.instructions += job_instructions;
             job_instructions = 0;
             job = decodeJob(frame);
-            const std::string bad_config = job->config.check();
-            if (!bad_config.empty())
-                throw NetError("shard job: " + bad_config);
-            if (job->streams.ge.size() != job->config.numGes)
-                throw NetError(
-                    "shard job: config expects " +
-                    std::to_string(job->config.numGes) +
-                    " GEs but the stream set carries " +
-                    std::to_string(job->streams.ge.size()));
+            validateJob(*job);
             ++summary.jobs;
             values_pending = job->wantValues;
             if (values_pending)
-                values = evalShardValues(*job);
+                values = shardValues(*job);
             break;
           }
           case ShardMsg::Round: {

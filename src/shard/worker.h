@@ -38,7 +38,9 @@ struct WorkerSummary
 /**
  * Serve one already-handshaken coordinator until Quit.
  *
- * @throws NetError on transport failure or protocol violation.
+ * @throws NetError on transport failure or protocol violation, and on
+ *         a Job whose config, program, stream indices or wire
+ *         addresses are out of range (refused before any pass runs).
  */
 WorkerSummary runShardWorkerLoop(Transport &transport);
 

@@ -14,6 +14,7 @@
 
 #include "net/loopback.h"
 #include "net/transport.h"
+#include "shard/proto.h"
 
 namespace {
 
@@ -107,6 +108,56 @@ TEST(AllocBound, LargeFramesArriveWhole)
         peer->sendFrame(sent);
         EXPECT_EQ(self->recvFrame(), sent) << n;
     }
+}
+
+/**
+ * @p none with the u64 count at which it differs from @p one (the same
+ * Job with one element more there) replaced by @p count.
+ */
+std::vector<uint8_t>
+withCount(std::vector<uint8_t> none, const std::vector<uint8_t> &one,
+          uint64_t count)
+{
+    size_t at = 0;
+    while (at < none.size() && none[at] == one[at])
+        ++at;
+    EXPECT_LE(at + 8, none.size());
+    for (size_t i = 0; i < 8 && at + i < none.size(); ++i)
+        none[at + i] = uint8_t(count >> (8 * i));
+    return none;
+}
+
+/** Decoding @p frame throws NetError and peaks under 1 MiB. */
+void
+expectBoundedRefusal(const std::vector<uint8_t> &frame)
+{
+    const size_t live = gLive.load();
+    gPeak.store(live);
+    EXPECT_THROW(shard::decodeJob(frame), NetError);
+    EXPECT_LT(gPeak.load() - live, size_t(1) << 20);
+}
+
+TEST(AllocBound, ShardJobInstructionCountIsBoundedByTheFrame)
+{
+    // A Job frame of a few dozen bytes announcing 2^20 instructions
+    // must fail before it reserves 2^20 of them.
+    shard::ShardJob none;
+    shard::ShardJob one = none;
+    one.program.instrs.emplace_back();
+    expectBoundedRefusal(withCount(shard::encodeJob(none),
+                                   shard::encodeJob(one),
+                                   uint64_t(1) << 20));
+}
+
+TEST(AllocBound, ShardJobStreamCountIsBoundedByTheFrame)
+{
+    // The same for 2^20 GE streams, which would be constructed empty.
+    shard::ShardJob none;
+    shard::ShardJob one = none;
+    one.streams.ge.emplace_back();
+    expectBoundedRefusal(withCount(shard::encodeJob(none),
+                                   shard::encodeJob(one),
+                                   uint64_t(1) << 20));
 }
 
 } // namespace

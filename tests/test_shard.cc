@@ -336,6 +336,56 @@ TEST(ShardWorker, RefusesNanBandwidthScale)
     });
 }
 
+// A Job that names wires or instructions its program does not have
+// must be refused before the value pass or the engine indexes with it.
+TEST(ShardWorker, RefusesValueAddressOutsideTheProgram)
+{
+    expectJobRefused([](shard::ShardJob &j) {
+        j.wantValues = true;
+        j.valueAddrs = {4000000000u};
+    });
+}
+
+TEST(ShardWorker, RefusesImportOutsideTheProgram)
+{
+    expectJobRefused([](shard::ShardJob &j) {
+        j.imports = {4000000000u};
+        j.importValues = {true};
+        j.wantValues = true;
+    });
+}
+
+TEST(ShardWorker, RefusesExportOutsideTheProgram)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.exports = {4000000000u}; });
+}
+
+TEST(ShardWorker, RefusesStreamIndexOutsideTheProgram)
+{
+    expectJobRefused([](shard::ShardJob &j) {
+        j.streams.ge[0].instrIdx.back() = 4000000000u;
+    });
+}
+
+TEST(ShardWorker, RefusesProgramThatFailsCheck)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.program.instrs[0].a = 4000000000u; });
+}
+
+TEST(ShardWorker, RefusesProgramWhoseAddressSpaceWraps)
+{
+    // numAddrs() wraps to 0, so no address check alone can catch it.
+    expectJobRefused([](shard::ShardJob &j) {
+        j.program = HaacProgram{};
+        j.program.numInputs = UINT32_MAX;
+        for (GeStreams &ge : j.streams.ge)
+            ge = GeStreams{};
+        j.inputValues.clear();
+    });
+}
+
 // ---------------------------------------------------------------------
 // M=1 bit-parity with "haac-sim" (the acceptance gate)
 // ---------------------------------------------------------------------
