@@ -488,6 +488,45 @@ TEST(EngineGolden, SimStatsDigestAcrossVipFleet)
                 << ": 0x" << std::hex << digest[c][m].h;
 }
 
+TEST(EngineGolden, ScheduleDigestAcrossVipFleet)
+{
+    // The stats digests pin per-GE issue counts, not the order the
+    // scheduling pass hands instructions out in: this one pins every
+    // field of buildStreams' output, per config, over the fleet.
+    const uint64_t golden[5] = {
+        0x8586106675dfdb1cull, 0x253c533ceaaa7e80ull, 0xed2a20711e203f3aull,
+        0xff33cad6e91aa021ull, 0x8586106675dfdb1cull};
+    const std::vector<GoldenConfig> configs = goldenConfigs();
+    std::vector<Fnv> digest(configs.size());
+    for (const std::string &name : vipNames()) {
+        const HaacProgram prog = compiledVip(name);
+        for (size_t c = 0; c < configs.size(); ++c) {
+            const StreamSet set = buildStreams(prog, configs[c].cfg);
+            Fnv &f = digest[c];
+            f.add(set.geOf.size());
+            for (uint8_t g : set.geOf)
+                f.add(g);
+            f.add(set.issueOrder.size());
+            for (uint32_t idx : set.issueOrder)
+                f.add(idx);
+            f.add(set.totalOor);
+            f.add(set.ge.size());
+            for (const GeStreams &ge : set.ge) {
+                f.add(ge.instrIdx.size());
+                for (uint32_t idx : ge.instrIdx)
+                    f.add(idx);
+                f.add(ge.oorAddrs.size());
+                for (uint32_t addr : ge.oorAddrs)
+                    f.add(addr);
+                f.add(ge.tableCount);
+            }
+        }
+    }
+    for (size_t c = 0; c < configs.size(); ++c)
+        EXPECT_EQ(digest[c].h, golden[c])
+            << configs[c].name << ": 0x" << std::hex << digest[c].h;
+}
+
 TEST(EngineGolden, ShardExportReadyDigest)
 {
     // Two coordinator-style rounds per shard: imports ready at 0, then
