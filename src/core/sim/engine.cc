@@ -1,9 +1,9 @@
 #include "core/sim/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <deque>
-#include <queue>
+#include <string>
 
 namespace haac {
 
@@ -11,6 +11,56 @@ namespace {
 
 constexpr uint32_t kNever32 = ~uint32_t(0);
 constexpr uint64_t kNoWake = ~uint64_t(0);
+
+/** A cycle-stamped count: queue entries landing, or bytes to write. */
+struct Event
+{
+    uint64_t cycle;
+    uint32_t count;
+};
+
+/** FIFO of Events in a growable power-of-two ring. */
+class EventRing
+{
+  public:
+    bool empty() const { return head_ == tail_; }
+    const Event &front() const { return buf_[head_ & mask_]; }
+    void pop() { ++head_; }
+
+    void
+    push(uint64_t cycle, uint32_t count)
+    {
+        if (tail_ - head_ == buf_.size()) {
+            std::vector<Event> next(std::max<size_t>(8, 2 * buf_.size()));
+            for (size_t i = head_; i != tail_; ++i)
+                next[i - head_] = buf_[i & mask_];
+            tail_ -= head_;
+            head_ = 0;
+            buf_.swap(next);
+            mask_ = buf_.size() - 1;
+        }
+        buf_[tail_++ & mask_] = Event{cycle, count};
+    }
+
+    /** push(), folded into the last entry when that has @p cycle. */
+    void
+    add(uint64_t cycle, uint32_t count)
+    {
+        if (!empty()) {
+            Event &back = buf_[(tail_ - 1) & mask_];
+            if (back.cycle == cycle) {
+                back.count += count;
+                return;
+            }
+        }
+        push(cycle, count);
+    }
+
+  private:
+    std::vector<Event> buf_;
+    size_t mask_ = 0; ///< buf_.size() - 1
+    size_t head_ = 0, tail_ = 0;
+};
 
 /** Inbound streaming queue fed by the shared DRAM (paper §3.1). */
 struct StreamQueue
@@ -23,7 +73,10 @@ struct StreamQueue
     uint64_t consumed = 0;
     uint64_t capacityEntries = 1;
     uint64_t maxBatch = 1;     ///< entries per DRAM grant, at most
-    std::deque<std::pair<uint64_t, uint32_t>> inflight;
+    /** Granted batches in grant order; they land in that order (an
+     * OoRW fetch may wait on its producer, and holds up the ones
+     * behind it). */
+    EventRing inflight;
 
     uint64_t
     reserved() const
@@ -56,21 +109,22 @@ struct StreamQueue
     nextArrival(uint64_t now, uint32_t dram_latency) const
     {
         return inflight.empty() ? now + 1 + dram_latency
-                                : inflight.front().first;
+                                : inflight.front().cycle;
     }
 
     void
     drainArrivals(uint64_t now)
     {
-        while (!inflight.empty() && inflight.front().first <= now) {
-            arrived += inflight.front().second;
-            inflight.pop_front();
-        }
+        for (; !inflight.empty() && inflight.front().cycle <= now;
+             inflight.pop())
+            arrived += inflight.front().count;
     }
 
     bool
     available(uint64_t now, uint64_t need = 1)
     {
+        if (arrived - consumed >= need)
+            return true;
         drainArrivals(now);
         return arrived - consumed >= need;
     }
@@ -83,14 +137,21 @@ class BankTracker
     static constexpr uint32_t kWindow = 64;
 
     BankTracker(uint32_t banks)
-        : banks_(banks), count_(kWindow * banks, 0),
-          stamp_(kWindow * banks, kNever32)
+        : banks_(banks), mask_((banks & (banks - 1)) == 0 ? banks - 1 : 0),
+          slots_(kWindow * banks)
     {}
+
+    /** Bank holding @p addr (address-interleaved). */
+    uint32_t
+    bankOf(uint32_t addr) const
+    {
+        return mask_ != 0 || banks_ == 1 ? addr & mask_ : addr % banks_;
+    }
 
     bool
     tryAccess(uint64_t cycle, uint32_t bank)
     {
-        uint8_t &c = slot(cycle, bank);
+        uint32_t &c = slot(cycle, bank);
         if (c >= 2)
             return false;
         ++c;
@@ -100,7 +161,7 @@ class BankTracker
     void
     forceAccess(uint64_t cycle, uint32_t bank)
     {
-        uint8_t &c = slot(cycle, bank);
+        uint32_t &c = slot(cycle, bank);
         if (c < 255)
             ++c;
     }
@@ -109,27 +170,34 @@ class BankTracker
     uint8_t
     peek(uint64_t cycle, uint32_t bank) const
     {
-        const size_t idx = size_t(cycle % kWindow) * banks_ + bank;
-        return stamp_[idx] == uint32_t(cycle) ? count_[idx] : 0;
+        const Slot &s = slots_[size_t(cycle % kWindow) * banks_ + bank];
+        return s.stamp == uint32_t(cycle) ? uint8_t(s.count) : 0;
     }
 
     uint32_t banks() const { return banks_; }
 
   private:
-    uint8_t &
+    /** Accesses granted in the cycle @c stamp names. */
+    struct Slot
+    {
+        uint32_t stamp = kNever32;
+        uint32_t count = 0;
+    };
+
+    uint32_t &
     slot(uint64_t cycle, uint32_t bank)
     {
-        const size_t idx = size_t(cycle % kWindow) * banks_ + bank;
-        if (stamp_[idx] != uint32_t(cycle)) {
-            stamp_[idx] = uint32_t(cycle);
-            count_[idx] = 0;
+        Slot &s = slots_[size_t(cycle % kWindow) * banks_ + bank];
+        if (s.stamp != uint32_t(cycle)) {
+            s.stamp = uint32_t(cycle);
+            s.count = 0;
         }
-        return count_[idx];
+        return s.count;
     }
 
     uint32_t banks_;
-    std::vector<uint8_t> count_;
-    std::vector<uint32_t> stamp_;
+    uint32_t mask_; ///< banks_ - 1 for a power of two, else 0
+    std::vector<Slot> slots_;
 };
 
 struct GeRunState
@@ -140,15 +208,18 @@ struct GeRunState
     StreamQueue instrQ;
     StreamQueue tableQ; ///< evaluator inbound only
     StreamQueue oorQ;
+    /** The OoRW lane's head address has no DRAM-ready cycle yet, so
+     * the lane sits out of the DRAM sweep (Engine::parked_). */
+    bool oorParked = false;
 
     /** @name Sleep state: the head instruction's stall is known to
-     * repeat until the GE's wake cycle (Engine::wake_), so it is not
-     * polled before then; the skipped cycles are charged to
-     * @c sleepStall (counted through @c stalledAt). */
+     * repeat until the GE's wake cycle (Engine::sleepers_, or an event
+     * for a wait with no known end), so it is not polled before then;
+     * the skipped cycles are charged to @c sleepStall (counted through
+     * @c stalledAt). */
     /// @{
     uint64_t *sleepStall = nullptr;
     uint64_t stalledAt = 0;
-    uint32_t waitAddr = kNever32; ///< unproduced operand (no wake cycle)
     /// @}
 
     StreamQueue &
@@ -186,7 +257,14 @@ class Engine
                         mode == SimMode::ComputeOnly),
           sleeps_(modelTraffic_ && !global_dispatch),
           banks_(cfg.totalBanks()),
-          encBytes_(encodedInstrBytes(cfg.swwWires()))
+          encBytes_(encodedInstrBytes(cfg.swwWires())),
+          perCycle_(dramBytesPerCycle(cfg.dram) * cfg.dramBandwidthScale),
+          // Budget accrual is capped at a few cycles of bandwidth, but
+          // never below one full grant batch (64 B): a bandwidth-split
+          // shard core must still be able to save up for a transfer,
+          // just more slowly. Full-rate configs (DDR4 35.2 B/c and up)
+          // already exceed 64 B, so their arbitration is unchanged.
+          budgetCap_(std::max(4 * perCycle_, 64.0))
     {}
 
     SimStats run(StreamSet *record);
@@ -210,14 +288,55 @@ class Engine
     bool tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
                   const HaacInstruction &local, uint64_t *hint);
     bool sleep(uint32_t g, uint64_t t, uint64_t wake, uint64_t *stall);
-    void wakeWaiters(uint32_t addr, uint64_t t, uint32_t first_ge);
+    void wakeWaiters(uint32_t addr);
     void dramStep(uint64_t t);
     void grantLane(size_t lane, uint64_t t);
     void refreshLane(size_t lane);
+    bool oorHeadBlocked(uint32_t g);
+    void unparkLanes(uint32_t addr);
+    uint64_t nextCycle(uint64_t t, bool all_issued);
+    bool stalledForever() const;
+    [[noreturn]] void throwStalled(uint64_t t) const;
     void setupQueues();
-    void finalizeTrafficStats();
+    void finalizeTrafficStats(bool completed);
 
     SimProbeView probeView(uint64_t t);
+
+    void setAwake(uint32_t g) { awake_[g / 64] |= uint64_t(1) << (g % 64); }
+    void
+    clearAwake(uint32_t g)
+    {
+        awake_[g / 64] &= ~(uint64_t(1) << (g % 64));
+    }
+
+    /** Cheapest wanting lane's grant cost (needs costMask_ != 0). */
+    uint32_t minLaneCost() const { return __builtin_ctzll(costMask_) + 1; }
+
+    /** Bytes the input preload's next grant costs. */
+    uint64_t
+    preloadBytes() const
+    {
+        return std::min<uint64_t>(4, inputLoad_.totalEntries -
+                                         inputLoad_.granted) *
+               inputLoad_.grantBytes;
+    }
+
+    /** Earliest outbound write not yet drainable (kNoWake: none). */
+    uint64_t
+    nextWrite() const
+    {
+        uint64_t at = kNoWake;
+        for (const EventRing &r : writes_)
+            if (!r.empty())
+                at = std::min(at, r.front().cycle);
+        return at;
+    }
+
+    bool
+    writesPending() const
+    {
+        return modelTraffic_ && (writableBytes_ > 0 || nextWrite() != kNoWake);
+    }
 
     const HaacProgram &prog_;
     const HaacConfig &cfg_;
@@ -228,47 +347,64 @@ class Engine
     bool globalDispatch_;
     bool modelTraffic_;
     bool modelCompute_;
-    /** Stalled GEs sleep to their wake cycle; needs every cycle to be
-     * visited, i.e. modelled traffic (ComputeOnly and the scheduling
-     * pass skip idle cycles with hints instead). */
+    /** Stalled GEs sleep to their wake cycle; needs the cycles between
+     * events to be accounted for, i.e. modelled traffic (ComputeOnly
+     * and the scheduling pass skip idle cycles with hints instead). */
     bool sleeps_;
 
     BankTracker banks_;
     uint32_t encBytes_;
     SimStats stats_;
+    uint64_t total_ = 0; ///< instructions this run issues
 
     std::vector<GeRunState> ges_;
-    /** Next cycle each GE is polled; kNoWake once its stream is done. */
-    std::vector<uint64_t> wake_;
+    /** GEs polled in every visited cycle (bit g % 64 of word g / 64);
+     * the others are finished or asleep. */
+    std::vector<uint64_t> awake_;
+    /** Min-heap of (wake cycle, GE) over the GEs asleep to a known
+     * cycle. */
+    std::vector<std::pair<uint64_t, uint32_t>> sleepers_;
     std::vector<uint32_t> wireReady_;     ///< forwardable cycle per addr
     std::vector<uint32_t> wireDramReady_; ///< cycle the label is in DRAM
-    std::vector<uint32_t> waiters_; ///< GEs sleeping on an unproduced wire
+    /** (wire, GE) per GE asleep on an operand nobody has produced. */
+    std::vector<std::pair<uint32_t, uint32_t>> waiters_;
+    /** Bit w % 64 set for each waiter's wire w: a write to a wire no
+     * GE waits on mostly skips the scan. */
+    uint64_t waitFilter_ = 0;
     std::vector<uint32_t> bufferWaiters_; ///< GEs sleeping on a full buffer
+    std::vector<uint32_t> parked_; ///< GEs whose OoRW lane is parked
 
     // Input preload stream (addresses [inputBase_, numInputs]).
     uint32_t inputBase_ = 1;
     StreamQueue inputLoad_;
 
-    // Outbound (live wires, garbler tables): availability then drain.
-    std::priority_queue<std::pair<uint64_t, uint32_t>,
-                        std::vector<std::pair<uint64_t, uint32_t>>,
-                        std::greater<>>
-        writeEvents_;
+    /** Outbound writes (live wires, garbler tables) until drainable,
+     * per latency class [non-AND, AND]: within a class they become
+     * drainable in issue order. */
+    EventRing writes_[2];
     uint64_t writableBytes_ = 0;
     uint64_t scheduledWriteBytes_ = 0;
     uint64_t drainedWriteBytes_ = 0;
 
+    double perCycle_;  ///< DRAM bytes accrued per cycle
+    double budgetCap_; ///< most the budget can save up
     double dramBudget_ = 0;
     size_t rrPtr_ = 0;
     /** DRAM lanes: 3 per GE (instr, table, OoRW), then the outbound
-     * drain. A set bit in wantMask_ is a lane that wants a grant, and
-     * laneCost_ is what that grant costs; both change only when the
-     * lane is granted or its queue consumed (the drain: when writes
-     * become drainable), so dramStep() visits set bits only and skips
-     * the ones the budget cannot cover. */
+     * drain. laneCost_ is what a lane's next grant costs (1..64 B; 0:
+     * it wants none). It changes only when the lane is granted or its
+     * queue consumed (the drain: when writes become drainable; an OoRW
+     * lane: when its head's producer writes), so the lanes are kept
+     * in one bit set per cost: costLanes_[(c - 1) * laneWords_ + w]
+     * holds word w of the lanes costing c, and bit c - 1 of costMask_
+     * is set while any lane costs c. dramStep() then finds the lanes
+     * the budget covers without visiting the others. */
     size_t lanes_ = 0;
-    std::vector<uint64_t> wantMask_;
-    std::vector<double> laneCost_;
+    size_t laneWords_ = 0;
+    std::vector<uint32_t> laneCost_;
+    std::vector<uint64_t> costLanes_;
+    std::array<uint32_t, 65> costCount_{};
+    uint64_t costMask_ = 0;
     uint64_t lastCompletion_ = 0;
     uint64_t lastDrainCycle_ = 0;
 };
@@ -278,7 +414,7 @@ Engine::setupQueues()
 {
     const uint32_t n = cfg_.numGes;
     ges_.resize(n);
-    wake_.assign(n, kNoWake);
+    awake_.assign((n + 63) / 64, 0);
     stats_.issuedPerGe.assign(n, 0);
 
     // Queue SRAM split per GE: 25% instructions, 50% tables, 25% OoRW.
@@ -310,7 +446,7 @@ Engine::setupQueues()
         ge.tableQ.maxBatch = std::max<uint64_t>(1, 64 / kTableBytes);
         if (ge.streams) {
             if (!ge.streams->instrs.empty())
-                wake_[g] = 0;
+                setAwake(g);
             ge.instrQ.totalEntries = ge.streams->instrs.size();
             ge.tableQ.totalEntries =
                 cfg_.role == Role::Evaluator ? ge.streams->tableCount : 0;
@@ -359,68 +495,110 @@ Engine::setupQueues()
     }
 
     lanes_ = size_t(n) * 3 + 1;
-    wantMask_.assign((lanes_ + 63) / 64, 0);
+    laneWords_ = (lanes_ + 63) / 64;
     laneCost_.assign(lanes_, 0);
-    for (size_t lane = 0; lane + 1 < lanes_; ++lane)
-        refreshLane(lane);
+    costLanes_.assign(64 * laneWords_, 0);
+    if (modelTraffic_)
+        for (size_t lane = 0; lane + 1 < lanes_; ++lane)
+            refreshLane(lane);
 }
 
 void
 Engine::refreshLane(size_t lane)
 {
-    uint64_t &word = wantMask_[lane / 64];
-    const uint64_t bit = uint64_t(1) << (lane % 64);
+    uint64_t cost = 0;
     if (lane == lanes_ - 1) {
         // Outbound drain: up to 64 B of whatever is writable.
-        word = writableBytes_ > 0 ? word | bit : word & ~bit;
-        laneCost_[lane] = double(std::min<uint64_t>(writableBytes_, 64));
-        return;
+        cost = std::min<uint64_t>(writableBytes_, 64);
+    } else {
+        const StreamQueue &q = ges_[lane / 3].queue(lane % 3);
+        if (q.wantsGrant() &&
+            !(lane % 3 == 2 && oorHeadBlocked(uint32_t(lane / 3))))
+            cost = q.nextBatch() * q.grantBytes;
     }
-    const StreamQueue &q = ges_[lane / 3].queue(lane % 3);
-    if (!q.wantsGrant()) {
-        word &= ~bit;
+    assert(cost <= 64 && "a grant moves at most 64 B");
+    const uint32_t old = laneCost_[lane];
+    if (old == cost)
         return;
+    const uint64_t bit = uint64_t(1) << (lane % 64);
+    if (old != 0) {
+        costLanes_[(old - 1) * laneWords_ + lane / 64] &= ~bit;
+        if (--costCount_[old] == 0)
+            costMask_ &= ~(uint64_t(1) << (old - 1));
     }
-    word |= bit;
-    laneCost_[lane] = double(q.nextBatch()) * q.grantBytes;
+    laneCost_[lane] = uint32_t(cost);
+    if (cost != 0) {
+        costLanes_[(cost - 1) * laneWords_ + lane / 64] |= bit;
+        if (costCount_[cost]++ == 0)
+            costMask_ |= uint64_t(1) << (cost - 1);
+    }
+}
+
+/**
+ * The OoRW fetch at GE @p g's head must wait for its label to be valid
+ * in DRAM (§3.1.4 valid bits). Until its producer writes, the lane is
+ * parked: out of the sweep, and back in when unparkLanes() sees that
+ * write. Returns whether it is parked.
+ */
+bool
+Engine::oorHeadBlocked(uint32_t g)
+{
+    GeRunState &ge = ges_[g];
+    const uint32_t addr = ge.streams->oorAddrs[size_t(ge.oorQ.granted)];
+    if (wireDramReady_[addr] != kNever32)
+        return false;
+    if (!ge.oorParked) {
+        ge.oorParked = true;
+        parked_.push_back(g);
+    }
+    return true;
+}
+
+/** @p addr just got its DRAM-ready cycle: unpark the lanes it heads. */
+void
+Engine::unparkLanes(uint32_t addr)
+{
+    for (size_t i = 0; i < parked_.size();) {
+        const uint32_t g = parked_[i];
+        GeRunState &ge = ges_[g];
+        if (ge.streams->oorAddrs[size_t(ge.oorQ.granted)] != addr) {
+            ++i;
+            continue;
+        }
+        ge.oorParked = false;
+        parked_[i] = parked_.back();
+        parked_.pop_back();
+        refreshLane(size_t(g) * 3 + 2);
+    }
 }
 
 void
 Engine::dramStep(uint64_t t)
 {
-    const double per_cycle =
-        dramBytesPerCycle(cfg_.dram) * cfg_.dramBandwidthScale;
-    // Budget accrual is capped at a few cycles of bandwidth, but never
-    // below one full grant batch (64 B): a bandwidth-split shard core
-    // must still be able to save up for a transfer, just more slowly.
-    // Full-rate configs (DDR4 35.2 B/c and up) already exceed 64 B, so
-    // their arbitration is unchanged.
-    dramBudget_ = std::min(dramBudget_ + per_cycle,
-                           std::max(4 * per_cycle, 64.0));
+    dramBudget_ = std::min(dramBudget_ + perCycle_, budgetCap_);
 
-    if (!writeEvents_.empty() && writeEvents_.top().first <= t) {
-        do {
-            writableBytes_ += writeEvents_.top().second;
-            writeEvents_.pop();
-        } while (!writeEvents_.empty() && writeEvents_.top().first <= t);
+    bool wrote = false;
+    for (EventRing &r : writes_)
+        for (; !r.empty() && r.front().cycle <= t; r.pop()) {
+            writableBytes_ += r.front().count;
+            wrote = true;
+        }
+    if (wrote)
         refreshLane(lanes_ - 1);
-    }
 
     // Input preload: arrival order is ascending address.
     if (inputLoad_.wantsGrant()) {
-        const uint64_t batch =
-            std::min<uint64_t>(4, inputLoad_.totalEntries -
-                                      inputLoad_.granted);
-        const double bytes = double(batch) * inputLoad_.grantBytes;
+        const double bytes = double(preloadBytes());
         if (dramBudget_ >= bytes) {
+            const uint64_t batch = preloadBytes() / inputLoad_.grantBytes;
             dramBudget_ -= bytes;
             const uint64_t arrival = t + cfg_.dramLatency;
             for (uint64_t i = 0; i < batch; ++i) {
                 const uint32_t w =
                     inputBase_ + uint32_t(inputLoad_.granted + i);
                 wireReady_[w] = uint32_t(arrival);
-                if (!waiters_.empty())
-                    wakeWaiters(w, t, 0);
+                if (waitFilter_ >> (w % 64) & 1)
+                    wakeWaiters(w);
             }
             inputLoad_.granted += batch;
             inputLoad_.arrived += batch; // tracked via wireReady_
@@ -428,16 +606,29 @@ Engine::dramStep(uint64_t t)
     }
 
     // Round-robin over GE streams (instr, table, OoRW) plus writes,
-    // starting at rrPtr_. Only lanes that want a grant are visited; a
-    // lane the remaining budget cannot cover is passed over.
+    // starting at rrPtr_: each lane in turn is granted if the budget
+    // left covers its cost. Lanes it does not cover are never visited:
+    // the next lane granted is the first one after the last whose cost
+    // is among those the budget covers.
+    const auto covered = [&](size_t w) {
+        const uint32_t whole = uint32_t(std::min(dramBudget_, 64.0));
+        uint64_t costs = costMask_ & ((uint64_t(2) << (whole - 1)) - 1);
+        if (whole == 0)
+            costs = 0;
+        uint64_t lanes = 0;
+        for (; costs != 0; costs &= costs - 1)
+            lanes |= costLanes_[size_t(__builtin_ctzll(costs)) * laneWords_ + w];
+        return lanes;
+    };
     const auto sweep = [&](size_t from, size_t to) {
         for (size_t w = from / 64; w * 64 < to; ++w) {
-            uint64_t bits = wantMask_[w];
+            uint64_t range = ~uint64_t(0);
             if (w == from / 64)
-                bits &= ~uint64_t(0) << (from % 64);
+                range &= ~uint64_t(0) << (from % 64);
             if (to - w * 64 < 64)
-                bits &= (uint64_t(1) << (to - w * 64)) - 1;
-            for (; bits != 0; bits &= bits - 1) {
+                range &= (uint64_t(1) << (to - w * 64)) - 1;
+            for (uint64_t bits = covered(w) & range; bits != 0;
+                 bits &= bits - 1) {
                 const size_t lane = w * 64 + size_t(__builtin_ctzll(bits));
                 if (dramBudget_ >= laneCost_[lane])
                     grantLane(lane, t);
@@ -446,19 +637,19 @@ Engine::dramStep(uint64_t t)
     };
     sweep(rrPtr_, lanes_);
     sweep(0, rrPtr_);
-    rrPtr_ = (rrPtr_ + 1) % lanes_;
+    if (++rrPtr_ == lanes_)
+        rrPtr_ = 0;
 }
 
 void
 Engine::grantLane(size_t lane, uint64_t t)
 {
-    const double cost = laneCost_[lane];
+    const uint32_t cost = laneCost_[lane];
+    dramBudget_ -= cost;
     if (lane == lanes_ - 1) {
         // Outbound drain.
-        const uint64_t chunk = uint64_t(cost);
-        dramBudget_ -= cost;
-        writableBytes_ -= chunk;
-        drainedWriteBytes_ += chunk;
+        writableBytes_ -= cost;
+        drainedWriteBytes_ += cost;
         lastDrainCycle_ = t;
         refreshLane(lane);
         // GEs blocked on a full buffer retry this cycle once there is
@@ -466,7 +657,7 @@ Engine::grantLane(size_t lane, uint64_t t)
         if (scheduledWriteBytes_ - drainedWriteBytes_ <
             cfg_.writeBufferBytes) {
             for (uint32_t g : bufferWaiters_)
-                wake_[g] = t;
+                setAwake(g);
             bufferWaiters_.clear();
         }
         return;
@@ -475,55 +666,58 @@ Engine::grantLane(size_t lane, uint64_t t)
     StreamQueue &q = ge.queue(lane % 3);
     uint64_t arrival = t + cfg_.dramLatency;
     if (lane % 3 == 2) {
-        // OoRW: the label must be valid in DRAM before the fetch
-        // succeeds (§3.1.4 valid bits).
-        const uint32_t addr = ge.streams->oorAddrs[size_t(q.granted)];
-        const uint32_t ready = wireDramReady_[addr];
-        if (ready == kNever32)
-            return; // producer not drained yet; retry
+        // OoRW: the fetch lands after the label is valid in DRAM (an
+        // unwritten one parks the lane, see oorHeadBlocked()).
+        const uint32_t ready =
+            wireDramReady_[ge.streams->oorAddrs[size_t(q.granted)]];
         arrival = std::max<uint64_t>(t, ready) + cfg_.dramLatency;
     }
     const uint64_t batch = q.nextBatch();
-    dramBudget_ -= cost;
-    q.inflight.emplace_back(arrival, uint32_t(batch));
+    q.inflight.push(arrival, uint32_t(batch));
     q.granted += batch;
     refreshLane(lane);
 }
 
 /**
  * Park GE @p g, stalled at @p t, until @p wake (kNoWake: until an event
- * sets it); returns false where the run does not sleep.
+ * wakes it); returns false where the run does not sleep.
  */
 bool
 Engine::sleep(uint32_t g, uint64_t t, uint64_t wake, uint64_t *stall)
 {
     if (!sleeps_)
         return false;
-    wake_[g] = wake;
+    clearAwake(g);
+    if (wake != kNoWake) {
+        sleepers_.emplace_back(wake, g);
+        std::push_heap(sleepers_.begin(), sleepers_.end(),
+                       std::greater<>());
+    }
     ges_[g].sleepStall = stall;
     ges_[g].stalledAt = t;
     return true;
 }
 
 /**
- * @p addr just got its ready cycle: GEs asleep on it retry this cycle
- * if they are still to be polled in it (index >= @p first_ge), else the
- * next one.
+ * @p addr just got its ready cycle: GEs asleep on it wake, so they are
+ * polled later in this cycle if the GE loop has yet to reach them (or
+ * has not started), else in the next one.
  */
 void
-Engine::wakeWaiters(uint32_t addr, uint64_t t, uint32_t first_ge)
+Engine::wakeWaiters(uint32_t addr)
 {
+    uint64_t filter = 0;
     for (size_t i = 0; i < waiters_.size();) {
-        GeRunState &ge = ges_[waiters_[i]];
-        if (ge.waitAddr != addr) {
+        if (waiters_[i].first != addr) {
+            filter |= uint64_t(1) << (waiters_[i].first % 64);
             ++i;
             continue;
         }
-        wake_[waiters_[i]] = waiters_[i] >= first_ge ? t : t + 1;
-        ge.waitAddr = kNever32;
+        setAwake(waiters_[i].second);
         waiters_[i] = waiters_.back();
         waiters_.pop_back();
     }
+    waitFilter_ = filter;
 }
 
 bool
@@ -563,8 +757,8 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
     }
     // Outbound backpressure: don't issue write-producing work into a
     // full write buffer.
-    const bool writes_out =
-        ins.live || (is_and && cfg_.role == Role::Garbler);
+    const bool garbler_and = is_and && cfg_.role == Role::Garbler;
+    const bool writes_out = ins.live || garbler_and;
     if (modelTraffic_ && writes_out &&
         scheduledWriteBytes_ - drainedWriteBytes_ >=
             cfg_.writeBufferBytes) {
@@ -606,11 +800,13 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
                           &stats_.stallOperand);
                 } else {
                     sleep(g, t, kNoWake, &stats_.stallOperand);
-                    ge.waitAddr = local.a != kOorAddr &&
-                                          wireReady_[ins.a] == kNever32
-                                      ? ins.a
-                                      : ins.b;
-                    waiters_.push_back(g);
+                    const uint32_t addr = local.a != kOorAddr &&
+                                                  wireReady_[ins.a] ==
+                                                      kNever32
+                                              ? ins.a
+                                              : ins.b;
+                    waiters_.emplace_back(addr, g);
+                    waitFilter_ |= uint64_t(1) << (addr % 64);
                 }
             }
             return false;
@@ -618,7 +814,7 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
 
         // SWW bank ports for the in-window operand reads.
         auto readBank = [&](uint32_t addr) {
-            return banks_.tryAccess(t, addr % cfg_.totalBanks());
+            return banks_.tryAccess(t, banks_.bankOf(addr));
         };
         if (local.a != kOorAddr && !readBank(ins.a)) {
             ++stats_.stallBank;
@@ -656,43 +852,37 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
 
     wireReady_[out] =
         uint32_t(cfg_.forwarding ? complete : written);
-    if (!waiters_.empty())
-        wakeWaiters(out, t, g + 1);
-    banks_.forceAccess(written, out % cfg_.totalBanks());
+    if (waitFilter_ >> (out % 64) & 1)
+        wakeWaiters(out);
+    banks_.forceAccess(written, banks_.bankOf(out));
     ++stats_.swwWrites;
     stats_.swwReads += (is_not ? 1 : 2) - oor_need;
     if (modelCompute_ && cfg_.forwarding) {
         // Count consumers that beat the SWW write as forward hits.
         // (Approximation: producers finishing within the writeback
         // window of this issue.)
-        if (wireReady_[ins.a] + cfg_.writebackStages > t + frontend)
-            ++stats_.forwardHits;
+        stats_.forwardHits +=
+            wireReady_[ins.a] + cfg_.writebackStages > t + frontend;
     }
 
     if (ins.live) {
-        writeEvents_.emplace(written, uint32_t(kLabelBytes));
         scheduledWriteBytes_ += kLabelBytes;
         wireDramReady_[out] = uint32_t(written);
         ++stats_.liveWires;
+        if (!parked_.empty())
+            unparkLanes(out);
     }
-    if (is_and && cfg_.role == Role::Garbler) {
-        writeEvents_.emplace(written, uint32_t(kTableBytes));
+    if (garbler_and)
         scheduledWriteBytes_ += kTableBytes;
-    }
+    // Only modelled traffic drains what is written.
+    if (modelTraffic_ && writes_out)
+        writes_[is_and].add(written,
+                            uint32_t((ins.live ? kLabelBytes : 0) +
+                                     (garbler_and ? kTableBytes : 0)));
 
-    switch (ins.op) {
-      case HaacOp::And:
-        ++stats_.andOps;
-        break;
-      case HaacOp::Xor:
-        ++stats_.xorOps;
-        break;
-      case HaacOp::Not:
-        ++stats_.notOps;
-        break;
-      case HaacOp::Nop:
-        break;
-    }
+    stats_.andOps += is_and;
+    stats_.xorOps += ins.op == HaacOp::Xor;
+    stats_.notOps += is_not;
     ++stats_.instructions;
     ++stats_.issuedPerGe[g];
     stats_.oorReads += oor_need;
@@ -700,8 +890,85 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
     return true;
 }
 
+/**
+ * The next cycle to visit after @p t - 1 (modelled traffic). A cycle
+ * in which no GE is polled, no write becomes drainable and no DRAM
+ * lane can be granted only accrues budget and turns the round-robin
+ * pointer, so those cycles are jumped with that done for each. While
+ * a probe is attached every cycle is visited.
+ */
+uint64_t
+Engine::nextCycle(uint64_t t, bool all_issued)
+{
+    const uint64_t write_at = nextWrite();
+    if (all_issued && writableBytes_ == 0) {
+        // Only writes still in the pipeline remain: straight to the
+        // first one (a jump that accrues no budget, as it always has).
+        return write_at == kNoWake ? t : std::max(t, write_at);
+    }
+    for (uint64_t word : awake_)
+        if (word != 0)
+            return t;
+
+    uint64_t next = write_at == kNoWake ? kNoWake : std::max(t, write_at);
+    if (!sleepers_.empty())
+        next = std::min(next, sleepers_.front().first);
+    uint64_t cost = costMask_ != 0 ? minLaneCost() : kNoWake;
+    if (inputLoad_.wantsGrant())
+        cost = std::min(cost, preloadBytes());
+    if (cost == kNoWake && write_at == kNoWake && stalledForever())
+        throwStalled(t);
+    if (probe_)
+        return t;
+
+    uint64_t c = t;
+    double budget = dramBudget_;
+    while (c < next) {
+        const double b = std::min(budget + perCycle_, budgetCap_);
+        if (b >= double(cost))
+            break; // a lane can be granted in cycle c
+        if (b == budget) {
+            c = next; // saved up to the cap: nothing changes until next
+            break;
+        }
+        budget = b;
+        ++c;
+    }
+    dramBudget_ = budget;
+    rrPtr_ = (rrPtr_ + (c - t) % lanes_) % lanes_;
+    return c;
+}
+
+/**
+ * With no GE awake, no lane wanting and no write pending, can any GE
+ * ever issue again? Not if every sleeper waits on an OoRW queue with
+ * nothing in flight: no grant can fill it, so each wake stalls again
+ * and changes nothing. GEs asleep with no wake cycle wait on a wire
+ * or a drain, which only an issue or a write can bring.
+ */
+bool
+Engine::stalledForever() const
+{
+    return std::all_of(sleepers_.begin(), sleepers_.end(),
+                       [&](const std::pair<uint64_t, uint32_t> &s) {
+                           const GeRunState &ge = ges_[s.second];
+                           return ge.sleepStall == &stats_.stallOorwQueue &&
+                                  ge.oorQ.inflight.empty();
+                       });
+}
+
 void
-Engine::finalizeTrafficStats()
+Engine::throwStalled(uint64_t t) const
+{
+    throw SimStalledError(
+        "simulation stalled at cycle " + std::to_string(t) + ": " +
+        std::to_string(total_ - stats_.instructions) +
+        " instructions wait on wires that no stream, input or import "
+        "produces");
+}
+
+void
+Engine::finalizeTrafficStats(bool completed)
 {
     // Analytic totals so accounting is identical across modes. With
     // streams the totals come from the streams themselves, so a shard
@@ -711,29 +978,30 @@ Engine::finalizeTrafficStats()
     // SWW with the resident input window, so that term is per-core by
     // design (input replication is a real cost of the multi-core
     // split). Without streams (the compiler's scheduling pass) the
-    // program is the universe.
+    // program is the universe. A completed run issued every live
+    // instruction, so it has counted them already.
+    uint64_t live = stats_.liveWires;
     if (streams_) {
-        uint64_t instrs = 0, tables = 0, oor = 0, live = 0;
+        uint64_t instrs = 0, tables = 0, oor = 0;
+        if (!completed)
+            live = 0;
         for (const GeStreams &ge : streams_->ge) {
             instrs += ge.instrs.size();
             tables += ge.tableCount;
             oor += ge.oorAddrs.size();
-            for (uint32_t idx : ge.instrIdx)
-                live += prog_.instrs[idx].live ? 1 : 0;
+            if (!completed)
+                for (uint32_t idx : ge.instrIdx)
+                    live += prog_.instrs[idx].live ? 1 : 0;
         }
         stats_.instrBytes = instrs * encBytes_;
         stats_.tableBytes = tables * kTableBytes;
         stats_.oorAddrBytes = oor * 4;
         stats_.oorDataBytes = oor * kLabelBytes;
-        stats_.liveWriteBytes = live * kLabelBytes;
     } else {
         stats_.instrBytes = uint64_t(prog_.instrs.size()) * encBytes_;
-        stats_.tableBytes = uint64_t(prog_.numAnd()) * kTableBytes;
-        uint64_t live = 0;
-        for (const HaacInstruction &ins : prog_.instrs)
-            live += ins.live ? 1 : 0;
-        stats_.liveWriteBytes = live * kLabelBytes;
+        stats_.tableBytes = stats_.andOps * kTableBytes;
     }
+    stats_.liveWriteBytes = live * kLabelBytes;
     stats_.inputLoadBytes = inputLoad_.totalEntries * kLabelBytes;
 }
 
@@ -780,76 +1048,102 @@ Engine::run(StreamSet *record)
 {
     setupQueues();
 
-    if (record) {
-        record->ge.assign(cfg_.numGes, GeStreams{});
+    if (record)
         record->geOf.assign(prog_.instrs.size(), 0);
-        record->issueOrder.clear();
-        record->issueOrder.reserve(prog_.instrs.size());
-    }
 
     uint64_t t = 0;
     uint64_t issued_total = 0;
+    bool completed = true;
     // In replay mode the streams are the universe (a shard run carries
     // a subset of the program); the scheduling pass covers everything.
-    uint64_t total = prog_.instrs.size();
+    total_ = prog_.instrs.size();
     if (!globalDispatch_ && streams_) {
-        total = 0;
+        total_ = 0;
         for (const GeStreams &ge : streams_->ge)
-            total += ge.instrs.size();
+            total_ += ge.instrs.size();
     }
+    // Ideal memory: a cycle with no issue jumps to the earliest cycle
+    // an operand stall can clear (the hint). With none, and no bank
+    // conflict to retry, nothing will ever change.
+    const auto idleJump = [&](bool any, uint64_t hint,
+                              uint64_t bank_stalls) {
+        if (any || hint == kNoWake) {
+            if (!any && stats_.stallBank == bank_stalls)
+                throwStalled(t);
+            return t + 1;
+        }
+        return std::max(t + 1, hint);
+    };
 
     if (globalDispatch_) {
         // Compiler scheduling pass: one global in-order cursor; every
         // cycle, hand the next ready instructions to non-stalled GEs.
         uint32_t head = 0;
         uint32_t rr = 0;
-        while (head < total) {
-            uint64_t hint = ~uint64_t(0);
+        while (head < total_) {
+            uint64_t hint = kNoWake;
+            const uint64_t bank_stalls = stats_.stallBank;
             bool any = false;
-            for (uint32_t i = 0; i < cfg_.numGes && head < total; ++i) {
-                const uint32_t g = (rr + i) % cfg_.numGes;
-                HaacInstruction local = prog_.instrs[head];
-                if (!tryIssue(t, g, ges_[g], head, local, &hint))
+            for (uint32_t i = 0, g = rr; i < cfg_.numGes && head < total_;
+                 ++i, g = g + 1 == cfg_.numGes ? 0 : g + 1) {
+                if (!tryIssue(t, g, ges_[g], head, prog_.instrs[head],
+                              &hint))
                     break; // strict in-order dispatch
-                if (record) {
+                if (record)
                     record->geOf[head] = uint8_t(g);
-                    record->ge[g].instrIdx.push_back(head);
-                    record->issueOrder.push_back(head);
-                }
                 ++head;
                 any = true;
             }
-            rr = (rr + 1) % cfg_.numGes;
-            if (any || hint == ~uint64_t(0)) {
-                ++t;
-            } else {
-                t = std::max(t + 1, hint);
-            }
+            rr = rr + 1 == cfg_.numGes ? 0 : rr + 1;
+            t = idleJump(any, hint, bank_stalls);
         }
-        issued_total = total;
+        issued_total = total_;
     } else {
         assert(streams_ && "replay mode requires streams");
-        while (issued_total < total ||
-               (modelTraffic_ &&
-                (writableBytes_ > 0 || !writeEvents_.empty()))) {
+        while (issued_total < total_ || writesPending()) {
             if (modelTraffic_)
                 dramStep(t);
-            uint64_t hint = ~uint64_t(0);
+            while (!sleepers_.empty() && sleepers_.front().first <= t) {
+                setAwake(sleepers_.front().second);
+                std::pop_heap(sleepers_.begin(), sleepers_.end(),
+                              std::greater<>());
+                sleepers_.pop_back();
+            }
+            // Poll the awake GEs in index order; a GE woken meanwhile
+            // is polled in this cycle if the loop has yet to reach it.
+            uint64_t hint = kNoWake;
+            const uint64_t bank_stalls = stats_.stallBank;
             bool any = false;
-            for (uint32_t g = 0; g < cfg_.numGes; ++g) {
-                if (t < wake_[g])
-                    continue; // finished, or asleep in a known stall
-                GeRunState &ge = ges_[g];
-                if (ge.sleepStall) {
-                    ge.settle(t - 1);
-                    ge.sleepStall = nullptr;
-                }
-                const uint32_t idx = ge.streams->instrIdx[ge.cursor];
-                const HaacInstruction &local =
-                    ge.streams->instrs[ge.cursor];
-                if (tryIssue(t, g, ge, idx, local, &hint)) {
-                    if (++ge.cursor == ge.streams->instrs.size())
-                        wake_[g] = kNoWake;
+            for (size_t w = 0; w < awake_.size(); ++w) {
+                uint64_t seen = 0; // bits up to the last GE polled
+                for (uint64_t bits; (bits = awake_[w] & ~seen) != 0;) {
+                    const uint32_t bit = uint32_t(__builtin_ctzll(bits));
+                    seen |= (uint64_t(2) << bit) - 1;
+                    const uint32_t g = uint32_t(w * 64 + bit);
+                    GeRunState &ge = ges_[g];
+                    if (ge.sleepStall) {
+                        ge.settle(t - 1);
+                        ge.sleepStall = nullptr;
+                    }
+                    const uint32_t idx = ge.streams->instrIdx[ge.cursor];
+                    if (!tryIssue(t, g, ge, idx,
+                                  ge.streams->instrs[ge.cursor],
+                                  sleeps_ ? nullptr : &hint))
+                        continue;
+                    const GeStreams &gs = *ge.streams;
+                    const size_t next = ++ge.cursor;
+                    if (next == gs.instrs.size()) {
+                        clearAwake(g);
+                    } else {
+                        // Sixteen interleaved streams outrun the
+                        // hardware prefetcher: fetch this GE's next
+                        // instruction now, and its streams ahead.
+                        __builtin_prefetch(&prog_.instrs[gs.instrIdx[next]]);
+                        if (next + 8 < gs.instrs.size())
+                            __builtin_prefetch(&gs.instrs[next + 8]);
+                        if (next + 16 < gs.instrs.size())
+                            __builtin_prefetch(&gs.instrIdx[next + 16]);
+                    }
                     ++issued_total;
                     any = true;
                     if (probe_) {
@@ -864,24 +1158,18 @@ Engine::run(StreamSet *record)
                     if (ge.sleepStall)
                         ge.settle(t);
                 const SimProbeView view = probeView(t);
-                if (!probe_->onCycle(view))
+                if (!probe_->onCycle(view)) {
+                    completed = false;
                     break; // aborted: return stats so far
+                }
             }
-            if (!modelTraffic_ && !any && hint != ~uint64_t(0)) {
-                t = std::max(t + 1, hint);
-            } else {
-                ++t;
-            }
-            // Writes became drainable only after completion: make sure
-            // time advances far enough to drain them.
-            if (issued_total == total && modelTraffic_ &&
-                writableBytes_ == 0 && !writeEvents_.empty()) {
-                t = std::max(t, uint64_t(writeEvents_.top().first));
-            }
+            t = modelTraffic_
+                    ? nextCycle(t + 1, issued_total == total_)
+                    : idleJump(any, hint, bank_stalls);
         }
     }
 
-    finalizeTrafficStats();
+    finalizeTrafficStats(completed);
     stats_.cycles = std::max({t, lastCompletion_, lastDrainCycle_});
     return stats_;
 }
@@ -905,31 +1193,39 @@ recordSchedule(const HaacProgram &prog, const HaacConfig &cfg)
     StreamSet set;
     Engine engine(prog, cfg, nullptr, SimMode::ComputeOnly,
                   /*global_dispatch=*/true);
-    engine.run(&set);
+    const SimStats stats = engine.run(&set);
 
-    // Derive per-GE local instruction copies and OoRW streams.
+    // Global in-order dispatch issues in program order. Derive each
+    // GE's streams in that order: its instructions, local copies with
+    // the operands outside the producer's window rewritten to kOorAddr,
+    // and those operands' addresses in pop order (a before b).
     const uint32_t sww = cfg.swwWires();
+    set.ge.assign(cfg.numGes, GeStreams{});
     for (uint32_t g = 0; g < cfg.numGes; ++g) {
-        GeStreams &ge = set.ge[g];
-        ge.instrs.reserve(ge.instrIdx.size());
-        for (uint32_t idx : ge.instrIdx) {
-            HaacInstruction local = prog.instrs[idx];
-            const uint32_t base =
-                windowBase(prog.outputAddrOf(idx), sww);
-            if (local.a < base) {
-                ge.oorAddrs.push_back(local.a);
-                local.a = kOorAddr;
-            }
-            if (local.op != HaacOp::Not && local.b < base) {
-                ge.oorAddrs.push_back(local.b);
-                local.b = kOorAddr;
-            }
-            if (local.op == HaacOp::And)
-                ++ge.tableCount;
-            ge.instrs.push_back(local);
-        }
-        set.totalOor += ge.oorAddrs.size();
+        set.ge[g].instrIdx.reserve(stats.issuedPerGe[g]);
+        set.ge[g].instrs.reserve(stats.issuedPerGe[g]);
     }
+    set.issueOrder.resize(prog.instrs.size());
+    for (uint32_t idx = 0; idx < prog.instrs.size(); ++idx) {
+        set.issueOrder[idx] = idx;
+        GeStreams &ge = set.ge[set.geOf[idx]];
+        ge.instrIdx.push_back(idx);
+        HaacInstruction local = prog.instrs[idx];
+        const uint32_t base = windowBase(prog.outputAddrOf(idx), sww);
+        if (local.a < base) {
+            ge.oorAddrs.push_back(local.a);
+            local.a = kOorAddr;
+        }
+        if (local.op != HaacOp::Not && local.b < base) {
+            ge.oorAddrs.push_back(local.b);
+            local.b = kOorAddr;
+        }
+        if (local.op == HaacOp::And)
+            ++ge.tableCount;
+        ge.instrs.push_back(local);
+    }
+    for (const GeStreams &ge : set.ge)
+        set.totalOor += ge.oorAddrs.size();
     return set;
 }
 

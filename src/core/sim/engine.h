@@ -18,6 +18,7 @@
 #define HAAC_CORE_SIM_ENGINE_H
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/compiler/streams.h"
@@ -96,6 +97,16 @@ class SimProbe
 };
 
 /**
+ * A run that cannot finish: instructions remain, but every GE left
+ * waits on a wire that no stream, input or import produces, so no
+ * event can ever let one issue.
+ */
+struct SimStalledError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
  * Run the timing model over a scheduled program.
  *
  * @param prog   compiled program (absolute addresses, live bits set).
@@ -103,6 +114,7 @@ class SimProbe
  * @param streams output of buildStreams()/recordSchedule().
  * @param mode   see SimMode.
  * @param probe  optional cycle-by-cycle observer (see SimProbe).
+ * @throws SimStalledError if the program can never finish.
  */
 SimStats runSimulation(const HaacProgram &prog, const HaacConfig &cfg,
                        const StreamSet &streams,
@@ -133,7 +145,8 @@ struct ShardSimResult
  * shard.ge.size()), @p imports marks when remote-produced wires become
  * usable, and the ready times of @p exports are harvested for the
  * coordinator's cross-shard dependency merge. With an empty import set
- * and the full stream set this is exactly runSimulation().
+ * and the full stream set this is exactly runSimulation(). Throws
+ * SimStalledError where an import the streams read is missing.
  */
 ShardSimResult runShardSimulation(const HaacProgram &prog,
                                   const HaacConfig &cfg,
