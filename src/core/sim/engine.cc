@@ -65,7 +65,6 @@ class EventRing
 /** Inbound streaming queue fed by the shared DRAM (paper §3.1). */
 struct StreamQueue
 {
-    uint32_t entryBytes = 1;   ///< on-chip occupancy per entry
     uint32_t grantBytes = 1;   ///< DRAM bytes per entry (addr + data)
     uint64_t totalEntries = 0;
     uint64_t granted = 0;
@@ -78,11 +77,8 @@ struct StreamQueue
      * behind it). */
     EventRing inflight;
 
-    uint64_t
-    reserved() const
-    {
-        return (arrived - consumed) + (granted - arrived);
-    }
+    /** Entries on chip or on their way: granted, not yet consumed. */
+    uint64_t reserved() const { return granted - consumed; }
 
     bool
     wantsGrant() const
@@ -120,6 +116,8 @@ struct StreamQueue
             arrived += inflight.front().count;
     }
 
+    /** Are @p need entries on chip at @p now? (Arrivals are counted
+     * only when that is not already known.) */
     bool
     available(uint64_t now, uint64_t need = 1)
     {
@@ -204,7 +202,6 @@ struct GeRunState
 {
     const GeStreams *streams = nullptr;
     size_t cursor = 0;
-    size_t oorCursor = 0;
     StreamQueue instrQ;
     StreamQueue tableQ; ///< evaluator inbound only
     StreamQueue oorQ;
@@ -248,7 +245,7 @@ class Engine
            const StreamSet *streams, SimMode mode, bool global_dispatch,
            const RemoteWireEnv *remote = nullptr,
            SimProbe *probe = nullptr)
-        : prog_(prog), cfg_(cfg), streams_(streams), mode_(mode),
+        : prog_(prog), cfg_(cfg), streams_(streams),
           remote_(remote), probe_(probe),
           globalDispatch_(global_dispatch),
           modelTraffic_(mode == SimMode::Combined ||
@@ -309,16 +306,15 @@ class Engine
         awake_[g / 64] &= ~(uint64_t(1) << (g % 64));
     }
 
-    /** Cheapest wanting lane's grant cost (needs costMask_ != 0). */
+    /** Cheapest wanting lane's grant cost (costMask_ != 0). */
     uint32_t minLaneCost() const { return __builtin_ctzll(costMask_) + 1; }
 
-    /** Bytes the input preload's next grant costs. */
+    /** Labels the input preload's next grant carries. */
     uint64_t
-    preloadBytes() const
+    preloadBatch() const
     {
         return std::min<uint64_t>(4, inputLoad_.totalEntries -
-                                         inputLoad_.granted) *
-               inputLoad_.grantBytes;
+                                         inputLoad_.granted);
     }
 
     /** Earliest outbound write not yet drainable (kNoWake: none). */
@@ -341,7 +337,6 @@ class Engine
     const HaacProgram &prog_;
     const HaacConfig &cfg_;
     const StreamSet *streams_;
-    SimMode mode_;
     const RemoteWireEnv *remote_;
     SimProbe *probe_;
     bool globalDispatch_;
@@ -427,16 +422,13 @@ Engine::setupQueues()
         GeRunState &ge = ges_[g];
         if (streams_)
             ge.streams = &streams_->ge[g];
-        ge.instrQ.entryBytes = encBytes_;
         ge.instrQ.grantBytes = encBytes_;
         ge.instrQ.capacityEntries = entries(per_ge / 4, encBytes_);
-        ge.tableQ.entryBytes = uint32_t(kTableBytes);
         ge.tableQ.grantBytes = uint32_t(kTableBytes);
         ge.tableQ.capacityEntries =
             entries(per_ge / 2, uint32_t(kTableBytes));
         // OoRW entries occupy a label on-chip but cost addr+data DRAM
         // bandwidth (32-bit streamed addresses, §3.1.4).
-        ge.oorQ.entryBytes = uint32_t(kLabelBytes);
         ge.oorQ.grantBytes = uint32_t(kLabelBytes) + 4;
         ge.oorQ.capacityEntries =
             entries(per_ge / 4, uint32_t(kLabelBytes));
@@ -461,7 +453,6 @@ Engine::setupQueues()
         prog_.numInputs >= inputBase_
             ? prog_.numInputs - inputBase_ + 1
             : 0;
-    inputLoad_.entryBytes = uint32_t(kLabelBytes);
     inputLoad_.grantBytes = uint32_t(kLabelBytes);
     inputLoad_.totalEntries = resident;
     inputLoad_.capacityEntries = ~uint64_t(0) >> 1; // SWW-backed
@@ -588,9 +579,9 @@ Engine::dramStep(uint64_t t)
 
     // Input preload: arrival order is ascending address.
     if (inputLoad_.wantsGrant()) {
-        const double bytes = double(preloadBytes());
+        const uint64_t batch = preloadBatch();
+        const double bytes = double(batch * inputLoad_.grantBytes);
         if (dramBudget_ >= bytes) {
-            const uint64_t batch = preloadBytes() / inputLoad_.grantBytes;
             dramBudget_ -= bytes;
             const uint64_t arrival = t + cfg_.dramLatency;
             for (uint64_t i = 0; i < batch; ++i) {
@@ -607,14 +598,12 @@ Engine::dramStep(uint64_t t)
 
     // Round-robin over GE streams (instr, table, OoRW) plus writes,
     // starting at rrPtr_: each lane in turn is granted if the budget
-    // left covers its cost. Lanes it does not cover are never visited:
-    // the next lane granted is the first one after the last whose cost
-    // is among those the budget covers.
+    // left covers its cost. The budget only shrinks, so a lane it did
+    // not cover at the start of a word is not visited at all.
     const auto covered = [&](size_t w) {
         const uint32_t whole = uint32_t(std::min(dramBudget_, 64.0));
-        uint64_t costs = costMask_ & ((uint64_t(2) << (whole - 1)) - 1);
-        if (whole == 0)
-            costs = 0;
+        uint64_t costs =
+            whole == 0 ? 0 : costMask_ & (~uint64_t(0) >> (64 - whole));
         uint64_t lanes = 0;
         for (; costs != 0; costs &= costs - 1)
             lanes |= costLanes_[size_t(__builtin_ctzll(costs)) * laneWords_ + w];
@@ -845,7 +834,6 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
         }
         if (oor_need > 0) {
             ge.oorQ.consumed += oor_need;
-            ge.oorCursor += oor_need;
             refreshLane(lane + 2);
         }
     }
@@ -915,7 +903,7 @@ Engine::nextCycle(uint64_t t, bool all_issued)
         next = std::min(next, sleepers_.front().first);
     uint64_t cost = costMask_ != 0 ? minLaneCost() : kNoWake;
     if (inputLoad_.wantsGrant())
-        cost = std::min(cost, preloadBytes());
+        cost = std::min(cost, preloadBatch() * inputLoad_.grantBytes);
     if (cost == kNoWake && write_at == kNoWake && stalledForever())
         throwStalled(t);
     if (probe_)
@@ -1048,8 +1036,12 @@ Engine::run(StreamSet *record)
 {
     setupQueues();
 
-    if (record)
+    if (record) {
+        record->ge.assign(cfg_.numGes, GeStreams{});
         record->geOf.assign(prog_.instrs.size(), 0);
+        record->issueOrder.clear();
+        record->issueOrder.reserve(prog_.instrs.size());
+    }
 
     uint64_t t = 0;
     uint64_t issued_total = 0;
@@ -1089,8 +1081,11 @@ Engine::run(StreamSet *record)
                 if (!tryIssue(t, g, ges_[g], head, prog_.instrs[head],
                               &hint))
                     break; // strict in-order dispatch
-                if (record)
+                if (record) {
                     record->geOf[head] = uint8_t(g);
+                    record->ge[g].instrIdx.push_back(head);
+                    record->issueOrder.push_back(head);
+                }
                 ++head;
                 any = true;
             }
@@ -1135,7 +1130,7 @@ Engine::run(StreamSet *record)
                     if (next == gs.instrs.size()) {
                         clearAwake(g);
                     } else {
-                        // Sixteen interleaved streams outrun the
+                        // One stream per GE, interleaved, outruns the
                         // hardware prefetcher: fetch this GE's next
                         // instruction now, and its streams ahead.
                         __builtin_prefetch(&prog_.instrs[gs.instrIdx[next]]);
@@ -1193,23 +1188,15 @@ recordSchedule(const HaacProgram &prog, const HaacConfig &cfg)
     StreamSet set;
     Engine engine(prog, cfg, nullptr, SimMode::ComputeOnly,
                   /*global_dispatch=*/true);
-    const SimStats stats = engine.run(&set);
+    engine.run(&set);
 
-    // Global in-order dispatch issues in program order. Derive each
-    // GE's streams in that order: its instructions, local copies with
-    // the operands outside the producer's window rewritten to kOorAddr,
-    // and those operands' addresses in pop order (a before b).
+    // Derive each GE's local instruction copies and OoRW stream in one
+    // pass in program order (global dispatch issues in that order).
     const uint32_t sww = cfg.swwWires();
-    set.ge.assign(cfg.numGes, GeStreams{});
-    for (uint32_t g = 0; g < cfg.numGes; ++g) {
-        set.ge[g].instrIdx.reserve(stats.issuedPerGe[g]);
-        set.ge[g].instrs.reserve(stats.issuedPerGe[g]);
-    }
-    set.issueOrder.resize(prog.instrs.size());
+    for (GeStreams &ge : set.ge)
+        ge.instrs.reserve(ge.instrIdx.size());
     for (uint32_t idx = 0; idx < prog.instrs.size(); ++idx) {
-        set.issueOrder[idx] = idx;
         GeStreams &ge = set.ge[set.geOf[idx]];
-        ge.instrIdx.push_back(idx);
         HaacInstruction local = prog.instrs[idx];
         const uint32_t base = windowBase(prog.outputAddrOf(idx), sww);
         if (local.a < base) {
