@@ -291,7 +291,7 @@ class Engine
     void refreshLane(size_t lane);
     bool oorHeadBlocked(uint32_t g);
     void unparkLanes(uint32_t addr);
-    uint64_t nextCycle(uint64_t t, bool all_issued);
+    uint64_t nextCycle(uint64_t t, bool issued, bool all_issued);
     bool stalledForever() const;
     [[noreturn]] void throwStalled(uint64_t t) const;
     void setupQueues();
@@ -356,6 +356,9 @@ class Engine
     /** GEs polled in every visited cycle (bit g % 64 of word g / 64);
      * the others are finished or asleep. */
     std::vector<uint64_t> awake_;
+    /** Awake GEs whose last poll found an operand nobody has produced
+     * (write-producing work stays awake on that stall). */
+    std::vector<uint64_t> wireBlocked_;
     /** Min-heap of (wake cycle, GE) over the GEs asleep to a known
      * cycle. */
     std::vector<std::pair<uint64_t, uint32_t>> sleepers_;
@@ -410,6 +413,7 @@ Engine::setupQueues()
     const uint32_t n = cfg_.numGes;
     ges_.resize(n);
     awake_.assign((n + 63) / 64, 0);
+    wireBlocked_.assign((n + 63) / 64, 0);
     stats_.issuedPerGe.assign(n, 0);
 
     // Queue SRAM split per GE: 25% instructions, 50% tables, 25% OoRW.
@@ -783,7 +787,9 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
             // until the producer of one with no ready cycle yet issues.
             // Not for write-producing work: a filling write buffer
             // would turn the same wait into a write-buffer stall.
-            if (sleeps_ && !writes_out) {
+            if (sleeps_ && writes_out && latest == kNever32) {
+                wireBlocked_[g / 64] |= uint64_t(1) << (g % 64);
+            } else if (sleeps_ && !writes_out) {
                 if (latest != kNever32) {
                     sleep(g, t, latest - cfg_.frontendDepth(),
                           &stats_.stallOperand);
@@ -879,14 +885,14 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
 }
 
 /**
- * The next cycle to visit after @p t - 1 (modelled traffic). A cycle
- * in which no GE is polled, no write becomes drainable and no DRAM
- * lane can be granted only accrues budget and turns the round-robin
- * pointer, so those cycles are jumped with that done for each. While
- * a probe is attached every cycle is visited.
+ * The next cycle to visit after @p t - 1 (modelled traffic), in which
+ * some GE @p issued or not. A cycle in which no GE is polled, no write
+ * becomes drainable and no DRAM lane can be granted only accrues budget
+ * and turns the round-robin pointer, so those cycles are jumped with
+ * that done for each. While a probe is attached every cycle is visited.
  */
 uint64_t
-Engine::nextCycle(uint64_t t, bool all_issued)
+Engine::nextCycle(uint64_t t, bool issued, bool all_issued)
 {
     const uint64_t write_at = nextWrite();
     if (all_issued && writableBytes_ == 0) {
@@ -894,9 +900,15 @@ Engine::nextCycle(uint64_t t, bool all_issued)
         // first one (a jump that accrues no budget, as it always has).
         return write_at == kNoWake ? t : std::max(t, write_at);
     }
-    for (uint64_t word : awake_)
-        if (word != 0)
+    // Awake GEs are polled every cycle. Unless all of them wait on
+    // wires nobody has produced (not even in this cycle: nothing
+    // issued), look no further.
+    bool awake = false;
+    for (size_t w = 0; w < awake_.size(); ++w) {
+        if ((awake_[w] & ~wireBlocked_[w]) != 0 || (awake_[w] && issued))
             return t;
+        awake |= awake_[w] != 0;
+    }
 
     uint64_t next = write_at == kNoWake ? kNoWake : std::max(t, write_at);
     if (!sleepers_.empty())
@@ -906,7 +918,7 @@ Engine::nextCycle(uint64_t t, bool all_issued)
         cost = std::min(cost, preloadBatch() * inputLoad_.grantBytes);
     if (cost == kNoWake && write_at == kNoWake && stalledForever())
         throwStalled(t);
-    if (probe_)
+    if (awake || probe_)
         return t;
 
     uint64_t c = t;
@@ -928,11 +940,12 @@ Engine::nextCycle(uint64_t t, bool all_issued)
 }
 
 /**
- * With no GE awake, no lane wanting and no write pending, can any GE
- * ever issue again? Not if every sleeper waits on an OoRW queue with
- * nothing in flight: no grant can fill it, so each wake stalls again
- * and changes nothing. GEs asleep with no wake cycle wait on a wire
- * or a drain, which only an issue or a write can bring.
+ * With no lane wanting, no write pending and every awake GE stalled on
+ * an operand nobody has produced, can any GE ever issue again? Not if
+ * every sleeper waits on an OoRW queue with nothing in flight: no grant
+ * can fill it, so each wake stalls again and changes nothing. GEs
+ * asleep with no wake cycle wait on a wire or a drain, which only an
+ * issue or a write can bring.
  */
 bool
 Engine::stalledForever() const
@@ -1120,6 +1133,7 @@ Engine::run(StreamSet *record)
                         ge.settle(t - 1);
                         ge.sleepStall = nullptr;
                     }
+                    wireBlocked_[w] &= ~(uint64_t(1) << bit);
                     const uint32_t idx = ge.streams->instrIdx[ge.cursor];
                     if (!tryIssue(t, g, ge, idx,
                                   ge.streams->instrs[ge.cursor],
@@ -1159,7 +1173,7 @@ Engine::run(StreamSet *record)
                 }
             }
             t = modelTraffic_
-                    ? nextCycle(t + 1, issued_total == total_)
+                    ? nextCycle(t + 1, any, issued_total == total_)
                     : idleJump(any, hint, bank_stalls);
         }
     }

@@ -12,9 +12,18 @@ namespace haac::shard {
 namespace {
 
 /**
+ * Most wire addresses a Job may announce. The engine and the value pass
+ * keep state per address (8 B of ready cycles, a value bit), so this
+ * bounds what a ~100-byte frame can make a worker allocate: 2^25 is
+ * 2.4x the 13.85 M wires of paper-scale BubbSt, the largest workload.
+ */
+constexpr uint32_t kMaxJobAddrs = uint32_t(1) << 25;
+
+/**
  * Refuse, before any simulation, a Job that the value pass or the
- * engine would index out of range with: every index and address the
- * worker reads from it must name part of its program.
+ * engine would index out of range with, or size its per-wire state
+ * beyond kMaxJobAddrs: every index and address the worker reads from
+ * it must name part of its program.
  */
 void
 validateJob(const ShardJob &job)
@@ -39,6 +48,10 @@ validateJob(const ShardJob &job)
                            [limit](uint32_t x) { return x < limit; });
     };
     const size_t addrs = prog.numAddrs();
+    if (addrs > kMaxJobAddrs)
+        refuse("program has " + std::to_string(addrs) +
+               " wire addresses, more than the " +
+               std::to_string(kMaxJobAddrs) + " a worker simulates");
     for (const GeStreams &ge : job.streams.ge)
         if (ge.instrs.size() != ge.instrIdx.size() ||
             !below(ge.instrIdx, prog.instrs.size()) ||
@@ -121,9 +134,15 @@ runShardWorkerLoop(Transport &transport)
                     std::to_string(env.readyCycles.size()) +
                     " ready cycles for " +
                     std::to_string(env.addrs.size()) + " imports");
-            const ShardSimResult sim = runShardSimulation(
-                job->program, job->config, job->streams, job->mode,
-                env, job->exports);
+            ShardSimResult sim;
+            try {
+                sim = runShardSimulation(job->program, job->config,
+                                         job->streams, job->mode, env,
+                                         job->exports);
+            } catch (const SimStalledError &e) {
+                // A manifest that leaves out an import the streams read.
+                throw NetError(std::string("shard round: ") + e.what());
+            }
 
             ShardResultMsg result;
             result.stats = sim.stats;

@@ -38,9 +38,11 @@ struct WorkerSummary
 /**
  * Serve one already-handshaken coordinator until Quit.
  *
- * @throws NetError on transport failure or protocol violation, and on
- *         a Job whose config, program, stream indices or wire
- *         addresses are out of range (refused before any pass runs).
+ * @throws NetError on transport failure or protocol violation, on a
+ *         Job whose config, program, stream indices or wire addresses
+ *         are out of range or too many (refused before any pass runs),
+ *         and on a Round the Job's streams can never finish (an
+ *         operand no stream, input or import produces).
  */
 WorkerSummary runShardWorkerLoop(Transport &transport);
 

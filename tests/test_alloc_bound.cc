@@ -15,6 +15,7 @@
 #include "net/loopback.h"
 #include "net/transport.h"
 #include "shard/proto.h"
+#include "shard/worker.h"
 
 namespace {
 
@@ -158,6 +159,25 @@ TEST(AllocBound, ShardJobStreamCountIsBoundedByTheFrame)
     expectBoundedRefusal(withCount(shard::encodeJob(none),
                                    shard::encodeJob(one),
                                    uint64_t(1) << 20));
+}
+
+TEST(AllocBound, ShardJobAddressCountIsBoundedBeforeTheEngine)
+{
+    // A Job of a few hundred bytes announcing 2^25 + 1 wire addresses
+    // (no instructions, empty streams) must be refused before the
+    // engine sizes 8 B of ready cycles per address, 256 MiB.
+    shard::ShardJob job;
+    job.program.numInputs = uint32_t(1) << 25;
+    job.streams.ge.resize(job.config.numGes);
+    auto [coordinator, worker] = LoopbackTransport::createPair();
+    coordinator->sendFrame(shard::encodeJob(job));
+    coordinator->sendFrame(shard::encodeRound({}));
+    coordinator->sendFrame(shard::encodeQuit());
+
+    const size_t live = gLive.load();
+    gPeak.store(live);
+    EXPECT_THROW(shard::runShardWorkerLoop(*worker), NetError);
+    EXPECT_LT(gPeak.load() - live, size_t(1) << 20);
 }
 
 } // namespace

@@ -246,6 +246,39 @@ TEST(ShardProto, TruncatedFrameThrowsNotReadsGarbage)
     EXPECT_THROW(shard::frameTag({0x77}), NetError);
 }
 
+/**
+ * Serve @p job for one Round (every import ready at cycle 0) and a Quit
+ * over a loopback pair: "accepted", or the worker's NetError message.
+ * A worker still running after 20 s ends the test binary.
+ */
+std::string
+serveOneRound(const shard::ShardJob &job)
+{
+    auto [coordinator, worker] = LoopbackTransport::createPair();
+    coordinator->sendFrame(shard::encodeJob(job));
+    coordinator->sendFrame(
+        shard::encodeRound(std::vector<uint64_t>(job.imports.size(), 0)));
+    coordinator->sendFrame(shard::encodeQuit());
+    std::packaged_task<std::string()> task([&worker] {
+        try {
+            shard::runShardWorkerLoop(*worker);
+        } catch (const NetError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    });
+    std::future<std::string> done = task.get_future();
+    std::thread runner(std::move(task));
+    if (done.wait_for(std::chrono::seconds(20)) !=
+        std::future_status::ready) {
+        // Nothing can stop a hung engine loop from outside.
+        std::fprintf(stderr, "shard worker still running after 20 s\n");
+        std::_Exit(1);
+    }
+    runner.join();
+    return done.get();
+}
+
 // A Job whose config the engine would divide by, or wait on forever,
 // must be refused with a typed error before any Round runs it.
 void
@@ -268,29 +301,7 @@ expectJobRefused(void (*corrupt)(shard::ShardJob &))
     job.streams = partitionStreams(prog, set, 1).parts[0].streams;
     job.inputValues.assign(prog.numInputs, false);
     corrupt(job);
-
-    auto [coordinator, worker] = LoopbackTransport::createPair();
-    coordinator->sendFrame(shard::encodeJob(job));
-    coordinator->sendFrame(shard::encodeRound({}));
-    std::packaged_task<std::string()> task([&worker] {
-        try {
-            shard::runShardWorkerLoop(*worker);
-        } catch (const NetError &e) {
-            return std::string(e.what());
-        }
-        return std::string("accepted");
-    });
-    std::future<std::string> done = task.get_future();
-    std::thread runner(std::move(task));
-    if (done.wait_for(std::chrono::seconds(20)) !=
-        std::future_status::ready) {
-        // Nothing can stop a hung engine loop from outside.
-        std::fprintf(stderr, "shard worker still running on a hostile "
-                             "job after 20 s\n");
-        std::_Exit(1);
-    }
-    runner.join();
-    EXPECT_EQ(done.get().rfind("shard job: ", 0), 0u);
+    EXPECT_EQ(serveOneRound(job).rfind("shard job: ", 0), 0u);
 }
 
 TEST(ShardWorker, RefusesZeroBanksPerGe)
@@ -384,6 +395,57 @@ TEST(ShardWorker, RefusesProgramWhoseAddressSpaceWraps)
             ge = GeStreams{};
         j.inputValues.clear();
     });
+}
+
+TEST(ShardWorker, RefusesMoreAddressesThanAWorkerSimulates)
+{
+    // The engine keeps 8 B per address: 2^25 + 1 of them is 256 MiB
+    // asked for by a frame of a few hundred bytes.
+    expectJobRefused([](shard::ShardJob &j) {
+        j.program = HaacProgram{};
+        j.program.numInputs = uint32_t(1) << 25;
+        for (GeStreams &ge : j.streams.ge)
+            ge = GeStreams{};
+        j.inputValues.clear();
+    });
+}
+
+TEST(ShardWorker, RoundMissingImportsFailsInsteadOfHanging)
+{
+    // A 400-gate AND/XOR chain split over two shards: shard 1 reads
+    // wires shard 0 produces. Without its imports no stream, input or
+    // import produces them, so the Round can never finish.
+    CircuitBuilder cb;
+    const Wire a = cb.garblerInput();
+    const Wire b = cb.evaluatorInput();
+    Wire cur = a;
+    for (int i = 0; i < 400; ++i)
+        cur = i % 2 == 0 ? cb.andGate(cur, b) : cb.xorGate(cur, b);
+    cb.addOutput(cur);
+    const HaacConfig cfg;
+    CompileOptions copts;
+    copts.swwWires = cfg.swwWires();
+    HaacProgram prog = compileProgram(assemble(cb.build()), copts, nullptr);
+    const ShardPlan plan =
+        partitionStreams(prog, buildStreams(prog, cfg), 2);
+    shard::markCrossShardLive(prog, plan);
+    const shard::ShardPart &part = plan.parts[1];
+    ASSERT_FALSE(part.imports.empty());
+
+    shard::ShardJob job;
+    job.config = cfg;
+    job.config.numGes = uint32_t(part.geIds.size());
+    job.program = prog;
+    job.streams = part.streams;
+    job.imports = part.imports;
+    job.exports = part.exports;
+    EXPECT_EQ(serveOneRound(job), "accepted");
+
+    job.imports.clear();
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(serveOneRound(job).rfind("shard round: ", 0), 0u);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
 }
 
 // ---------------------------------------------------------------------
