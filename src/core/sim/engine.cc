@@ -42,20 +42,6 @@ class EventRing
         buf_[tail_++ & mask_] = Event{cycle, count};
     }
 
-    /** push(), folded into the last entry when that has @p cycle. */
-    void
-    add(uint64_t cycle, uint32_t count)
-    {
-        if (!empty()) {
-            Event &back = buf_[(tail_ - 1) & mask_];
-            if (back.cycle == cycle) {
-                back.count += count;
-                return;
-            }
-        }
-        push(cycle, count);
-    }
-
   private:
     std::vector<Event> buf_;
     size_t mask_ = 0; ///< buf_.size() - 1
@@ -870,7 +856,7 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
         scheduledWriteBytes_ += kTableBytes;
     // Only modelled traffic drains what is written.
     if (modelTraffic_ && writes_out)
-        writes_[is_and].add(written,
+        writes_[is_and].push(written,
                             uint32_t((ins.live ? kLabelBytes : 0) +
                                      (garbler_and ? kTableBytes : 0)));
 
@@ -1144,14 +1130,14 @@ Engine::run(StreamSet *record)
                     if (next == gs.instrs.size()) {
                         clearAwake(g);
                     } else {
-                        // One stream per GE, interleaved, outruns the
+                        // The GEs' interleaved streams outrun the
                         // hardware prefetcher: fetch this GE's next
-                        // instruction now, and its streams ahead.
+                        // instruction and its streams ahead now.
+                        const size_t last = gs.instrs.size() - 1;
                         __builtin_prefetch(&prog_.instrs[gs.instrIdx[next]]);
-                        if (next + 8 < gs.instrs.size())
-                            __builtin_prefetch(&gs.instrs[next + 8]);
-                        if (next + 16 < gs.instrs.size())
-                            __builtin_prefetch(&gs.instrIdx[next + 16]);
+                        __builtin_prefetch(&gs.instrs[std::min(next + 8, last)]);
+                        __builtin_prefetch(
+                            &gs.instrIdx[std::min(next + 16, last)]);
                     }
                     ++issued_total;
                     any = true;
