@@ -275,6 +275,8 @@ class Engine
     void dramStep(uint64_t t);
     void grantLane(size_t lane, uint64_t t);
     void refreshLane(size_t lane);
+    void refreshQueueLane(size_t lane, const StreamQueue &q);
+    void setLaneCost(size_t lane, uint64_t cost);
     bool oorHeadBlocked(uint32_t g);
     void unparkLanes(uint32_t addr);
     uint64_t nextCycle(uint64_t t, bool issued, bool all_issued);
@@ -497,6 +499,19 @@ Engine::refreshLane(size_t lane)
             !(lane % 3 == 2 && oorHeadBlocked(uint32_t(lane / 3))))
             cost = q.nextBatch() * q.grantBytes;
     }
+    setLaneCost(lane, cost);
+}
+
+/** Instruction or table lane @p lane of queue @p q: its cost now. */
+inline void
+Engine::refreshQueueLane(size_t lane, const StreamQueue &q)
+{
+    setLaneCost(lane, q.wantsGrant() ? q.nextBatch() * q.grantBytes : 0);
+}
+
+inline void
+Engine::setLaneCost(size_t lane, uint64_t cost)
+{
     assert(cost <= 64 && "a grant moves at most 64 B");
     const uint32_t old = laneCost_[lane];
     if (old == cost)
@@ -654,7 +669,10 @@ Engine::grantLane(size_t lane, uint64_t t)
     const uint64_t batch = q.nextBatch();
     q.inflight.push(arrival, uint32_t(batch));
     q.granted += batch;
-    refreshLane(lane);
+    if (lane % 3 == 2)
+        refreshLane(lane);
+    else
+        refreshQueueLane(lane, q);
 }
 
 /**
@@ -819,10 +837,10 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
     if (modelTraffic_) {
         const size_t lane = size_t(g) * 3;
         ++ge.instrQ.consumed;
-        refreshLane(lane);
+        refreshQueueLane(lane, ge.instrQ);
         if (is_and && cfg_.role == Role::Evaluator) {
             ++ge.tableQ.consumed;
-            refreshLane(lane + 1);
+            refreshQueueLane(lane + 1, ge.tableQ);
         }
         if (oor_need > 0) {
             ge.oorQ.consumed += oor_need;
