@@ -901,7 +901,7 @@ Engine::nextCycle(uint64_t t, bool issued, bool all_issued)
     const uint64_t write_at = nextWrite();
     if (all_issued && writableBytes_ == 0) {
         // Only writes still in the pipeline remain: straight to the
-        // first one (a jump that accrues no budget, as it always has).
+        // first one. The model accrues no budget over this tail jump.
         return write_at == kNoWake ? t : std::max(t, write_at);
     }
     // Awake GEs are polled every cycle. Unless all of them wait on
