@@ -9,7 +9,6 @@
 #include "api/backend.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 
@@ -157,31 +156,12 @@ namespace {
 std::unique_ptr<Transport>
 openEndpoint(const std::string &endpoint)
 {
-    auto hostPort = [&](const std::string &s, std::string &host,
-                        uint16_t &port) {
-        const size_t colon = s.rfind(':');
-        const std::string port_str =
-            colon == std::string::npos ? s : s.substr(colon + 1);
-        host = colon == std::string::npos ? "" : s.substr(0, colon);
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(port_str.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || v == 0 || v > 65535)
-            throw std::invalid_argument(
-                "remote-gc endpoint \"" + endpoint +
-                "\": bad port \"" + port_str + "\"");
-        port = uint16_t(v);
-    };
-
-    std::string host;
-    uint16_t port = 0;
     if (endpoint.rfind("listen:", 0) == 0) {
-        hostPort(endpoint.substr(7), host, port);
-        TcpListener listener(port, host.empty() ? "0.0.0.0" : host);
+        const auto [host, port] = splitEndpoint(endpoint.substr(7), "0.0.0.0");
+        TcpListener listener(port, host);
         return listener.accept();
     }
-    hostPort(endpoint, host, port);
-    if (host.empty())
-        host = "127.0.0.1";
+    const auto [host, port] = splitEndpoint(endpoint, "127.0.0.1");
     return TcpTransport::connect(host, port);
 }
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "circuit/builder.h"
+#include "circuit/spec.h"
 #include "circuit/stdlib.h"
 
 namespace haac {
@@ -74,11 +75,12 @@ ComponentSpec::outputBits() const
 ComponentSpec
 parseComponentSpec(const std::string &name)
 {
-    const size_t colon = name.find(':');
-    if (colon == std::string::npos)
+    const std::optional<SizedSpec> s =
+        splitSizedSpec(name, kMaxComponentWidth);
+    if (!s)
         throw std::invalid_argument("component spec \"" + name +
                                     "\": expected KIND:WIDTH");
-    const std::string kind_str = name.substr(0, colon);
+    const std::string_view kind_str = s->name;
     ComponentSpec spec;
     if (kind_str == "ADD")
         spec.kind = ComponentKind::Add;
@@ -94,15 +96,12 @@ parseComponentSpec(const std::string &name)
         spec.kind = ComponentKind::Mul;
     else
         throw std::invalid_argument("component spec \"" + name +
-                                    "\": unknown kind \"" + kind_str +
-                                    "\"");
-    char *end = nullptr;
-    const std::string tail = name.substr(colon + 1);
-    const unsigned long v = std::strtoul(tail.c_str(), &end, 10);
-    if (tail.empty() || end == nullptr || *end != '\0')
+                                    "\": unknown kind \"" +
+                                    std::string(kind_str) + "\"");
+    if (s->size == 0)
         throw std::invalid_argument("component spec \"" + name +
-                                    "\": bad width \"" + tail + "\"");
-    spec.width = uint32_t(v);
+                                    "\": bad width");
+    spec.width = s->size;
     const std::string err = spec.check();
     if (!err.empty())
         throw std::invalid_argument(err);

@@ -1,8 +1,8 @@
 #include "chain/workloads.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
+#include "circuit/spec.h"
 #include "crypto/prg.h"
 
 namespace haac {
@@ -231,18 +231,18 @@ isChainSpec(const std::string &spec)
 ChainWorkload
 resolveChainWorkload(const std::string &spec)
 {
-    const size_t colon = spec.find(':');
-    if (colon == std::string::npos)
+    // No plan is wider than its widest component, so the width cap
+    // also bounds ChainHammCmp's per-bit node list before it is built.
+    const std::optional<SizedSpec> s =
+        splitSizedSpec(spec, kMaxComponentWidth);
+    if (!s)
         throw std::invalid_argument("chain workload spec \"" + spec +
                                     "\": expected Name:WIDTH");
-    const std::string name = spec.substr(0, colon);
-    const std::string tail = spec.substr(colon + 1);
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(tail.c_str(), &end, 10);
-    if (tail.empty() || end == nullptr || *end != '\0' || v == 0)
+    if (s->size == 0)
         throw std::invalid_argument("chain workload spec \"" + spec +
-                                    "\": bad width \"" + tail + "\"");
-    const uint32_t w = uint32_t(v);
+                                    "\": bad width");
+    const std::string_view name = s->name;
+    const uint32_t w = s->size;
 
     ChainWorkload wl;
     if (name == "ChainMillSum") {
@@ -259,8 +259,8 @@ resolveChainWorkload(const std::string &spec)
         wl.plan = prodCmpPlan(w);
         wl.description = "product comparison: a0*b0 < a1*b1";
     } else {
-        throw std::invalid_argument("unknown chain workload \"" + name +
-                                    "\"");
+        throw std::invalid_argument("unknown chain workload \"" +
+                                    std::string(name) + "\"");
     }
     wl.name = wl.plan.name;
 

@@ -6,9 +6,9 @@
  * small composite computations whose natural decomposition is a DAG
  * of standard components, used by tests/test_chain.cc for
  * chained-vs-monolithic parity and by bench/chain_link and the
- * serving layer as request specs. Spec strings follow the server's
- * "Name:arg" convention ("ChainMillSum:32"); isChainSpec() is how
- * serveSession routes a request into the chained path.
+ * serving layer as request specs. Spec strings follow the shared
+ * "Name:N" grammar (circuit/spec.h, "ChainMillSum:32"); isChainSpec()
+ * is how the server routes a request into the chained path.
  */
 #ifndef HAAC_CHAIN_WORKLOADS_H
 #define HAAC_CHAIN_WORKLOADS_H
@@ -49,8 +49,8 @@ bool isChainSpec(const std::string &spec);
  *                      headline: ~2 W^2 ANDs garbled ahead of time
  *                      against 2 W links at request time.
  *
- * @throws std::invalid_argument for an unknown name or a width the
- *         component library refuses.
+ * @throws std::invalid_argument for an unknown name, a width that is
+ *         not canonical, or one the component library refuses.
  */
 ChainWorkload resolveChainWorkload(const std::string &spec);
 

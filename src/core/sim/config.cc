@@ -33,8 +33,9 @@ HaacConfig::check() const
     if (writeBufferBytes == 0)
         return "writeBufferBytes must be non-zero";
     // Negated so NaN fails too.
-    if (!(dramBandwidthScale > 0 && dramBandwidthScale <= 1))
-        return "dramBandwidthScale must be in (0, 1]";
+    if (!(dramBandwidthScale >= kMinDramBandwidthScale &&
+          dramBandwidthScale <= 1))
+        return "dramBandwidthScale must be in [1/1024, 1]";
     return "";
 }
 

@@ -63,8 +63,11 @@ struct HaacConfig
      * Fraction of the package bandwidth this core sees (1.0 = all of
      * it). The sharded runtime sets 1/M per shard so M cores share one
      * memory package, the measured analogue of bench/ablation_multicore.
+     * At least kMinDramBandwidthScale: the engine accrues budget cycle
+     * by cycle, so host time per grant grows as 1/scale.
      */
     double dramBandwidthScale = 1.0;
+    static constexpr double kMinDramBandwidthScale = 1.0 / 1024;
 
     /** @name Pipeline structure (§3.2) */
     /// @{
@@ -81,7 +84,7 @@ struct HaacConfig
      * at least one GE and one bank per GE with the bank count in 32
      * bits, an SWW of at least two labels (the window slides in
      * halves) whose wire count fits 32 bits, a non-empty write
-     * buffer and a bandwidth share in (0, 1]. Configs from a peer
+     * buffer and a bandwidth share in [1/1024, 1]. Configs from a peer
      * (shard Job frames) or the command line must pass before they
      * reach the engine.
      *

@@ -1,11 +1,12 @@
 #include "net/server.h"
 
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 #include "chain/link.h"
 #include "chain/workloads.h"
 #include "circuit/bristol.h"
+#include "circuit/spec.h"
 #include "crypto/prg.h"
 #include "net/wire.h"
 #include "serve/component_pool.h"
@@ -17,26 +18,15 @@ namespace haac {
 
 namespace {
 
-/** Parse "Name:arg" → (Name, arg); no colon → (spec, nullopt). */
-bool
-splitSpec(const std::string &spec, std::string &name, uint32_t &arg)
-{
-    const size_t colon = spec.find(':');
-    if (colon == std::string::npos)
-        return false;
-    name = spec.substr(0, colon);
-    const std::string tail = spec.substr(colon + 1);
-    if (tail.empty())
-        throw NetError("workload spec \"" + spec +
-                       "\": missing size argument");
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(tail.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0 || v > (1u << 20))
-        throw NetError("workload spec \"" + spec +
-                       "\": bad size argument \"" + tail + "\"");
-    arg = uint32_t(v);
-    return true;
-}
+/** The largest N a sized registry spec ("Mult:N") may carry. */
+constexpr uint32_t kMaxSizeArg = 1u << 20;
+
+/**
+ * Registry specs and chain plans each server keeps resolved; the least
+ * recently requested one past this is dropped and re-resolved on its
+ * next request.
+ */
+constexpr size_t kCachedSpecs = 64;
 
 /** Session ack: one status byte (1 = accepted), then the message. */
 void
@@ -49,11 +39,18 @@ sendAck(Transport &transport, bool ok, const std::string &message)
     transport.sendFrame(frame);
 }
 
-/** The server plays whichever GC role the client did not claim. */
-Role
-serverRoleFor(PeerRole client)
+/** Client half of a request: send @p frame, then read the ack. */
+void
+requestSession(Transport &transport, const std::vector<uint8_t> &frame,
+               const char *what)
 {
-    return client == PeerRole::Garbler ? Role::Evaluator : Role::Garbler;
+    transport.sendFrame(frame);
+    const std::vector<uint8_t> ack = transport.recvFrame();
+    if (ack.empty())
+        throw NetError("server sent an empty session ack");
+    if (ack[0] == 0)
+        throw NetError(std::string("server refused ") + what + ": " +
+                       std::string(ack.begin() + 1, ack.end()));
 }
 
 /**
@@ -76,14 +73,69 @@ const SizedFamily kSizedFamilies[] = {
     {"Mult", makeMultiplier, [](uint64_t n) { return 6 * n * n; }},
 };
 
-/** The family named @p name, or null. */
+/**
+ * The sized family @p spec names, its size in @p n; null for a spec
+ * without a colon (a fixed circuit) or an unknown name.
+ */
 const SizedFamily *
-sizedFamily(const std::string &name)
+sizedFamily(const std::string &spec, uint32_t &n)
 {
+    const std::optional<SizedSpec> s = splitSizedSpec(spec, kMaxSizeArg);
+    if (!s)
+        return nullptr;
+    if (s->size == 0)
+        throw NetError("workload spec \"" + spec +
+                       "\": bad size argument");
+    n = s->size;
     for (const SizedFamily &f : kSizedFamilies)
-        if (name == f.name)
+        if (s->name == f.name)
             return &f;
     return nullptr;
+}
+
+/**
+ * The upload admission gate: header caps, parse, analyzer verdict and
+ * canonical-size re-check, all before a single label is derived.
+ */
+Netlist
+admitUpload(const std::vector<uint8_t> &frame, uint32_t max_gates)
+{
+    // The reader sizes its gate storage and its wire map off the
+    // header's counts, so they are capped before it sees the text.
+    const std::string_view text = parseNetlistUploadFrame(frame);
+    const std::optional<BristolHeader> head = readBristolHeader(text);
+    if (!head)
+        throw NetError("uploaded netlist: missing Bristol header");
+    if (head->gates > max_gates)
+        throw NetError("uploaded netlist declares " +
+                       std::to_string(head->gates) +
+                       " gates; this server admits at most " +
+                       std::to_string(max_gates));
+    // Every wire of an admissible circuit is a primary input or one
+    // gate's output, and the parser refuses headers where that fails,
+    // so 2*maxGates (+1 output slack, e.g. an XOR-parity tree) bounds
+    // the wire count of everything worth parsing — and, with it, the
+    // parser's wire-map allocation.
+    const uint64_t max_wires = 2 * uint64_t(max_gates) + 1;
+    if (head->wires > max_wires)
+        throw NetError("uploaded netlist declares " +
+                       std::to_string(head->wires) +
+                       " wires; this server admits at most " +
+                       std::to_string(max_wires));
+    // The refusal text needs the warning count, not the warnings.
+    CircuitLintOptions count_warnings;
+    count_warnings.warningText = false;
+    CircuitLintReport lints;
+    Netlist nl = readBristol(text, &lints, count_warnings);
+    if (!lints.clean())
+        throw NetError("uploaded netlist refused by the circuit analyzer (" +
+                       lints.summary() + "): " + lints.firstError());
+    if (nl.numGates() > max_gates)
+        throw NetError("uploaded netlist canonicalizes to " +
+                       std::to_string(nl.numGates()) +
+                       " gates; this server admits at most " +
+                       std::to_string(max_gates));
+    return nl;
 }
 
 } // namespace
@@ -91,24 +143,17 @@ sizedFamily(const std::string &name)
 uint64_t
 workloadGateBound(const std::string &spec)
 {
-    std::string name;
-    uint32_t arg = 0;
-    if (!splitSpec(spec, name, arg))
-        return 0;
-    const SizedFamily *f = sizedFamily(name);
-    return f != nullptr ? f->gateBound(arg) : 0;
+    uint32_t n = 0;
+    const SizedFamily *f = sizedFamily(spec, n);
+    return f != nullptr ? f->gateBound(n) : 0;
 }
 
 Workload
 resolveWorkload(const std::string &spec)
 {
-    std::string name;
-    uint32_t arg = 0;
-    if (splitSpec(spec, name, arg)) {
-        if (const SizedFamily *f = sizedFamily(name))
-            return f->make(arg);
-        throw NetError("unknown workload spec \"" + spec + "\"");
-    }
+    uint32_t n = 0;
+    if (const SizedFamily *f = sizedFamily(spec, n))
+        return f->make(n);
     if (spec == "AES128" || spec == "aes128")
         return makeAes128();
     try {
@@ -132,26 +177,13 @@ clientHello(Transport &transport, PeerRole self, const std::string &spec)
 void
 clientRequest(Transport &transport, const std::string &spec)
 {
-    std::vector<uint8_t> request(spec.begin(), spec.end());
-    transport.sendFrame(request);
-    const std::vector<uint8_t> ack = transport.recvFrame();
-    if (ack.empty())
-        throw NetError("server sent an empty session ack");
-    const std::string message(ack.begin() + 1, ack.end());
-    if (ack[0] == 0)
-        throw NetError("server refused session: " + message);
+    requestSession(transport, {spec.begin(), spec.end()}, "session");
 }
 
 void
 clientUploadRequest(Transport &transport, const std::string &bristol)
 {
-    transport.sendFrame(makeNetlistUploadFrame(bristol));
-    const std::vector<uint8_t> ack = transport.recvFrame();
-    if (ack.empty())
-        throw NetError("server sent an empty session ack");
-    const std::string message(ack.begin() + 1, ack.end());
-    if (ack[0] == 0)
-        throw NetError("server refused upload: " + message);
+    requestSession(transport, makeNetlistUploadFrame(bristol), "upload");
 }
 
 RunReport
@@ -203,7 +235,9 @@ makeChainReport(const chain::ChainResult &result, Role role,
     return report;
 }
 
-GcServer::GcServer(ServerOptions opts) : opts_(opts)
+GcServer::GcServer(ServerOptions opts)
+    : opts_(opts), workloads_(opts.cacheWorkloads ? kCachedSpecs : 0),
+      chains_(opts.cacheWorkloads ? kCachedSpecs : 0)
 {
     if (opts_.threads == 0)
         opts_.threads = 1;
@@ -357,37 +391,155 @@ GcServer::serveOne(Transport &transport, uint64_t session_id)
             std::lock_guard<std::mutex> lock(mutex_);
             sid = nextSessionId_++;
         }
-        if (isNetlistUploadFrame(request)) {
-            serveUploadSession(transport, sid, client, request,
-                               ot_cache);
-            continue;
-        }
-        const std::string spec(request.begin(), request.end());
-        if (chain::isChainSpec(spec))
-            serveChainSession(transport, sid, client, spec, ot_cache);
-        else
-            serveSession(transport, sid, client, spec, ot_cache);
+        serveSession(transport, sid, client, request, ot_cache);
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++totals_.connectionsServed;
 }
 
-RemoteOptions
-GcServer::sessionOptions(OtConnectionCache &ot_cache) const
+GcServer::Admitted
+GcServer::admit(const std::vector<uint8_t> &request)
 {
+    Admitted in;
+    if (isNetlistUploadFrame(request)) {
+        Netlist nl;
+        try {
+            nl = admitUpload(request, opts_.maxGates);
+        } catch (const std::exception &) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++totals_.uploadsRefused;
+            throw;
+        }
+        // The server has no stake in a circuit it has never seen: its
+        // own inputs are all zero, and an upload (assumed unique) is
+        // neither cached nor pooled.
+        in.ack = "netlist:" + std::to_string(nl.numGates());
+        auto wl = std::make_shared<Workload>();
+        wl->name = "uploaded-netlist";
+        wl->garblerBits.assign(nl.numGarblerInputs, false);
+        wl->evaluatorBits.assign(nl.numEvaluatorInputs, false);
+        wl->netlist = std::move(nl);
+        in.workload = std::move(wl);
+        return in;
+    }
+
+    in.spec.assign(request.begin(), request.end());
+    if (chain::isChainSpec(in.spec)) {
+        in.chain = chains_.getOrMake(in.spec, [&] {
+            try {
+                return std::make_shared<const chain::ChainWorkload>(
+                    chain::resolveChainWorkload(in.spec));
+            } catch (const std::invalid_argument &e) {
+                throw NetError("unknown chain workload spec \"" +
+                               in.spec + "\": " + e.what());
+            }
+        });
+        in.ack = in.chain->name;
+        return in;
+    }
+    if (in.spec.empty())
+        throw NetError("this server requires a workload spec "
+                       "(e.g. \"Million:32\")");
+    in.workload = workloads_.getOrMake(in.spec, [&] {
+        // A size argument up to 2^20 reaches ~6.6e12 gates for Mult,
+        // so sized specs meet the upload's gate cap before anything is
+        // built. A cached spec has passed it already.
+        const uint64_t bound = workloadGateBound(in.spec);
+        if (bound > opts_.maxGates)
+            throw NetError("workload spec \"" + in.spec +
+                           "\" builds up to " + std::to_string(bound) +
+                           " gates; this server admits at most " +
+                           std::to_string(opts_.maxGates));
+        return std::make_shared<const Workload>(resolveWorkload(in.spec));
+    });
+    in.ack = in.workload->name;
+    return in;
+}
+
+void
+GcServer::serveSession(Transport &transport, uint64_t session_id,
+                       PeerRole client, const std::vector<uint8_t> &request,
+                       OtConnectionCache &ot_cache)
+{
+    // A refusal kills the session (and the connection) with the reason
+    // acked back.
+    Admitted in;
+    try {
+        in = admit(request);
+    } catch (const std::exception &e) {
+        sendAck(transport, false, e.what());
+        throw NetError(e.what());
+    }
+    sendAck(transport, true, in.ack);
+
     RemoteOptions ropts;
     ropts.segmentTables = opts_.segmentTables;
     if (opts_.cacheBaseOt)
         ropts.otCache = &ot_cache;
-    return ropts;
-}
+    // The server plays whichever GC role the client did not claim.
+    const bool garbler = client != PeerRole::Garbler;
+    const Role role = garbler ? Role::Garbler : Role::Evaluator;
 
-void
-GcServer::finishSession(RunReport &report, uint64_t session_id,
-                        const RemoteResult &result,
-                        const std::function<void(Totals &)> &count)
-{
+    chain::ChainResult result; // a monolithic session fills its base
+    std::optional<serve::PoolStats> pool_stats;
+    RunReport report;
+    bool pool_eligible = false;
+    std::unique_ptr<GarbledInstance> pooled;
+    if (in.chain != nullptr) {
+        const chain::ChainWorkload &wl = *in.chain;
+        // A pool serves pre-garbled components (misses garble inline
+        // inside the provider); without one, every component garbles
+        // fresh from OS entropy. The chaining security contract (one
+        // garbling, one session) holds either way.
+        serve::ComponentPool *pool = opts_.componentPool;
+        if (garbler && pool != nullptr)
+            pool->trackPlan(wl.plan);
+        result = garbler ? chain::runChainGarbler(
+                               wl.plan, wl.garblerBits, transport,
+                               pool != nullptr
+                                   ? pool->provider()
+                                   : chain::freshComponentProvider(0),
+                               ropts)
+                         : chain::runChainEvaluator(
+                               wl.plan, wl.evaluatorBits, transport, ropts);
+        report = makeChainReport(result, role, transport);
+        report.workload = wl.name;
+        if (pool != nullptr)
+            pool_stats = pool->stats();
+    } else {
+        const Workload &wl = *in.workload;
+        // Garbler sessions over a registry spec prefer a pooled
+        // instance; a miss (or no pool) garbles inline from a fresh
+        // OS-entropy seed. Pop before tracking, so a spec's first
+        // session is always a miss rather than a race with the filler
+        // that track() wakes.
+        pool_eligible = opts_.pool != nullptr && garbler && !in.spec.empty();
+        if (pool_eligible) {
+            pooled = opts_.pool->tryPop(in.spec);
+            opts_.pool->track(in.spec, wl.netlist);
+        }
+        RemoteResult &mono = result;
+        if (!garbler)
+            mono = runRemoteEvaluator(wl.netlist, wl.evaluatorBits,
+                                      transport, ropts);
+        else if (pooled != nullptr)
+            mono = runRemoteGarbler(wl.netlist, wl.garblerBits, transport,
+                                    *pooled, ropts);
+        else
+            mono = runRemoteGarbler(wl.netlist, wl.garblerBits, transport,
+                                    randomSeed(), ropts);
+        report = makeRemoteReport(result, role, transport);
+        report.workload = wl.name;
+        if (opts_.pool != nullptr || opts_.cacheBaseOt)
+            pool_stats = opts_.pool != nullptr ? opts_.pool->stats()
+                                               : serve::PoolStats{};
+    }
+    if (pool_stats) {
+        report.serve.poolHits = pool_stats->hits;
+        report.serve.poolMisses = pool_stats->misses;
+        report.hasServe = true;
+    }
     report.label = "session-" + std::to_string(session_id);
     // Serialize outside any lock; the sink has its own mutex so slow
     // report I/O never stalls the queue/totals lock the pool runs on.
@@ -399,256 +551,21 @@ GcServer::finishSession(RunReport &report, uint64_t session_id,
         totals_.payloadBytes += result.totalBytes;
         totals_.gates += result.gates;
         totals_.sessionSeconds += result.seconds;
-        if (result.otSetupReused)
-            ++totals_.otSetupsReused;
-        if (count)
-            count(totals_);
+        totals_.otSetupsReused += result.otSetupReused;
+        if (pool_eligible)
+            ++(pooled != nullptr ? totals_.poolHits : totals_.poolMisses);
+        if (in.chain != nullptr)
+            ++totals_.chainSessions;
+        else if (in.spec.empty())
+            ++totals_.uploadSessions;
+        totals_.componentsLinked += result.components;
+        totals_.componentPoolHits += result.pooledComponents;
+        totals_.linkBytes += result.linkBytes;
     }
     if (opts_.reports) {
         std::lock_guard<std::mutex> lock(reportMutex_);
         *opts_.reports << json << "\n" << std::flush;
     }
-}
-
-void
-GcServer::serveSession(Transport &transport, uint64_t session_id,
-                       PeerRole client, const std::string &spec,
-                       OtConnectionCache &ot_cache)
-{
-    std::shared_ptr<const Workload> wl;
-    try {
-        if (spec.empty())
-            throw NetError("this server requires a workload spec "
-                           "(e.g. \"Million:32\")");
-        wl = resolveCached(spec);
-    } catch (const NetError &e) {
-        sendAck(transport, false, e.what());
-        throw;
-    }
-    sendAck(transport, true, wl->name);
-
-    const RemoteOptions ropts = sessionOptions(ot_cache);
-    const Role server_role = serverRoleFor(client);
-
-    // Garbler sessions prefer a pooled instance; a pool miss (or no
-    // pool) garbles inline from a fresh OS-entropy seed.
-    // Pop before tracking, so a spec's first session is always a miss
-    // rather than a race with the filler that track() wakes.
-    std::unique_ptr<GarbledInstance> pooled;
-    const bool pool_eligible =
-        opts_.pool != nullptr && server_role == Role::Garbler;
-    if (pool_eligible) {
-        pooled = opts_.pool->tryPop(spec);
-        opts_.pool->track(spec, wl->netlist);
-    }
-
-    RemoteResult result;
-    if (server_role == Role::Garbler) {
-        result = pooled != nullptr
-                     ? runRemoteGarbler(wl->netlist, wl->garblerBits,
-                                        transport, *pooled, ropts)
-                     : runRemoteGarbler(wl->netlist, wl->garblerBits,
-                                        transport, randomSeed(), ropts);
-    } else {
-        result = runRemoteEvaluator(wl->netlist, wl->evaluatorBits,
-                                    transport, ropts);
-    }
-
-    RunReport report = makeRemoteReport(result, server_role, transport);
-    report.workload = wl->name;
-    if (opts_.pool != nullptr || opts_.cacheBaseOt) {
-        const serve::PoolStats ps = opts_.pool != nullptr
-                                        ? opts_.pool->stats()
-                                        : serve::PoolStats{};
-        report.serve.poolHits = ps.hits;
-        report.serve.poolMisses = ps.misses;
-        report.hasServe = true;
-    }
-    finishSession(report, session_id, result, [&](Totals &t) {
-        if (pool_eligible)
-            ++(pooled != nullptr ? t.poolHits : t.poolMisses);
-    });
-}
-
-void
-GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
-                             PeerRole client,
-                             const std::vector<uint8_t> &frame,
-                             OtConnectionCache &ot_cache)
-{
-    // The admission gate. Everything in this block runs before a
-    // single label is derived: header cap, parse, analyzer verdict,
-    // canonical-size re-check. Refusal kills the session (and the
-    // connection, like a refused spec) with the diagnostic acked back.
-    Netlist nl;
-    try {
-        // The reader sizes its gate storage and its wire map off the
-        // header's counts, so they are capped before it sees the text.
-        const std::string_view text = parseNetlistUploadFrame(frame);
-        const std::optional<BristolHeader> head = readBristolHeader(text);
-        if (!head)
-            throw NetError("uploaded netlist: missing Bristol header");
-        if (head->gates > opts_.maxGates)
-            throw NetError("uploaded netlist declares " +
-                           std::to_string(head->gates) +
-                           " gates; this server admits at most " +
-                           std::to_string(opts_.maxGates));
-        // Every wire of an admissible circuit is a primary input or
-        // one gate's output, and the parser refuses headers where
-        // that fails, so 2*maxGates (+1 output slack, e.g. an
-        // XOR-parity tree) bounds the wire count of everything worth
-        // parsing — and, with it, the parser's wire-map allocation.
-        const uint64_t max_wires = 2 * uint64_t(opts_.maxGates) + 1;
-        if (head->wires > max_wires)
-            throw NetError("uploaded netlist declares " +
-                           std::to_string(head->wires) +
-                           " wires; this server admits at most " +
-                           std::to_string(max_wires));
-        // The refusal text needs the warning count, not the warnings.
-        CircuitLintOptions count_warnings;
-        count_warnings.warningText = false;
-        CircuitLintReport lints;
-        nl = readBristol(text, &lints, count_warnings);
-        if (!lints.clean())
-            throw NetError(
-                "uploaded netlist refused by the circuit analyzer (" +
-                lints.summary() + "): " + lints.firstError());
-        if (nl.numGates() > opts_.maxGates)
-            throw NetError("uploaded netlist canonicalizes to " +
-                           std::to_string(nl.numGates()) +
-                           " gates; this server admits at most " +
-                           std::to_string(opts_.maxGates));
-    } catch (const std::exception &e) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++totals_.uploadsRefused;
-        }
-        sendAck(transport, false, e.what());
-        throw NetError(e.what());
-    }
-    sendAck(transport, true, "netlist:" + std::to_string(nl.numGates()));
-
-    const RemoteOptions ropts = sessionOptions(ot_cache);
-    const Role server_role = serverRoleFor(client);
-
-    // The server has no stake in a circuit it has never seen: its own
-    // inputs are all zero, and nothing about an upload is pooled or
-    // cached (each one is assumed unique).
-    RemoteResult result;
-    if (server_role == Role::Garbler) {
-        const std::vector<bool> bits(nl.numGarblerInputs, false);
-        result = runRemoteGarbler(nl, bits, transport, randomSeed(),
-                                  ropts);
-    } else {
-        const std::vector<bool> bits(nl.numEvaluatorInputs, false);
-        result = runRemoteEvaluator(nl, bits, transport, ropts);
-    }
-
-    RunReport report = makeRemoteReport(result, server_role, transport);
-    report.workload = "uploaded-netlist";
-    finishSession(report, session_id, result,
-                  [](Totals &t) { ++t.uploadSessions; });
-}
-
-void
-GcServer::serveChainSession(Transport &transport, uint64_t session_id,
-                            PeerRole client, const std::string &spec,
-                            OtConnectionCache &ot_cache)
-{
-    std::shared_ptr<const chain::ChainWorkload> wl;
-    try {
-        wl = resolveChainCached(spec);
-    } catch (const NetError &e) {
-        sendAck(transport, false, e.what());
-        throw;
-    }
-    sendAck(transport, true, wl->name);
-
-    const RemoteOptions ropts = sessionOptions(ot_cache);
-    const Role server_role = serverRoleFor(client);
-
-    chain::ChainResult result;
-    if (server_role == Role::Garbler) {
-        // A pool serves pre-garbled components (misses garble inline
-        // inside the provider); without one, every component garbles
-        // fresh from OS entropy. The chaining security contract (one
-        // garbling, one session) holds either way.
-        if (opts_.componentPool != nullptr)
-            opts_.componentPool->trackPlan(wl->plan);
-        result = chain::runChainGarbler(
-            wl->plan, wl->garblerBits, transport,
-            opts_.componentPool != nullptr
-                ? opts_.componentPool->provider()
-                : chain::freshComponentProvider(0),
-            ropts);
-    } else {
-        result = chain::runChainEvaluator(wl->plan, wl->evaluatorBits,
-                                          transport, ropts);
-    }
-
-    RunReport report = makeChainReport(result, server_role, transport);
-    report.workload = wl->name;
-    if (opts_.componentPool != nullptr) {
-        const serve::PoolStats ps = opts_.componentPool->stats();
-        report.serve.poolHits = ps.hits;
-        report.serve.poolMisses = ps.misses;
-        report.hasServe = true;
-    }
-    finishSession(report, session_id, result, [&](Totals &t) {
-        ++t.chainSessions;
-        t.componentsLinked += result.components;
-        t.componentPoolHits += result.pooledComponents;
-        t.linkBytes += result.linkBytes;
-    });
-}
-
-std::shared_ptr<const Workload>
-GcServer::resolveCached(const std::string &spec)
-{
-    // A size argument up to 2^20 reaches ~6.6e12 gates for Mult, so
-    // sized specs meet the upload's gate cap before anything is built.
-    const uint64_t bound = workloadGateBound(spec);
-    if (bound > opts_.maxGates)
-        throw NetError("workload spec \"" + spec + "\" builds up to " +
-                       std::to_string(bound) +
-                       " gates; this server admits at most " +
-                       std::to_string(opts_.maxGates));
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        auto it = workloadCache_.find(spec);
-        if (it != workloadCache_.end())
-            return it->second;
-    }
-    auto wl = std::make_shared<const Workload>(resolveWorkload(spec));
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        workloadCache_.emplace(spec, wl);
-    }
-    return wl;
-}
-
-std::shared_ptr<const chain::ChainWorkload>
-GcServer::resolveChainCached(const std::string &spec)
-{
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        auto it = chainCache_.find(spec);
-        if (it != chainCache_.end())
-            return it->second;
-    }
-    std::shared_ptr<const chain::ChainWorkload> wl;
-    try {
-        wl = std::make_shared<const chain::ChainWorkload>(
-            chain::resolveChainWorkload(spec));
-    } catch (const std::invalid_argument &e) {
-        throw NetError("unknown chain workload spec \"" + spec +
-                       "\": " + e.what());
-    }
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        chainCache_.emplace(spec, wl);
-    }
-    return wl;
 }
 
 } // namespace haac

@@ -21,13 +21,13 @@
  * trajectory format the benchmarks write.
  *
  * Connections are multi-session: after a session completes, the
- * server waits for another workload-spec frame on the same connection
- * (clientRequest() is the client half); the peer closing instead ends
- * the connection cleanly. Repeat traffic is amortized by the serving
- * layer (src/serve): a per-connection base-OT cache skips the
- * Curve25519 base phase after the first session, a workload cache
- * skips circuit re-synthesis, and an optional GarblePool lets garbler
- * sessions replay pre-garbled instances instead of garbling inline.
+ * server waits for another request frame (clientRequest() or
+ * clientUploadRequest()); the peer closing ends the connection. Every
+ * request takes one path: admit it (a registry spec, chain spec or
+ * upload becomes a circuit plus ack text, or a NetError refusal), ack,
+ * run and report. Repeat traffic is amortized by the serving layer
+ * (src/serve): a per-connection base-OT cache, two bounded LRU caches
+ * of resolved specs, and optional pools of pre-garbled instances.
  */
 #ifndef HAAC_NET_SERVER_H
 #define HAAC_NET_SERVER_H
@@ -35,8 +35,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -48,6 +46,7 @@
 #include "net/remote.h"
 #include "net/tcp.h"
 #include "net/transport.h"
+#include "serve/cache.h"
 #include "workloads/vip.h"
 
 namespace haac {
@@ -67,10 +66,11 @@ struct ChainWorkload;
  *
  * Accepts the Table 5 prior-work circuits with a size argument
  * ("Million:32", "Adder:64", "Mult:8", "AES128") and every Table 2
- * VIP name ("Hamm", "MatMult", ...; default scale).
+ * VIP name ("Hamm", "MatMult", ...; default scale). The size argument
+ * is [1-9][0-9]* up to 2^20 (circuit/spec.h).
  *
- * @throws NetError for an unknown spec (the server acks it back to
- *         the client as a session error).
+ * @throws NetError for an unknown or malformed spec (the server acks
+ *         it back to the client as a session error).
  */
 Workload resolveWorkload(const std::string &spec);
 
@@ -161,7 +161,8 @@ struct ServerOptions
      * server; null garbles every component inline.
      */
     serve::ComponentPool *componentPool = nullptr;
-    /** Resolve each workload spec once and reuse the circuit. */
+    /** Keep recent specs resolved (two LRU caches of a fixed entry
+     *  count, keyed by spec); false = capacity 0, resolve every time. */
     bool cacheWorkloads = true;
     /** Reuse each connection's base-OT + IKNP setup across sessions. */
     bool cacheBaseOt = true;
@@ -228,38 +229,25 @@ class GcServer
   private:
     void workerLoop();
     void serveOne(Transport &transport, uint64_t session_id);
+    /** An admitted request: what to run and what to ack. */
+    struct Admitted
+    {
+        std::shared_ptr<const Workload> workload; ///< monolithic
+        std::shared_ptr<const chain::ChainWorkload> chain; ///< or chained
+        std::string spec; ///< the request; empty for an upload
+        std::string ack;
+    };
+    /** Resolve or refuse one request frame (NetError refuses). */
+    Admitted admit(const std::vector<uint8_t> &request);
+    /** Admit, ack, run and report one session. */
     void serveSession(Transport &transport, uint64_t session_id,
-                      PeerRole client, const std::string &spec,
+                      PeerRole client, const std::vector<uint8_t> &request,
                       OtConnectionCache &ot_cache);
-    void serveChainSession(Transport &transport, uint64_t session_id,
-                           PeerRole client, const std::string &spec,
-                           OtConnectionCache &ot_cache);
-    void serveUploadSession(Transport &transport, uint64_t session_id,
-                            PeerRole client,
-                            const std::vector<uint8_t> &frame,
-                            OtConnectionCache &ot_cache);
-    /** The RemoteOptions every GC session on this server runs with. */
-    RemoteOptions sessionOptions(OtConnectionCache &ot_cache) const;
-    /**
-     * The tail every GC session shares: label @p report, serialize it,
-     * add @p result to the totals (plus the flavor's own counters via
-     * @p count, under the totals lock), then write the report line.
-     */
-    void finishSession(RunReport &report, uint64_t session_id,
-                       const RemoteResult &result,
-                       const std::function<void(Totals &)> &count = {});
-    std::shared_ptr<const Workload>
-    resolveCached(const std::string &spec);
-    std::shared_ptr<const chain::ChainWorkload>
-    resolveChainCached(const std::string &spec);
 
     ServerOptions opts_;
     std::mutex reportMutex_; ///< guards only the reports sink
-    std::mutex workloadMutex_; ///< guards only workloadCache_
-    std::map<std::string, std::shared_ptr<const Workload>>
-        workloadCache_;
-    std::map<std::string, std::shared_ptr<const chain::ChainWorkload>>
-        chainCache_;
+    serve::LruCache<std::string, Workload> workloads_;
+    serve::LruCache<std::string, chain::ChainWorkload> chains_;
     mutable std::mutex mutex_;
     std::condition_variable wake_;  ///< workers: queue non-empty / stop
     std::condition_variable idle_;  ///< drain(): queue empty, none active

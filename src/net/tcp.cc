@@ -9,10 +9,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <stdexcept>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <thread>
 #include <unistd.h>
+
+#include "circuit/spec.h"
 
 namespace haac {
 
@@ -281,6 +284,19 @@ TcpListener::accept(const TcpOptions &opts)
     return std::unique_ptr<TcpTransport>(new TcpTransport(
         fd, endpointString(reinterpret_cast<sockaddr *>(&peer), len),
         opts));
+}
+
+std::pair<std::string, uint16_t>
+splitEndpoint(const std::string &endpoint, const char *default_host)
+{
+    const size_t colon = endpoint.rfind(':');
+    const size_t at = colon == std::string::npos ? 0 : colon + 1;
+    const uint32_t port = parseSpecSize(endpoint.substr(at), 65535);
+    if (port == 0)
+        throw std::invalid_argument("endpoint \"" + endpoint +
+                                    "\": bad port");
+    const std::string host = at == 0 ? "" : endpoint.substr(0, colon);
+    return {host.empty() ? default_host : host, uint16_t(port)};
 }
 
 } // namespace haac

@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "net/transport.h"
 
@@ -92,6 +93,14 @@ class TcpListener
     int fd_;
     uint16_t port_;
 };
+
+/**
+ * Split "host:port" or a bare "port" at the last colon (IPv6 literals
+ * keep theirs); no host means @p default_host. @throws
+ * std::invalid_argument for a port that is not [1-9][0-9]* <= 65535.
+ */
+std::pair<std::string, uint16_t>
+splitEndpoint(const std::string &endpoint, const char *default_host);
 
 } // namespace haac
 

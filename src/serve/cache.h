@@ -88,6 +88,24 @@ class LruCache
         ++stats_.insertions;
     }
 
+    /**
+     * The value under @p key, or make()'s, cached on the way out.
+     * make() runs unlocked, so two racing misses may both make one.
+     */
+    template <typename Make>
+    std::shared_ptr<const Value>
+    getOrMake(const Key &key, Make make, bool *hit = nullptr)
+    {
+        std::shared_ptr<const Value> value = get(key);
+        if (hit)
+            *hit = value != nullptr;
+        if (value == nullptr) {
+            value = make();
+            put(key, value);
+        }
+        return value;
+    }
+
     size_t
     size() const
     {

@@ -132,21 +132,14 @@ std::shared_ptr<const CompiledUnit>
 CompileCache::compile(const Netlist &netlist, const CompileOptions &opts,
                       const HaacConfig &config, bool *hit)
 {
-    const CompileKey key = CompileKey::of(netlist, opts, config);
-    if (std::shared_ptr<const CompiledUnit> cached = lru_.get(key)) {
-        if (hit)
-            *hit = true;
-        return cached;
-    }
-    if (hit)
-        *hit = false;
-    auto unit = std::make_shared<CompiledUnit>();
-    unit->program =
-        compileProgram(assemble(netlist), opts, &unit->stats);
-    unit->streams = buildStreams(unit->program, config);
-    std::shared_ptr<const CompiledUnit> frozen = std::move(unit);
-    lru_.put(key, frozen);
-    return frozen;
+    const auto make = [&] {
+        auto unit = std::make_shared<CompiledUnit>();
+        unit->program =
+            compileProgram(assemble(netlist), opts, &unit->stats);
+        unit->streams = buildStreams(unit->program, config);
+        return std::shared_ptr<const CompiledUnit>(std::move(unit));
+    };
+    return lru_.getOrMake(CompileKey::of(netlist, opts, config), make, hit);
 }
 
 } // namespace serve

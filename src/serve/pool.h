@@ -19,8 +19,9 @@
  *
  * Staleness: each spec's maker holds a copy of the netlist made at
  * track() time. A workload whose netlist changes identity must be
- * tracked under a new spec; the server's workload cache (net/server.h)
- * has the same lifetime, so both stay in sync.
+ * tracked under a new spec. The server's LRU cache (net/server.h) may
+ * evict a spec, but resolution is a pure function of the spec string,
+ * so the netlist it re-resolves is the one the maker holds.
  */
 #ifndef HAAC_SERVE_POOL_H
 #define HAAC_SERVE_POOL_H
@@ -48,7 +49,7 @@ class GarblePool : public PrebuiltPool<std::unique_ptr<GarbledInstance>>
     void
     track(const std::string &spec, const Netlist &netlist)
     {
-        if (tracks(spec))
+        if (!wouldTrack(spec))
             return;
         PrebuiltPool::track(spec, [netlist](uint64_t seed) {
             return std::make_unique<GarbledInstance>(

@@ -21,7 +21,8 @@
  *
  * Makers are stored at track() time and never replaced, so whatever a
  * maker captures (a netlist, a component spec) fixes what its key
- * means. Depth x item size bounds the pool's memory per key.
+ * means. A pool tracks at most kMaxPoolKeys keys, so kMaxPoolKeys x
+ * depth x the largest item bounds its memory.
  */
 #ifndef HAAC_SERVE_PREBUILT_POOL_H
 #define HAAC_SERVE_PREBUILT_POOL_H
@@ -41,6 +42,10 @@
 
 namespace haac {
 namespace serve {
+
+/** Keys one pool tracks at most; past it, sessions garble inline as
+ *  misses. Far above any fleet in use (the benches track a few). */
+inline constexpr size_t kMaxPoolKeys = 64;
 
 struct PoolOptions
 {
@@ -113,7 +118,8 @@ class PrebuiltPool
 
     /**
      * Start keeping @p key's queue full. Idempotent: re-tracking a
-     * key is a no-op (the first maker wins).
+     * key is a no-op (the first maker wins), and so is tracking a new
+     * key once kMaxPoolKeys are tracked.
      */
     void
     track(const std::string &key, Maker make)
@@ -122,7 +128,7 @@ class PrebuiltPool
             // Look before building a Queue: sessions re-track on every
             // request, and a std::deque allocates when constructed.
             std::lock_guard<std::mutex> lock(mutex_);
-            if (queues_.count(key) != 0)
+            if (!admits(key))
                 return;
             queues_.emplace(key, Queue{std::move(make), {}, 0, true});
         }
@@ -183,15 +189,22 @@ class PrebuiltPool
     }
 
   protected:
-    /** Is @p key tracked? Lets a caller skip building a maker. */
+    /** Would track(@p key) add it? Lets a caller skip building a maker. */
     bool
-    tracks(const std::string &key) const
+    wouldTrack(const std::string &key) const
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        return queues_.count(key) != 0;
+        return admits(key);
     }
 
   private:
+    /** Untracked, with room for one more key; caller holds mutex_. */
+    bool
+    admits(const std::string &key) const
+    {
+        return queues_.size() < kMaxPoolKeys && queues_.count(key) == 0;
+    }
+
     struct Queue
     {
         Maker make;

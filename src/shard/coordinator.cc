@@ -1,7 +1,6 @@
 #include "shard/coordinator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -20,21 +19,8 @@ namespace {
 std::unique_ptr<Transport>
 connectWorker(const std::string &endpoint)
 {
-    const size_t colon = endpoint.rfind(':');
-    const std::string port_str =
-        colon == std::string::npos ? endpoint
-                                   : endpoint.substr(colon + 1);
-    std::string host =
-        colon == std::string::npos ? "" : endpoint.substr(0, colon);
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(port_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0 || v > 65535)
-        throw std::invalid_argument("shard worker endpoint \"" +
-                                    endpoint + "\": bad port \"" +
-                                    port_str + "\"");
-    if (host.empty())
-        host = "127.0.0.1";
-    return TcpTransport::connect(host, uint16_t(v));
+    const auto [host, port] = splitEndpoint(endpoint, "127.0.0.1");
+    return TcpTransport::connect(host, port);
 }
 
 /** Join loopback worker threads even when the coordinator throws. */
@@ -80,6 +66,13 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
     const StreamSet set = buildStreams(prog, cfg);
     const ShardPlan plan = partitionStreams(prog, set, opts.shards);
     const uint32_t m = plan.shardCount();
+    // Never build a Job the workers refuse: each shard's 1/m share of
+    // the bandwidth must meet HaacConfig's floor.
+    if (opts.splitDramBandwidth &&
+        cfg.dramBandwidthScale / m < HaacConfig::kMinDramBandwidthScale)
+        throw std::invalid_argument(
+            "runSharded: " + std::to_string(m) +
+            " shards split the DRAM bandwidth below 1/1024 each");
 
     ShardRunResult out;
     out.shards = m;

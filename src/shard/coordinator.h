@@ -99,7 +99,9 @@ struct ShardRunResult
  *        values (checked against the coordinator's own evaluation).
  *        The input bit vectors are only read when this is set.
  * @throws NetError on worker/transport failure, std::runtime_error
- *         when a worker's values diverge from the coordinator's.
+ *         when a worker's values diverge from the coordinator's,
+ *         std::invalid_argument when a split bandwidth share would
+ *         fall below HaacConfig::kMinDramBandwidthScale.
  */
 ShardRunResult runSharded(HaacProgram prog, const HaacConfig &cfg,
                           SimMode mode, const ShardOptions &opts,

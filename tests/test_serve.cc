@@ -823,3 +823,96 @@ TEST(GcServer, PoolMissFallsBackToInlineGarbling)
     // First-ever session for the spec: the pool had nothing ready.
     EXPECT_EQ(totals.poolMisses, 1u);
 }
+
+TEST(PrebuiltPool, KeySetStopsAtTheCap)
+{
+    PoolOptions popts;
+    popts.depth = 1;
+    PrebuiltPool<std::unique_ptr<int>> pool(popts);
+    for (size_t k = 0; k <= kMaxPoolKeys; ++k)
+        pool.track("k" + std::to_string(k),
+                   [](uint64_t) { return std::make_unique<int>(0); });
+    pool.prewarm();
+    const PoolStats s = pool.stats();
+    EXPECT_EQ(s.tracked, kMaxPoolKeys);
+    EXPECT_EQ(s.ready, kMaxPoolKeys);
+
+    // The key past the cap is never filled: each pop is a miss.
+    const std::string past = "k" + std::to_string(kMaxPoolKeys);
+    EXPECT_EQ(pool.tryPop(past), nullptr);
+    EXPECT_EQ(pool.stats().misses, 1u);
+    EXPECT_EQ(pool.stats().tracked, kMaxPoolKeys);
+}
+
+TEST(GcServer, SpecAliasesAreRefusedAndNeverPooled)
+{
+    // Every alias below once resolved to Million-8 under its own
+    // cache and pool key.
+    PoolOptions popts;
+    popts.depth = 1;
+    GarblePool pool(popts);
+    ServerOptions opts;
+    opts.threads = 1;
+    opts.pool = &pool;
+    GcServer server(opts);
+
+    const Workload wl = resolveWorkload("Million:8");
+    {
+        auto [client_end, server_end] = LoopbackTransport::createPair();
+        server.submit(std::move(server_end));
+        clientHello(*client_end, PeerRole::Evaluator, "Million:8");
+        const RemoteResult res = runRemoteEvaluator(
+            wl.netlist, wl.evaluatorBits, *client_end);
+        EXPECT_EQ(res.outputs, wl.expectedOutputs);
+    }
+    for (const char *alias : {"Million:08", "Million: 8", "Million:+8",
+                              "Million:0008", "Million:\t8"}) {
+        auto [client_end, server_end] = LoopbackTransport::createPair();
+        server.submit(std::move(server_end));
+        EXPECT_THROW(
+            clientHello(*client_end, PeerRole::Evaluator, alias), NetError)
+            << alias;
+    }
+    server.drain();
+
+    const GcServer::Totals totals = server.totals();
+    EXPECT_EQ(totals.sessionsServed, 1u);
+    EXPECT_EQ(totals.sessionsFailed, 5u);
+    EXPECT_EQ(totals.poolMisses, 1u);
+    EXPECT_EQ(pool.stats().tracked, 1u);
+}
+
+TEST(GcServer, EvictedSpecReResolvesToTheSameCircuit)
+{
+    // More distinct specs than the server's resolution caches hold, on
+    // one connection: the first spec is evicted, and its next session
+    // re-resolves an identical netlist (the evaluating server checks
+    // the garbler's circuit fingerprint against it).
+    ServerOptions opts;
+    opts.threads = 1;
+    GcServer server(opts);
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    client_end->handshake(PeerRole::Garbler);
+    OtConnectionCache ot;
+    RemoteOptions ropts;
+    ropts.otCache = &ot;
+    std::vector<uint32_t> sizes;
+    for (uint32_t n = 1; n <= 80; ++n)
+        sizes.push_back(n);
+    sizes.push_back(1);
+    for (const uint32_t n : sizes) {
+        const std::string spec = "Million:" + std::to_string(n);
+        const Workload wl = resolveWorkload(spec);
+        clientRequest(*client_end, spec);
+        const RemoteResult res = runRemoteGarbler(
+            wl.netlist, wl.garblerBits, *client_end, n, ropts);
+        EXPECT_EQ(res.outputs, wl.netlist.evaluate(wl.garblerBits,
+                                                   wl.evaluatorBits))
+            << spec;
+    }
+    client_end.reset();
+    server.drain();
+    EXPECT_EQ(server.totals().sessionsServed, sizes.size());
+    EXPECT_EQ(server.totals().sessionsFailed, 0u);
+}

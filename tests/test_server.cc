@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "chain/component.h"
+#include "chain/workloads.h"
 #include "circuit/bristol.h"
 #include "gc/streaming.h"
 #include "net/loopback.h"
@@ -107,6 +109,59 @@ TEST(ResolveWorkload, GateBoundCoversEveryFamily)
     // The largest size argument: quadratic in N, far past any cap.
     EXPECT_GT(workloadGateBound("Mult:1048576"), uint64_t(1) << 40);
     EXPECT_THROW(workloadGateBound("Mult:0"), NetError);
+}
+
+// ---------------------------------------------------------------------
+// The one "Name:N" grammar (circuit/spec.h) behind every entry point
+// ---------------------------------------------------------------------
+
+TEST(SpecGrammar, CanonicalSpecsResolve)
+{
+    // The specs the tests, benches, examples and haacbench name.
+    std::vector<std::string> registry = {
+        "Million:8", "Million:16", "Million:32", "millionaire:8",
+        "Adder:8",   "Adder:16",   "Mult:4",     "Mult:8",
+        "AES128",    "aes128"};
+    for (const std::string &vip : vipNames())
+        registry.push_back(vip);
+    for (const std::string &spec : registry)
+        EXPECT_NO_THROW(resolveWorkload(spec)) << spec;
+    EXPECT_EQ(workloadGateBound("Mult:1048576"), 6ull << 40);
+
+    for (const char *spec :
+         {"ChainMillSum:8", "ChainMillSum:16", "ChainMillSum:32",
+          "ChainAbsDiff:8", "ChainAbsDiff:32", "ChainProdCmp:8",
+          "ChainProdCmp:32", "ChainHammCmp:8", "ChainMillSum:512"})
+        EXPECT_EQ(chain::resolveChainWorkload(spec).name, spec);
+
+    for (const char *spec : {"ADD:32", "ADD:512", "CMP:32", "MUX:8",
+                             "MUL:64", "SUB:1", "XOR:8"})
+        EXPECT_EQ(chain::parseComponentSpec(spec).name(), spec);
+}
+
+TEST(SpecGrammar, NonCanonicalSizesAreRefused)
+{
+    // Leading zeros, signs and blanks once named an existing circuit
+    // under a second key; wide values wrapped around 32 bits.
+    for (const char *spec :
+         {"Million:08", "Million: 8", "Million:+8", "Million:-1",
+          "Million:0008", "Million:8 ", "Million:0x8", "Mult:1048577",
+          "Million:4294967304"}) {
+        EXPECT_THROW(resolveWorkload(spec), NetError) << spec;
+        EXPECT_THROW(workloadGateBound(spec), NetError) << spec;
+    }
+    for (const char *spec :
+         {"ChainMillSum:08", "ChainMillSum: 8", "ChainMillSum:+8",
+          "ChainMillSum:-1", "ChainMillSum:4294967297",
+          "ChainMillSum:513"})
+        EXPECT_THROW(chain::resolveChainWorkload(spec),
+                     std::invalid_argument)
+            << spec;
+    for (const char *spec : {"ADD:08", "ADD: 8", "ADD:+8", "ADD:-1",
+                             "ADD:4294967328", "ADD:513"})
+        EXPECT_THROW(chain::parseComponentSpec(spec),
+                     std::invalid_argument)
+            << spec;
 }
 
 TEST(GcServer, ServesOneSessionWithReportLine)

@@ -347,6 +347,51 @@ TEST(ShardWorker, RefusesNanBandwidthScale)
     });
 }
 
+// Budget accrues one modelled cycle at a time, so host time per grant
+// grows as 1/scale: a share of 1e-12 would run ~10^12 cycles.
+TEST(ShardWorker, RefusesBandwidthScaleBelowTheFloor)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.config.dramBandwidthScale = 1e-12; });
+}
+
+TEST(HaacConfig, BandwidthScaleFloor)
+{
+    HaacConfig cfg;
+    cfg.dramBandwidthScale = 1e-12;
+    EXPECT_NE(cfg.check(), "");
+    cfg.dramBandwidthScale = HaacConfig::kMinDramBandwidthScale / 2;
+    EXPECT_NE(cfg.check(), "");
+    cfg.dramBandwidthScale = HaacConfig::kMinDramBandwidthScale;
+    EXPECT_EQ(cfg.check(), "");
+    cfg.dramBandwidthScale = 1.0 / 8;
+    EXPECT_EQ(cfg.check(), "");
+}
+
+TEST(ShardParity, RefusesASplitBelowTheBandwidthFloor)
+{
+    // The coordinator's 1/M split must never build a Job its workers
+    // refuse: at a 1/1024 share, two shards would get 1/2048 each.
+    CircuitBuilder cb;
+    const Wire a = cb.garblerInput();
+    const Wire b = cb.evaluatorInput();
+    cb.addOutput(cb.andGate(a, b));
+    const Netlist nl = cb.build();
+    HaacConfig cfg;
+    cfg.dramBandwidthScale = HaacConfig::kMinDramBandwidthScale;
+    CompileOptions copts;
+    copts.swwWires = cfg.swwWires();
+    const HaacProgram prog = compileProgram(assemble(nl), copts, nullptr);
+    shard::ShardOptions opts;
+    opts.shards = 2;
+    EXPECT_THROW(shard::runSharded(prog, cfg, SimMode::Combined, opts, {},
+                                   {}, false),
+                 std::invalid_argument);
+    opts.splitDramBandwidth = false; // full package per shard
+    EXPECT_NO_THROW(shard::runSharded(prog, cfg, SimMode::Combined, opts,
+                                      {}, {}, false));
+}
+
 // A Job that names wires or instructions its program does not have
 // must be refused before the value pass or the engine indexes with it.
 TEST(ShardWorker, RefusesValueAddressOutsideTheProgram)
