@@ -7,11 +7,14 @@
  * through the registry — anything a downstream user links in (a
  * sharded multi-core sim, a remote two-machine channel, ...). The
  * Session hands the backend its circuit, inputs, and configuration;
- * the backend answers with one RunReport.
+ * the backend answers with one RunReport. A backend keeps no
+ * configuration of its own beyond HaacSimBackend's SimMode pin and
+ * RemoteGcBackend's connected transport.
  *
  * Registry: backends self-register under a stable string name
- * ("software-gc", "haac-sim"). Session::run("name") resolves through
- * it, so new backends plug in without touching any caller.
+ * ("software-gc", "haac-sim", "haac-sim-sharded", "remote-gc").
+ * Session::run("name") resolves through it, so new backends plug in
+ * without touching any caller.
  */
 #ifndef HAAC_API_BACKEND_H
 #define HAAC_API_BACKEND_H
@@ -56,25 +59,19 @@ class SoftwareGcBackend : public Backend
 /**
  * The HAAC accelerator model: assemble → compile (RO/RN/ESW) →
  * generate streams → cycle-level simulation, plus the activity-driven
- * energy model. Optionally pinned to a HaacConfig / SimMode that
- * overrides whatever the Session carries (so a registry entry can
- * represent a fixed design point).
+ * energy model, on the Session's HaacConfig. Optionally pinned to a
+ * SimMode that overrides the Session's (Session::runHaacSim(mode)).
  */
 class HaacSimBackend : public Backend
 {
   public:
     HaacSimBackend() = default;
-    explicit HaacSimBackend(HaacConfig config,
-                            std::optional<SimMode> mode = std::nullopt)
-        : config_(config), mode_(mode)
-    {
-    }
+    explicit HaacSimBackend(SimMode mode) : mode_(mode) {}
 
     const char *name() const override { return "haac-sim"; }
     RunReport execute(const Session &session) override;
 
   private:
-    std::optional<HaacConfig> config_;
     std::optional<SimMode> mode_;
 };
 

@@ -81,7 +81,7 @@ SoftwareGcBackend::execute(const Session &session)
 RunReport
 HaacSimBackend::execute(const Session &session)
 {
-    const HaacConfig cfg = config_ ? *config_ : session.config();
+    const HaacConfig cfg = session.config();
     const SimMode mode = mode_ ? *mode_ : session.mode();
 
     // The config is the authority on SWW capacity: the compiler must

@@ -19,12 +19,6 @@ simModeName(SimMode mode)
 }
 
 const char *
-roleName(Role role)
-{
-    return role == Role::Garbler ? "garbler" : "evaluator";
-}
-
-const char *
 dramKindName(DramKind kind)
 {
     return kind == DramKind::Ddr4 ? "ddr4" : "hbm2";
@@ -273,52 +267,6 @@ RunReport::toJson() const
     }
 
     return j.str();
-}
-
-std::string
-RunReport::csvHeader()
-{
-    return "backend,workload,label,mode,ges,sww_bytes,dram,role,"
-           "cycles,modeled_seconds,instructions,live_wires,oor_reads,"
-           "traffic_bytes,comm_total_bytes,energy_total_j,host_seconds,"
-           "gates,gates_per_sec,wire_bytes_per_sec";
-}
-
-std::string
-RunReport::csvRow() const
-{
-    std::ostringstream os;
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string q = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                q += '"';
-            q += ch;
-        }
-        return q + "\"";
-    };
-    os << quote(backend) << ',' << quote(workload) << ','
-       << quote(label) << ',' << simModeName(mode) << ','
-       << config.numGes << ',' << config.swwBytes << ','
-       << dramKindName(config.dram) << ',' << roleName(config.role)
-       << ',' << (hasSim ? sim.cycles : 0) << ',' << modeledSeconds()
-       << ',' << (hasSim ? sim.instructions : 0) << ','
-       << (hasSim ? compile.liveWires : 0) << ','
-       << (hasSim ? compile.oorReads : 0) << ','
-       << (hasSim ? sim.totalTrafficBytes() : 0) << ','
-       << (hasComm ? comm.totalBytes : 0) << ','
-       << (hasEnergy ? energy.totalJ() : 0.0) << ',' << hostSeconds
-       << ',' << gates << ',' << gatesPerSecond() << ','
-       << wireBytesPerSecond();
-    return os.str();
-}
-
-std::string
-RunReport::toCsv() const
-{
-    return csvHeader() + "\n" + csvRow() + "\n";
 }
 
 } // namespace haac

@@ -5,8 +5,8 @@
  * A single execution — software GC on the CPU or the HAAC model — used
  * to scatter its results across RemoteResult, CompileStats, SimStats,
  * channel counters, and the energy model. RunReport merges them so
- * callers compare backends field by field, and serializes itself to CSV
- * or JSON so benchmark trajectories can accumulate without screen
+ * callers compare backends field by field, and serializes itself to one
+ * JSON line so benchmark trajectories can accumulate without screen
  * scraping. Sections that a backend did not produce are flagged absent
  * (hasComm / hasSim / hasEnergy / hasOutputs) rather than zero-filled.
  */
@@ -28,8 +28,7 @@ namespace haac {
 /** Human-readable SimMode name ("combined", "compute", "traffic"). */
 const char *simModeName(SimMode mode);
 
-/** Human-readable Role / DramKind names for serialization. */
-const char *roleName(Role role);
+/** Human-readable DramKind name for serialization. */
 const char *dramKindName(DramKind kind);
 
 struct RunReport
@@ -220,13 +219,6 @@ struct RunReport
 
     /** One JSON object (single line, stable key order). */
     std::string toJson() const;
-
-    /** CSV column names matching csvRow(). */
-    static std::string csvHeader();
-    /** One CSV data row. */
-    std::string csvRow() const;
-    /** Header + row (convenience for one-off dumps). */
-    std::string toCsv() const;
 };
 
 } // namespace haac

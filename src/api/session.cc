@@ -214,7 +214,7 @@ Session::runHaacSim() const
 RunReport
 Session::runHaacSim(SimMode mode) const
 {
-    HaacSimBackend backend(config_, mode);
+    HaacSimBackend backend(mode);
     return run(backend);
 }
 

@@ -52,12 +52,6 @@ bitString(const std::vector<bool> &bits)
     return s;
 }
 
-const char *
-roleName(Role role)
-{
-    return role == Role::Garbler ? "garbler" : "evaluator";
-}
-
 /**
  * The prologue of both differential checks: refuse an ill-formed
  * program, then record the plaintext oracle's outputs in @p res.
@@ -188,7 +182,7 @@ generateProgram(uint64_t seed, const GenOptions &opts,
     prog.numGarblerInputs = 1 + uint32_t(rng.nextRange(parties - 1));
     prog.numEvaluatorInputs = parties - prog.numGarblerInputs;
 
-    const bool const_one = opts.allowConstOne && rng.nextBit();
+    const bool const_one = rng.nextBit();
     prog.numInputs = parties + (const_one ? 1 : 0);
     prog.constOneAddr = const_one ? prog.numInputs : kOorAddr;
 
@@ -213,7 +207,7 @@ generateProgram(uint64_t seed, const GenOptions &opts,
             ins.op = HaacOp::Xor;
         else if (roll < 70)
             ins.op = HaacOp::And;
-        else if (roll < 90 || !opts.allowNop)
+        else if (roll < 90)
             ins.op = HaacOp::Not;
         else
             ins.op = HaacOp::Nop;

@@ -46,8 +46,6 @@ struct GenOptions
     uint32_t maxInputs = 20;
     uint32_t minInstrs = 4;
     uint32_t maxInstrs = 300;
-    bool allowNop = true;
-    bool allowConstOne = true;
 
     /** Percent chance an operand is drawn below the SWW window base. */
     uint32_t farOperandPct = 25;

@@ -4,6 +4,12 @@
 
 namespace haac {
 
+const char *
+roleName(Role role)
+{
+    return role == Role::Garbler ? "garbler" : "evaluator";
+}
+
 double
 dramBytesPerCycle(DramKind kind)
 {

@@ -25,6 +25,9 @@ enum class Role
     Evaluator,
 };
 
+/** "garbler" or "evaluator", as reports and diagnostics print it. */
+const char *roleName(Role role);
+
 /** Off-chip memory technology (§5). */
 enum class DramKind
 {

@@ -28,7 +28,7 @@ namespace haac {
 /**
  * One endpoint of a byte stream with per-endpoint counters.
  *
- * Typed helpers (labels, tables, bits) are defined once here in terms
+ * Typed helpers (labels, bits) are defined once here in terms
  * of the raw byte hooks, so every implementation serializes protocol
  * messages identically — that is what makes in-process and on-the-wire
  * byte accounting directly comparable.
@@ -43,7 +43,6 @@ class ByteChannel
     {
         writeBytes(data, n);
         bytesSent_ += n;
-        ++messagesSent_;
     }
 
     void
@@ -70,22 +69,6 @@ class ByteChannel
     }
 
     void
-    sendTable(const GarbledTable &t)
-    {
-        sendLabel(t.tg);
-        sendLabel(t.te);
-    }
-
-    GarbledTable
-    recvTable()
-    {
-        GarbledTable t;
-        t.tg = recvLabel();
-        t.te = recvLabel();
-        return t;
-    }
-
-    void
     sendBit(bool b)
     {
         uint8_t v = b ? 1 : 0;
@@ -107,7 +90,6 @@ class ByteChannel
     /// @{
     size_t bytesSent() const { return bytesSent_; }
     size_t bytesReceived() const { return bytesReceived_; }
-    size_t messagesSent() const { return messagesSent_; }
     /// @}
 
   protected:
@@ -119,7 +101,6 @@ class ByteChannel
   private:
     size_t bytesSent_ = 0;
     size_t bytesReceived_ = 0;
-    size_t messagesSent_ = 0;
 };
 
 /** In-process one-directional FIFO byte channel. */

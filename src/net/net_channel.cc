@@ -24,12 +24,6 @@ NetChannel::~NetChannel()
 }
 
 void
-NetChannel::setFlushThreshold(size_t bytes)
-{
-    flushThreshold_ = bytes > 0 ? bytes : 1;
-}
-
-void
 NetChannel::flush()
 {
     if (outBuffer_.empty())

@@ -47,9 +47,6 @@ class NetChannel : public ByteChannel
     /** Send buffered bytes as one frame now (no-op when empty). */
     void flush() override;
 
-    /** Change the coalescing threshold (takes effect on next write). */
-    void setFlushThreshold(size_t bytes);
-
     Transport &transport() { return *transport_; }
 
     /**
@@ -65,7 +62,7 @@ class NetChannel : public ByteChannel
 
   private:
     Transport *transport_;
-    size_t flushThreshold_;
+    const size_t flushThreshold_;
     std::vector<uint8_t> outBuffer_;
     std::vector<uint8_t> inBuffer_;
     size_t inCursor_ = 0;

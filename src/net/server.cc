@@ -336,6 +336,24 @@ GcServer::workerLoop()
     }
 }
 
+template <typename Count>
+void
+GcServer::finishSession(const RunReport &report, Count count)
+{
+    // Serialize outside any lock; the sink has its own mutex so slow
+    // report I/O never stalls the queue/totals lock the pool runs on.
+    const std::string json = opts_.reports ? report.toJson() : "";
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++totals_.sessionsServed;
+        count(totals_);
+    }
+    if (opts_.reports) {
+        std::lock_guard<std::mutex> lock(reportMutex_);
+        *opts_.reports << json << "\n" << std::flush;
+    }
+}
+
 void
 GcServer::serveOne(Transport &transport, uint64_t session_id)
 {
@@ -354,17 +372,9 @@ GcServer::serveOne(Transport &transport, uint64_t session_id)
             report.sim = summary.lastStats;
             report.hasSim = true;
         }
-        const std::string json = opts_.reports ? report.toJson() : "";
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++totals_.sessionsServed;
-            totals_.gates += summary.instructions;
-        }
-        if (opts_.reports) {
-            std::lock_guard<std::mutex> lock(reportMutex_);
-            *opts_.reports << json << "\n" << std::flush;
-        }
+        finishSession(report, [&](Totals &t) {
+            t.gates += summary.instructions;
+        });
         return;
     }
 
@@ -541,31 +551,21 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
         report.hasServe = true;
     }
     report.label = "session-" + std::to_string(session_id);
-    // Serialize outside any lock; the sink has its own mutex so slow
-    // report I/O never stalls the queue/totals lock the pool runs on.
-    const std::string json = opts_.reports ? report.toJson() : "";
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++totals_.sessionsServed;
-        totals_.payloadBytes += result.totalBytes;
-        totals_.gates += result.gates;
-        totals_.sessionSeconds += result.seconds;
-        totals_.otSetupsReused += result.otSetupReused;
+    finishSession(report, [&](Totals &t) {
+        t.payloadBytes += result.totalBytes;
+        t.gates += result.gates;
+        t.sessionSeconds += result.seconds;
+        t.otSetupsReused += result.otSetupReused;
         if (pool_eligible)
-            ++(pooled != nullptr ? totals_.poolHits : totals_.poolMisses);
+            ++(pooled != nullptr ? t.poolHits : t.poolMisses);
         if (in.chain != nullptr)
-            ++totals_.chainSessions;
+            ++t.chainSessions;
         else if (in.spec.empty())
-            ++totals_.uploadSessions;
-        totals_.componentsLinked += result.components;
-        totals_.componentPoolHits += result.pooledComponents;
-        totals_.linkBytes += result.linkBytes;
-    }
-    if (opts_.reports) {
-        std::lock_guard<std::mutex> lock(reportMutex_);
-        *opts_.reports << json << "\n" << std::flush;
-    }
+            ++t.uploadSessions;
+        t.componentsLinked += result.components;
+        t.componentPoolHits += result.pooledComponents;
+        t.linkBytes += result.linkBytes;
+    });
 }
 
 } // namespace haac

@@ -243,6 +243,13 @@ class GcServer
     void serveSession(Transport &transport, uint64_t session_id,
                       PeerRole client, const std::vector<uint8_t> &request,
                       OtConnectionCache &ot_cache);
+    /**
+     * The last step of every session, GC or shard worker: serialize
+     * @p report, count the session, let @p count add its own totals,
+     * and write the report line.
+     */
+    template <typename Count>
+    void finishSession(const RunReport &report, Count count);
 
     ServerOptions opts_;
     std::mutex reportMutex_; ///< guards only the reports sink

@@ -69,10 +69,8 @@ TcpTransport::TcpTransport(int fd, std::string peer,
 void
 TcpTransport::applyOptions(const TcpOptions &opts)
 {
-    if (opts.noDelay) {
-        int one = 1;
-        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (opts.ioTimeoutMs > 0) {
         setTimeout(fd_, SO_RCVTIMEO, opts.ioTimeoutMs);
         setTimeout(fd_, SO_SNDTIMEO, opts.ioTimeoutMs);

@@ -3,7 +3,7 @@
  * TcpTransport: the Transport over POSIX stream sockets.
  *
  * Blocking I/O with configurable timeouts (SO_RCVTIMEO/SO_SNDTIMEO)
- * and Nagle disabled by default — the remote protocol has two strict
+ * and Nagle always disabled — the remote protocol has two strict
  * turnaround points (choice bits up, result echo back) where a
  * delayed ACK + Nagle interaction would otherwise stall every
  * session by ~40 ms. connect() is non-blocking under the hood with a
@@ -30,8 +30,6 @@ struct TcpOptions
     int ioTimeoutMs = 30000;
     /** Keep retrying connect() to a not-yet-listening peer this long. */
     int connectTimeoutMs = 10000;
-    /** Disable Nagle's algorithm (TCP_NODELAY). */
-    bool noDelay = true;
 };
 
 class TcpTransport : public Transport

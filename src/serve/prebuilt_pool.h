@@ -62,13 +62,6 @@ struct PoolOptions
      * the sessions mid-burst. Clamped to depth.
      */
     size_t lowWater = 0;
-    /**
-     * Deterministic seed base for tests: item i of a pool draws seed
-     * seedBase + i. Zero (the default) draws each item's seed from
-     * the OS entropy source — the only safe setting when real
-     * evaluators connect.
-     */
-    uint64_t seedBase = 0;
 };
 
 struct PoolStats
@@ -159,11 +152,20 @@ class PrebuiltPool
         return item;
     }
 
-    /** Block until every tracked key's queue is full. */
+    /** Fill every tracked key's queue to depth; block until they are. */
     void
     prewarm()
     {
         std::unique_lock<std::mutex> lock(mutex_);
+        // A queue resting between the low-water trigger and depth is
+        // quiet, so without this the wait below would never end. A full
+        // queue stays quiet: marking it would refill its next pop.
+        for (auto &kv : queues_) {
+            Queue &q = kv.second;
+            if (q.ready.size() + q.inflight < opts_.depth)
+                q.filling = true;
+        }
+        work_.notify_all();
         full_.wait(lock, [this] {
             if (stop_)
                 return true;
@@ -256,13 +258,11 @@ class PrebuiltPool
                 return;
 
             ++target->inflight;
-            const uint64_t seed = opts_.seedBase != 0
-                                      ? opts_.seedBase + nextSeedOffset_++
-                                      : randomSeed();
-            // Make unlocked. `target` and its maker stay valid: keys
-            // are never untracked and makers never replaced.
+            // Make unlocked, from a fresh OS-entropy seed. `target` and
+            // its maker stay valid: keys are never untracked and makers
+            // never replaced.
             lock.unlock();
-            Item item = target->make(seed);
+            Item item = target->make(randomSeed());
             lock.lock();
             --target->inflight;
             if (stop_)
@@ -281,7 +281,6 @@ class PrebuiltPool
     uint64_t produced_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    uint64_t nextSeedOffset_ = 0;
     bool stop_ = false;
     std::vector<std::thread> fillers_; ///< last: they use the above
 };

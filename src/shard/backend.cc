@@ -13,12 +13,8 @@ ShardedSimBackend::execute(const Session &session)
     const HaacConfig cfg = session.config();
 
     shard::ShardOptions opts;
-    if (opts_) {
-        opts = *opts_;
-    } else {
-        opts.shards = session.shards();
-        opts.workers = session.shardWorkers();
-    }
+    opts.shards = session.shards();
+    opts.workers = session.shardWorkers();
 
     // The config is the authority on SWW capacity, as in HaacSimBackend.
     CompileOptions copts = session.compileOptions();

@@ -3,39 +3,26 @@
  * ShardedSimBackend: the "haac-sim-sharded" registry entry.
  *
  * Session-facing wrapper over shard::runSharded(): compile once under
- * the session's options, shard per Session::withShards() (or an
- * explicit ShardOptions pin), and fold the merged result into the
- * standard RunReport, including the `shard` section. At one shard this
- * reproduces the "haac-sim" backend bit for bit — outputs, SimStats,
- * and energy — which tests/test_shard.cc pins across the VIP suite.
+ * the session's options, shard per Session::withShards(), and fold the
+ * merged result into the standard RunReport, including the `shard`
+ * section. At one shard this reproduces the "haac-sim" backend bit for
+ * bit — outputs, SimStats, and energy — which tests/test_shard.cc pins
+ * across the VIP suite.
  */
 #ifndef HAAC_SHARD_BACKEND_H
 #define HAAC_SHARD_BACKEND_H
-
-#include <optional>
 
 #include "api/backend.h"
 #include "shard/coordinator.h"
 
 namespace haac {
 
+/** Shard count and endpoints come from the Session (withShards). */
 class ShardedSimBackend : public Backend
 {
   public:
-    /** Shard count and endpoints come from the Session (withShards). */
-    ShardedSimBackend() = default;
-
-    /** Pin the shard topology, ignoring the Session's. */
-    explicit ShardedSimBackend(shard::ShardOptions opts)
-        : opts_(std::move(opts))
-    {
-    }
-
     const char *name() const override { return "haac-sim-sharded"; }
     RunReport execute(const Session &session) override;
-
-  private:
-    std::optional<shard::ShardOptions> opts_;
 };
 
 } // namespace haac

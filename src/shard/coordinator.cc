@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/compiler/streams.h"
+#include "net/loopback.h"
 #include "net/tcp.h"
 #include "shard/partition.h"
 #include "shard/proto.h"
@@ -36,10 +37,12 @@ struct ThreadJoiner
     }
 };
 
-/** The shard's core: a proportional slice of the full machine. */
+/**
+ * The shard's core: a proportional slice of the full machine, with a
+ * 1/M share of the one memory package.
+ */
 HaacConfig
-shardConfig(const HaacConfig &cfg, uint32_t shard_ges, uint32_t shards,
-            bool split_bandwidth)
+shardConfig(const HaacConfig &cfg, uint32_t shard_ges, uint32_t shards)
 {
     HaacConfig sub = cfg;
     sub.numGes = shard_ges;
@@ -49,9 +52,7 @@ shardConfig(const HaacConfig &cfg, uint32_t shard_ges, uint32_t shards,
         std::max<size_t>(1, cfg.queueSramBytes * shard_ges / cfg.numGes);
     sub.writeBufferBytes =
         std::max<size_t>(1, cfg.writeBufferBytes * shard_ges / cfg.numGes);
-    if (split_bandwidth)
-        sub.dramBandwidthScale =
-            cfg.dramBandwidthScale / double(shards);
+    sub.dramBandwidthScale = cfg.dramBandwidthScale / double(shards);
     return sub;
 }
 
@@ -68,8 +69,7 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
     const uint32_t m = plan.shardCount();
     // Never build a Job the workers refuse: each shard's 1/m share of
     // the bandwidth must meet HaacConfig's floor.
-    if (opts.splitDramBandwidth &&
-        cfg.dramBandwidthScale / m < HaacConfig::kMinDramBandwidthScale)
+    if (cfg.dramBandwidthScale / m < HaacConfig::kMinDramBandwidthScale)
         throw std::invalid_argument(
             "runSharded: " + std::to_string(m) +
             " shards split the DRAM bandwidth below 1/1024 each");
@@ -84,18 +84,12 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
     if (want_values)
         vals = executePlainWires(prog, garbler_bits, evaluator_bits);
 
-    const uint64_t cross_latency =
-        opts.crossLatencyCycles == ShardOptions::kLatencyFromConfig
-            ? cfg.dramLatency
-            : opts.crossLatencyCycles;
-
     // --- bring up one link per shard --------------------------------
     ThreadJoiner joiner;
     std::vector<std::unique_ptr<Transport>> links(m);
     if (opts.workers.empty()) {
         for (uint32_t s = 0; s < m; ++s) {
-            auto [coord_end, worker_end] =
-                LoopbackTransport::createPair(opts.loopbackWindowBytes);
+            auto [coord_end, worker_end] = LoopbackTransport::createPair();
             links[s] = std::move(coord_end);
             joiner.threads.emplace_back(
                 [end = std::move(worker_end)]() mutable {
@@ -141,8 +135,7 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
     for (uint32_t s = 0; s < m; ++s) {
         const ShardPart &part = plan.parts[s];
         ShardJob job;
-        job.config = shardConfig(cfg, uint32_t(part.geIds.size()), m,
-                                 opts.splitDramBandwidth);
+        job.config = shardConfig(cfg, uint32_t(part.geIds.size()), m);
         job.mode = mode;
         job.program = prog;
         job.streams = part.streams;
@@ -190,8 +183,9 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
             for (size_t i = 0; i < plan.parts[s].imports.size(); ++i) {
                 const auto &[p, idx] =
                     source.at(plan.parts[s].imports[i]);
+                // The hop between shards goes through shared DRAM.
                 const uint64_t t =
-                    last[p].exportReady[idx] + cross_latency;
+                    last[p].exportReady[idx] + cfg.dramLatency;
                 if (t != ready[s][i]) {
                     ready[s][i] = t;
                     changed = true;

@@ -15,6 +15,11 @@
  * round is the measured multi-core schedule — aggregate cycles honor
  * every cross-shard dependency stall, which is exactly the "where do
  * cores stop scaling" number the ablation_multicore model guesses at.
+ *
+ * The machine model is fixed: the M shards share one memory package,
+ * so each sees 1/M of the DRAM bandwidth (the ablation_multicore
+ * scenario), and a wire hops between shards through that DRAM in
+ * cfg.dramLatency cycles.
  */
 #ifndef HAAC_SHARD_COORDINATOR_H
 #define HAAC_SHARD_COORDINATOR_H
@@ -27,7 +32,6 @@
 #include "core/sim/config.h"
 #include "core/sim/engine.h"
 #include "core/sim/stats.h"
-#include "net/loopback.h"
 #include "platform/energy_model.h"
 
 namespace haac::shard {
@@ -48,22 +52,6 @@ struct ShardOptions
 
     /** Timing iterations before giving up on a fixed point. */
     uint32_t maxRounds = 8;
-
-    /** Sentinel: derive the cross-shard latency from cfg.dramLatency. */
-    static constexpr uint64_t kLatencyFromConfig = ~uint64_t(0);
-
-    /** Cycles for a wire to hop between shards (through shared DRAM). */
-    uint64_t crossLatencyCycles = kLatencyFromConfig;
-
-    /**
-     * Model one shared memory package: each shard sees 1/M of the
-     * DRAM bandwidth (the ablation_multicore scenario). Off: every
-     * shard keeps the full package (M independent machines).
-     */
-    bool splitDramBandwidth = true;
-
-    /** Pipe window for in-process loopback workers. */
-    size_t loopbackWindowBytes = LoopbackTransport::kDefaultWindowBytes;
 };
 
 /** Merged result of one sharded execution. */

@@ -3,6 +3,7 @@
 # were recorded. Run as a ctest (see CMakeLists.txt) or by hand:
 #
 #   cmake -DLINT=build/haac_lint -DDBG=build/haac_dbg \
+#         -DSERVER=build/haac_server \
 #         -DSRC=. -DOUT=build/lint_cli -P tests/lint_cli.cmake
 #
 # Commands run from SRC with relative paths, so the output does not
@@ -107,6 +108,48 @@ lint_case(isa_flag_in_netlist 2 - - - "${LINT}" netlist --streams --chains)
 lint_case(netlist_flag_in_isa 2 - - - "${LINT}" --raw --all-workloads)
 lint_case(dbg_zero_ges 2 - - - "${DBG}" --workload Hamm --ges 0 --batch)
 lint_case(dbg_bad_number 2 - - - "${DBG}" --workload Hamm --banks x --batch)
+
+# haac_server reads each numeric flag as one whole decimal token: a bad
+# value exits 2 naming the flag, before the server binds a port. A
+# server that took the value and went on to listen is stopped by the
+# timeout and fails the case.
+function(server_usage_case name flag)
+  execute_process(COMMAND "${SERVER}" ${ARGN}
+    WORKING_DIRECTORY "${SRC}"
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE got_rc
+    TIMEOUT 10)
+  set(bad "")
+  if(NOT got_rc STREQUAL "2")
+    string(APPEND bad "  exit ${got_rc}, want 2\n")
+  endif()
+  string(FIND "${err}" "${flag}" named)
+  if(named EQUAL -1)
+    string(APPEND bad "  stderr does not name ${flag}: ${err}\n")
+  endif()
+  string(FIND "${err}" "listening" bound)
+  if(NOT bound EQUAL -1)
+    string(APPEND bad "  bound a port before refusing: ${err}\n")
+  endif()
+  if(bad)
+    set_property(GLOBAL APPEND_STRING PROPERTY lint_cli_failures
+      "${name}: ${SERVER} ${ARGN}\n${bad}")
+  else()
+    message(STATUS "${name}: ok")
+  endif()
+endfunction()
+
+server_usage_case(server_bad_port --port --bind 127.0.0.1 --port abc)
+server_usage_case(server_port_range --port --bind 127.0.0.1 --port 65536)
+server_usage_case(server_bad_segment --segment
+  --bind 127.0.0.1 --port 0 --segment abc)
+server_usage_case(server_bad_max_gates --max-gates
+  --bind 127.0.0.1 --port 0 --max-gates abc)
+server_usage_case(server_trailing_junk --sessions
+  --bind 127.0.0.1 --port 0 --sessions 3x)
+server_usage_case(server_bad_threads --threads
+  --bind 127.0.0.1 --port 0 --threads abc)
 
 get_property(failures GLOBAL PROPERTY lint_cli_failures)
 if(failures)

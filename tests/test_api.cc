@@ -333,19 +333,6 @@ TEST(RunReportSerialization, JsonHasSectionsAndBalancedBraces)
             << key;
 }
 
-TEST(RunReportSerialization, CsvRowMatchesHeaderArity)
-{
-    Workload wl = vipWorkload("Hamm", false);
-    RunReport r = Session(wl).runSoftwareGc();
-    const std::string header = RunReport::csvHeader();
-    const std::string row = r.csvRow();
-    const auto count = [](const std::string &s) {
-        return std::count(s.begin(), s.end(), ',');
-    };
-    EXPECT_EQ(count(header), count(row));
-    EXPECT_EQ(r.toCsv(), header + "\n" + row + "\n");
-}
-
 TEST(ReportFormat, PerInstanceFormatNoGlobalState)
 {
     Report text({"aa", "bb"});

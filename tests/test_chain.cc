@@ -792,7 +792,6 @@ TEST(ComponentPool, PrewarmPopAndStats)
 {
     serve::PoolOptions popts;
     popts.depth = 2;
-    popts.seedBase = 1000;
     serve::ComponentPool pool(popts);
     pool.track({ComponentKind::Add, 8});
     pool.track({ComponentKind::Add, 8}); // idempotent
@@ -889,7 +888,6 @@ TEST(ChainServer, ServesChainSpecsBothRolesWithComponentPool)
 {
     serve::PoolOptions popts;
     popts.depth = 2;
-    popts.seedBase = 0xC0DE;
     serve::ComponentPool pool(popts);
 
     std::ostringstream reports;

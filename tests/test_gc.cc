@@ -265,13 +265,13 @@ TEST(Channel, FifoAndCounters)
     Channel chan;
     chan.sendLabel(Label(1, 2));
     chan.sendBit(true);
-    chan.sendTable(GarbledTable{Label(3, 4), Label(5, 6)});
+    chan.sendLabel(Label(3, 4));
+    chan.sendLabel(Label(5, 6));
     EXPECT_EQ(chan.bytesSent(), 16 + 1 + 32u);
     EXPECT_EQ(chan.recvLabel(), Label(1, 2));
     EXPECT_TRUE(chan.recvBit());
-    GarbledTable t = chan.recvTable();
-    EXPECT_EQ(t.tg, Label(3, 4));
-    EXPECT_EQ(t.te, Label(5, 6));
+    EXPECT_EQ(chan.recvLabel(), Label(3, 4));
+    EXPECT_EQ(chan.recvLabel(), Label(5, 6));
     EXPECT_EQ(chan.pending(), 0u);
 }
 

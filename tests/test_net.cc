@@ -280,7 +280,8 @@ TEST(NetChannel, TypedRoundtripAcrossFrames)
 
     out.sendLabel(Label(1, 2));
     out.sendBit(true);
-    out.sendTable(GarbledTable{Label(3, 4), Label(5, 6)});
+    out.sendLabel(Label(3, 4));
+    out.sendLabel(Label(5, 6));
     out.sendBit(false);
     out.flush();
     EXPECT_EQ(out.bytesSent(), 16 + 1 + 32 + 1u);
@@ -288,9 +289,8 @@ TEST(NetChannel, TypedRoundtripAcrossFrames)
 
     EXPECT_EQ(in.recvLabel(), Label(1, 2));
     EXPECT_TRUE(in.recvBit());
-    const GarbledTable t = in.recvTable();
-    EXPECT_EQ(t.tg, Label(3, 4));
-    EXPECT_EQ(t.te, Label(5, 6));
+    EXPECT_EQ(in.recvLabel(), Label(3, 4));
+    EXPECT_EQ(in.recvLabel(), Label(5, 6));
     EXPECT_FALSE(in.recvBit());
     EXPECT_EQ(in.bytesReceived(), out.bytesSent());
 }
@@ -343,7 +343,6 @@ TEST(Channel, ZeroByteTransfersAreExact)
     Channel chan;
     chan.sendBytes(nullptr, 0);
     EXPECT_EQ(chan.bytesSent(), 0u);
-    EXPECT_EQ(chan.messagesSent(), 1u);
     chan.recvBytes(nullptr, 0);
     EXPECT_EQ(chan.bytesReceived(), 0u);
     EXPECT_THROW(chan.recvBit(), std::runtime_error);
@@ -1431,8 +1430,10 @@ TEST(Remote, DecodeBitsSharingTheLastTableFrameDecode)
             chan.flush();
             for (size_t at = 0; at < inst.tables.size(); at += s) {
                 const size_t n = std::min<size_t>(s, inst.tables.size() - at);
-                for (size_t k = 0; k < n; ++k)
-                    chan.sendTable(inst.tables[at + k]);
+                for (size_t k = 0; k < n; ++k) {
+                    chan.sendLabel(inst.tables[at + k].tg);
+                    chan.sendLabel(inst.tables[at + k].te);
+                }
                 if (at + n < inst.tables.size())
                     chan.flush();
             }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -683,6 +684,34 @@ TEST(GarblePool, LowWaterRefillHysteresis)
     s = pool.stats();
     EXPECT_EQ(s.produced, 8u);
     EXPECT_EQ(s.ready, 4u);
+}
+
+TEST(PrebuiltPool, PrewarmTopsUpAQueueAboveLowWater)
+{
+    // One pop leaves 3 of 4 ready, above the low-water mark of 2, so
+    // the fillers stay quiet. prewarm() must fill the queue anyway, not
+    // wait for a trigger that only a later pop could trip.
+    PoolOptions popts;
+    popts.depth = 4;
+    popts.lowWater = 2;
+    PrebuiltPool<std::unique_ptr<int>> pool(popts);
+    pool.track("k", [](uint64_t) { return std::make_unique<int>(1); });
+    pool.prewarm();
+    ASSERT_NE(pool.tryPop("k"), nullptr);
+
+    auto topped = std::async(std::launch::async, [&] { pool.prewarm(); });
+    const bool returned = topped.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    EXPECT_TRUE(returned) << "prewarm() blocked on a queue above low water";
+    if (!returned) {
+        // Trip the trigger, so the blocked prewarm() returns.
+        pool.tryPop("k");
+        pool.tryPop("k");
+    }
+    topped.get();
+    const PoolStats s = pool.stats();
+    EXPECT_EQ(s.ready, 4u);
+    EXPECT_EQ(s.produced, 5u);
 }
 
 TEST(PrebuiltPool, DestroyMidMakeJoinsPromptlyAndDropsInflightItems)

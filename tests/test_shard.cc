@@ -20,12 +20,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <thread>
 
 #include "api/session.h"
 #include "circuit/builder.h"
 #include "core/compiler/streams.h"
 #include "net/loopback.h"
+#include "net/server.h"
 #include "net/tcp.h"
 #include "shard/backend.h"
 #include "shard/coordinator.h"
@@ -387,9 +389,6 @@ TEST(ShardParity, RefusesASplitBelowTheBandwidthFloor)
     EXPECT_THROW(shard::runSharded(prog, cfg, SimMode::Combined, opts, {},
                                    {}, false),
                  std::invalid_argument);
-    opts.splitDramBandwidth = false; // full package per shard
-    EXPECT_NO_THROW(shard::runSharded(prog, cfg, SimMode::Combined, opts,
-                                      {}, {}, false));
 }
 
 // A Job that names wires or instructions its program does not have
@@ -621,6 +620,55 @@ TEST(ShardRegistry, BackendIsRegistered)
     EXPECT_NE(std::find(names.begin(), names.end(),
                         "haac-sim-sharded"),
               names.end());
+}
+
+// A shard-worker GcServer ends each connection the way it ends a GC
+// session: one report line and one served session in its totals.
+TEST(ShardWorker, GcServerReportsOneJsonLinePerSession)
+{
+    std::ostringstream reports;
+    ServerOptions sopts;
+    sopts.threads = 1;
+    sopts.shardWorker = true;
+    sopts.reports = &reports;
+    GcServer server(sopts);
+
+    const HaacConfig cfg;
+    const Workload wl = vipWorkload("Hamm", false);
+    const HaacProgram prog = compiledFor(wl, cfg);
+    shard::ShardJob job;
+    job.config = cfg;
+    job.program = prog;
+    job.streams = buildStreams(prog, cfg);
+
+    auto [coordinator, worker] = LoopbackTransport::createPair();
+    server.submit(std::move(worker));
+    coordinator->handshake(PeerRole::ShardCoordinator);
+    coordinator->sendFrame(shard::encodeJob(job));
+    coordinator->sendFrame(shard::encodeRound({}));
+    const shard::ShardResultMsg result =
+        shard::decodeResult(coordinator->recvFrame());
+    coordinator->sendFrame(shard::encodeQuit());
+    server.drain();
+
+    const std::string text = reports.str();
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
+    EXPECT_EQ(text.back(), '\n');
+    EXPECT_NE(text.find("\"backend\":\"shard-worker\""), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\"label\":\"shard-session-0\""),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\"cycles\":" +
+                        std::to_string(result.stats.cycles)),
+              std::string::npos)
+        << text;
+
+    const GcServer::Totals totals = server.totals();
+    EXPECT_EQ(totals.sessionsServed, 1u);
+    EXPECT_EQ(totals.sessionsFailed, 0u);
+    EXPECT_EQ(totals.gates, prog.instrs.size());
 }
 
 // ---------------------------------------------------------------------

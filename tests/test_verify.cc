@@ -569,7 +569,6 @@ TEST(Canary, InjectedTweakReuseIsCaughtStatically)
 TEST(Canary, InjectedNopOutputReadIsCaughtStatically)
 {
     GenOptions opts;
-    opts.allowNop = false; // we inject our own
     for (uint64_t seed = 0; seed < 50; ++seed) {
         const HaacConfig cfg = conformanceConfig(seed);
         HaacProgram prog =

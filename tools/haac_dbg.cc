@@ -33,6 +33,7 @@
 #include "core/sim/config.h"
 #include "core/sim/engine.h"
 #include "core/sim/functional.h"
+#include "flag_number.h"
 #include "workloads/vip.h"
 
 namespace {
@@ -500,19 +501,11 @@ fail(const std::string &msg)
     return 1;
 }
 
-/** Whole-token decimal flag value; anything else exits 2. */
 template <typename T>
 T
-number(const char *flag, const std::string &v)
+number(const char *flag, const std::string &value)
 {
-    T n = 0;
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-    if (ec != std::errc() || end != v.data() + v.size()) {
-        std::cerr << "haac_dbg: " << flag
-                  << " needs a non-negative integer, got '" << v << "'\n";
-        std::exit(2);
-    }
-    return n;
+    return flagNumber<T>("haac_dbg", flag, value);
 }
 
 } // namespace

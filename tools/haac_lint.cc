@@ -30,7 +30,6 @@
  * that belongs to the other mode — the contract the CI steps rely on.
  */
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -48,6 +47,7 @@
 #include "core/isa/asm.h"
 #include "core/isa/verify.h"
 #include "core/sim/config.h"
+#include "flag_number.h"
 #include "shard/partition.h"
 #include "workloads/vip.h"
 
@@ -165,15 +165,8 @@ parseArgs(int argc, char **argv)
         return argv[++i];
     };
     // Whole-token decimal; "12x", "-1" and "" are usage errors.
-    auto count = [&](const std::string &flag) -> uint32_t {
-        const std::string v = need(flag);
-        uint32_t n = 0;
-        const auto [end, ec] =
-            std::from_chars(v.data(), v.data() + v.size(), n);
-        if (ec != std::errc() || end != v.data() + v.size())
-            usageError(flag + " needs a non-negative integer, got '" + v +
-                       "'");
-        return n;
+    auto count = [&](const std::string &flag) {
+        return flagNumber<uint32_t>("haac_lint", flag, need(flag));
     };
 
     for (; i < argc; ++i) {

@@ -29,6 +29,7 @@
 #include <thread>
 
 #include "chain/workloads.h"
+#include "flag_number.h"
 #include "net/server.h"
 #include "net/tcp.h"
 #include "serve/component_pool.h"
@@ -90,6 +91,13 @@ usage(const char *argv0)
         argv0);
 }
 
+template <typename T>
+T
+number(const std::string &flag, const char *value)
+{
+    return flagNumber<T>("haac_server", flag, value);
+}
+
 } // namespace
 
 int
@@ -118,38 +126,28 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--port") {
-            const unsigned long v = std::strtoul(value(), nullptr, 10);
-            if (v > 65535) {
-                std::fprintf(stderr, "--port must be <= 65535\n");
-                return 2;
-            }
-            port = uint16_t(v);
-        }
+        if (arg == "--port")
+            port = number<uint16_t>(arg, value());
         else if (arg == "--bind")
             bind_host = value();
         else if (arg == "--threads")
-            opts.threads = uint32_t(std::strtoul(value(), nullptr, 10));
+            opts.threads = number<uint32_t>(arg, value());
         else if (arg == "--sessions")
-            max_sessions = std::strtoull(value(), nullptr, 10);
+            max_sessions = number<uint64_t>(arg, value());
         else if (arg == "--segment")
-            opts.segmentTables =
-                uint32_t(std::strtoul(value(), nullptr, 10));
+            opts.segmentTables = number<uint32_t>(arg, value());
         else if (arg == "--pool-depth")
-            pool_depth = size_t(std::strtoull(value(), nullptr, 10));
+            pool_depth = number<size_t>(arg, value());
         else if (arg == "--pool-threads")
-            pool_threads = size_t(std::strtoull(value(), nullptr, 10));
+            pool_threads = number<size_t>(arg, value());
         else if (arg == "--pool-low-water")
-            pool_low_water =
-                size_t(std::strtoull(value(), nullptr, 10));
+            pool_low_water = number<size_t>(arg, value());
         else if (arg == "--component-pool")
-            component_pool_depth =
-                size_t(std::strtoull(value(), nullptr, 10));
+            component_pool_depth = number<size_t>(arg, value());
         else if (arg == "--chain-prewarm")
             chain_prewarm.push_back(value());
         else if (arg == "--max-gates")
-            opts.maxGates =
-                uint32_t(std::strtoul(value(), nullptr, 10));
+            opts.maxGates = number<uint32_t>(arg, value());
         else if (arg == "--no-ot-cache")
             opts.cacheBaseOt = false;
         else if (arg == "--report-file")
