@@ -28,10 +28,13 @@ accumulator(bool kogge, uint32_t terms, uint32_t width)
     Workload wl;
     wl.name = kogge ? "acc-KS" : "acc-RC";
     CircuitBuilder cb;
+    // Even terms are the garbler's, odd terms the evaluator's; every
+    // garbler block is declared before the first evaluator block.
     std::vector<Bits> xs(terms);
-    for (uint32_t i = 0; i < terms; ++i)
-        xs[i] = (i % 2 ? cb.evaluatorInputs(width)
-                       : cb.garblerInputs(width));
+    for (uint32_t i = 0; i < terms; i += 2)
+        xs[i] = cb.garblerInputs(width);
+    for (uint32_t i = 1; i < terms; i += 2)
+        xs[i] = cb.evaluatorInputs(width);
     Bits acc = xs[0];
     for (uint32_t i = 1; i < terms; ++i)
         acc = kogge ? addBitsKoggeStone(cb, acc, xs[i])

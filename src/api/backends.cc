@@ -20,7 +20,6 @@
 #include "net/server.h"
 #include "net/tcp.h"
 #include "platform/energy_model.h"
-#include "serve/compile_cache.h"
 #include "shard/backend.h"
 
 namespace haac {
@@ -92,31 +91,11 @@ HaacSimBackend::execute(const Session &session)
     RunReport report;
     const auto start = Clock::now();
 
-    // Compile (+ stream build), answered from the session's
-    // CompileCache when one is attached. The shared_ptr keeps a hit
-    // alive for the whole run even if the cache evicts it meanwhile.
-    serve::CompileCache *cache = session.compileCache();
-    std::shared_ptr<const serve::CompiledUnit> unit;
-    HaacProgram local_prog;
-    StreamSet local_streams;
-    const HaacProgram *prog = nullptr;
-    const StreamSet *streams = nullptr;
-    bool cache_hit = false;
-    if (cache != nullptr) {
-        unit = cache->compile(session.netlist(), copts, cfg,
-                              &cache_hit);
-        report.compile = unit->stats;
-        prog = &unit->program;
-        streams = &unit->streams;
-    } else {
-        local_prog = compileProgram(assemble(session.netlist()), copts,
-                                    &report.compile);
-        local_streams = buildStreams(local_prog, cfg);
-        prog = &local_prog;
-        streams = &local_streams;
-    }
+    const HaacProgram prog = compileProgram(assemble(session.netlist()),
+                                            copts, &report.compile);
+    const StreamSet streams = buildStreams(prog, cfg);
 
-    report.sim = runSimulation(*prog, cfg, *streams, mode);
+    report.sim = runSimulation(prog, cfg, streams, mode);
     report.hostSeconds = secondsSince(start);
     report.hasSim = true;
     report.gates = report.compile.instructions;
@@ -124,20 +103,12 @@ HaacSimBackend::execute(const Session &session)
     report.energy = modelEnergy(cfg, report.sim);
     report.hasEnergy = true;
 
-    if (cache != nullptr) {
-        const serve::CacheStats cs = cache->stats();
-        report.serve.compileCacheHit = cache_hit;
-        report.serve.compileCacheHits = cs.hits;
-        report.serve.compileCacheMisses = cs.misses;
-        report.hasServe = true;
-    }
-
     // The timing model computes no wire values; when the session
     // carries matching inputs (and wants outputs), interpret the
     // compiled program so the report still answers "what did the
     // circuit say". Zero-input (constant) circuits qualify too.
     if (session.wantOutputs() && session.inputsMatchCircuit()) {
-        report.outputs = executePlain(*prog, session.garblerBits(),
+        report.outputs = executePlain(prog, session.garblerBits(),
                                       session.evaluatorBits());
         report.hasOutputs = true;
     }

@@ -233,9 +233,6 @@ RunReport::toJson() const
 
     if (hasServe) {
         j.begin("serve");
-        j.add("compile_cache_hit", serve.compileCacheHit);
-        j.add("compile_cache_hits", serve.compileCacheHits);
-        j.add("compile_cache_misses", serve.compileCacheMisses);
         j.add("pooled_garbling", serve.pooledGarbling);
         j.add("ot_setup_reused", serve.otSetupReused);
         j.add("pool_hits", serve.poolHits);

@@ -119,15 +119,10 @@ struct RunReport
     bool hasEnergy = false;
     /// @}
 
-    /** @name Serving layer (src/serve: compile cache + garble pool) */
+    /** @name Serving layer (src/serve: garble pool + OT setup reuse) */
     /// @{
     struct Serve
     {
-        /** This run's compile was answered from the CompileCache. */
-        bool compileCacheHit = false;
-        /** Cache-wide counters at report time (CacheStats). */
-        uint64_t compileCacheHits = 0;
-        uint64_t compileCacheMisses = 0;
         /** The garbler replayed a pooled GarbledInstance. */
         bool pooledGarbling = false;
         /** The session reused a cached base-OT + IKNP setup. */

@@ -5,7 +5,6 @@
 
 #include "chain/link.h"
 #include "circuit/analyze.h"
-#include "serve/compile_cache.h"
 #include "workloads/vip.h"
 
 namespace haac {
@@ -113,13 +112,6 @@ Session::withChainPlan(const chain::ChainPlan &plan)
     return *this;
 }
 
-Session &
-Session::withCompileCache(serve::CompileCache *cache)
-{
-    compileCache_ = cache;
-    return *this;
-}
-
 bool
 Session::inputsMatchCircuit() const
 {
@@ -165,15 +157,7 @@ Session::compile() const
     }
 
     Compiled out;
-    if (compileCache_ != nullptr) {
-        const auto unit =
-            compileCache_->compile(netlist_, opts, config_);
-        out.program = unit->program;
-        out.stats = unit->stats;
-    } else {
-        out.program =
-            compileProgram(assemble(netlist_), opts, &out.stats);
-    }
+    out.program = compileProgram(assemble(netlist_), opts, &out.stats);
     const CircuitCost cost = circuitCost(netlist_);
     out.stats.multDepth = cost.multDepth;
     out.stats.freeXorPercent = cost.freeXorPercent;

@@ -36,10 +36,6 @@ namespace haac {
 
 struct Workload;
 
-namespace serve {
-class CompileCache;
-}
-
 namespace chain {
 struct ChainPlan;
 }
@@ -111,14 +107,6 @@ class Session
      * std::invalid_argument when the plan fails its own check().
      */
     Session &withChainPlan(const chain::ChainPlan &plan);
-    /**
-     * Borrowed compile cache (src/serve): compile() and the
-     * simulation backends answer repeat compiles of the same
-     * (netlist, options, config) from it instead of re-running the
-     * compiler pipeline. The cache must outlive the session; null
-     * (the default) compiles fresh every run.
-     */
-    Session &withCompileCache(serve::CompileCache *cache);
     /// @}
 
     /** @name Accessors (used by backends) */
@@ -147,7 +135,6 @@ class Session
     {
         return shardWorkers_;
     }
-    serve::CompileCache *compileCache() const { return compileCache_; }
     /** The adopted chain plan, or null for ordinary sessions. */
     const chain::ChainPlan *chainPlan() const { return chainPlan_.get(); }
 
@@ -209,7 +196,6 @@ class Session
     uint32_t segmentTables_ = 1024;
     uint32_t shards_ = 1;
     std::vector<std::string> shardWorkers_;
-    serve::CompileCache *compileCache_ = nullptr;
     std::shared_ptr<const chain::ChainPlan> chainPlan_;
 };
 

@@ -120,39 +120,6 @@ ChainPlan::numLinks() const
     return n;
 }
 
-uint32_t
-ChainPlan::numEvaluatorPorts() const
-{
-    uint32_t n = 0;
-    for (const auto &node : sources)
-        for (const InputSource &s : node)
-            n += s.kind == SourceKind::Evaluator ? 1 : 0;
-    return n;
-}
-
-uint32_t
-ChainPlan::numDirectPorts() const
-{
-    uint32_t n = 0;
-    for (const auto &node : sources)
-        for (const InputSource &s : node)
-            n += (s.kind == SourceKind::Garbler ||
-                  s.kind == SourceKind::Zero ||
-                  s.kind == SourceKind::One)
-                     ? 1
-                     : 0;
-    return n;
-}
-
-uint64_t
-ChainPlan::totalAndGates() const
-{
-    uint64_t n = 0;
-    for (const ComponentSpec &spec : nodes)
-        n += buildComponent(spec).numAndGates();
-    return n;
-}
-
 uint64_t
 ChainPlan::totalGates() const
 {

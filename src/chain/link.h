@@ -148,11 +148,6 @@ struct ChainPlan
 
     /** Link-driven ports across all nodes (= translation tables). */
     uint32_t numLinks() const;
-    /** Evaluator-driven ports (= OTs; fan-out counts per port). */
-    uint32_t numEvaluatorPorts() const;
-    /** Garbler-driven plus constant ports (direct labels). */
-    uint32_t numDirectPorts() const;
-    uint64_t totalAndGates() const;
     uint64_t totalGates() const;
 
     /** Empty when well-formed; else the first violation. */

@@ -1,13 +1,19 @@
 #include "circuit/builder.h"
 
+#include <stdexcept>
+
 namespace haac {
 
 Wire
 CircuitBuilder::garblerInput()
 {
-    assert(!frozen_ && "declare all inputs before emitting gates");
-    assert(netlist_.numEvaluatorInputs == 0 &&
-           "garbler inputs must precede evaluator inputs");
+    if (frozen_)
+        throw std::logic_error("declare all inputs before emitting gates");
+    // A later garbler input would take a wire id that an evaluator
+    // input already holds.
+    if (netlist_.numEvaluatorInputs != 0)
+        throw std::logic_error(
+            "garbler inputs must precede evaluator inputs");
     known_.emplace_back(std::nullopt);
     return netlist_.numGarblerInputs++;
 }
@@ -15,7 +21,8 @@ CircuitBuilder::garblerInput()
 Wire
 CircuitBuilder::evaluatorInput()
 {
-    assert(!frozen_ && "declare all inputs before emitting gates");
+    if (frozen_)
+        throw std::logic_error("declare all inputs before emitting gates");
     known_.emplace_back(std::nullopt);
     return netlist_.numGarblerInputs + netlist_.numEvaluatorInputs++;
 }

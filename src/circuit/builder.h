@@ -37,7 +37,11 @@ class CircuitBuilder
         : foldConstants_(fold_constants)
     {}
 
-    /** @name Inputs (must all be declared before the first gate) */
+    /**
+     * @name Inputs
+     * All garbler inputs, then all evaluator inputs, before the first
+     * gate; any other order throws std::logic_error.
+     */
     /// @{
     Wire garblerInput();
     Wire evaluatorInput();
@@ -54,8 +58,6 @@ class CircuitBuilder
     Wire xorGate(Wire a, Wire b);
     Wire notGate(Wire a);
     Wire orGate(Wire a, Wire b);
-    Wire norGate(Wire a, Wire b) { return notGate(orGate(a, b)); }
-    Wire nandGate(Wire a, Wire b) { return notGate(andGate(a, b)); }
     Wire xnorGate(Wire a, Wire b) { return notGate(xorGate(a, b)); }
     /** mux: s ? t : f (one AND, two XOR). */
     Wire mux(Wire s, Wire t, Wire f);

@@ -99,49 +99,6 @@ sfSub(uint32_t a, uint32_t b)
 }
 
 uint32_t
-sfFromInt32(int32_t v)
-{
-    if (v == 0)
-        return 0;
-    const uint32_t s = v < 0 ? 1 : 0;
-    const uint64_t mag = s ? uint64_t(-int64_t(v)) : uint64_t(v);
-    const int p = msbIndex(mag);
-    const uint32_t e = uint32_t(127 + p);
-    const uint32_t frac =
-        p <= 23 ? uint32_t(mag << (23 - p)) & 0x7fffff
-                : uint32_t(mag >> (p - 23)) & 0x7fffff;
-    return pack(s, e, frac);
-}
-
-int32_t
-sfToInt32(uint32_t f)
-{
-    const uint32_t s = signOf(f), e = expOf(f);
-    if (e < 127)
-        return 0; // zero, flushed, or |x| < 1
-    const int shift = int(e) - 127;
-    if (shift > 30)
-        return s ? INT32_MIN : INT32_MAX;
-    const uint64_t mant = 0x800000u | manOf(f);
-    const uint64_t v = shift >= 23 ? mant << (shift - 23)
-                                   : mant >> (23 - shift);
-    return s ? int32_t(-int64_t(v)) : int32_t(v);
-}
-
-bool
-sfLess(uint32_t a, uint32_t b)
-{
-    const bool az = expOf(a) == 0, bz = expOf(b) == 0;
-    const uint32_t mag_a = az ? 0 : (a & 0x7fffffff);
-    const uint32_t mag_b = bz ? 0 : (b & 0x7fffffff);
-    const bool sa = !az && signOf(a) != 0;
-    const bool sb = !bz && signOf(b) != 0;
-    if (sa != sb)
-        return sa;
-    return sa ? mag_b < mag_a : mag_a < mag_b;
-}
-
-uint32_t
 floatToBits(float f)
 {
     uint32_t u;
@@ -346,80 +303,6 @@ floatSubCircuit(CircuitBuilder &cb, const Bits &a, const Bits &b)
     Bits negb = b;
     negb[31] = cb.notGate(b[31]);
     return floatAddCircuit(cb, a, negb);
-}
-
-Bits
-intToFloatCircuit(CircuitBuilder &cb, const Bits &v)
-{
-    assert(v.size() == 32);
-    Wire is_zero = cb.notGate(reduceOr(cb, v));
-    Wire s = v[31];
-    Bits mag = muxBits(cb, s, negBits(cb, v), v);
-
-    // Normalize left until bit 31 is set, counting the shift (cf. the
-    // fadd normalizer); p = 31 - lz, e = 127 + p = 158 - lz.
-    Bits lz(5, cb.constant(false));
-    Bits m = mag;
-    for (int stage = 4; stage >= 0; --stage) {
-        const uint32_t step = 1u << stage;
-        Bits top = slice(m, 32 - step, step);
-        Wire all_zero = cb.notGate(reduceOr(cb, top));
-        m = muxBits(cb, all_zero, shlConst(cb, m, step), m);
-        lz[stage] = all_zero;
-    }
-    Bits frac = slice(m, 8, 23); // truncate the low 8 bits
-    Bits e = subBits(cb, constantBits(cb, 8, 158),
-                     zeroExtend(cb, lz, 8));
-    Bits result = packCircuit(cb, s, e, frac);
-    return muxBits(cb, is_zero, zeroFloat(cb, cb.constant(false)),
-                   result);
-}
-
-Bits
-floatToIntCircuit(CircuitBuilder &cb, const Bits &f)
-{
-    FloatParts p = unpack(f);
-    Wire below_one = ltUnsigned(cb, p.exp, constantBits(cb, 8, 127));
-    Bits shift = subBits(cb, p.exp, constantBits(cb, 8, 127));
-    Wire sat = ltUnsigned(cb, constantBits(cb, 8, 30), shift);
-
-    Bits mant = p.man;
-    mant.push_back(cb.constant(true)); // 24-bit significand
-    Bits mant32 = zeroExtend(cb, mant, 32);
-    Wire ge23 = cb.notGate(
-        ltUnsigned(cb, shift, constantBits(cb, 8, 23)));
-    // Only the selected branch's shift amount is meaningful; the other
-    // wraps modulo 256 and is muxed away.
-    Bits left = shlVar(cb, mant32,
-                       subBits(cb, shift, constantBits(cb, 8, 23)));
-    Bits right = shrVar(cb, mant32,
-                        subBits(cb, constantBits(cb, 8, 23), shift));
-    Bits mag = muxBits(cb, ge23, left, right);
-
-    Bits signed_v = muxBits(cb, p.sign, negBits(cb, mag), mag);
-    Bits sat_val = muxBits(cb, p.sign,
-                           constantBits(cb, 32, 0x80000000u),
-                           constantBits(cb, 32, 0x7fffffffu));
-    Bits result = muxBits(cb, sat, sat_val, signed_v);
-    return muxBits(cb, below_one, constantBits(cb, 32, 0), result);
-}
-
-Wire
-floatLessCircuit(CircuitBuilder &cb, const Bits &a, const Bits &b)
-{
-    FloatParts pa = unpack(a), pb = unpack(b);
-    Wire az = isZeroFloat(cb, pa);
-    Wire bz = isZeroFloat(cb, pb);
-    Bits zero31(31, cb.constant(false));
-    Bits mag_a = muxBits(cb, az, zero31, concat(pa.man, pa.exp));
-    Bits mag_b = muxBits(cb, bz, zero31, concat(pb.man, pb.exp));
-    Wire sa = cb.andGate(pa.sign, cb.notGate(az));
-    Wire sb = cb.andGate(pb.sign, cb.notGate(bz));
-
-    Wire ult_ab = ltUnsigned(cb, mag_a, mag_b);
-    Wire ult_ba = ltUnsigned(cb, mag_b, mag_a);
-    Wire same_sign = cb.mux(sa, ult_ba, ult_ab);
-    return cb.mux(cb.xorGate(sa, sb), sa, same_sign);
 }
 
 } // namespace haac

@@ -3,8 +3,9 @@
  * Binary32 floating-point circuits and their bit-exact host model.
  *
  * GradDesc (linear regression, Table 2) needs true floating point in
- * the circuit. We implement binary32 add/sub/mul with two documented
- * deviations from IEEE-754 (see DESIGN.md substitutions):
+ * the circuit, and only add, sub and mul: there are no conversion or
+ * compare circuits. We implement binary32 add/sub/mul with two
+ * documented deviations from IEEE-754 (see DESIGN.md substitutions):
  *   - rounding is truncation (round-toward-zero) over 3 guard bits;
  *   - subnormals flush to zero; overflow saturates to e=254, m=all-ones
  *     (no inf/NaN are ever produced).
@@ -28,18 +29,6 @@ uint32_t sfAdd(uint32_t a, uint32_t b);
 uint32_t sfSub(uint32_t a, uint32_t b);
 uint32_t sfMul(uint32_t a, uint32_t b);
 
-/** Signed 32-bit integer -> binary32 (truncating). */
-uint32_t sfFromInt32(int32_t v);
-
-/**
- * binary32 -> signed 32-bit integer, truncating toward zero.
- * |x| < 1 gives 0; exponents above 2^30 saturate to INT32_MIN/MAX.
- */
-int32_t sfToInt32(uint32_t f);
-
-/** a < b under the flush-to-zero semantics (+0 == -0). */
-bool sfLess(uint32_t a, uint32_t b);
-
 /** Bit-pattern conversions (native float <-> uint32). */
 uint32_t floatToBits(float f);
 float bitsFromFloat(uint32_t bits);
@@ -50,9 +39,6 @@ float bitsFromFloat(uint32_t bits);
 Bits floatAddCircuit(CircuitBuilder &cb, const Bits &a, const Bits &b);
 Bits floatSubCircuit(CircuitBuilder &cb, const Bits &a, const Bits &b);
 Bits floatMulCircuit(CircuitBuilder &cb, const Bits &a, const Bits &b);
-Bits intToFloatCircuit(CircuitBuilder &cb, const Bits &v);
-Bits floatToIntCircuit(CircuitBuilder &cb, const Bits &f);
-Wire floatLessCircuit(CircuitBuilder &cb, const Bits &a, const Bits &b);
 /// @}
 
 } // namespace haac

@@ -64,13 +64,6 @@ subBits(CircuitBuilder &cb, const Bits &a, const Bits &b)
 }
 
 Bits
-negBits(CircuitBuilder &cb, const Bits &a)
-{
-    Bits zero(a.size(), cb.constant(false));
-    return subBits(cb, zero, a);
-}
-
-Bits
 andBits(CircuitBuilder &cb, const Bits &a, const Bits &b)
 {
     assert(a.size() == b.size());
@@ -87,16 +80,6 @@ xorBits(CircuitBuilder &cb, const Bits &a, const Bits &b)
     Bits out(a.size());
     for (size_t i = 0; i < a.size(); ++i)
         out[i] = cb.xorGate(a[i], b[i]);
-    return out;
-}
-
-Bits
-orBits(CircuitBuilder &cb, const Bits &a, const Bits &b)
-{
-    assert(a.size() == b.size());
-    Bits out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = cb.orGate(a[i], b[i]);
     return out;
 }
 
@@ -122,30 +105,6 @@ mulBits(CircuitBuilder &cb, const Bits &a, const Bits &b,
         acc = addBits(cb, acc, row);
     }
     return acc;
-}
-
-DivMod
-divBits(CircuitBuilder &cb, const Bits &a, const Bits &b)
-{
-    assert(a.size() == b.size());
-    const uint32_t n = uint32_t(a.size());
-    // Restoring long division, MSB first. The remainder register is
-    // n+1 bits so the trial subtraction never wraps.
-    Bits r(n + 1, cb.constant(false));
-    Bits bx = zeroExtend(cb, b, n + 1);
-    Bits q(n, cb.constant(false));
-    for (int i = int(n) - 1; i >= 0; --i) {
-        // r = (r << 1) | a[i].
-        for (int j = int(n); j > 0; --j)
-            r[size_t(j)] = r[size_t(j - 1)];
-        r[0] = a[size_t(i)];
-        Wire ge = cb.notGate(ltUnsigned(cb, r, bx));
-        Bits diff = subBits(cb, r, bx);
-        r = muxBits(cb, ge, diff, r);
-        q[size_t(i)] = ge;
-    }
-    r.resize(n);
-    return {std::move(q), std::move(r)};
 }
 
 Wire
@@ -268,45 +227,12 @@ shrVar(CircuitBuilder &cb, const Bits &a, const Bits &amt)
 }
 
 Bits
-shlVar(CircuitBuilder &cb, const Bits &a, const Bits &amt)
-{
-    Bits cur = a;
-    uint32_t useful = 0;
-    while ((1u << useful) < cur.size())
-        ++useful;
-    for (uint32_t s = 0; s < amt.size() && s < useful; ++s) {
-        Bits shifted = shlConst(cb, cur, 1u << s);
-        cur = muxBits(cb, amt[s], shifted, cur);
-    }
-    if (amt.size() > useful) {
-        Bits high(amt.begin() + useful, amt.end());
-        Wire oob = reduceOr(cb, high);
-        Bits zero(cur.size(), cb.constant(false));
-        cur = muxBits(cb, oob, zero, cur);
-    }
-    return cur;
-}
-
-Bits
 zeroExtend(CircuitBuilder &cb, const Bits &a, uint32_t width)
 {
     Bits out = a;
     out.resize(width, cb.constant(false));
     if (out.size() > width)
         out.resize(width);
-    return out;
-}
-
-Bits
-signExtend(CircuitBuilder &cb, const Bits &a, uint32_t width)
-{
-    Bits out = a;
-    if (width >= a.size()) {
-        Wire sign = a.empty() ? cb.constant(false) : a.back();
-        out.resize(width, sign);
-    } else {
-        out.resize(width);
-    }
     return out;
 }
 
@@ -333,18 +259,6 @@ popcount(CircuitBuilder &cb, const Bits &a)
         words = std::move(next);
     }
     return words[0];
-}
-
-Bits
-maxSigned(CircuitBuilder &cb, const Bits &a, const Bits &b)
-{
-    return muxBits(cb, ltSigned(cb, a, b), b, a);
-}
-
-Bits
-minSigned(CircuitBuilder &cb, const Bits &a, const Bits &b)
-{
-    return muxBits(cb, ltSigned(cb, a, b), a, b);
 }
 
 Bits

@@ -4,7 +4,9 @@
  *
  * All values are little-endian Bits (bit 0 first). Arithmetic is
  * modular (two's complement), so the same adder/multiplier serves
- * signed and unsigned words; comparators come in both flavors.
+ * signed and unsigned words; comparators come in both flavors. The
+ * library holds what the workloads, chain components and benches
+ * build; a new operator comes with its first caller.
  *
  * Gate-cost notes (per bit, FreeXOR cost model where only AND pays):
  *  - add/sub: 1 AND (carry-majority form)
@@ -47,33 +49,14 @@ Bits addBitsKoggeStone(CircuitBuilder &cb, const Bits &a,
 /** a - b (mod 2^n). */
 Bits subBits(CircuitBuilder &cb, const Bits &a, const Bits &b);
 
-/** Two's-complement negation. */
-Bits negBits(CircuitBuilder &cb, const Bits &a);
-
 /** Bitwise ops over equal-width words. */
 Bits andBits(CircuitBuilder &cb, const Bits &a, const Bits &b);
 Bits xorBits(CircuitBuilder &cb, const Bits &a, const Bits &b);
-Bits orBits(CircuitBuilder &cb, const Bits &a, const Bits &b);
 Bits notBits(CircuitBuilder &cb, const Bits &a);
 
 /** a * b, truncated to out_width bits (schoolbook). */
 Bits mulBits(CircuitBuilder &cb, const Bits &a, const Bits &b,
              uint32_t out_width);
-
-/** Quotient and remainder of unsigned division. */
-struct DivMod
-{
-    Bits quotient;
-    Bits remainder;
-};
-
-/**
- * Unsigned restoring division: a / b and a % b.
- *
- * Division by zero follows the restoring-hardware convention:
- * quotient = all ones, remainder = a.
- */
-DivMod divBits(CircuitBuilder &cb, const Bits &a, const Bits &b);
 
 /** Unsigned a < b (borrow of a - b). */
 Wire ltUnsigned(CircuitBuilder &cb, const Bits &a, const Bits &b);
@@ -103,19 +86,11 @@ Bits shrConst(CircuitBuilder &cb, const Bits &a, uint32_t k);
  */
 Bits shrVar(CircuitBuilder &cb, const Bits &a, const Bits &amt);
 
-/** Logical left shift by a runtime amount. */
-Bits shlVar(CircuitBuilder &cb, const Bits &a, const Bits &amt);
-
-/** Zero- or sign-extend / truncate to @p width. */
+/** Zero-extend / truncate to @p width. */
 Bits zeroExtend(CircuitBuilder &cb, const Bits &a, uint32_t width);
-Bits signExtend(CircuitBuilder &cb, const Bits &a, uint32_t width);
 
 /** Population count (adder tree); result width = ceil(log2(n+1)). */
 Bits popcount(CircuitBuilder &cb, const Bits &a);
-
-/** Signed max/min via compare + mux. */
-Bits maxSigned(CircuitBuilder &cb, const Bits &a, const Bits &b);
-Bits minSigned(CircuitBuilder &cb, const Bits &a, const Bits &b);
 
 /** ReLU on a signed word: sign ? 0 : a (the paper's 33-gate kernel). */
 Bits reluBits(CircuitBuilder &cb, const Bits &a);

@@ -6,7 +6,6 @@
 #ifndef HAAC_CORE_SIM_STATS_H
 #define HAAC_CORE_SIM_STATS_H
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -86,20 +85,6 @@ struct SimStats
             return 0.0;
         return double(instructions) /
                (double(cycles) * double(issuedPerGe.size()));
-    }
-
-    /** max/mean issued instructions across GEs (1.0 = perfectly even). */
-    double
-    loadImbalance() const
-    {
-        if (issuedPerGe.empty() || instructions == 0)
-            return 1.0;
-        uint64_t mx = 0;
-        for (uint64_t v : issuedPerGe)
-            mx = std::max(mx, v);
-        const double mean =
-            double(instructions) / double(issuedPerGe.size());
-        return mean > 0 ? double(mx) / mean : 1.0;
     }
 };
 

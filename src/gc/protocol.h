@@ -44,12 +44,6 @@ struct SoftwareGcTiming
     double garbleSeconds = 0;
     double evaluateSeconds = 0;
     uint64_t gates = 0;
-
-    double
-    garbledGatesPerSecond() const
-    {
-        return garbleSeconds > 0 ? double(gates) / garbleSeconds : 0;
-    }
 };
 
 /** Garble + evaluate once, wall-clock timed (no channel overheads). */

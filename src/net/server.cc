@@ -239,8 +239,9 @@ GcServer::GcServer(ServerOptions opts)
     : opts_(opts), workloads_(opts.cacheWorkloads ? kCachedSpecs : 0),
       chains_(opts.cacheWorkloads ? kCachedSpecs : 0)
 {
+    // With no worker, the server would accept connections nobody serves.
     if (opts_.threads == 0)
-        opts_.threads = 1;
+        throw std::invalid_argument("GcServer: threads must be at least 1");
     workers_.reserve(opts_.threads);
     for (uint32_t i = 0; i < opts_.threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });

@@ -132,6 +132,7 @@ struct ServerOptions
      * Worker threads == maximum concurrent connections. A connection
      * occupies its worker until the client closes it (connections are
      * multi-session), so size this to the expected client fleet.
+     * Zero makes the constructor throw std::invalid_argument.
      */
     uint32_t threads = 4;
     /**

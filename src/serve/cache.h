@@ -1,7 +1,7 @@
 /**
  * @file
  * Thread-safe LRU cache: the bounded-memory building block of the
- * serving layer (serve/compile_cache.h).
+ * serving layer (GcServer's resolved-workload and chain caches).
  *
  * Values are shared_ptr<const V> so a hit can be handed to a session
  * while an eviction or a capacity-zero configuration drops the cache's

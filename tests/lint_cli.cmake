@@ -150,6 +150,8 @@ server_usage_case(server_trailing_junk --sessions
   --bind 127.0.0.1 --port 0 --sessions 3x)
 server_usage_case(server_bad_threads --threads
   --bind 127.0.0.1 --port 0 --threads abc)
+server_usage_case(server_zero_threads --threads
+  --bind 127.0.0.1 --port 0 --threads 0)
 
 get_property(failures GLOBAL PROPERTY lint_cli_failures)
 if(failures)

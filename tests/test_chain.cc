@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <exception>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -119,6 +120,27 @@ expectedOtUplink(uint32_t m)
     // Base public key + masked columns (KOS15 pad block included)
     // + the 32-byte KOS15 consistency proof.
     return 32u + 2048u * (blocks + 1) + 32u;
+}
+
+/** Input ports across the plan's nodes driven by one of @p kinds. */
+uint32_t
+countPorts(const ChainPlan &plan, std::initializer_list<SourceKind> kinds)
+{
+    uint32_t n = 0;
+    for (const auto &node : plan.sources)
+        for (const InputSource &s : node)
+            for (const SourceKind k : kinds)
+                n += s.kind == k ? 1 : 0;
+    return n;
+}
+
+uint64_t
+planAndGates(const ChainPlan &plan)
+{
+    uint64_t n = 0;
+    for (const ComponentSpec &spec : plan.nodes)
+        n += buildComponent(spec).numAndGates();
+    return n;
 }
 
 } // namespace
@@ -432,16 +454,19 @@ TEST(ChainProtocol, ChainedMatchesMonolithicOnCompositeWorkloads)
                     break;
                 }
         }
-        const uint32_t m = wl.plan.numEvaluatorPorts();
+        const uint32_t m = countPorts(wl.plan, {SourceKind::Evaluator});
+        const uint32_t direct = countPorts(
+            wl.plan,
+            {SourceKind::Garbler, SourceKind::Zero, SourceKind::One});
         for (const ChainResult *r : {&gres, &eres}) {
             EXPECT_EQ(r->components, nodes) << spec;
             EXPECT_EQ(r->links, wl.plan.numLinks()) << spec;
             EXPECT_EQ(r->tableBytes,
-                      wl.plan.totalAndGates() * kTableBytes)
+                      planAndGates(wl.plan) * kTableBytes)
                 << spec;
             // Direct ports plus each node's constant-one label.
             EXPECT_EQ(r->inputLabelBytes,
-                      (wl.plan.numDirectPorts() + nodes) * kLabelBytes)
+                      (direct + nodes) * kLabelBytes)
                 << spec;
             EXPECT_EQ(r->linkFrames, linked_nodes) << spec;
             EXPECT_EQ(r->linkBytes,
@@ -474,8 +499,8 @@ TEST(ChainProtocol, SegmentOneStreamsTableByTable)
     EXPECT_EQ(gres.outputs, wl.expectedOutputs);
     EXPECT_EQ(eres.outputs, wl.expectedOutputs);
     // One frame per garbled table at segment size 1.
-    EXPECT_EQ(gres.tableSegments, wl.plan.totalAndGates());
-    EXPECT_EQ(eres.tableSegments, wl.plan.totalAndGates());
+    EXPECT_EQ(gres.tableSegments, planAndGates(wl.plan));
+    EXPECT_EQ(eres.tableSegments, planAndGates(wl.plan));
 }
 
 TEST(ChainProtocol, PlanMismatchFailsClosed)
@@ -578,7 +603,7 @@ TEST(ChainProtocol, BaseOtReusedAcrossChainedSessions)
     // Two chained sessions on one connection share the base-OT setup
     // through the same OtConnectionCache the serving layer uses.
     const ChainWorkload wl = resolveChainWorkload("ChainMillSum:8");
-    const uint32_t m = wl.plan.numEvaluatorPorts();
+    const uint32_t m = countPorts(wl.plan, {SourceKind::Evaluator});
 
     auto [gend, eend] = LoopbackTransport::createPair();
     OtConnectionCache gcache, ecache;

@@ -190,104 +190,6 @@ TEST(FloatCircuit, SpecialCasesBitExact)
     }
 }
 
-TEST(SoftFloat, IntConversionsRoundTrip)
-{
-    for (int32_t v : {0, 1, -1, 7, -42, 1 << 20, -(1 << 20),
-                      INT32_MAX, INT32_MIN, 123456789}) {
-        const uint32_t f = sfFromInt32(v);
-        if (v == 0) {
-            EXPECT_EQ(f, 0u);
-            continue;
-        }
-        // Converting back truncates at most 8 low bits of precision.
-        const int64_t back = sfToInt32(f);
-        const int64_t err = std::abs(int64_t(v) - back);
-        EXPECT_LE(err, std::abs(int64_t(v)) >> 23);
-        // Exact for small magnitudes.
-        if (std::abs(int64_t(v)) < (1 << 24)) {
-            EXPECT_EQ(back, v);
-        }
-    }
-}
-
-TEST(SoftFloat, FromInt32MatchesNativeCast)
-{
-    for (int32_t v : {1, -1, 3, 1000, -70000, (1 << 24) - 1}) {
-        EXPECT_EQ(sfFromInt32(v), floatToBits(float(v))) << v;
-    }
-}
-
-TEST(SoftFloat, ToInt32Truncates)
-{
-    EXPECT_EQ(sfToInt32(floatToBits(2.9f)), 2);
-    EXPECT_EQ(sfToInt32(floatToBits(-2.9f)), -2);
-    EXPECT_EQ(sfToInt32(floatToBits(0.99f)), 0);
-    EXPECT_EQ(sfToInt32(floatToBits(-0.5f)), 0);
-    EXPECT_EQ(sfToInt32(floatToBits(1e20f)), INT32_MAX);
-    EXPECT_EQ(sfToInt32(floatToBits(-1e20f)), INT32_MIN);
-}
-
-TEST(SoftFloat, LessMatchesNative)
-{
-    const float vals[] = {-3.5f, -1.0f, -0.0f, 0.0f, 0.25f, 1.0f,
-                          2.5f,  1e10f, -1e10f};
-    for (float a : vals) {
-        for (float b : vals) {
-            EXPECT_EQ(sfLess(floatToBits(a), floatToBits(b)), a < b)
-                << a << " < " << b;
-        }
-    }
-}
-
-TEST(FloatCircuit, IntToFloatBitExact)
-{
-    for (int32_t v : {0, 1, -1, 255, -256, 99999, -123456789,
-                      INT32_MAX, INT32_MIN}) {
-        CircuitBuilder cb;
-        Bits w = cb.garblerInputs(32);
-        cb.addOutputs(intToFloatCircuit(cb, w));
-        Netlist nl = cb.build();
-        const uint64_t got =
-            bitsToU64(nl.evaluate(u64ToBits(uint32_t(v), 32), {}));
-        EXPECT_EQ(got, sfFromInt32(v)) << v;
-    }
-}
-
-TEST(FloatCircuit, FloatToIntBitExact)
-{
-    for (float v : {0.0f, 1.0f, -1.0f, 2.9f, -2.9f, 0.4f, 1234.75f,
-                    -87654.0f, 3e9f, -3e9f, 1e20f}) {
-        CircuitBuilder cb;
-        Bits w = cb.garblerInputs(32);
-        cb.addOutputs(floatToIntCircuit(cb, w));
-        Netlist nl = cb.build();
-        const uint32_t fb = floatToBits(v);
-        const uint64_t got =
-            bitsToU64(nl.evaluate(u64ToBits(fb, 32), {}));
-        EXPECT_EQ(int32_t(got), sfToInt32(fb)) << v;
-    }
-}
-
-TEST(FloatCircuit, LessBitExact)
-{
-    const float vals[] = {-7.5f, -1.0f, 0.0f, -0.0f, 0.5f, 1.0f,
-                          33.25f};
-    for (float a : vals) {
-        for (float b : vals) {
-            CircuitBuilder cb;
-            Bits wa = cb.garblerInputs(32);
-            Bits wb = cb.evaluatorInputs(32);
-            cb.addOutput(floatLessCircuit(cb, wa, wb));
-            Netlist nl = cb.build();
-            const bool got =
-                nl.evaluate(u64ToBits(floatToBits(a), 32),
-                            u64ToBits(floatToBits(b), 32))[0];
-            EXPECT_EQ(got, sfLess(floatToBits(a), floatToBits(b)))
-                << a << " < " << b;
-        }
-    }
-}
-
 TEST(FloatCircuit, CancellationBitExact)
 {
     // Subtraction of nearly equal values exercises the normalizer.

@@ -1,8 +1,7 @@
 /**
  * @file
- * The src/serve/ subsystem: LruCache mechanics, CompileCache
- * bit-identity on every VIP workload, GarblePool freshness (the PR 5
- * label-reuse attack shape must not reappear via pooled instances),
+ * The src/serve/ subsystem: LruCache mechanics, GarblePool freshness
+ * (the label-reuse attack shape must not reappear via pooled instances),
  * instance-replay wire parity, and the GcServer integration — pooled
  * multi-session connections with base-OT reuse.
  */
@@ -28,7 +27,6 @@
 #include "net/remote.h"
 #include "net/server.h"
 #include "serve/cache.h"
-#include "serve/compile_cache.h"
 #include "serve/component_pool.h"
 #include "serve/pool.h"
 #include "serve/prebuilt_pool.h"
@@ -181,155 +179,6 @@ TEST(LruCache, ReplaceInPlaceAndZeroCapacity)
     off.put("a", boxed(1));
     EXPECT_EQ(off.get("a"), nullptr);
     EXPECT_EQ(off.size(), 0u);
-}
-
-TEST(CompileKey, SensitiveToEveryScheduleAffectingInput)
-{
-    const Workload wl = vipWorkload("Hamm", false);
-    CompileOptions opts;
-    HaacConfig cfg;
-    opts.swwWires = cfg.swwWires();
-    const CompileKey base = CompileKey::of(wl.netlist, opts, cfg);
-    EXPECT_TRUE(base == CompileKey::of(wl.netlist, opts, cfg));
-
-    // Different circuit, different key (also differing shape echo).
-    const Workload other = vipWorkload("DotProd", false);
-    EXPECT_FALSE(base ==
-                 CompileKey::of(other.netlist, opts, cfg));
-
-    // Every CompileOptions knob except `verify` must perturb the key.
-    CompileOptions o2 = opts;
-    o2.reorder = ReorderKind::Segment;
-    EXPECT_FALSE(base == CompileKey::of(wl.netlist, o2, cfg));
-    o2 = opts;
-    o2.esw = !o2.esw;
-    EXPECT_FALSE(base == CompileKey::of(wl.netlist, o2, cfg));
-    o2 = opts;
-    o2.segmentSize = 512;
-    EXPECT_FALSE(base == CompileKey::of(wl.netlist, o2, cfg));
-
-    // `verify` only re-checks the schedule; compiled output is
-    // identical, so it must NOT change the key.
-    o2 = opts;
-    o2.verify = !o2.verify;
-    EXPECT_TRUE(base == CompileKey::of(wl.netlist, o2, cfg));
-
-    // Schedule-affecting config fields perturb the key too.
-    HaacConfig c2 = cfg;
-    c2.numGes *= 2;
-    EXPECT_FALSE(base == CompileKey::of(wl.netlist, opts, c2));
-    c2 = cfg;
-    c2.dramBandwidthScale *= 2.0;
-    EXPECT_FALSE(base == CompileKey::of(wl.netlist, opts, c2));
-    c2 = cfg;
-    c2.fetchDecodeStages += 1;
-    EXPECT_FALSE(base == CompileKey::of(wl.netlist, opts, c2));
-}
-
-TEST(CompileCache, HitIsBitIdenticalOnEveryVipWorkload)
-{
-    CompileCache cache(16);
-    HaacConfig cfg;
-    CompileOptions opts;
-    opts.swwWires = cfg.swwWires();
-
-    for (const std::string &name : vipNames()) {
-        const Workload wl = vipWorkload(name, false);
-
-        // Reference: the raw pipeline, no cache involved.
-        CompileStats ref_stats;
-        const HaacProgram ref_prog = compileProgram(
-            assemble(wl.netlist), opts, &ref_stats);
-        const StreamSet ref_streams = buildStreams(ref_prog, cfg);
-
-        bool hit = true;
-        const auto cold = cache.compile(wl.netlist, opts, cfg, &hit);
-        EXPECT_FALSE(hit) << name;
-        hit = false;
-        const auto warm = cache.compile(wl.netlist, opts, cfg, &hit);
-        EXPECT_TRUE(hit) << name;
-        EXPECT_EQ(cold.get(), warm.get()) << name; // same cached unit
-
-        // Bit-identical to the cold pipeline, program and schedule.
-        EXPECT_TRUE(warm->program == ref_prog) << name;
-        EXPECT_EQ(warm->stats.instructions, ref_stats.instructions);
-        EXPECT_EQ(warm->stats.liveWires, ref_stats.liveWires);
-        EXPECT_EQ(warm->stats.oorReads, ref_stats.oorReads);
-        ASSERT_EQ(warm->streams.ge.size(), ref_streams.ge.size());
-        for (size_t g = 0; g < ref_streams.ge.size(); ++g) {
-            EXPECT_EQ(warm->streams.ge[g].instrIdx,
-                      ref_streams.ge[g].instrIdx);
-            EXPECT_EQ(warm->streams.ge[g].oorAddrs,
-                      ref_streams.ge[g].oorAddrs);
-            EXPECT_EQ(warm->streams.ge[g].tableCount,
-                      ref_streams.ge[g].tableCount);
-        }
-        EXPECT_EQ(warm->streams.geOf, ref_streams.geOf);
-        EXPECT_EQ(warm->streams.issueOrder, ref_streams.issueOrder);
-        EXPECT_EQ(warm->streams.totalOor, ref_streams.totalOor);
-    }
-
-    const CacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, vipNames().size());
-    EXPECT_EQ(s.hits, vipNames().size());
-}
-
-TEST(CompileCache, ConcurrentSessionsShareTheCache)
-{
-    CompileCache cache(8);
-    const std::vector<std::string> names = {"Hamm", "DotProd",
-                                            "BubbSt", "ReLU"};
-    std::atomic<uint32_t> ok{0};
-    std::vector<std::unique_ptr<PeerThread>> threads;
-    for (int t = 0; t < 8; ++t) {
-        threads.push_back(std::make_unique<PeerThread>([&, t] {
-            const Workload wl =
-                vipWorkload(names[size_t(t) % names.size()], false);
-            CompileOptions opts;
-            HaacConfig cfg;
-            opts.swwWires = cfg.swwWires();
-            const auto unit = cache.compile(wl.netlist, opts, cfg);
-            if (unit && !unit->program.instrs.empty())
-                ++ok;
-        }));
-    }
-    for (auto &t : threads)
-        t->join();
-    EXPECT_EQ(ok.load(), 8u);
-    const CacheStats s = cache.stats();
-    EXPECT_EQ(s.hits + s.misses, 8u);
-    EXPECT_GE(s.misses, 4u); // at least one compile per distinct name
-}
-
-TEST(CompileCache, SessionHaacSimReportsCacheHits)
-{
-    const Workload wl = vipWorkload("Hamm", false);
-    Session session(wl);
-    const RunReport plain = session.runHaacSim();
-    EXPECT_FALSE(plain.hasServe);
-
-    CompileCache cache(4);
-    session.withCompileCache(&cache);
-    const RunReport cold = session.runHaacSim();
-    const RunReport warm = session.runHaacSim();
-
-    EXPECT_TRUE(cold.hasServe);
-    EXPECT_FALSE(cold.serve.compileCacheHit);
-    EXPECT_TRUE(warm.hasServe);
-    EXPECT_TRUE(warm.serve.compileCacheHit);
-    EXPECT_EQ(warm.serve.compileCacheHits, 1u);
-    EXPECT_EQ(warm.serve.compileCacheMisses, 1u);
-
-    // The cached compile simulates identically to the fresh one.
-    EXPECT_EQ(warm.sim.cycles, plain.sim.cycles);
-    EXPECT_EQ(warm.compile.instructions, plain.compile.instructions);
-    EXPECT_EQ(warm.outputs, plain.outputs);
-    EXPECT_EQ(warm.gates, plain.gates);
-
-    // Session::compile() consults the same cache.
-    const Session::Compiled compiled = session.compile();
-    EXPECT_EQ(compiled.stats.instructions, plain.compile.instructions);
-    EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(GarbledInstance, CaptureMatchesStreamingGarbler)

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -200,6 +201,14 @@ TEST(GcServer, ServesOneSessionWithReportLine)
               std::string::npos);
     EXPECT_NE(line.find("\"label\":\"session-0\""), std::string::npos);
     EXPECT_NE(line.find("\"net\""), std::string::npos);
+}
+
+TEST(GcServer, RefusesZeroWorkers)
+{
+    // With no worker thread, submitted connections would queue forever.
+    ServerOptions opts;
+    opts.threads = 0;
+    EXPECT_THROW(GcServer server(opts), std::invalid_argument);
 }
 
 TEST(GcServer, InlineGarblingSeedsAreFreshPerServer)

@@ -130,7 +130,6 @@ TEST_P(StdlibRandom, BitwiseOps)
     for (int i = 0; i < 4; ++i) {
         auto [a, b] = sample(i);
         EXPECT_EQ(evalBinary(width(), andBits, a, b), a & b);
-        EXPECT_EQ(evalBinary(width(), orBits, a, b), a | b);
         EXPECT_EQ(evalBinary(width(), xorBits, a, b), a ^ b);
     }
 }
@@ -175,16 +174,6 @@ TEST(Stdlib, AddWithCarryChainsCorrectly)
     EXPECT_TRUE(out[8]); // carry out of 301
 }
 
-TEST(Stdlib, NegIsTwosComplement)
-{
-    auto op = [](CircuitBuilder &cb, const Bits &x, const Bits &) {
-        return negBits(cb, x);
-    };
-    EXPECT_EQ(evalBinary(8, op, 1, 0), 0xffu);
-    EXPECT_EQ(evalBinary(8, op, 0, 0), 0u);
-    EXPECT_EQ(evalBinary(8, op, 0x80, 0), 0x80u);
-}
-
 TEST(Stdlib, ShiftConstAndVar)
 {
     // Constant shifts.
@@ -206,16 +195,10 @@ TEST(Stdlib, ShiftConstAndVar)
         Bits a = cb.garblerInputs(16);
         Bits s = cb.evaluatorInputs(8);
         cb.addOutputs(shrVar(cb, a, s));
-        cb.addOutputs(shlVar(cb, a, s));
         Netlist nl = cb.build();
         auto out = nl.evaluate(u64ToBits(0x9e37, 16), u64ToBits(amt, 8));
         const uint64_t shr = amt >= 16 ? 0 : (0x9e37ull >> amt);
-        const uint64_t shl = amt >= 16 ? 0
-                                       : ((0x9e37ull << amt) & 0xffff);
-        EXPECT_EQ(bitsToU64({out.begin(), out.begin() + 16}), shr)
-            << "amt=" << amt;
-        EXPECT_EQ(bitsToU64({out.begin() + 16, out.end()}), shl)
-            << "amt=" << amt;
+        EXPECT_EQ(bitsToU64(out), shr) << "amt=" << amt;
     }
 }
 
@@ -263,60 +246,6 @@ TEST(Stdlib, KoggeStoneIsShallowerButBigger)
     EXPECT_LT(depth(ks), depth(rc) / 3);
 }
 
-TEST(Stdlib, DivModExhaustive4Bit)
-{
-    for (uint64_t a = 0; a < 16; ++a) {
-        for (uint64_t b = 1; b < 16; ++b) {
-            CircuitBuilder cb;
-            Bits wa = cb.garblerInputs(4);
-            Bits wb = cb.evaluatorInputs(4);
-            DivMod dm = divBits(cb, wa, wb);
-            cb.addOutputs(dm.quotient);
-            cb.addOutputs(dm.remainder);
-            Netlist nl = cb.build();
-            auto out = nl.evaluate(u64ToBits(a, 4), u64ToBits(b, 4));
-            EXPECT_EQ(bitsToU64({out.begin(), out.begin() + 4}),
-                      a / b)
-                << a << "/" << b;
-            EXPECT_EQ(bitsToU64({out.begin() + 4, out.end()}), a % b)
-                << a << "%" << b;
-        }
-    }
-}
-
-TEST(Stdlib, DivModRandom16Bit)
-{
-    Prg prg(99);
-    for (int i = 0; i < 8; ++i) {
-        const uint64_t a = prg.nextU64() & 0xffff;
-        const uint64_t b = 1 + (prg.nextU64() % 0xfffe);
-        CircuitBuilder cb;
-        Bits wa = cb.garblerInputs(16);
-        Bits wb = cb.evaluatorInputs(16);
-        DivMod dm = divBits(cb, wa, wb);
-        cb.addOutputs(dm.quotient);
-        cb.addOutputs(dm.remainder);
-        Netlist nl = cb.build();
-        auto out = nl.evaluate(u64ToBits(a, 16), u64ToBits(b, 16));
-        EXPECT_EQ(bitsToU64({out.begin(), out.begin() + 16}), a / b);
-        EXPECT_EQ(bitsToU64({out.begin() + 16, out.end()}), a % b);
-    }
-}
-
-TEST(Stdlib, DivByZeroConvention)
-{
-    CircuitBuilder cb;
-    Bits wa = cb.garblerInputs(8);
-    Bits wb = cb.evaluatorInputs(8);
-    DivMod dm = divBits(cb, wa, wb);
-    cb.addOutputs(dm.quotient);
-    cb.addOutputs(dm.remainder);
-    Netlist nl = cb.build();
-    auto out = nl.evaluate(u64ToBits(123, 8), u64ToBits(0, 8));
-    EXPECT_EQ(bitsToU64({out.begin(), out.begin() + 8}), 0xffu);
-    EXPECT_EQ(bitsToU64({out.begin() + 8, out.end()}), 123u);
-}
-
 TEST(Stdlib, PopcountMatchesBuiltin)
 {
     for (uint64_t v : {0ull, 1ull, 0xffull, 0xa5a5ull, 0xffffull,
@@ -328,19 +257,6 @@ TEST(Stdlib, PopcountMatchesBuiltin)
         auto out = nl.evaluate(u64ToBits(v, 16), {});
         EXPECT_EQ(bitsToU64(out), uint64_t(__builtin_popcountll(v)));
     }
-}
-
-TEST(Stdlib, MaxMinSigned)
-{
-    auto mx = [](CircuitBuilder &cb, const Bits &x, const Bits &y) {
-        return maxSigned(cb, x, y);
-    };
-    auto mn = [](CircuitBuilder &cb, const Bits &x, const Bits &y) {
-        return minSigned(cb, x, y);
-    };
-    EXPECT_EQ(evalBinary(8, mx, 0x7f, 0x80), 0x7fu); // 127 vs -128
-    EXPECT_EQ(evalBinary(8, mn, 0x7f, 0x80), 0x80u);
-    EXPECT_EQ(evalBinary(8, mx, 5, 9), 9u);
 }
 
 TEST(Stdlib, ReluKernel)
@@ -391,11 +307,11 @@ TEST(Stdlib, ExtendOps)
     CircuitBuilder cb;
     Bits a = cb.garblerInputs(4);
     cb.addOutputs(zeroExtend(cb, a, 8));
-    cb.addOutputs(signExtend(cb, a, 8));
+    cb.addOutputs(zeroExtend(cb, a, 3));
     Netlist nl = cb.build();
     auto out = nl.evaluate(u64ToBits(0xc, 4), {});
     EXPECT_EQ(bitsToU64({out.begin(), out.begin() + 8}), 0x0cu);
-    EXPECT_EQ(bitsToU64({out.begin() + 8, out.end()}), 0xfcu);
+    EXPECT_EQ(bitsToU64({out.begin() + 8, out.end()}), 0x4u);
 }
 
 TEST(Stdlib, ReduceAndOr)

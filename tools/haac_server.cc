@@ -55,7 +55,7 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --port N         TCP port (default 9000; 0 = ephemeral)\n"
         "  --bind HOST      bind address (default 0.0.0.0)\n"
-        "  --threads N      concurrent sessions (default 4)\n"
+        "  --threads N      concurrent sessions, at least 1 (default 4)\n"
         "  --sessions N     exit after N sessions (default 0 = run "
         "until SIGINT)\n"
         "  --segment N      garbled tables per stream segment "
@@ -166,6 +166,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 2;
         }
+    }
+
+    if (opts.threads == 0) {
+        std::fprintf(stderr, "haac_server: --threads must be at least 1\n");
+        return 2;
     }
 
     std::ofstream report_stream;
