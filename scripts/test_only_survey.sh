@@ -18,7 +18,10 @@
 # never does, as "lines  file:first-last  function", with totals, and
 # keeps both hit lists under BUILD_DIR/survey/. A function on the list
 # is a deletion candidate to confirm by grep: the product set is a
-# sample, not every caller.
+# sample, not every caller. Then it prints every line of the kernel
+# files (the crypto and gate-walk code behind the CPU feature tiers)
+# that ctest never runs, as "file:line  source"; on a host with every
+# tier, such a line is kernel code no golden holds.
 #
 # Needs gcc's gcov (JSON output, gcc >= 9), cmake and python3. JOBS
 # sets the build and ctest parallelism (default 2). A clean run takes
@@ -55,16 +58,24 @@ cmake --build "$HB/haacbench" -j "$JOBS" --target haacbench \
 
 zero_counters() { find "$BUILD" -name '*.gcda' -delete; }
 
+# The kernel files whose unrun lines the ctest pass lists.
+KERNELS=(crypto/aes128.cc crypto/gf128.cc crypto/curve25519.cc
+         gc/key_stream.cc gc/streaming.cc gc/gate_walk.h)
+
 # Every function gcov saw, with its hit count, as
-# "count<TAB>file<TAB>first<TAB>last<TAB>name" for src/ files.
+# "count<TAB>file<TAB>first<TAB>last<TAB>name" for src/ files; and in
+# $1.lines every executable line of the KERNELS files, as
+# "count<TAB>file<TAB>line".
 collect() {
-    python3 - "$BUILD" "$SRC/src/" > "$1" <<'EOF'
+    python3 - "$BUILD" "$SRC/src/" "$1.lines" "${KERNELS[@]}" > "$1" <<'EOF'
 import json, os, subprocess, sys
 from collections import defaultdict
 
-build, src = sys.argv[1], sys.argv[2]
+build, src, lines_out = sys.argv[1], sys.argv[2], sys.argv[3]
+kernels = {"src/" + k for k in sys.argv[4:]}
 hits = defaultdict(int)
 span = {}
+line_hits = defaultdict(int)
 for root, _, files in os.walk(build):
     for f in files:
         if not f.endswith(".gcda"):
@@ -86,8 +97,15 @@ for root, _, files in os.walk(build):
                     key = (rel, fn["start_line"], fn["demangled_name"])
                     hits[key] += fn["execution_count"]
                     span[key] = fn["end_line"]
+                if rel in kernels:
+                    for line in entry["lines"]:
+                        line_hits[(rel, line["line_number"])] += \
+                            line["count"]
 for (rel, first, name), n in sorted(hits.items()):
     print(f"{n}\t{rel}\t{first}\t{span[(rel, first, name)]}\t{name}")
+with open(lines_out, "w") as out:
+    for (rel, line), n in sorted(line_hits.items()):
+        out.write(f"{n}\t{rel}\t{line}\n")
 EOF
 }
 
@@ -187,4 +205,23 @@ hit = sum(1 for n, _ in product.values() if n > 0)
 print(f"\n{len(only)} src/ functions ({total} lines of function span) "
       f"run under ctest only; the product set runs {hit} of "
       f"{len(product)} src/ functions it saw")
+EOF
+
+python3 - "$OUT/ctest.tsv.lines" "$SRC" "${KERNELS[@]}" <<'EOF'
+import os, sys
+
+path, src = sys.argv[1], sys.argv[2]
+unrun = {}
+for row in open(path):
+    n, rel, line = row.rstrip("\n").split("\t")
+    if int(n) == 0:
+        unrun.setdefault(rel, []).append(int(line))
+print()
+for k in sys.argv[3:]:
+    rel = "src/" + k
+    text = open(os.path.join(src, rel)).read().splitlines()
+    for line in unrun.get(rel, []):
+        print(f"{rel}:{line}  {text[line - 1].strip()}")
+count = sum(len(v) for v in unrun.values())
+print(f"{count} kernel-file lines never run under ctest")
 EOF

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "platform/host_cpu.h"
+
 #if defined(HAAC_USE_AESNI)
 #include <tmmintrin.h>
 #include <wmmintrin.h>
@@ -100,18 +102,9 @@ addRoundKey(uint8_t s[16], const uint8_t rk[16])
 }
 
 #if defined(HAAC_USE_AESNI)
-/**
- * This file is compiled with -maes -mssse3, but the binary may land on
- * an x86 CPU without those extensions: every AES-NI path dispatches on
- * CPUID, probed once per process.
- */
-bool
-haveAesni()
-{
-    static const bool have = __builtin_cpu_supports("aes") &&
-                             __builtin_cpu_supports("ssse3");
-    return have;
-}
+// This file is compiled with -maes -mssse3, but the binary may land on
+// an x86 CPU without those extensions: every AES-NI path dispatches on
+// cpu::has(cpu::kAesni).
 
 // A Label's {lo, hi} layout on a little-endian x86 is its toBytes()
 // serialization, so labels load straight into AES state registers.
@@ -199,7 +192,7 @@ void
 Aes128::expandKey(const uint8_t key[16])
 {
 #if defined(HAAC_USE_AESNI)
-    if (haveAesni()) {
+    if (cpu::has(cpu::kAesni)) {
         auto *rk = reinterpret_cast<__m128i *>(roundKeys_.data());
         __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i *>(key));
         _mm_storeu_si128(rk, k);
@@ -232,7 +225,7 @@ void
 Aes128::encryptBlock(const uint8_t in[16], uint8_t out[16]) const
 {
 #if defined(HAAC_USE_AESNI)
-    if (haveAesni()) {
+    if (cpu::has(cpu::kAesni)) {
         // The 176-byte schedule is stored in FIPS-197 byte order, which
         // is exactly what AESENC expects from an unaligned load.
         __m128i state =
@@ -279,7 +272,7 @@ void
 Aes128::encryptBlocks(const Label in[], Label out[], size_t n) const
 {
 #if defined(HAAC_USE_AESNI)
-    if (haveAesni()) {
+    if (cpu::has(cpu::kAesni)) {
         constexpr size_t kLanes = 8;
         __m128i rk[kAesRounds + 1];
         for (int round = 0; round <= kAesRounds; ++round)
@@ -317,7 +310,7 @@ aesMmoPair(const Label &key0, const Label &key1, const Label x0[],
     if (n != 1 && n != 2)
         throw std::invalid_argument("aesMmoPair: n must be 1 or 2");
 #if defined(HAAC_USE_AESNI)
-    if (haveAesni()) {
+    if (cpu::has(cpu::kAesni)) {
         if (n == 2)
             aesMmoPairAesni<2>(key0, key1, x0, y0, x1, y1);
         else

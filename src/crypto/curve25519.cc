@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "platform/host_cpu.h"
+
 #if defined(HAAC_USE_IFMA)
 #include <immintrin.h>
 #endif
@@ -711,8 +713,8 @@ namespace {
  * The eight-lane kernels behind the batch entry points: lane l of
  * every register belongs to point (or field element) l. Only the
  * functions below touch a 512-bit register, only they are compiled for
- * AVX-512 IFMA, and they are reached only after haveIfma() checked
- * CPUID; everything else in this file stays on the baseline ISA.
+ * AVX-512 IFMA, and they are reached only when cpu::has(cpu::kIfma);
+ * everything else in this file stays on the baseline ISA.
  *
  * They run the same formulas as PointOps on field elements of five
  * radix-2^52 limbs. vpmadd52lo/huq multiply only bits 0..51 of each
@@ -1156,18 +1158,6 @@ randomScalar(Prg &rng)
     return s;
 }
 
-bool
-haveIfma()
-{
-#if defined(HAAC_USE_IFMA)
-    static const bool have = __builtin_cpu_supports("avx512f") &&
-                             __builtin_cpu_supports("avx512ifma");
-    return have;
-#else
-    return false;
-#endif
-}
-
 Point::Point()
 {
     feZero(X_.v);
@@ -1236,7 +1226,7 @@ void
 Point::mulMany(const Scalar &k, const Point in[], Point out[], size_t n)
 {
 #if defined(HAAC_USE_IFMA)
-    if (haveIfma()) {
+    if (cpu::has(cpu::kIfma)) {
         int8_t e[65];
         recodeSigned16(k, e);
         for (size_t lo = 0; lo < n; lo += 8) {
@@ -1304,14 +1294,14 @@ FixedBase::FixedBase(const Point &p) : table_(kRows * 8)
         feMul(e.t2d, x[i].data(), y[i].data());
         feMul(e.t2d, e.t2d, kD2);
     }
-    if (haveIfma()) {
-        table52_.resize(table_.size());
-        for (size_t i = 0; i < table_.size(); ++i) {
-            toRadix52(table52_[i].yPlusX, table_[i].yPlusX);
-            toRadix52(table52_[i].yMinusX, table_[i].yMinusX);
-            toRadix52(table52_[i].t2d, table_[i].t2d);
-        }
+#if defined(HAAC_USE_IFMA)
+    table52_.resize(table_.size());
+    for (size_t i = 0; i < table_.size(); ++i) {
+        toRadix52(table52_[i].yPlusX, table_[i].yPlusX);
+        toRadix52(table52_[i].yMinusX, table_[i].yMinusX);
+        toRadix52(table52_[i].t2d, table_[i].t2d);
     }
+#endif
 }
 
 const FixedBase &
@@ -1341,7 +1331,7 @@ void
 FixedBase::mulMany(const Scalar k[], Point out[], size_t n) const
 {
 #if defined(HAAC_USE_IFMA)
-    if (!table52_.empty()) {
+    if (cpu::has(cpu::kIfma)) {
         for (size_t lo = 0; lo < n; lo += 8) {
             const size_t m = std::min<size_t>(8, n - lo);
             alignas(8) int8_t e[65][8] = {}; // idle lanes: k = 0
@@ -1366,7 +1356,7 @@ size_t
 Point::fromBytesBatch(const uint8_t in[], size_t n, Point out[])
 {
 #if defined(HAAC_USE_IFMA)
-    if (haveIfma()) {
+    if (cpu::has(cpu::kIfma)) {
         for (size_t lo = 0; lo < n; lo += 8) {
             const size_t m = std::min<size_t>(8, n - lo);
             u64 y[8][5], u51[8][5], v51[8][5];

@@ -24,7 +24,8 @@
  *
  * The batch entry points (Point::mulMany(), FixedBase::mulMany(),
  * Point::fromBytesBatch()) return the same points as the single ones.
- * On an x86 host with AVX-512 IFMA (haveIfma()) they run eight points
+ * When cpu::has(cpu::kIfma) (platform/host_cpu.h: the build carries
+ * the AVX-512 IFMA kernels and the CPU runs them) they run eight points
  * at once, one per 64-bit lane, on field elements of five radix-2^52
  * limbs multiplied by vpmadd52lo/huq; elsewhere they loop over the
  * single calls.
@@ -57,12 +58,6 @@ struct Scalar
 
 /** Draw a uniform 255-bit scalar from @p rng. */
 Scalar randomScalar(Prg &rng);
-
-/**
- * True when the batch entry points run the eight-lane AVX-512 IFMA
- * kernels: they were compiled in and this CPU has avx512f + avx512ifma.
- */
-bool haveIfma();
 
 struct PointOps;
 
@@ -175,7 +170,7 @@ class FixedBase
     };
 
     std::vector<Entry> table_; ///< row j at [8j, 8j+8): 1..8 * 256^j P
-    /** table_ in radix-2^52 limbs for the IFMA kernels; else empty. */
+    /** table_ in radix-2^52 limbs when the IFMA kernels are built. */
     std::vector<Entry> table52_;
 };
 

@@ -1,5 +1,7 @@
 #include "crypto/gf128.h"
 
+#include "platform/host_cpu.h"
+
 #if defined(HAAC_USE_PCLMUL)
 #include <emmintrin.h>
 #include <wmmintrin.h>
@@ -70,18 +72,9 @@ accumulatePortable(const Label a[], const Label b[], size_t n, Partials &p)
 }
 
 #if defined(HAAC_USE_PCLMUL)
-/**
- * This file is compiled with -mpclmul, but the binary may land on an
- * x86 CPU without it: the PCLMULQDQ path dispatches on CPUID, probed
- * once per process (like haveAesni() in aes128.cc).
- */
-bool
-havePclmul()
-{
-    static const bool have = __builtin_cpu_supports("pclmul");
-    return have;
-}
-
+// This file is compiled with -mpclmul, but the binary may land on an
+// x86 CPU without it: accumulate() takes this path only when
+// cpu::has(cpu::kPclmul).
 void
 accumulatePclmul(const Label a[], const Label b[], size_t n, Partials &p)
 {
@@ -116,7 +109,7 @@ void
 accumulate(const Label a[], const Label b[], size_t n, Partials &p)
 {
 #if defined(HAAC_USE_PCLMUL)
-    if (havePclmul()) {
+    if (cpu::has(cpu::kPclmul)) {
         accumulatePclmul(a, b, n, p);
         return;
     }

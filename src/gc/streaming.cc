@@ -9,6 +9,7 @@
 #include "gc/garbler.h"
 #include "gc/gate_walk.h"
 #include "gc/key_stream.h"
+#include "platform/host_cpu.h"
 
 namespace haac {
 
@@ -39,10 +40,13 @@ StreamingGarbler::run(TableSegmentSink &sink)
     ran_ = true;
 
     std::copy(inputs_.zero.begin(), inputs_.zero.end(), zero_.begin());
-    if (haveTweakKeyStream()) {
+#if defined(HAAC_USE_VAES)
+    if (cpu::has(cpu::kVaes))
         tablesEmitted_ =
             garbleGatesKeyed(*netlist_, zero_, inputs_.offset, sink);
-    } else {
+    else
+#endif
+    {
         uint64_t and_index = 0;
         SegmentWriter out(sink);
         walkGates(*netlist_, zero_.data(),
@@ -126,9 +130,12 @@ evaluateStreaming(const Netlist &netlist,
     std::vector<Label> labels(netlist.numWires());
     std::copy(input_labels.begin(), input_labels.end(), labels.begin());
 
-    if (haveTweakKeyStream()) {
+#if defined(HAAC_USE_VAES)
+    if (cpu::has(cpu::kVaes))
         evaluateGatesKeyed(netlist, labels, source);
-    } else {
+    else
+#endif
+    {
         uint64_t and_index = 0;
         SegmentReader in(source);
         walkGates(netlist, labels.data(),

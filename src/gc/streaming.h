@@ -11,8 +11,9 @@
  * the library's only netlist gate walks; everything that garbles or
  * evaluates a whole circuit goes through them. Their per-table
  * TableSink/TableSource overloads are adapters over the segment ones.
- * On VAES-512 hosts the walks hand their gates to gc/key_stream.h,
- * which expands the tweak keys ahead of the gates (same bytes).
+ * When cpu::has(cpu::kVaes) the walks hand their gates to
+ * gc/key_stream.h, which expands the tweak keys ahead of the gates
+ * (same bytes).
  */
 #ifndef HAAC_GC_STREAMING_H
 #define HAAC_GC_STREAMING_H

@@ -23,6 +23,8 @@
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
 
+#include "cpu_tiers.h"
+
 namespace haac {
 namespace {
 
@@ -58,53 +60,59 @@ fromHex(const std::string &hex)
 
 TEST(Aes128, Fips197AppendixCVector)
 {
-    const auto key = fromHex("000102030405060708090a0b0c0d0e0f");
-    const auto pt = fromHex("00112233445566778899aabbccddeeff");
-    const auto want = fromHex("69c4e0d86a7b0430d8cdb78070b4c55a");
-    Aes128 aes(key.data());
-    uint8_t ct[16];
-    aes.encryptBlock(pt.data(), ct);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(ct[i], want[i]) << "byte " << i;
+    golden::forEachCpuTier([&] {
+        const auto key = fromHex("000102030405060708090a0b0c0d0e0f");
+        const auto pt = fromHex("00112233445566778899aabbccddeeff");
+        const auto want = fromHex("69c4e0d86a7b0430d8cdb78070b4c55a");
+        Aes128 aes(key.data());
+        uint8_t ct[16];
+        aes.encryptBlock(pt.data(), ct);
+        for (int i = 0; i < 16; ++i)
+            EXPECT_EQ(ct[i], want[i]) << "byte " << i;
+    });
 }
 
 TEST(Aes128, Fips197AppendixBVector)
 {
-    const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    const auto pt = fromHex("3243f6a8885a308d313198a2e0370734");
-    const auto want = fromHex("3925841d02dc09fbdc118597196a0b32");
-    Aes128 aes(key.data());
-    uint8_t ct[16];
-    aes.encryptBlock(pt.data(), ct);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(ct[i], want[i]) << "byte " << i;
+    golden::forEachCpuTier([&] {
+        const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
+        const auto pt = fromHex("3243f6a8885a308d313198a2e0370734");
+        const auto want = fromHex("3925841d02dc09fbdc118597196a0b32");
+        Aes128 aes(key.data());
+        uint8_t ct[16];
+        aes.encryptBlock(pt.data(), ct);
+        for (int i = 0; i < 16; ++i)
+            EXPECT_EQ(ct[i], want[i]) << "byte " << i;
+    });
 }
 
 TEST(Aes128, KeyScheduleFips197AppendixA1)
 {
-    // FIPS-197 Appendix A.1: all 44 schedule words w0..w43 for the
-    // Appendix B key, so the hardware and portable expansions are held
-    // to the same 176 bytes.
-    static const char *const kWords[4 * (kAesRounds + 1)] = {
-        "2b7e1516", "28aed2a6", "abf71588", "09cf4f3c", "a0fafe17",
-        "88542cb1", "23a33939", "2a6c7605", "f2c295f2", "7a96b943",
-        "5935807a", "7359f67f", "3d80477d", "4716fe3e", "1e237e44",
-        "6d7a883b", "ef44a541", "a8525b7f", "b671253b", "db0bad00",
-        "d4d1c6f8", "7c839d87", "caf2b8bc", "11f915bc", "6d88a37a",
-        "110b3efd", "dbf98641", "ca0093fd", "4e54f70e", "5f5fc9f3",
-        "84a64fb2", "4ea6dc4f", "ead27321", "b58dbad2", "312bf560",
-        "7f8d292f", "ac7766f3", "19fadc21", "28d12941", "575c006e",
-        "d014f9a8", "c9ee2589", "e13f0cc8", "b6630ca6",
-    };
-    const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    Aes128 aes(key.data());
-    const auto &rk = aes.roundKeys();
-    for (int w = 0; w < 4 * (kAesRounds + 1); ++w) {
-        char hex[9];
-        std::snprintf(hex, sizeof(hex), "%02x%02x%02x%02x", rk[4 * w],
-                      rk[4 * w + 1], rk[4 * w + 2], rk[4 * w + 3]);
-        EXPECT_STREQ(hex, kWords[w]) << "w" << w;
-    }
+    golden::forEachCpuTier([&] {
+        // FIPS-197 Appendix A.1: all 44 schedule words w0..w43 for the
+        // Appendix B key, so the hardware and portable expansions are held
+        // to the same 176 bytes.
+        static const char *const kWords[4 * (kAesRounds + 1)] = {
+            "2b7e1516", "28aed2a6", "abf71588", "09cf4f3c", "a0fafe17",
+            "88542cb1", "23a33939", "2a6c7605", "f2c295f2", "7a96b943",
+            "5935807a", "7359f67f", "3d80477d", "4716fe3e", "1e237e44",
+            "6d7a883b", "ef44a541", "a8525b7f", "b671253b", "db0bad00",
+            "d4d1c6f8", "7c839d87", "caf2b8bc", "11f915bc", "6d88a37a",
+            "110b3efd", "dbf98641", "ca0093fd", "4e54f70e", "5f5fc9f3",
+            "84a64fb2", "4ea6dc4f", "ead27321", "b58dbad2", "312bf560",
+            "7f8d292f", "ac7766f3", "19fadc21", "28d12941", "575c006e",
+            "d014f9a8", "c9ee2589", "e13f0cc8", "b6630ca6",
+        };
+        const auto key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
+        Aes128 aes(key.data());
+        const auto &rk = aes.roundKeys();
+        for (int w = 0; w < 4 * (kAesRounds + 1); ++w) {
+            char hex[9];
+            std::snprintf(hex, sizeof(hex), "%02x%02x%02x%02x", rk[4 * w],
+                          rk[4 * w + 1], rk[4 * w + 2], rk[4 * w + 3]);
+            EXPECT_STREQ(hex, kWords[w]) << "w" << w;
+        }
+    });
 }
 
 TEST(Aes128, EncryptIsDeterministicAndKeyDependent)
@@ -192,24 +200,26 @@ TEST(Prg, LabelsLookRandom)
 // drop the same tail of a partial last block.
 TEST(Prg, ByteStreamGolden)
 {
-    uint64_t digest = kFnvOffset;
-    Prg prg(0x70726731);
-    for (size_t n : {size_t(1), size_t(15), size_t(16), size_t(17),
-                     size_t(64), size_t(100), size_t(128), size_t(129),
-                     size_t(4096), size_t(4099)}) {
-        std::vector<uint8_t> buf(n);
-        prg.nextBytes(buf.data(), n);
-        fnvMix(digest, buf.data(), n);
-        const Label l = prg.nextLabel();
-        fnvMix(digest, l.lo);
-        fnvMix(digest, l.hi);
-        fnvMix(digest, prg.nextU64());
-    }
-    Prg keyed(Label(0x1111, 0x2222));
-    std::vector<uint8_t> buf(2304);
-    keyed.nextBytes(buf.data(), buf.size());
-    fnvMix(digest, buf.data(), buf.size());
-    EXPECT_EQ(digest, 0x230a1a4725a7c4c9ull) << std::hex << digest;
+    golden::forEachCpuTier([&] {
+        uint64_t digest = kFnvOffset;
+        Prg prg(0x70726731);
+        for (size_t n : {size_t(1), size_t(15), size_t(16), size_t(17),
+                         size_t(64), size_t(100), size_t(128), size_t(129),
+                         size_t(4096), size_t(4099)}) {
+            std::vector<uint8_t> buf(n);
+            prg.nextBytes(buf.data(), n);
+            fnvMix(digest, buf.data(), n);
+            const Label l = prg.nextLabel();
+            fnvMix(digest, l.lo);
+            fnvMix(digest, l.hi);
+            fnvMix(digest, prg.nextU64());
+        }
+        Prg keyed(Label(0x1111, 0x2222));
+        std::vector<uint8_t> buf(2304);
+        keyed.nextBytes(buf.data(), buf.size());
+        fnvMix(digest, buf.data(), buf.size());
+        EXPECT_EQ(digest, 0x230a1a4725a7c4c9ull) << std::hex << digest;
+    });
 }
 
 TEST(Prg, BatchedLabelsMatchTheStream)
@@ -258,68 +268,74 @@ TEST(HalfGateHash, InputSeparatesOutputs)
 // cover the high half of the tweak key.
 TEST(HalfGateHash, RekeyedGoldenValues)
 {
-    const Label x(0x0123456789abcdefull, 0xfedcba9876543210ull);
-    const struct
-    {
-        uint64_t tweak;
-        const char *hash;
-    } kGolden[] = {
-        {0, "35cec440782707678620fb4473ae016f"},
-        {1, "2f362c13cbe6e1a4cf37a458b812f017"},
-        {0x2468ace, "7058fd752c54e7eb1f8c7d717624a775"},
-        {(1ull << 32) + 7, "19831813f93e69710ebe97f8b056e755"},
-        {0x424f545f00000003ull, "44dfe9770ec442ec30ecc3179783779b"},
-        {~0ull, "5b83cd64dc8cfd24b9125d481866ab8b"},
-    };
-    for (const auto &g : kGolden)
-        EXPECT_EQ(hashRekeyed(x, g.tweak).toHex(), g.hash)
-            << "tweak " << g.tweak;
+    golden::forEachCpuTier([&] {
+        const Label x(0x0123456789abcdefull, 0xfedcba9876543210ull);
+        const struct
+        {
+            uint64_t tweak;
+            const char *hash;
+        } kGolden[] = {
+            {0, "35cec440782707678620fb4473ae016f"},
+            {1, "2f362c13cbe6e1a4cf37a458b812f017"},
+            {0x2468ace, "7058fd752c54e7eb1f8c7d717624a775"},
+            {(1ull << 32) + 7, "19831813f93e69710ebe97f8b056e755"},
+            {0x424f545f00000003ull, "44dfe9770ec442ec30ecc3179783779b"},
+            {~0ull, "5b83cd64dc8cfd24b9125d481866ab8b"},
+        };
+        for (const auto &g : kGolden)
+            EXPECT_EQ(hashRekeyed(x, g.tweak).toHex(), g.hash)
+                << "tweak " << g.tweak;
+    });
 }
 
 TEST(HalfGateHash, GarbleAndGoldenValues)
 {
-    const Label r(0x5555aaaa3333cccdull, 0x0f0f0f0ff0f0f0f0ull);
-    const struct
-    {
-        Label a0, b0;
-        uint64_t gate;
-        const char *tg, *te, *outZero;
-    } kGolden[] = {
-        {Label(0x1000, 0x2000), Label(0x3000, 0x4000), 0, "c999e4db8e0b941b8270048941928ae1", "747a4712c50c0ed52e2a58952d26214e", "5134dcafd16a9c22363429233b0197f1"},
-        {Label(0x1001, 0x2000), Label(0x3000, 0x4000), 9, "90a5db5be2a2e6aa540b3b35c3ee62b4", "9950ae0ebe141d4ac88925dc03446e30", "e2d695ddffc4599771470be5824f49b4"},
-        {Label(0x1000, 0x2000), Label(0x3001, 0x4000), 1ull << 32, "62b564e5f516cdb8154e64686f160f4f",
-         "6193233d6e13a7f66106376c1bab801d", "e8e3d6cf67c5bd242f6848d1cdbbd6dc"},
-        {Label(0x1001, 0x2000), Label(0x3001, 0x4000),
-         0x0123456789abcdefull, "b15085510aacd16581de72ad7d2673a0", "e6cfbf9d6531dcc35e1a93f5ec674b5a", "5ad5ecca6cf48bd2733a17149b03cd28"},
-    };
-    for (const auto &g : kGolden) {
-        const HalfGateGarbled hg = garbleAnd(g.a0, g.b0, r, g.gate);
-        EXPECT_EQ(hg.table.tg.toHex(), g.tg) << "gate " << g.gate;
-        EXPECT_EQ(hg.table.te.toHex(), g.te) << "gate " << g.gate;
-        EXPECT_EQ(hg.outZero.toHex(), g.outZero) << "gate " << g.gate;
-    }
+    golden::forEachCpuTier([&] {
+        const Label r(0x5555aaaa3333cccdull, 0x0f0f0f0ff0f0f0f0ull);
+        const struct
+        {
+            Label a0, b0;
+            uint64_t gate;
+            const char *tg, *te, *outZero;
+        } kGolden[] = {
+            {Label(0x1000, 0x2000), Label(0x3000, 0x4000), 0, "c999e4db8e0b941b8270048941928ae1", "747a4712c50c0ed52e2a58952d26214e", "5134dcafd16a9c22363429233b0197f1"},
+            {Label(0x1001, 0x2000), Label(0x3000, 0x4000), 9, "90a5db5be2a2e6aa540b3b35c3ee62b4", "9950ae0ebe141d4ac88925dc03446e30", "e2d695ddffc4599771470be5824f49b4"},
+            {Label(0x1000, 0x2000), Label(0x3001, 0x4000), 1ull << 32, "62b564e5f516cdb8154e64686f160f4f",
+             "6193233d6e13a7f66106376c1bab801d", "e8e3d6cf67c5bd242f6848d1cdbbd6dc"},
+            {Label(0x1001, 0x2000), Label(0x3001, 0x4000),
+             0x0123456789abcdefull, "b15085510aacd16581de72ad7d2673a0", "e6cfbf9d6531dcc35e1a93f5ec674b5a", "5ad5ecca6cf48bd2733a17149b03cd28"},
+        };
+        for (const auto &g : kGolden) {
+            const HalfGateGarbled hg = garbleAnd(g.a0, g.b0, r, g.gate);
+            EXPECT_EQ(hg.table.tg.toHex(), g.tg) << "gate " << g.gate;
+            EXPECT_EQ(hg.table.te.toHex(), g.te) << "gate " << g.gate;
+            EXPECT_EQ(hg.outZero.toHex(), g.outZero) << "gate " << g.gate;
+        }
+    });
 }
 
 TEST(HalfGateHash, EvaluateAndGoldenValues)
 {
-    // An arbitrary (not garbler-made) table, so the evaluator's bytes
-    // are pinned independently of garbleAnd's.
-    const GarbledTable table{Label(0xaaaa, 0xbbbb), Label(0xcccc, 0xdddd)};
-    const struct
-    {
-        Label a, b;
-        uint64_t gate;
-        const char *out;
-    } kGolden[] = {
-        {Label(0x1000, 0x2000), Label(0x3000, 0x4000), 0, "5134dcafd16a9c22363429233b0197f1"},
-        {Label(0x1001, 0x2000), Label(0x3000, 0x4000), 9, "72734e861d660486254c30d041a181aa"},
-        {Label(0x1000, 0x2000), Label(0x3001, 0x4000), 1ull << 32, "8970f5f209d6c70f4e6e7fbdd6109a0d"},
-        {Label(0x1001, 0x2000), Label(0x3001, 0x4000),
-         0x0123456789abcdefull, "0d4ad6060369e012acfef64c0a4293b4"},
-    };
-    for (const auto &g : kGolden)
-        EXPECT_EQ(evaluateAnd(g.a, g.b, table, g.gate).toHex(), g.out)
-            << "gate " << g.gate;
+    golden::forEachCpuTier([&] {
+        // An arbitrary (not garbler-made) table, so the evaluator's bytes
+        // are pinned independently of garbleAnd's.
+        const GarbledTable table{Label(0xaaaa, 0xbbbb), Label(0xcccc, 0xdddd)};
+        const struct
+        {
+            Label a, b;
+            uint64_t gate;
+            const char *out;
+        } kGolden[] = {
+            {Label(0x1000, 0x2000), Label(0x3000, 0x4000), 0, "5134dcafd16a9c22363429233b0197f1"},
+            {Label(0x1001, 0x2000), Label(0x3000, 0x4000), 9, "72734e861d660486254c30d041a181aa"},
+            {Label(0x1000, 0x2000), Label(0x3001, 0x4000), 1ull << 32, "8970f5f209d6c70f4e6e7fbdd6109a0d"},
+            {Label(0x1001, 0x2000), Label(0x3001, 0x4000),
+             0x0123456789abcdefull, "0d4ad6060369e012acfef64c0a4293b4"},
+        };
+        for (const auto &g : kGolden)
+            EXPECT_EQ(evaluateAnd(g.a, g.b, table, g.gate).toHex(), g.out)
+                << "gate " << g.gate;
+    });
 }
 
 TEST(HalfGateHash, FixedKeyDiffersFromRekeyed)
@@ -374,16 +390,18 @@ TEST(Gf128, UnreducedSumMatchesSumOfProducts)
 // implementation (PCLMULQDQ or portable) must produce the same field.
 TEST(Gf128, SeededProductDigestGolden)
 {
-    Prg prg(0x67663132);
-    uint64_t digest = kFnvOffset;
-    for (int i = 0; i < 10000; ++i) {
-        const Label a = prg.nextLabel();
-        const Label b = prg.nextLabel();
-        const Label p = gf128Mul(a, b);
-        fnvMix(digest, p.lo);
-        fnvMix(digest, p.hi);
-    }
-    EXPECT_EQ(digest, 0x164995430f1aabbbull) << std::hex << digest;
+    golden::forEachCpuTier([&] {
+        Prg prg(0x67663132);
+        uint64_t digest = kFnvOffset;
+        for (int i = 0; i < 10000; ++i) {
+            const Label a = prg.nextLabel();
+            const Label b = prg.nextLabel();
+            const Label p = gf128Mul(a, b);
+            fnvMix(digest, p.lo);
+            fnvMix(digest, p.hi);
+        }
+        EXPECT_EQ(digest, 0x164995430f1aabbbull) << std::hex << digest;
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -471,34 +489,36 @@ TEST(Curve25519, AddSubCancel)
 // windowed variable-base multiplication must land on the same points.
 TEST(Curve25519, SeededMultiplesGolden)
 {
-    Prg rng(0x63757276);
-    const ec::Point p = ec::Point::mul(ec::randomScalar(rng),
-                                       ec::Point::base());
-    const ec::FixedBase p_table(p);
-    uint64_t base_digest = kFnvOffset, var_digest = kFnvOffset;
-    uint8_t bytes[ec::kPointBytes];
-    for (int i = 0; i < 48; ++i) {
-        ec::Scalar k = ec::randomScalar(rng);
-        if (i == 0)
-            k = ec::Scalar{};
-        if (i == 1)
-            std::memset(k.bytes, 0xff, sizeof k.bytes);
-        ec::Point::mul(k, ec::Point::base()).toBytes(bytes);
-        fnvMix(base_digest, bytes, sizeof bytes);
-        ec::Point::mul(k, p).toBytes(bytes);
-        fnvMix(var_digest, bytes, sizeof bytes);
+    golden::forEachCpuTier([&] {
+        Prg rng(0x63757276);
+        const ec::Point p = ec::Point::mul(ec::randomScalar(rng),
+                                           ec::Point::base());
+        const ec::FixedBase p_table(p);
+        uint64_t base_digest = kFnvOffset, var_digest = kFnvOffset;
+        uint8_t bytes[ec::kPointBytes];
+        for (int i = 0; i < 48; ++i) {
+            ec::Scalar k = ec::randomScalar(rng);
+            if (i == 0)
+                k = ec::Scalar{};
+            if (i == 1)
+                std::memset(k.bytes, 0xff, sizeof k.bytes);
+            ec::Point::mul(k, ec::Point::base()).toBytes(bytes);
+            fnvMix(base_digest, bytes, sizeof bytes);
+            ec::Point::mul(k, p).toBytes(bytes);
+            fnvMix(var_digest, bytes, sizeof bytes);
 
-        // The comb tables land on the same points.
-        uint8_t comb[ec::kPointBytes];
-        ec::Point::mulBase(k).toBytes(comb);
-        ec::Point::mul(k, ec::Point::base()).toBytes(bytes);
-        EXPECT_EQ(std::memcmp(comb, bytes, sizeof bytes), 0) << "i=" << i;
-        p_table.mul(k).toBytes(comb);
-        ec::Point::mul(k, p).toBytes(bytes);
-        EXPECT_EQ(std::memcmp(comb, bytes, sizeof bytes), 0) << "i=" << i;
-    }
-    EXPECT_EQ(base_digest, 0xedd7969e28ba4770ull) << std::hex << base_digest;
-    EXPECT_EQ(var_digest, 0x2ad6cdfb47c2bc23ull) << std::hex << var_digest;
+            // The comb tables land on the same points.
+            uint8_t comb[ec::kPointBytes];
+            ec::Point::mulBase(k).toBytes(comb);
+            ec::Point::mul(k, ec::Point::base()).toBytes(bytes);
+            EXPECT_EQ(std::memcmp(comb, bytes, sizeof bytes), 0) << "i=" << i;
+            p_table.mul(k).toBytes(comb);
+            ec::Point::mul(k, p).toBytes(bytes);
+            EXPECT_EQ(std::memcmp(comb, bytes, sizeof bytes), 0) << "i=" << i;
+        }
+        EXPECT_EQ(base_digest, 0xedd7969e28ba4770ull) << std::hex << base_digest;
+        EXPECT_EQ(var_digest, 0x2ad6cdfb47c2bc23ull) << std::hex << var_digest;
+    });
 }
 
 TEST(Curve25519, BatchCompressionAndSelectMatchSingles)
@@ -533,17 +553,13 @@ TEST(Curve25519, RejectsNonCurveEncodings)
 }
 
 // ---------------------------------------------------------------------------
-// Curve25519 batch entry points against the single-point ones. On an
-// AVX-512 IFMA host they run the eight-lane kernels; the sizes cover
-// empty, partial, whole and whole-plus-one groups of eight lanes.
+// Curve25519 batch entry points against the single-point ones, on
+// every kernel tier: with IFMA they run the eight-lane kernels; the
+// sizes cover empty, partial, whole and whole-plus-one groups of eight
+// lanes.
 // ---------------------------------------------------------------------------
 
 const size_t kBatchSizes[] = {0, 1, 7, 8, 9, 128, 129};
-
-#define SKIP_WITHOUT_IFMA()                                                  \
-    if (!ec::haveIfma())                                                     \
-    GTEST_SKIP() << "no AVX-512 IFMA kernels on this host or build: the "   \
-                    "batch entry points loop over the single-point code"
 
 /** 0, 1, 2, L - 1, 2^255 - 1 and 2^256 - 1, then @p random draws. */
 std::vector<ec::Scalar>
@@ -603,92 +619,95 @@ expectSamePoint(const ec::Point &got, const ec::Point &want,
 
 TEST(Curve25519Batch, MulManyMatchesMul)
 {
-    SKIP_WITHOUT_IFMA();
-    Prg rng(0x6d756c6d);
-    const std::vector<ec::Point> in = edgePoints(rng, 129);
-    for (const ec::Scalar &k : edgeScalars(rng, 2)) {
-        for (size_t n : kBatchSizes) {
-            std::vector<ec::Point> out(n);
-            ec::Point::mulMany(k, in.data(), out.data(), n);
-            for (size_t i = 0; i < n; ++i)
-                expectSamePoint(out[i], ec::Point::mul(k, in[i]),
-                                "n=" + std::to_string(n) +
-                                    " i=" + std::to_string(i));
+    golden::forEachCpuTier([&] {
+        Prg rng(0x6d756c6d);
+        const std::vector<ec::Point> in = edgePoints(rng, 129);
+        for (const ec::Scalar &k : edgeScalars(rng, 2)) {
+            for (size_t n : kBatchSizes) {
+                std::vector<ec::Point> out(n);
+                ec::Point::mulMany(k, in.data(), out.data(), n);
+                for (size_t i = 0; i < n; ++i)
+                    expectSamePoint(out[i], ec::Point::mul(k, in[i]),
+                                    "n=" + std::to_string(n) +
+                                        " i=" + std::to_string(i));
+            }
         }
-    }
-    // In place, as the base-OT sender calls it.
-    std::vector<ec::Point> io(in);
-    const ec::Scalar k = ec::randomScalar(rng);
-    ec::Point::mulMany(k, io.data(), io.data(), io.size());
-    for (size_t i = 0; i < io.size(); ++i)
-        expectSamePoint(io[i], ec::Point::mul(k, in[i]),
-                        "in place i=" + std::to_string(i));
+        // In place, as the base-OT sender calls it.
+        std::vector<ec::Point> io(in);
+        const ec::Scalar k = ec::randomScalar(rng);
+        ec::Point::mulMany(k, io.data(), io.data(), io.size());
+        for (size_t i = 0; i < io.size(); ++i)
+            expectSamePoint(io[i], ec::Point::mul(k, in[i]),
+                            "in place i=" + std::to_string(i));
+    });
 }
 
 TEST(Curve25519Batch, FixedBaseMulManyMatchesMul)
 {
-    SKIP_WITHOUT_IFMA();
-    Prg rng(0x66697862);
-    const ec::FixedBase peer(ec::Point::mulBase(ec::randomScalar(rng)));
-    const ec::FixedBase *tables[2] = {&ec::FixedBase::base(), &peer};
-    // Per-lane scalars: the edge values land in different lanes as
-    // the batch grows.
-    const std::vector<ec::Scalar> edges = edgeScalars(rng, 0);
-    std::vector<ec::Scalar> k;
-    for (size_t i = 0; k.size() < 129; ++i)
-        k.push_back(i % 3 == 0 ? edges[(i / 3) % edges.size()]
-                               : ec::randomScalar(rng));
-    for (const ec::FixedBase *table : tables) {
-        for (size_t n : kBatchSizes) {
-            std::vector<ec::Point> out(n);
-            table->mulMany(k.data(), out.data(), n);
-            for (size_t i = 0; i < n; ++i)
-                expectSamePoint(out[i], table->mul(k[i]),
-                                "n=" + std::to_string(n) +
-                                    " i=" + std::to_string(i));
+    golden::forEachCpuTier([&] {
+        Prg rng(0x66697862);
+        const ec::FixedBase peer(ec::Point::mulBase(ec::randomScalar(rng)));
+        const ec::FixedBase *tables[2] = {&ec::FixedBase::base(), &peer};
+        // Per-lane scalars: the edge values land in different lanes as
+        // the batch grows.
+        const std::vector<ec::Scalar> edges = edgeScalars(rng, 0);
+        std::vector<ec::Scalar> k;
+        for (size_t i = 0; k.size() < 129; ++i)
+            k.push_back(i % 3 == 0 ? edges[(i / 3) % edges.size()]
+                                   : ec::randomScalar(rng));
+        for (const ec::FixedBase *table : tables) {
+            for (size_t n : kBatchSizes) {
+                std::vector<ec::Point> out(n);
+                table->mulMany(k.data(), out.data(), n);
+                for (size_t i = 0; i < n; ++i)
+                    expectSamePoint(out[i], table->mul(k[i]),
+                                    "n=" + std::to_string(n) +
+                                        " i=" + std::to_string(i));
+            }
         }
-    }
+    });
 }
 
 TEST(Curve25519Batch, FromBytesBatchMatchesFromBytes)
 {
-    SKIP_WITHOUT_IFMA();
-    Prg rng(0x64656362);
-    const std::vector<ec::Point> points = edgePoints(rng, 129);
-    std::vector<uint8_t> wire(points.size() * ec::kPointBytes);
-    ec::Point::toBytesBatch(points.data(), points.size(), wire.data());
-    for (size_t n : kBatchSizes) {
-        std::vector<ec::Point> out(n);
-        ASSERT_EQ(ec::Point::fromBytesBatch(wire.data(), n, out.data()), n);
-        for (size_t i = 0; i < n; ++i)
-            expectSamePoint(out[i], points[i],
-                            "n=" + std::to_string(n) +
-                                " i=" + std::to_string(i));
-    }
+    golden::forEachCpuTier([&] {
+        Prg rng(0x64656362);
+        const std::vector<ec::Point> points = edgePoints(rng, 129);
+        std::vector<uint8_t> wire(points.size() * ec::kPointBytes);
+        ec::Point::toBytesBatch(points.data(), points.size(), wire.data());
+        for (size_t n : kBatchSizes) {
+            std::vector<ec::Point> out(n);
+            ASSERT_EQ(ec::Point::fromBytesBatch(wire.data(), n, out.data()), n);
+            for (size_t i = 0; i < n; ++i)
+                expectSamePoint(out[i], points[i],
+                                "n=" + std::to_string(n) +
+                                    " i=" + std::to_string(i));
+        }
 
-    // The first invalid encoding wins, wherever it sits in its group
-    // of eight: an off-curve y (2) and a non-canonical -0 (the
-    // identity with its sign bit set).
-    const uint8_t off_curve[ec::kPointBytes] = {2};
-    uint8_t minus_zero[ec::kPointBytes] = {1};
-    minus_zero[31] = 0x80;
-    ec::Point unused;
-    ASSERT_FALSE(ec::Point::fromBytes(off_curve, unused));
-    ASSERT_FALSE(ec::Point::fromBytes(minus_zero, unused));
-    for (size_t bad : {0, 7, 8, 9, 127, 128}) {
-        std::vector<uint8_t> tampered(wire);
-        std::memcpy(&tampered[bad * ec::kPointBytes],
-                    bad % 2 ? off_curve : minus_zero, ec::kPointBytes);
-        if (bad + 3 < points.size())
-            std::memcpy(&tampered[(bad + 3) * ec::kPointBytes], off_curve,
-                        ec::kPointBytes);
-        std::vector<ec::Point> out(points.size());
-        EXPECT_EQ(ec::Point::fromBytesBatch(tampered.data(), points.size(),
-                                            out.data()),
-                  bad);
-        for (size_t i = 0; i < bad; ++i)
-            expectSamePoint(out[i], points[i], "i=" + std::to_string(i));
-    }
+        // The first invalid encoding wins, wherever it sits in its group
+        // of eight: an off-curve y (2) and a non-canonical -0 (the
+        // identity with its sign bit set).
+        const uint8_t off_curve[ec::kPointBytes] = {2};
+        uint8_t minus_zero[ec::kPointBytes] = {1};
+        minus_zero[31] = 0x80;
+        ec::Point unused;
+        ASSERT_FALSE(ec::Point::fromBytes(off_curve, unused));
+        ASSERT_FALSE(ec::Point::fromBytes(minus_zero, unused));
+        for (size_t bad : {0, 7, 8, 9, 127, 128}) {
+            std::vector<uint8_t> tampered(wire);
+            std::memcpy(&tampered[bad * ec::kPointBytes],
+                        bad % 2 ? off_curve : minus_zero, ec::kPointBytes);
+            if (bad + 3 < points.size())
+                std::memcpy(&tampered[(bad + 3) * ec::kPointBytes], off_curve,
+                            ec::kPointBytes);
+            std::vector<ec::Point> out(points.size());
+            EXPECT_EQ(ec::Point::fromBytesBatch(tampered.data(), points.size(),
+                                                out.data()),
+                      bad);
+            for (size_t i = 0; i < bad; ++i)
+                expectSamePoint(out[i], points[i], "i=" + std::to_string(i));
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------

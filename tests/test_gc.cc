@@ -20,10 +20,11 @@
 #include "gc/evaluator.h"
 #include "gc/garbler.h"
 #include "gc/instance.h"
-#include "gc/key_stream.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
 #include "workloads/vip.h"
+
+#include "cpu_tiers.h"
 
 namespace haac {
 namespace {
@@ -310,29 +311,26 @@ struct TableDigest
 
 TEST(Streaming, HammTablesMatchGoldenDigest)
 {
-    // Every table the streaming garbler emits for the default-scale
-    // Hamm workload: pins the re-keyed half-gate bytes end to end, on
-    // whichever AES path the host takes.
-    const Workload wl = vipWorkload("Hamm", false);
-    TableDigest digest;
-    StreamingGarbler sg(wl.netlist, 2023);
-    sg.run([&digest](const GarbledTable &t) { digest.add(t); });
-    EXPECT_EQ(sg.tablesEmitted(), wl.netlist.numAndGates());
-    EXPECT_EQ(digest.hex(), "3361f11c2523e3e7");
+    golden::forEachCpuTier([&] {
+        // Every table the streaming garbler emits for the default-scale
+        // Hamm workload: pins the re-keyed half-gate bytes end to end, on
+        // every kernel tier.
+        const Workload wl = vipWorkload("Hamm", false);
+        TableDigest digest;
+        StreamingGarbler sg(wl.netlist, 2023);
+        sg.run([&digest](const GarbledTable &t) { digest.add(t); });
+        EXPECT_EQ(sg.tablesEmitted(), wl.netlist.numAndGates());
+        EXPECT_EQ(digest.hex(), "3361f11c2523e3e7");
+    });
 }
 
 /**
- * The tweak-key stream (gc/key_stream.h) against the kernels it
- * replaces: garbleAnd() and evaluateAnd() hash through
- * hashRekeyedPair(), so equal tables and labels pin the stream's
- * stored schedules and VAES hashing to that function, byte for byte.
+ * The netlist walks against the kernels they inline: a reference walk
+ * over garbleAnd(), whose bytes the HalfGateHash goldens pin. Run on
+ * every kernel tier, this holds the tweak-key stream's walk
+ * (gc/key_stream.h), the AES-NI walk and the portable one to the same
+ * tables and labels.
  */
-constexpr const char *kNoKeyStream =
-    "no VAES-512 key stream here (the CPU lacks vaes/avx512f/avx512bw, "
-    "or the build has no VAES kernels): the walks hash through "
-    "hashRekeyedPair() directly";
-
-/** StreamingGarbler::run's walk on the garbleAnd() kernel. */
 std::vector<GarbledTable>
 referenceGarble(const Netlist &nl, const InputLabels &in,
                 std::vector<Label> &zero)
@@ -356,44 +354,12 @@ referenceGarble(const Netlist &nl, const InputLabels &in,
     return tables;
 }
 
-TEST(KeyStream, MatchesRekeyedKernelsAcrossBlocksAndWideTweaks)
-{
-    if (!haveTweakKeyStream())
-        GTEST_SKIP() << kNoKeyStream;
-    Prg prg(77);
-    Label r = prg.nextLabel();
-    r.setLsb(true);
-    // Streams starting at 0 and mid-block, at AND indices whose
-    // tweaks 2i, 2i+1 cross 2^32 or sit far above it, and where 2i
-    // wraps 64 bits; each for lengths around the 8-AND block edge.
-    for (uint64_t first :
-         {uint64_t(0), uint64_t(5), (uint64_t(1) << 31) - 3,
-          uint64_t(1) << 32, (uint64_t(1) << 40) + 3, ~uint64_t(0) - 4}) {
-        for (int n : {0, 1, 7, 8, 9, 17}) {
-            TweakKeyStream garbler(first), evaluator(first);
-            for (int i = 0; i < n; ++i) {
-                const uint64_t index = first + uint64_t(i);
-                const Label a0 = prg.nextLabel(), b0 = prg.nextLabel();
-                const HalfGateGarbled want = garbleAnd(a0, b0, r, index);
-                const HalfGateGarbled got = garbler.garble(a0, b0, r);
-                ASSERT_EQ(got.table, want.table)
-                    << "first " << first << " n " << n << " i " << i;
-                ASSERT_EQ(got.outZero, want.outZero);
-                const Label a = (i & 1) ? a0 ^ r : a0;
-                const Label b = (i & 2) ? b0 ^ r : b0;
-                ASSERT_EQ(evaluator.evaluate(a, b, got.table),
-                          evaluateAnd(a, b, want.table, index))
-                    << "first " << first << " n " << n << " i " << i;
-            }
-        }
-    }
-}
-
 TEST(KeyStream, WalksMatchReferenceForAndCountsAroundBlockEdges)
 {
-    if (!haveTweakKeyStream())
-        GTEST_SKIP() << kNoKeyStream;
-    for (uint32_t ands : {0u, 1u, 7u, 8u, 9u, 17u}) {
+    // The key stream keeps a ring of two eight-AND key blocks: 16 ANDs
+    // use each block once, and ANDs 17 and 25 reuse the first and the
+    // second.
+    for (uint32_t ands : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 25u}) {
         // A chain of ANDs with an XOR after each, reading all four
         // inputs in turn, so labels flow through every gate.
         Netlist nl;
@@ -409,48 +375,52 @@ TEST(KeyStream, WalksMatchReferenceForAndCountsAroundBlockEdges)
         nl.outputs = {acc};
         ASSERT_EQ(nl.check(), "");
 
-        StreamingGarbler sg(nl, 31 + ands);
-        std::vector<GarbledTable> tables;
-        sg.run([&tables](const GarbledTable &t) { tables.push_back(t); });
-        std::vector<Label> zero;
-        EXPECT_EQ(tables, referenceGarble(nl, sg.inputs(), zero))
-            << ands << " ANDs";
-        EXPECT_EQ(sg.tablesEmitted(), ands);
-        EXPECT_EQ(sg.outputZeroLabels(), std::vector<Label>{zero[acc]});
+        golden::forEachCpuTier([&] {
+            StreamingGarbler sg(nl, 31 + ands);
+            std::vector<GarbledTable> tables;
+            sg.run([&tables](const GarbledTable &t) { tables.push_back(t); });
+            std::vector<Label> zero;
+            EXPECT_EQ(tables, referenceGarble(nl, sg.inputs(), zero))
+                << ands << " ANDs";
+            EXPECT_EQ(sg.tablesEmitted(), ands);
+            EXPECT_EQ(sg.outputZeroLabels(), std::vector<Label>{zero[acc]});
 
-        for (uint32_t bits = 0; bits < 16; ++bits) {
-            std::vector<Label> in(4);
-            for (WireId w = 0; w < 4; ++w)
-                in[w] = sg.inputs().activeLabel(w, (bits >> w) & 1);
-            size_t next = 0;
-            const std::vector<Label> out = evaluateStreaming(
-                nl, in, [&] { return tables.at(next++); });
-            EXPECT_EQ(next, tables.size());
-            const std::vector<bool> plain =
-                nl.evaluate({bool(bits & 1), bool(bits & 2)},
-                            {bool(bits & 4), bool(bits & 8)});
-            EXPECT_EQ(out[0].lsb() != sg.decodeBit(0), plain[0])
-                << ands << " ANDs, inputs " << bits;
-        }
+            for (uint32_t bits = 0; bits < 16; ++bits) {
+                std::vector<Label> in(4);
+                for (WireId w = 0; w < 4; ++w)
+                    in[w] = sg.inputs().activeLabel(w, (bits >> w) & 1);
+                size_t next = 0;
+                const std::vector<Label> out = evaluateStreaming(
+                    nl, in, [&] { return tables.at(next++); });
+                EXPECT_EQ(next, tables.size());
+                const std::vector<bool> plain =
+                    nl.evaluate({bool(bits & 1), bool(bits & 2)},
+                                {bool(bits & 4), bool(bits & 8)});
+                // The evaluator's label, not just its decoded bit.
+                EXPECT_EQ(out[0], plain[0] ? zero[acc] ^ sg.inputs().offset
+                                           : zero[acc])
+                    << ands << " ANDs, inputs " << bits;
+            }
+        });
     }
 }
 
 TEST(KeyStream, MatMultTablesMatchGoldenDigest)
 {
-    if (!haveTweakKeyStream())
-        GTEST_SKIP() << kNoKeyStream;
     const Workload wl = vipWorkload("MatMult", false);
-    StreamingGarbler sg(wl.netlist, 2024);
-    TableDigest wide;
-    sg.run([&wide](const GarbledTable &t) { wide.add(t); });
-    std::vector<Label> zero;
-    TableDigest reference;
-    for (const GarbledTable &t :
-         referenceGarble(wl.netlist, sg.inputs(), zero))
-        reference.add(t);
-    EXPECT_EQ(wide.hex(), reference.hex());
-    // Recorded on the hashRekeyedPair() walk.
-    EXPECT_EQ(wide.hex(), "31269b0e5fc5f23d");
+    golden::forEachCpuTier([&] {
+        StreamingGarbler sg(wl.netlist, 2024);
+        TableDigest walk;
+        sg.run([&walk](const GarbledTable &t) { walk.add(t); });
+        std::vector<Label> zero;
+        TableDigest reference;
+        for (const GarbledTable &t :
+             referenceGarble(wl.netlist, sg.inputs(), zero))
+            reference.add(t);
+        EXPECT_EQ(walk.hex(), reference.hex());
+        // Recorded on the hashRekeyedPair() walk.
+        EXPECT_EQ(walk.hex(), "31269b0e5fc5f23d");
+    });
 }
 
 TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)

@@ -10,6 +10,7 @@
 
 #include "platform/cpu_model.h"
 #include "platform/energy_model.h"
+#include "platform/host_cpu.h"
 #include "platform/host_timer.h"
 #include "platform/report.h"
 
@@ -99,6 +100,25 @@ TEST(HostTimer, MeasuresSomething)
     }, 0.001);
     EXPECT_GT(t, 0.0);
     EXPECT_LT(t, 0.1);
+}
+
+TEST(HostCpu, FeaturesAreCompiledInAndMasksOnlyClear)
+{
+    const uint32_t host = cpu::features();
+    EXPECT_EQ(host & ~cpu::kCompiled, 0u);
+    {
+        cpu::ScopedMask outer(cpu::kAesni | cpu::kVaes);
+        EXPECT_EQ(cpu::features(), host & ~(cpu::kAesni | cpu::kVaes));
+        EXPECT_FALSE(cpu::has(cpu::kAesni));
+        {
+            cpu::ScopedMask inner(cpu::kPclmul);
+            EXPECT_EQ(cpu::features(),
+                      host & ~(cpu::kAesni | cpu::kVaes | cpu::kPclmul));
+        }
+        EXPECT_EQ(cpu::features(), host & ~(cpu::kAesni | cpu::kVaes));
+    }
+    EXPECT_EQ(cpu::features(), host);
+    EXPECT_EQ(cpu::has(cpu::kIfma), (host & cpu::kIfma) != 0);
 }
 
 TEST(Report, FormatsAlignedTable)

@@ -32,6 +32,8 @@
 #include "serve/prebuilt_pool.h"
 #include "workloads/vip.h"
 
+#include "cpu_tiers.h"
+
 using namespace haac;
 using namespace haac::serve;
 
@@ -263,25 +265,27 @@ instanceDigest(const GarbledInstance &inst)
 // same offset and labels.
 TEST(GarbledInstance, CaptureDigestGolden)
 {
-    const Workload million = resolveWorkload("Million:32");
-    const uint64_t digest =
-        instanceDigest(captureGarbling(million.netlist, 2024));
-    EXPECT_EQ(digest, 0x84348244bbabbb7full) << std::hex << digest;
-    const struct
-    {
-        const char *spec;
-        uint64_t digest;
-    } kGolden[] = {
-        {"ADD:32", 0xfe1627fa494e3c52ull},
-        {"CMP:32", 0x10c162a6c1ef8d54ull},
-        {"MUX:8", 0xc921672cc7b08101ull},
-    };
-    for (const auto &g : kGolden) {
-        const uint64_t d = instanceDigest(
-            chain::captureComponent(chain::parseComponentSpec(g.spec), 77)
-                .inst);
-        EXPECT_EQ(d, g.digest) << g.spec << " " << std::hex << d;
-    }
+    golden::forEachCpuTier([&] {
+        const Workload million = resolveWorkload("Million:32");
+        const uint64_t digest =
+            instanceDigest(captureGarbling(million.netlist, 2024));
+        EXPECT_EQ(digest, 0x84348244bbabbb7full) << std::hex << digest;
+        const struct
+        {
+            const char *spec;
+            uint64_t digest;
+        } kGolden[] = {
+            {"ADD:32", 0xfe1627fa494e3c52ull},
+            {"CMP:32", 0x10c162a6c1ef8d54ull},
+            {"MUX:8", 0xc921672cc7b08101ull},
+        };
+        for (const auto &g : kGolden) {
+            const uint64_t d = instanceDigest(
+                chain::captureComponent(chain::parseComponentSpec(g.spec), 77)
+                    .inst);
+            EXPECT_EQ(d, g.digest) << g.spec << " " << std::hex << d;
+        }
+    });
 }
 
 TEST(GarbledInstance, ReplayIsWireIdenticalToInlineGarbling)
