@@ -62,7 +62,7 @@ modelCore(const Workload &wl, DramKind dram)
                                      .withConfig(m.cfg)
                                      .withCompileOptions(opts)
                                      .compile();
-    StreamSet set = buildStreams(compiled.program, m.cfg);
+    StreamSet set = recordSchedule(compiled.program, m.cfg);
     m.comb = runSimulation(compiled.program, m.cfg, set,
                            SimMode::Combined);
     m.comp = runSimulation(compiled.program, m.cfg, set,

@@ -2,6 +2,7 @@
 # Which src/ functions does only the test suite reach?
 #
 #   scripts/test_only_survey.sh [BUILD_DIR]
+#   scripts/test_only_survey.sh --grep
 #
 # Builds the repository with gcc --coverage (Debug, -O1) in BUILD_DIR
 # (default: ${TMPDIR:-/tmp}/haac-test-only-survey; it must lie outside
@@ -23,12 +24,131 @@
 # that ctest never runs, as "file:line  source"; on a host with every
 # tier, such a line is kernel code no golden holds.
 #
+# Last comes the grep pass, which --grep runs alone (seconds, no
+# build): each function declared in a src/ header whose name the code
+# of src/, tools/, bench/, examples/ and haacbench/ mentions only where
+# it is declared or defined, as "tests  file:line  name", where tests
+# counts the name's mentions under tests/ (0: used nowhere). Comments,
+# string literals and #include lines are not mentions. It matches
+# names, not overloads: a name that another function or member shares
+# is hidden, so the list is a floor.
+#
 # Needs gcc's gcov (JSON output, gcc >= 9), cmake and python3. JOBS
 # sets the build and ctest parallelism (default 2). A clean run takes
 # about ten minutes on four cores with JOBS=3.
 set -euo pipefail
 
 SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd -P)"
+
+grep_pass() {
+    python3 - "$SRC" <<'EOF'
+import os, re, sys
+from collections import defaultdict
+
+root = sys.argv[1]
+CODE_DIRS = ("src", "tools", "bench", "examples", "haacbench")
+EXTS = (".h", ".cc", ".cpp")
+KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof", "alignof",
+            "decltype", "static_assert", "catch", "throw", "new", "delete",
+            "operator", "noexcept", "alignas", "case", "defined", "co_return",
+            "requires", "explicit", "typeid"}
+STRIP = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|'
+                   r"'(?:\\.|[^'\\\n])*'|^\s*#\s*include[^\n]*",
+                   re.S | re.M)
+IDENT = re.compile(r"\b[A-Za-z_]\w*\b")
+# Functions are lowerCamelCase here; classes and their constructors
+# are not candidates.
+CALLISH = re.compile(r"\b([a-z_]\w*)\s*\(")
+
+
+def code(path):
+    """The file's text with comments, literals and #includes blanked,
+    newlines kept so offsets map to the same lines."""
+    text = open(path, encoding="utf-8", errors="replace").read()
+    return STRIP.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+
+
+def files(top):
+    for d, _, names in os.walk(os.path.join(root, top)):
+        for n in sorted(names):
+            if n.endswith(EXTS):
+                yield os.path.join(d, n)
+
+
+def prev_token(text, at):
+    i = at - 1
+    while i >= 0 and text[i] in " \t\n":
+        i -= 1
+    if i < 0:
+        return ""
+    if text[i].isalnum() or text[i] == "_":
+        j = i
+        while j >= 0 and (text[j].isalnum() or text[j] == "_"):
+            j -= 1
+        return text[j + 1:i + 1]
+    return text[i]
+
+
+# Declarations: "name(" in a src/ header after a type (an identifier
+# that is not a keyword, or '>', '*', '&').
+decls = defaultdict(list)
+sources = {}
+for top in CODE_DIRS + ("tests",):
+    for path in files(top):
+        sources[path] = code(path)
+for path, text in sources.items():
+    rel = os.path.relpath(path, root)
+    if not (rel.startswith("src" + os.sep) and rel.endswith(".h")):
+        continue
+    for m in CALLISH.finditer(text):
+        prev = prev_token(text, m.start())
+        if m.group(1) in KEYWORDS or not prev:
+            continue
+        if prev in KEYWORDS or not (prev[0].isalnum() or prev[0] == "_"
+                                    or prev in ">*&"):
+            continue
+        line = text.count("\n", 0, m.start()) + 1
+        decls[m.group(1)].append((rel, line))
+
+# Mentions outside tests/ skip the declaration sites above and the
+# definitions: the name opening a line of a .cc file, possibly
+# qualified ("Cls::name(").
+OPEN_PAREN = re.compile(r"\s*\(")
+uses = defaultdict(int)
+test_uses = defaultdict(int)
+for path, text in sources.items():
+    rel = os.path.relpath(path, root)
+    in_tests = rel.startswith("tests" + os.sep)
+    for m in IDENT.finditer(text):
+        name = m.group(0)
+        if name not in decls:
+            continue
+        if in_tests:
+            test_uses[name] += 1
+            continue
+        line = text.count("\n", 0, m.start()) + 1
+        if (rel, line) in decls[name]:
+            continue
+        start = text.rfind("\n", 0, m.start()) + 1
+        head = text[start:m.start()]
+        if rel.endswith((".cc", ".cpp")) and re.fullmatch(r"(\w+::)*", head) \
+                and OPEN_PAREN.match(text, m.end()):
+            continue
+        uses[name] += 1
+
+rows = sorted((decls[n][0], n) for n in decls if uses[n] == 0)
+for (rel, line), name in rows:
+    print(f"{test_uses[name]:5d}  {rel}:{line}  {name}")
+print(f"\n{len(rows)} functions declared in src/ headers are named "
+      f"outside tests/ only where declared or defined (left: uses "
+      f"in tests/; 0 = unused)")
+EOF
+}
+
+if [ "${1:-}" = "--grep" ]; then
+    grep_pass
+    exit 0
+fi
 BUILD="${1:-${TMPDIR:-/tmp}/haac-test-only-survey}"
 mkdir -p "$BUILD"
 BUILD="$(cd "$BUILD" && pwd -P)"
@@ -225,3 +345,6 @@ for k in sys.argv[3:]:
 count = sum(len(v) for v in unrun.values())
 print(f"{count} kernel-file lines never run under ctest")
 EOF
+
+echo
+grep_pass

@@ -23,7 +23,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "api/run_report.h"
 
@@ -125,9 +124,6 @@ bool registerBackend(const std::string &name, BackendFactory factory);
  *         @p name is unknown.
  */
 std::unique_ptr<Backend> createBackend(const std::string &name);
-
-/** Registered backend names, sorted. */
-std::vector<std::string> backendNames();
 /// @}
 
 } // namespace haac

@@ -14,7 +14,7 @@
 
 #include "api/session.h"
 #include "chain/link.h"
-#include "core/compiler/streams.h"
+#include "core/sim/engine.h"
 #include "crypto/prg.h"
 #include "gc/protocol.h"
 #include "net/server.h"
@@ -83,17 +83,13 @@ HaacSimBackend::execute(const Session &session)
     const HaacConfig cfg = session.config();
     const SimMode mode = mode_ ? *mode_ : session.mode();
 
-    // The config is the authority on SWW capacity: the compiler must
-    // target the window the simulated hardware actually has.
-    CompileOptions copts = session.compileOptions();
-    copts.swwWires = cfg.swwWires();
-
     RunReport report;
     const auto start = Clock::now();
 
-    const HaacProgram prog = compileProgram(assemble(session.netlist()),
-                                            copts, &report.compile);
-    const StreamSet streams = buildStreams(prog, cfg);
+    const Session::Compiled compiled = session.compile();
+    const HaacProgram &prog = compiled.program;
+    report.compile = compiled.stats;
+    const StreamSet streams = recordSchedule(prog, cfg);
 
     report.sim = runSimulation(prog, cfg, streams, mode);
     report.hostSeconds = secondsSince(start);
@@ -236,15 +232,6 @@ createBackend(const std::string &name)
                                     "\" (registered: " + known + ")");
     }
     return it->second();
-}
-
-std::vector<std::string>
-backendNames()
-{
-    std::vector<std::string> names;
-    for (const auto &[name, factory] : registry())
-        names.push_back(name);
-    return names; // std::map iteration is already sorted
 }
 
 namespace {

@@ -158,9 +158,6 @@ Session::compile() const
 
     Compiled out;
     out.program = compileProgram(assemble(netlist_), opts, &out.stats);
-    const CircuitCost cost = circuitCost(netlist_);
-    out.stats.multDepth = cost.multDepth;
-    out.stats.freeXorPercent = cost.freeXorPercent;
     return out;
 }
 

@@ -122,7 +122,6 @@ class Session
     uint64_t seed() const { return seed_; }
     /** Whether withSeed() chose the seed. */
     bool seedChosen() const { return seedChosen_; }
-    const CompileOptions &compileOptions() const { return copts_; }
     const HaacConfig &config() const { return config_; }
     SimMode mode() const { return mode_; }
     bool wantOutputs() const { return wantOutputs_; }
@@ -156,6 +155,9 @@ class Session
     /**
      * Assemble and run the compiler pipeline under the session's
      * options, with swwWires taken from the session's HaacConfig.
+     * Debug builds, and Release with CompileOptions::verify, first run
+     * the circuit analyzer and throw std::logic_error on a refusal.
+     * The simulation backends compile through here.
      */
     Compiled compile() const;
     /// @}

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "circuit/builder.h"
-#include "circuit/spec.h"
 #include "circuit/stdlib.h"
 
 namespace haac {
@@ -70,42 +69,6 @@ uint32_t
 ComponentSpec::outputBits() const
 {
     return kind == ComponentKind::Cmp ? 1 : width;
-}
-
-ComponentSpec
-parseComponentSpec(const std::string &name)
-{
-    const std::optional<SizedSpec> s =
-        splitSizedSpec(name, kMaxComponentWidth);
-    if (!s)
-        throw std::invalid_argument("component spec \"" + name +
-                                    "\": expected KIND:WIDTH");
-    const std::string_view kind_str = s->name;
-    ComponentSpec spec;
-    if (kind_str == "ADD")
-        spec.kind = ComponentKind::Add;
-    else if (kind_str == "SUB")
-        spec.kind = ComponentKind::Sub;
-    else if (kind_str == "CMP")
-        spec.kind = ComponentKind::Cmp;
-    else if (kind_str == "MUX")
-        spec.kind = ComponentKind::Mux;
-    else if (kind_str == "XOR")
-        spec.kind = ComponentKind::Xor;
-    else if (kind_str == "MUL")
-        spec.kind = ComponentKind::Mul;
-    else
-        throw std::invalid_argument("component spec \"" + name +
-                                    "\": unknown kind \"" +
-                                    std::string(kind_str) + "\"");
-    if (s->size == 0)
-        throw std::invalid_argument("component spec \"" + name +
-                                    "\": bad width");
-    spec.width = s->size;
-    const std::string err = spec.check();
-    if (!err.empty())
-        throw std::invalid_argument(err);
-    return spec;
 }
 
 Bits

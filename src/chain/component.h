@@ -58,7 +58,7 @@ struct ComponentSpec
     ComponentKind kind = ComponentKind::Add;
     uint32_t width = 0;
 
-    /** Canonical spec string, e.g. "ADD:32" (parseComponentSpec inverts). */
+    /** Canonical spec string, e.g. "ADD:32". */
     std::string name() const;
 
     /** Empty when buildable; else why not (width bounds). */
@@ -85,14 +85,6 @@ struct ComponentSpec
         return kind != o.kind ? kind < o.kind : width < o.width;
     }
 };
-
-/**
- * Parse a canonical spec string ("CMP:64").
- *
- * @throws std::invalid_argument on unknown kind, missing or
- *         out-of-range width.
- */
-ComponentSpec parseComponentSpec(const std::string &name);
 
 /**
  * Emit @p spec's logic into an open builder over @p inputs (the ports

@@ -533,27 +533,4 @@ analyzeChainPlan(const chain::ChainPlan &plan,
     return std::move(acc.rep);
 }
 
-CircuitCost
-circuitCost(const Netlist &netlist)
-{
-    const uint32_t inputs = netlist.numInputs();
-    CircuitCost cost;
-    cost.gates = netlist.numGates();
-    std::vector<uint32_t> depth(netlist.numWires(), 0);
-    for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-        const Gate &gate = netlist.gates[g];
-        cost.andGates += gate.op == GateOp::And ? 1 : 0;
-        depth[inputs + g] = std::max(depth[gate.a], depth[gate.b]) +
-                            (gate.op == GateOp::And ? 1 : 0);
-    }
-    cost.xorGates = cost.gates - cost.andGates;
-    for (WireId w : netlist.outputs)
-        cost.multDepth = std::max(cost.multDepth, depth[w]);
-    cost.freeXorPercent =
-        cost.gates == 0
-            ? 0.0
-            : 100.0 * double(cost.xorGates) / double(cost.gates);
-    return cost;
-}
-
 } // namespace haac

@@ -43,8 +43,8 @@
  *    analysis, structural checks only (deep = false).
  *
  *  - **cost report**: AND count, multiplicative depth, FreeXOR ratio —
- *    the numbers that price a circuit before it is admitted; attached
- *    to CompileStats by Session::compile().
+ *    the numbers that price a circuit before it is admitted; the deep
+ *    pass fills it and `haac_lint --json` prints it.
  *
  * Findings are Diagnostics (circuit/diagnostic.h), the vocabulary the
  * ISA verifier reports through too: the site is a gate, output, plan
@@ -142,12 +142,6 @@ analyzeNetlist(const Netlist &netlist,
 CircuitLintReport
 analyzeChainPlan(const chain::ChainPlan &plan,
                  const CircuitLintOptions &opts = CircuitLintOptions{});
-
-/**
- * Just the cost report, skipping diagnostics. The netlist must be
- * structurally valid (Netlist::check() empty / analyzer-clean).
- */
-CircuitCost circuitCost(const Netlist &netlist);
 
 } // namespace haac
 

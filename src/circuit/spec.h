@@ -1,8 +1,8 @@
 /**
  * @file
  * The one "Name:N" grammar: the server's workload families
- * ("Million:32"), the chained workloads ("ChainMillSum:8"), the
- * component library ("ADD:32") and "host:port" endpoints. N is
+ * ("Million:32"), the chained workloads ("ChainMillSum:8") and
+ * "host:port" endpoints. N is
  * [1-9][0-9]* up to a bound the caller gives, so an accepted spec is
  * the one spelling of its circuit (a fit cache or pool key) and no N
  * wraps around 32 bits.

@@ -96,17 +96,6 @@ struct CompileStats
     uint64_t oorReads = 0;
     uint64_t instructions = 0;
     uint64_t andGates = 0;
-
-    /** @name Circuit cost report (circuit/analyze.h)
-     * Filled by Session::compile() from the source netlist — the
-     * compiler passes below never see the netlist, only the assembled
-     * program, so these ride along rather than being recomputed. */
-    /// @{
-    /** Max ANDs on any input->output path. */
-    uint32_t multDepth = 0;
-    /** Share of gates FreeXOR makes free, in percent. */
-    double freeXorPercent = 0;
-    /// @}
 };
 
 /** Run reorder + rename + (optionally) ESW. */

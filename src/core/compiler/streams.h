@@ -8,6 +8,7 @@
  * hardware"), then derives, per GE: the instruction stream (with OoR
  * operands rewritten to the reserved zero address), the implied table
  * order, and the OoR wire-address stream in pop order.
+ * recordSchedule() (core/sim/engine.h) is that pass.
  */
 #ifndef HAAC_CORE_COMPILER_STREAMS_H
 #define HAAC_CORE_COMPILER_STREAMS_H
@@ -49,15 +50,6 @@ struct StreamSet
 
     uint64_t totalOor = 0;
 };
-
-/**
- * Build per-GE streams for @p prog on @p cfg.
- *
- * Runs the compute-only scheduling simulation to obtain the GE mapping,
- * then derives table and OoRW streams from the per-GE instruction
- * order.
- */
-StreamSet buildStreams(const HaacProgram &prog, const HaacConfig &cfg);
 
 } // namespace haac
 

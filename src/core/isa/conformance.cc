@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
 #include "core/isa/asm.h"
 #include "core/isa/disasm.h"
 #include "core/isa/verify.h"
@@ -287,7 +286,7 @@ checkConformance(const HaacProgram &prog, const HaacConfig &cfg,
     if (!startCheck(prog, garbler, evaluator, res))
         return res;
 
-    const StreamSet streams = buildStreams(prog, cfg);
+    const StreamSet streams = recordSchedule(prog, cfg);
 
     // Static verification before any differential run: a program the
     // verifier rejects (dropped live bit, tweak reuse, stream

@@ -38,6 +38,8 @@ HaacConfig::check() const
         return "swwBytes holds more than 2^32 - 1 labels";
     if (writeBufferBytes == 0)
         return "writeBufferBytes must be non-zero";
+    if (dramLatency > (1u << 16))
+        return "dramLatency exceeds 2^16 cycles";
     // Negated so NaN fails too.
     if (!(dramBandwidthScale >= kMinDramBandwidthScale &&
           dramBandwidthScale <= 1))

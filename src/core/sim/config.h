@@ -72,14 +72,14 @@ struct HaacConfig
     double dramBandwidthScale = 1.0;
     static constexpr double kMinDramBandwidthScale = 1.0 / 1024;
 
-    /** @name Pipeline structure (§3.2) */
+    /** @name Pipeline structure (§3.2), fixed in hardware */
     /// @{
-    uint32_t fetchDecodeStages = 2;
-    uint32_t swwReadStages = 3; ///< addr to bank, read, data back
-    uint32_t writebackStages = 2;
-    uint32_t garblerHalfGateStages = 21;
-    uint32_t evaluatorHalfGateStages = 18;
-    uint32_t xorStages = 1;
+    static constexpr uint32_t fetchDecodeStages = 2;
+    static constexpr uint32_t swwReadStages = 3; ///< addr, read, data back
+    static constexpr uint32_t writebackStages = 2;
+    static constexpr uint32_t garblerHalfGateStages = 21;
+    static constexpr uint32_t evaluatorHalfGateStages = 18;
+    static constexpr uint32_t xorStages = 1;
     /// @}
 
     /**
@@ -87,9 +87,10 @@ struct HaacConfig
      * at least one GE and one bank per GE with the bank count in 32
      * bits, an SWW of at least two labels (the window slides in
      * halves) whose wire count fits 32 bits, a non-empty write
-     * buffer and a bandwidth share in [1/1024, 1]. Configs from a peer
-     * (shard Job frames) or the command line must pass before they
-     * reach the engine.
+     * buffer, a DRAM latency of at most 2^16 cycles (ready stamps
+     * are 32-bit) and a bandwidth share in [1/1024, 1]. Configs from
+     * a peer (shard Job frames) or the command line must pass before
+     * they reach the engine.
      *
      * @return empty string if valid, else the first violation.
      */

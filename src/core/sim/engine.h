@@ -37,8 +37,9 @@ enum class SimMode
 
 /**
  * Compiler-side scheduling pass: map instructions to non-stalled GEs
- * cycle by cycle (ideal streams, full hazard model) and record the
- * per-GE order for hardware replay.
+ * cycle by cycle (ideal streams, full hazard model), record the
+ * per-GE order for hardware replay, and derive each GE's table and
+ * OoRW streams from that order.
  */
 StreamSet recordSchedule(const HaacProgram &prog, const HaacConfig &cfg);
 
@@ -111,7 +112,7 @@ struct SimStalledError : std::runtime_error
  *
  * @param prog   compiled program (absolute addresses, live bits set).
  * @param cfg    hardware configuration.
- * @param streams output of buildStreams()/recordSchedule().
+ * @param streams output of recordSchedule().
  * @param mode   see SimMode.
  * @param probe  optional cycle-by-cycle observer (see SimProbe).
  * @throws SimStalledError if the program can never finish.

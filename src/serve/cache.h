@@ -15,8 +15,6 @@
 #define HAAC_SERVE_CACHE_H
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -26,41 +24,29 @@
 namespace haac {
 namespace serve {
 
-/** Monotonic hit/miss/churn counters, readable while the cache runs. */
-struct CacheStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-};
-
 /**
  * A bounded map from Key to shared_ptr<const Value> with
  * least-recently-used eviction.
  *
- * Key needs operator== and a KeyHash functor; a get() promotes the
- * entry to most-recently-used. put() on a present key replaces the
- * value in place (and promotes).
+ * Key needs operator== and std::hash; a get() promotes the entry to
+ * most-recently-used. put() on a present key replaces the value in
+ * place (and promotes).
  */
-template <typename Key, typename Value, typename KeyHash = std::hash<Key>>
+template <typename Key, typename Value>
 class LruCache
 {
   public:
     /** @param capacity maximum entries; 0 disables caching entirely. */
     explicit LruCache(size_t capacity) : capacity_(capacity) {}
 
-    /** The value under @p key, or nullptr (counted as hit/miss). */
+    /** The value under @p key, or nullptr. */
     std::shared_ptr<const Value>
     get(const Key &key)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = index_.find(key);
-        if (it == index_.end()) {
-            ++stats_.misses;
+        if (it == index_.end())
             return nullptr;
-        }
-        ++stats_.hits;
         mru_.splice(mru_.begin(), mru_, it->second);
         return it->second->second;
     }
@@ -81,11 +67,9 @@ class LruCache
         if (mru_.size() >= capacity_) {
             index_.erase(mru_.back().first);
             mru_.pop_back();
-            ++stats_.evictions;
         }
         mru_.emplace_front(key, std::move(value));
         index_.emplace(key, mru_.begin());
-        ++stats_.insertions;
     }
 
     /**
@@ -94,11 +78,9 @@ class LruCache
      */
     template <typename Make>
     std::shared_ptr<const Value>
-    getOrMake(const Key &key, Make make, bool *hit = nullptr)
+    getOrMake(const Key &key, Make make)
     {
         std::shared_ptr<const Value> value = get(key);
-        if (hit)
-            *hit = value != nullptr;
         if (value == nullptr) {
             value = make();
             put(key, value);
@@ -106,31 +88,13 @@ class LruCache
         return value;
     }
 
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return mru_.size();
-    }
-
-    size_t capacity() const { return capacity_; }
-
-    CacheStats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stats_;
-    }
-
   private:
     using Entry = std::pair<Key, std::shared_ptr<const Value>>;
 
     const size_t capacity_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::list<Entry> mru_; ///< front = most recently used
-    std::unordered_map<Key, typename std::list<Entry>::iterator, KeyHash>
-        index_;
-    CacheStats stats_;
+    std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
 };
 
 } // namespace serve

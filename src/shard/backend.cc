@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "api/session.h"
-#include "core/compiler/passes.h"
 
 namespace haac {
 
@@ -16,19 +15,15 @@ ShardedSimBackend::execute(const Session &session)
     opts.shards = session.shards();
     opts.workers = session.shardWorkers();
 
-    // The config is the authority on SWW capacity, as in HaacSimBackend.
-    CompileOptions copts = session.compileOptions();
-    copts.swwWires = cfg.swwWires();
-
     RunReport report;
     const auto start = std::chrono::steady_clock::now();
-    HaacProgram prog = compileProgram(assemble(session.netlist()),
-                                      copts, &report.compile);
+    Session::Compiled compiled = session.compile();
+    report.compile = compiled.stats;
 
     const bool want_values =
         session.wantOutputs() && session.inputsMatchCircuit();
     shard::ShardRunResult res = shard::runSharded(
-        std::move(prog), cfg, session.mode(), opts,
+        std::move(compiled.program), cfg, session.mode(), opts,
         session.garblerBits(), session.evaluatorBits(), want_values);
     report.hostSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

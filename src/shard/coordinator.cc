@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/compiler/streams.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
 #include "shard/partition.h"
@@ -64,7 +63,7 @@ runSharded(HaacProgram prog, const HaacConfig &cfg, SimMode mode,
            const std::vector<bool> &garbler_bits,
            const std::vector<bool> &evaluator_bits, bool want_values)
 {
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
     const ShardPlan plan = partitionStreams(prog, set, opts.shards);
     const uint32_t m = plan.shardCount();
     // Never build a Job the workers refuse: each shard's 1/m share of

@@ -3,7 +3,7 @@
  * Shard coordinator: one compiled circuit, M workers, one RunReport.
  *
  * The coordinator owns every decision: it schedules the program once
- * (buildStreams), partitions the per-GE streams into M shards, marks
+ * (recordSchedule), partitions the per-GE streams into M shards, marks
  * cross-shard wires live so their labels genuinely travel off-chip,
  * dispatches one Job per shard over a framed Transport (in-process
  * loopback threads by default, `haac_server --shard-worker` processes

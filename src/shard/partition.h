@@ -2,7 +2,7 @@
  * @file
  * Stream partitioning: one compiled program, M shards.
  *
- * The coordinator compiles and schedules once (buildStreams), then
+ * The coordinator compiles and schedules once (recordSchedule), then
  * carves the per-GE queue streams into M shards, each a self-contained
  * sub-machine: its own GE subset, its own StreamSet, and an explicit
  * manifest of the wires that cross shard boundaries — imports (operands

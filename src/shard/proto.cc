@@ -35,12 +35,6 @@ putConfig(WireWriter &w, const HaacConfig &cfg)
     w.u64(cfg.writeBufferBytes);
     w.u32(cfg.dramLatency);
     w.f64(cfg.dramBandwidthScale);
-    w.u32(cfg.fetchDecodeStages);
-    w.u32(cfg.swwReadStages);
-    w.u32(cfg.writebackStages);
-    w.u32(cfg.garblerHalfGateStages);
-    w.u32(cfg.evaluatorHalfGateStages);
-    w.u32(cfg.xorStages);
 }
 
 HaacConfig
@@ -57,12 +51,6 @@ getConfig(WireReader &r)
     cfg.writeBufferBytes = r.u64();
     cfg.dramLatency = r.u32();
     cfg.dramBandwidthScale = r.f64();
-    cfg.fetchDecodeStages = r.u32();
-    cfg.swwReadStages = r.u32();
-    cfg.writebackStages = r.u32();
-    cfg.garblerHalfGateStages = r.u32();
-    cfg.evaluatorHalfGateStages = r.u32();
-    cfg.xorStages = r.u32();
     return cfg;
 }
 

@@ -7,8 +7,10 @@
  * with a one-byte message tag:
  *
  *   coordinator -> worker
- *     Job    one shard's whole world: sub-config, mode, the (shared)
- *            program with cross-shard wires marked live, this shard's
+ *     Job    one shard's whole world: sub-config (the settable
+ *            HaacConfig fields; pipeline depths are constants),
+ *            mode, the (shared) program with cross-shard wires
+ *            marked live, this shard's
  *            GE streams, the import/export manifests, and — when the
  *            caller wants circuit outputs — the plaintext values of
  *            the primary inputs and of every import.

@@ -817,14 +817,4 @@ vipWorkload(const std::string &name, bool paper_scale)
     throw std::invalid_argument("unknown VIP workload: " + name);
 }
 
-std::vector<Workload>
-vipSuite(bool paper_scale)
-{
-    std::vector<Workload> suite;
-    suite.reserve(vipNames().size());
-    for (const std::string &name : vipNames())
-        suite.push_back(vipWorkload(name, paper_scale));
-    return suite;
-}
-
 } // namespace haac

@@ -5,9 +5,9 @@
  * Each factory returns a Workload bundle: the circuit, deterministic
  * sample inputs for both parties, the expected plaintext outputs, and
  * a native (unencrypted) kernel for the Fig. 10 plaintext baseline.
- * The paper's input scales are available through vipSuite(paper_scale);
- * the defaults are ~5-10x smaller so the whole evaluation runs in
- * minutes (see DESIGN.md substitutions).
+ * The paper's input scales are available through
+ * vipWorkload(name, paper_scale); the defaults are ~5-10x smaller so
+ * the whole evaluation runs in minutes (see DESIGN.md substitutions).
  */
 #ifndef HAAC_WORKLOADS_VIP_H
 #define HAAC_WORKLOADS_VIP_H
@@ -87,9 +87,6 @@ Workload makeGradDesc(uint32_t points, uint32_t rounds);
 Workload makeEditDistance(uint32_t m, uint32_t n,
                           uint32_t symbol_bits = 2,
                           bool kogge_stone = false);
-
-/** The 8-benchmark suite at default or paper scale (Table 2 order). */
-std::vector<Workload> vipSuite(bool paper_scale);
 
 /** One suite entry by Table 2 name (BubbSt, DotProd, ...). */
 Workload vipWorkload(const std::string &name, bool paper_scale);

@@ -203,7 +203,8 @@ TEST(SessionCompile, RefusesIllFormedNetlistByThrowing)
 {
     // User-supplied (not compiler-generated) circuit: the analyzer
     // refusal must surface as the documented logic_error in every
-    // build mode, never an assert/abort.
+    // build mode, never an assert/abort. The simulation backends
+    // compile through Session::compile(), so they refuse it too.
     Netlist bad;
     bad.numGarblerInputs = 1;
     bad.numEvaluatorInputs = 1;
@@ -212,22 +213,29 @@ TEST(SessionCompile, RefusesIllFormedNetlistByThrowing)
 
     CompileOptions copts;
     copts.verify = true; // Release builds gate the check on this
-    try {
-        Session(std::move(bad)).withCompileOptions(copts).compile();
-        FAIL() << "expected refusal";
-    } catch (const std::logic_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("circuit analyzer"), std::string::npos);
-    }
+    Session session(std::move(bad));
+    session.withCompileOptions(copts);
+    const auto refusal = [](auto run) -> std::string {
+        try {
+            run();
+        } catch (const std::logic_error &e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    for (const std::string &what :
+         {refusal([&] { session.compile(); }),
+          refusal([&] { session.runHaacSim(); }),
+          refusal([&] { session.run("haac-sim-sharded"); })})
+        EXPECT_NE(what.find("circuit analyzer"), std::string::npos)
+            << what;
 }
 
 TEST(BackendRegistry, BuiltinsRegisteredAndResolvable)
 {
-    std::vector<std::string> names = backendNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), "software-gc"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "haac-sim"),
-              names.end());
+    for (const char *name :
+         {"software-gc", "haac-sim", "remote-gc", "haac-sim-sharded"})
+        EXPECT_STREQ(createBackend(name)->name(), name);
 
     Workload wl = vipWorkload("Hamm", false);
     RunReport by_name = Session(wl).run("haac-sim");

@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
 #include "core/isa/asm.h"
 #include "core/isa/conformance.h"
 #include "core/isa/disasm.h"
+#include "core/sim/engine.h"
 #include "workloads/vip.h"
 
 namespace haac {
@@ -127,7 +127,7 @@ TEST(RoundTrip, GeAnnotationsSurviveListing)
     const HaacProgram prog = compiledVip("Hamm");
     HaacConfig cfg;
     cfg.numGes = 4;
-    const StreamSet streams = buildStreams(prog, cfg);
+    const StreamSet streams = recordSchedule(prog, cfg);
 
     std::ostringstream os;
     disassemble(prog, os, 0, &streams.geOf);

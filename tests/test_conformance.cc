@@ -22,10 +22,10 @@
 #include <vector>
 
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
 #include "core/isa/asm.h"
 #include "core/isa/conformance.h"
 #include "core/isa/disasm.h"
+#include "core/sim/engine.h"
 #include "core/sim/functional.h"
 #include "crypto/prg.h"
 
@@ -160,7 +160,7 @@ TEST(Fuzz, InjectedOorwReorderIsCaught)
         const HaacConfig cfg = conformanceConfig(seed);
         const HaacProgram prog =
             generateProgram(seed, opts, cfg.swwWires());
-        StreamSet streams = buildStreams(prog, cfg);
+        StreamSet streams = recordSchedule(prog, cfg);
 
         GeStreams *victim = nullptr;
         for (GeStreams &gs : streams.ge) {
@@ -207,7 +207,7 @@ TEST(Fuzz, InjectedLiveBitClearIsCaught)
         const HaacConfig cfg = conformanceConfig(seed);
         HaacProgram prog =
             generateProgram(seed, opts, cfg.swwWires());
-        const StreamSet streams = buildStreams(prog, cfg);
+        const StreamSet streams = recordSchedule(prog, cfg);
 
         // Find an OoR-popped address produced by an instruction.
         uint32_t victim = 0;
@@ -222,7 +222,7 @@ TEST(Fuzz, InjectedLiveBitClearIsCaught)
 
         prog.instrs[victim - prog.numInputs - 1].live = false;
         const FunctionalResult fr = runFunctional(
-            prog, buildStreams(prog, cfg), cfg,
+            prog, recordSchedule(prog, cfg), cfg,
             std::vector<bool>(prog.numGarblerInputs, true),
             std::vector<bool>(prog.numEvaluatorInputs, false));
         ASSERT_FALSE(fr.ok)

@@ -11,6 +11,7 @@
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "core/compiler/passes.h"
+#include "core/sim/engine.h"
 #include "core/sim/functional.h"
 #include "crypto/prg.h"
 
@@ -53,7 +54,7 @@ class FunctionalMachine : public ::testing::TestWithParam<FuncParam>
         opts.swwWires = p.swwWires;
 
         HaacProgram prog = compileProgram(assemble(nl), opts);
-        StreamSet set = buildStreams(prog, cfg);
+        StreamSet set = recordSchedule(prog, cfg);
         FunctionalResult res = runFunctional(prog, set, cfg, ga, eb);
         ASSERT_TRUE(res.ok) << res.error;
         EXPECT_EQ(res.outputs, nl.evaluate(ga, eb));
@@ -140,7 +141,7 @@ TEST(FunctionalMachineEdge, TinySwwStillCorrect)
     opts.reorder = ReorderKind::Full;
     opts.swwWires = cfg.swwWires();
     HaacProgram prog = compileProgram(assemble(nl), opts);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     FunctionalResult res = runFunctional(
         prog, set, cfg, u64ToBits(40000, 16), u64ToBits(30000, 16));
     ASSERT_TRUE(res.ok) << res.error;
@@ -168,7 +169,7 @@ TEST(FunctionalMachineEdge, InputsBeyondSwwAreStreamed)
     opts.reorder = ReorderKind::Baseline;
     opts.swwWires = cfg.swwWires();
     HaacProgram prog = compileProgram(assemble(nl), opts);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
 
     Prg prg(88);
     std::vector<bool> ga(n), eb(n);
@@ -201,7 +202,7 @@ TEST(FunctionalMachineEdge, LiveSpillCountMatchesEsw)
     opts.swwWires = cfg.swwWires();
     CompileStats stats;
     HaacProgram prog = compileProgram(assemble(nl), opts, &stats);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     FunctionalResult res =
         runFunctional(prog, set, cfg, u64ToBits(3, 8), u64ToBits(5, 8));
     ASSERT_TRUE(res.ok) << res.error;

@@ -61,7 +61,7 @@ TEST(Integration, CompiledWorkloadsStayCorrectOnHaac)
             opts.swwWires = cfg.swwWires();
             HaacProgram prog =
                 compileProgram(assemble(wl.netlist), opts);
-            StreamSet set = buildStreams(prog, cfg);
+            StreamSet set = recordSchedule(prog, cfg);
             FunctionalResult res =
                 runFunctional(prog, set, cfg, wl.garblerBits,
                               wl.evaluatorBits);
@@ -157,7 +157,7 @@ TEST(Integration, Aes128CompilesAndRunsOnHaac)
     opts.reorder = ReorderKind::Full;
     opts.swwWires = cfg.swwWires();
     HaacProgram prog = compileProgram(assemble(wl.netlist), opts);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     FunctionalResult res = runFunctional(prog, set, cfg,
                                          wl.garblerBits,
                                          wl.evaluatorBits);
@@ -177,7 +177,7 @@ TEST(Integration, GradDescOnHaacMatchesSoftFloat)
     opts.reorder = ReorderKind::Segment;
     opts.swwWires = cfg.swwWires();
     HaacProgram prog = compileProgram(assemble(wl.netlist), opts);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     FunctionalResult res = runFunctional(prog, set, cfg,
                                          wl.garblerBits,
                                          wl.evaluatorBits);

@@ -4,15 +4,13 @@
  * every diagnostic code tripped by a deliberately defective circuit,
  * the four injected-defect canaries the roadmap pins (dead gate,
  * width-mismatched plan port, combinational cycle, duplicated CLNK
- * tweak), the cost report, the lint-attaching Bristol reader, and the
- * Session::compile() stats attachment.
+ * tweak), the cost report and the lint-attaching Bristol reader.
  */
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "api/session.h"
 #include "chain/link.h"
 #include "chain/workloads.h"
 #include "circuit/analyze.h"
@@ -97,17 +95,6 @@ TEST(Netlint, CleanCircuitHasNoFindingsAndACostReport)
                 100.0 * double(rep.cost.xorGates) /
                     double(rep.cost.gates),
                 1e-9);
-}
-
-TEST(Netlint, CircuitCostMatchesAnalyzeNetlist)
-{
-    const Netlist nl = vipWorkload("Hamm", false).netlist;
-    const CircuitCost cost = circuitCost(nl);
-    const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_EQ(cost.gates, rep.cost.gates);
-    EXPECT_EQ(cost.andGates, rep.cost.andGates);
-    EXPECT_EQ(cost.multDepth, rep.cost.multDepth);
-    EXPECT_EQ(cost.freeXorPercent, rep.cost.freeXorPercent);
 }
 
 // ---------------------------------------------------------------------
@@ -527,21 +514,6 @@ TEST(Netlint, ChainWorkloadsAreAnalyzerClean)
         EXPECT_EQ(rep.warnings, 0u) << spec;
         EXPECT_GT(rep.cost.gates, 0u) << spec;
     }
-}
-
-// ---------------------------------------------------------------------
-// Session integration
-// ---------------------------------------------------------------------
-
-TEST(Netlint, SessionCompileAttachesCost)
-{
-    const Workload w = vipWorkload("Hamm", false);
-    Session s(w);
-    const Session::Compiled c = s.compile();
-    const CircuitCost cost = circuitCost(w.netlist);
-    EXPECT_EQ(c.stats.multDepth, cost.multDepth);
-    EXPECT_EQ(c.stats.freeXorPercent, cost.freeXorPercent);
-    EXPECT_GT(c.stats.multDepth, 0u);
 }
 
 TEST(Netlint, WorkloadFleetIsErrorFree)

@@ -143,7 +143,7 @@ TEST(Fuzz, CompilerAndFunctionalMachineAgreeUnderRandomConfigs)
         opts.swwWires = cfg.swwWires();
 
         HaacProgram prog = compileProgram(assemble(nl), opts);
-        StreamSet set = buildStreams(prog, cfg);
+        StreamSet set = recordSchedule(prog, cfg);
 
         std::vector<bool> ga(5), eb(5);
         for (int i = 0; i < 5; ++i) {

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "chain/component.h"
 #include "chain/workloads.h"
 #include "circuit/bristol.h"
 #include "gc/streaming.h"
@@ -134,10 +133,6 @@ TEST(SpecGrammar, CanonicalSpecsResolve)
           "ChainAbsDiff:8", "ChainAbsDiff:32", "ChainProdCmp:8",
           "ChainProdCmp:32", "ChainHammCmp:8", "ChainMillSum:512"})
         EXPECT_EQ(chain::resolveChainWorkload(spec).name, spec);
-
-    for (const char *spec : {"ADD:32", "ADD:512", "CMP:32", "MUX:8",
-                             "MUL:64", "SUB:1", "XOR:8"})
-        EXPECT_EQ(chain::parseComponentSpec(spec).name(), spec);
 }
 
 TEST(SpecGrammar, NonCanonicalSizesAreRefused)
@@ -156,11 +151,6 @@ TEST(SpecGrammar, NonCanonicalSizesAreRefused)
           "ChainMillSum:-1", "ChainMillSum:4294967297",
           "ChainMillSum:513"})
         EXPECT_THROW(chain::resolveChainWorkload(spec),
-                     std::invalid_argument)
-            << spec;
-    for (const char *spec : {"ADD:08", "ADD: 8", "ADD:+8", "ADD:-1",
-                             "ADD:4294967328", "ADD:513"})
-        EXPECT_THROW(chain::parseComponentSpec(spec),
                      std::invalid_argument)
             << spec;
 }

@@ -25,7 +25,7 @@
 
 #include "api/session.h"
 #include "circuit/builder.h"
-#include "core/compiler/streams.h"
+#include "core/sim/engine.h"
 #include "net/loopback.h"
 #include "net/server.h"
 #include "net/tcp.h"
@@ -88,7 +88,7 @@ TEST(Partition, CoversEveryGeExactlyOnceAndBalances)
     const HaacConfig cfg;
     const Workload wl = vipWorkload("Hamm", false);
     const HaacProgram prog = compiledFor(wl, cfg);
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
 
     const ShardPlan plan = partitionStreams(prog, set, 4);
     ASSERT_EQ(plan.shardCount(), 4u);
@@ -122,7 +122,7 @@ TEST(Partition, ImportsAndExportsAgreeAcrossShards)
     const HaacConfig cfg;
     const Workload wl = vipWorkload("BubbSt", false);
     const HaacProgram prog = compiledFor(wl, cfg);
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
     const ShardPlan plan = partitionStreams(prog, set, 4);
 
     // Every import names a wire some other shard exports, no shard
@@ -150,7 +150,7 @@ TEST(Partition, MoreShardsThanGesClampsToOnePerGe)
     const HaacConfig cfg;
     const Workload wl = vipWorkload("Hamm", false);
     const HaacProgram prog = compiledFor(wl, cfg);
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
 
     const ShardPlan plan = partitionStreams(prog, set, 64);
     EXPECT_EQ(plan.requested, 64u);
@@ -164,7 +164,7 @@ TEST(Partition, SingleShardIsTheIdentity)
     const HaacConfig cfg;
     const Workload wl = vipWorkload("DotProd", false);
     const HaacProgram prog = compiledFor(wl, cfg);
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
 
     const ShardPlan plan = partitionStreams(prog, set, 1);
     ASSERT_EQ(plan.shardCount(), 1u);
@@ -192,7 +192,7 @@ TEST(ShardProto, JobSurvivesTheWire)
     const HaacConfig cfg;
     const Workload wl = vipWorkload("Hamm", false);
     const HaacProgram prog = compiledFor(wl, cfg);
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
     const ShardPlan plan = partitionStreams(prog, set, 2);
 
     shard::ShardJob job;
@@ -295,7 +295,7 @@ expectJobRefused(void (*corrupt)(shard::ShardJob &))
     CompileOptions copts;
     copts.swwWires = cfg.swwWires();
     const HaacProgram prog = compileProgram(assemble(nl), copts, nullptr);
-    const StreamSet set = buildStreams(prog, cfg);
+    const StreamSet set = recordSchedule(prog, cfg);
 
     shard::ShardJob job;
     job.config = cfg;
@@ -355,6 +355,19 @@ TEST(ShardWorker, RefusesBandwidthScaleBelowTheFloor)
 {
     expectJobRefused(
         [](shard::ShardJob &j) { j.config.dramBandwidthScale = 1e-12; });
+}
+
+// The engine keeps ready cycles in 32 bits: a latency near 2^32 wraps
+// t + dramLatency and marks preloaded inputs ready before they arrive.
+TEST(ShardWorker, RefusesDramLatencyPastTheBound)
+{
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.config.dramLatency = ~0u; });
+    expectJobRefused(
+        [](shard::ShardJob &j) { j.config.dramLatency = (1u << 16) + 1; });
+    HaacConfig cfg;
+    cfg.dramLatency = 1u << 16;
+    EXPECT_EQ(cfg.check(), "");
 }
 
 TEST(HaacConfig, BandwidthScaleFloor)
@@ -471,7 +484,7 @@ TEST(ShardWorker, RoundMissingImportsFailsInsteadOfHanging)
     copts.swwWires = cfg.swwWires();
     HaacProgram prog = compileProgram(assemble(cb.build()), copts, nullptr);
     const ShardPlan plan =
-        partitionStreams(prog, buildStreams(prog, cfg), 2);
+        partitionStreams(prog, recordSchedule(prog, cfg), 2);
     shard::markCrossShardLive(prog, plan);
     const shard::ShardPart &part = plan.parts[1];
     ASSERT_FALSE(part.imports.empty());
@@ -545,7 +558,7 @@ TEST(ShardParity, FourShardsPreserveOutputsOnDependencyHeavyCircuits)
         // Dependency-heavy by construction: every shard imports.
         const HaacConfig cfg;
         const HaacProgram prog = compiledFor(wl, cfg);
-        const StreamSet set = buildStreams(prog, cfg);
+        const StreamSet set = recordSchedule(prog, cfg);
         const ShardPlan plan = partitionStreams(prog, set, 4);
         for (const shard::ShardPart &part : plan.parts)
             EXPECT_FALSE(part.imports.empty());
@@ -616,10 +629,8 @@ TEST(ShardReport, JsonCarriesTheShardSection)
 
 TEST(ShardRegistry, BackendIsRegistered)
 {
-    const std::vector<std::string> names = backendNames();
-    EXPECT_NE(std::find(names.begin(), names.end(),
-                        "haac-sim-sharded"),
-              names.end());
+    EXPECT_STREQ(createBackend("haac-sim-sharded")->name(),
+                 "haac-sim-sharded");
 }
 
 // A shard-worker GcServer ends each connection the way it ends a GC
@@ -639,7 +650,7 @@ TEST(ShardWorker, GcServerReportsOneJsonLinePerSession)
     shard::ShardJob job;
     job.config = cfg;
     job.program = prog;
-    job.streams = buildStreams(prog, cfg);
+    job.streams = recordSchedule(prog, cfg);
 
     auto [coordinator, worker] = LoopbackTransport::createPair();
     server.submit(std::move(worker));

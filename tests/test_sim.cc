@@ -143,7 +143,7 @@ TEST(Engine, TrafficAccountingIdentity)
     HaacProgram prog = wideAnds(512);
     HaacConfig cfg = testConfig(4);
     applyEsw(prog, cfg.swwWires());
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     SimStats s = runSimulation(prog, cfg, set, SimMode::Combined);
 
     EXPECT_EQ(s.instrBytes,
@@ -165,7 +165,7 @@ TEST(Engine, CombinedIsAtLeastEachIsolatedMode)
     CompileOptions opts;
     opts.swwWires = cfg.swwWires();
     HaacProgram prog = compileProgram(base, opts);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     SimStats comb = runSimulation(prog, cfg, set, SimMode::Combined);
     SimStats comp = runSimulation(prog, cfg, set, SimMode::ComputeOnly);
     SimStats traf = runSimulation(prog, cfg, set, SimMode::TrafficOnly);
@@ -229,7 +229,7 @@ TEST(Engine, DeterministicAcrossRuns)
 {
     HaacProgram prog = wideAnds(1024);
     HaacConfig cfg = testConfig(4);
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     SimStats a = runSimulation(prog, cfg, set, SimMode::Combined);
     SimStats b = runSimulation(prog, cfg, set, SimMode::Combined);
     EXPECT_EQ(a.cycles, b.cycles);
@@ -479,7 +479,7 @@ TEST(EngineGolden, SimStatsDigestAcrossVipFleet)
     for (const std::string &name : vipNames()) {
         const HaacProgram prog = compiledVip(name);
         for (size_t c = 0; c < configs.size(); ++c) {
-            const StreamSet streams = buildStreams(prog, configs[c].cfg);
+            const StreamSet streams = recordSchedule(prog, configs[c].cfg);
             for (int m = 0; m < 3; ++m)
                 addStats(digest[c][m], runSimulation(prog, configs[c].cfg,
                                                      streams, modes[m]));
@@ -496,7 +496,7 @@ TEST(EngineGolden, ScheduleDigestAcrossVipFleet)
 {
     // The stats digests pin per-GE issue counts, not the order the
     // scheduling pass hands instructions out in: this one pins every
-    // field of buildStreams' output, per config, over the fleet.
+    // field of recordSchedule's output, per config, over the fleet.
     const uint64_t golden[5] = {
         0x8586106675dfdb1cull, 0x253c533ceaaa7e80ull, 0xed2a20711e203f3aull,
         0xff33cad6e91aa021ull, 0x8586106675dfdb1cull};
@@ -505,7 +505,7 @@ TEST(EngineGolden, ScheduleDigestAcrossVipFleet)
     for (const std::string &name : vipNames()) {
         const HaacProgram prog = compiledVip(name);
         for (size_t c = 0; c < configs.size(); ++c) {
-            const StreamSet set = buildStreams(prog, configs[c].cfg);
+            const StreamSet set = recordSchedule(prog, configs[c].cfg);
             Fnv &f = digest[c];
             f.add(set.geOf.size());
             for (uint8_t g : set.geOf)
@@ -543,7 +543,7 @@ TEST(EngineGolden, ShardExportReadyDigest)
         Fnv f;
         for (const std::string &name : vipNames()) {
             HaacProgram prog = compiledVip(name);
-            const StreamSet set = buildStreams(prog, cfg);
+            const StreamSet set = recordSchedule(prog, cfg);
             const shard::ShardPlan plan =
                 shard::partitionStreams(prog, set, shard_counts[k]);
             shard::markCrossShardLive(prog, plan);
@@ -656,7 +656,7 @@ TEST(EngineGolden, ProbeSeesEveryCycle)
     const HaacConfig cfg;
     for (const Case &c : cases) {
         const HaacProgram prog = compiledVip(c.workload);
-        const StreamSet streams = buildStreams(prog, cfg);
+        const StreamSet streams = recordSchedule(prog, cfg);
         RecordingProbe probe(c.stopAt);
         const SimStats s =
             runSimulation(prog, cfg, streams, SimMode::Combined, &probe);

@@ -9,7 +9,7 @@
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
+#include "core/sim/engine.h"
 #include "crypto/prg.h"
 
 namespace haac {
@@ -57,7 +57,7 @@ TEST(Streams, PartitionInProgramOrder)
     HaacProgram prog = randomProgram(1, 800);
     HaacConfig cfg = tinyConfig();
     applyEsw(prog, cfg.swwWires());
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
 
     // Every instruction appears exactly once across GEs.
     std::vector<int> seen(prog.instrs.size(), 0);
@@ -84,7 +84,7 @@ TEST(Streams, GeOfMatchesLists)
 {
     HaacProgram prog = randomProgram(2, 500);
     HaacConfig cfg = tinyConfig();
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     for (uint32_t g = 0; g < cfg.numGes; ++g)
         for (uint32_t idx : set.ge[g].instrIdx)
             EXPECT_EQ(set.geOf[idx], g);
@@ -95,7 +95,7 @@ TEST(Streams, OorRewriteMatchesWindowRule)
     HaacProgram prog = randomProgram(3, 2000);
     HaacConfig cfg = tinyConfig();
     applyEsw(prog, cfg.swwWires());
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
 
     uint64_t total_oor = 0;
     for (const GeStreams &ge : set.ge) {
@@ -135,7 +135,7 @@ TEST(Streams, TableCountsMatchAndMix)
 {
     HaacProgram prog = randomProgram(4, 600);
     HaacConfig cfg = tinyConfig();
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     uint64_t tables = 0;
     for (const GeStreams &ge : set.ge)
         tables += ge.tableCount;
@@ -147,7 +147,7 @@ TEST(Streams, SingleGeGetsEverything)
     HaacProgram prog = randomProgram(5, 300);
     HaacConfig cfg = tinyConfig();
     cfg.numGes = 1;
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     EXPECT_EQ(set.ge[0].instrIdx.size(), prog.instrs.size());
 }
 
@@ -163,7 +163,7 @@ TEST(Streams, LoadBalanceOnWideProgram)
 
     HaacConfig cfg = tinyConfig();
     cfg.swwBytes = size_t(4096) * 16;
-    StreamSet set = buildStreams(prog, cfg);
+    StreamSet set = recordSchedule(prog, cfg);
     for (const GeStreams &ge : set.ge) {
         EXPECT_GT(ge.instrIdx.size(), 512u / cfg.numGes / 2);
         EXPECT_LT(ge.instrIdx.size(), 512u / cfg.numGes * 2);

@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
 #include "core/isa/asm.h"
 #include "core/isa/conformance.h"
 #include "core/isa/disasm.h"
 #include "core/isa/verify.h"
 #include "core/sim/config.h"
+#include "core/sim/engine.h"
 #include "shard/partition.h"
 #include "workloads/vip.h"
 
@@ -290,7 +290,7 @@ TEST(Streams, BuiltStreamsVerifyClean)
     const HaacConfig cfg = conformanceConfig(11);
     const HaacProgram p =
         generateProgram(11, GenOptions{}, cfg.swwWires());
-    const StreamSet set = buildStreams(p, cfg);
+    const StreamSet set = recordSchedule(p, cfg);
     LintOptions opts;
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
@@ -304,7 +304,7 @@ TEST(Streams, CoverageCorruptionIsCaught)
     const HaacConfig cfg = conformanceConfig(11);
     const HaacProgram p =
         generateProgram(11, GenOptions{}, cfg.swwWires());
-    StreamSet set = buildStreams(p, cfg);
+    StreamSet set = recordSchedule(p, cfg);
     ASSERT_FALSE(set.ge.empty());
 
     // Re-route one instruction's geOf entry: the stream that carries
@@ -324,7 +324,7 @@ TEST(Streams, TableCountCorruptionIsCaught)
     const HaacConfig cfg = conformanceConfig(11);
     const HaacProgram p =
         generateProgram(11, GenOptions{}, cfg.swwWires());
-    StreamSet set = buildStreams(p, cfg);
+    StreamSet set = recordSchedule(p, cfg);
     set.ge[0].tableCount += 1;
     LintOptions opts;
     opts.swwWires = cfg.swwWires();
@@ -448,7 +448,7 @@ TEST(Shards, RealPartitionPlanVerifiesClean)
     gen.farOperandPct = 50;
     for (uint64_t seed = 3; seed < 6; ++seed) {
         HaacProgram p = generateProgram(seed, gen, cfg.swwWires());
-        const StreamSet set = buildStreams(p, cfg);
+        const StreamSet set = recordSchedule(p, cfg);
         const shard::ShardPlan plan =
             shard::partitionStreams(p, set, 2);
         shard::markCrossShardLive(p, plan);
@@ -473,7 +473,7 @@ TEST(Canary, InjectedOorwReorderIsCaughtStatically)
         const HaacConfig cfg = conformanceConfig(seed);
         const HaacProgram prog =
             generateProgram(seed, opts, cfg.swwWires());
-        StreamSet streams = buildStreams(prog, cfg);
+        StreamSet streams = recordSchedule(prog, cfg);
 
         bool swapped = false;
         for (GeStreams &gs : streams.ge) {
@@ -510,7 +510,7 @@ TEST(Canary, InjectedLiveBitClearIsCaughtStatically)
         const HaacConfig cfg = conformanceConfig(seed);
         HaacProgram prog =
             generateProgram(seed, opts, cfg.swwWires());
-        const StreamSet streams = buildStreams(prog, cfg);
+        const StreamSet streams = recordSchedule(prog, cfg);
 
         uint32_t victim = 0;
         for (const GeStreams &gs : streams.ge)

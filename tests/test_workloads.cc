@@ -134,11 +134,13 @@ TEST(Vip, GradDescConvergesTowardSlope)
 
 TEST(Vip, SuiteHasEightEntriesInTableOrder)
 {
-    auto suite = vipSuite(/*paper_scale=*/false);
-    ASSERT_EQ(suite.size(), 8u);
-    EXPECT_EQ(suite[0].name, "BubbSt");
-    EXPECT_EQ(suite[7].name, "GradDesc");
-    for (const auto &wl : suite) {
+    const std::vector<std::string> &names = vipNames();
+    ASSERT_EQ(names.size(), 8u);
+    EXPECT_EQ(names[0], "BubbSt");
+    EXPECT_EQ(names[7], "GradDesc");
+    for (const std::string &name : names) {
+        const Workload wl = vipWorkload(name, /*paper_scale=*/false);
+        EXPECT_EQ(wl.name, name);
         EXPECT_EQ(wl.netlist.check(), "") << wl.name;
         EXPECT_GT(wl.netlist.numGates(), 0u) << wl.name;
         EXPECT_TRUE(wl.plaintextKernel != nullptr) << wl.name;
@@ -192,14 +194,15 @@ TEST(Vip, UnknownNameThrows)
 
 TEST(Vip, PlaintextKernelsRun)
 {
-    for (const auto &wl : vipSuite(false))
-        EXPECT_NO_THROW(wl.plaintextKernel()) << wl.name;
+    for (const std::string &name : vipNames())
+        EXPECT_NO_THROW(vipWorkload(name, false).plaintextKernel()) << name;
 }
 
 TEST(Vip, DefaultSuiteEvaluatesToExpected)
 {
     // Full-suite plaintext equivalence at default scale.
-    for (const auto &wl : vipSuite(false)) {
+    for (const std::string &name : vipNames()) {
+        const Workload wl = vipWorkload(name, false);
         auto out = wl.netlist.evaluate(wl.garblerBits,
                                        wl.evaluatorBits);
         EXPECT_EQ(out, wl.expectedOutputs) << wl.name;

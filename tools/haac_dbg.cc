@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
 #include "core/isa/asm.h"
 #include "core/isa/disasm.h"
 #include "core/isa/program.h"
@@ -663,7 +662,7 @@ main(int argc, char **argv)
     if (!bad.empty())
         return fail("program fails check(): " + bad);
 
-    const StreamSet streams = buildStreams(prog, opt.cfg);
+    const StreamSet streams = recordSchedule(prog, opt.cfg);
     std::cout << "config: " << opt.cfg.numGes << " GEs, "
               << opt.cfg.swwWires() << "-wire SWW, "
               << opt.cfg.banksPerGe << " banks/GE, role "

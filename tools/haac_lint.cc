@@ -43,10 +43,10 @@
 #include "circuit/bristol.h"
 #include "circuit/optimize.h"
 #include "core/compiler/passes.h"
-#include "core/compiler/streams.h"
 #include "core/isa/asm.h"
 #include "core/isa/verify.h"
 #include "core/sim/config.h"
+#include "core/sim/engine.h"
 #include "flag_number.h"
 #include "shard/partition.h"
 #include "workloads/vip.h"
@@ -306,7 +306,7 @@ lintProgram(const HaacProgram &prog, uint32_t sww, const Options &opt,
     HaacProgram marked;
     const HaacProgram *target = &prog;
     if (sww > 0 && (opt.streams || opt.shards > 0)) {
-        streams = buildStreams(prog, cfg);
+        streams = recordSchedule(prog, cfg);
         lo.streams = &streams;
         if (opt.shards > 0) {
             const shard::ShardPlan plan =
@@ -317,7 +317,7 @@ lintProgram(const HaacProgram &prog, uint32_t sww, const Options &opt,
             lo.shards = &manifest;
             // Rebuild: OoR rewrite depends only on addresses, but the
             // streams' local copies carry live bits.
-            streams = buildStreams(marked, cfg);
+            streams = recordSchedule(marked, cfg);
             target = &marked;
         }
     }
